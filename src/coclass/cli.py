@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 when a verified mathematical claim fails to
-hold, 2 on usage or validation errors.  All reports are JSON with numeric
-values rendered as decimal strings; identical invocations produce
-byte-identical output.
+hold, 2 on usage or validation errors: every package error (a
+`CoclassError`) ends with exit 2 and one `error:` line.  All reports are
+JSON with numeric values rendered as decimal strings; identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import coclass_tree, cohomology, extensions, groups, modules, pairs, scenarios
+from . import CoclassError, coclass_tree, cohomology, extensions, groups, pairs, scenarios
 from .scenarios import Scenario, ScenarioError
 
 
@@ -27,25 +28,13 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(args) -> Scenario:
-    scn = scenarios.load_scenario(args.scenario)
-    if getattr(args, "precision", None):
-        data = dict(scenarios.BUILTIN_SCENARIOS.get(args.scenario, {}))
-        if not data:
-            with open(args.scenario) as fh:
-                data = json.load(fh)
-        data["precision"] = int(args.precision)
-        scn = scenarios.scenario_from_dict(data)
-    return scn
-
-
-def _with_precision(scn: Scenario, precision: int) -> Scenario:
-    data = {
-        "name": scn.name, "p": scn.p, "rank": scn.rank,
-        "precision": precision, "depth": scn.depth, "group": scn.group_spec,
-        "action": scn.action, "top_offset": scn.top_offset,
-        "pro_coclass": scn.pro_coclass,
-    }
+def _load(args, precision: int | None = None) -> Scenario:
+    """The --scenario instance at `precision`, else at --precision, else at
+    its own precision; validated once."""
+    data = scenarios.scenario_data(args.scenario)
+    precision = precision or args.precision
+    if precision:
+        data = dict(data, precision=precision)
     return scenarios.scenario_from_dict(data)
 
 
@@ -58,7 +47,7 @@ def _invariants_at(scn: Scenario, n: int, degree: int) -> list[int]:
 def cmd_cohomology(args) -> int:
     scn = _load(args)
     inv = _invariants_at(scn, args.n, args.degree)
-    recheck = _invariants_at(_with_precision(scn, scn.precision + 2), args.n, args.degree)
+    recheck = _invariants_at(_load(args, scn.precision + 2), args.n, args.degree)
     report = {
         "scenario": scn.name,
         "n": str(args.n),
@@ -108,13 +97,13 @@ def cmd_extend(args) -> int:
     n = int(data["level"])
     top = scn.top()
     Q = top.quotient(n)
-    H = cohomology.finite_cohomology(Q.module, 2)
+    H = cohomology.level_cohomology(top.chain, n, 2)
     if "coords" in data:
         row = H.representative(np.array([int(x) for x in data["coords"]], dtype=np.int64))
     elif "row" in data:
         row = np.array([int(x) for x in data["row"]], dtype=np.int64)
     elif data.get("mainline"):
-        row = top.mainline_cocycle(n, Q)
+        row = top.mainline_cocycle(n)
     else:
         raise ScenarioError("cocycle file needs 'coords', 'row', or 'mainline'")
     ext = extensions.build_extension(top.group, Q.module, row)
@@ -309,9 +298,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ScenarioError, coclass_tree.BranchError, extensions.ExtensionError,
-            modules.ModuleError, cohomology.CohomologyError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CoclassError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cohomology, extensions, groups, modules, pairs
+from . import CoclassError, cohomology, extensions, modules, pairs
 from .scenarios import Scenario, TopQuotient
 
 
-class BranchError(ValueError):
+class BranchError(CoclassError):
     pass
 
 
@@ -63,11 +63,23 @@ class LevelData:
 
 
 def _level_data(top: TopQuotient, n: int) -> LevelData:
-    Q = top.quotient(n)
-    H = cohomology.finite_cohomology(Q.module, 2)
-    partition = pairs.orbits_on_h2(H, pairs.compatible_pairs(Q.module))
-    lam = top.mainline_cocycle(n, Q)
-    return LevelData(n, Q, H, partition, tuple(int(x) for x in H.coords(lam)))
+    """The level-n orbits and mainline class, held by the top quotient."""
+    def build():
+        Q = top.quotient(n)
+        H = cohomology.level_cohomology(top.chain, n, 2)
+        partition = pairs.orbits_on_h2(H, pairs.compatible_pairs(Q.module))
+        lam = top.mainline_cocycle(n)
+        return LevelData(n, Q, H, partition, tuple(int(x) for x in H.coords(lam)))
+    return top.derived(("level", n), build)
+
+
+def _vertex_extension(top: TopQuotient, lv: LevelData, coords, cap: int):
+    """(extension, (coclass, flag)) of a class at level lv.n, held by the top quotient."""
+    def build():
+        row = lv.H.representative(np.array(coords, dtype=np.int64))
+        ext = extensions.build_extension(top.group, lv.Q.module, row, cap=cap)
+        return ext, extensions.coclass_of_extension(ext, l=top.l)
+    return top.derived(("extension", lv.n, tuple(coords), cap), build)
 
 
 def _reduced_coords(levels: dict[int, LevelData], n_from: int, n_to: int,
@@ -96,16 +108,9 @@ def build_branch(scn: Scenario, i: int, k: int = 1,
     if top.group.order * scn.p ** (n0 + k) > cap:
         raise BranchError("extensions at level %d exceed the order cap %d" % (n0 + k, cap))
     levels = {n: _level_data(top, n) for n in range(n0, n0 + k + 1)}
-
-    def table_of(lv: LevelData, coords):
-        ext = extensions.build_extension(top.group, lv.Q.module,
-                                         lv.H.representative(np.array(coords, dtype=np.int64)),
-                                         cap=cap)
-        return ext, extensions.coclass_of_extension(ext, l=top.l)
-
     root_lv = levels[n0]
     root_orbit = root_lv.partition.orbit_of(np.array(root_lv.mainline_coords, dtype=np.int64))
-    root_ext, (root_cc, root_flag) = table_of(root_lv, root_lv.mainline_coords)
+    root_ext, (root_cc, root_flag) = _vertex_extension(top, root_lv, root_lv.mainline_coords, cap)
     if not root_flag:
         raise BranchError("mainline quotient at level %d fails the coclass criterion" % n0)
     vertices = [BranchVertex(0, n0, 0, root_lv.mainline_coords, root_orbit,
@@ -136,7 +141,7 @@ def build_branch(scn: Scenario, i: int, k: int = 1,
                     continue
             if not descends:
                 continue
-            ext, (cc, flag) = table_of(lv, coords)
+            ext, (cc, flag) = _vertex_extension(top, lv, coords, cap)
             if not flag:
                 continue
             idx = len(vertices)
@@ -200,23 +205,16 @@ def nu_shift(scn: Scenario, src: BranchGraph,
         dst = build_branch(scn, src.i + d, src.k)
     if dst.i != src.i + d or dst.k != src.k:
         raise BranchError("target branch must be built at i + period with the same k")
-    T, chain = top.lattice, top.chain
     failures: list[str] = []
     vmap: list[tuple[int, int]] = []
-    dst_levels = {n: _level_data(top, n) for n in range(dst.root_level,
-                                                        dst.root_level + dst.k + 1)}
     dst_by_orbit = {(v.level, v.orbit): v.index for v in dst.vertices}
-    level_cache: dict[int, tuple] = {}
     for v in src.vertices:
         n = v.level
-        if n not in level_cache:
-            frame = cohomology.split_frame(T, chain, n, m=2)
-            level_cache[n] = (cohomology.split_at_level(frame, T, chain, n, d),
-                              cohomology.split_at_level(frame, T, chain, n + d, d))
-        lev_n, lev_nd = level_cache[n]
+        lev_n = cohomology.level_split(top.chain, n, n, d)
+        lev_nd = cohomology.level_split(top.chain, n, n + d, d)
         row = lev_n.H.representative(np.array(v.class_coords, dtype=np.int64))
         shifted = cohomology.id_oplus_mu(lev_n, lev_nd, row)
-        lv_t = dst_levels[n + d]
+        lv_t = _level_data(top, n + d)
         orbit = lv_t.partition.orbit_of(lv_t.H.coords(shifted))
         key = (n + d, orbit)
         if key not in dst_by_orbit:

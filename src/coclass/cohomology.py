@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, modules
+from . import CoclassError, linalg, modules
 from .groups import GroupTable
 from .modules import FiniteModule, LatticeModule, QuotientModule
 
 
-class CohomologyError(ValueError):
+class CohomologyError(CoclassError):
     pass
 
 
@@ -79,16 +79,13 @@ def lattice_coefficients(T: LatticeModule, basis=None) -> CoefficientSpace:
                 "precision p^%d left after the basis change is too small" % E
             )
         qE = p**E
+        HB = linalg.howell(B, p, N, track=True)
         mats = []
         for g in range(T.group.order):
-            BM = (B @ T.act[g]) % q
-            rows = []
-            for i in range(d):
-                x = linalg.solve_rows(B, BM[i], p, N)
-                if x is None:
-                    raise CohomologyError("sublattice is not invariant under the action")
-                rows.append(x % qE)
-            mats.append(np.vstack(rows))
+            rows = [HB.solve(v) for v in (B @ T.act[g]) % q]
+            if any(x is None for x in rows):
+                raise CohomologyError("sublattice is not invariant under the action")
+            mats.append(np.vstack(rows) % qE)
         act = np.stack(mats)
     return CoefficientSpace(T.group, p, E, d, act, np.ones(d, dtype=np.int64), True)
 
@@ -177,21 +174,6 @@ class CohomologyGroup:
     def order(self) -> int:
         return self.structure.order
 
-    def exponent(self) -> int:
-        inv = self.invariants()
-        return max(inv) if inv else 1
-
-    def exponent_valuation(self) -> int:
-        inv = self.invariants()
-        if not inv:
-            return 0
-        e = 0
-        x = max(inv)
-        while x % self.spec.p == 0:
-            x //= self.spec.p
-            e += 1
-        return e
-
     def coords(self, cocycle_row) -> np.ndarray:
         qe = self.spec.p**self.E_eff
         return self.structure.coords(np.asarray(cocycle_row) % qe)
@@ -243,6 +225,37 @@ def lattice_cohomology(T: LatticeModule, m: int, basis=None) -> CohomologyGroup:
 
 
 # ---------------------------------------------------------------------------
+# derived objects held by the chain they come from; each accessor looks in
+# the chain's memo before it computes
+
+
+def lattice_exps(chain: modules.CentralChain, m: int, n: int | None = None) -> list[int]:
+    """Invariant exponents of the lattice H^m(R, T_n), or of H^m(R, T) for n None.
+
+    Only the exponents are kept: every reader needs the exponent or the order.
+    """
+    basis = None if n is None else chain.bases[n]
+    return chain.derived(("lattice H", m, n), lambda: list(
+        lattice_cohomology(chain.lattice, m, basis=basis).structure.exps))
+
+
+def level_cohomology(chain: modules.CentralChain, n: int, m: int) -> CohomologyGroup:
+    """H^m(R, A_n) of the level quotient A_n = T / T_n."""
+    return chain.derived(("H", n, m), lambda: finite_cohomology(chain.quotient(n).module, m))
+
+
+def level_frame(chain: modules.CentralChain, n: int, m: int = 2) -> "SplitFrame":
+    return chain.derived(("frame", n, m), lambda: split_frame(chain.lattice, chain, n, m))
+
+
+def level_split(chain: modules.CentralChain, base: int, n: int, period: int,
+                m: int = 2) -> "SplitLevel":
+    """The split of H^m(R, A_n) through the frame of level `base`."""
+    return chain.derived(("split", base, n, period, m), lambda: split_at_level(
+        level_frame(chain, base, m), chain.lattice, chain, n, period))
+
+
+# ---------------------------------------------------------------------------
 # the split decomposition H^m(R, T/T_n) = Im(theta) + K with K = H^{m+1}(R, T_n)
 
 
@@ -279,21 +292,23 @@ class SplitFrame:
 
 
 def split_frame(T: LatticeModule, chain: modules.CentralChain, n: int, m: int = 2) -> SplitFrame:
+    """The frame of level n; T is chain.lattice."""
     p, N, q = T.p, T.ctx.N, T.q
     d = T.rank
     Bn = chain.bases[n]
-    Hnext = lattice_cohomology(T, m + 1, basis=Bn)
-    vf = Hnext.exponent_valuation()
+    next_exps = lattice_exps(chain, m + 1, n)
+    vf = max(next_exps, default=0)
     f = p**vf
     if np.any(Bn % f):
         raise CohomologyError(
             "T_%d is not contained in %d.T; the level is too small for the split" % (n, f)
         )
-    theta, theta_prec = cocycle_rows(lattice_coefficients(T), m)
+    theta, theta_prec = chain.derived(("cocycles", m),
+                                      lambda: cocycle_rows(lattice_coefficients(T), m))
     if vf == 0:
         return SplitFrame(m, n, 0, theta, theta_prec,
                           np.zeros((0, theta.shape[1])).astype(np.int64),
-                          [], Hnext.structure.order_exponent)
+                          [], sum(next_exps))
     BD = (Bn // f) % q
     specD = lattice_coefficients(T, basis=BD)
     ED = specD.E
@@ -316,8 +331,7 @@ def split_frame(T: LatticeModule, chain: modules.CentralChain, n: int, m: int = 
                 "coboundary divisor p^%d exceeds exp H^%d = p^%d; precision problem" % (a, m + 1, vf)
             )
     lifts_arr = np.vstack(lifts) if lifts else np.zeros((0, theta.shape[1]), dtype=np.int64)
-    frame = SplitFrame(m, n, vf, theta, theta_prec, lifts_arr, divisors,
-                       Hnext.structure.order_exponent)
+    frame = SplitFrame(m, n, vf, theta, theta_prec, lifts_arr, divisors, sum(next_exps))
     if sum(divisors) != frame.h_next_order_exp:
         raise CohomologyError(
             "complement order p^%d disagrees with |H^%d(T_n)| = p^%d"
@@ -345,15 +359,10 @@ class SplitLevel:
         Returns (gamma, c) with gamma a T-valued m-cocycle row and c the
         K-lift coefficients.
         """
-        coeffs: list = []
-        res = self._solver.reduce(np.asarray(tau_hat) % self.Q.module.q, coeffs_out=coeffs)
-        if np.any(res):
+        x = self._solver.solve(np.asarray(tau_hat) % self.Q.module.q, modulus=self.Q.lattice.q)
+        if x is None:
             raise CohomologyError("cocycle does not split; it may not be a cocycle")
         q = self.frame.theta_rows.shape[1]
-        tr = self._solver.transform
-        x = np.zeros(tr.shape[1], dtype=np.int64)
-        for cf, trow in zip(coeffs, tr):
-            x = (x + cf * trow) % self.Q.lattice.q
         nt = self.frame.theta_rows.shape[0]
         gamma = (x[:nt] @ self.frame.theta_rows) % self.Q.lattice.q if nt else np.zeros(q, dtype=np.int64)
         return gamma, x[nt:]
@@ -369,9 +378,8 @@ class SplitLevel:
 
 
 def split_at_level(frame: SplitFrame, T: LatticeModule, chain: modules.CentralChain,
-                   n: int, period: int, Q: QuotientModule | None = None) -> SplitLevel:
-    if Q is None:
-        Q = modules.quotient(T, chain, n)
+                   n: int, period: int) -> SplitLevel:
+    Q = chain.quotient(n)
     if (n - frame.base_level) % period or n < frame.base_level:
         raise CohomologyError("frame at level %d cannot serve level %d" % (frame.base_level, n))
     k = (n - frame.base_level) // period
@@ -386,7 +394,7 @@ def split_at_level(frame: SplitFrame, T: LatticeModule, chain: modules.CentralCh
     K_hat = np.vstack([
         lattice_row_to_quotient(Q, (scale * row) % q, frame.m) for row in frame.K_lifts
     ]) if frame.K_lifts.shape[0] else np.zeros((0, theta_hat.shape[1] if theta_hat.size else 0), dtype=np.int64)
-    H = finite_cohomology(Q.module, frame.m)
+    H = level_cohomology(chain, n, frame.m)
     stacked = np.vstack([x for x in (theta_hat, K_hat) if x.shape[0]]) if (
         theta_hat.shape[0] or K_hat.shape[0]) else np.zeros((0, H.cocycles.shape[1]), dtype=np.int64)
     solver = linalg.howell(stacked, T.p, Q.module.E, track=True)

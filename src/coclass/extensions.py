@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cohomology, groups, linalg, modules, pairs
+from . import CoclassError, cohomology, groups, pairs
 from .cohomology import CohomologyGroup
 from .groups import GroupTable
 from .modules import FiniteModule
@@ -23,7 +23,7 @@ from .modules import FiniteModule
 EXTENSION_CAP = 512
 
 
-class ExtensionError(ValueError):
+class ExtensionError(CoclassError):
     pass
 
 

@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import CoclassError
+
 TABLE_VALIDATION_CAP = 512
 CLOSURE_CAP = 4096
 AUT_CAP = 64
 
 
-class GroupError(ValueError):
+class GroupError(CoclassError):
     pass
 
 
@@ -473,10 +475,6 @@ def lower_central_series(G: GroupTable) -> SubgroupChain:
     return SubgroupChain(terms)
 
 
-def is_nilpotent(G: GroupTable) -> bool:
-    return len(lower_central_series(G).terms[-1]) == 1
-
-
 def nilpotency_class(G: GroupTable) -> int:
     chain = lower_central_series(G)
     if len(chain.terms[-1]) != 1:
@@ -506,13 +504,6 @@ def coclass(G: GroupTable) -> int:
         raise GroupError("order %d is not a prime power" % G.order)
     _, n = pp
     return n - nilpotency_class(G)
-
-
-def group_prime(G: GroupTable) -> int:
-    pp = _prime_power(G.order)
-    if pp is None:
-        raise GroupError("order %d is not a prime power" % G.order)
-    return pp[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,6 @@ INT64_SAFE_MODULUS = 1 << 31
 _obj_gcd = np.frompyfunc(math.gcd, 2, 1)
 
 
-def modulus(p: int, M: int) -> int:
-    return p**M
-
-
 def as_matrix(rows, q: int):
     """Coerce to a 2-D array with dtype suited to modulus q."""
     dtype = np.int64 if q <= INT64_SAFE_MODULUS else object
@@ -285,6 +281,23 @@ class Howell:
                 coeffs_out[i] = (coeffs_out[i] + m) % q
         return v
 
+    def solve(self, v, modulus: int | None = None):
+        """One x with x @ gens = v, or None when v is outside the span.
+
+        gens are the generators the form was built from when the transform
+        was tracked, and the form's own rows otherwise.  x is the integer
+        combination of transform rows reduced mod `modulus` (default: the
+        form's modulus), so a larger modulus keeps that integer lift.
+        """
+        coeffs: list = []
+        if np.any(self.reduce(v, coeffs_out=coeffs)):
+            return None
+        q = self.q if modulus is None else modulus
+        x = np.array(coeffs, dtype=self.rows.dtype)
+        if self.transform is None:
+            return x % q
+        return _dot_mod(x, self.transform, self.q, q)
+
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
 
@@ -360,19 +373,20 @@ def howell(gens, p: int, M: int, *, track: bool = False) -> Howell:
     return Howell(p, M, ncols, rows, pivots, tr)
 
 
+def _dot_mod(x, A, bound: int, q: int):
+    """x @ A mod q, exact for entries in [0, bound).
+
+    int64 is used only while no partial sum can overflow, that is while
+    rows * (bound - 1)^2 < 2^63; otherwise the sum is formed in Python ints.
+    """
+    if A.dtype != object and A.shape[0] * (bound - 1) ** 2 < 1 << 63:
+        return (x.astype(np.int64) @ A) % q
+    return ((np.asarray(x, dtype=object) @ A.astype(object)) % q).astype(A.dtype)
+
+
 def solve_rows(gens, b, p: int, M: int):
     """One x with x @ gens = b over Z/p^M, or None."""
-    H = howell(gens, p, M, track=True)
-    coeffs: list = []
-    res = H.reduce(b, coeffs_out=coeffs)
-    if np.any(res):
-        return None
-    q = p**M
-    ngens = np.array(H.transform, dtype=H.transform.dtype)
-    x = zeros((np.shape(gens)[0],), q)
-    for cf, trow in zip(coeffs, ngens):
-        x = (x + cf * trow) % q
-    return x
+    return howell(gens, p, M, track=True).solve(b)
 
 
 def span_equal(gens_a, gens_b, p: int, M: int) -> bool:
@@ -411,7 +425,7 @@ class QuotientGroup:
     M: int
     exps: list[int]  # invariant factor exponents, > 0, nondecreasing
     gens: np.ndarray  # one ambient row per invariant factor
-    _K: Howell
+    _K: Howell  # untracked, so solving gives coordinates over its own rows
     _V: np.ndarray  # right transform sending K-coordinates to SNF coordinates
     _kept: list[int]
 
@@ -426,15 +440,10 @@ class QuotientGroup:
     def coords(self, v) -> np.ndarray:
         """Coordinates of v + B in the invariant-factor decomposition."""
         q = self.p**self.M
-        cf: list = []
-        res = self._K.reduce(v, coeffs_out=cf)
-        if np.any(res):
+        x = self._K.solve(v)
+        if x is None:
             raise ValueError("element not in the subgroup K")
-        x = zeros((self._V.shape[0],), q)
-        tr = self._K.transform
-        for c, trow in zip(cf, tr):
-            x = (x + c * trow) % q
-        z = (x @ self._V) % q
+        z = _dot_mod(x, self._V, q, q)
         out = []
         for i, e in zip(self._kept, self.exps):
             out.append(int(z[i]) % self.p**e)
@@ -462,21 +471,16 @@ class QuotientGroup:
 def quotient_group(K_rows, B_rows, p: int, M: int) -> QuotientGroup:
     """Structure of span(K)/span(B) over Z/p^M (B must lie in span(K))."""
     q = p**M
-    HK = howell(K_rows, p, M, track=True)
+    HK = howell(K_rows, p, M)
     # keep the howell rows as the working generating set of K
     Kb = HK.rows
     g = Kb.shape[0]
     if g == 0:
         return QuotientGroup(p, M, [], zeros((0, np.shape(K_rows)[1]), q), HK, eye(0, q), [])
     rel = row_kernel(Kb, p, M)
-    B = as_matrix(B_rows, q)
-    bcoords = []
-    for i in range(B.shape[0]):
-        cf: list = []
-        res = HK.reduce(B[i], coeffs_out=cf)
-        if np.any(res):
-            raise ValueError("B is not contained in K")
-        bcoords.append(np.array(cf, dtype=Kb.dtype) % q)
+    bcoords = [HK.solve(b) for b in as_matrix(B_rows, q)]
+    if any(x is None for x in bcoords):
+        raise ValueError("B is not contained in K")
     pieces = [rel] + ([np.vstack(bcoords)] if bcoords else [])
     pieces = [x for x in pieces if x.shape[0] > 0]
     L = np.vstack(pieces) if pieces else zeros((0, g), q)
@@ -486,9 +490,6 @@ def quotient_group(K_rows, B_rows, p: int, M: int) -> QuotientGroup:
     kept = [i for i, a in enumerate(exps) if a > 0]
     gens = []
     new_exps = []
-    # rebuild HK transform coefficient count: HK.reduce expects coeffs over HK.rows;
-    # but HK.transform maps original K_rows to HK.rows.  Re-track against Kb itself.
-    HK2 = howell(Kb, p, M, track=True)
     for i in kept:
         x = (Vinv[i] if i < Vinv.shape[0] else zeros((g,), q)) % q
         amb = (x @ Kb) % q
@@ -499,7 +500,7 @@ def quotient_group(K_rows, B_rows, p: int, M: int) -> QuotientGroup:
         M,
         new_exps,
         np.vstack(gens) % q if gens else zeros((0, Kb.shape[1]), q),
-        HK2,
+        HK,
         s.V,
         kept,
     )

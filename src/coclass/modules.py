@@ -18,12 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import groups, linalg
+from . import CoclassError, linalg
 from .groups import GroupTable
 
 
-class ModuleError(ValueError):
+class ModuleError(CoclassError):
     pass
+
+
+class Owner:
+    """An object that holds what is derived from it, each built once, on first use."""
+
+    def derived(self, key, build):
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
 
 @dataclass(frozen=True)
@@ -110,8 +120,15 @@ def lattice_module(group: GroupTable, gen_action: dict, ctx: PrecisionContext) -
     return LatticeModule(group, ctx, d, act)
 
 
-@dataclass
-class CentralChain:
+@dataclass(eq=False)
+class CentralChain(Owner):
+    """A lattice with its chain of sublattices T_i.
+
+    The chain owns every object derived from the pair: level quotients here,
+    and the cohomology, split frames and stabilizer data built on them by
+    `cohomology` and `pairs`.
+    """
+
     lattice: LatticeModule
     bases: list[np.ndarray]  # bases[i] rows span T_i mod p^N
     index_exponents: list[int]  # v_p([T : T_i]) for each term
@@ -120,6 +137,9 @@ class CentralChain:
     @property
     def depth(self) -> int:
         return len(self.bases) - 1
+
+    def quotient(self, n: int) -> "QuotientModule":
+        return self.derived(("quotient", n), lambda: quotient(self.lattice, self, n))
 
 
 def g_central_series(T: LatticeModule, depth: int) -> CentralChain:
@@ -273,10 +293,6 @@ class FiniteModule:
 
     def apply(self, x, g: int) -> np.ndarray:
         return (np.asarray(x) @ self.act[g]) % self.q
-
-    def all_elements(self):
-        for c in groups.all_coord_rows([self.p**e for e in self.exps]):
-            yield self.hat(c)
 
     def invariants(self) -> list[int]:
         return [self.p**e for e in sorted(self.exps, reverse=True)]
@@ -457,12 +473,6 @@ class HomSpace:
         for c in self.structure.all_coords():
             yield self.flat_to_matrix(self.structure.element(c))
 
-    def apply(self, C, coords) -> np.ndarray:
-        """Image of a plain domain coordinate vector under the hom matrix C."""
-        W = self.codomain
-        mods = np.array([W.p**e for e in W.exps], dtype=np.int64)
-        return (np.asarray(coords, dtype=np.int64) @ np.asarray(C, dtype=np.int64)) % mods
-
 
 def solve_homogeneous(F, unknown_exps: list[int], target_exps: list[int], p: int) -> np.ndarray:
     """Generators of { c in sum Z/p^{m_u} : (c @ F) column t = 0 mod p^{f_t} }.
@@ -492,6 +502,18 @@ def solve_homogeneous(F, unknown_exps: list[int], target_exps: list[int], p: int
     return linalg.howell(rows, p, Eu).rows
 
 
+def _commuting_columns(A, B) -> np.ndarray:
+    """Condition columns of A C - C B = 0 in the row-major entries of C.
+
+    Row i * cols(C) + j is the unknown C[i, j]; column a * cols(C) + b is the
+    (a, b) entry of A C - C B.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    return (np.kron(A, np.eye(B.shape[0], dtype=np.int64))
+            - np.kron(np.eye(A.shape[0], dtype=np.int64), B.T)).T
+
+
 def hom_space_flat(V: FiniteModule, W: FiniteModule, beta=None) -> np.ndarray:
     """Hatted flat generator rows of hom_R(V, W^(beta)), by direct linear solve.
 
@@ -508,18 +530,9 @@ def hom_space_flat(V: FiniteModule, W: FiniteModule, beta=None) -> np.ndarray:
     cols = []
     target_exps: list[int] = []
     for g in gens:
-        A = V.plain[g]
-        Bm = Wplain[g]
         # (A @ C - C @ Bm)[a, b] = 0 mod p^{f_b}: linear in the entries of C
-        for a in range(r):
-            for b in range(rw):
-                col = np.zeros(u, dtype=np.int64)
-                for i in range(r):
-                    col[i * rw + b] += int(A[a, i])
-                for j in range(rw):
-                    col[a * rw + j] -= int(Bm[j, b])
-                cols.append(col)
-                target_exps.append(W.exps[b])
+        cols.extend(_commuting_columns(V.plain[g], Wplain[g]).T)
+        target_exps.extend(W.exps * r)
     # well-definedness: p^{e_a} C[a, b] = 0 mod p^{f_b}
     for a in range(r):
         for b in range(rw):
@@ -571,11 +584,10 @@ def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None
     return linalg.howell(np.vstack(rows), p, W.E).rows
 
 
-def hom_space(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None,
-              cross_check: bool = True) -> HomSpace:
+def hom_space(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None) -> HomSpace:
     """hom_R(V, W^(beta)) with the orbit route cross-checked when v0 is given."""
     flat = hom_space_flat(V, W, beta)
-    if v0_hat is not None and cross_check:
+    if v0_hat is not None:
         flat2 = hom_space_via_orbit(V, W, beta, v0_hat)
         if not linalg.span_equal(flat, flat2, V.p, W.E):
             raise ModuleError("hom space routes disagree")
@@ -596,22 +608,9 @@ def lattice_hom_space(T: LatticeModule, beta=None) -> list[np.ndarray]:
     """
     p, N, q = T.p, T.ctx.N, T.q
     d = T.rank
-    u = d * d
     gens = T.group.generators or [g for g in range(T.group.order) if g != T.group.identity]
     bperm = np.arange(T.group.order) if beta is None else np.asarray(beta, dtype=np.int64)
-    cols = []
-    for g in gens:
-        A = T.act[g]
-        Bm = T.act[int(bperm[g])]
-        for a in range(d):
-            for b in range(d):
-                col = np.zeros(u, dtype=np.int64)
-                for i in range(d):
-                    col[i * d + b] += int(A[a, i])
-                for j in range(d):
-                    col[a * d + j] -= int(Bm[j, b])
-                cols.append(col % q)
-    F = np.stack(cols, axis=1)
+    F = np.hstack([_commuting_columns(T.act[g], T.act[int(bperm[g])]) for g in gens]) % q
     K, Ke = linalg.lattice_kernel(F, p, N)
     return [K[i].reshape(d, d) % (p**Ke) for i in range(K.shape[0])]
 

@@ -15,17 +15,16 @@ between two consecutive qualifying levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import cohomology, groups, linalg, modules
-from .cohomology import CohomologyGroup, SplitLevel
-from .groups import GroupTable
+from . import CoclassError, cohomology, groups, linalg, modules
+from .cohomology import CohomologyGroup
 from .modules import CentralChain, FiniteModule, LatticeModule, QuotientModule
 
 
-class PairError(ValueError):
+class PairError(CoclassError):
     pass
 
 
@@ -319,12 +318,22 @@ def restricted_lattice(T: LatticeModule, elems) -> tuple[LatticeModule, list[int
     return LatticeModule(sub, T.ctx, T.rank, act.copy()), elements
 
 
+def stabilizer_chain(T: LatticeModule, chain: CentralChain) -> tuple[np.ndarray, list[int], CentralChain]:
+    """(t0, P, chain of T as P-lattices) for the distinguished generator t0 and
+    its stabilizer P; held by the chain."""
+    def build():
+        t0 = modules.distinguished_generator(T, chain)
+        stab = stabilizer_elements(T, t0)
+        TP, _ = restricted_lattice(T, stab)
+        return t0, stab, CentralChain(TP, chain.bases, chain.index_exponents, chain.stopped)
+    return chain.derived("stabilizer", build)
+
+
 def exponent_bounds(T: LatticeModule, chain: CentralChain, n: int, d: int) -> ExponentBounds:
-    a2 = cohomology.lattice_cohomology(T, 2).exponent_valuation()
-    a3 = cohomology.lattice_cohomology(T, 3, basis=chain.bases[n]).exponent_valuation()
-    t0 = modules.distinguished_generator(T, chain)
-    TP, _ = restricted_lattice(T, stabilizer_elements(T, t0))
-    b = cohomology.lattice_cohomology(TP, 1, basis=chain.bases[n]).exponent_valuation()
+    a2 = max(cohomology.lattice_exps(chain, 2), default=0)
+    a3 = max(cohomology.lattice_exps(chain, 3, n), default=0)
+    _, _, chain_P = stabilizer_chain(T, chain)
+    b = max(cohomology.lattice_exps(chain_P, 1, n), default=0)
     return ExponentBounds(T.p, d, max(a2, a3), b)
 
 
@@ -372,8 +381,7 @@ def _lift_plain_endo(Q: QuotientModule, C) -> np.ndarray:
     return (V @ (np.asarray(C, dtype=np.int64) % q) @ reps) % q
 
 
-def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int,
-                  Q: QuotientModule | None = None) -> Complement:
+def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) -> Complement:
     """Complement of the reduced lattice endomorphisms inside End(A_n).
 
     Construction: over the stabilizer P of a distinguished lattice generator
@@ -381,19 +389,17 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int,
     points plus a complement isomorphic to H^1(P, T_n); each complement
     generator w yields the unique endomorphism of A_n sending t0 to w.
     """
-    if Q is None:
-        Q = modules.quotient(T, chain, n)
+    Q = chain.quotient(n)
     p = T.p
     A = Q.module
-    t0 = modules.distinguished_generator(T, chain)
-    stab = stabilizer_elements(T, t0)
-    TP, _ = restricted_lattice(T, stab)
-    H1 = cohomology.lattice_cohomology(TP, 1, basis=chain.bases[n])
-    b_exp = H1.exponent_valuation()
+    t0, stab, chain_P = stabilizer_chain(T, chain)
+    h1_exps = cohomology.lattice_exps(chain_P, 1, n)
+    b_exp = max(h1_exps, default=0)
     if n < b_exp * period:
         raise PairError("level %d below the complement hypothesis %d" % (n, b_exp * period))
-    frame = cohomology.split_frame(TP, chain, n, m=0)
-    level = cohomology.split_at_level(frame, TP, chain, n, period)
+    TP = chain_P.lattice
+    frame = cohomology.split_frame(TP, chain_P, n, m=0)
+    level = cohomology.split_at_level(frame, TP, chain_P, n, period)
     t0_hat = Q.hat_of_ambient(t0)
     End = modules.hom_space(A, A, v0_hat=t0_hat)
     t0c = Q.coords(t0)
@@ -421,7 +427,8 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int,
     endT_rows = [End.matrix_to_flat(modules.endo_to_quotient(Q, Phi)) for Phi in endT]
     endT_flat = linalg.howell(np.vstack(endT_rows), p, A.E).rows if endT_rows else (
         np.zeros((0, A.rank * A.rank), dtype=np.int64))
-    comp = Complement(n, t0, stab, H1.invariants(), End, endT_flat, E_flat, lifts)
+    h1_invariants = [p**e for e in sorted(h1_exps, reverse=True)]
+    comp = Complement(n, t0, stab, h1_invariants, End, endT_flat, E_flat, lifts)
     _verify_complement(comp)
     return comp
 
@@ -463,18 +470,14 @@ def one_plus(A: FiniteModule, eps_flat) -> CompatiblePair:
     return CompatiblePair(np.arange(A.group.order, dtype=np.int64), eps_hat)
 
 
-def rho_pi_data(T: LatticeModule, chain: CentralChain, n: int, period: int,
-                Q: QuotientModule | None = None,
-                comp: Complement | None = None) -> RhoPiData:
-    if Q is None:
-        Q = modules.quotient(T, chain, n)
+def rho_pi_data(T: LatticeModule, chain: CentralChain, n: int, period: int) -> RhoPiData:
+    Q = chain.quotient(n)
     A = Q.module
     bounds = exponent_bounds(T, chain, n, period)
     if not bounds.qualifies(n):
         raise PairError("level %d does not satisfy the deep-level assumption; need %d"
                         % (n, bounds.least_qualifying()))
-    if comp is None:
-        comp = complement_En(T, chain, n, period, Q=Q)
+    comp = complement_En(T, chain, n, period)
     rho_pairs = [one_plus(A, row) for row in comp.E_flat]
     for pair in rho_pairs:
         if not (is_module_automorphism(A, pair.eps_hat) and satisfies_compatibility(A, pair)):
@@ -604,12 +607,10 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
     orbit partitions through the shift.
     """
     nd = n + period
-    Q_n = modules.quotient(T, chain, n)
-    Q_nd = modules.quotient(T, chain, nd)
-    data = rho_pi_data(T, chain, n, period, Q=Q_n)
-    frame = cohomology.split_frame(T, chain, n, m=2)
-    lev_n = cohomology.split_at_level(frame, T, chain, n, period, Q=Q_n)
-    lev_nd = cohomology.split_at_level(frame, T, chain, nd, period, Q=Q_nd)
+    Q_n, Q_nd = chain.quotient(n), chain.quotient(nd)
+    data = rho_pi_data(T, chain, n, period)
+    lev_n = cohomology.level_split(chain, n, n, period)
+    lev_nd = cohomology.level_split(chain, n, nd, period)
     H_n, H_nd = lev_n.H, lev_nd.H
     gens = generator_pairs(T, chain, n, period, Q_n, Q_nd, data)
     witness = None

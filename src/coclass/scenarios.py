@@ -22,16 +22,17 @@ correspondence report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import cohomology, groups, linalg, modules, pairs
+from . import CoclassError, cohomology, groups, linalg, modules, pairs
 from .groups import GroupTable
 from .modules import CentralChain, LatticeModule, QuotientModule
 
 
-class ScenarioError(ValueError):
+class ScenarioError(CoclassError):
     pass
 
 
@@ -42,8 +43,12 @@ REQUIRED_FIELDS = (
 
 
 @dataclass(eq=False)
-class Scenario:
-    """A validated problem instance; heavy artifacts are built lazily."""
+class Scenario(modules.Owner):
+    """A validated problem instance; heavy artifacts are built lazily.
+
+    The scenario owns its group, lattice, chain, period, bounds and stages;
+    the chains own what is derived from them (see `modules.CentralChain`).
+    """
 
     name: str
     p: int
@@ -54,7 +59,6 @@ class Scenario:
     action: list  # one integer matrix per group generator, in generator order
     top_offset: int  # chain index j with gamma_{1+j}(semidirect product) = 1 x T_j
     pro_coclass: int
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def l(self) -> int:
@@ -62,57 +66,69 @@ class Scenario:
         return self.top_offset + 1
 
     def group(self) -> GroupTable:
-        if "group" not in self._cache:
-            self._cache["group"] = groups.build_group(self.group_spec)
-        return self._cache["group"]
+        return self.derived("group", lambda: groups.build_group(self.group_spec))
 
     def lattice(self) -> LatticeModule:
-        if "lattice" not in self._cache:
+        def build():
             G = self.group()
             ctx = modules.PrecisionContext(self.p, self.precision)
             act = {g: np.asarray(m, dtype=np.int64)
                    for g, m in zip(G.generators, self.action)}
-            self._cache["lattice"] = modules.lattice_module(G, act, ctx)
-        return self._cache["lattice"]
+            return modules.lattice_module(G, act, ctx)
+        return self.derived("lattice", build)
 
     def chain(self) -> CentralChain:
-        if "chain" not in self._cache:
-            self._cache["chain"] = modules.g_central_series(self.lattice(), self.depth)
-        return self._cache["chain"]
+        return self.derived("chain", lambda: modules.g_central_series(self.lattice(), self.depth))
 
     def period(self) -> int:
-        if "period" not in self._cache:
+        def build():
             d = modules.chain_period(self.lattice(), self.chain())
             if d is None:
                 raise ScenarioError("central chain has no period at depth %d" % self.depth)
-            self._cache["period"] = d
-        return self._cache["period"]
-
-    def t0(self) -> np.ndarray:
-        return modules.distinguished_generator(self.lattice(), self.chain())
+            return d
+        return self.derived("period", build)
 
     def bounds(self) -> pairs.ExponentBounds:
         """Exponent thresholds, taken over one full period of levels."""
-        if "bounds" not in self._cache:
+        def build():
             T, chain, d = self.lattice(), self.chain(), self.period()
             a = b = 0
             for n in range(1, d + 1):
                 bd = pairs.exponent_bounds(T, chain, n, d)
                 a = max(a, bd.a_exp)
                 b = max(b, bd.b_exp)
-            self._cache["bounds"] = pairs.ExponentBounds(self.p, d, a, b)
-        return self._cache["bounds"]
+            return pairs.ExponentBounds(self.p, d, a, b)
+        return self.derived("bounds", build)
 
     def quotient(self, n: int) -> QuotientModule:
-        key = ("Q", n)
-        if key not in self._cache:
-            self._cache[key] = modules.quotient(self.lattice(), self.chain(), n)
-        return self._cache[key]
+        return self.chain().quotient(n)
+
+    def split_product(self, m: int) -> GroupTable:
+        """The finite split quotient G0 x (T / T_m) of the semidirect product."""
+        A = self.quotient(m).module
+        return groups.abelian_extension_table(
+            self.group().mul, [int(x) for x in A.coord_moduli()], A.plain, None)
+
+    def stage(self, k: int) -> "TopQuotient":
+        """The quotient by 1 x T_{k d} acting on the rescaled fiber; stage 0 is G0 on T."""
+        def build():
+            T, d = self.lattice(), self.period()
+            if k == 0:
+                return TopQuotient(self, 0, self.group(), T, self.chain())
+            R = self.split_product(k * d)
+            fiber = R.order // self.group().order
+            act = T.act[np.arange(R.order, dtype=np.int64) // fiber]
+            lattice = LatticeModule(R, T.ctx, T.rank, act)
+            chain = modules.g_central_series(lattice, self.depth)
+            d_top = modules.chain_period(lattice, chain)
+            if d_top != d:
+                raise ScenarioError("top lattice period %s differs from the base period %d"
+                                    % (d_top, d))
+            return TopQuotient(self, k, R, lattice, chain)
+        return self.derived(("stage", k), build)
 
     def top(self) -> "TopQuotient":
-        if "top" not in self._cache:
-            self._cache["top"] = _build_top(self)
-        return self._cache["top"]
+        return self.stage(self.top_offset // self.period())
 
     def validate(self):
         """Re-verify every declared structural property; raises on failure."""
@@ -138,28 +154,31 @@ def _require(data: dict, fieldname: str):
     return data[fieldname]
 
 
+def _checked(fieldname: str, build):
+    """build(), with a malformed field reported as a ScenarioError that names it."""
+    try:
+        return build()
+    except CoclassError:
+        raise
+    except (TypeError, ValueError, AttributeError, KeyError) as exc:
+        raise ScenarioError("scenario field %r is malformed: %s" % (fieldname, exc)) from None
+
+
+INT_FIELDS = ("p", "rank", "precision", "depth", "top_offset", "pro_coclass")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     for f in REQUIRED_FIELDS:
         _require(data, f)
-    rank = int(data["rank"])
-    action = []
-    for i, m in enumerate(data["action"]):
-        arr = np.asarray(m, dtype=np.int64)
+    ints = {f: _checked(f, lambda: int(data[f])) for f in INT_FIELDS}
+    rank = ints["rank"]
+    matrices = _checked("action", lambda: [np.asarray(m, dtype=np.int64) for m in data["action"]])
+    for i, arr in enumerate(matrices):
         if arr.shape != (rank, rank):
             raise ScenarioError("action matrix %d is not %d x %d" % (i, rank, rank))
-        action.append(arr.tolist())
-    scn = Scenario(
-        name=str(data["name"]),
-        p=int(data["p"]),
-        rank=rank,
-        precision=int(data["precision"]),
-        depth=int(data["depth"]),
-        group_spec=data["group"],
-        action=action,
-        top_offset=int(data["top_offset"]),
-        pro_coclass=int(data["pro_coclass"]),
-    )
-    if len(action) != len(scn.group().generators):
+    scn = Scenario(name=str(data["name"]), group_spec=data["group"],
+                   action=[arr.tolist() for arr in matrices], **ints)
+    if len(matrices) != len(_checked("group", scn.group).generators):
         raise ScenarioError("expected one action matrix per group generator")
     return scn.validate()
 
@@ -191,13 +210,13 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
 }
 
 
-def load_scenario(source) -> Scenario:
-    """Scenario from a built-in name, a JSON file path, or a parsed dict."""
+def scenario_data(source) -> dict:
+    """The unvalidated fields of a built-in name, a JSON file path, or a dict."""
     if isinstance(source, dict):
-        return scenario_from_dict(source)
+        return source
     name = str(source)
     if name in BUILTIN_SCENARIOS:
-        return scenario_from_dict(BUILTIN_SCENARIOS[name])
+        return BUILTIN_SCENARIOS[name]
     try:
         with open(name) as fh:
             data = json.load(fh)
@@ -207,7 +226,12 @@ def load_scenario(source) -> Scenario:
         raise ScenarioError("scenario file %r is not valid JSON: %s" % (name, exc))
     if not isinstance(data, dict):
         raise ScenarioError("scenario file must contain a JSON object")
-    return scenario_from_dict(data)
+    return data
+
+
+def load_scenario(source) -> Scenario:
+    """Scenario from a built-in name, a JSON file path, or a parsed dict."""
+    return scenario_from_dict(scenario_data(source))
 
 
 # ---------------------------------------------------------------------------
@@ -215,30 +239,41 @@ def load_scenario(source) -> Scenario:
 
 
 @dataclass(eq=False)
-class TopQuotient:
-    """The semidirect product's quotient by 1 x T_j, acting on the rescaled
-    fiber lattice.  Extensions of its chain quotients by mainline-compatible
-    cocycles recover the deeper finite quotients and their siblings.
+class TopQuotient(modules.Owner):
+    """The semidirect product's quotient by 1 x T_j, j = k d, acting on the
+    rescaled fiber lattice; `Scenario.stage` builds it.  Extensions of its
+    chain quotients by mainline-compatible cocycles recover the deeper
+    finite quotients and their siblings.  It owns the branch data built on
+    it (see `coclass_tree`).
     """
 
     scenario: Scenario
-    group: GroupTable  # order |G0| * p^j, element index g * p^j + a
-    lattice: LatticeModule  # T_j rescaled by p^{-j/d}; the action factors through G0
+    k: int  # the fiber lattice is T_j rescaled by p^-k
+    group: GroupTable  # order |G0| * [T : T_j], element index g * [T : T_j] + a
+    lattice: LatticeModule  # the action factors through G0
     chain: CentralChain
-    period: int
-    l: int  # the fiber of the quotient at level n has order p^n starting depth l
-    r: int  # coclass of the top group
-    scale_exp: int  # j / d
-    _Qj: QuotientModule
-    _fiber_coords: np.ndarray  # plain coordinate rows of T/T_j in index order
+
+    @property
+    def period(self) -> int:
+        return self.scenario.period()
+
+    @property
+    def l(self) -> int:
+        """The fiber of the quotient at level n has order p^n starting depth l."""
+        return self.scenario.l
+
+    @cached_property
+    def r(self) -> int:
+        """Coclass of the top group."""
+        return groups.coclass(self.group)
 
     def fiber_size(self) -> int:
-        return self._Qj.module.order
+        return self.group.order // self.scenario.group().order
 
     def quotient(self, n: int) -> QuotientModule:
-        return modules.quotient(self.lattice, self.chain, n)
+        return self.chain.quotient(n)
 
-    def mainline_cocycle(self, n: int, Q: QuotientModule | None = None) -> np.ndarray:
+    def mainline_cocycle(self, n: int) -> np.ndarray:
         """Hatted 2-cocycle of the level-n mainline quotient.
 
         The section lifts (g, a) to (g, a-hat) with a-hat the canonical
@@ -247,22 +282,23 @@ class TopQuotient:
         """
         scn = self.scenario
         T = scn.lattice()
-        if Q is None:
-            Q = self.quotient(n)
+        Q = self.quotient(n)
         A = Q.module
         R = self.group
         na = self.fiber_size()
-        reps = self._Qj.representatives()
-        scale = scn.p ** self.scale_exp
+        Qj = scn.quotient(self.k * self.period)
+        reps = Qj.representatives()
+        scale = scn.p ** self.k
         tuples = cohomology.tuples_of(R, 2)
         r = scn.rank
         row = np.zeros(len(tuples) * r, dtype=np.int64)
-        amb = (self._fiber_coords @ reps) % T.q  # ambient lift per fiber index
+        moduli = [int(m) for m in Qj.module.coord_moduli()]
+        amb = (groups.all_coord_rows(moduli) @ reps) % T.q  # ambient lift per fiber index
         for t, (x, y) in enumerate(tuples):
             g, u = divmod(x, na)
             h, v = divmod(y, na)
             w = (amb[u] @ T.act[h] + amb[v]) % T.q
-            w_red = self._Qj.reduce(w)
+            w_red = Qj.reduce(w)
             value = (w - w_red) % T.q
             if np.any(value % scale):
                 raise ScenarioError("mainline factor set left the fiber lattice")
@@ -271,29 +307,6 @@ class TopQuotient:
         if np.any((row @ cohomology.coboundary_matrix(spec, 2)) % A.q):
             raise ScenarioError("mainline factor set is not a cocycle")
         return row
-
-
-def _build_top(scn: Scenario) -> TopQuotient:
-    G0 = scn.group()
-    T = scn.lattice()
-    chain = scn.chain()
-    d = scn.period()
-    j = scn.top_offset
-    Qj = modules.quotient(T, chain, j)
-    Aj = Qj.module
-    moduli = [int(m) for m in Aj.coord_moduli()]
-    fiber_coords = groups.all_coord_rows(moduli)
-    R = groups.abelian_extension_table(G0.mul, moduli, Aj.plain, None)
-    na = Aj.order
-    act_top = T.act[np.arange(R.order, dtype=np.int64) // na]
-    T_top = LatticeModule(R, T.ctx, scn.rank, act_top.copy())
-    chain_top = modules.g_central_series(T_top, scn.depth)
-    d_top = modules.chain_period(T_top, chain_top)
-    if d_top != d:
-        raise ScenarioError("top lattice period %s differs from the base period %d"
-                            % (d_top, d))
-    return TopQuotient(scn, R, T_top, chain_top, d, scn.l, groups.coclass(R),
-                       j // d, Qj, fiber_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +380,10 @@ def check_lower_central_series(scn: Scenario, max_order: int = 2048) -> LcsRepor
     last_m = 0
     while m <= chain.depth and G0.order * scn.p ** chain.index_exponents[m] <= max_order:
         Qm = scn.quotient(m)
-        Am = Qm.module
-        moduli = [int(x) for x in Am.coord_moduli()]
-        table = groups.abelian_extension_table(G0.mul, moduli, Am.plain, None)
+        table = scn.split_product(m)
         orders.append(table.order)
         series = groups.lower_central_series(table).terms
-        na = Am.order
+        na = Qm.module.order
         for j in range(scn.top_offset, m + 1):
             expected = _fiber_term_indices(scn, Qm, j, na, G0.identity)
             li = 1 + j
@@ -424,28 +435,6 @@ class SummandScanReport:
         }
 
 
-def _scan_stage(scn: Scenario, k: int) -> tuple[GroupTable, LatticeModule]:
-    """The acting pair (R, lattice) at rescaling stage k.
-
-    Stage k quotients the semidirect product by the p^k-scaled fiber; the
-    rescaled fiber is the original lattice with the action read through the
-    projection onto the point group.
-    """
-    G0 = scn.group()
-    T = scn.lattice()
-    if k == 0:
-        return G0, T
-    chain = scn.chain()
-    j = k * scn.period()
-    Qj = modules.quotient(T, chain, j)
-    Aj = Qj.module
-    moduli = [int(m) for m in Aj.coord_moduli()]
-    R = groups.abelian_extension_table(G0.mul, moduli, Aj.plain, None)
-    na = Aj.order
-    act = T.act[np.arange(R.order, dtype=np.int64) // na]
-    return R, LatticeModule(R, T.ctx, scn.rank, act.copy())
-
-
 def _summand_classes(level: cohomology.SplitLevel) -> list[tuple[tuple, np.ndarray]]:
     """(coords, representative cocycle row) for every class in the lattice
     summand of H^2, in lexicographic coordinate order."""
@@ -495,28 +484,27 @@ def summand_instability_witness(scn: Scenario, n_range=None, k_range=(0, 1, 2),
     witness = None
     lifted_ok = True
     for k in k_range:
-        R, Tk = _scan_stage(scn, k)
-        if R.order > group_cap:
-            skipped.append({"k": str(k), "group_order": str(R.order),
+        stage = scn.stage(k)
+        if stage.group.order > group_cap:
+            skipped.append({"k": str(k), "group_order": str(stage.group.order),
                             "reason": "group order exceeds the scan cap %d" % group_cap})
             continue
-        chain_k = modules.g_central_series(Tk, scn.depth)
-        period_k = modules.chain_period(Tk, chain_k)
+        chain_k = stage.chain
         for n in n_range:
             if n > chain_k.depth - 1:
                 break
             try:
-                frame = cohomology.split_frame(Tk, chain_k, n, m=2)
+                cohomology.level_frame(chain_k, n)
             except cohomology.CohomologyError as exc:
                 skipped.append({"k": str(k), "n": str(n), "reason": str(exc)})
                 continue
-            Q = modules.quotient(Tk, chain_k, n)
-            level = cohomology.split_at_level(frame, Tk, chain_k, n, period_k, Q=Q)
+            level = cohomology.level_split(chain_k, n, n, stage.period)
             H = level.H
+            Q = level.Q
             A = Q.module
             member = _summand_membership_solver(level, H)
             classes = _summand_classes(level)
-            lifted_ok = lifted_ok and _lifted_endos_stable(Tk, Q, H, member, classes)
+            lifted_ok = lifted_ok and _lifted_endos_stable(stage.lattice, Q, H, member, classes)
             scanned.append({"k": str(k), "n": str(n),
                             "summand_classes": str(len(classes)),
                             "h2_order": str(H.order)})

@@ -227,7 +227,7 @@ def test_h2_splits_across_qualifying_window(name):
         base = window[0] + (n - window[0]) % d
         if base not in frames:
             frames[base] = cohomology.split_frame(T, chain, base)
-        level = cohomology.split_at_level(frames[base], T, chain, n, d, Q=Q)
+        level = cohomology.split_at_level(frames[base], T, chain, n, d)
         assert level.H.invariants() == H.invariants()
 
 

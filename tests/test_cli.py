@@ -1,6 +1,10 @@
+import collections
 import json
 
-from coclass import cli
+import numpy as np
+import pytest
+
+from coclass import cli, cohomology, extensions, pairs, scenarios
 
 
 def run(argv, capsys):
@@ -128,3 +132,63 @@ def test_precision_override(capsys):
     assert data["precision"] == "12"
     assert data["recheck_precision"] == "14"
     assert data["invariants"] == ["2"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("group", {"presentation": {"generators": ["a"], "relators": ["a^2", "b"]}}),
+    ("group", {"presentation": {"generators": ["a"]}}),
+    ("group", {"presentation": {"generators": ["a"], "relators": [2]}}),
+    ("rank", "x"),
+    ("action", 5),
+])
+def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
+    data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"], **{field: value})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["cohomology", "--scenario", str(path), "--n", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _bytes(a) -> bytes:
+    return b"" if a is None else np.asarray(a, dtype=np.int64).tobytes()
+
+
+def _lattice_key(T):
+    return (_bytes(T.group.mul), _bytes(T.act), T.ctx.N)
+
+
+def _module_key(A):
+    return (_bytes(A.group.mul), _bytes(A.act), tuple(A.exps), A.E)
+
+
+# input-content keys of the derived objects that must each be computed once
+_DERIVED = [
+    (cohomology, "lattice_cohomology",
+     lambda T, m, basis=None: (_lattice_key(T), m, _bytes(basis))),
+    (cohomology, "finite_cohomology", lambda A, m: (_module_key(A), m)),
+    (cohomology, "split_frame",
+     lambda T, chain, n, m=2: (_lattice_key(T), _bytes(chain.bases[n]), m)),
+    (pairs, "compatible_pairs", lambda A, auts=None: _module_key(A)),
+    (extensions, "build_extension",
+     lambda R, A, tau_hat, **_: (_bytes(R.mul), _module_key(A), _bytes(tau_hat))),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["branch", "--scenario", "dihedral_mainline", "--i", "4", "--k", "1", "--shift"],
+    ["correspondence", "--scenario", "dihedral_mainline"],
+])
+def test_each_derived_object_is_computed_once(monkeypatch, capsys, argv):
+    calls = collections.Counter()
+    for module, name, key in _DERIVED:
+        def counted(*args, _fn=getattr(module, name), _name=name, _key=key, **kwargs):
+            calls[(_name, _key(*args, **kwargs))] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls
+    repeated = collections.Counter(name for (name, _), n in calls.items() if n > 1)
+    assert not repeated, repeated

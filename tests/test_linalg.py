@@ -71,16 +71,19 @@ def test_howell_membership(A):
 
 
 def test_solve_rows_roundtrip():
-    p, M = 2, 8
-    q = p**M
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        A = rng.integers(0, q, size=(4, 3))
-        x = rng.integers(0, q, size=4)
-        b = (x @ A) % q
-        sol = linalg.solve_rows(A, b, p, M)
-        assert sol is not None
-        assert np.array_equal((sol @ (A % q)) % q, b)
+    # 3^19 < 2^31 keeps int64 storage, but 45 * (3^19 - 1)^2 > 2^63: summing
+    # 45 transform rows in int64 would overflow, so the products here are
+    # formed in Python ints
+    for p, M, shape, trials in ((2, 8, (4, 3), 25), (3, 19, (45, 40), 5)):
+        q = p**M
+        rng = np.random.default_rng(1)
+        for _ in range(trials):
+            A = rng.integers(0, q, size=shape)
+            x = rng.integers(0, q, size=shape[0])
+            b = (x.astype(object) @ A.astype(object)) % q
+            sol = linalg.solve_rows(A, b.astype(np.int64), p, M)
+            assert sol is not None
+            assert np.array_equal((sol.astype(object) @ A.astype(object)) % q, b)
 
 
 def test_solve_rows_infeasible():

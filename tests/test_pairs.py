@@ -189,7 +189,7 @@ def test_rho_pi_structure_d8():
     bounds = pairs.exponent_bounds(T, chain, 4, period)
     n = bounds.least_qualifying()
     Q = modules.quotient(T, chain, n)
-    data = pairs.rho_pi_data(T, chain, n, period, Q=Q)
+    data = pairs.rho_pi_data(T, chain, n, period)
     A = Q.module
     assert pairs.check_rho_additivity(A, data.complement)
     assert pairs.check_centralizing(A, data)

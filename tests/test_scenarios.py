@@ -82,7 +82,7 @@ def test_mainline_extensions_are_the_finite_quotients():
     G0 = scn.group()
     for n in (1, 2, 3):
         Q = top.quotient(n)
-        lam = top.mainline_cocycle(n, Q)
+        lam = top.mainline_cocycle(n)
         ext = extensions.build_extension(top.group, Q.module, lam)
         Qfull = scn.quotient(n + scn.top_offset)
         Am = Qfull.module
@@ -97,8 +97,8 @@ def test_mainline_reduction_is_mainline():
     top = dihedral().top()
     Q3 = top.quotient(3)
     Q2 = top.quotient(2)
-    lam3 = top.mainline_cocycle(3, Q3)
-    lam2 = top.mainline_cocycle(2, Q2)
+    lam3 = top.mainline_cocycle(3)
+    lam2 = top.mainline_cocycle(2)
     H2 = cohomology.finite_cohomology(Q2.module, 2)
     red = cohomology.restrict_level(Q3, Q2, 2, lam3)
     assert np.array_equal(H2.coords(red), H2.coords(lam2))
@@ -145,7 +145,7 @@ def test_witness_is_recheckable():
     T, chain = scn.lattice(), scn.chain()
     frame = cohomology.split_frame(T, chain, n, m=2)
     Q = scn.quotient(n)
-    level = cohomology.split_at_level(frame, T, chain, n, scn.period(), Q=Q)
+    level = cohomology.split_at_level(frame, T, chain, n, scn.period())
     H = level.H
     A = Q.module
     eps_hat = np.array([[int(x) for x in r] for r in w["eps_hat"]], dtype=np.int64)
