@@ -88,20 +88,32 @@ def cmd_correspondence(args) -> int:
     return 0 if rep.ok else 1
 
 
+def _int_vector(data: dict, name: str, length: int) -> np.ndarray:
+    """The cocycle file's field `name` as a vector of `length` integers."""
+    def parse():
+        values = data[name]
+        if not isinstance(values, list) or len(values) != length:
+            raise ValueError("expected a list of %d integers" % length)
+        return np.array([int(x) for x in values], dtype=np.int64)
+    return scenarios.checked_field(name, parse, "cocycle")
+
+
 def cmd_extend(args) -> int:
     scn = _load(args)
     with open(args.cocycle) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ScenarioError("cocycle file must contain a JSON object")
     if "level" not in data:
         raise ScenarioError("cocycle file is missing the field 'level'")
-    n = int(data["level"])
+    n = scenarios.checked_field("level", lambda: int(data["level"]), "cocycle")
     top = scn.top()
     Q = top.quotient(n)
     H = cohomology.level_cohomology(top.chain, n, 2)
     if "coords" in data:
-        row = H.representative(np.array([int(x) for x in data["coords"]], dtype=np.int64))
+        row = H.representative(_int_vector(data, "coords", len(H.invariants())))
     elif "row" in data:
-        row = np.array([int(x) for x in data["row"]], dtype=np.int64)
+        row = _int_vector(data, "row", H.cocycles.shape[1])
     elif data.get("mainline"):
         row = top.mainline_cocycle(n)
     else:

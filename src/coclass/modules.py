@@ -390,6 +390,8 @@ class QuotientModule:
 
 
 def quotient(T: LatticeModule, chain: CentralChain, n: int) -> QuotientModule:
+    if n < 0:
+        raise ModuleError("chain level %d is negative" % n)
     if n > chain.depth:
         raise ModuleError("chain only computed to depth %d < %d" % (chain.depth, n))
     p, N, q = T.p, T.ctx.N, T.q

@@ -154,14 +154,15 @@ def _require(data: dict, fieldname: str):
     return data[fieldname]
 
 
-def _checked(fieldname: str, build):
-    """build(), with a malformed field reported as a ScenarioError that names it."""
+def checked_field(fieldname: str, build, source: str = "scenario"):
+    """build(), with a malformed field of a scenario or cocycle file reported
+    as a ScenarioError that names it."""
     try:
         return build()
     except CoclassError:
         raise
-    except (TypeError, ValueError, AttributeError, KeyError) as exc:
-        raise ScenarioError("scenario field %r is malformed: %s" % (fieldname, exc)) from None
+    except (TypeError, ValueError, OverflowError, AttributeError, KeyError) as exc:
+        raise ScenarioError("%s field %r is malformed: %s" % (source, fieldname, exc)) from None
 
 
 INT_FIELDS = ("p", "rank", "precision", "depth", "top_offset", "pro_coclass")
@@ -170,15 +171,16 @@ INT_FIELDS = ("p", "rank", "precision", "depth", "top_offset", "pro_coclass")
 def scenario_from_dict(data: dict) -> Scenario:
     for f in REQUIRED_FIELDS:
         _require(data, f)
-    ints = {f: _checked(f, lambda: int(data[f])) for f in INT_FIELDS}
+    ints = {f: checked_field(f, lambda: int(data[f])) for f in INT_FIELDS}
     rank = ints["rank"]
-    matrices = _checked("action", lambda: [np.asarray(m, dtype=np.int64) for m in data["action"]])
+    matrices = checked_field("action",
+                             lambda: [np.asarray(m, dtype=np.int64) for m in data["action"]])
     for i, arr in enumerate(matrices):
         if arr.shape != (rank, rank):
             raise ScenarioError("action matrix %d is not %d x %d" % (i, rank, rank))
     scn = Scenario(name=str(data["name"]), group_spec=data["group"],
                    action=[arr.tolist() for arr in matrices], **ints)
-    if len(matrices) != len(_checked("group", scn.group).generators):
+    if len(matrices) != len(checked_field("group", scn.group).generators):
         raise ScenarioError("expected one action matrix per group generator")
     return scn.validate()
 
@@ -280,6 +282,8 @@ class TopQuotient(modules.Owner):
         ambient representative; the factor set lands in T_j, read in the
         rescaled coordinates of the fiber lattice.
         """
+        if n < 1:
+            raise ScenarioError("the mainline cocycle needs a level of at least 1")
         scn = self.scenario
         T = scn.lattice()
         Q = self.quotient(n)

@@ -98,6 +98,23 @@ def stats_from_invariants(invariants):
     return stats
 
 
+def is_associative(mul):
+    """(ab)c == a(bc) for every triple, one triple at a time."""
+    n = len(mul)
+    return all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def brute_is_subgroup(mul, identity, elems):
+    s = set(elems)
+    return identity in s and all(mul[a][b] in s for a in s for b in s)
+
+
+def brute_is_normal(mul, inverses, elems):
+    s = set(elems)
+    return all(mul[mul[inverses[g]][x]][g] in s for x in s for g in range(len(mul)))
+
+
 # ---------------------------------------------------------------------------
 # A second, still-naive oracle that scales to groups of order 8.  Literal
 # cochain enumeration dies at |A|^49 for m = 2, so instead we build the

@@ -83,6 +83,25 @@ def test_extend_bad_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cocycle", [
+    {"level": "x", "mainline": True},
+    {"level": 0, "mainline": True},
+    {"level": -1, "mainline": True},
+    {"level": 3, "coords": ["a"]},
+    {"level": 3, "coords": [1, 0, 1, 0, 1]},
+    {"level": 3, "row": [1, 2]},
+    {"level": 3, "row": "ab"},
+    [{"level": 3, "mainline": True}],
+])
+def test_malformed_cocycle_is_a_one_line_error(tmp_path, capsys, cocycle):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(cocycle))
+    code = cli.main(["extend", "--scenario", "dihedral_mainline", "--cocycle", str(cfile)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_branch_with_shift_and_dot(tmp_path, capsys):
     dot = tmp_path / "b.dot"
     code, out = run(["branch", "--scenario", "dihedral_mainline", "--i", "3",
@@ -139,6 +158,7 @@ def test_precision_override(capsys):
     ("group", {"presentation": {"generators": ["a"]}}),
     ("group", {"presentation": {"generators": ["a"], "relators": [2]}}),
     ("rank", "x"),
+    ("precision", float("inf")),
     ("action", 5),
 ])
 def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):

@@ -5,6 +5,8 @@ import pytest
 
 from coclass import groups
 
+from brute_force import brute_is_normal, brute_is_subgroup
+
 
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -104,6 +106,35 @@ def test_automorphisms_c2_c4_d8():
         assert groups.invert_perm(a).tobytes() in keys
     ident = np.arange(8)
     assert ident.tobytes() in keys
+
+
+def test_associativity_is_exact_above_the_old_sampling_order():
+    mul = np.array(cyclic_table(1024))
+    # one intercalate swap keeps a Latin square with identity and inverses
+    mul[1, 2], mul[1, 514], mul[513, 2], mul[513, 514] = 515, 3, 3, 515
+    assert all(len(set(row)) == 1024 for row in mul.tolist())
+    assert all(len(set(col)) == 1024 for col in mul.T.tolist())
+    with pytest.raises(groups.GroupError, match="not associative"):
+        groups.make_table(mul)
+
+
+def test_given_generators_are_tested_for_associativity():
+    mul = np.array(cyclic_table(8))
+    mul[1, 2], mul[1, 6], mul[5, 2], mul[5, 6] = 7, 3, 3, 7
+    with pytest.raises(groups.GroupError, match="not associative"):
+        groups.make_table(mul, generators=[1])
+    with pytest.raises(groups.GroupError, match="do not generate"):
+        groups.make_table(cyclic_table(8), generators=[2])
+
+
+def test_subgroup_and_normality_match_the_definitions():
+    S3, _ = groups.from_permutations([(1, 0, 2), (0, 2, 1)])
+    for G in (groups.build_group(D8_PRESENTATION), S3):
+        mul, inv = G.mul.tolist(), G.inverses.tolist()
+        for bits in range(1 << G.order):
+            elems = [g for g in range(G.order) if bits >> g & 1]
+            assert groups.is_subgroup(G, elems) == brute_is_subgroup(mul, G.identity, elems)
+            assert groups.is_normal(G, elems) == brute_is_normal(mul, inv, elems)
 
 
 def test_lcs_terms_are_normal():

@@ -1,11 +1,12 @@
 """Property-based checks of the structural identities the pipeline relies on."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
-from brute_force import diagonalize_mod, kernel_gens_mod, semi_brute_h_stats
+from brute_force import diagonalize_mod, is_associative, kernel_gens_mod, semi_brute_h_stats
 
 
 def cyclic_table(n):
@@ -145,3 +146,35 @@ def test_canonical_hat_is_idempotent_and_respects_action(data):
     v = A.hat(np.array([data.draw(st.integers(min_value=0, max_value=int(A.p**e) - 1))
                         for e in A.exps], dtype=np.int64))
     assert np.array_equal(A.unhat((v @ M) % A.q), A.unhat((v @ C) % A.q))
+
+
+def _swap_intercalate(mul, t, i, j):
+    """Swap the 2 x 2 subsquare on rows i, it and columns j, jt of an abelian
+    table, where t is an involution: the result is still a Latin square."""
+    it, jt = mul[i][t], mul[j][t]
+    mul[i][j], mul[i][jt] = mul[i][jt], mul[i][j]
+    mul[it][j], mul[it][jt] = mul[it][jt], mul[it][j]
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=4),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_make_table_accepts_exactly_the_associative_tables(a, b, swap, data):
+    # Z/a x Z/b, element (x, y) at index x*b + y
+    n = a * b
+    mul = [[((i // b + j // b) % a) * b + (i + j) % b for j in range(n)] for i in range(n)]
+    if swap:
+        inv = [row.index(0) for row in mul]
+        # swaps that leave the identity row and column and every inverse alone
+        sites = [(t, i, j) for t in range(1, n) if mul[t][t] == 0
+                 for i in range(1, n) if i != t
+                 for j in range(1, n) if j != t and 0 not in (mul[i][j], mul[i][mul[j][t]])]
+        if sites:
+            _swap_intercalate(mul, *data.draw(st.sampled_from(sites)))
+            assert [row.index(0) for row in mul] == inv
+    if is_associative(mul):
+        G = groups.make_table(mul)
+        assert G.order == n
+    else:
+        with pytest.raises(groups.GroupError, match="not associative"):
+            groups.make_table(mul)
