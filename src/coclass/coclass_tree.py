@@ -73,13 +73,13 @@ def _level_data(top: TopQuotient, n: int) -> LevelData:
     return top.derived(("level", n), build)
 
 
-def _vertex_extension(top: TopQuotient, lv: LevelData, coords, cap: int):
+def _vertex_extension(top: TopQuotient, lv: LevelData, coords):
     """(extension, (coclass, flag)) of a class at level lv.n, held by the top quotient."""
     def build():
         row = lv.H.representative(np.array(coords, dtype=np.int64))
-        ext = extensions.build_extension(top.group, lv.Q.module, row, cap=cap)
+        ext = extensions.build_extension(top.group, lv.Q.module, row)
         return ext, extensions.coclass_of_extension(ext, l=top.l)
-    return top.derived(("extension", lv.n, tuple(coords), cap), build)
+    return top.derived(("extension", lv.n, tuple(coords)), build)
 
 
 def _reduced_coords(levels: dict[int, LevelData], n_from: int, n_to: int,
@@ -89,8 +89,7 @@ def _reduced_coords(levels: dict[int, LevelData], n_from: int, n_to: int,
     return tuple(int(x) for x in dst.H.coords(red))
 
 
-def build_branch(scn: Scenario, i: int, k: int = 1,
-                 cap: int = extensions.EXTENSION_CAP) -> BranchGraph:
+def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
     """Branch i of the descendant tree, shaved at distance k.
 
     The root is the depth-i mainline quotient, realized as the mainline
@@ -105,12 +104,13 @@ def build_branch(scn: Scenario, i: int, k: int = 1,
         raise BranchError("branch %d needs root level %d >= 1" % (i, n0))
     if n0 + k > top.chain.depth - 1:
         raise BranchError("chain depth %d cannot host level %d" % (top.chain.depth, n0 + k))
-    if top.group.order * scn.p ** (n0 + k) > cap:
-        raise BranchError("extensions at level %d exceed the order cap %d" % (n0 + k, cap))
+    if top.group.order * scn.p ** (n0 + k) > extensions.EXTENSION_CAP:
+        raise BranchError("extensions at level %d exceed the order cap %d"
+                          % (n0 + k, extensions.EXTENSION_CAP))
     levels = {n: _level_data(top, n) for n in range(n0, n0 + k + 1)}
     root_lv = levels[n0]
     root_orbit = root_lv.partition.orbit_of(np.array(root_lv.mainline_coords, dtype=np.int64))
-    root_ext, (root_cc, root_flag) = _vertex_extension(top, root_lv, root_lv.mainline_coords, cap)
+    root_ext, (root_cc, root_flag) = _vertex_extension(top, root_lv, root_lv.mainline_coords)
     if not root_flag:
         raise BranchError("mainline quotient at level %d fails the coclass criterion" % n0)
     vertices = [BranchVertex(0, n0, 0, root_lv.mainline_coords, root_orbit,
@@ -141,7 +141,7 @@ def build_branch(scn: Scenario, i: int, k: int = 1,
                     continue
             if not descends:
                 continue
-            ext, (cc, flag) = _vertex_extension(top, lv, coords, cap)
+            ext, (cc, flag) = _vertex_extension(top, lv, coords)
             if not flag:
                 continue
             idx = len(vertices)
@@ -151,7 +151,7 @@ def build_branch(scn: Scenario, i: int, k: int = 1,
             edges.append((parent, idx))
             tables.append(ext.table)
             by_level_orbit[(n, oi)] = idx
-    _check_orbit_isomorphism(vertices, tables, cap)
+    _check_orbit_isomorphism(vertices, tables)
     return BranchGraph(scn.name, i, k, n0, vertices, edges, tables)
 
 
@@ -159,7 +159,7 @@ def lv_parent_orbit(lv: LevelData, coords) -> int:
     return lv.partition.orbit_of(np.array(coords, dtype=np.int64))
 
 
-def _check_orbit_isomorphism(vertices, tables, cap):
+def _check_orbit_isomorphism(vertices, tables):
     """Distinct vertices at one level must be pairwise non-isomorphic."""
     by_level: dict[int, list[int]] = {}
     for v in vertices:
@@ -167,7 +167,7 @@ def _check_orbit_isomorphism(vertices, tables, cap):
     for level, idxs in by_level.items():
         for a in range(len(idxs)):
             for b in range(a + 1, len(idxs)):
-                if extensions.are_isomorphic(tables[idxs[a]], tables[idxs[b]], cap=cap):
+                if extensions.are_isomorphic(tables[idxs[a]], tables[idxs[b]]):
                     raise BranchError(
                         "distinct orbits at level %d gave isomorphic groups" % level)
 

@@ -30,6 +30,13 @@ from .groups import GroupTable
 from .modules import FiniteModule, LatticeModule, QuotientModule
 
 
+# Entries of the largest dense coboundary matrix that may be built.  The
+# largest any built-in verification needs is d^3 of the order-8 group on a
+# rank-2 module, 686 x 4802 (about 3.3 M); d^2 of an order-32 group on a
+# rank-2 module would be 1922 x 59582 (about 114.5 M entries, 0.9 GB).
+COBOUNDARY_CAP = 1 << 23
+
+
 class CohomologyError(CoclassError):
     pass
 
@@ -100,6 +107,11 @@ def coboundary_matrix(spec: CoefficientSpace, m: int) -> np.ndarray:
     G = spec.group
     r = spec.rank
     q = spec.q
+    rows, cols = r * (G.order - 1) ** m, r * (G.order - 1) ** (m + 1)
+    if rows * cols > COBOUNDARY_CAP:
+        raise CohomologyError("coboundary d^%d over a group of order %d is %d x %d, "
+                              "above the cap of %d entries" % (m, G.order, rows, cols,
+                                                               COBOUNDARY_CAP))
     src = tuples_of(G, m)
     dst = tuples_of(G, m + 1)
     src_index = {t: i for i, t in enumerate(src)}

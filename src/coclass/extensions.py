@@ -58,14 +58,13 @@ def cocycle_value_table(A: FiniteModule, tau_hat) -> list[list[np.ndarray]]:
     return out
 
 
-def build_extension(R: GroupTable, A: FiniteModule, tau_hat,
-                    cap: int = EXTENSION_CAP) -> ExtensionGroup:
+def build_extension(R: GroupTable, A: FiniteModule, tau_hat) -> ExtensionGroup:
     """Validated multiplication table of the extension defined by tau."""
     if A.group is not R and A.group.order != R.order:
         raise ExtensionError("cocycle module must be an R-module")
     total = R.order * A.order
-    if total > cap:
-        raise ExtensionError("extension order %d exceeds the cap %d" % (total, cap))
+    if total > EXTENSION_CAP:
+        raise ExtensionError("extension order %d exceeds the cap %d" % (total, EXTENSION_CAP))
     spec = cohomology.finite_coefficients(A)
     row = np.asarray(tau_hat, dtype=np.int64) % A.q
     if np.any((row @ cohomology.coboundary_matrix(spec, 2)) % A.q):
@@ -110,7 +109,7 @@ def coclass_of_extension(ext: ExtensionGroup, l: int | None = None) -> tuple[int
     if l is None:
         l = groups.nilpotency_class(ext.base) + 1
     cc = groups.coclass(ext.table)
-    series = groups.lower_central_series(ext.table).terms
+    series = ext.table.lcs().terms
     gamma_l = series[l - 1] if l - 1 < len(series) else [ext.table.identity]
     flag = sorted(gamma_l) == sorted(ext.fiber_elements)
     base_cc = groups.coclass(ext.base)
@@ -126,31 +125,22 @@ def coclass_of_extension(ext: ExtensionGroup, l: int | None = None) -> tuple[int
 
 def fingerprint(G: GroupTable) -> tuple:
     """Cheap isomorphism invariants: order, spectrum, center, central series."""
-    orders = G.element_orders()
-    spectrum = tuple(sorted(int(x) for x in orders))
-    lcs = tuple(len(t) for t in groups.lower_central_series(G).terms)
-    return (G.order, spectrum, len(groups.center(G)), lcs)
+    def build():
+        spectrum = tuple(sorted(int(x) for x in G.element_orders()))
+        lcs = tuple(len(t) for t in G.lcs().terms)
+        return (G.order, spectrum, len(groups.center(G)), lcs)
+    return G.derived("fingerprint", build)
 
 
-def are_isomorphic(G1: GroupTable, G2: GroupTable, cap: int = EXTENSION_CAP) -> bool:
+def are_isomorphic(G1: GroupTable, G2: GroupTable) -> bool:
     """Brute-force isomorphism test with invariant prefilters."""
     if G1.order != G2.order:
         return False
-    if G1.order > cap or G2.order > cap:
-        raise ExtensionError("isomorphism test capped at order %d" % cap)
+    if G1.order > EXTENSION_CAP:
+        raise ExtensionError("isomorphism test capped at order %d" % EXTENSION_CAP)
     if fingerprint(G1) != fingerprint(G2):
         return False
-    gens = groups._minimal_generators(G1.mul, G1.identity)
-    o1 = G1.element_orders()
-    o2 = G2.element_orders()
-    candidates = [[x for x in range(G2.order) if o2[x] == o1[g]] for g in gens]
-    for images in itertools.product(*candidates):
-        img = groups._extend_hom(G1, G2, gens, list(images))
-        if img is None:
-            continue
-        if len(set(int(v) for v in img)) == G1.order:
-            return True
-    return False
+    return next(groups.isomorphisms(G1, G2), None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +157,7 @@ class OrbitIsomorphismReport:
 
 
 def orbit_isomorphism_check(H: CohomologyGroup, A: FiniteModule,
-                   partition: pairs.OrbitPartition,
-                   cap: int = EXTENSION_CAP) -> OrbitIsomorphismReport:
+                            partition: pairs.OrbitPartition) -> OrbitIsomorphismReport:
     """Verify (same orbit <=> isomorphic extensions) over all qualifying classes.
 
     Classes whose extension does not share the base's coclass fall outside
@@ -179,7 +168,7 @@ def orbit_isomorphism_check(H: CohomologyGroup, A: FiniteModule,
     skipped = 0
     for i, cl in enumerate(partition.classes):
         for c in cl:
-            ext = build_extension(R, A, H.representative(c), cap=cap)
+            ext = build_extension(R, A, H.representative(c))
             cc, flag = coclass_of_extension(ext)
             if flag:
                 exts[c] = (i, ext)
@@ -188,7 +177,7 @@ def orbit_isomorphism_check(H: CohomologyGroup, A: FiniteModule,
     items = sorted(exts.items())
     checked = 0
     for (c1, (i1, e1)), (c2, (i2, e2)) in itertools.combinations(items, 2):
-        iso = are_isomorphic(e1.table, e2.table, cap=cap)
+        iso = are_isomorphic(e1.table, e2.table)
         same_orbit = i1 == i2
         checked += 1
         if iso != same_orbit:

@@ -13,11 +13,11 @@ v.g, and a homomorphism of tables preserves products in the given order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import CoclassError
+from . import CoclassError, Owner
 
 CLOSURE_CAP = 4096
 AUT_CAP = 64
@@ -27,14 +27,16 @@ class GroupError(CoclassError):
     pass
 
 
-@dataclass
-class GroupTable:
+@dataclass(eq=False)
+class GroupTable(Owner):
+    """A validated table; it owns its element orders, minimal generators,
+    lower central series and isomorphism fingerprint, each built once."""
+
     mul: np.ndarray  # order x order element indices
     identity: int
     inverses: np.ndarray
     generators: list[int]
     element_labels: list[str] | None = None
-    _orders: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
@@ -44,14 +46,18 @@ class GroupTable:
         return int(self.inverses[g])
 
     def element_order(self, g: int) -> int:
-        if self._orders is None:
-            self._orders = _element_orders(self.mul, self.identity)
-        return int(self._orders[g])
+        return int(self.element_orders()[g])
 
     def element_orders(self) -> np.ndarray:
-        if self._orders is None:
-            self._orders = _element_orders(self.mul, self.identity)
-        return self._orders
+        return self.derived("element_orders", lambda: _element_orders(self.mul, self.identity))
+
+    def minimal_generators(self) -> list[int]:
+        return self.derived("minimal_generators",
+                            lambda: _minimal_generators(self.mul, self.identity))
+
+    def lcs(self) -> "SubgroupChain":
+        """The lower central series, built once by `lower_central_series`."""
+        return self.derived("lower_central_series", lambda: lower_central_series(self))
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -121,18 +127,55 @@ def _check_associative(mul: np.ndarray, generators: list[int]) -> None:
                 raise GroupError("table is not associative")
 
 
+def _checked_generators(generators, n: int) -> list[int]:
+    gens = list(generators)
+    for g in gens:
+        if isinstance(g, bool) or not isinstance(g, (int, np.integer)) or not 0 <= g < n:
+            raise GroupError("generator %r is not an element index in [0, %d)" % (g, n))
+    return [int(g) for g in gens]
+
+
 def make_table(mul, generators: list[int] | None = None, labels=None) -> GroupTable:
     """Validate a raw multiplication table (identity must be index 0)."""
     mul = np.asarray(mul, dtype=np.int64)
     identity = 0
     inverses = _validate_table(mul, identity)
-    n = mul.shape[0]
+    table = GroupTable(mul, identity, inverses, [], labels)
     if generators is None:
-        generators = _minimal_generators(mul, identity)
-    elif len(subgroup_closure_table(mul, identity, generators)) != n:
-        raise GroupError("given generators do not generate the table")
-    _check_associative(mul, list(generators))
-    return GroupTable(mul, identity, inverses, list(generators), labels)
+        table.generators = table.minimal_generators()
+    else:
+        table.generators = _checked_generators(generators, table.order)
+        if len(subgroup_closure_table(mul, identity, table.generators)) != table.order:
+            raise GroupError("given generators do not generate the table")
+    _check_associative(mul, table.generators)
+    return table
+
+
+def closure(seeds, gens, step, key=None, cap: int | None = None) -> dict:
+    """Everything reached from the seeds by repeated step(x, g), g in gens.
+
+    Returns {key(x): x} in breadth-first order, seeds first; each key keeps
+    the first value that reached it.  Raises GroupError past cap entries.
+    """
+    key = key or (lambda x: x)
+    gens = list(gens)
+    found = {}
+    for x in seeds:
+        found.setdefault(key(x), x)
+    frontier = list(found.values())
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = step(x, g)
+                k = key(y)
+                if k not in found:
+                    if cap is not None and len(found) >= cap:
+                        raise GroupError("closure exceeds cap %d" % cap)
+                    found[k] = y
+                    nxt.append(y)
+        frontier = nxt
+    return found
 
 
 def closure_table(gen_elems: list, multiply, identity_elem, *, cap: int = CLOSURE_CAP,
@@ -142,21 +185,8 @@ def closure_table(gen_elems: list, multiply, identity_elem, *, cap: int = CLOSUR
     gen_elems are hashable values, multiply(x, y) their product.  Returns the
     validated table plus the element list in index order (identity first).
     """
-    elems = [identity_elem]
-    index = {identity_elem: 0}
-    frontier = [identity_elem]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_elems:
-                y = multiply(x, g)
-                if y not in index:
-                    if len(elems) >= cap:
-                        raise GroupError("closure exceeds cap %d" % cap)
-                    index[y] = len(elems)
-                    elems.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    elems = list(closure([identity_elem], gen_elems, multiply, cap=cap))
+    index = {x: i for i, x in enumerate(elems)}
     n = len(elems)
     mul = np.zeros((n, n), dtype=np.int64)
     for i, x in enumerate(elems):
@@ -380,19 +410,7 @@ def build_group(spec) -> GroupTable:
 
 
 def subgroup_closure_table(mul: np.ndarray, identity: int, gens) -> list[int]:
-    seen = {identity}
-    frontier = [identity]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = int(mul[x, g])
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(closure([identity], gens, lambda x, g: int(mul[x, g])))
 
 
 def subgroup_closure(G: GroupTable, gens) -> list[int]:
@@ -475,7 +493,7 @@ def lower_central_series(G: GroupTable) -> SubgroupChain:
 
 
 def nilpotency_class(G: GroupTable) -> int:
-    chain = lower_central_series(G)
+    chain = G.lcs()
     if len(chain.terms[-1]) != 1:
         raise GroupError("group is not nilpotent")
     return len(chain.terms) - 1
@@ -512,14 +530,11 @@ def coclass(G: GroupTable) -> int:
 def _minimal_generators(mul: np.ndarray, identity: int) -> list[int]:
     n = mul.shape[0]
     gens: list[int] = []
-    closed = [identity]
+    reached = {identity}
     # deterministic greedy: always extend by the smallest element not yet reached
-    while len(closed) < n:
-        for x in range(n):
-            if x not in closed:
-                gens.append(x)
-                closed = subgroup_closure_table(mul, identity, gens)
-                break
+    while len(reached) < n:
+        gens.append(next(x for x in range(n) if x not in reached))
+        reached = set(subgroup_closure_table(mul, identity, gens))
     return gens
 
 
@@ -551,21 +566,25 @@ def _extend_hom(G: GroupTable, H: GroupTable, gen_src: list[int], gen_img: list[
     return img
 
 
+def isomorphisms(G: GroupTable, H: GroupTable):
+    """Yield every isomorphism G -> H as an index map, by generator-image
+    search: each minimal generator of G goes to an element of H of its order."""
+    if G.order != H.order:
+        return
+    gens = G.minimal_generators()
+    og, oh = G.element_orders(), H.element_orders()
+    candidates = [np.flatnonzero(oh == og[g]).tolist() for g in gens]
+    for images in itertools.product(*candidates):
+        img = _extend_hom(G, H, gens, list(images))
+        if img is not None and len(np.unique(img)) == G.order:
+            yield img
+
+
 def automorphism_group(G: GroupTable, *, cap: int = AUT_CAP) -> list[np.ndarray]:
-    """All automorphisms as index permutations, by generator-image search."""
+    """All automorphisms as index permutations."""
     if G.order > cap:
         raise GroupError("automorphism search capped at order %d" % cap)
-    gens = _minimal_generators(G.mul, G.identity)
-    orders = G.element_orders()
-    candidates = [[x for x in range(G.order) if orders[x] == orders[g]] for g in gens]
-    out = []
-    for images in itertools.product(*candidates):
-        img = _extend_hom(G, G, gens, list(images))
-        if img is None:
-            continue
-        if len(set(int(v) for v in img)) == G.order:
-            out.append(img)
-    return out
+    return list(isomorphisms(G, G))
 
 
 def compose_perms(a: np.ndarray, b: np.ndarray) -> np.ndarray:

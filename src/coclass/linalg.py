@@ -19,8 +19,6 @@ import numpy as np
 
 INT64_SAFE_MODULUS = 1 << 31
 
-_obj_gcd = np.frompyfunc(math.gcd, 2, 1)
-
 
 def as_matrix(rows, q: int):
     """Coerce to a 2-D array with dtype suited to modulus q."""
@@ -46,12 +44,6 @@ def matmul(a, b, q: int):
     a = as_matrix(a, q)
     b = as_matrix(b, q)
     return (a @ b) % q
-
-
-def _gcd_with(a, q: int):
-    if a.dtype == object:
-        return _obj_gcd(a, q)
-    return np.gcd(a, q)
 
 
 def _reduce_inplace(a, q: int, p: int):

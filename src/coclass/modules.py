@@ -18,22 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CoclassError, linalg
+from . import CoclassError, Owner, linalg
 from .groups import GroupTable
 
 
 class ModuleError(CoclassError):
     pass
-
-
-class Owner:
-    """An object that holds what is derived from it, each built once, on first use."""
-
-    def derived(self, key, build):
-        memo = self.__dict__.setdefault("_memo", {})
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
 
 
 @dataclass(frozen=True)

@@ -181,37 +181,19 @@ def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartit
     for pair in pairs:
         M = induced_h2_matrix(H, pair)
         mats[M.tobytes()] = M
+    gens = list(mats.values())
     # close the induced image under composition to get the acting order
     mods = np.array([H.spec.p**e for e in H.structure.exps], dtype=np.int64)
-    frontier = list(mats.values())
-    closed = dict(mats)
-    while frontier:
-        nxt = []
-        for X in frontier:
-            for Y in list(mats.values()):
-                Z = (X @ Y) % mods[None, :] if X.size else X
-                kz = Z.tobytes()
-                if kz not in closed:
-                    closed[kz] = Z
-                    nxt.append(Z)
-        frontier = nxt
+    closed = groups.closure(gens, gens, lambda X, Y: (X @ Y) % mods[None, :] if X.size else X,
+                            key=lambda X: X.tobytes())
     acting_order = max(len(closed), 1)
-    gens = list(mats.values())
     seen: set[tuple] = set()
     classes: list[list[tuple]] = []
     for start in H.structure.all_coords():
         if start in seen:
             continue
-        orbit = {start}
-        queue = [start]
-        while queue:
-            c = queue.pop()
-            for M in gens:
-                nc = _apply_coord_matrix(H, M, c)
-                if nc not in orbit:
-                    orbit.add(nc)
-                    queue.append(nc)
-        seen |= orbit
+        orbit = groups.closure([start], gens, lambda c, M: _apply_coord_matrix(H, M, c))
+        seen.update(orbit)
         classes.append(sorted(orbit))
     sizes = [len(c) for c in classes]
     stabs = []
@@ -493,19 +475,8 @@ def rho_pi_data(T: LatticeModule, chain: CentralChain, n: int, period: int) -> R
 
 
 def _pair_closure(A: FiniteModule, gens: list[CompatiblePair]) -> list[CompatiblePair]:
-    ident = pair_identity(A)
-    closed = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = pair_compose(A, x, g)
-                if y.key() not in closed:
-                    closed[y.key()] = y
-                    nxt.append(y)
-        frontier = nxt
-    return list(closed.values())
+    return list(groups.closure([pair_identity(A)], gens, lambda x, g: pair_compose(A, x, g),
+                               key=CompatiblePair.key).values())
 
 
 def check_rho_additivity(A: FiniteModule, comp: Complement) -> bool:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import CoclassError, cohomology, groups, linalg, modules, pairs
+from . import CoclassError, Owner, cohomology, groups, linalg, modules, pairs
 from .groups import GroupTable
 from .modules import CentralChain, LatticeModule, QuotientModule
 
@@ -43,7 +43,7 @@ REQUIRED_FIELDS = (
 
 
 @dataclass(eq=False)
-class Scenario(modules.Owner):
+class Scenario(Owner):
     """A validated problem instance; heavy artifacts are built lazily.
 
     The scenario owns its group, lattice, chain, period, bounds and stages;
@@ -241,7 +241,7 @@ def load_scenario(source) -> Scenario:
 
 
 @dataclass(eq=False)
-class TopQuotient(modules.Owner):
+class TopQuotient(Owner):
     """The semidirect product's quotient by 1 x T_j, j = k d, acting on the
     rescaled fiber lattice; `Scenario.stage` builds it.  Extensions of its
     chain quotients by mainline-compatible cocycles recover the deeper
@@ -386,7 +386,7 @@ def check_lower_central_series(scn: Scenario, max_order: int = 2048) -> LcsRepor
         Qm = scn.quotient(m)
         table = scn.split_product(m)
         orders.append(table.order)
-        series = groups.lower_central_series(table).terms
+        series = table.lcs().terms
         na = Qm.module.order
         for j in range(scn.top_offset, m + 1):
             expected = _fiber_term_indices(scn, Qm, j, na, G0.identity)
@@ -446,19 +446,8 @@ def _summand_classes(level: cohomology.SplitLevel) -> list[tuple[tuple, np.ndarr
     q = H.spec.q
     zero = np.zeros(level.theta_hat.shape[1] if level.theta_hat.size
                     else H.cocycles.shape[1], dtype=np.int64)
-    seen = {tuple(int(x) for x in H.coords(zero)): zero}
-    frontier = [zero]
-    gens = [level.theta_hat[i] for i in range(level.theta_hat.shape[0])]
-    while frontier:
-        nxt = []
-        for row in frontier:
-            for g in gens:
-                cand = (row + g) % q
-                key = tuple(int(x) for x in H.coords(cand))
-                if key not in seen:
-                    seen[key] = cand
-                    nxt.append(cand)
-        frontier = nxt
+    seen = groups.closure([zero], level.theta_hat, lambda row, g: (row + g) % q,
+                          key=lambda row: tuple(int(x) for x in H.coords(row)))
     return [(k, seen[k]) for k in sorted(seen)]
 
 

@@ -115,6 +115,17 @@ def brute_is_normal(mul, inverses, elems):
     return all(mul[mul[inverses[g]][x]][g] in s for x in s for g in range(len(mul)))
 
 
+def brute_isomorphisms(mul_a, mul_b):
+    """Every bijection that preserves all products, sorted, by trying each
+    permutation of the elements."""
+    n = len(mul_a)
+    if len(mul_b) != n:
+        return []
+    return sorted(list(f) for f in itertools.permutations(range(n))
+                  if all(f[mul_a[x][y]] == mul_b[f[x]][f[y]]
+                         for x in range(n) for y in range(n)))
+
+
 # ---------------------------------------------------------------------------
 # A second, still-naive oracle that scales to groups of order 8.  Literal
 # cochain enumeration dies at |A|^49 for m = 2, so instead we build the

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from coclass import cli, cohomology, extensions, pairs, scenarios
+from coclass import cli, cohomology, extensions, groups, pairs, scenarios
 
 
 def run(argv, capsys):
@@ -102,6 +102,16 @@ def test_malformed_cocycle_is_a_one_line_error(tmp_path, capsys, cocycle):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_oversized_coboundary_is_a_one_line_error(tmp_path, capsys):
+    # level 2 of the order-32 top group of d8 needs a 1922 x 59582 bar coboundary
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"level": 2, "mainline": True}))
+    code = cli.main(["extend", "--scenario", "d8_gaussian", "--cocycle", str(cfile)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: coboundary d^2") and err.count("\n") == 1
+
+
 def test_branch_with_shift_and_dot(tmp_path, capsys):
     dot = tmp_path / "b.dot"
     code, out = run(["branch", "--scenario", "dihedral_mainline", "--i", "3",
@@ -160,6 +170,8 @@ def test_precision_override(capsys):
     ("rank", "x"),
     ("precision", float("inf")),
     ("action", 5),
+    ("group", {"table": [[0, 1], [1, 0]], "generators": [5]}),
+    ("group", {"table": [[0, 1], [1, 0]], "generators": [-1]}),
 ])
 def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
     data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"], **{field: value})
@@ -192,7 +204,8 @@ _DERIVED = [
      lambda T, chain, n, m=2: (_lattice_key(T), _bytes(chain.bases[n]), m)),
     (pairs, "compatible_pairs", lambda A, auts=None: _module_key(A)),
     (extensions, "build_extension",
-     lambda R, A, tau_hat, **_: (_bytes(R.mul), _module_key(A), _bytes(tau_hat))),
+     lambda R, A, tau_hat: (_bytes(R.mul), _module_key(A), _bytes(tau_hat))),
+    (groups, "lower_central_series", lambda G: _bytes(G.mul)),
 ]
 
 

@@ -148,9 +148,10 @@ def test_orbit_isomorphism_on_d8_level_one():
 
 
 def test_extension_cap_is_enforced():
+    # C2 acting trivially on Z/2^9: the extension has order 1024 > EXTENSION_CAP
     C2 = groups.make_table(cyclic_table(2))
-    A = trivial_module(C2, 2, [1])
+    A = trivial_module(C2, 2, [9])
     H = cohomology.cohomology_group(cohomology.finite_coefficients(A), 2)
     rep = H.representative(np.array([1], dtype=np.int64))
-    with pytest.raises(extensions.ExtensionError):
-        extensions.build_extension(C2, A, rep, cap=3)
+    with pytest.raises(extensions.ExtensionError, match="order 1024 exceeds the cap 512"):
+        extensions.build_extension(C2, A, rep)

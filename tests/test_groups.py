@@ -5,7 +5,7 @@ import pytest
 
 from coclass import groups
 
-from brute_force import brute_is_normal, brute_is_subgroup
+from brute_force import brute_is_normal, brute_is_subgroup, brute_isomorphisms
 
 
 def cyclic_table(n):
@@ -106,6 +106,32 @@ def test_automorphisms_c2_c4_d8():
         assert groups.invert_perm(a).tobytes() in keys
     ident = np.arange(8)
     assert ident.tobytes() in keys
+
+
+@pytest.mark.parametrize("spec_a, spec_b", [
+    (D8_PRESENTATION, D8_MATRICES),
+    (D8_PRESENTATION, {"presentation": {"generators": ["a", "b"],
+                                        "relators": ["a^4", "a^2 b^-2", "a^-1 b a b"]}}),
+    ({"permutations": [(1, 2, 0, 4, 5, 3), (3, 5, 4, 0, 2, 1)]}, {"table": cyclic_table(6)}),
+    ({"permutations": [(1, 2, 0), (1, 0, 2)]},
+     {"permutations": [(1, 2, 0, 4, 5, 3), (3, 5, 4, 0, 2, 1)]}),
+    # both Klein generators may go to the involution of C4: a homomorphism, not a bijection
+    ({"table": [[i ^ j for j in range(4)] for i in range(4)]}, {"table": cyclic_table(4)}),
+])
+def test_isomorphisms_are_exactly_the_bijective_homomorphisms(spec_a, spec_b):
+    G, H = groups.build_group(spec_a), groups.build_group(spec_b)
+    found = [img.tolist() for img in groups.isomorphisms(G, H)]
+    assert len(set(map(tuple, found))) == len(found)
+    assert sorted(found) == brute_isomorphisms(G.mul.tolist(), H.mul.tolist())
+
+
+def test_closure_is_breadth_first_and_capped():
+    reached = groups.closure([0], [3, 5], lambda x, g: (x + g) % 8)
+    assert list(reached) == [0, 3, 5, 6, 2, 1, 7, 4]
+    firsts = groups.closure([0], [1, 9], lambda x, g: x + g, key=lambda x: x % 3)
+    assert firsts == {0: 0, 1: 1, 2: 2}
+    with pytest.raises(groups.GroupError, match="exceeds cap 4"):
+        groups.closure([0], [1], lambda x, g: (x + g) % 8, cap=4)
 
 
 def test_associativity_is_exact_above_the_old_sampling_order():

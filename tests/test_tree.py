@@ -73,8 +73,9 @@ def test_branch_too_shallow_is_rejected():
 
 
 def test_branch_cap_is_enforced():
-    with pytest.raises(coclass_tree.BranchError):
-        coclass_tree.build_branch(dihedral(), 5, k=1, cap=32)
+    with pytest.raises(coclass_tree.BranchError,
+                       match="extensions at level 8 exceed the order cap 512"):
+        coclass_tree.build_branch(dihedral(), 9, k=1)
 
 
 def test_shift_two_consecutive_branches():
