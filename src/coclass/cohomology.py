@@ -209,14 +209,70 @@ def cohomology_group(spec: CoefficientSpace, m: int) -> CohomologyGroup:
     structure = linalg.quotient_group(Z % qe, B, spec.p, Ee)
     H = CohomologyGroup(spec, m, Z, B, structure, Ee)
     if spec.lattice and m >= 1:
-        gexp = _group_order_valuation(spec.group, spec.p)
-        for e in structure.exps:
-            if e > gexp:
-                raise CohomologyError(
-                    "lattice H^%d invariant p^%d exceeds the |G| bound p^%d; "
-                    "raise the working precision" % (m, e, gexp)
-                )
+        _check_group_order_bound(spec, m, structure.exps)
     return H
+
+
+def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
+    """Invariant exponents of the lattice H^m (m >= 1), from d^{m-1} alone.
+
+    Z^m is saturated in C^m and H^m is finite, so H^m is the torsion of
+    C^m / B^m: the nonzero, nonunit Smith divisors of d^{m-1}.  Each is at
+    most v_p|G| and so read exactly at precision p^E, and the rank
+    certificate checks that no divisor reached p^E: their count must equal
+    the rational rank of d^{m-1}.  `lattice_cohomology` is the slower
+    kernel-and-quotient path to the same exponents.
+    """
+    if m < 1:
+        raise CohomologyError("lattice invariants need degree m >= 1, not %d" % m)
+    E = spec.E
+    s = linalg.smith(coboundary_matrix(spec, m - 1), spec.p, E, want_left=False)
+    finite = [a for a in s.exps if a < E]
+    rank = _coboundary_rank(spec, m - 1)
+    if len(finite) != rank:
+        raise CohomologyError(
+            "d^%d has %d divisors below p^%d but rational rank %d; the action is "
+            "not a representation or the precision is too small"
+            % (m - 1, len(finite), E, rank)
+        )
+    exps = [a for a in finite if a > 0]
+    _check_group_order_bound(spec, m, exps)
+    return exps
+
+
+def _coboundary_rank(spec: CoefficientSpace, k: int) -> int:
+    """Rational rank of d^k on lattice cochains.
+
+    rank d^0 = r - dim V^G, and rank d^k = dim C^k - rank d^{k-1} because
+    H^k is finite for k >= 1.  dim V^G is the average trace of the action,
+    known mod p^{E - v_p|G|} and lying in [0, r].
+    """
+    G, p, r = spec.group, spec.p, spec.rank
+    gexp = _group_order_valuation(G, p)
+    P = p ** (spec.E - gexp)
+    if P <= r:
+        raise CohomologyError("precision p^%d is too small to certify ranks over a "
+                              "group of order %d" % (spec.E, G.order))
+    total = sum(int(t) for t in np.trace(spec.act, axis1=1, axis2=2)) % spec.q
+    fixed = (total // p**gexp) * pow(G.order // p**gexp, -1, P) % P
+    if total % p**gexp or fixed > r:
+        raise CohomologyError("the action's traces average to no dimension in [0, %d]; "
+                              "it is not a representation" % r)
+    rank = r - fixed
+    for j in range(1, k + 1):
+        rank = r * (G.order - 1) ** j - rank
+    return rank
+
+
+def _check_group_order_bound(spec: CoefficientSpace, m: int, exps) -> None:
+    """|G| kills the lattice H^m, so a larger invariant means lost precision."""
+    gexp = _group_order_valuation(spec.group, spec.p)
+    for e in exps:
+        if e > gexp:
+            raise CohomologyError(
+                "lattice H^%d invariant p^%d exceeds the |G| bound p^%d; "
+                "raise the working precision" % (m, e, gexp)
+            )
 
 
 def _group_order_valuation(group: GroupTable, p: int) -> int:
@@ -245,10 +301,12 @@ def lattice_exps(chain: modules.CentralChain, m: int, n: int | None = None) -> l
     """Invariant exponents of the lattice H^m(R, T_n), or of H^m(R, T) for n None.
 
     Only the exponents are kept: every reader needs the exponent or the order.
+    They come from the Smith divisors of d^{m-1} by `lattice_invariants`, so
+    the larger d^m is never built.
     """
     basis = None if n is None else chain.bases[n]
-    return chain.derived(("lattice H", m, n), lambda: list(
-        lattice_cohomology(chain.lattice, m, basis=basis).structure.exps))
+    return chain.derived(("lattice H", m, n), lambda: lattice_invariants(
+        lattice_coefficients(chain.lattice, basis), m))
 
 
 def level_cohomology(chain: modules.CentralChain, n: int, m: int) -> CohomologyGroup:

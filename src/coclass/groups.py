@@ -80,15 +80,16 @@ class GroupTable(Owner):
 
 
 def _element_orders(mul: np.ndarray, identity: int) -> np.ndarray:
-    n = mul.shape[0]
-    out = np.zeros(n, dtype=np.int64)
-    for g in range(n):
-        x, k = g, 1
-        while x != identity:
-            x = int(mul[x, g])
-            k += 1
-        out[g] = k
-    return out
+    """Steps every element's power g^k at once until each reaches the identity."""
+    elems = np.arange(mul.shape[0])
+    out = np.zeros(mul.shape[0], dtype=np.int64)
+    x, k = elems, 1
+    while True:
+        out[(x == identity) & (out == 0)] = k
+        if out.all():
+            return out
+        x = mul[x, elems]
+        k += 1
 
 
 def _validate_table(mul: np.ndarray, identity: int) -> np.ndarray:
@@ -413,10 +414,6 @@ def subgroup_closure_table(mul: np.ndarray, identity: int, gens) -> list[int]:
     return sorted(closure([identity], gens, lambda x, g: int(mul[x, g])))
 
 
-def subgroup_closure(G: GroupTable, gens) -> list[int]:
-    return subgroup_closure_table(G.mul, G.identity, gens)
-
-
 def restricted_table(G: GroupTable, elems) -> tuple[GroupTable, list[int]]:
     """Multiplication table of a subgroup on its own indices.
 
@@ -464,11 +461,25 @@ def center(G: GroupTable) -> list[int]:
 
 
 def commutator_subgroup(G: GroupTable, a_elems, b_elems) -> list[int]:
+    """The subgroup generated by the commutators [a, b].
+
+    A finite set containing the identity generates a subgroup once it is closed
+    under products, so the mask of the commutators is squared, S -> S.S,
+    until it stops growing.
+    """
     a = np.asarray(list(a_elems), dtype=np.int64)
     b = np.asarray(list(b_elems), dtype=np.int64)
     xy = G.mul[a[:, None], b[None, :]]
     comms = G.mul[G.mul[G.inverses[a][:, None], G.inverses[b][None, :]], xy]
-    return subgroup_closure(G, set(int(c) for c in np.unique(comms)))
+    mask = np.zeros(G.order, dtype=bool)
+    mask[comms] = True
+    mask[G.identity] = True
+    while True:
+        idx = np.flatnonzero(mask)
+        mask = np.zeros(G.order, dtype=bool)
+        mask[G.mul[np.ix_(idx, idx)]] = True
+        if np.count_nonzero(mask) == idx.size:
+            return idx.tolist()
 
 
 @dataclass

@@ -199,6 +199,8 @@ def _module_key(A):
 _DERIVED = [
     (cohomology, "lattice_cohomology",
      lambda T, m, basis=None: (_lattice_key(T), m, _bytes(basis))),
+    (cohomology, "lattice_invariants",
+     lambda spec, m: (_bytes(spec.group.mul), _bytes(spec.act), spec.E, m)),
     (cohomology, "finite_cohomology", lambda A, m: (_module_key(A), m)),
     (cohomology, "split_frame",
      lambda T, chain, n, m=2: (_lattice_key(T), _bytes(chain.bases[n]), m)),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coclass import cohomology, groups, linalg, modules
+from coclass import cohomology, groups, linalg, modules, scenarios
 
 from brute_force import (
     brute_cocycles_and_boundaries,
@@ -125,6 +125,49 @@ def test_lattice_c2_trivial_values():
     assert cohomology.lattice_cohomology(T, 1).invariants() == []
     assert cohomology.lattice_cohomology(T, 2).invariants() == [2]
     assert cohomology.lattice_cohomology(T, 3).invariants() == []
+
+
+def c3_eisenstein(N=10):
+    # C3 on Z_3[omega], the generator acting by multiplication with omega
+    C3 = groups.make_table(cyclic_table(3))
+    ctx = modules.PrecisionContext(3, N)
+    return modules.lattice_module(C3, {1: np.array([[0, 1], [-1, -1]])}, ctx)
+
+
+def _assert_invariants_match(T, basis=None):
+    spec = cohomology.lattice_coefficients(T, basis)
+    for m in (1, 2, 3):
+        want = cohomology.lattice_cohomology(T, m, basis=basis).structure.exps
+        assert cohomology.lattice_invariants(spec, m) == want, m
+
+
+@pytest.mark.parametrize("lattice, n", [
+    (c2_negation, None), (c2_trivial, None), (d8_lattice, None), (c3_eisenstein, None),
+] + [(d8_lattice, n) for n in range(1, 7)])
+def test_lattice_invariants_match_the_kernel_path(lattice, n):
+    T = lattice()
+    _assert_invariants_match(T, None if n is None else modules.g_central_series(T, 8).bases[n])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_lattice_invariants_match_the_kernel_path_on_stages(k):
+    _assert_invariants_match(scenarios.load_scenario("dihedral_mainline").stage(k).lattice)
+
+
+def test_lattice_invariants_reject_degree_zero():
+    with pytest.raises(cohomology.CohomologyError, match="m >= 1"):
+        cohomology.lattice_invariants(cohomology.lattice_coefficients(c2_negation()), 0)
+
+
+def test_lattice_invariants_rank_certificate_is_live():
+    # g -> [[0, 1], [0, 0]] is no representation of C2; its traces still average
+    # to a dimension, 1, but d^0 = 1 - g has rank 2, not 2 - 1
+    C2 = groups.make_table(cyclic_table(2))
+    act = np.array([np.eye(2), [[0, 1], [0, 0]]], dtype=np.int64)
+    spec = cohomology.CoefficientSpace(C2, 2, 10, 2, act, np.ones(2, dtype=np.int64), True)
+    for m in (1, 2):
+        with pytest.raises(cohomology.CohomologyError, match="rational rank"):
+            cohomology.lattice_invariants(spec, m)
 
 
 def test_lattice_h0_fixed_points():
