@@ -20,7 +20,6 @@ Two coefficient regimes share the machinery:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,51 +96,40 @@ def lattice_coefficients(T: LatticeModule, basis=None) -> CoefficientSpace:
     return CoefficientSpace(T.group, p, E, d, act, np.ones(d, dtype=np.int64), True)
 
 
-def tuples_of(group: GroupTable, m: int) -> list[tuple[int, ...]]:
-    nonid = [g for g in range(group.order) if g != group.identity]
-    return list(itertools.product(nonid, repeat=m))
-
-
 def coboundary_matrix(spec: CoefficientSpace, m: int) -> np.ndarray:
-    """Matrix of d^m: C^m -> C^{m+1} acting on flat cochain rows."""
+    """Matrix of d^m: C^m -> C^{m+1} acting on flat cochain rows.
+
+    Each term is one scatter of r x r blocks into the (source tuple, slot,
+    target tuple, slot) view of D; its blocks go to distinct targets, so `+=`
+    adds them all."""
     G = spec.group
     r = spec.rank
-    q = spec.q
     rows, cols = r * (G.order - 1) ** m, r * (G.order - 1) ** (m + 1)
     if rows * cols > COBOUNDARY_CAP:
         raise CohomologyError("coboundary d^%d over a group of order %d is %d x %d, "
                               "above the cap of %d entries" % (m, G.order, rows, cols,
                                                                COBOUNDARY_CAP))
-    src = tuples_of(G, m)
-    dst = tuples_of(G, m + 1)
-    src_index = {t: i for i, t in enumerate(src)}
-    D = np.zeros((len(src) * r, len(dst) * r), dtype=np.int64)
+    src = G.bar_index(m)
+    T = G.bar_index(m + 1).tuples
+    D = np.zeros((rows, cols), dtype=np.int64)
+    blocks = D.reshape(len(src.tuples), r, len(T), r)
+    targets = np.arange(len(T))
     ident = np.eye(r, dtype=np.int64)
-    for ti, tau in enumerate(dst):
-        c0, c1 = ti * r, (ti + 1) * r
-        # leading term f(g_2, ..., g_{m+1})
-        lead = tau[1:]
-        i = src_index[lead]
-        D[i * r : (i + 1) * r, c0:c1] += ident
-        # merge terms
-        for k in range(1, m + 1):
-            u = int(G.mul[tau[k - 1], tau[k]])
-            if u == G.identity:
-                continue
-            merged = tau[: k - 1] + (u,) + tau[k + 1 :]
-            i = src_index[merged]
-            sign = -1 if k % 2 else 1
-            D[i * r : (i + 1) * r, c0:c1] += sign * ident
-        # trailing term (-1)^{m+1} f(g_1, ..., g_m).g_{m+1}
-        tail = tau[:m]
-        i = src_index[tail]
-        sign = -1 if (m + 1) % 2 else 1
-        D[i * r : (i + 1) * r, c0:c1] += sign * spec.act[tau[m]]
-    return D % q
+    # leading term f(g_2, ..., g_{m+1})
+    blocks[src.index(T[:, 1:]), :, targets, :] += ident
+    # merge terms (-1)^k f(g_1, ..., g_k g_{k+1}, ..., g_{m+1}), dropped at the identity
+    for k in range(1, m + 1):
+        merged = np.delete(T, k, axis=1)
+        merged[:, k - 1] = G.mul[T[:, k - 1], T[:, k]]
+        keep = merged[:, k - 1] != G.identity
+        blocks[src.index(merged[keep]), :, targets[keep], :] += (-1) ** k * ident
+    # trailing term (-1)^{m+1} f(g_1, ..., g_m).g_{m+1}
+    blocks[src.index(T[:, :m]), :, targets, :] += (-1) ** (m + 1) * spec.act[T[:, m]]
+    return np.remainder(D, spec.q, out=D)
 
 
 def _legal_rows(spec: CoefficientSpace, m: int) -> np.ndarray:
-    s = len(tuples_of(spec.group, m))
+    s = (spec.group.order - 1) ** m
     return np.diag(np.tile(spec.scales, s)).astype(np.int64)
 
 
@@ -162,8 +150,7 @@ def cocycle_rows(spec: CoefficientSpace, m: int) -> tuple[np.ndarray, int]:
 
 def coboundary_rows(spec: CoefficientSpace, m: int) -> np.ndarray:
     if m == 0:
-        s = len(tuples_of(spec.group, 0)) * spec.rank
-        return np.zeros((0, s), dtype=np.int64)
+        return np.zeros((0, spec.rank), dtype=np.int64)
     D = coboundary_matrix(spec, m - 1)
     if spec.lattice:
         return D % spec.q
@@ -195,11 +182,6 @@ class CohomologyGroup:
 
     def is_coboundary(self, cocycle_row) -> bool:
         return not np.any(self.coords(cocycle_row))
-
-    def value(self, cocycle_row, tau: tuple[int, ...]) -> np.ndarray:
-        idx = tuples_of(self.spec.group, self.m).index(tuple(tau))
-        r = self.spec.rank
-        return np.asarray(cocycle_row)[idx * r : (idx + 1) * r] % self.spec.q
 
 
 def cohomology_group(spec: CoefficientSpace, m: int) -> CohomologyGroup:

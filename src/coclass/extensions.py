@@ -40,21 +40,12 @@ class ExtensionGroup:
         return self.table.order
 
 
-def cocycle_value_table(A: FiniteModule, tau_hat) -> list[list[np.ndarray]]:
-    """Plain coordinate values tau(g, h) for all pairs, zero on the identity."""
+def cocycle_value_table(A: FiniteModule, tau_hat) -> np.ndarray:
+    """Plain coordinate values tau[g, h] for all pairs, zero on the identity."""
     G = A.group
-    tuples = cohomology.tuples_of(G, 2)
-    index = {t: i for i, t in enumerate(tuples)}
-    r = A.rank
-    row = np.asarray(tau_hat, dtype=np.int64) % A.q
-    zero = np.zeros(r, dtype=np.int64)
-    out = []
-    for g in range(G.order):
-        vals = []
-        for h in range(G.order):
-            i = index.get((g, h))
-            vals.append(zero if i is None else A.unhat(row[i * r : (i + 1) * r]))
-        out.append(vals)
+    T = G.bar_index(2).tuples
+    out = np.zeros((G.order, G.order, A.rank), dtype=np.int64)
+    out[T[:, 0], T[:, 1]] = A.unhat(np.asarray(tau_hat, dtype=np.int64).reshape(len(T), A.rank))
     return out
 
 

@@ -30,7 +30,8 @@ class GroupError(CoclassError):
 @dataclass(eq=False)
 class GroupTable(Owner):
     """A validated table; it owns its element orders, minimal generators,
-    lower central series and isomorphism fingerprint, each built once."""
+    lower central series, bar-complex index arrays and isomorphism
+    fingerprint, each built once."""
 
     mul: np.ndarray  # order x order element indices
     identity: int
@@ -59,6 +60,10 @@ class GroupTable(Owner):
         """The lower central series, built once by `lower_central_series`."""
         return self.derived("lower_central_series", lambda: lower_central_series(self))
 
+    def bar_index(self, m: int) -> "BarIndex":
+        """The normalized bar m-tuples, built once by `bar_index`."""
+        return self.derived(("bar_index", m), lambda: bar_index(self, m))
+
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
@@ -77,6 +82,30 @@ class GroupTable(Owner):
         if self.element_labels is not None:
             return self.element_labels[g]
         return "g%d" % g
+
+
+@dataclass(eq=False)
+class BarIndex:
+    """The nonidentity m-tuples in itertools.product order, one per block of a
+    normalized bar m-cochain.  pos is an element's place among the nonidentity
+    elements (-1 for the identity) and radix the mixed-radix place values."""
+
+    tuples: np.ndarray  # (s, m) element indices, s = (|G| - 1)^m
+    pos: np.ndarray
+    radix: np.ndarray
+
+    def index(self, T: np.ndarray) -> np.ndarray:
+        """Positions in `tuples` of the rows of T, none of which holds the identity."""
+        return self.pos[T] @ self.radix
+
+
+def bar_index(G: GroupTable, m: int) -> BarIndex:
+    nonid = np.flatnonzero(np.arange(G.order) != G.identity)
+    s = nonid.size
+    pos = np.full(G.order, -1, dtype=np.int64)
+    pos[nonid] = np.arange(s)
+    places = np.indices((s,) * m, dtype=np.int64).reshape(m, s**m).T
+    return BarIndex(nonid[places], pos, s ** np.arange(m - 1, -1, -1, dtype=np.int64))
 
 
 def _element_orders(mul: np.ndarray, identity: int) -> np.ndarray:

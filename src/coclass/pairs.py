@@ -128,17 +128,10 @@ def _hat_matrix(A: FiniteModule, plain) -> np.ndarray:
 def act_on_cochain(H: CohomologyGroup, pair: CompatiblePair, row) -> np.ndarray:
     """(tau.(beta, eps))(g_1..g_m) = tau(g_1^{beta^-1}, ..).eps on hatted rows."""
     spec = H.spec
-    m = H.m
-    tuples = cohomology.tuples_of(spec.group, m)
-    index = {t: i for i, t in enumerate(tuples)}
+    bar = spec.group.bar_index(H.m)
     binv = groups.invert_perm(pair.beta)
-    r = spec.rank
-    row = np.asarray(row, dtype=np.int64) % spec.q
-    out = np.zeros_like(row)
-    for i, t in enumerate(tuples):
-        src = index[tuple(int(binv[g]) for g in t)]
-        out[i * r : (i + 1) * r] = (row[src * r : (src + 1) * r] @ pair.eps_hat) % spec.q
-    return out
+    slots = (np.asarray(row, dtype=np.int64) % spec.q).reshape(len(bar.tuples), spec.rank)
+    return ((slots[bar.index(binv[bar.tuples])] @ pair.eps_hat) % spec.q).reshape(-1)
 
 
 def induced_h2_matrix(H: CohomologyGroup, pair: CompatiblePair) -> np.ndarray:

@@ -293,7 +293,7 @@ class TopQuotient(Owner):
         Qj = scn.quotient(self.k * self.period)
         reps = Qj.representatives()
         scale = scn.p ** self.k
-        tuples = cohomology.tuples_of(R, 2)
+        tuples = R.bar_index(2).tuples
         r = scn.rank
         row = np.zeros(len(tuples) * r, dtype=np.int64)
         moduli = [int(m) for m in Qj.module.coord_moduli()]

@@ -322,3 +322,20 @@ def semi_brute_h_stats(mul, identity, moduli, act, m, p):
             k += 1
         stats[k] = stats.get(k, 0) + 1
     return stats
+
+
+def brute_act_on_cochain(H, pair, row):
+    """(tau.(beta, eps))(g_1..g_m) = tau(g_1^{beta^-1}, ..).eps, one tuple at a time."""
+    spec = H.spec
+    m = H.m
+    nonid = [g for g in range(spec.group.order) if g != spec.group.identity]
+    tuples = list(itertools.product(nonid, repeat=m))
+    index = {t: i for i, t in enumerate(tuples)}
+    binv = np.argsort(pair.beta)
+    r = spec.rank
+    row = np.asarray(row, dtype=np.int64) % spec.q
+    out = np.zeros_like(row)
+    for i, t in enumerate(tuples):
+        src = index[tuple(int(binv[g]) for g in t)]
+        out[i * r : (i + 1) * r] = (row[src * r : (src + 1) * r] @ pair.eps_hat) % spec.q
+    return out

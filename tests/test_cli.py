@@ -208,6 +208,7 @@ _DERIVED = [
     (extensions, "build_extension",
      lambda R, A, tau_hat: (_bytes(R.mul), _module_key(A), _bytes(tau_hat))),
     (groups, "lower_central_series", lambda G: _bytes(G.mul)),
+    (groups, "bar_index", lambda G, m: (_bytes(G.mul), m)),
 ]
 
 

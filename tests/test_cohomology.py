@@ -5,6 +5,7 @@ from coclass import cohomology, groups, linalg, modules, scenarios
 
 from brute_force import (
     brute_cocycles_and_boundaries,
+    coboundary_matrix_naive,
     order_statistics,
     stats_from_invariants,
 )
@@ -132,6 +133,66 @@ def c3_eisenstein(N=10):
     C3 = groups.make_table(cyclic_table(3))
     ctx = modules.PrecisionContext(3, N)
     return modules.lattice_module(C3, {1: np.array([[0, 1], [-1, -1]])}, ctx)
+
+
+def _s3_permutations():
+    S3, perms = groups.from_permutations([(1, 0, 2), (0, 2, 1)])
+    mats = [np.eye(3, dtype=np.int64)[list(g)] for g in perms]  # v.g = v P_g
+    return S3, mats
+
+
+def _c4_rotation_lattice():
+    C4 = groups.make_table(cyclic_table(4))
+    rot = np.array([[0, 1], [-1, 0]])
+    return modules.lattice_module(C4, {1: rot}, modules.PrecisionContext(2, 6))
+
+
+def _s3_permutation_lattice():
+    S3, mats = _s3_permutations()
+    return modules.lattice_module(S3, {g: mats[g] for g in S3.generators},
+                                  modules.PrecisionContext(3, 4))
+
+
+def _c2_swap():
+    C2 = groups.make_table(cyclic_table(2))
+    return finite_mod(C2, [4, 4], [np.eye(2, dtype=np.int64), np.array([[0, 1], [1, 0]])])
+
+
+def _c4_by_three():
+    C4 = groups.make_table(cyclic_table(4))
+    return finite_mod(C4, [8], [np.array([[3**i]]) for i in range(4)])
+
+
+def _s3_permutation_finite():
+    S3, mats = _s3_permutations()
+    return finite_mod(S3, [4, 4, 4], mats)
+
+
+# coefficient spaces whose hatted and plain coordinates agree, with the
+# degrees m the naive formula is compared at
+_ORACLE_SPACES = {
+    "C2 negation lattice": (lambda: cohomology.lattice_coefficients(c2_negation(N=6)), 3),
+    "C2 swap on (Z/4)^2": (lambda: cohomology.finite_coefficients(_c2_swap()), 3),
+    "C4 rotation lattice": (lambda: cohomology.lattice_coefficients(_c4_rotation_lattice()), 3),
+    "C4 by 3 on Z/8": (lambda: cohomology.finite_coefficients(_c4_by_three()), 3),
+    "S3 permutation lattice": (
+        lambda: cohomology.lattice_coefficients(_s3_permutation_lattice()), 3),
+    "S3 permutation on (Z/4)^3": (
+        lambda: cohomology.finite_coefficients(_s3_permutation_finite()), 3),
+    "D8 lattice": (lambda: cohomology.lattice_coefficients(d8_lattice(N=8)), 2),
+    "C3 on Z_3[omega]": (lambda: cohomology.lattice_coefficients(c3_eisenstein(N=5)), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_SPACES))
+def test_coboundary_matrix_matches_the_naive_formula(name):
+    build, degrees = _ORACLE_SPACES[name]
+    spec = build()
+    G = spec.group
+    for m in range(degrees):
+        want = coboundary_matrix_naive(G.mul, G.identity, spec.act, [spec.q] * spec.rank, m)
+        got = cohomology.coboundary_matrix(spec, m)
+        assert got.shape == want.shape and np.array_equal(got, want % spec.q), m
 
 
 def _assert_invariants_match(T, basis=None):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
-from brute_force import diagonalize_mod, is_associative, kernel_gens_mod, semi_brute_h_stats
+from brute_force import (brute_act_on_cochain, diagonalize_mod, is_associative, kernel_gens_mod,
+                         semi_brute_h_stats)
 
 
 def cyclic_table(n):
@@ -130,6 +131,47 @@ def test_pair_action_is_an_action(data):
     via_product = pairs.act_on_cochain(H, xy, row)
     stepwise = pairs.act_on_cochain(H, y, pairs.act_on_cochain(H, x, row))
     assert H.is_coboundary((via_product - stepwise) % A.q)
+
+
+def _v4_trivial():
+    # every pair is compatible with the trivial action, so beta runs over
+    # Aut(V4) = S3, which has automorphisms that are not involutions
+    V4 = groups.make_table([[i ^ j for j in range(4)] for i in range(4)])
+    return modules.finite_module_from_plain(V4, 2, [2, 2], [np.eye(2, dtype=np.int64)] * 4)
+
+
+_PAIR_MODULES = {
+    "dihedral_mainline level 3":
+        lambda: scenarios.load_scenario("dihedral_mainline").quotient(3).module,
+    "d8_gaussian level 2": lambda: scenarios.load_scenario("d8_gaussian").quotient(2).module,
+    "V4 on (Z/4)^2": _v4_trivial,
+}
+_pair_cache = {}
+
+
+def _module_pairs(name):
+    """A finite module, its H^1 and H^2, and its compatible pairs."""
+    if name not in _pair_cache:
+        A = _PAIR_MODULES[name]()
+        Hs = [cohomology.finite_cohomology(A, m) for m in (1, 2)]
+        _pair_cache[name] = (A, Hs, pairs.compatible_pairs(A))
+    return _pair_cache[name]
+
+
+@given(st.sampled_from(list(_PAIR_MODULES)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_pair_action_matches_the_per_tuple_loop(module, data):
+    A, Hs, ps = _module_pairs(module)
+    H = data.draw(st.sampled_from(Hs))
+    pair = data.draw(st.sampled_from(ps))
+    # any cochain of the module, not only a cocycle: hatted coordinates per slot
+    mods = [A.p**e for e in A.exps]
+    slots = (A.group.order - 1) ** H.m
+    coords = np.array([[data.draw(st.integers(min_value=0, max_value=m - 1)) for m in mods]
+                       for _ in range(slots)], dtype=np.int64)
+    row = A.hat(coords).reshape(-1)
+    assert np.array_equal(pairs.act_on_cochain(H, pair, row),
+                          brute_act_on_cochain(H, pair, row))
 
 
 @given(st.data())
