@@ -32,8 +32,9 @@ def _load(args, precision: int | None = None) -> Scenario:
     """The --scenario instance at `precision`, else at --precision, else at
     its own precision; validated once."""
     data = scenarios.scenario_data(args.scenario)
-    precision = precision or args.precision
-    if precision:
+    if precision is None:
+        precision = args.precision
+    if precision is not None:
         data = dict(data, precision=precision)
     return scenarios.scenario_from_dict(data)
 
@@ -100,10 +101,7 @@ def _int_vector(data: dict, name: str, length: int) -> np.ndarray:
 
 def cmd_extend(args) -> int:
     scn = _load(args)
-    with open(args.cocycle) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ScenarioError("cocycle file must contain a JSON object")
+    data = scenarios.read_json_object(args.cocycle, "cocycle")
     if "level" not in data:
         raise ScenarioError("cocycle file is missing the field 'level'")
     n = scenarios.checked_field("level", lambda: int(data["level"]), "cocycle")
@@ -310,7 +308,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CoclassError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CoclassError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -98,6 +98,8 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
     top quotient's coclass, reduce into the root's orbit, and do not reduce
     into the next mainline class (those belong to branch i + 1).
     """
+    if k < 0:
+        raise BranchError("distance cap k = %d is negative" % k)
     top = scn.top()
     n0 = i - top.l
     if n0 < 1:

@@ -6,6 +6,9 @@ keeps the rest of the toolkit honest: a table that passes construction
 satisfies the group axioms, full stop.  Associativity is proven exactly at
 every order by Light's test on a generating set, in |S| n^2 steps.
 
+Permutations, matrices and presentations all reach their table through one
+builder, `table_from_generators`, from the generators' right multiplications.
+
 Convention: all module actions in this package are right actions, written
 v.g, and a homomorphism of tables preserves products in the given order.
 """
@@ -37,7 +40,6 @@ class GroupTable(Owner):
     identity: int
     inverses: np.ndarray
     generators: list[int]
-    element_labels: list[str] | None = None
 
     @property
     def order(self) -> int:
@@ -77,11 +79,6 @@ class GroupTable(Owner):
             g = int(self.mul[g, g])
             k >>= 1
         return r
-
-    def label(self, g: int) -> str:
-        if self.element_labels is not None:
-            return self.element_labels[g]
-        return "g%d" % g
 
 
 @dataclass(eq=False)
@@ -139,6 +136,12 @@ def _validate_table(mul: np.ndarray, identity: int) -> np.ndarray:
     return inverses
 
 
+def _row_blocks(n: int):
+    """Row slices of an n x n table, each at most 2^22 entries."""
+    rows = max(1, (1 << 22) // n)
+    return (slice(x0, x0 + rows) for x0 in range(0, n, rows))
+
+
 def _check_associative(mul: np.ndarray, generators: list[int]) -> None:
     """Light's associativity test: (xs)y = x(sy) for each generator s.
 
@@ -148,11 +151,9 @@ def _check_associative(mul: np.ndarray, generators: list[int]) -> None:
     Right multiplication by the generators reaches every element from the
     identity, so A is the whole table once it holds them.
     """
-    n = mul.shape[0]
-    rows = max(1, (1 << 22) // n)  # bounds each temporary to 2^22 entries
     for s in generators:
-        for x0 in range(0, n, rows):
-            block = mul[x0 : x0 + rows]
+        for rows in _row_blocks(mul.shape[0]):
+            block = mul[rows]
             if not np.array_equal(mul[block[:, s]], block[:, mul[s]]):
                 raise GroupError("table is not associative")
 
@@ -165,12 +166,12 @@ def _checked_generators(generators, n: int) -> list[int]:
     return [int(g) for g in gens]
 
 
-def make_table(mul, generators: list[int] | None = None, labels=None) -> GroupTable:
+def make_table(mul, generators: list[int] | None = None) -> GroupTable:
     """Validate a raw multiplication table (identity must be index 0)."""
     mul = np.asarray(mul, dtype=np.int64)
     identity = 0
     inverses = _validate_table(mul, identity)
-    table = GroupTable(mul, identity, inverses, [], labels)
+    table = GroupTable(mul, identity, inverses, [])
     if generators is None:
         table.generators = table.minimal_generators()
     else:
@@ -208,8 +209,40 @@ def closure(seeds, gens, step, key=None, cap: int | None = None) -> dict:
     return found
 
 
-def closure_table(gen_elems: list, multiply, identity_elem, *, cap: int = CLOSURE_CAP,
-                  labeler=None) -> tuple[GroupTable, list]:
+def table_from_generators(right) -> GroupTable:
+    """The table of the group generated by the permutations right[s], where
+    right[s, x] is the index of x.s and the identity is 0, so generator s is
+    the element right[s, 0].  Column x.s is right[s] applied to column x, as
+    y(xs) = (yx)s, filled along a breadth-first tree; then (yx)s = y(xs) on
+    every generator edge proves that the table agrees with right and, by
+    Light's argument with s on the right, that it is associative.
+    """
+    right = np.asarray(right, dtype=np.int64)
+    n = right.shape[1]
+    mul = np.empty((n, n), dtype=np.int64)
+    mul[:, 0] = np.arange(n)
+    filled = np.zeros(n, dtype=bool)
+    filled[0] = True
+
+    def step(x: int, s: int) -> int:
+        y = int(right[s, x])
+        if not filled[y]:
+            mul[:, y] = right[s][mul[:, x]]
+            filled[y] = True
+        return y
+
+    if len(closure([0], range(len(right)), step)) != n:
+        raise GroupError("generators do not reach every element")
+    for r in right:
+        for rows in _row_blocks(n):
+            block = mul[rows]
+            if not np.array_equal(block[:, r], r[block]):
+                raise GroupError("generator permutations disagree with the table")
+    return make_table(mul, generators=right[:, 0].tolist())
+
+
+def closure_table(gen_elems: list, multiply, identity_elem, *,
+                  cap: int = CLOSURE_CAP) -> tuple[GroupTable, list]:
     """Close abstract generators under an associative product into a table.
 
     gen_elems are hashable values, multiply(x, y) their product.  Returns the
@@ -217,15 +250,8 @@ def closure_table(gen_elems: list, multiply, identity_elem, *, cap: int = CLOSUR
     """
     elems = list(closure([identity_elem], gen_elems, multiply, cap=cap))
     index = {x: i for i, x in enumerate(elems)}
-    n = len(elems)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            mul[i, j] = index[multiply(x, y)]
-    labels = [labeler(x) for x in elems] if labeler else None
-    gens = [index[g] for g in gen_elems if g in index]
-    table = make_table(mul, generators=gens or None, labels=labels)
-    return table, elems
+    right = [[index[multiply(x, g)] for x in elems] for g in gen_elems]
+    return table_from_generators(np.array(right, dtype=np.int64).reshape(-1, len(elems))), elems
 
 
 def from_permutations(perms: list[tuple[int, ...]], *, cap: int = CLOSURE_CAP) -> tuple[GroupTable, list]:
@@ -285,11 +311,10 @@ def _parse_word(word: str, gen_names: list[str]) -> list[int]:
 
 def from_presentation(gen_names: list[str], relator_words: list[str], *,
                       cap: int = CLOSURE_CAP) -> GroupTable:
-    """Finite group from a presentation via coset enumeration over the trivial subgroup."""
+    """Finite group from a presentation via coset enumeration over the trivial
+    subgroup; an order above cap is refused before the table is built."""
     relators = [_parse_word(w, gen_names) for w in relator_words]
     ngens = len(gen_names)
-    if ngens == 0:
-        return make_table(np.zeros((1, 1), dtype=np.int64), labels=["1"])
     cols = 2 * ngens  # generator g -> column 2(g-1), inverse -> 2(g-1)+1
 
     def col(s: int) -> int:
@@ -371,43 +396,14 @@ def from_presentation(gen_names: list[str], relator_words: list[str], *,
             if find(i) == i and table[i][c] == -1:
                 define(i, c)
         i += 1
-    live = sorted({find(x) for x in range(len(table))})
-    remap = {x: k for k, x in enumerate(live)}
-    n = len(live)
-    # cosets index group elements; right multiplication by generators gives perms
-    perms = []
-    for g in range(ngens):
-        perm = tuple(remap[find(table[x][2 * g])] for x in live)
-        perms.append(perm)
-    tbl, elems = from_permutations(perms, cap=max(cap, n + 1))
-    if tbl.order != n:
-        raise GroupError("coset table inconsistent with closure")
-    # label elements by short generator words
-    labels = _word_labels(tbl, gen_names)
-    tbl.element_labels = labels
-    return tbl
-
-
-def _word_labels(G: GroupTable, gen_names: list[str]) -> list[str]:
-    labels = [""] * G.order
-    labels[G.identity] = "1"
-    seen = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(G.generators):
-                y = int(G.mul[x, g])
-                if y not in seen:
-                    seen.add(y)
-                    base = labels[x] if labels[x] != "1" else ""
-                    labels[y] = base + gen_names[gi % len(gen_names)] if gen_names else "g%d" % y
-                    nxt.append(y)
-        frontier = nxt
-    for x in range(G.order):
-        if not labels[x]:
-            labels[x] = "g%d" % x
-    return labels
+    # cosets of the trivial subgroup are the elements, coset 0 the identity;
+    # they are numbered breadth first, as closing their permutations would
+    order = list(closure([0], range(ngens), lambda x, g: find(table[x][2 * g])))
+    if len(order) > cap:
+        raise GroupError("group of order %d exceeds the table cap %d" % (len(order), cap))
+    index = {x: k for k, x in enumerate(order)}
+    right = [[index[find(table[x][2 * g])] for x in order] for g in range(ngens)]
+    return table_from_generators(np.array(right, dtype=np.int64).reshape(ngens, len(order)))
 
 
 def build_group(spec) -> GroupTable:
@@ -423,8 +419,7 @@ def build_group(spec) -> GroupTable:
     if not isinstance(spec, dict):
         raise GroupError("unsupported group spec %r" % type(spec))
     if "table" in spec:
-        return make_table(spec["table"], generators=spec.get("generators"),
-                          labels=spec.get("element_labels"))
+        return make_table(spec["table"], generators=spec.get("generators"))
     if "permutations" in spec:
         return from_permutations(spec["permutations"])[0]
     if "matrix_generators" in spec:
@@ -451,17 +446,12 @@ def restricted_table(G: GroupTable, elems) -> tuple[GroupTable, list[int]]:
     """
     rest = sorted(set(int(e) for e in elems) - {G.identity})
     elements = [G.identity] + rest
-    idx = {e: i for i, e in enumerate(elements)}
-    k = len(elements)
-    mul = np.zeros((k, k), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            c = int(G.mul[a, b])
-            if c not in idx:
-                raise GroupError("element set is not closed under multiplication")
-            mul[i, j] = idx[c]
-    labels = [G.label(e) for e in elements] if G.element_labels is not None else None
-    return make_table(mul, labels=labels), elements
+    idx = np.full(G.order, -1, dtype=np.int64)
+    idx[elements] = np.arange(len(elements))
+    mul = idx[G.mul[np.ix_(elements, elements)]]
+    if np.any(mul < 0):
+        raise GroupError("element set is not closed under multiplication")
+    return make_table(mul), elements
 
 
 def _mask(G: GroupTable, elems) -> np.ndarray:

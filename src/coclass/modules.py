@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CoclassError, Owner, linalg
+from . import CoclassError, Owner, groups, linalg
 from .groups import GroupTable
 
 
@@ -72,41 +72,26 @@ class LatticeModule:
 def lattice_module(group: GroupTable, gen_action: dict, ctx: PrecisionContext) -> LatticeModule:
     """Extend generator action matrices to the whole table and validate.
 
-    gen_action maps generator element indices to d x d integer matrices; the
-    extension must be single valued and multiplicative on the full table.
+    gen_action maps generator element indices to d x d integer matrices.
+    The matrices are carried along a breadth-first closure from the
+    identity; act[x.g] = act[x] M_g for every element x and generator g then
+    gives act[xy] = act[x] act[y] by induction on the word length of y.
     """
     q = ctx.q
-    items = list(gen_action.items())
-    if not items:
+    gen_mats = [(g, np.asarray(m, dtype=np.int64) % q) for g, m in gen_action.items()]
+    if not gen_mats:
         raise ModuleError("need at least one generator action matrix")
-    d = np.asarray(items[0][1]).shape[0]
-    n = group.order
-    act = np.full((n, d, d), -1, dtype=np.int64)
-    act[group.identity] = np.eye(d, dtype=np.int64)
-    assigned = {group.identity}
-    frontier = [group.identity]
-    gen_mats = {g: np.asarray(m, dtype=np.int64) % q for g, m in items}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, Mg in gen_mats.items():
-                y = int(group.mul[x, g])
-                My = (act[x] @ Mg) % q
-                if y in assigned:
-                    if not np.array_equal(act[y], My):
-                        raise ModuleError("action matrices violate the group relations")
-                else:
-                    act[y] = My
-                    assigned.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(assigned) != n:
+    d = gen_mats[0][1].shape[0]
+    reached = groups.closure(
+        [(group.identity, np.eye(d, dtype=np.int64))], gen_mats,
+        lambda xa, gm: (int(group.mul[xa[0], gm[0]]), (xa[1] @ gm[1]) % q),
+        key=lambda xa: xa[0])
+    if len(reached) != group.order:
         raise ModuleError("generators with action matrices do not generate the group")
-    # full multiplicativity check
-    for g in range(n):
-        for h in range(n):
-            if not np.array_equal((act[g] @ act[h]) % q, act[int(group.mul[g, h])]):
-                raise ModuleError("extended action is not multiplicative")
+    act = np.stack([reached[x][1] for x in range(group.order)])
+    for g, Mg in gen_mats:
+        if not np.array_equal(act[group.mul[:, g]], (act @ Mg) % q):
+            raise ModuleError("action matrices violate the group relations")
     return LatticeModule(group, ctx, d, act)
 
 
@@ -324,19 +309,17 @@ def finite_module_from_plain(group: GroupTable, p: int, exps: list[int], plain_a
 
 
 def _validate_finite_action(fm: FiniteModule):
-    q = fm.q
-    for g in range(fm.group.order):
-        for h in range(fm.group.order):
-            gh = int(fm.group.mul[g, h])
-            if not np.array_equal((fm.act[g] @ fm.act[h]) % q, fm.act[gh] % q):
-                raise ModuleError("finite module action is not multiplicative")
-    # hatted lattice must be invariant
-    mem = fm.member_rows()
-    for g in range(fm.group.order):
-        img = (mem @ fm.act[g]) % q
-        for i in range(img.shape[0]):
-            if np.any(img[i] % fm.scales()):
-                raise ModuleError("action does not preserve the module")
+    """The identity acts trivially, act[x.s] = act[x] act[s] for every
+    element x and generator s (so the action is multiplicative, by induction
+    on word length), and the generators preserve the hatted module."""
+    G, q = fm.group, fm.q
+    if not np.array_equal(fm.act[G.identity] % q, np.eye(fm.rank, dtype=np.int64)):
+        raise ModuleError("the identity does not act trivially")
+    for s in G.generators:
+        if not np.array_equal((fm.act @ fm.act[s]) % q, fm.act[G.mul[:, s]] % q):
+            raise ModuleError("finite module action is not multiplicative")
+    if np.any((fm.member_rows() @ fm.act[G.generators]) % fm.scales()):
+        raise ModuleError("action does not preserve the module")
 
 
 @dataclass
@@ -518,10 +501,9 @@ def hom_space_flat(V: FiniteModule, W: FiniteModule, beta=None) -> np.ndarray:
     if u == 0:
         return np.zeros((0, u), dtype=np.int64)
     Wplain = W.plain if beta is None else W.plain[np.asarray(beta, dtype=np.int64)]
-    gens = V.group.generators or [g for g in range(V.group.order) if g != V.group.identity]
     cols = []
     target_exps: list[int] = []
-    for g in gens:
+    for g in V.group.generators:
         # (A @ C - C @ Bm)[a, b] = 0 mod p^{f_b}: linear in the entries of C
         cols.extend(_commuting_columns(V.plain[g], Wplain[g]).T)
         target_exps.extend(W.exps * r)
@@ -600,9 +582,9 @@ def lattice_hom_space(T: LatticeModule, beta=None) -> list[np.ndarray]:
     """
     p, N, q = T.p, T.ctx.N, T.q
     d = T.rank
-    gens = T.group.generators or [g for g in range(T.group.order) if g != T.group.identity]
     bperm = np.arange(T.group.order) if beta is None else np.asarray(beta, dtype=np.int64)
-    F = np.hstack([_commuting_columns(T.act[g], T.act[int(bperm[g])]) for g in gens]) % q
+    F = np.hstack([_commuting_columns(T.act[g], T.act[int(bperm[g])])
+                   for g in T.group.generators]) % q
     K, Ke = linalg.lattice_kernel(F, p, N)
     return [K[i].reshape(d, d) % (p**Ke) for i in range(K.shape[0])]
 

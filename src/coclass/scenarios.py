@@ -168,10 +168,29 @@ def checked_field(fieldname: str, build, source: str = "scenario"):
 INT_FIELDS = ("p", "rank", "precision", "depth", "top_offset", "pro_coclass")
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes as bases, exact for n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n % 2 == 0 or n in bases:
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in bases)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     for f in REQUIRED_FIELDS:
         _require(data, f)
     ints = {f: checked_field(f, lambda: int(data[f])) for f in INT_FIELDS}
+    p, precision = ints["p"], ints["precision"]
+    if not _is_prime(p):
+        raise ScenarioError("scenario field 'p' is %d, not a prime" % p)
+    # p^precision is the working modulus, held in int64
+    if precision < 1 or precision >= 63 or p**precision >= 2**63:
+        raise ScenarioError("scenario field 'precision' is %d; it must be at least 1, "
+                            "with p^precision below 2^63" % precision)
     rank = ints["rank"]
     matrices = checked_field("action",
                              lambda: [np.asarray(m, dtype=np.int64) for m in data["action"]])
@@ -212,6 +231,19 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
 }
 
 
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in a scenario or cocycle file; a file that cannot be
+    read, decoded or parsed, or holds no object, is a ScenarioError."""
+    try:
+        with open(path, "rb") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or not JSON
+        raise ScenarioError("cannot read %s file %r: %s" % (what, path, exc)) from None
+    if not isinstance(data, dict):
+        raise ScenarioError("%s file must contain a JSON object" % what)
+    return data
+
+
 def scenario_data(source) -> dict:
     """The unvalidated fields of a built-in name, a JSON file path, or a dict."""
     if isinstance(source, dict):
@@ -219,16 +251,7 @@ def scenario_data(source) -> dict:
     name = str(source)
     if name in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[name]
-    try:
-        with open(name) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError("no built-in scenario or file named %r" % name)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError("scenario file %r is not valid JSON: %s" % (name, exc))
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario file must contain a JSON object")
-    return data
+    return read_json_object(name, "scenario")
 
 
 def load_scenario(source) -> Scenario:

@@ -105,6 +105,32 @@ def is_associative(mul):
                for a in range(n) for b in range(n) for c in range(n))
 
 
+def closure_table_fill(gen_elems, multiply, identity_elem):
+    """The closure of gen_elems under multiply, breadth first from the
+    identity, and its table filled one product of two elements at a time.
+    Returns (mul, generator indices, elements in index order)."""
+    elems = [identity_elem]
+    index = {identity_elem: 0}
+    for x in elems:  # the list grows as new elements are found
+        for g in gen_elems:
+            y = multiply(x, g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    n = len(elems)
+    mul = np.zeros((n, n), dtype=np.int64)
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            mul[i, j] = index[multiply(x, y)]
+    gens = [index[g] for g in gen_elems if g in index]
+    return mul, gens, elems
+
+
+def compose_permutations(a, b):
+    """a then b, as tuples."""
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
 def brute_is_subgroup(mul, identity, elems):
     s = set(elems)
     return identity in s and all(mul[a][b] in s for a in s for b in s)

@@ -172,15 +172,64 @@ def test_precision_override(capsys):
     ("action", 5),
     ("group", {"table": [[0, 1], [1, 0]], "generators": [5]}),
     ("group", {"table": [[0, 1], [1, 0]], "generators": [-1]}),
+    ("p", -2),
+    ("p", 4),
+    ("precision", 0),
+    ("precision", 63),
+    ("precision", 62),  # valid, but cohomology rechecks at precision 64
+    ("--precision", 0),
 ])
 def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
-    data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"], **{field: value})
+    data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"])
     path = tmp_path / "bad.json"
+    argv = ["cohomology", "--scenario", str(path), "--n", "1"]
+    if field.startswith("--"):
+        argv += [field, str(value)]
+    else:
+        data[field] = value
     path.write_text(json.dumps(data))
-    code = cli.main(["cohomology", "--scenario", str(path), "--n", "1"])
+    code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    if field.strip("-") in ("p", "precision"):
+        assert "field %r" % field.strip("-") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--scenario", "{dir}", "--cocycle", "{cocycle}"],
+    ["extend", "--scenario", "dihedral_mainline", "--cocycle", "{dir}"],
+    ["extend", "--scenario", "dihedral_mainline", "--cocycle", "{cocycle}", "--out", "{dir}"],
+    ["branch", "--scenario", "dihedral_mainline", "--i", "3", "--dot", "{dir}"],
+    ["extend", "--scenario", "{latin1}", "--cocycle", "{cocycle}"],
+    ["extend", "--scenario", "dihedral_mainline", "--cocycle", "{latin1}"],
+])
+def test_unreadable_or_unwritable_file_is_a_one_line_error(tmp_path, capsys, argv):
+    cocycle = tmp_path / "c.json"
+    cocycle.write_text(json.dumps({"level": 1, "mainline": True}))
+    # a valid scenario and a valid cocycle file, but encoded in Latin-1
+    latin1 = tmp_path / "latin1.json"
+    fields = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"], name="caf\xe9",
+                  level=1, mainline=True)
+    latin1.write_bytes(json.dumps(fields, ensure_ascii=False).encode("latin-1"))
+    code = cli.main([a.format(dir=tmp_path, cocycle=cocycle, latin1=latin1) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_large_cyclic_group_stops_at_the_coboundary_cap(tmp_path, capsys):
+    # a^1024 acting by -1 on Z_2: its table builds from the coset table in
+    # about a second, and the 1023 x 1023^2 bar coboundary d^1 is refused
+    data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"],
+                group={"presentation": {"generators": ["a"], "relators": ["a^1024"]}})
+    path = tmp_path / "c1024.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["cohomology", "--scenario", str(path), "--n", "1", "--degree", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: coboundary d^1 over a group of order 1024")
+    assert err.count("\n") == 1
 
 
 def _bytes(a) -> bytes:

@@ -5,7 +5,8 @@ import pytest
 
 from coclass import groups
 
-from brute_force import brute_is_normal, brute_is_subgroup, brute_isomorphisms
+from brute_force import (brute_is_normal, brute_is_subgroup, brute_isomorphisms, closure_table_fill,
+                         compose_permutations)
 
 
 def cyclic_table(n):
@@ -210,8 +211,28 @@ def test_factor_set_extension_table():
     assert int(np.sum(E.element_orders() == 2)) == 1  # quaternion group
 
 
-def test_word_labels_present():
-    D8 = groups.build_group(D8_PRESENTATION)
-    assert D8.element_labels is not None
-    assert D8.element_labels[0] == "1"
-    assert len(set(D8.element_labels)) == 8
+
+@pytest.mark.parametrize("gens, relators, order, involutions", [
+    (["a", "b"], ["a^2", "b^4", "a^-1 b a b"], 8, 5),  # D8
+    (["a", "b"], ["a^4", "a^2 b^-2", "a^-1 b a b"], 8, 1),  # Q8
+    (["a"], ["a^12"], 12, 1),
+    (["a", "b", "c"], ["a^2", "b^2", "c^2", "a b a^-1 b^-1", "a c a^-1 c^-1", "b c b^-1 c^-1"],
+     8, 7),  # C2^3
+    (["a", "b"], ["a^2", "b^3", "a b a b"], 6, 3),  # S3
+    (["a", "b"], ["a^4", "a b^-1"], 4, 1),  # two equal generators
+])
+def test_presentation_matches_the_permutation_closure(gens, relators, order, involutions):
+    G = groups.from_presentation(gens, relators)
+    assert G.order == order
+    assert int(np.sum(G.element_orders() == 2)) == involutions
+    # closing the right-regular permutations one product at a time gives the same table
+    perms = [tuple(G.mul[:, g].tolist()) for g in G.generators]
+    mul, gen_idx, _ = closure_table_fill(perms, compose_permutations, tuple(range(order)))
+    assert np.array_equal(G.mul, mul)
+    assert G.generators == gen_idx
+
+
+def test_presentation_order_is_checked_against_the_table_cap():
+    with pytest.raises(groups.GroupError, match="order 10 exceeds the table cap 8"):
+        groups.from_presentation(["a"], ["a^10"], cap=8)
+    assert groups.from_presentation(["a"], ["a^10"], cap=10).order == 10

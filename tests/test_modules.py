@@ -26,6 +26,30 @@ def d8_lattice(N=12):
     return modules.lattice_module(D8, {ga: a, gb: b}, ctx)
 
 
+def test_lattice_action_violating_a_relator_is_rejected():
+    C2 = groups.make_table(cyclic_table(2))
+    with pytest.raises(modules.ModuleError, match="group relations"):
+        modules.lattice_module(C2, {1: np.array([[0, 1], [1, 1]])}, modules.PrecisionContext(2, 6))
+
+
+def test_finite_action_with_a_nontrivial_identity_is_rejected():
+    # an idempotent is multiplicative on C2 but is not the identity matrix
+    C2 = groups.make_table(cyclic_table(2))
+    proj = np.array([[1, 0], [0, 0]])
+    with pytest.raises(modules.ModuleError, match="identity does not act trivially"):
+        modules.finite_module_from_plain(C2, 2, [1, 1], [proj, proj])
+
+
+def test_finite_action_leaving_the_hatted_module_is_rejected():
+    # Z/2 + Z/4 hatted in (Z/4)^2 as 2Z/4 + Z/4; the generator is an
+    # involution mod 4 that sends (0, 1) to (1, 3), outside the module
+    C2 = groups.make_table(cyclic_table(2))
+    act = np.array([np.eye(2, dtype=np.int64), [[1, 0], [1, 3]]])
+    fm = modules.FiniteModule(C2, 2, [1, 2], 2, act, act)
+    with pytest.raises(modules.ModuleError, match="does not preserve the module"):
+        modules._validate_finite_action(fm)
+
+
 def test_precision_policy():
     ctx = modules.precision_for(2, 6, 8)
     assert ctx.N == 6 + 9 + 2

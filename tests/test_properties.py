@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
-from brute_force import (brute_act_on_cochain, diagonalize_mod, is_associative, kernel_gens_mod,
-                         semi_brute_h_stats)
+from brute_force import (brute_act_on_cochain, closure_table_fill, compose_permutations,
+                         diagonalize_mod, is_associative, kernel_gens_mod, semi_brute_h_stats)
 
 
 def cyclic_table(n):
@@ -220,3 +220,21 @@ def test_make_table_accepts_exactly_the_associative_tables(a, b, swap, data):
     else:
         with pytest.raises(groups.GroupError, match="not associative"):
             groups.make_table(mul)
+
+
+@st.composite
+def permutation_generators(draw):
+    degree = draw(st.integers(min_value=1, max_value=6))
+    return draw(st.lists(st.permutations(range(degree)), max_size=3))
+
+
+@given(permutation_generators())
+@settings(max_examples=40, deadline=None)
+def test_permutation_tables_match_the_all_pairs_fill(perms):
+    perms = [tuple(p) for p in perms]
+    G, elems = groups.from_permutations(perms)
+    identity = tuple(range(len(perms[0]) if perms else 1))
+    mul, gens, want = closure_table_fill(perms, compose_permutations, identity)
+    assert elems == want
+    assert np.array_equal(G.mul, mul)
+    assert G.generators == gens

@@ -72,6 +72,11 @@ def test_branch_too_shallow_is_rejected():
         coclass_tree.build_branch(dihedral(), 2)
 
 
+def test_negative_distance_cap_is_rejected():
+    with pytest.raises(coclass_tree.BranchError, match="k = -1 is negative"):
+        coclass_tree.build_branch(dihedral(), 3, k=-1)
+
+
 def test_branch_cap_is_enforced():
     with pytest.raises(coclass_tree.BranchError,
                        match="extensions at level 8 exceed the order cap 512"):
