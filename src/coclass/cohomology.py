@@ -13,9 +13,9 @@ right, so cocycles are row kernels and coboundaries are row spans.
 
 Two coefficient regimes share the machinery:
   - finite modules in hatted coordinates mod p^E (exact);
-  - free lattices at working precision p^N, where cocycles are the saturated
-    kernel and computed invariants must divide |G| (anything larger signals
-    precision loss and raises).
+  - free lattices at working precision p^N, where cocycles are the exact
+    p-adic kernel (`linalg.lattice_kernel`) and computed invariants must
+    divide |G| (anything larger signals precision loss and raises).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def lattice_coefficients(T: LatticeModule, basis=None) -> CoefficientSpace:
         sB = linalg.smith(B, p, N, want_left=False, want_right=False)
         a_max = max(sB.exps) if sB.exps else 0
         E = N - a_max
-        gexp = _group_order_valuation(T.group, p)
+        gexp = linalg.valuation(T.group.order, p)
         if E < gexp + 3:
             raise CohomologyError(
                 "precision p^%d left after the basis change is too small" % E
@@ -198,7 +198,7 @@ def cohomology_group(spec: CoefficientSpace, m: int) -> CohomologyGroup:
 def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
     """Invariant exponents of the lattice H^m (m >= 1), from d^{m-1} alone.
 
-    Z^m is saturated in C^m and H^m is finite, so H^m is the torsion of
+    Z^m is a direct summand of C^m and H^m is finite, so H^m is the torsion of
     C^m / B^m: the nonzero, nonunit Smith divisors of d^{m-1}.  Each is at
     most v_p|G| and so read exactly at precision p^E, and the rank
     certificate checks that no divisor reached p^E: their count must equal
@@ -230,7 +230,7 @@ def _coboundary_rank(spec: CoefficientSpace, k: int) -> int:
     known mod p^{E - v_p|G|} and lying in [0, r].
     """
     G, p, r = spec.group, spec.p, spec.rank
-    gexp = _group_order_valuation(G, p)
+    gexp = linalg.valuation(G.order, p)
     P = p ** (spec.E - gexp)
     if P <= r:
         raise CohomologyError("precision p^%d is too small to certify ranks over a "
@@ -248,22 +248,13 @@ def _coboundary_rank(spec: CoefficientSpace, k: int) -> int:
 
 def _check_group_order_bound(spec: CoefficientSpace, m: int, exps) -> None:
     """|G| kills the lattice H^m, so a larger invariant means lost precision."""
-    gexp = _group_order_valuation(spec.group, spec.p)
+    gexp = linalg.valuation(spec.group.order, spec.p)
     for e in exps:
         if e > gexp:
             raise CohomologyError(
                 "lattice H^%d invariant p^%d exceeds the |G| bound p^%d; "
                 "raise the working precision" % (m, e, gexp)
             )
-
-
-def _group_order_valuation(group: GroupTable, p: int) -> int:
-    n = group.order
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def finite_cohomology(A: FiniteModule, m: int) -> CohomologyGroup:
@@ -312,14 +303,11 @@ def level_split(chain: modules.CentralChain, base: int, n: int, period: int,
 
 
 def lattice_row_to_quotient(Q: QuotientModule, row, m: int) -> np.ndarray:
-    """Reduce a T-valued cochain row to a hatted A_n-valued cochain row."""
-    d = Q.lattice.rank
+    """Reduce a T-valued cochain row, or a stack of rows, to hatted A_n-valued rows."""
     row = np.asarray(row, dtype=np.int64)
-    s = row.shape[0] // d
-    out = []
-    for t in range(s):
-        out.append(Q.module.hat(Q.coords(row[t * d : (t + 1) * d])))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    d = Q.lattice.rank
+    hatted = Q.hat_of_ambient(row.reshape(-1, d))
+    return hatted.reshape(*row.shape[:-1], row.shape[-1] // d * Q.module.rank)
 
 
 @dataclass
@@ -422,11 +410,8 @@ class SplitLevel:
     def k_lift(self, c) -> np.ndarray:
         """T-valued cochain lift of the K-part with the given coefficients."""
         q = self.Q.lattice.q
-        scale = self.Q.lattice.p**self.scale_exp
-        out = np.zeros(self.frame.theta_rows.shape[1], dtype=np.int64)
-        for ci, lift in zip(np.asarray(c, dtype=np.int64), self.frame.K_lifts):
-            out = (out + int(ci) * lift) % q
-        return (scale * out) % q
+        out = linalg.dot_mod(np.asarray(c, dtype=np.int64), self.frame.K_lifts, q, q)
+        return (self.Q.lattice.p**self.scale_exp * out) % q
 
 
 def split_at_level(frame: SplitFrame, T: LatticeModule, chain: modules.CentralChain,
@@ -438,17 +423,10 @@ def split_at_level(frame: SplitFrame, T: LatticeModule, chain: modules.CentralCh
     if frame.theta_precision < Q.module.E:
         raise CohomologyError("cocycle precision p^%d below module precision p^%d"
                               % (frame.theta_precision, Q.module.E))
-    scale = T.p**k
-    q = T.q
-    theta_hat = np.vstack([
-        lattice_row_to_quotient(Q, row, frame.m) for row in frame.theta_rows
-    ]) if frame.theta_rows.shape[0] else np.zeros((0, 0), dtype=np.int64)
-    K_hat = np.vstack([
-        lattice_row_to_quotient(Q, (scale * row) % q, frame.m) for row in frame.K_lifts
-    ]) if frame.K_lifts.shape[0] else np.zeros((0, theta_hat.shape[1] if theta_hat.size else 0), dtype=np.int64)
+    theta_hat = lattice_row_to_quotient(Q, frame.theta_rows, frame.m)
+    K_hat = lattice_row_to_quotient(Q, (T.p**k * frame.K_lifts) % T.q, frame.m)
     H = level_cohomology(chain, n, frame.m)
-    stacked = np.vstack([x for x in (theta_hat, K_hat) if x.shape[0]]) if (
-        theta_hat.shape[0] or K_hat.shape[0]) else np.zeros((0, H.cocycles.shape[1]), dtype=np.int64)
+    stacked = np.vstack([theta_hat, K_hat])
     solver = linalg.howell(stacked, T.p, Q.module.E, track=True)
     # the two parts must span the cocycles exactly and independently
     if not linalg.span_equal(stacked, H.cocycles, T.p, Q.module.E):
@@ -478,14 +456,9 @@ def restrict_level(Q_from: QuotientModule, Q_to: QuotientModule, m: int, row) ->
     if Q_to.level > Q_from.level:
         raise CohomologyError("target level must not exceed the source level")
     A = Q_from.module
-    r = A.rank
-    row = np.asarray(row, dtype=np.int64) % A.q
-    reps = Q_from.representatives()
-    out = []
-    for t in range(row.shape[0] // r):
-        amb = (A.unhat(row[t * r : (t + 1) * r]) @ reps) % Q_from.lattice.q
-        out.append(Q_to.hat_of_ambient(amb))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    slots = A.unhat(np.asarray(row, dtype=np.int64).reshape(-1, A.rank))
+    amb = (slots @ Q_from.representatives()) % Q_from.lattice.q
+    return Q_to.hat_of_ambient(amb).reshape(-1)
 
 
 def id_oplus_mu(src: SplitLevel, dst: SplitLevel, tau_hat) -> np.ndarray:

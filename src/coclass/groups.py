@@ -48,9 +48,6 @@ class GroupTable(Owner):
     def inv(self, g: int) -> int:
         return int(self.inverses[g])
 
-    def element_order(self, g: int) -> int:
-        return int(self.element_orders()[g])
-
     def element_orders(self) -> np.ndarray:
         return self.derived("element_orders", lambda: _element_orders(self.mul, self.identity))
 
@@ -65,20 +62,6 @@ class GroupTable(Owner):
     def bar_index(self, m: int) -> "BarIndex":
         """The normalized bar m-tuples, built once by `bar_index`."""
         return self.derived(("bar_index", m), lambda: bar_index(self, m))
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inv(g), -k
-        r = self.identity
-        while k:
-            if k & 1:
-                r = int(self.mul[r, g])
-            g = int(self.mul[g, g])
-            k >>= 1
-        return r
 
 
 @dataclass(eq=False)
@@ -255,8 +238,12 @@ def closure_table(gen_elems: list, multiply, identity_elem, *,
 
 
 def from_permutations(perms: list[tuple[int, ...]], *, cap: int = CLOSURE_CAP) -> tuple[GroupTable, list]:
+    """Close permutations of range(deg), all of one degree, under composition."""
     deg = len(perms[0]) if perms else 1
     ident = tuple(range(deg))
+    for perm in perms:
+        if sorted(perm) != list(ident):
+            raise GroupError("generator %r is not a permutation of range(%d)" % (perm, deg))
 
     def mult(a, b):
         # a then b, so right-multiplication maps compose like the group itself
@@ -266,9 +253,15 @@ def from_permutations(perms: list[tuple[int, ...]], *, cap: int = CLOSURE_CAP) -
 
 
 def from_matrices(mats, q: int, *, cap: int = CLOSURE_CAP) -> tuple[GroupTable, list]:
-    """Close integer matrix generators under multiplication mod q."""
+    """Close square integer matrix generators of one size under multiplication mod q."""
+    if q < 2:
+        raise GroupError("modulus %d is below 2" % q)
     mats = [np.asarray(m, dtype=np.int64) % q for m in mats]
-    d = mats[0].shape[0]
+    if not mats:
+        raise GroupError("need at least one matrix generator")
+    d = mats[0].shape[0] if mats[0].ndim else 0
+    if any(m.shape != (d, d) for m in mats):
+        raise GroupError("matrix generators must be square and of one size")
     ident = np.eye(d, dtype=np.int64)
 
     def key(m):
@@ -626,27 +619,6 @@ def invert_perm(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[a] = np.arange(len(a))
     return out
-
-
-def stabilizer(G: GroupTable, action, point) -> list[int]:
-    """{ g : point.g = point } for a right action given as action(point, g)."""
-    # right-action sanity on a small sample
-    rng = np.random.default_rng(1)
-    for _ in range(min(20, G.order * G.order)):
-        g, h = (int(x) for x in rng.integers(0, G.order, 2))
-        lhs = action(action(point, g), h)
-        rhs = action(point, int(G.mul[g, h]))
-        if not _same_point(lhs, rhs):
-            raise GroupError("action(point, g then h) disagrees with action(point, gh)")
-    if not _same_point(action(point, G.identity), point):
-        raise GroupError("identity does not act trivially")
-    return [g for g in range(G.order) if _same_point(action(point, g), point)]
-
-
-def _same_point(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return bool(np.array_equal(np.asarray(a), np.asarray(b)))
-    return a == b
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ generate them.
 
 Matrices are numpy int64 arrays when p^M fits comfortably (products must not
 overflow), with a python-int (object dtype) fallback for larger moduli.
+
+Every integer combination of rows mod q goes through `dot_mod(x, A, bound,
+q)`, exact for entries in [0, bound): it sums in int64 while rows * (bound -
+1)^2 < 2^63, so that no partial sum can overflow, and in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -40,12 +44,6 @@ def eye(n: int, q: int):
     return np.eye(n, dtype=np.int64).astype(dtype)
 
 
-def matmul(a, b, q: int):
-    a = as_matrix(a, q)
-    b = as_matrix(b, q)
-    return (a @ b) % q
-
-
 def _reduce_inplace(a, q: int, p: int):
     """a %= q, using the cheap bitwise form when the modulus is a 2-power."""
     if p == 2 and a.dtype == np.int64:
@@ -61,11 +59,9 @@ def _nonzero_mod(a, pv: int, p: int):
     return (a % pv) != 0
 
 
-def valuation(x: int, p: int, cap: int) -> int:
-    """p-adic valuation of x, with v(0) reported as cap."""
+def valuation(x: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer x."""
     x = int(x)
-    if x % (p**cap) == 0:
-        return cap
     v = 0
     while x % p == 0:
         x //= p
@@ -182,13 +178,11 @@ def is_invertible(A, p: int, M: int) -> bool:
     return s.shape[0] == s.shape[1] and all(e == 0 for e in s.exps)
 
 
-def row_kernel(F, p: int, M: int, *, saturate: bool = False):
+def row_kernel(F, p: int, M: int):
     """Generators of {x : x @ F = 0 mod p^M}.
 
-    With saturate=True only the exact (valuation-M divisor) kernel rows are
-    returned, discarding the p^{M-a}-scaled rows that exist solely because of
-    the finite modulus.  That is the right kernel for maps of free modules
-    read at finite precision.
+    For maps of free modules read at finite precision, `lattice_kernel`
+    drops the p^{M-a}-scaled rows that exist only because of the modulus.
     """
     q = p**M
     s = smith(F, p, M, want_left=True, want_right=False)
@@ -197,7 +191,7 @@ def row_kernel(F, p: int, M: int, *, saturate: bool = False):
     for i, a in enumerate(s.exps):
         if a >= M:
             rows.append(s.U[i])
-        elif a > 0 and not saturate:
+        elif a > 0:
             rows.append((p ** (M - a) * s.U[i]) % q)
     for i in range(len(s.exps), r):
         rows.append(s.U[i])
@@ -288,7 +282,7 @@ class Howell:
         x = np.array(coeffs, dtype=self.rows.dtype)
         if self.transform is None:
             return x % q
-        return _dot_mod(x, self.transform, self.q, q)
+        return dot_mod(x, self.transform, self.q, q)
 
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
@@ -318,7 +312,7 @@ def howell(gens, p: int, M: int, *, track: bool = False) -> Howell:
             continue
         best = min(cand, key=lambda i: math.gcd(int(work[i][j]), q))
         pa = math.gcd(int(work[best][j]), q)
-        a = valuation(pa, p, M)
+        a = valuation(pa, p)
         piv = work.pop(best)
         tpiv = trans.pop(best) if track else None
         w = int(piv[j]) // pa
@@ -365,12 +359,9 @@ def howell(gens, p: int, M: int, *, track: bool = False) -> Howell:
     return Howell(p, M, ncols, rows, pivots, tr)
 
 
-def _dot_mod(x, A, bound: int, q: int):
-    """x @ A mod q, exact for entries in [0, bound).
-
-    int64 is used only while no partial sum can overflow, that is while
-    rows * (bound - 1)^2 < 2^63; otherwise the sum is formed in Python ints.
-    """
+def dot_mod(x, A, bound: int, q: int):
+    """x @ A mod q, exact for entries in [0, bound), by the rule in the
+    module docstring."""
     if A.dtype != object and A.shape[0] * (bound - 1) ** 2 < 1 << 63:
         return (x.astype(np.int64) @ A) % q
     return ((np.asarray(x, dtype=object) @ A.astype(object)) % q).astype(A.dtype)
@@ -435,7 +426,7 @@ class QuotientGroup:
         x = self._K.solve(v)
         if x is None:
             raise ValueError("element not in the subgroup K")
-        z = _dot_mod(x, self._V, q, q)
+        z = dot_mod(x, self._V, q, q)
         out = []
         for i, e in zip(self._kept, self.exps):
             out.append(int(z[i]) % self.p**e)
@@ -444,10 +435,7 @@ class QuotientGroup:
     def element(self, coords) -> np.ndarray:
         """An ambient representative with the given coordinates."""
         q = self.p**self.M
-        v = zeros((self.gens.shape[1],), q)
-        for c, g in zip(coords, self.gens):
-            v = (v + int(c) * g) % q
-        return v
+        return dot_mod(np.asarray(coords, dtype=object) % q, self.gens, q, q)
 
     def all_coords(self):
         """Iterate over all coordinate tuples (desk scale only)."""
@@ -498,19 +486,3 @@ def quotient_group(K_rows, B_rows, p: int, M: int) -> QuotientGroup:
     )
     return qg
 
-
-def abelian_invariants_of_span(gens, p: int, M: int) -> list[int]:
-    """Invariant factors (as prime powers) of the subgroup generated by gens."""
-    q = p**M
-    G = as_matrix(gens, q)
-    if G.shape[0] == 0 or not np.any(G):
-        return []
-    rel = row_kernel(G, p, M)
-    # span(G) = Z^rows / rel-lattice; rel contains p^M * I implicitly
-    qq = p ** (M + 1)
-    relint = np.vstack([as_matrix(rel, qq), (q * eye(G.shape[0], qq)) % qq])
-    s = smith(relint, p, M + 1, want_left=False, want_right=False)
-    exps = list(s.exps) + [M + 1] * (G.shape[0] - len(s.exps))
-    # span(G) = Z^g / Lambda and smith(Lambda) = diag(p^a) gives factors Z/p^a
-    inv = [min(a, M) for a in exps if a > 0]
-    return sorted((p**e for e in inv), reverse=True)

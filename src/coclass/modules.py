@@ -36,16 +36,6 @@ class PrecisionContext:
         return self.p**self.N
 
 
-def precision_for(p: int, n_max: int, group_order: int, slack: int = 2) -> PrecisionContext:
-    """Working precision N = n_max + 3 v_p(|G|) + slack."""
-    v = 0
-    g = group_order
-    while g % p == 0:
-        g //= p
-        v += 1
-    return PrecisionContext(p, n_max + 3 * v + slack)
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -64,9 +54,6 @@ class LatticeModule:
     @property
     def q(self) -> int:
         return self.ctx.q
-
-    def apply(self, v, g: int):
-        return (np.asarray(v) @ self.act[g]) % self.q
 
 
 def lattice_module(group: GroupTable, gen_action: dict, ctx: PrecisionContext) -> LatticeModule:
@@ -165,31 +152,6 @@ def chain_period(T: LatticeModule, chain: CentralChain) -> int | None:
     return None
 
 
-@dataclass
-class MuShift:
-    """The multiplication-by-p isomorphism T_n -> T_{n+d} in chain bases."""
-
-    n: int
-    d: int
-    rep: np.ndarray  # rep @ basis(T_{n+d}) = p * basis(T_n)
-
-
-def mu_shift(T: LatticeModule, chain: CentralChain, n: int, d: int) -> MuShift:
-    p, N, q = T.p, T.ctx.N, T.q
-    Bn = chain.bases[n]
-    Bnd = chain.bases[n + d]
-    target = (p * Bn) % q
-    if not linalg.span_equal(target, Bnd, p, N):
-        raise ModuleError("p T_%d does not equal T_%d; chain is not %d-periodic here" % (n, n + d, d))
-    rows = []
-    for i in range(target.shape[0]):
-        x = linalg.solve_rows(Bnd, target[i], p, N)
-        if x is None:
-            raise ModuleError("failed to express p T_%d in the T_%d basis" % (n, n + d))
-        rows.append(x)
-    return MuShift(n, d, np.vstack(rows) % q)
-
-
 def distinguished_generator(T: LatticeModule, chain: CentralChain) -> np.ndarray:
     """A vector t0 with <t0, T_1> = T, preferring ambient basis vectors."""
     if chain.depth < 1:
@@ -266,9 +228,6 @@ class FiniteModule:
         mods = np.array([self.p**e for e in self.exps], dtype=np.int64)
         return (x // s) % mods
 
-    def apply(self, x, g: int) -> np.ndarray:
-        return (np.asarray(x) @ self.act[g]) % self.q
-
     def invariants(self) -> list[int]:
         return [self.p**e for e in sorted(self.exps, reverse=True)]
 
@@ -335,15 +294,12 @@ class QuotientModule:
     _kept: list[int]  # SNF coordinates with nontrivial modulus
 
     def coords(self, v) -> np.ndarray:
-        """Plain coordinates of v + T_n."""
-        q = self.lattice.q
-        z = (np.asarray(v, dtype=np.int64) @ self._V) % q
-        p = self.lattice.p
-        return np.array([int(z[i]) % p**e for i, e in zip(self._kept, self.module.exps)],
-                        dtype=np.int64)
+        """Plain coordinates of v + T_n, for one ambient vector or a stack of them."""
+        V = self._V[:, self._kept]
+        return (np.asarray(v, dtype=np.int64) @ V) % self.lattice.q % self.module.coord_moduli()
 
     def reduce(self, v) -> np.ndarray:
-        """Canonical ambient representative of v + T_n."""
+        """Canonical ambient representative of v + T_n (rowwise on a stack)."""
         return (self.coords(v) @ self.representatives()) % self.lattice.q
 
     def representatives(self) -> np.ndarray:
@@ -392,6 +348,11 @@ def quotient(T: LatticeModule, chain: CentralChain, n: int) -> QuotientModule:
 # fixed points and hom spaces
 
 
+def stabilizer(act: np.ndarray, v, q: int) -> np.ndarray:
+    """Elements g with v.g = v, for action matrices act mod q and v reduced mod q."""
+    return np.flatnonzero(((v @ act) % q == v).all(axis=1))
+
+
 def fixed_points(W: FiniteModule, subgroup_elems) -> np.ndarray:
     """Hatted generator rows of { w : w.h = w for all h in the subgroup }."""
     q = W.q
@@ -416,9 +377,6 @@ class HomSpace:
     codomain: FiniteModule
     structure: linalg.QuotientGroup  # over flattened hatted hom coordinates
     v0_hat: np.ndarray | None  # distinguished domain generator used by the orbit route
-
-    def basis_matrices(self) -> list[np.ndarray]:
-        return [self.flat_to_matrix(g) for g in self.structure.gens]
 
     def flat_to_matrix(self, flat_hat) -> np.ndarray:
         """Plain coordinate matrix (entry ij mod p^{f_j}) from a hatted flat row."""
@@ -530,29 +488,21 @@ def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None
     if v0_hat is None:
         raise ModuleError("orbit route needs a distinguished generator")
     p = V.p
-    G = V.group
     v0_hat = np.asarray(v0_hat, dtype=np.int64) % V.q
-    orbit = np.vstack([V.apply(v0_hat, g) for g in range(G.order)])
-    stab = [g for g in range(G.order) if np.array_equal(orbit[g], v0_hat)]
+    orbit = (v0_hat @ V.act) % V.q
     Wt = W if beta is None else W.twisted(beta)
-    fixed = fixed_points(Wt, stab)
+    fixed = fixed_points(Wt, stabilizer(V.act, v0_hat, V.q))
     # orbit must span V
     span = linalg.howell(orbit, p, V.E)
     if not linalg.span_equal(span.rows, V.member_rows(), p, V.E):
         raise ModuleError("distinguished generator does not generate the module")
-    rows = []
-    for w in fixed:
-        img_rows = []
-        for i in range(V.rank):
-            ei_hat = V.hat(np.eye(V.rank, dtype=np.int64)[i])
-            x = linalg.solve_rows(orbit, ei_hat, p, V.E)
-            if x is None:
-                raise ModuleError("failed to express a coordinate generator in the orbit")
-            img = np.zeros(W.rank, dtype=np.int64)
-            for g in range(G.order):
-                img = (img + int(x[g]) * Wt.apply(w, g)) % W.q
-            img_rows.append(img)
-        rows.append(np.concatenate(img_rows) % W.q)
+    # X[i] expresses the hatted coordinate generator e_i in the orbit rows
+    solver = linalg.howell(orbit, p, V.E, track=True)
+    X = [solver.solve(e) for e in V.member_rows()]
+    if any(x is None for x in X):
+        raise ModuleError("failed to express a coordinate generator in the orbit")
+    X, bound = np.vstack(X), max(V.q, W.q)
+    rows = [linalg.dot_mod(X, (w @ Wt.act) % W.q, bound, W.q).reshape(-1) for w in fixed]
     if not rows:
         return np.zeros((0, V.rank * W.rank), dtype=np.int64)
     return linalg.howell(np.vstack(rows), p, W.E).rows
@@ -577,8 +527,8 @@ def hom_space(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None) -> HomSp
 def lattice_hom_space(T: LatticeModule, beta=None) -> list[np.ndarray]:
     """Basis matrices of hom_R(T, T^(beta)) as a free module, at precision N.
 
-    Solutions of act[g] X = X act[beta g] for all generators; the saturated
-    kernel discards precision artifacts, so the row count is the free rank.
+    Solutions of act[g] X = X act[beta g] for all generators; `lattice_kernel`
+    discards precision artifacts, so the row count is the free rank.
     """
     p, N, q = T.p, T.ctx.N, T.q
     d = T.rank
@@ -587,6 +537,16 @@ def lattice_hom_space(T: LatticeModule, beta=None) -> list[np.ndarray]:
                    for g in T.group.generators]) % q
     K, Ke = linalg.lattice_kernel(F, p, N)
     return [K[i].reshape(d, d) % (p**Ke) for i in range(K.shape[0])]
+
+
+def lattice_endomorphisms(T: LatticeModule, c: int, beta=None) -> np.ndarray:
+    """Every combination of the `lattice_hom_space` basis with coefficients
+    mod c, as a (c^k, d, d) stack in mixed-radix coefficient order."""
+    basis = lattice_hom_space(T, beta)
+    d = T.rank
+    B = np.array(basis, dtype=np.int64).reshape(len(basis), d * d)
+    coeffs = groups.all_coord_rows([c] * len(basis))
+    return linalg.dot_mod(coeffs, B, max(c, T.q), T.q).reshape(-1, d, d)
 
 
 def endo_to_quotient(Q: QuotientModule, Phi) -> np.ndarray:

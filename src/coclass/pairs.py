@@ -84,8 +84,7 @@ def is_module_automorphism(A: FiniteModule, eps_hat) -> bool:
 
 
 def satisfies_compatibility(A: FiniteModule, pair: CompatiblePair) -> bool:
-    gens = A.group.generators or range(A.group.order)
-    for g in gens:
+    for g in A.group.generators:
         lhs = canonical_hat(A, A.act[g] @ pair.eps_hat)
         rhs = canonical_hat(A, pair.eps_hat @ A.act[int(pair.beta[g])])
         if not np.array_equal(lhs, rhs):
@@ -206,24 +205,19 @@ def lattice_pairs_mod(T: LatticeModule, c_exp: int,
     """Representatives (beta, eps) of the image of the lattice pair group in
     the pairs of T / p^c T.
 
-    eps runs over the span of the commuting-matrix basis with coefficients
-    mod p^c, filtered by invertibility mod p; distinct reductions are kept
-    once, each with a full-precision lattice representative.
+    eps runs over the lattice endomorphisms with coefficients mod p^c,
+    filtered by invertibility mod p; distinct reductions are kept once, each
+    with a full-precision lattice representative.
     """
     if auts is None:
         auts = groups.automorphism_group(T.group)
-    p, q = T.p, T.q
-    qc = p**c_exp
+    qc = T.p**c_exp
     out = []
     for beta in auts:
         beta = np.asarray(beta, dtype=np.int64)
-        basis = modules.lattice_hom_space(T, beta)
         seen = set()
-        for x in groups.all_coord_rows([qc] * len(basis)):
-            eps = np.zeros((T.rank, T.rank), dtype=np.int64)
-            for xi, M in zip(x, basis):
-                eps = (eps + int(xi) * M) % q
-            if not _invertible_mod_p(eps, p):
+        for eps in modules.lattice_endomorphisms(T, qc, beta):
+            if not linalg.is_invertible(eps, T.p, 1):
                 continue
             k = (eps % qc).tobytes()
             if k in seen:
@@ -231,14 +225,6 @@ def lattice_pairs_mod(T: LatticeModule, c_exp: int,
             seen.add(k)
             out.append((beta, eps))
     return out
-
-
-def _invertible_mod_p(M, p: int) -> bool:
-    try:
-        linalg.invert(np.asarray(M) % p, p, 1)
-        return True
-    except ValueError:
-        return False
 
 
 def reduce_pair(Q: QuotientModule, beta, eps_lattice) -> CompatiblePair:
@@ -280,12 +266,6 @@ class ExponentBounds:
         return max(self.v * self.d, self.b_exp * self.d, 1)
 
 
-def stabilizer_elements(T: LatticeModule, t0) -> list[int]:
-    t0 = np.asarray(t0, dtype=np.int64) % T.q
-    return [g for g in range(T.group.order)
-            if np.array_equal((t0 @ T.act[g]) % T.q, t0)]
-
-
 def restricted_lattice(T: LatticeModule, elems) -> tuple[LatticeModule, list[int]]:
     """The same lattice viewed as a module for a subgroup."""
     sub, elements = groups.restricted_table(T.group, elems)
@@ -298,7 +278,7 @@ def stabilizer_chain(T: LatticeModule, chain: CentralChain) -> tuple[np.ndarray,
     its stabilizer P; held by the chain."""
     def build():
         t0 = modules.distinguished_generator(T, chain)
-        stab = stabilizer_elements(T, t0)
+        stab = modules.stabilizer(T.act, t0 % T.q, T.q).tolist()
         TP, _ = restricted_lattice(T, stab)
         return t0, stab, CentralChain(TP, chain.bases, chain.index_exponents, chain.stopped)
     return chain.derived("stabilizer", build)
@@ -335,8 +315,6 @@ class Complement:
 
     def invariants(self) -> list[int]:
         A = self.end_space.codomain
-        if self.E_flat.shape[0] == 0:
-            return []
         B = np.zeros((0, self.E_flat.shape[1]), dtype=np.int64)
         return linalg.quotient_group(self.E_flat, B, A.p, A.E).invariants()
 
@@ -388,13 +366,9 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
         x = linalg.solve_rows(Rmat, w % A.q, p, A.E)
         if x is None:
             raise PairError("complement generator is not the t0-image of an endomorphism")
-        flat = np.zeros(A.rank * A.rank, dtype=np.int64)
-        for xi, g in zip(x, End.structure.gens):
-            flat = (flat + int(xi) * np.asarray(g, dtype=np.int64)) % A.q
+        flat = linalg.dot_mod(x, End.structure.gens, A.q, A.q)
         E_gens.append(flat)
-        Hsp = End  # plain matrix and its ambient lift
-        C = Hsp.flat_to_matrix(flat)
-        lifts.append(_lift_plain_endo(Q, C))
+        lifts.append(_lift_plain_endo(Q, End.flat_to_matrix(flat)))
     E_flat = linalg.howell(np.vstack(E_gens), p, A.E).rows if E_gens else (
         np.zeros((0, A.rank * A.rank), dtype=np.int64))
     # reductions of the lattice endomorphisms, flattened the same way

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -287,11 +286,6 @@ class TopQuotient(Owner):
         """The fiber of the quotient at level n has order p^n starting depth l."""
         return self.scenario.l
 
-    @cached_property
-    def r(self) -> int:
-        """Coclass of the top group."""
-        return groups.coclass(self.group)
-
     def fiber_size(self) -> int:
         return self.group.order // self.scenario.group().order
 
@@ -311,25 +305,18 @@ class TopQuotient(Owner):
         T = scn.lattice()
         Q = self.quotient(n)
         A = Q.module
-        R = self.group
         na = self.fiber_size()
         Qj = scn.quotient(self.k * self.period)
-        reps = Qj.representatives()
         scale = scn.p ** self.k
-        tuples = R.bar_index(2).tuples
-        r = scn.rank
-        row = np.zeros(len(tuples) * r, dtype=np.int64)
         moduli = [int(m) for m in Qj.module.coord_moduli()]
-        amb = (groups.all_coord_rows(moduli) @ reps) % T.q  # ambient lift per fiber index
-        for t, (x, y) in enumerate(tuples):
-            g, u = divmod(x, na)
-            h, v = divmod(y, na)
-            w = (amb[u] @ T.act[h] + amb[v]) % T.q
-            w_red = Qj.reduce(w)
-            value = (w - w_red) % T.q
-            if np.any(value % scale):
-                raise ScenarioError("mainline factor set left the fiber lattice")
-            row[t * r : (t + 1) * r] = Q.hat_of_ambient(value // scale)
+        amb = (groups.all_coord_rows(moduli) @ Qj.representatives()) % T.q  # lift per fiber index
+        x, y = self.group.bar_index(2).tuples.T
+        # the factor set of (g, u)(h, v) is u.h + v minus its canonical representative
+        w = (np.einsum("ti,tij->tj", amb[x % na], T.act[y // na]) + amb[y % na]) % T.q
+        value = (w - Qj.reduce(w)) % T.q
+        if np.any(value % scale):
+            raise ScenarioError("mainline factor set left the fiber lattice")
+        row = Q.hat_of_ambient(value // scale).reshape(-1)
         spec = cohomology.finite_coefficients(A)
         if np.any((row @ cohomology.coboundary_matrix(spec, 2)) % A.q):
             raise ScenarioError("mainline factor set is not a cocycle")
@@ -376,12 +363,9 @@ def _fiber_term_indices(scn: Scenario, Qm: QuotientModule, j: int, na: int,
     steps = chain.index_exponents
     count = scn.p ** (steps[m] - steps[j])
     moduli = [int(x) for x in Qm.module.coord_moduli()]
-    coeffs = groups.all_coord_rows([count] * scn.rank)
-    found = set()
-    for c in coeffs:
-        amb = (c @ Bj) % T.q
-        plain = Qm.module.unhat(Qm.hat_of_ambient(amb))
-        found.add(identity * na + int(groups.mixed_radix_index(plain, moduli)))
+    amb = (groups.all_coord_rows([count] * scn.rank) @ Bj) % T.q
+    plain = Qm.module.unhat(Qm.hat_of_ambient(amb))
+    found = set((identity * na + groups.mixed_radix_index(plain, moduli)).tolist())
     if len(found) != count:
         raise ScenarioError("fiber sublattice enumeration produced %d of %d elements"
                             % (len(found), count))
@@ -467,8 +451,7 @@ def _summand_classes(level: cohomology.SplitLevel) -> list[tuple[tuple, np.ndarr
     summand of H^2, in lexicographic coordinate order."""
     H = level.H
     q = H.spec.q
-    zero = np.zeros(level.theta_hat.shape[1] if level.theta_hat.size
-                    else H.cocycles.shape[1], dtype=np.int64)
+    zero = np.zeros(H.cocycles.shape[1], dtype=np.int64)
     seen = groups.closure([zero], level.theta_hat, lambda row, g: (row + g) % q,
                           key=lambda row: tuple(int(x) for x in H.coords(row)))
     return [(k, seen[k]) for k in sorted(seen)]
@@ -570,22 +553,11 @@ def _scan_level(scn, k, n, level, H, A, member, classes):
 def _lifted_endos_stable(Tk, Q, H, member, classes) -> bool:
     """Every invertible endomorphism reduced from the lattice must keep the
     summand inside itself."""
-    basis = modules.lattice_hom_space(Tk)
-    if not basis:
-        return True
-    A = Q.module
-    id_perm = np.arange(A.group.order, dtype=np.int64)
-    p = Tk.p
-    coeffs = groups.all_coord_rows([p * p] * len(basis))
-    for c in coeffs:
-        Phi = np.zeros((Tk.rank, Tk.rank), dtype=np.int64)
-        for ci, B in zip(c, basis):
-            Phi = (Phi + int(ci) * B) % Tk.q
-        C = modules.endo_to_quotient(Q, Phi)
-        eps_hat = pairs.canonical_hat(A, pairs._hat_matrix(A, C))
-        if not pairs.is_module_automorphism(A, eps_hat):
+    id_perm = np.arange(Tk.group.order, dtype=np.int64)
+    for Phi in modules.lattice_endomorphisms(Tk, Tk.p * Tk.p):
+        pair = pairs.reduce_pair(Q, id_perm, Phi)
+        if not pairs.is_module_automorphism(Q.module, pair.eps_hat):
             continue
-        pair = pairs.CompatiblePair(id_perm, eps_hat)
         for _, row in classes:
             if np.any(member.reduce(pairs.act_on_cochain(H, pair, row))):
                 return False

@@ -172,6 +172,13 @@ def test_precision_override(capsys):
     ("action", 5),
     ("group", {"table": [[0, 1], [1, 0]], "generators": [5]}),
     ("group", {"table": [[0, 1], [1, 0]], "generators": [-1]}),
+    ("group", {"permutations": [[1, 0], [0, 2, 1]]}),
+    ("group", {"permutations": [[1, 0, 5]]}),
+    ("group", {"permutations": [[0, 0]]}),
+    ("group", {"matrix_generators": [], "modulus": 4}),
+    ("group", {"matrix_generators": [[[0, 1], [1, 0]]], "modulus": 0}),
+    ("group", {"matrix_generators": [[[0, 1], [1, 0]], [[1]]], "modulus": 4}),
+    ("group", {"matrix_generators": [[[0, 1, 0], [1, 0, 0]]], "modulus": 4}),
     ("p", -2),
     ("p", 4),
     ("precision", 0),

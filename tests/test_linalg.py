@@ -142,8 +142,9 @@ def test_quotient_group_coords_additive():
 def test_abelian_invariants_of_span():
     p, M = 2, 4
     gens = np.array([[2, 0], [0, 4]])
-    assert linalg.abelian_invariants_of_span(gens, p, M) == [8, 4]
-    assert linalg.abelian_invariants_of_span(np.zeros((1, 2), dtype=np.int64), p, M) == []
+    empty = np.zeros((0, 2), dtype=np.int64)
+    assert linalg.quotient_group(gens, empty, p, M).invariants() == [8, 4]
+    assert linalg.quotient_group(np.zeros((1, 2), dtype=np.int64), empty, p, M).invariants() == []
 
 
 def test_span_intersection():
@@ -160,9 +161,9 @@ def test_saturated_kernel_drops_precision_artifacts():
     # multiplication by 2 on Z_2 at precision 2^6: the honest kernel is 0
     p, M = 2, 6
     F = np.array([[2]])
-    K = linalg.row_kernel(F, p, M, saturate=True)
+    K, _ = linalg.lattice_kernel(F, p, M)
     assert K.shape[0] == 0
-    K_full = linalg.row_kernel(F, p, M, saturate=False)
+    K_full = linalg.row_kernel(F, p, M)
     assert K_full.shape[0] == 1  # the mod-p^M artifact 2^{M-1}
 
 

@@ -69,10 +69,10 @@ def test_d8_thresholds():
 def test_top_quotient_structure():
     top = dihedral().top()
     assert top.group.order == 4
-    assert top.r == 1 and top.l == 2
+    assert groups.coclass(top.group) == 1 and top.l == 2
     t8 = d8().top()
     assert t8.group.order == 32
-    assert t8.r == 3 and t8.l == 3
+    assert groups.coclass(t8.group) == 3 and t8.l == 3
 
 
 def test_mainline_extensions_are_the_finite_quotients():
@@ -90,7 +90,7 @@ def test_mainline_extensions_are_the_finite_quotients():
             G0.mul, [int(x) for x in Am.coord_moduli()], Am.plain, None)
         assert extensions.are_isomorphic(ext.table, quotient_table)
         cc, flag = extensions.coclass_of_extension(ext, l=top.l)
-        assert flag and cc == top.r
+        assert flag and cc == groups.coclass(top.group)
 
 
 def test_mainline_reduction_is_mainline():
