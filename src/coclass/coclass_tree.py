@@ -85,7 +85,7 @@ def _vertex_extension(top: TopQuotient, lv: LevelData, coords):
 def _reduced_coords(levels: dict[int, LevelData], n_from: int, n_to: int,
                     row) -> tuple:
     src, dst = levels[n_from], levels[n_to]
-    red = cohomology.restrict_level(src.Q, dst.Q, 2, row)
+    red = cohomology.restrict_level(src.Q, dst.Q, row)
     return tuple(int(x) for x in dst.H.coords(red))
 
 

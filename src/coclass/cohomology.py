@@ -136,16 +136,36 @@ def _legal_rows(spec: CoefficientSpace, m: int) -> np.ndarray:
 def cocycle_rows(spec: CoefficientSpace, m: int) -> tuple[np.ndarray, int]:
     """Generators of the cocycles together with the precision they hold at.
 
+    For a lattice the kernel of the coboundary map is read off a mod p^E
+    computation, which only determines it to a reduced precision.
+
     For finite coefficients the arithmetic is exact and the precision is
-    spec.E.  For a lattice the kernel of the coboundary map is read off a
-    mod p^E computation, which only determines it to a reduced precision.
+    spec.E.  The A-valued cochains are c @ L for the `_legal_rows` diagonal
+    L, and Z^m(A) = K @ L in Howell form, with K the kernel of L @ d^m on
+    the columns whose last bar entry is a group generator.  A normalised
+    A-valued cochain f is a cocycle iff u = df vanishes on those columns:
+    u is normalised and du = 0, and du(g_1, ..., g_m, x, y) = 0 writes
+    u(g_1, ..., g_m, xy) as u(g_1, ..., g_m, x).y plus a sum of values of u
+    whose last entry is y.  For a generator y that sum vanishes, so u(., x)
+    = 0 gives u(., xy) = 0, and u = 0 by induction on the word length of the
+    last entry.  The Howell form of a span is canonical, so the rows are
+    those of the full kernel intersected with the A-valued cochains.
     """
     D = coboundary_matrix(spec, m)
     if spec.lattice:
         return linalg.lattice_kernel(D, spec.p, spec.E)
-    K = linalg.row_kernel(D, spec.p, spec.E)
-    sec = linalg.span_intersection(K, _legal_rows(spec, m), spec.p, spec.E)
-    return linalg.howell(sec, spec.p, spec.E).rows, spec.E
+    L = _legal_rows(spec, m)
+    K = linalg.row_kernel((L @ D[:, _generator_columns(spec, m)]) % spec.q, spec.p, spec.E)
+    return linalg.howell((K @ L) % spec.q, spec.p, spec.E).rows, spec.E
+
+
+def _generator_columns(spec: CoefficientSpace, m: int) -> np.ndarray:
+    """Columns of d^m whose (m+1)-tuple ends in a group generator."""
+    G = spec.group
+    is_gen = np.zeros(G.order, dtype=bool)
+    is_gen[G.generators] = True
+    tuples = np.flatnonzero(is_gen[G.bar_index(m + 1).tuples[:, m]])
+    return (tuples[:, None] * spec.rank + np.arange(spec.rank)).reshape(-1)
 
 
 def coboundary_rows(spec: CoefficientSpace, m: int) -> np.ndarray:
@@ -204,11 +224,17 @@ def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
     certificate checks that no divisor reached p^E: their count must equal
     the rational rank of d^{m-1}.  `lattice_cohomology` is the slower
     kernel-and-quotient path to the same exponents.
+
+    Only the generator columns of d^{m-1} are eliminated.  By the rule in
+    `cocycle_rows`, read mod p^a, a cochain c has dc = 0 mod p^a iff dc
+    vanishes mod p^a there, so both matrices have the same row kernel mod
+    every p^a, and these kernels fix the Smith divisors.
     """
     if m < 1:
         raise CohomologyError("lattice invariants need degree m >= 1, not %d" % m)
     E = spec.E
-    s = linalg.smith(coboundary_matrix(spec, m - 1), spec.p, E, want_left=False)
+    D = coboundary_matrix(spec, m - 1)[:, _generator_columns(spec, m - 1)]
+    s = linalg.smith(D, spec.p, E, want_left=False)
     finite = [a for a in s.exps if a < E]
     rank = _coboundary_rank(spec, m - 1)
     if len(finite) != rank:
@@ -302,7 +328,7 @@ def level_split(chain: modules.CentralChain, base: int, n: int, period: int,
 # the split decomposition H^m(R, T/T_n) = Im(theta) + K with K = H^{m+1}(R, T_n)
 
 
-def lattice_row_to_quotient(Q: QuotientModule, row, m: int) -> np.ndarray:
+def lattice_row_to_quotient(Q: QuotientModule, row) -> np.ndarray:
     """Reduce a T-valued cochain row, or a stack of rows, to hatted A_n-valued rows."""
     row = np.asarray(row, dtype=np.int64)
     d = Q.lattice.rank
@@ -423,31 +449,23 @@ def split_at_level(frame: SplitFrame, T: LatticeModule, chain: modules.CentralCh
     if frame.theta_precision < Q.module.E:
         raise CohomologyError("cocycle precision p^%d below module precision p^%d"
                               % (frame.theta_precision, Q.module.E))
-    theta_hat = lattice_row_to_quotient(Q, frame.theta_rows, frame.m)
-    K_hat = lattice_row_to_quotient(Q, (T.p**k * frame.K_lifts) % T.q, frame.m)
+    theta_hat = lattice_row_to_quotient(Q, frame.theta_rows)
+    K_hat = lattice_row_to_quotient(Q, (T.p**k * frame.K_lifts) % T.q)
     H = level_cohomology(chain, n, frame.m)
     stacked = np.vstack([theta_hat, K_hat])
     solver = linalg.howell(stacked, T.p, Q.module.E, track=True)
     # the two parts must span the cocycles exactly and independently
     if not linalg.span_equal(stacked, H.cocycles, T.p, Q.module.E):
         raise CohomologyError("theta image plus complement does not span the cocycles")
-    ord_theta = _span_order_exp(theta_hat, T.p, Q.module.E)
-    ord_K = _span_order_exp(K_hat, T.p, Q.module.E)
-    ord_Z = _span_order_exp(H.cocycles, T.p, Q.module.E)
+    ord_theta = linalg.span_order_exp(theta_hat, T.p, Q.module.E)
+    ord_K = linalg.span_order_exp(K_hat, T.p, Q.module.E)
+    ord_Z = linalg.span_order_exp(H.cocycles, T.p, Q.module.E)
     if ord_theta + ord_K != ord_Z:
         raise CohomologyError("theta image and complement are not independent")
     return SplitLevel(frame, Q, n, k, theta_hat, K_hat, H, solver)
 
 
-def _span_order_exp(rows, p: int, E: int) -> int:
-    rows = np.asarray(rows)
-    if rows.shape[0] == 0:
-        return 0
-    H = linalg.howell(rows, p, E)
-    return E * rows.shape[1] - H.index_exponent()
-
-
-def restrict_level(Q_from: QuotientModule, Q_to: QuotientModule, m: int, row) -> np.ndarray:
+def restrict_level(Q_from: QuotientModule, Q_to: QuotientModule, row) -> np.ndarray:
     """Push a hatted A_n-valued cochain row down to a shallower level.
 
     Slotwise: take an ambient representative of each value and reduce it
@@ -477,7 +495,7 @@ def id_oplus_mu(src: SplitLevel, dst: SplitLevel, tau_hat) -> np.ndarray:
     if step <= 0:
         raise CohomologyError("destination level must be deeper than the source")
     lifted = (gamma + (src.Q.lattice.p**step) * delta) % q
-    return lattice_row_to_quotient(dst.Q, lifted, src.frame.m)
+    return lattice_row_to_quotient(dst.Q, lifted)
 
 
 def id_oplus_mu_inverse(src: SplitLevel, dst: SplitLevel, tau_hat) -> np.ndarray:
@@ -490,4 +508,4 @@ def id_oplus_mu_inverse(src: SplitLevel, dst: SplitLevel, tau_hat) -> np.ndarray
         raise CohomologyError("source and destination must share a split frame")
     gamma, c = dst.decompose(tau_hat)
     lifted = (gamma + src.k_lift(c)) % src.Q.lattice.q
-    return lattice_row_to_quotient(src.Q, lifted, src.frame.m)
+    return lattice_row_to_quotient(src.Q, lifted)

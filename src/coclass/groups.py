@@ -16,6 +16,7 @@ v.g, and a homomorphism of tables preserves products in the given order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,6 +263,9 @@ def from_matrices(mats, q: int, *, cap: int = CLOSURE_CAP) -> tuple[GroupTable, 
     d = mats[0].shape[0] if mats[0].ndim else 0
     if any(m.shape != (d, d) for m in mats):
         raise GroupError("matrix generators must be square and of one size")
+    for i, m in enumerate(mats):
+        if math.gcd(_determinant(m), q) != 1:
+            raise GroupError("matrix generator %d is singular mod %d" % (i, q))
     ident = np.eye(d, dtype=np.int64)
 
     def key(m):
@@ -279,6 +283,23 @@ def from_matrices(mats, q: int, *, cap: int = CLOSURE_CAP) -> tuple[GroupTable, 
 
     table, keys = closure_table([key(m) for m in mats], mult, key(ident), cap=cap)
     return table, [lookup[k] for k in keys]
+
+
+def _determinant(m) -> int:
+    """Exact integer determinant, by Bareiss' fraction-free elimination."""
+    a = [[int(x) for x in row] for row in m]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
 
 
 # ---------------------------------------------------------------------------

@@ -140,18 +140,19 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
         A[k, :] = (A[k, :] * winv) % q
         if U is not None:
             U[k, :] = (U[k, :] * winv) % q
-        # clear column k below the pivot (rows above are already clear, and
-        # columns left of k stay zero, so the update can skip them)
-        col = A[k + 1 :, k]
-        if col.size and np.any(col != 0):
-            m = col // pa
-            block = A[k + 1 :, k:]
-            block -= m[:, None] * A[k, k:][None, :]
+        # clear column k below the pivot (rows above are already clear,
+        # columns left of k stay zero, so the update can skip them; only the
+        # rows with a nonzero entry in column k change)
+        rows = k + 1 + np.flatnonzero(A[k + 1 :, k])
+        if rows.size:
+            m = A[rows, k] // pa
+            block = A[rows, k:] - m[:, None] * A[k, k:][None, :]
             _reduce_inplace(block, q, p)
+            A[rows, k:] = block
             if U is not None:
-                ub = U[k + 1 :, :]
-                ub -= m[:, None] * U[k, :][None, :]
+                ub = U[rows] - m[:, None] * U[k][None, :]
                 _reduce_inplace(ub, q, p)
+                U[rows] = ub
         # clear row k right of the pivot; only row k is affected since col k = p^a e_k
         row = A[k, k + 1 :]
         if row.size and np.any(row != 0):
@@ -173,9 +174,25 @@ def invert(A, p: int, M: int):
     return (s.V @ s.U) % q
 
 
-def is_invertible(A, p: int, M: int) -> bool:
-    s = smith(A, p, M, want_left=False, want_right=False)
-    return s.shape[0] == s.shape[1] and all(e == 0 for e in s.exps)
+def invertible_mod_p(X, p: int) -> np.ndarray:
+    """Which square matrices of a stack (..., k, k) are invertible mod p, and
+    so mod every power of p.  Fraction-free elimination over F_p: each row
+    below the pivot becomes pivot * row - entry * pivot row."""
+    k = np.shape(X)[-1]
+    A = (np.asarray(X) % p).astype(np.int64 if p <= INT64_SAFE_MODULUS else object)
+    A = A.reshape(-1, k, k)
+    ok = np.ones(len(A), dtype=bool)
+    stack = np.arange(len(A))
+    for c in range(k):
+        nonzero = A[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        piv = c + np.argmax(nonzero, axis=1)
+        top = A[stack, piv]
+        A[stack, piv] = A[:, c]
+        A[:, c] = top
+        A[:, c + 1:] = (top[:, c, None, None] * A[:, c + 1:]
+                        - A[:, c + 1:, c, None] * top[:, None, :]) % p
+    return ok.reshape(np.shape(X)[:-2])
 
 
 def row_kernel(F, p: int, M: int):
@@ -243,29 +260,25 @@ class Howell:
         return self.p**self.M
 
     def reduce(self, v, coeffs_out: list | None = None):
-        """Reduce a row vector by the basis; returns the residue.
+        """Reduce a row vector, or each row of a stack, by the basis; returns
+        the residue.
 
-        The residue is zero iff v lies in the span.  If coeffs_out is given
-        it receives the coefficient of each basis row used.
+        A residue is zero iff its row lies in the span.  If coeffs_out is
+        given it receives the multiple of each basis row taken, in order.
         """
         q = self.q
         v = np.array(v, dtype=self.rows.dtype if self.rows.size else None) % q
-        if coeffs_out is not None:
-            coeffs_out.extend([0] * (len(self.pivots) - len(coeffs_out)))
+        # t[j] is entry j of the row, or column j of the stack as a row
+        t = v if v.ndim == 1 else v.reshape(-1, v.shape[-1]).T
         for i, (j, a) in enumerate(self.pivots):
-            x = int(v[j])
-            if x == 0:
-                continue
-            pa = self.p**a
-            # reduce by the floor multiple; a leftover x mod pa < pa stays in
-            # the residue and marks the vector as outside the span
-            m = x // pa
-            if m == 0:
-                continue
-            v = (v - m * self.rows[i]) % q
+            # reduce by the floor multiple; a leftover entry below p^a stays
+            # in the residue and marks the row as outside the span
+            m = t[j] // self.p**a
             if coeffs_out is not None:
-                coeffs_out[i] = (coeffs_out[i] + m) % q
-        return v
+                coeffs_out.append(m)
+            if m.any() if t.ndim > 1 else m:
+                t = (t - np.multiply.outer(self.rows[i], m)) % q
+        return t if v.ndim == 1 else t.T.reshape(v.shape)
 
     def solve(self, v, modulus: int | None = None):
         """One x with x @ gens = v, or None when v is outside the span.
@@ -372,28 +385,20 @@ def solve_rows(gens, b, p: int, M: int):
     return howell(gens, p, M, track=True).solve(b)
 
 
+def span_order_exp(rows, p: int, M: int) -> int:
+    """v_p of the order of the row span over Z/p^M."""
+    rows = np.asarray(rows)
+    if rows.shape[0] == 0:
+        return 0
+    return M * rows.shape[1] - howell(rows, p, M).index_exponent()
+
+
 def span_equal(gens_a, gens_b, p: int, M: int) -> bool:
     Ha = howell(gens_a, p, M)
     Hb = howell(gens_b, p, M)
     if Ha.pivots != Hb.pivots:
         return False
     return bool(np.array_equal(Ha.rows % Ha.q, Hb.rows % Hb.q))
-
-
-def span_intersection(gens_a, gens_b, p: int, M: int):
-    """Generators of span(a) ∩ span(b) over Z/p^M."""
-    q = p**M
-    A = as_matrix(gens_a, q)
-    B = as_matrix(gens_b, q)
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return zeros((0, A.shape[1]), q)
-    stacked = np.vstack([A, (-B) % q])
-    # coefficient rows (x, y) with x @ A = y @ B
-    K = row_kernel(stacked, p, M)
-    if K.shape[0] == 0:
-        return zeros((0, A.shape[1]), q)
-    coeff_a = K[:, : A.shape[0]]
-    return (coeff_a @ A) % q
 
 
 @dataclass

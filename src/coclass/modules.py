@@ -363,10 +363,10 @@ def fixed_points(W: FiniteModule, subgroup_elems) -> np.ndarray:
     blocks = [((W.act[h] - ident) % q) for h in subgroup_elems if h != W.group.identity]
     if not blocks:
         return W.member_rows()
-    F = np.hstack(blocks)
-    K = linalg.row_kernel(F, W.p, W.E)
-    sec = linalg.span_intersection(K, W.member_rows(), W.p, W.E)
-    return linalg.howell(sec, W.p, W.E).rows
+    # the module elements are c @ L for the diagonal L of generator rows
+    L = W.member_rows()
+    K = linalg.row_kernel((L @ np.hstack(blocks)) % q, W.p, W.E)
+    return linalg.howell((K @ L) % q, W.p, W.E).rows
 
 
 @dataclass
@@ -379,10 +379,12 @@ class HomSpace:
     v0_hat: np.ndarray | None  # distinguished domain generator used by the orbit route
 
     def flat_to_matrix(self, flat_hat) -> np.ndarray:
-        """Plain coordinate matrix (entry ij mod p^{f_j}) from a hatted flat row."""
+        """Plain coordinate matrix (entry ij mod p^{f_j}) from a hatted flat
+        row, or one per row of a stack."""
         W = self.codomain
         r, rw = self.domain.rank, W.rank
-        X = np.asarray(flat_hat, dtype=np.int64).reshape(r, rw) % W.q
+        flat_hat = np.asarray(flat_hat, dtype=np.int64)
+        X = flat_hat.reshape(*flat_hat.shape[:-1], r, rw) % W.q
         s = W.scales()
         mods = np.array([W.p**e for e in W.exps], dtype=np.int64)
         if np.any(X % s[None, :]):
@@ -402,9 +404,13 @@ class HomSpace:
     def order(self) -> int:
         return self.structure.order
 
-    def all_matrices(self):
-        for c in self.structure.all_coords():
-            yield self.flat_to_matrix(self.structure.element(c))
+    def all_matrices(self) -> np.ndarray:
+        """The plain matrix of every hom, as one stack in mixed-radix
+        coordinate order."""
+        S = self.structure
+        q = S.p**S.M
+        coords = groups.all_coord_rows([S.p**e for e in S.exps])
+        return self.flat_to_matrix(linalg.dot_mod(coords, S.gens, q, q))
 
 
 def solve_homogeneous(F, unknown_exps: list[int], target_exps: list[int], p: int) -> np.ndarray:
@@ -550,9 +556,10 @@ def lattice_endomorphisms(T: LatticeModule, c: int, beta=None) -> np.ndarray:
 
 
 def endo_to_quotient(Q: QuotientModule, Phi) -> np.ndarray:
-    """Plain coordinate matrix of a lattice endomorphism acting on A_n."""
+    """Plain coordinate matrix of a lattice endomorphism acting on A_n, or of
+    each one in a stack."""
     q = Q.lattice.q
     M = (Q._Vinv @ (np.asarray(Phi, dtype=np.int64) % q) @ Q._V) % q
-    M = M[np.ix_(Q._kept, Q._kept)]
+    M = M[..., Q._kept, :][..., Q._kept]
     mods = Q.module.coord_moduli()
     return M % mods[None, :]

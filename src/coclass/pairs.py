@@ -78,9 +78,25 @@ def pair_inverse(A: FiniteModule, x: CompatiblePair) -> CompatiblePair:
     raise PairError("pair order not found; eps may not be invertible")
 
 
+def automorphism_mask(A: FiniteModule, eps_hat) -> np.ndarray:
+    """Which hatted matrices of a stack (..., r, r) are automorphisms of A.
+
+    One is exactly when it maps A into A and each diagonal block on the
+    coordinates of one exponent is invertible mod p (Hillar and Rhea,
+    "Automorphisms of finite abelian groups", 2007): an endomorphism of a
+    finite p-group is onto iff it is onto modulo the Frattini subgroup.
+    """
+    X = np.asarray(eps_hat, dtype=np.int64) % A.q
+    s = A.scales()
+    ok = ~np.any((s[:, None] * X) % A.q % s, axis=(-2, -1))
+    for e in set(A.exps):
+        block = np.flatnonzero(np.array(A.exps) == e)
+        ok &= linalg.invertible_mod_p(X[..., block[:, None], block], A.p)
+    return ok
+
+
 def is_module_automorphism(A: FiniteModule, eps_hat) -> bool:
-    img = (A.member_rows() @ (np.asarray(eps_hat) % A.q)) % A.q
-    return linalg.span_equal(img, A.member_rows(), A.p, A.E)
+    return bool(automorphism_mask(A, eps_hat))
 
 
 def satisfies_compatibility(A: FiniteModule, pair: CompatiblePair) -> bool:
@@ -99,19 +115,18 @@ def compatible_pairs(A: FiniteModule, auts: list[np.ndarray] | None = None) -> l
     out = []
     for beta in auts:
         beta = np.asarray(beta, dtype=np.int64)
-        H = modules.hom_space(A, A, beta=beta)
-        for C in H.all_matrices():
-            eps_hat = _hat_matrix(A, C)
-            if is_module_automorphism(A, eps_hat):
-                pair = CompatiblePair(beta, eps_hat)
-                if not satisfies_compatibility(A, pair):
-                    raise PairError("hom space produced an incompatible pair")
-                out.append(pair)
+        hats = hat_matrix(A, modules.hom_space(A, A, beta=beta).all_matrices())
+        for eps_hat in hats[automorphism_mask(A, hats)]:
+            pair = CompatiblePair(beta, eps_hat)
+            if not satisfies_compatibility(A, pair):
+                raise PairError("hom space produced an incompatible pair")
+            out.append(pair)
     return out
 
 
-def _hat_matrix(A: FiniteModule, plain) -> np.ndarray:
-    """Hatted matrix of an additive map given by a plain coordinate matrix."""
+def hat_matrix(A: FiniteModule, plain) -> np.ndarray:
+    """Hatted matrix of an additive map given by a plain coordinate matrix,
+    or of each map in a stack."""
     C = np.asarray(plain, dtype=np.int64)
     s = A.scales()
     X = (C % A.q) * s[None, :] % A.q  # X[i, j] = C_ij p^{E - e_j}
@@ -126,11 +141,20 @@ def _hat_matrix(A: FiniteModule, plain) -> np.ndarray:
 
 def act_on_cochain(H: CohomologyGroup, pair: CompatiblePair, row) -> np.ndarray:
     """(tau.(beta, eps))(g_1..g_m) = tau(g_1^{beta^-1}, ..).eps on hatted rows."""
+    return act_on_cochains(H, pair.beta, np.asarray(pair.eps_hat)[None],
+                           np.asarray(row)[None])[0, 0]
+
+
+def act_on_cochains(H: CohomologyGroup, beta, eps_hats, rows) -> np.ndarray:
+    """The pair (beta, eps_hats[s]) acting on rows[c], at [s, c]: one gather
+    of the bar slots and one matmul for the whole stack."""
     spec = H.spec
     bar = spec.group.bar_index(H.m)
-    binv = groups.invert_perm(pair.beta)
-    slots = (np.asarray(row, dtype=np.int64) % spec.q).reshape(len(bar.tuples), spec.rank)
-    return ((slots[bar.index(binv[bar.tuples])] @ pair.eps_hat) % spec.q).reshape(-1)
+    binv = groups.invert_perm(beta)
+    rows = np.asarray(rows, dtype=np.int64) % spec.q
+    slots = rows.reshape(len(rows), len(bar.tuples), spec.rank)[:, bar.index(binv[bar.tuples])]
+    out = (slots.reshape(-1, spec.rank) @ np.asarray(eps_hats, dtype=np.int64)) % spec.q
+    return out.reshape(len(out), *rows.shape)
 
 
 def induced_h2_matrix(H: CohomologyGroup, pair: CompatiblePair) -> np.ndarray:
@@ -216,9 +240,8 @@ def lattice_pairs_mod(T: LatticeModule, c_exp: int,
     for beta in auts:
         beta = np.asarray(beta, dtype=np.int64)
         seen = set()
-        for eps in modules.lattice_endomorphisms(T, qc, beta):
-            if not linalg.is_invertible(eps, T.p, 1):
-                continue
+        endos = modules.lattice_endomorphisms(T, qc, beta)
+        for eps in endos[linalg.invertible_mod_p(endos, T.p)]:
             k = (eps % qc).tobytes()
             if k in seen:
                 continue
@@ -230,7 +253,7 @@ def lattice_pairs_mod(T: LatticeModule, c_exp: int,
 def reduce_pair(Q: QuotientModule, beta, eps_lattice) -> CompatiblePair:
     """The pair induced on A_n by a lattice pair (beta, eps)."""
     C = modules.endo_to_quotient(Q, eps_lattice)
-    return CompatiblePair(np.asarray(beta, dtype=np.int64), _hat_matrix(Q.module, C))
+    return CompatiblePair(np.asarray(beta, dtype=np.int64), hat_matrix(Q.module, C))
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +408,11 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
 def _verify_complement(comp: Complement):
     A = comp.end_space.codomain
     p, E = A.p, A.E
-    inter = linalg.span_intersection(comp.E_flat, comp.endT_flat, p, E)
-    if linalg.howell(inter, p, E).rows.shape[0]:
-        raise PairError("complement intersects the reduced lattice endomorphisms")
     joint = np.vstack([comp.E_flat, comp.endT_flat])
+    # |X + Y| = |X| |Y| exactly when X and Y meet in zero
+    orders = [linalg.span_order_exp(x, p, E) for x in (comp.E_flat, comp.endT_flat, joint)]
+    if orders[0] + orders[1] != orders[2]:
+        raise PairError("complement intersects the reduced lattice endomorphisms")
     full = np.vstack([comp.end_space.structure.gens]) if comp.end_space.structure.gens.shape[0] else joint
     if not linalg.span_equal(joint, full, p, E):
         raise PairError("complement plus lattice endomorphisms do not fill End(A_n)")
@@ -414,7 +438,7 @@ def one_plus(A: FiniteModule, eps_flat) -> CompatiblePair:
     """(1, 1 + eps) from a hatted flat hom row (X[i, j] = C_ij p^{E - e_j})."""
     X = np.asarray(eps_flat, dtype=np.int64).reshape(A.rank, A.rank)
     s = A.scales()
-    C_hat = _hat_matrix(A, (X // s[None, :]) % A.coord_moduli()[None, :])
+    C_hat = hat_matrix(A, (X // s[None, :]) % A.coord_moduli()[None, :])
     eps_hat = canonical_hat(A, np.eye(A.rank, dtype=np.int64) + C_hat)
     return CompatiblePair(np.arange(A.group.order, dtype=np.int64), eps_hat)
 
@@ -527,7 +551,7 @@ def generator_pairs(T: LatticeModule, chain: CentralChain, n: int, period: int,
     for row, lift in zip(data.complement.E_flat, data.complement.lattice_lifts):
         at_n = one_plus(Q_n.module, row)
         C_nd = modules.endo_to_quotient(Q_nd, (p * lift) % T.q)
-        eps_nd = canonical_hat(A_nd, np.eye(A_nd.rank, dtype=np.int64) + _hat_matrix(A_nd, C_nd))
+        eps_nd = canonical_hat(A_nd, np.eye(A_nd.rank, dtype=np.int64) + hat_matrix(A_nd, C_nd))
         at_nd = CompatiblePair(np.arange(T.group.order, dtype=np.int64), eps_nd)
         if not (is_module_automorphism(A_nd, at_nd.eps_hat)
                 and satisfies_compatibility(A_nd, at_nd)):

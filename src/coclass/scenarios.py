@@ -451,10 +451,13 @@ def _summand_classes(level: cohomology.SplitLevel) -> list[tuple[tuple, np.ndarr
     summand of H^2, in lexicographic coordinate order."""
     H = level.H
     q = H.spec.q
-    zero = np.zeros(H.cocycles.shape[1], dtype=np.int64)
-    seen = groups.closure([zero], level.theta_hat, lambda row, g: (row + g) % q,
-                          key=lambda row: tuple(int(x) for x in H.coords(row)))
-    return [(k, seen[k]) for k in sorted(seen)]
+    mods = np.array([H.spec.p**e for e in H.structure.exps], dtype=np.int64)
+    # coordinates are additive, so each sum carries its own
+    gens = [(row, H.coords(row)) for row in level.theta_hat]
+    zero = (np.zeros(H.cocycles.shape[1], dtype=np.int64), np.zeros(len(mods), dtype=np.int64))
+    seen = groups.closure([zero], gens, lambda x, g: ((x[0] + g[0]) % q, (x[1] + g[1]) % mods),
+                          key=lambda x: tuple(int(c) for c in x[1]))
+    return [(k, seen[k][0]) for k in sorted(seen)]
 
 
 def _h3_component(level: cohomology.SplitLevel, row) -> list[int]:
@@ -527,41 +530,53 @@ def _summand_membership_solver(level: cohomology.SplitLevel,
 
 def _scan_level(scn, k, n, level, H, A, member, classes):
     End = modules.hom_space(A, A)
-    ident = np.eye(A.rank, dtype=np.int64)
-    id_perm = np.arange(A.group.order, dtype=np.int64)
-    for coords in End.structure.all_coords():
-        mat = End.flat_to_matrix(End.structure.element(coords))
-        for form, eps in (("eps", mat), ("one_plus_eps", (ident + mat) % A.q)):
-            eps_hat = pairs.canonical_hat(A, eps)
-            if not pairs.is_module_automorphism(A, eps_hat):
-                continue
-            pair = pairs.CompatiblePair(id_perm, eps_hat)
-            for cls, row in classes:
-                image = pairs.act_on_cochain(H, pair, row)
-                if np.any(member.reduce(image)):
-                    comp = _h3_component(level, image)
-                    return {
-                        "k": str(k), "n": str(n), "form": form,
-                        "eps_hat": [[str(int(x)) for x in r] for r in eps_hat],
-                        "class_coords": [str(c) for c in cls],
-                        "image_coords": [str(int(c)) for c in H.coords(image)],
-                        "h3_component": [str(c) for c in comp],
-                    }
+    mats = End.all_matrices()
+    # the two forms of each endomorphism, interleaved in scan order
+    forms = np.stack([mats, (np.eye(A.rank, dtype=np.int64) + mats) % A.q], axis=1)
+    hats = pairs.hat_matrix(A, forms.reshape(-1, A.rank, A.rank))
+    autos = np.flatnonzero(pairs.automorphism_mask(A, hats))
+    hit = _first_move(H, member, classes, hats[autos])
+    if hit is None:
+        return None
+    s, c = hit
+    eps_hat = hats[autos[s]]
+    cls, row = classes[c]
+    image = pairs.act_on_cochain(H, pairs.CompatiblePair(np.arange(A.group.order), eps_hat), row)
+    return {
+        "k": str(k), "n": str(n), "form": ("eps", "one_plus_eps")[autos[s] % 2],
+        "eps_hat": [[str(int(x)) for x in r] for r in eps_hat],
+        "class_coords": [str(c) for c in cls],
+        "image_coords": [str(int(c)) for c in H.coords(image)],
+        "h3_component": [str(c) for c in _h3_component(level, image)],
+    }
+
+
+# entries of the largest stack of moved cochains `_first_move` builds at once
+SCAN_ENTRIES = 1 << 16
+
+
+def _first_move(H, member, classes, eps_hats) -> tuple[int, int] | None:
+    """(s, c) of the first automorphism eps_hats[s], in stack order, that
+    moves class c out of the summand, or None when every class stays."""
+    rows = np.array([row for _, row in classes])
+    step = max(1, SCAN_ENTRIES // rows.size)
+    beta = np.arange(H.spec.group.order)
+    for start in range(0, len(eps_hats), step):
+        images = pairs.act_on_cochains(H, beta, eps_hats[start:start + step], rows)
+        moved = np.any(member.reduce(images), axis=-1)
+        if moved.any():
+            s, c = np.unravel_index(np.argmax(moved), moved.shape)
+            return start + int(s), int(c)
     return None
 
 
 def _lifted_endos_stable(Tk, Q, H, member, classes) -> bool:
     """Every invertible endomorphism reduced from the lattice must keep the
     summand inside itself."""
-    id_perm = np.arange(Tk.group.order, dtype=np.int64)
-    for Phi in modules.lattice_endomorphisms(Tk, Tk.p * Tk.p):
-        pair = pairs.reduce_pair(Q, id_perm, Phi)
-        if not pairs.is_module_automorphism(Q.module, pair.eps_hat):
-            continue
-        for _, row in classes:
-            if np.any(member.reduce(pairs.act_on_cochain(H, pair, row))):
-                return False
-    return True
+    A = Q.module
+    Phi = modules.lattice_endomorphisms(Tk, Tk.p * Tk.p)
+    hats = pairs.hat_matrix(A, modules.endo_to_quotient(Q, Phi))
+    return _first_move(H, member, classes, hats[pairs.automorphism_mask(A, hats)]) is None
 
 
 # ---------------------------------------------------------------------------

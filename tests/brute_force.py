@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from coclass import cohomology, linalg
+
 
 def module_elements(moduli):
     return [np.array(v, dtype=np.int64) for v in itertools.product(*[range(m) for m in moduli])]
@@ -365,3 +367,91 @@ def brute_act_on_cochain(H, pair, row):
         src = index[tuple(int(binv[g]) for g in t)]
         out[i * r : (i + 1) * r] = (row[src * r : (src + 1) * r] @ pair.eps_hat) % spec.q
     return out
+
+
+# ---------------------------------------------------------------------------
+# The slower paths the package replaced, kept to pin the faster ones down.
+# ---------------------------------------------------------------------------
+
+
+def span_automorphism(A, eps_hat):
+    """A hatted matrix is an automorphism of A iff the images of the module's
+    generator rows span the module again (both spans in Howell form)."""
+    img = (A.member_rows() @ (np.asarray(eps_hat) % A.q)) % A.q
+    return linalg.span_equal(img, A.member_rows(), A.p, A.E)
+
+
+def span_intersection(gens_a, gens_b, p, M):
+    """Generators of span(a) ∩ span(b) over Z/p^M, from the kernel of the
+    stacked generators: the rows (x, y) with x @ A = y @ B."""
+    q = p**M
+    A = np.asarray(gens_a, dtype=np.int64) % q
+    B = np.asarray(gens_b, dtype=np.int64) % q
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        return np.zeros((0, A.shape[1]), dtype=np.int64)
+    K = linalg.row_kernel(np.vstack([A, (-B) % q]), p, M)
+    return (K[:, : A.shape[0]] @ A) % q
+
+
+def cocycles_by_intersection(spec, m):
+    """Z^m(A) as the full kernel of d^m intersected with the A-valued cochains."""
+    K = linalg.row_kernel(cohomology.coboundary_matrix(spec, m), spec.p, spec.E)
+    legal = np.diag(np.tile(spec.scales, (spec.group.order - 1) ** m)).astype(np.int64)
+    return linalg.howell(span_intersection(K, legal, spec.p, spec.E),
+                         spec.p, spec.E).rows
+
+
+def smith_dense_update(F, p, M, want_right=False):
+    """linalg.smith with every pivot's column clearing applied to the whole
+    block below the pivot row; returns (exps, U, V)."""
+    q = p**M
+    A = np.array(F, dtype=np.int64) % q
+    r, c = A.shape
+    U = np.eye(r, dtype=np.int64)
+    V = np.eye(c, dtype=np.int64) if want_right else None
+    exps = []
+    vcur = 0
+    for k in range(min(r, c)):
+        colmask = A[k:, k] % p ** (vcur + 1) != 0
+        if colmask.any():
+            i, j = k + int(np.argmax(colmask)), k
+        else:
+            sub, mask = A[k:, k:], None
+            while vcur < M:
+                mask = sub % p ** (vcur + 1) != 0
+                if mask.any():
+                    break
+                mask = None
+                vcur += 1
+            if mask is None:
+                break
+            ii, jj = np.unravel_index(int(np.argmax(mask)), mask.shape)
+            i, j = k + int(ii), k + int(jj)
+        pa = p**vcur
+        A[[k, i]], U[[k, i]] = A[[i, k]], U[[i, k]]
+        A[:, [k, j]] = A[:, [j, k]]
+        if V is not None:
+            V[:, [k, j]] = V[:, [j, k]]
+        winv = pow(int(A[k, k]) // pa, -1, q)
+        A[k], U[k] = (A[k] * winv) % q, (U[k] * winv) % q
+        m = A[k + 1:, k] // pa
+        A[k + 1:, k:] = (A[k + 1:, k:] - m[:, None] * A[k, k:][None, :]) % q
+        U[k + 1:] = (U[k + 1:] - m[:, None] * U[k][None, :]) % q
+        m = A[k, k + 1:] // pa
+        if V is not None:
+            V[:, k + 1:] = (V[:, k + 1:] - V[:, k][:, None] * m[None, :]) % q
+        A[k, k + 1:] = 0
+        exps.append(vcur)
+    exps.extend([M] * (min(r, c) - len(exps)))
+    return exps, U, V
+
+
+def reduce_one_row(H, v):
+    """Howell.reduce on a single row, one pivot and one Python integer at a time."""
+    q = H.q
+    v = np.array(v, dtype=np.int64) % q
+    for i, (j, a) in enumerate(H.pivots):
+        m = int(v[j]) // H.p**a
+        if m:
+            v = (v - m * H.rows[i]) % q
+    return v

