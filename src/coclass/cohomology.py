@@ -76,14 +76,7 @@ def lattice_coefficients(T: LatticeModule, basis=None) -> CoefficientSpace:
     else:
         B = np.asarray(basis, dtype=np.int64) % q
         d = B.shape[0]
-        sB = linalg.smith(B, p, N, want_left=False, want_right=False)
-        a_max = max(sB.exps) if sB.exps else 0
-        E = N - a_max
-        gexp = linalg.valuation(T.group.order, p)
-        if E < gexp + 3:
-            raise CohomologyError(
-                "precision p^%d left after the basis change is too small" % E
-            )
+        E = _basis_precision(T, B)
         qE = p**E
         HB = linalg.howell(B, p, N, track=True)
         mats = []
@@ -94,6 +87,17 @@ def lattice_coefficients(T: LatticeModule, basis=None) -> CoefficientSpace:
             mats.append(np.vstack(rows) % qE)
         act = np.stack(mats)
     return CoefficientSpace(T.group, p, E, d, act, np.ones(d, dtype=np.int64), True)
+
+
+def _basis_precision(T: LatticeModule, B: np.ndarray) -> int:
+    """The precision E = N - a left to the action conjugated into the basis
+    rows B, with p^a the largest elementary divisor of B; raises when E is
+    too small to read invariants killed by |G|."""
+    sB = linalg.smith(B, T.p, T.ctx.N, want_left=False, want_right=False)
+    E = T.ctx.N - max(sB.exps, default=0)
+    if E < linalg.valuation(T.group.order, T.p) + 3:
+        raise CohomologyError("precision p^%d left after the basis change is too small" % E)
+    return E
 
 
 def coboundary_matrix(spec: CoefficientSpace, m: int) -> np.ndarray:
@@ -257,10 +261,7 @@ def _coboundary_rank(spec: CoefficientSpace, k: int) -> int:
     """
     G, p, r = spec.group, spec.p, spec.rank
     gexp = linalg.valuation(G.order, p)
-    P = p ** (spec.E - gexp)
-    if P <= r:
-        raise CohomologyError("precision p^%d is too small to certify ranks over a "
-                              "group of order %d" % (spec.E, G.order))
+    P = _rank_modulus(G, p, spec.E, r)
     total = sum(int(t) for t in np.trace(spec.act, axis1=1, axis2=2)) % spec.q
     fixed = (total // p**gexp) * pow(G.order // p**gexp, -1, P) % P
     if total % p**gexp or fixed > r:
@@ -270,6 +271,15 @@ def _coboundary_rank(spec: CoefficientSpace, k: int) -> int:
     for j in range(1, k + 1):
         rank = r * (G.order - 1) ** j - rank
     return rank
+
+
+def _rank_modulus(G: GroupTable, p: int, E: int, r: int) -> int:
+    """p^(E - v_p|G|), the modulus dim V^G is known to; it must exceed the rank r."""
+    P = p ** (E - linalg.valuation(G.order, p))
+    if P <= r:
+        raise CohomologyError("precision p^%d is too small to certify ranks over a "
+                              "group of order %d" % (E, G.order))
+    return P
 
 
 def _check_group_order_bound(spec: CoefficientSpace, m: int, exps) -> None:
@@ -315,6 +325,30 @@ def level_cohomology(chain: modules.CentralChain, n: int, m: int) -> CohomologyG
 
 def level_frame(chain: modules.CentralChain, n: int, m: int = 2) -> "SplitFrame":
     return chain.derived(("frame", n, m), lambda: split_frame(chain.lattice, chain, n, m))
+
+
+def check_shared_frame(chain: modules.CentralChain, n: int) -> None:
+    """Raise what `split_frame` would raise at level n, for a level above the
+    base of a built frame in its residue class modulo the chain period d.
+
+    The chain is periodic (T_{i+d} = p T_i, as `modules.chain_period`
+    certifies for every scenario and stage chain), so T_n = p^k T_base and
+    multiplication by p^k is a module isomorphism T_base -> T_n.  Its
+    conjugated action is the base's, up to a change of basis, read at the
+    precision E_n = E_base - k left after the basis change.  Of the frame's
+    checks, only two get stricter with k, and both are made here: E_n must
+    be at least v_p|G| + 3, and the rank certificate needs p^(E_n - v_p|G|)
+    above the rank.  The rest pass as at the base:
+      - T_n = p^k T_base lies in T_base, so in f.T;
+      - the exponents of H^{m+1}(R, T_n) are at most v_p|G| < E_n, so they,
+        f, the trace average and the rational rank read as at the base;
+      - on D = T_n / f, read at E_n + v_p(f), the Smith divisors of d^m are
+        the base's capped at that precision: none lands above v_p(f), and
+        the ones up to v_p(f) still sum to the order of H^{m+1}.
+    Each split still certifies itself in `split_at_level`.
+    """
+    T, B = chain.lattice, chain.bases[n]
+    _rank_modulus(T.group, T.p, _basis_precision(T, B), B.shape[0])
 
 
 def level_split(chain: modules.CentralChain, base: int, n: int, period: int,
@@ -452,15 +486,14 @@ def split_at_level(frame: SplitFrame, T: LatticeModule, chain: modules.CentralCh
     theta_hat = lattice_row_to_quotient(Q, frame.theta_rows)
     K_hat = lattice_row_to_quotient(Q, (T.p**k * frame.K_lifts) % T.q)
     H = level_cohomology(chain, n, frame.m)
-    stacked = np.vstack([theta_hat, K_hat])
-    solver = linalg.howell(stacked, T.p, Q.module.E, track=True)
+    solver = linalg.howell(np.vstack([theta_hat, K_hat]), T.p, Q.module.E, track=True)
+    Z = linalg.howell(H.cocycles, T.p, Q.module.E)
     # the two parts must span the cocycles exactly and independently
-    if not linalg.span_equal(stacked, H.cocycles, T.p, Q.module.E):
+    if not solver.same_span(Z):
         raise CohomologyError("theta image plus complement does not span the cocycles")
     ord_theta = linalg.span_order_exp(theta_hat, T.p, Q.module.E)
     ord_K = linalg.span_order_exp(K_hat, T.p, Q.module.E)
-    ord_Z = linalg.span_order_exp(H.cocycles, T.p, Q.module.E)
-    if ord_theta + ord_K != ord_Z:
+    if ord_theta + ord_K != Z.order_exp():
         raise CohomologyError("theta image and complement are not independent")
     return SplitLevel(frame, Q, n, k, theta_hat, K_hat, H, solver)
 

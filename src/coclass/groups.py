@@ -489,8 +489,7 @@ def is_normal(G: GroupTable, elems) -> bool:
 
 
 def center(G: GroupTable) -> list[int]:
-    n = G.order
-    return [z for z in range(n) if np.array_equal(G.mul[z], G.mul[:, z])]
+    return np.flatnonzero((G.mul == G.mul.T).all(axis=1)).tolist()
 
 
 def commutator_subgroup(G: GroupTable, a_elems, b_elems) -> list[int]:
@@ -620,7 +619,7 @@ def isomorphisms(G: GroupTable, H: GroupTable):
     candidates = [np.flatnonzero(oh == og[g]).tolist() for g in gens]
     for images in itertools.product(*candidates):
         img = _extend_hom(G, H, gens, list(images))
-        if img is not None and len(np.unique(img)) == G.order:
+        if img is not None and np.bincount(img, minlength=G.order).all():
             yield img
 
 

@@ -92,9 +92,11 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
     valuation order without any extra gcd passes.
     """
     q = p**M
-    A = as_matrix(F, q).copy()
-    r, c = A.shape
-    U = eye(r, q) if want_left else None
+    F = as_matrix(F, q)
+    r, c = F.shape
+    # W = [A | U]: a row operation on A carries its U part along in one pass
+    W = np.concatenate([F, eye(r, q)], axis=1) if want_left else F
+    A = W[:, :c]
     V = eye(c, q) if want_right else None
     exps: list[int] = []
     n = min(r, c)
@@ -103,8 +105,6 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
     # and use a cheap divisibility mask instead of gcd passes.
     vcur = 0
     for k in range(n):
-        if min(r - k, c - k) <= 0:
-            break
         # fast path: a valuation-vcur entry in the current column, if any
         pv = p ** (vcur + 1)
         colmask = _nonzero_mod(A[k:, k], pv, p)
@@ -124,44 +124,35 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
                 break  # remaining submatrix is zero mod p^M
             ii, jj = np.unravel_index(int(np.argmax(mask)), mask.shape)
         i, j = k + int(ii), k + int(jj)
-        mn = p**vcur
+        pa = p**vcur
         if i != k:
-            A[[k, i]] = A[[i, k]]
-            if U is not None:
-                U[[k, i]] = U[[i, k]]
+            W[[k, i]] = W[[i, k]]
         if j != k:
             A[:, [k, j]] = A[:, [j, k]]
             if V is not None:
                 V[:, [k, j]] = V[:, [j, k]]
-        pa = int(mn)  # p^a
-        a = vcur
-        w = int(A[k, k]) // pa
-        winv = pow(w, -1, q)
-        A[k, :] = (A[k, :] * winv) % q
-        if U is not None:
-            U[k, :] = (U[k, :] * winv) % q
-        # clear column k below the pivot (rows above are already clear,
-        # columns left of k stay zero, so the update can skip them; only the
-        # rows with a nonzero entry in column k change)
+        # scale the pivot row (and its U part) so the pivot is exactly p^a;
+        # columns left of k are zero in A
+        pivot = W[k, k:]
+        pivot *= pow(int(A[k, k]) // pa, -1, q)
+        _reduce_inplace(pivot, q, p)
+        # clear column k below the pivot (rows above are already clear); only
+        # the rows with a nonzero entry in column k change
         rows = k + 1 + np.flatnonzero(A[k + 1 :, k])
         if rows.size:
-            m = A[rows, k] // pa
-            block = A[rows, k:] - m[:, None] * A[k, k:][None, :]
+            block = W[rows, k:]
+            block -= (block[:, 0] // pa)[:, None] * pivot[None, :]
             _reduce_inplace(block, q, p)
-            A[rows, k:] = block
-            if U is not None:
-                ub = U[rows] - m[:, None] * U[k][None, :]
-                _reduce_inplace(ub, q, p)
-                U[rows] = ub
-        # clear row k right of the pivot; only row k is affected since col k = p^a e_k
-        row = A[k, k + 1 :]
-        if row.size and np.any(row != 0):
-            m = row // pa
-            if V is not None:
+            W[rows, k:] = block
+        # clearing row k right of the pivot touches only V, since column k is
+        # now p^a e_k and row k is never read again
+        if V is not None:
+            m = A[k, k + 1 :] // pa
+            if m.any():
                 V[:, k + 1 :] = (V[:, k + 1 :] - V[:, k][:, None] * m[None, :]) % q
-            A[k, k + 1 :] = 0
-        exps.append(a)
+        exps.append(vcur)
     exps.extend([M] * (n - len(exps)))
+    U = np.ascontiguousarray(W[:, c:]) if want_left else None
     return Smith(p, M, (r, c), exps, U, V)
 
 
@@ -307,6 +298,15 @@ class Howell:
             tot -= self.M - a
         return tot
 
+    def order_exp(self) -> int:
+        """v_p of the order of the span."""
+        return self.M * self.ncols - self.index_exponent()
+
+    def same_span(self, other: "Howell") -> bool:
+        """Whether two forms over the same ring span the same subgroup; the
+        form is canonical, so this compares rows and pivots."""
+        return self.pivots == other.pivots and bool(np.array_equal(self.rows, other.rows))
+
 
 def howell(gens, p: int, M: int, *, track: bool = False) -> Howell:
     """Howell canonical form of the row span of gens over Z/p^M."""
@@ -390,15 +390,11 @@ def span_order_exp(rows, p: int, M: int) -> int:
     rows = np.asarray(rows)
     if rows.shape[0] == 0:
         return 0
-    return M * rows.shape[1] - howell(rows, p, M).index_exponent()
+    return howell(rows, p, M).order_exp()
 
 
 def span_equal(gens_a, gens_b, p: int, M: int) -> bool:
-    Ha = howell(gens_a, p, M)
-    Hb = howell(gens_b, p, M)
-    if Ha.pivots != Hb.pivots:
-        return False
-    return bool(np.array_equal(Ha.rows % Ha.q, Hb.rows % Hb.q))
+    return howell(gens_a, p, M).same_span(howell(gens_b, p, M))
 
 
 @dataclass

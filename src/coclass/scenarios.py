@@ -104,9 +104,11 @@ class Scenario(Owner):
 
     def split_product(self, m: int) -> GroupTable:
         """The finite split quotient G0 x (T / T_m) of the semidirect product."""
-        A = self.quotient(m).module
-        return groups.abelian_extension_table(
-            self.group().mul, [int(x) for x in A.coord_moduli()], A.plain, None)
+        def build():
+            A = self.quotient(m).module
+            return groups.abelian_extension_table(
+                self.group().mul, [int(x) for x in A.coord_moduli()], A.plain, None)
+        return self.derived(("split product", m), build)
 
     def stage(self, k: int) -> "TopQuotient":
         """The quotient by 1 x T_{k d} acting on the rescaled fiber; stage 0 is G0 on T."""
@@ -478,6 +480,11 @@ def summand_instability_witness(scn: Scenario, n_range=None, k_range=(0, 1, 2),
     one-plus form), then lexicographic class.  Alongside the scan, every
     invertible endomorphism lifted from the lattice is checked to preserve
     the summand.
+
+    Each residue class of n modulo the period shares the split frame of its
+    first level whose frame builds; a later level of the class is split
+    through it after `cohomology.check_shared_frame`, which skips it for the
+    reason its own frame would have failed with.
     """
     if n_range is None:
         n_range = range(1, 7)
@@ -491,16 +498,22 @@ def summand_instability_witness(scn: Scenario, n_range=None, k_range=(0, 1, 2),
             skipped.append({"k": str(k), "group_order": str(stage.group.order),
                             "reason": "group order exceeds the scan cap %d" % group_cap})
             continue
-        chain_k = stage.chain
+        chain_k, d = stage.chain, stage.period
+        bases: dict[int, int] = {}  # residue of n mod d -> level of the shared frame
         for n in n_range:
             if n > chain_k.depth - 1:
                 break
+            base = bases.get(n % d)
             try:
-                cohomology.level_frame(chain_k, n)
+                if base is None:
+                    cohomology.level_frame(chain_k, n)
+                    base = bases[n % d] = n
+                else:
+                    cohomology.check_shared_frame(chain_k, n)
             except cohomology.CohomologyError as exc:
                 skipped.append({"k": str(k), "n": str(n), "reason": str(exc)})
                 continue
-            level = cohomology.level_split(chain_k, n, n, stage.period)
+            level = cohomology.level_split(chain_k, base, n, d)
             H = level.H
             Q = level.Q
             A = Q.module

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from coclass import cohomology, linalg
+from coclass import cohomology, linalg, scenarios
 
 
 def module_elements(moduli):
@@ -455,3 +455,43 @@ def reduce_one_row(H, v):
         if m:
             v = (v - m * H.rows[i]) % q
     return v
+
+
+def summand_scan_per_level_frames(scn, n_range=range(1, 7), k_range=(0, 1, 2), group_cap=8):
+    """scenarios.summand_instability_witness with a split frame built at
+    every level rather than one per residue class; returns its report."""
+    scanned, skipped = [], []
+    witness = None
+    lifted_ok = True
+    for k in k_range:
+        stage = scn.stage(k)
+        if stage.group.order > group_cap:
+            skipped.append({"k": str(k), "group_order": str(stage.group.order),
+                            "reason": "group order exceeds the scan cap %d" % group_cap})
+            continue
+        chain_k = stage.chain
+        for n in n_range:
+            if n > chain_k.depth - 1:
+                break
+            try:
+                cohomology.level_frame(chain_k, n)
+            except cohomology.CohomologyError as exc:
+                skipped.append({"k": str(k), "n": str(n), "reason": str(exc)})
+                continue
+            level = cohomology.level_split(chain_k, n, n, stage.period)
+            H, Q = level.H, level.Q
+            member = scenarios._summand_membership_solver(level, H)
+            classes = scenarios._summand_classes(level)
+            lifted_ok = lifted_ok and scenarios._lifted_endos_stable(
+                stage.lattice, Q, H, member, classes)
+            scanned.append({"k": str(k), "n": str(n),
+                            "summand_classes": str(len(classes)),
+                            "h2_order": str(H.order)})
+            if witness is None:
+                witness = scenarios._scan_level(scn, k, n, level, H, Q.module, member, classes)
+            if witness is not None:
+                break
+        if witness is not None:
+            break
+    return scenarios.SummandScanReport(scn.name, witness is not None, witness,
+                                       lifted_ok, scanned, skipped)

@@ -1,9 +1,14 @@
 import collections
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coclass
 from coclass import cli, cohomology, extensions, groups, pairs, scenarios
 
 
@@ -283,6 +288,8 @@ _DERIVED = [
 @pytest.mark.parametrize("argv", [
     ["branch", "--scenario", "dihedral_mainline", "--i", "4", "--k", "1", "--shift"],
     ["correspondence", "--scenario", "dihedral_mainline"],
+    ["run-all", "--scenario", "dihedral_mainline"],
+    ["verify-counterexample", "--scenario", "d8_gaussian"],
 ])
 def test_each_derived_object_is_computed_once(monkeypatch, capsys, argv):
     calls = collections.Counter()
@@ -296,3 +303,16 @@ def test_each_derived_object_is_computed_once(monkeypatch, capsys, argv):
     assert calls
     repeated = collections.Counter(name for (name, _), n in calls.items() if n > 1)
     assert not repeated, repeated
+
+
+def test_run_all_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, which no report needs
+    code = ("import contextlib, io, sys\n"
+            "from coclass import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['run-all', '--scenario', 'dihedral_mainline']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(coclass.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"

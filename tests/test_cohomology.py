@@ -217,10 +217,12 @@ def test_smith_matches_the_dense_update(name, want_right):
     spec = build()
     for m in range(degrees):
         D = cohomology.coboundary_matrix(spec, m)
-        s = linalg.smith(D, spec.p, spec.E, want_right=want_right)
         exps, U, V = smith_dense_update(D, spec.p, spec.E, want_right=want_right)
-        assert s.exps == exps and np.array_equal(s.U, U), m
-        assert (s.V is None and V is None) or np.array_equal(s.V, V), m
+        for want_left in (True, False):
+            s = linalg.smith(D, spec.p, spec.E, want_left=want_left, want_right=want_right)
+            assert s.exps == exps, (m, want_left)
+            assert np.array_equal(s.U, U) if want_left else s.U is None, (m, want_left)
+            assert (s.V is None and V is None) or np.array_equal(s.V, V), (m, want_left)
 
 
 def _assert_invariants_match(T, basis=None):
@@ -364,3 +366,46 @@ def test_trivial_group_cohomology():
     assert cohomology.finite_cohomology(A, 1).order == 1
     assert cohomology.finite_cohomology(A, 2).order == 1
     assert cohomology.finite_cohomology(A, 0).invariants() == [4]
+
+
+def _scaled_chain(T, depth):
+    """The chain T_n = 2^n T of invariant sublattices, built directly: its
+    index outgrows the precision margin g_central_series keeps."""
+    ident = np.eye(T.rank, dtype=np.int64)
+    return modules.CentralChain(T, [(2**n * ident) % T.q for n in range(depth + 1)],
+                                [T.rank * n for n in range(depth + 1)], False)
+
+
+def _c2_negation_rank8(N):
+    C2 = groups.make_table(cyclic_table(2))
+    return modules.lattice_module(C2, {1: -np.eye(8, dtype=np.int64)},
+                                  modules.PrecisionContext(2, N))
+
+
+def _frame_outcome(build):
+    try:
+        build()
+    except cohomology.CohomologyError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("chain, period", [
+    # the precision bound fails from level 5
+    (lambda: modules.g_central_series(c2_negation(8), 6), 1),
+    # at level 5 only the rank certificate fails: 2^(4 - 1) is not above the rank 8
+    (lambda: _scaled_chain(_c2_negation_rank8(9), 6), 1),
+    (lambda: modules.g_central_series(d8_lattice(10), 8), 2),
+    (lambda: modules.g_central_series(c3_eisenstein(9), 7), 2),
+], ids=["C2 negation", "C2 negation on rank 8", "D8", "C3"])
+def test_shared_frame_check_fails_as_the_frame_of_its_level(chain, period):
+    chain = chain()
+    T = chain.lattice
+    assert modules.chain_period(T, chain) == period
+    outcome = {n: _frame_outcome(lambda: cohomology.split_frame(T, chain, n))
+               for n in range(1, chain.depth)}
+    assert None in outcome.values()
+    for base in (n for n, reason in outcome.items() if reason is None):
+        for n in range(base + period, chain.depth, period):
+            got = _frame_outcome(lambda: cohomology.check_shared_frame(chain, n))
+            assert got == outcome[n], (base, n)

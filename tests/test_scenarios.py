@@ -6,6 +6,8 @@ import pytest
 
 from coclass import cohomology, extensions, groups, modules, pairs, scenarios
 
+from brute_force import summand_scan_per_level_frames
+
 
 _cache = {}
 
@@ -211,3 +213,37 @@ def test_c3_scenario_file_runs_clean():
     rep = scenarios.summand_instability_witness(scenarios.load_scenario(str(C3_EISENSTEIN)))
     assert not rep.found and rep.lifted_endomorphisms_stable
     assert [x["n"] for x in rep.scanned] == ["2", "3", "4", "5", "6"]
+
+
+# scenario copies for the scan: built-ins, the C3 file, lower precisions, and
+# a shallow dihedral chain at precision 9 whose deeper levels run out of
+# precision after frames of their residue classes have built
+SCAN_COPIES = [
+    ("dihedral_mainline", {}), ("dihedral_mainline", {"precision": 12}),
+    ("dihedral_mainline", {"precision": 9, "depth": 7}),
+    ("d8_gaussian", {}), ("d8_gaussian", {"precision": 11}), ("d8_gaussian", {"precision": 12}),
+    (str(C3_EISENSTEIN), {}), (str(C3_EISENSTEIN), {"precision": 12}),
+]
+
+
+@pytest.mark.parametrize("source, changes", SCAN_COPIES,
+                         ids=lambda x: Path(x).stem if isinstance(x, str)
+                         else ",".join("%s=%s" % kv for kv in x.items()) or "as-is")
+def test_shared_frames_scan_as_frames_per_level(tmp_path, source, changes):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(scenarios.scenario_data(source), **changes)))
+    got = scenarios.summand_instability_witness(scenarios.load_scenario(str(path)))
+    want = summand_scan_per_level_frames(scenarios.load_scenario(str(path)))
+    assert got.as_dict() == want.as_dict()
+
+
+@pytest.mark.parametrize("source, frames", [
+    ("dihedral_mainline", {0: [1], 1: [1], 2: [1]}),
+    (str(C3_EISENSTEIN), {0: [2, 3]}),
+], ids=["dihedral_mainline", "c3_eisenstein"])
+def test_scan_builds_one_frame_per_residue_class(source, frames):
+    scn = scenarios.load_scenario(source)
+    scenarios.summand_instability_witness(scn)
+    for k, levels in frames.items():
+        keys = [key for key in scn.stage(k).chain._memo if key[0] == "frame"]
+        assert sorted(keys) == [("frame", n, 2) for n in levels], k
