@@ -351,6 +351,28 @@ def check_shared_frame(chain: modules.CentralChain, n: int) -> None:
     _rank_modulus(T.group, T.p, _basis_precision(T, B), B.shape[0])
 
 
+def frame_base(chain: modules.CentralChain, n: int, period: int) -> int:
+    """The level whose split frame serves level n: the first level of n's
+    residue class modulo the period, counting from 1, whose frame builds.
+    A level above it must pass `check_shared_frame`; when no frame up to n
+    builds, this raises what the frame of level n raised."""
+    for base in range((n - 1) % period + 1, n + 1, period):
+        error = chain.derived(("frame error", base), lambda: _frame_error(chain, base))
+        if error is None:
+            if base < n:
+                chain.derived(("shared frame", n), lambda: check_shared_frame(chain, n))
+            return base
+    raise error
+
+
+def _frame_error(chain: modules.CentralChain, n: int) -> CohomologyError | None:
+    try:
+        level_frame(chain, n)
+    except CohomologyError as exc:
+        return exc
+    return None
+
+
 def level_split(chain: modules.CentralChain, base: int, n: int, period: int,
                 m: int = 2) -> "SplitLevel":
     """The split of H^m(R, A_n) through the frame of level `base`."""

@@ -46,9 +46,6 @@ class GroupTable(Owner):
     def order(self) -> int:
         return self.mul.shape[0]
 
-    def inv(self, g: int) -> int:
-        return int(self.inverses[g])
-
     def element_orders(self) -> np.ndarray:
         return self.derived("element_orders", lambda: _element_orders(self.mul, self.identity))
 
@@ -90,16 +87,29 @@ def bar_index(G: GroupTable, m: int) -> BarIndex:
 
 
 def _element_orders(mul: np.ndarray, identity: int) -> np.ndarray:
-    """Steps every element's power g^k at once until each reaches the identity."""
-    elems = np.arange(mul.shape[0])
-    out = np.zeros(mul.shape[0], dtype=np.int64)
-    x, k = elems, 1
+    """Every element's order, one prime at a time.  For p^e exactly dividing
+    n = |G|, the order of x^(n/p^e) is the p-part of the order of x, read off
+    by raising to the p-th power until the identity."""
+    n = mul.shape[0]
+    out = np.ones(n, dtype=np.int64)
+    for p, e in _factorization(n).items():
+        x = _powers(mul, np.arange(n), n // p**e)
+        while (moved := x != identity).any():
+            out[moved] *= p
+            x = _powers(mul, x, p)
+    return out
+
+
+def _powers(mul: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """x^k for an array of elements and k >= 1, by square-and-multiply."""
+    out = None
     while True:
-        out[(x == identity) & (out == 0)] = k
-        if out.all():
+        if k & 1:
+            out = x if out is None else mul[out, x]
+        k >>= 1
+        if not k:
             return out
-        x = mul[x, elems]
-        k += 1
+        x = mul[x, x]
 
 
 def _validate_table(mul: np.ndarray, identity: int) -> np.ndarray:
@@ -120,10 +130,12 @@ def _validate_table(mul: np.ndarray, identity: int) -> np.ndarray:
     return inverses
 
 
-def _row_blocks(n: int):
-    """Row slices of an n x n table, each at most 2^22 entries."""
-    rows = max(1, (1 << 22) // n)
-    return (slice(x0, x0 + rows) for x0 in range(0, n, rows))
+def _row_blocks(mul: np.ndarray):
+    """Row blocks of an n x n table, each at most 2^13 entries (64 KiB of
+    int64), so the temporaries of a check stay in cache."""
+    n = mul.shape[0]
+    rows = max(1, (1 << 13) // n)
+    return (mul[x0:x0 + rows] for x0 in range(0, n, rows))
 
 
 def _check_associative(mul: np.ndarray, generators: list[int]) -> None:
@@ -136,8 +148,7 @@ def _check_associative(mul: np.ndarray, generators: list[int]) -> None:
     identity, so A is the whole table once it holds them.
     """
     for s in generators:
-        for rows in _row_blocks(mul.shape[0]):
-            block = mul[rows]
+        for block in _row_blocks(mul):
             if not np.array_equal(mul[block[:, s]], block[:, mul[s]]):
                 raise GroupError("table is not associative")
 
@@ -218,11 +229,10 @@ def table_from_generators(right) -> GroupTable:
     if len(closure([0], range(len(right)), step)) != n:
         raise GroupError("generators do not reach every element")
     for r in right:
-        for rows in _row_blocks(n):
-            block = mul[rows]
+        for block in _row_blocks(mul):
             if not np.array_equal(block[:, r], r[block]):
                 raise GroupError("generator permutations disagree with the table")
-    return make_table(mul, generators=right[:, 0].tolist())
+    return GroupTable(mul, 0, _validate_table(mul, 0), right[:, 0].tolist())
 
 
 def closure_table(gen_elems: list, multiply, identity_elem, *,
@@ -468,50 +478,10 @@ def restricted_table(G: GroupTable, elems) -> tuple[GroupTable, list[int]]:
     return make_table(mul), elements
 
 
-def _mask(G: GroupTable, elems) -> np.ndarray:
-    mask = np.zeros(G.order, dtype=bool)
-    mask[list(elems)] = True
-    return mask
-
-
-def is_subgroup(G: GroupTable, elems) -> bool:
-    mask = _mask(G, elems)
-    idx = np.flatnonzero(mask)
-    return bool(mask[G.identity] and mask[G.mul[np.ix_(idx, idx)]].all())
-
-
-def is_normal(G: GroupTable, elems) -> bool:
-    """Conjugation is injective, so it maps a finite set into itself only
-    onto itself: testing the generators of G covers every g in G."""
-    mask = _mask(G, elems)
-    idx = np.flatnonzero(mask)
-    return all(mask[G.mul[G.mul[G.inv(g), idx], g]].all() for g in G.generators)
-
-
 def center(G: GroupTable) -> list[int]:
-    return np.flatnonzero((G.mul == G.mul.T).all(axis=1)).tolist()
-
-
-def commutator_subgroup(G: GroupTable, a_elems, b_elems) -> list[int]:
-    """The subgroup generated by the commutators [a, b].
-
-    A finite set containing the identity generates a subgroup once it is closed
-    under products, so the mask of the commutators is squared, S -> S.S,
-    until it stops growing.
-    """
-    a = np.asarray(list(a_elems), dtype=np.int64)
-    b = np.asarray(list(b_elems), dtype=np.int64)
-    xy = G.mul[a[:, None], b[None, :]]
-    comms = G.mul[G.mul[G.inverses[a][:, None], G.inverses[b][None, :]], xy]
-    mask = np.zeros(G.order, dtype=bool)
-    mask[comms] = True
-    mask[G.identity] = True
-    while True:
-        idx = np.flatnonzero(mask)
-        mask = np.zeros(G.order, dtype=bool)
-        mask[G.mul[np.ix_(idx, idx)]] = True
-        if np.count_nonzero(mask) == idx.size:
-            return idx.tolist()
+    """The elements that commute with every generator, so with every element."""
+    S = G.generators
+    return np.flatnonzero((G.mul[:, S] == G.mul[S].T).all(axis=1)).tolist()
 
 
 @dataclass
@@ -523,10 +493,28 @@ class SubgroupChain:
 
 
 def lower_central_series(G: GroupTable) -> SubgroupChain:
-    """gamma_1 = G, gamma_{i+1} = [G, gamma_i], computed until it stabilizes."""
+    """gamma_1 = G, gamma_{i+1} = [gamma_i, G], computed until it stabilizes.
+
+    [gamma_i, G] is generated by the [x, s], x in gamma_i and s a generator:
+    [x, gs] = [x, g].[x^g, s] with x^g in gamma_i, as gamma_i is normal, so
+    every [x, g] is a product of them, by induction on the length of g as a
+    positive word in the generators.  A finite set holding the identity
+    generates a subgroup once it is closed under products, so their mask is
+    squared, S -> S.S, until it stops growing.
+    """
+    S = np.asarray(G.generators, dtype=np.int64)
     terms = [list(range(G.order))]
     while True:
-        nxt = commutator_subgroup(G, range(G.order), terms[-1])
+        x = np.asarray(terms[-1], dtype=np.int64)[:, None]
+        mask = np.zeros(G.order, dtype=bool)
+        mask[G.mul[G.mul[G.inverses[x], G.inverses[S]], G.mul[x, S]]] = True
+        mask[G.identity] = True
+        while True:
+            idx = np.flatnonzero(mask)
+            mask[G.mul[np.ix_(idx, idx)]] = True
+            if np.count_nonzero(mask) == idx.size:
+                break
+        nxt = idx.tolist()
         if nxt == terms[-1]:
             break
         terms.append(nxt)
@@ -542,28 +530,25 @@ def nilpotency_class(G: GroupTable) -> int:
     return len(chain.terms) - 1
 
 
-def _prime_power(n: int) -> tuple[int, int] | None:
-    if n == 1:
-        return None
-    for p in range(2, n + 1):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            return (p, e) if n == 1 else None
-    return None
+def _factorization(n: int) -> dict[int, int]:
+    """{p: e} for each prime power p^e exactly dividing n."""
+    out, p = {}, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1
+    return out
 
 
 def coclass(G: GroupTable) -> int:
     """n - c for a p-group of order p^n and nilpotency class c."""
     if G.order == 1:
         return 0
-    pp = _prime_power(G.order)
-    if pp is None:
+    exps = list(_factorization(G.order).values())
+    if len(exps) != 1:
         raise GroupError("order %d is not a prime power" % G.order)
-    _, n = pp
-    return n - nilpotency_class(G)
+    return exps[0] - nilpotency_class(G)
 
 
 # ---------------------------------------------------------------------------
@@ -679,20 +664,16 @@ def abelian_extension_table(gmul: np.ndarray, moduli: list[int], act_coords,
     ng = gmul.shape[0]
     V = all_coord_rows(moduli)
     na = V.shape[0]
-    modrow = np.array(moduli, dtype=np.int64)
-    mul = np.zeros((ng * na, ng * na), dtype=np.int64)
+    mul = np.empty((ng * na, ng * na), dtype=np.int64)
     for h in range(ng):
-        Mh = np.asarray(act_coords[h], dtype=np.int64)
-        AV = (V @ Mh) % modrow  # a.h for every a
+        AV = V @ np.asarray(act_coords[h], dtype=np.int64)  # a.h for every a
         for g in range(ng):
-            tau = None
+            # coordinates of a.h + b + tau(g, h) for every a and b, one block
+            # at a time to keep the temporaries small; mixed_radix_index
+            # reduces them
+            s = AV[:, None, :] + V
             if tau_coords is not None:
-                tau = np.asarray(tau_coords[g][h], dtype=np.int64) % modrow
-            # result coords for every (a, b) pair
-            s = AV[:, None, :] + V[None, :, :]
-            if tau is not None:
-                s = s + tau[None, None, :]
-            s %= modrow
-            idx = mixed_radix_index(s, moduli)
-            mul[g * na : (g + 1) * na, h * na : (h + 1) * na] = gmul[g, h] * na + idx
+                s += np.asarray(tau_coords[g][h], dtype=np.int64)
+            mul[g * na:(g + 1) * na, h * na:(h + 1) * na] = (
+                gmul[g, h] * na + mixed_radix_index(s, moduli))
     return make_table(mul)

@@ -481,10 +481,9 @@ def summand_instability_witness(scn: Scenario, n_range=None, k_range=(0, 1, 2),
     invertible endomorphism lifted from the lattice is checked to preserve
     the summand.
 
-    Each residue class of n modulo the period shares the split frame of its
-    first level whose frame builds; a later level of the class is split
-    through it after `cohomology.check_shared_frame`, which skips it for the
-    reason its own frame would have failed with.
+    Each level is split through the frame of `cohomology.frame_base`, shared
+    by its residue class modulo the period; a level it refuses is skipped for
+    the reason its own frame would have failed with.
     """
     if n_range is None:
         n_range = range(1, 7)
@@ -499,17 +498,11 @@ def summand_instability_witness(scn: Scenario, n_range=None, k_range=(0, 1, 2),
                             "reason": "group order exceeds the scan cap %d" % group_cap})
             continue
         chain_k, d = stage.chain, stage.period
-        bases: dict[int, int] = {}  # residue of n mod d -> level of the shared frame
         for n in n_range:
             if n > chain_k.depth - 1:
                 break
-            base = bases.get(n % d)
             try:
-                if base is None:
-                    cohomology.level_frame(chain_k, n)
-                    base = bases[n % d] = n
-                else:
-                    cohomology.check_shared_frame(chain_k, n)
+                base = cohomology.frame_base(chain_k, n, d)
             except cohomology.CohomologyError as exc:
                 skipped.append({"k": str(k), "n": str(n), "reason": str(exc)})
                 continue

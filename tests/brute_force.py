@@ -128,6 +128,59 @@ def closure_table_fill(gen_elems, multiply, identity_elem):
     return mul, gens, elems
 
 
+def commutator_subgroup(G, a_elems, b_elems):
+    """The subgroup generated by the commutators [a, b], from all |a||b| of them.
+
+    A finite set containing the identity generates a subgroup once it is closed
+    under products, so the mask of the commutators is squared, S -> S.S,
+    until it stops growing.
+    """
+    a = np.asarray(list(a_elems), dtype=np.int64)
+    b = np.asarray(list(b_elems), dtype=np.int64)
+    xy = G.mul[a[:, None], b[None, :]]
+    comms = G.mul[G.mul[G.inverses[a][:, None], G.inverses[b][None, :]], xy]
+    mask = np.zeros(G.order, dtype=bool)
+    mask[comms] = True
+    mask[G.identity] = True
+    while True:
+        idx = np.flatnonzero(mask)
+        mask = np.zeros(G.order, dtype=bool)
+        mask[G.mul[np.ix_(idx, idx)]] = True
+        if np.count_nonzero(mask) == idx.size:
+            return idx.tolist()
+
+
+def lower_central_series_terms(G):
+    """gamma_{i+1} = [G, gamma_i] from every commutator of an element of G with
+    one of gamma_i, until the series stabilizes or reaches the identity."""
+    terms = [list(range(G.order))]
+    while True:
+        nxt = commutator_subgroup(G, range(G.order), terms[-1])
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+        if len(nxt) == 1:
+            break
+    return terms
+
+
+def element_orders_by_steps(mul, identity):
+    """The order of each element, by stepping all powers g^k at once."""
+    elems = np.arange(len(mul))
+    out = np.zeros(len(mul), dtype=np.int64)
+    x, k = elems, 1
+    while not out.all():
+        out[(x == identity) & (out == 0)] = k
+        x = mul[x, elems]
+        k += 1
+    return out
+
+
+def center_of_table(mul):
+    """The elements that commute with every element."""
+    return np.flatnonzero((mul == mul.T).all(axis=1)).tolist()
+
+
 def compose_permutations(a, b):
     """a then b, as tuples."""
     return tuple(b[a[i]] for i in range(len(a)))

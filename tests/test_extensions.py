@@ -155,3 +155,19 @@ def test_extension_cap_is_enforced():
     rep = H.representative(np.array([1], dtype=np.int64))
     with pytest.raises(extensions.ExtensionError, match="order 1024 exceeds the cap 512"):
         extensions.build_extension(C2, A, rep)
+
+
+def test_projection_is_checked_on_the_generator_edges():
+    C4 = groups.make_table(cyclic_table(4))
+    A = trivial_module(C4, 2, [1])
+    H = cohomology.cohomology_group(cohomology.finite_coefficients(A), 2)
+    ext = extensions.build_extension(C4, A, H.representative(np.array([1], dtype=np.int64)))
+    # the same base with the labels of a and a^2 swapped, so that the block
+    # projection, read in the new labels, is no longer a homomorphism
+    swap = np.array([0, 2, 1, 3])
+    relabelled = groups.make_table(swap[C4.mul[np.ix_(swap, swap)]])
+    assert extensions.are_isomorphic(relabelled, C4)
+    bad = extensions.ExtensionGroup(relabelled, A, ext.cocycle_hat, ext.table,
+                                    ext.fiber_elements)
+    with pytest.raises(extensions.ExtensionError, match="not a homomorphism"):
+        extensions._validate_extension(bad)

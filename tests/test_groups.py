@@ -1,12 +1,18 @@
+import contextlib
+import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coclass import groups
+from coclass import cli, groups
 
-from brute_force import (brute_is_normal, brute_is_subgroup, brute_isomorphisms, closure_table_fill,
-                         compose_permutations)
+from brute_force import (brute_is_normal, brute_is_subgroup, brute_isomorphisms, center_of_table,
+                         closure_table_fill, compose_permutations, element_orders_by_steps,
+                         lower_central_series_terms)
+
+C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
 
 
 def cyclic_table(n):
@@ -154,21 +160,12 @@ def test_given_generators_are_tested_for_associativity():
         groups.make_table(cyclic_table(8), generators=[2])
 
 
-def test_subgroup_and_normality_match_the_definitions():
-    S3, _ = groups.from_permutations([(1, 0, 2), (0, 2, 1)])
-    for G in (groups.build_group(D8_PRESENTATION), S3):
-        mul, inv = G.mul.tolist(), G.inverses.tolist()
-        for bits in range(1 << G.order):
-            elems = [g for g in range(G.order) if bits >> g & 1]
-            assert groups.is_subgroup(G, elems) == brute_is_subgroup(mul, G.identity, elems)
-            assert groups.is_normal(G, elems) == brute_is_normal(mul, inv, elems)
-
-
 def test_lcs_terms_are_normal():
     D8 = groups.build_group(D8_PRESENTATION)
+    mul, inv = D8.mul.tolist(), D8.inverses.tolist()
     for term in groups.lower_central_series(D8).terms:
-        assert groups.is_subgroup(D8, term)
-        assert groups.is_normal(D8, term)
+        assert brute_is_subgroup(mul, D8.identity, term)
+        assert brute_is_normal(mul, inv, term)
 
 
 def test_center_d8():
@@ -220,3 +217,53 @@ def test_presentation_order_is_checked_against_the_table_cap():
     with pytest.raises(groups.GroupError, match="order 10 exceeds the table cap 8"):
         groups.from_presentation(["a"], ["a^10"], cap=8)
     assert groups.from_presentation(["a"], ["a^10"], cap=10).order == 10
+
+
+def test_light_test_checks_the_last_partial_row_block():
+    # 96 does not divide 2^13, so the last row block is partial; the swap in
+    # the last row breaks associativity there and nowhere else
+    n = 96
+    first, *_, last = groups._row_blocks(np.arange(n)[:, None])
+    assert len(last) < len(first) and n - 1 in last
+    mul = np.array(cyclic_table(n))
+    mul[n - 1, [2, 3]] = mul[n - 1, [3, 2]]
+    with pytest.raises(groups.GroupError, match="not associative"):
+        groups.make_table(mul, generators=[1])
+
+
+_PIPELINE_ARGVS = [
+    ["run-all", "--scenario", "dihedral_mainline"],
+    ["run-all", "--scenario", "d8_gaussian"],
+    ["run-all", "--scenario", str(C3_EISENSTEIN)],
+    ["branch", "--scenario", "dihedral_mainline", "--i", "7", "--k", "1", "--shift"],
+]
+
+
+@pytest.fixture(scope="module")
+def pipeline_tables():
+    """Every distinct table whose lower central series the pipeline takes."""
+    tables = {}
+    series = groups.lower_central_series
+
+    def record(G):
+        tables.setdefault(G.mul.tobytes(), G)
+        return series(G)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "lower_central_series", record)
+        for argv in _PIPELINE_ARGVS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+    return list(tables.values())
+
+
+def test_lcs_from_generator_commutators_matches_all_commutators(pipeline_tables):
+    assert max(G.order for G in pipeline_tables) == 512
+    for G in pipeline_tables:
+        assert groups.lower_central_series(G).terms == lower_central_series_terms(G)
+
+
+def test_orders_and_center_match_the_naive_ones(pipeline_tables):
+    for G in pipeline_tables:
+        assert np.array_equal(G.element_orders(), element_orders_by_steps(G.mul, G.identity))
+        assert groups.center(G) == center_of_table(G.mul)

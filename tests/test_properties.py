@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
-from brute_force import (brute_act_on_cochain, closure_table_fill, compose_permutations,
-                         diagonalize_mod, is_associative, kernel_gens_mod, reduce_one_row,
-                         semi_brute_h_stats, span_automorphism)
+from brute_force import (brute_act_on_cochain, center_of_table, closure_table_fill,
+                         compose_permutations, diagonalize_mod, element_orders_by_steps,
+                         is_associative, kernel_gens_mod, lower_central_series_terms,
+                         reduce_one_row, semi_brute_h_stats, span_automorphism)
 
 
 def cyclic_table(n):
@@ -239,6 +240,18 @@ def test_permutation_tables_match_the_all_pairs_fill(perms):
     assert elems == want
     assert np.array_equal(G.mul, mul)
     assert G.generators == gens
+
+
+@given(permutation_generators())
+@example([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])  # S_6
+@example([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])  # A_5
+@example([(1, 0, 2, 3), (0, 2, 3, 1)])  # S_4
+@settings(max_examples=40, deadline=None)
+def test_lcs_orders_and_center_match_the_naive_ones(perms):
+    G, _ = groups.from_permutations([tuple(p) for p in perms])
+    assert groups.lower_central_series(G).terms == lower_central_series_terms(G)
+    assert np.array_equal(G.element_orders(), element_orders_by_steps(G.mul, G.identity))
+    assert groups.center(G) == center_of_table(G.mul)
 
 
 @given(st.sampled_from([2, 3, 5]), st.sampled_from([[1, 2], [2, 1], [2, 2], [1, 3, 2]]),

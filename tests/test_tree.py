@@ -134,3 +134,13 @@ def test_vertices_pairwise_nonisomorphic():
     for x in range(len(idxs)):
         for y in range(x + 1, len(idxs)):
             assert not extensions.are_isomorphic(br.tables[idxs[x]], br.tables[idxs[y]])
+
+
+def test_shift_splits_through_the_frame_of_the_residue_class():
+    # period 1: one residue class, whose frame is built at level 1 and serves
+    # the levels of both branches
+    scn = scenarios.load_scenario("dihedral_mainline")
+    rep, _ = coclass_tree.nu_shift(scn, coclass_tree.build_branch(scn, 7, 1))
+    top = scn.top()
+    assert rep.ok and top.period == 1
+    assert sorted(key for key in top.chain._memo if key[0] == "frame") == [("frame", 1, 2)]
