@@ -6,6 +6,11 @@ keeps the rest of the toolkit honest: a table that passes construction
 satisfies the group axioms, full stop.  Associativity is proven exactly at
 every order by Light's test on a generating set, in |S| n^2 steps.
 
+A table stores its entries in the narrowest signed type that holds every
+index, `index_dtype(order)`: int16 up to order 2^15, int32 above.  NumPy
+keeps that type through arithmetic (`int16_array * k` is int16), so any
+arithmetic on table entries other than indexing goes through int64 first.
+
 Permutations, matrices and presentations all reach their table through one
 builder, `table_from_generators`, from the generators' right multiplications.
 
@@ -31,16 +36,28 @@ class GroupError(CoclassError):
     pass
 
 
+def index_dtype(n: int) -> np.dtype:
+    """The type of the entries of an order-n table: int16 while every index
+    below n fits (n <= 2^15), int32 above."""
+    return np.dtype(np.int16) if n <= 1 << 15 else np.dtype(np.int32)
+
+
 @dataclass(eq=False)
 class GroupTable(Owner):
     """A validated table; it owns its element orders, minimal generators,
     lower central series, bar-complex index arrays and isomorphism
-    fingerprint, each built once."""
+    fingerprint, each built once.  mul holds `index_dtype(order)` entries;
+    any other type is refused."""
 
     mul: np.ndarray  # order x order element indices
     identity: int
     inverses: np.ndarray
     generators: list[int]
+
+    def __post_init__(self):
+        if self.mul.dtype != index_dtype(self.order):
+            raise GroupError("a table of order %d holds %s entries, not %s"
+                             % (self.order, index_dtype(self.order), self.mul.dtype))
 
     @property
     def order(self) -> int:
@@ -131,8 +148,8 @@ def _validate_table(mul: np.ndarray, identity: int) -> np.ndarray:
 
 
 def _row_blocks(mul: np.ndarray):
-    """Row blocks of an n x n table, each at most 2^13 entries (64 KiB of
-    int64), so the temporaries of a check stay in cache."""
+    """Row blocks of an n x n table, each at most 2^13 entries (16 KiB of
+    int16 entries), so the temporaries of a check stay in cache."""
     n = mul.shape[0]
     rows = max(1, (1 << 13) // n)
     return (mul[x0:x0 + rows] for x0 in range(0, n, rows))
@@ -162,10 +179,17 @@ def _checked_generators(generators, n: int) -> list[int]:
 
 
 def make_table(mul, generators: list[int] | None = None) -> GroupTable:
-    """Validate a raw multiplication table (identity must be index 0)."""
-    mul = np.asarray(mul, dtype=np.int64)
+    """Validate a raw multiplication table (identity must be index 0).
+
+    Range, identity and inverses are checked at the integer type the table
+    was given, so an entry that would wrap to a valid index in the narrow
+    type is still refused; only then is it stored as `index_dtype`."""
+    mul = np.asarray(mul)
+    if mul.dtype.kind not in "iu":
+        mul = mul.astype(np.int64)
     identity = 0
     inverses = _validate_table(mul, identity)
+    mul = mul.astype(index_dtype(mul.shape[0]), copy=False)
     table = GroupTable(mul, identity, inverses, [])
     if generators is None:
         table.generators = table.minimal_generators()
@@ -214,7 +238,7 @@ def table_from_generators(right) -> GroupTable:
     """
     right = np.asarray(right, dtype=np.int64)
     n = right.shape[1]
-    mul = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=index_dtype(n))
     mul[:, 0] = np.arange(n)
     filled = np.zeros(n, dtype=bool)
     filled[0] = True
@@ -470,7 +494,7 @@ def restricted_table(G: GroupTable, elems) -> tuple[GroupTable, list[int]]:
     """
     rest = sorted(set(int(e) for e in elems) - {G.identity})
     elements = [G.identity] + rest
-    idx = np.full(G.order, -1, dtype=np.int64)
+    idx = np.full(G.order, -1, dtype=index_dtype(len(elements)))
     idx[elements] = np.arange(len(elements))
     mul = idx[G.mul[np.ix_(elements, elements)]]
     if np.any(mul < 0):
@@ -570,7 +594,11 @@ def _extend_hom(G: GroupTable, H: GroupTable, gen_src: list[int], gen_img: list[
     """Extend generator images to a homomorphism G -> H, or return None.
 
     Every element of G is reached as a product of generators; images follow
-    the same words.  A conflict or a product mismatch kills the candidate.
+    the same words, and a conflict kills the candidate.  Every edge x -> xs
+    is checked, so img(xs) = img(x)t for each generator s with image t, and
+    img(xy) = img(x)img(y) follows by induction on the length of y as a
+    word in the generators: img(x(ys)) = img((xy)s) = img(xy)t
+    = img(x)img(y)t = img(x)img(ys).
     """
     img = np.full(G.order, -1, dtype=np.int64)
     img[G.identity] = H.identity
@@ -588,8 +616,6 @@ def _extend_hom(G: GroupTable, H: GroupTable, gen_src: list[int], gen_img: list[
                     return None
         frontier = nxt
     if np.any(img == -1):
-        return None
-    if not np.array_equal(img[G.mul], H.mul[img[:, None], img[None, :]]):
         return None
     return img
 
@@ -658,13 +684,14 @@ def abelian_extension_table(gmul: np.ndarray, moduli: list[int], act_coords,
     A is the abelian group with the given coordinate moduli; act_coords[h] is
     the matrix of the right action of h on coordinates; tau_coords[g][h] is the
     factor-set coordinate vector (omit for the split case).  Element index is
-    g * |A| + index(a), so (0, identity) is index 0 as required.
+    g * |A| + index(a), so (0, identity) is index 0 as required.  Each
+    (g, h) block is computed in int64 and cast as it is stored.
     """
-    gmul = np.asarray(gmul, dtype=np.int64)
+    gmul = np.asarray(gmul)
     ng = gmul.shape[0]
     V = all_coord_rows(moduli)
     na = V.shape[0]
-    mul = np.empty((ng * na, ng * na), dtype=np.int64)
+    mul = np.empty((ng * na, ng * na), dtype=index_dtype(ng * na))
     for h in range(ng):
         AV = V @ np.asarray(act_coords[h], dtype=np.int64)  # a.h for every a
         for g in range(ng):
@@ -675,5 +702,5 @@ def abelian_extension_table(gmul: np.ndarray, moduli: list[int], act_coords,
             if tau_coords is not None:
                 s += np.asarray(tau_coords[g][h], dtype=np.int64)
             mul[g * na:(g + 1) * na, h * na:(h + 1) * na] = (
-                gmul[g, h] * na + mixed_radix_index(s, moduli))
+                int(gmul[g, h]) * na + mixed_radix_index(s, moduli))
     return make_table(mul)

@@ -272,7 +272,8 @@ class Howell:
         return t if v.ndim == 1 else t.T.reshape(v.shape)
 
     def solve(self, v, modulus: int | None = None):
-        """One x with x @ gens = v, or None when v is outside the span.
+        """One x with x @ gens = v, or None when v is outside the span; for
+        a stack of rows, the stack of solutions, or None when any row is out.
 
         gens are the generators the form was built from when the transform
         was tracked, and the form's own rows otherwise.  x is the integer
@@ -283,7 +284,9 @@ class Howell:
         if np.any(self.reduce(v, coeffs_out=coeffs)):
             return None
         q = self.q if modulus is None else modulus
-        x = np.array(coeffs, dtype=self.rows.dtype)
+        # one coefficient per pivot, moved behind the stack axes of v
+        x = np.moveaxis(np.array(coeffs, dtype=self.rows.dtype).reshape(
+            len(coeffs), *np.shape(v)[:-1]), 0, -1)
         if self.transform is None:
             return x % q
         return dot_mod(x, self.transform, self.q, q)
@@ -422,16 +425,15 @@ class QuotientGroup:
         return self.p**self.order_exponent
 
     def coords(self, v) -> np.ndarray:
-        """Coordinates of v + B in the invariant-factor decomposition."""
+        """Coordinates of v + B in the invariant-factor decomposition, for one
+        element of K or for each row of a stack."""
         q = self.p**self.M
         x = self._K.solve(v)
         if x is None:
             raise ValueError("element not in the subgroup K")
-        z = dot_mod(x, self._V, q, q)
-        out = []
-        for i, e in zip(self._kept, self.exps):
-            out.append(int(z[i]) % self.p**e)
-        return np.array(out, dtype=np.int64)
+        z = dot_mod(x, self._V, q, q)[..., self._kept]
+        mods = np.array([self.p**e for e in self.exps], dtype=np.int64)
+        return (z % mods).astype(np.int64)
 
     def element(self, coords) -> np.ndarray:
         """An ambient representative with the given coordinates."""

@@ -99,13 +99,17 @@ def is_module_automorphism(A: FiniteModule, eps_hat) -> bool:
     return bool(automorphism_mask(A, eps_hat))
 
 
-def satisfies_compatibility(A: FiniteModule, pair: CompatiblePair) -> bool:
+def satisfies_compatibility(A: FiniteModule, beta, eps_hats) -> np.ndarray:
+    """Which hatted matrices of a stack (s, r, r) make a compatible pair with
+    beta: M_g eps = eps M_beta(g) for every generator g, one broadcast per
+    generator."""
+    eps = np.asarray(eps_hats, dtype=np.int64)
+    ok = np.ones(eps.shape[:-2], dtype=bool)
     for g in A.group.generators:
-        lhs = canonical_hat(A, A.act[g] @ pair.eps_hat)
-        rhs = canonical_hat(A, pair.eps_hat @ A.act[int(pair.beta[g])])
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+        lhs = canonical_hat(A, A.act[g] @ eps)
+        rhs = canonical_hat(A, eps @ A.act[int(beta[g])])
+        ok &= (lhs == rhs).all(axis=(-2, -1))
+    return ok
 
 
 def compatible_pairs(A: FiniteModule, auts: list[np.ndarray] | None = None) -> list[CompatiblePair]:
@@ -116,11 +120,10 @@ def compatible_pairs(A: FiniteModule, auts: list[np.ndarray] | None = None) -> l
     for beta in auts:
         beta = np.asarray(beta, dtype=np.int64)
         hats = hat_matrix(A, modules.hom_space(A, A, beta=beta).all_matrices())
-        for eps_hat in hats[automorphism_mask(A, hats)]:
-            pair = CompatiblePair(beta, eps_hat)
-            if not satisfies_compatibility(A, pair):
-                raise PairError("hom space produced an incompatible pair")
-            out.append(pair)
+        hats = hats[automorphism_mask(A, hats)]
+        if not satisfies_compatibility(A, beta, hats).all():
+            raise PairError("hom space produced an incompatible pair")
+        out.extend(CompatiblePair(beta, eps_hat) for eps_hat in hats)
     return out
 
 
@@ -157,13 +160,23 @@ def act_on_cochains(H: CohomologyGroup, beta, eps_hats, rows) -> np.ndarray:
     return out.reshape(len(out), *rows.shape)
 
 
-def induced_h2_matrix(H: CohomologyGroup, pair: CompatiblePair) -> np.ndarray:
-    """Matrix of the pair action on H coordinates (row i = image of gen i)."""
-    rows = [H.coords(act_on_cochain(H, pair, g)) for g in H.structure.gens]
+def induced_h2_matrix(H: CohomologyGroup, beta, eps_hats) -> np.ndarray:
+    """Matrices of the pairs (beta, eps_hats[s]) on H coordinates, at [s]
+    (row i = image of gen i): one action on the whole stack, then one
+    stacked coordinate solve."""
     k = len(H.structure.exps)
-    if not rows:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.vstack(rows).astype(np.int64).reshape(k, k)
+    if not k:
+        return np.zeros((len(eps_hats), 0, 0), dtype=np.int64)
+    moved = act_on_cochains(H, beta, eps_hats, H.structure.gens)
+    return H.coords(moved.reshape(-1, moved.shape[-1])).reshape(len(eps_hats), k, k)
+
+
+def _h2_matrices(H: CohomologyGroup, pairs: list[CompatiblePair]) -> list[np.ndarray]:
+    """The matrix of each pair on H coordinates, one stack per beta."""
+    by_beta: dict[bytes, tuple[np.ndarray, list]] = {}
+    for pair in pairs:
+        by_beta.setdefault(pair.beta.tobytes(), (pair.beta, []))[1].append(pair.eps_hat)
+    return [M for beta, eps in by_beta.values() for M in induced_h2_matrix(H, beta, np.stack(eps))]
 
 
 def _apply_coord_matrix(H: CohomologyGroup, M: np.ndarray, coords) -> tuple:
@@ -193,11 +206,7 @@ class OrbitPartition:
 
 def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartition:
     """Exact orbit partition of H under the pairs, by breadth-first closure."""
-    mats = {}
-    for pair in pairs:
-        M = induced_h2_matrix(H, pair)
-        mats[M.tobytes()] = M
-    gens = list(mats.values())
+    gens = list({M.tobytes(): M for M in _h2_matrices(H, pairs)}.values())
     # close the induced image under composition to get the acting order
     mods = np.array([H.spec.p**e for e in H.structure.exps], dtype=np.int64)
     closed = groups.closure(gens, gens, lambda X, Y: (X @ Y) % mods[None, :] if X.size else X,
@@ -453,7 +462,8 @@ def rho_pi_data(T: LatticeModule, chain: CentralChain, n: int, period: int) -> R
     comp = complement_En(T, chain, n, period)
     rho_pairs = [one_plus(A, row) for row in comp.E_flat]
     for pair in rho_pairs:
-        if not (is_module_automorphism(A, pair.eps_hat) and satisfies_compatibility(A, pair)):
+        if not (is_module_automorphism(A, pair.eps_hat)
+                and satisfies_compatibility(A, pair.beta, pair.eps_hat[None])[0]):
             raise PairError("1 + eps is not a compatible pair")
     c = T.p**bounds.c_exp
     gens = []
@@ -493,10 +503,8 @@ def check_centralizing(A: FiniteModule, data: RhoPiData) -> bool:
 def check_pi_rho_trivial_on_h2(H: CohomologyGroup, data: RhoPiData) -> bool:
     mods = _mods(H)
     ident = np.eye(len(H.structure.exps), dtype=np.int64) % mods[None, :]
-    for pair in data.pi_rho_pairs:
-        if not np.array_equal(induced_h2_matrix(H, pair) % mods[None, :], ident):
-            return False
-    return True
+    return all(np.array_equal(M % mods[None, :], ident)
+               for M in _h2_matrices(H, data.pi_rho_pairs))
 
 
 def _mods(H: CohomologyGroup) -> np.ndarray:
@@ -554,7 +562,7 @@ def generator_pairs(T: LatticeModule, chain: CentralChain, n: int, period: int,
         eps_nd = canonical_hat(A_nd, np.eye(A_nd.rank, dtype=np.int64) + hat_matrix(A_nd, C_nd))
         at_nd = CompatiblePair(np.arange(T.group.order, dtype=np.int64), eps_nd)
         if not (is_module_automorphism(A_nd, at_nd.eps_hat)
-                and satisfies_compatibility(A_nd, at_nd)):
+                and satisfies_compatibility(A_nd, at_nd.beta, at_nd.eps_hat[None])[0]):
             raise PairError("shifted complement generator is not a compatible pair")
         out.append(GeneratorPair("complement", at_n, at_nd))
     return out
@@ -571,8 +579,9 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
     nd = n + period
     Q_n, Q_nd = chain.quotient(n), chain.quotient(nd)
     data = rho_pi_data(T, chain, n, period)
-    lev_n = cohomology.level_split(chain, n, n, period)
-    lev_nd = cohomology.level_split(chain, n, nd, period)
+    base = cohomology.frame_base(chain, n, period)
+    lev_n = cohomology.level_split(chain, base, n, period)
+    lev_nd = cohomology.level_split(chain, base, nd, period)
     H_n, H_nd = lev_n.H, lev_nd.H
     gens = generator_pairs(T, chain, n, period, Q_n, Q_nd, data)
     witness = None

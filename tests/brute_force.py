@@ -422,6 +422,26 @@ def brute_act_on_cochain(H, pair, row):
     return out
 
 
+def extension_table_by_formula(gmul, moduli, act_coords, tau_coords):
+    """The table of A x G with (a, g)(b, h) = (a.h + b + tau(g, h), gh), read
+    from the flat pair index x * n + y of every entry, all in int64.  Element
+    g * |A| + i is (a, g) for the i-th coordinate row a in mixed radix."""
+    gmul = np.asarray(gmul, dtype=np.int64)
+    moduli = np.asarray(moduli, dtype=np.int64)
+    place = np.array([int(np.prod(moduli[j + 1:])) for j in range(len(moduli))], dtype=np.int64)
+    na = int(np.prod(moduli))
+    n = gmul.shape[0] * na
+    x, y = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    g, a = np.divmod(x, na)
+    h, b = np.divmod(y, na)
+    a_coords = a[:, None] // place % moduli
+    b_coords = b[:, None] // place % moduli
+    act = np.asarray(act_coords, dtype=np.int64)
+    tau = np.asarray(tau_coords, dtype=np.int64)
+    s = (np.einsum("ki,kij->kj", a_coords, act[h]) + b_coords + tau[g, h]) % moduli
+    return (gmul[g, h] * na + s @ place).reshape(n, n)
+
+
 # ---------------------------------------------------------------------------
 # The slower paths the package replaced, kept to pin the faster ones down.
 # ---------------------------------------------------------------------------

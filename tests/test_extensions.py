@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from coclass import cohomology, extensions, groups, linalg, modules, pairs
+from coclass import cohomology, extensions, groups, linalg, modules, pairs, scenarios
+
+from brute_force import extension_table_by_formula
 
 
 def cyclic_table(n):
@@ -171,3 +173,19 @@ def test_projection_is_checked_on_the_generator_edges():
                                     ext.fiber_elements)
     with pytest.raises(extensions.ExtensionError, match="not a homomorphism"):
         extensions._validate_extension(bad)
+
+
+@pytest.mark.parametrize("stage, level", [(2, 6), (3, 5)])
+def test_extension_table_matches_the_int64_formula(stage, level):
+    # order 512, so the flat pair index of the oracle runs far past 2^15
+    top = scenarios.load_scenario("dihedral_mainline").stage(stage)
+    A = top.chain.quotient(level).module
+    H = cohomology.finite_cohomology(A, 2)
+    tau_hat = H.representative([1] * len(H.structure.exps))
+    tau = extensions.cocycle_value_table(A, tau_hat)
+    assert tau.any()
+    ext = extensions.build_extension(top.group, A, tau_hat)
+    assert ext.table.order == 512
+    assert ext.table.mul.dtype == groups.index_dtype(512)
+    want = extension_table_by_formula(top.group.mul, A.coord_moduli(), A.plain, tau)
+    assert np.array_equal(ext.table.mul, want)

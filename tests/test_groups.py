@@ -84,6 +84,44 @@ def test_bad_table_rejected():
         groups.make_table(bad)
 
 
+def test_index_type_follows_the_order():
+    # the rule alone, at the boundary; no table of order 2^15 + 1 is built
+    assert groups.index_dtype(1) == np.int16
+    assert groups.index_dtype(2**15) == np.int16
+    assert groups.index_dtype(2**15 + 1) == np.int32
+
+
+def test_every_builder_stores_the_narrowest_index_type():
+    D8 = groups.build_group(D8_PRESENTATION)
+    C2 = groups.make_table(cyclic_table(2))
+    built = [
+        groups.from_permutations([(1, 2, 0), (1, 0, 2)])[0],
+        groups.build_group(D8_MATRICES),
+        D8,
+        groups.make_table(cyclic_table(5)),
+        groups.make_table(np.array(cyclic_table(6), dtype=np.uint8)),
+        groups.restricted_table(D8, D8.lcs().terms[1])[0],
+        groups.abelian_extension_table(C2.mul, [4], [[[1]], [[-1]]]),
+    ]
+    for G in built:
+        assert G.mul.dtype == groups.index_dtype(G.order), G.order
+
+
+def test_a_table_of_another_index_type_is_refused():
+    G = groups.make_table(cyclic_table(4))
+    with pytest.raises(groups.GroupError, match="int16"):
+        groups.GroupTable(G.mul.astype(np.int64), 0, G.inverses, G.generators)
+
+
+@pytest.mark.parametrize("entry", [1 + 65536, 5 + 65536, -1, 1 - 65536])
+def test_entries_are_range_checked_before_they_are_narrowed(entry):
+    # 1 + 65536 and 1 - 65536 would wrap to the right product 1 in int16
+    mul = np.array(cyclic_table(5), dtype=np.int64)
+    mul[3, 3] = entry
+    with pytest.raises(groups.GroupError, match="out of range"):
+        groups.make_table(mul)
+
+
 def test_nonassociative_rejected():
     # latin square that is not a group table (order 5 loop)
     sq = [

@@ -3,6 +3,8 @@ import pytest
 
 from coclass import cohomology, groups, linalg, modules, pairs
 
+from brute_force import brute_act_on_cochain
+
 
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -196,7 +198,7 @@ def test_rho_pi_structure_d8():
     H = cohomology.finite_cohomology(A, 2)
     assert pairs.check_pi_rho_trivial_on_h2(H, data)
     for pair in data.rho_pairs:
-        assert pairs.satisfies_compatibility(A, pair)
+        assert pairs.satisfies_compatibility(A, pair.beta, pair.eps_hat[None]).all()
         assert pairs.is_module_automorphism(A, pair.eps_hat)
 
 
@@ -230,3 +232,33 @@ def test_orbit_stabilizer_products():
     for s, st in zip(orb.sizes, orb.stabilizer_sizes):
         assert s * st == orb.acting_order
     assert sum(orb.sizes) == H.order
+
+
+def test_compatibility_mask_matches_the_pair_enumeration():
+    # every automorphism eps of A is tested against every beta at once; the
+    # mask must pick out exactly the pairs that the hom spaces produce
+    T, chain, _ = d8_setup()
+    A = modules.quotient(T, chain, 3).module
+    ps = pairs.compatible_pairs(A)
+    stack = np.stack(list({p.eps_hat.tobytes(): p.eps_hat for p in ps}.values()))
+    betas = {p.beta.tobytes(): p.beta for p in ps}
+    assert len(betas) > 1
+    for key, beta in betas.items():
+        found = {p.eps_hat.tobytes() for p in ps if p.beta.tobytes() == key}
+        want = [eps.tobytes() in found for eps in stack]
+        assert pairs.satisfies_compatibility(A, beta, stack).tolist() == want
+        assert 0 < sum(want) < len(stack)
+
+
+def test_induced_matrices_of_a_stack_match_the_per_pair_action():
+    T, chain, _ = d8_setup()
+    A = modules.quotient(T, chain, 4).module
+    H = cohomology.finite_cohomology(A, 2)
+    ps = pairs.compatible_pairs(A)
+    beta = ps[-1].beta
+    eps = np.stack([p.eps_hat for p in ps if np.array_equal(p.beta, beta)])
+    got = pairs.induced_h2_matrix(H, beta, eps)
+    for M, e in zip(got, eps):
+        pair = pairs.CompatiblePair(beta, e)
+        want = [H.coords(brute_act_on_cochain(H, pair, g)) for g in H.structure.gens]
+        assert np.array_equal(M, np.array(want))

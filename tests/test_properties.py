@@ -297,3 +297,30 @@ def test_stacked_reduce_matches_the_row_by_row_loop(pM, ngens, nrows, data):
     want = [[reduce_one_row(H, v) for v in rows] for rows in stack]
     assert np.array_equal(got, np.array(want).reshape(stack.shape))
     assert not np.any(got[0])
+
+
+@given(st.sampled_from([(2, 5), (3, 3), (5, 2)]), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_stacked_solve_and_coords_match_the_row_by_row_calls(pM, ngens, nrows, data):
+    p, M = pM
+    q = p**M
+    width = data.draw(st.integers(1, 4))
+    rows = st.lists(st.lists(st.integers(0, q - 1), min_size=width, max_size=width),
+                    min_size=1, max_size=ngens)
+    K = np.array(data.draw(rows), dtype=np.int64)
+    B = (p * K[:data.draw(st.integers(0, len(K)))]) % q
+    coeffs = np.array(data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=len(K),
+                                                   max_size=len(K)),
+                                          min_size=nrows, max_size=nrows)), dtype=np.int64)
+    stack = (coeffs @ K) % q
+    qg = linalg.quotient_group(K, B, p, M)
+    want = np.array([qg.coords(v) for v in stack]).reshape(nrows, len(qg.exps))
+    assert np.array_equal(qg.coords(stack), want)
+    H = linalg.howell(K, p, M, track=True)
+    solved = H.solve(stack)
+    assert np.array_equal(solved, np.array([H.solve(v) for v in stack]))
+    assert np.array_equal((solved @ K) % q, stack)
+    outside = next((v for v in np.eye(width, dtype=np.int64) if not H.contains(v)), None)
+    if outside is not None:
+        assert H.solve(np.vstack([stack, outside])) is None

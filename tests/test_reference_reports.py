@@ -6,6 +6,9 @@ CLI printed for that argv.  The files are only read here.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,29 @@ def test_stored_report_is_reproduced(capsys, monkeypatch, name):
     monkeypatch.chdir(DATA.parent.parent)
     assert cli.main(STORED[name]) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+# A child's ru_maxrss starts at the peak of the process it was forked from,
+# so the CLI is started by a fresh, small interpreter, which reads the CLI's
+# own peak through os.wait4 (RUSAGE_CHILDREN would give the largest earlier
+# child) and prints its exit code and that peak in KiB.
+LAUNCH = ("import os, subprocess, sys\n"
+          "with open(sys.argv[1], 'wb') as sink:\n"
+          "    child = subprocess.Popen(sys.argv[2:], stdout=sink)\n"
+          "_, status, usage = os.wait4(child.pid, 0)\n"
+          "child.returncode = os.waitstatus_to_exitcode(status)\n"
+          "print(child.returncode, usage.ru_maxrss)\n")
+
+
+def test_verify_lcs_at_order_4096_stays_under_160_mib(tmp_path):
+    # its tables of order 16 to 4096 are all kept; at int16 entries they hold
+    # 43 MiB, at int64 they held 171 MiB
+    out = tmp_path / "lcs.out"
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
+    argv = [sys.executable, "-m", "coclass.cli"] + STORED["d8_gaussian.verify-lcs-4096.out"]
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, str(out)] + argv, env=env,
+                          capture_output=True, text=True, check=True)
+    code, peak_kib = (int(x) for x in proc.stdout.split())
+    assert code == 0
+    assert out.read_bytes() == (DATA / "d8_gaussian.verify-lcs-4096.out").read_bytes()
+    assert peak_kib < 160 * 1024, "peak RSS %.1f MiB" % (peak_kib / 1024)

@@ -247,3 +247,21 @@ def test_scan_builds_one_frame_per_residue_class(source, frames):
     for k, levels in frames.items():
         keys = [key for key in scn.stage(k).chain._memo if key[0] == "frame"]
         assert sorted(keys) == [("frame", n, 2) for n in levels], k
+
+
+@pytest.mark.parametrize("source, n, base", [
+    ("d8_gaussian", None, 2),
+    ("d8_gaussian", 6, 2),
+    ("dihedral_mainline", 3, 1),
+])
+def test_correspondence_splits_through_the_frame_of_the_residue_class(monkeypatch, source, n,
+                                                                       base):
+    scn = scenarios.load_scenario(source)
+    shared = scenarios.orbit_correspondence_report(scn, n).result
+    assert sorted(k for k in scn.chain()._memo if k[0] == "frame") == [("frame", base, 2)]
+    # the same certificate through the frame of the correspondence's own level
+    own = scenarios.load_scenario(source)
+    monkeypatch.setattr(cohomology, "frame_base", lambda chain, level, period: level)
+    per_level = scenarios.orbit_correspondence_report(own, n).result
+    assert sorted(k for k in own.chain()._memo if k[0] == "frame") == [("frame", shared.level, 2)]
+    assert shared.ok and shared == per_level
