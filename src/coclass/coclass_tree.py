@@ -213,8 +213,7 @@ def nu_shift(scn: Scenario, src: BranchGraph,
     chain = top.chain
     for v in src.vertices:
         n = v.level
-        lev_n, lev_nd = (cohomology.level_split(chain, cohomology.frame_base(chain, t, d), t, d)
-                         for t in (n, n + d))
+        lev_n, lev_nd = cohomology.level_split(chain, n), cohomology.level_split(chain, n + d)
         row = lev_n.H.representative(np.array(v.class_coords, dtype=np.int64))
         shifted = cohomology.id_oplus_mu(lev_n, lev_nd, row)
         lv_t = _level_data(top, n + d)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CoclassError, linalg, modules
+from . import CoclassError, Owner, linalg, modules
 from .groups import GroupTable
 from .modules import FiniteModule, LatticeModule, QuotientModule
 
@@ -41,8 +41,9 @@ class CohomologyError(CoclassError):
 
 
 @dataclass
-class CoefficientSpace:
-    """Uniform coefficient description for the cochain complex."""
+class CoefficientSpace(Owner):
+    """Uniform coefficient description for the cochain complex; it holds the
+    Smith forms of its coboundaries and the lattice invariants read from them."""
 
     group: GroupTable
     p: int
@@ -56,6 +57,16 @@ class CoefficientSpace:
     def q(self) -> int:
         return self.p**self.E
 
+    def generator_smith(self, k: int) -> linalg.Smith:
+        """Smith form, with U, of the generator columns of d^k (by the rule in
+        `cocycle_rows` they carry the divisors of all of d^k); built once."""
+        return self.derived(("smith", k), lambda: _generator_smith(self, k))
+
+
+def _generator_smith(spec: CoefficientSpace, k: int) -> linalg.Smith:
+    return linalg.smith(coboundary_matrix(spec, k)[:, _generator_columns(spec, k)],
+                        spec.p, spec.E)
+
 
 def finite_coefficients(A: FiniteModule) -> CoefficientSpace:
     return CoefficientSpace(A.group, A.p, A.E, A.rank, A.act % A.q, A.scales(), False)
@@ -66,7 +77,8 @@ def lattice_coefficients(T: LatticeModule, basis=None) -> CoefficientSpace:
 
     The action conjugated into the sublattice basis is only determined modulo
     p^{N - a}, where p^a is the largest elementary divisor of the basis, so
-    the returned space works at that reduced precision.
+    the returned space works at that reduced precision.  In the primitive
+    basis of a chain level (`primitive_basis`) a does not grow with depth.
     """
     p, N, q = T.p, T.ctx.N, T.q
     if basis is None:
@@ -77,15 +89,10 @@ def lattice_coefficients(T: LatticeModule, basis=None) -> CoefficientSpace:
         B = np.asarray(basis, dtype=np.int64) % q
         d = B.shape[0]
         E = _basis_precision(T, B)
-        qE = p**E
-        HB = linalg.howell(B, p, N, track=True)
-        mats = []
-        for g in range(T.group.order):
-            rows = [HB.solve(v) for v in (B @ T.act[g]) % q]
-            if any(x is None for x in rows):
-                raise CohomologyError("sublattice is not invariant under the action")
-            mats.append(np.vstack(rows) % qE)
-        act = np.stack(mats)
+        act = linalg.howell(B, p, N, track=True).solve((B @ T.act) % q)
+        if act is None:
+            raise CohomologyError("sublattice is not invariant under the action")
+        act %= p**E
     return CoefficientSpace(T.group, p, E, d, act, np.ones(d, dtype=np.int64), True)
 
 
@@ -237,8 +244,7 @@ def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
     if m < 1:
         raise CohomologyError("lattice invariants need degree m >= 1, not %d" % m)
     E = spec.E
-    D = coboundary_matrix(spec, m - 1)[:, _generator_columns(spec, m - 1)]
-    s = linalg.smith(D, spec.p, E, want_left=False)
+    s = spec.generator_smith(m - 1)
     finite = [a for a in s.exps if a < E]
     rank = _coboundary_rank(spec, m - 1)
     if len(finite) != rank:
@@ -302,20 +308,51 @@ def lattice_cohomology(T: LatticeModule, m: int, basis=None) -> CohomologyGroup:
 
 
 # ---------------------------------------------------------------------------
-# derived objects held by the chain they come from; each accessor looks in
-# the chain's memo before it computes
+# derived objects held by the chain they come from, or by the coefficient
+# space of a residue class it holds; each accessor looks in the memo first
 
 
-def lattice_exps(chain: modules.CentralChain, m: int, n: int | None = None) -> list[int]:
-    """Invariant exponents of the lattice H^m(R, T_n), or of H^m(R, T) for n None.
+def primitive_basis(chain: modules.CentralChain, n: int) -> tuple[np.ndarray, int]:
+    """(B', c_n): c_n is the largest exponent with p^{c_n} dividing every
+    entry of chain.bases[n], and B' = chain.bases[n] / p^{c_n}.
+
+    B' spans the lattice T' = p^{-c_n} T_n, and multiplication by p^{c_n} is
+    a module isomorphism T' -> T_n.  The chain is periodic, T_{n+kd} = p^k T_n,
+    so every level of a residue class modulo the period d has the same B'
+    (its Howell rows are those of T' times p^{c_n}), and the class is named by
+    it.  Were two levels of a class to differ in B', they would get two
+    frames, and `id_oplus_mu` would refuse to shift between them.
+    """
+    T = chain.lattice
+    B = chain.bases[n]
+    c = 0
+    while c < T.ctx.N and not np.any(B % T.p ** (c + 1)):
+        c += 1
+    return B // T.p**c, c
+
+
+def _class_key(basis: np.ndarray) -> bytes:
+    return np.asarray(basis, dtype=np.int64).tobytes()
+
+
+def class_coefficients(chain: modules.CentralChain, n: int = 0) -> CoefficientSpace:
+    """The action conjugated into the primitive basis of level n, shared by
+    n's residue class; level 0 is T itself."""
+    basis, _ = primitive_basis(chain, n)
+    return chain.derived(("coefficients", _class_key(basis)),
+                         lambda: lattice_coefficients(chain.lattice, basis))
+
+
+def lattice_exps(chain: modules.CentralChain, m: int, n: int = 0) -> list[int]:
+    """Invariant exponents of the lattice H^m(R, T_n), with T_0 = T.
 
     Only the exponents are kept: every reader needs the exponent or the order.
-    They come from the Smith divisors of d^{m-1} by `lattice_invariants`, so
-    the larger d^m is never built.
+    T_n is isomorphic to the lattice of its primitive basis, so they are read
+    by `lattice_invariants` once per residue class, from the Smith divisors of
+    d^{m-1} on the class coefficients; the larger d^m is never built.
     """
-    basis = None if n is None else chain.bases[n]
-    return chain.derived(("lattice H", m, n), lambda: lattice_invariants(
-        lattice_coefficients(chain.lattice, basis), m))
+    spec = class_coefficients(chain, n)
+    return spec.derived(("lattice H", m), lambda: lattice_invariants(spec, m))
 
 
 def level_cohomology(chain: modules.CentralChain, n: int, m: int) -> CohomologyGroup:
@@ -324,60 +361,26 @@ def level_cohomology(chain: modules.CentralChain, n: int, m: int) -> CohomologyG
 
 
 def level_frame(chain: modules.CentralChain, n: int, m: int = 2) -> "SplitFrame":
-    return chain.derived(("frame", n, m), lambda: split_frame(chain.lattice, chain, n, m))
+    """The split frame of level n's residue class; raises what keeps it from
+    serving level n, before the frame is built."""
+    basis, c = primitive_basis(chain, n)
+    _scale(chain, n, c, max(lattice_exps(chain, m + 1, n), default=0))
+    return chain.derived(("frame", m, _class_key(basis)),
+                         lambda: split_frame(chain.lattice, chain, n, m))
 
 
-def check_shared_frame(chain: modules.CentralChain, n: int) -> None:
-    """Raise what `split_frame` would raise at level n, for a level above the
-    base of a built frame in its residue class modulo the chain period d.
-
-    The chain is periodic (T_{i+d} = p T_i, as `modules.chain_period`
-    certifies for every scenario and stage chain), so T_n = p^k T_base and
-    multiplication by p^k is a module isomorphism T_base -> T_n.  Its
-    conjugated action is the base's, up to a change of basis, read at the
-    precision E_n = E_base - k left after the basis change.  Of the frame's
-    checks, only two get stricter with k, and both are made here: E_n must
-    be at least v_p|G| + 3, and the rank certificate needs p^(E_n - v_p|G|)
-    above the rank.  The rest pass as at the base:
-      - T_n = p^k T_base lies in T_base, so in f.T;
-      - the exponents of H^{m+1}(R, T_n) are at most v_p|G| < E_n, so they,
-        f, the trace average and the rational rank read as at the base;
-      - on D = T_n / f, read at E_n + v_p(f), the Smith divisors of d^m are
-        the base's capped at that precision: none lands above v_p(f), and
-        the ones up to v_p(f) still sum to the order of H^{m+1}.
-    Each split still certifies itself in `split_at_level`.
-    """
-    T, B = chain.lattice, chain.bases[n]
-    _rank_modulus(T.group, T.p, _basis_precision(T, B), B.shape[0])
+def _scale(chain: modules.CentralChain, n: int, c: int, f_exp: int) -> int:
+    """c_n - f_exp; raises unless T_n = p^{c_n} T' lies in p^{f_exp} T."""
+    if c < f_exp:
+        raise CohomologyError("T_%d is not contained in %d.T; the level is too small "
+                              "for the split" % (n, chain.lattice.p**f_exp))
+    return c - f_exp
 
 
-def frame_base(chain: modules.CentralChain, n: int, period: int) -> int:
-    """The level whose split frame serves level n: the first level of n's
-    residue class modulo the period, counting from 1, whose frame builds.
-    A level above it must pass `check_shared_frame`; when no frame up to n
-    builds, this raises what the frame of level n raised."""
-    for base in range((n - 1) % period + 1, n + 1, period):
-        error = chain.derived(("frame error", base), lambda: _frame_error(chain, base))
-        if error is None:
-            if base < n:
-                chain.derived(("shared frame", n), lambda: check_shared_frame(chain, n))
-            return base
-    raise error
-
-
-def _frame_error(chain: modules.CentralChain, n: int) -> CohomologyError | None:
-    try:
-        level_frame(chain, n)
-    except CohomologyError as exc:
-        return exc
-    return None
-
-
-def level_split(chain: modules.CentralChain, base: int, n: int, period: int,
-                m: int = 2) -> "SplitLevel":
-    """The split of H^m(R, A_n) through the frame of level `base`."""
-    return chain.derived(("split", base, n, period, m), lambda: split_at_level(
-        level_frame(chain, base, m), chain.lattice, chain, n, period))
+def level_split(chain: modules.CentralChain, n: int, m: int = 2) -> "SplitLevel":
+    """The split of H^m(R, A_n) through the frame of n's residue class."""
+    return chain.derived(("split", n, m), lambda: split_at_level(
+        level_frame(chain, n, m), chain, n))
 
 
 # ---------------------------------------------------------------------------
@@ -394,72 +397,49 @@ def lattice_row_to_quotient(Q: QuotientModule, row) -> np.ndarray:
 
 @dataclass
 class SplitFrame:
-    """Level-independent data for splitting H^m(R, A_n), computed once per
-    residue class of n modulo the chain period.
+    """Data for splitting H^m(R, A_n), shared by the residue class of n
+    modulo the chain period: the levels whose primitive basis is `basis`.
 
-    theta_rows generate Z^m(R, T) at precision N.  K_lifts are T-valued
-    cochains delta_i = (f / b_i) a_i from the Smith frame of the coboundary on
-    the intermediate lattice D = T_n / f; their reductions mod T_n generate
-    the complement K = H^{m+1}(R, T_n) inside Z^m(R, A_n).
+    theta_rows generate Z^m(R, T) at precision N.  K_lifts are the T-valued
+    cochains delta_i = p^{f_exp - a_i} U_i B', read slot by slot from B'
+    coordinates, for the divisors p^{a_i} of the class Smith form
+    U d^m V = diag(p^{a_i}) (generator columns, B' coordinates).  At a level
+    with c_n >= f_exp, the reductions of p^{c_n - f_exp} delta_i mod T_n
+    generate the complement K = H^{m+1}(R, T_n) inside Z^m(R, A_n).
     """
 
     m: int
-    base_level: int
+    basis: np.ndarray  # the primitive basis B' of the class
     f_exp: int  # v_p(exp H^{m+1}(R, T_n))
     theta_rows: np.ndarray
     theta_precision: int  # theta_rows are determined mod p^theta_precision
     K_lifts: np.ndarray
-    K_divisor_exps: list[int]  # v_p(b_i), each in (0, f_exp]
-    h_next_order_exp: int  # v_p |H^{m+1}(R, T_n)|
+    K_divisor_exps: list[int]  # the a_i, each in (0, f_exp]
 
 
 def split_frame(T: LatticeModule, chain: modules.CentralChain, n: int, m: int = 2) -> SplitFrame:
-    """The frame of level n; T is chain.lattice."""
-    p, N, q = T.p, T.ctx.N, T.q
-    d = T.rank
-    Bn = chain.bases[n]
-    next_exps = lattice_exps(chain, m + 1, n)
-    vf = max(next_exps, default=0)
-    f = p**vf
-    if np.any(Bn % f):
-        raise CohomologyError(
-            "T_%d is not contained in %d.T; the level is too small for the split" % (n, f)
-        )
+    """The frame of the residue class of level n; T is chain.lattice.
+
+    It reads the class Smith form that `lattice_exps` reads H^{m+1}(R, T_n)
+    from, so its rank certificate and |G| bound hold, every divisor a_i lies
+    in (0, f_exp] and they sum to v_p |H^{m+1}|.  On the generator columns
+    U_i d^m is p^{a_i} times a row of the unit V^-1, so d(delta_i) vanishes
+    mod p^{f_exp} there, and so everywhere by the rule in `cocycle_rows`.
+    """
+    p, q, d = T.p, T.q, T.rank
+    basis, _ = primitive_basis(chain, n)
+    spec = class_coefficients(chain, n)
+    f_exp = max(lattice_exps(chain, m + 1, n), default=0)
+    s = spec.generator_smith(m)
     theta, theta_prec = chain.derived(("cocycles", m),
-                                      lambda: cocycle_rows(lattice_coefficients(T), m))
-    if vf == 0:
-        return SplitFrame(m, n, 0, theta, theta_prec,
-                          np.zeros((0, theta.shape[1])).astype(np.int64),
-                          [], sum(next_exps))
-    BD = (Bn // f) % q
-    specD = lattice_coefficients(T, basis=BD)
-    ED = specD.E
-    Dm = coboundary_matrix(specD, m)
-    s = linalg.smith(Dm, p, ED, want_left=True, want_right=False)
-    nrows = Dm.shape[0]
-    exps = list(s.exps) + [ED] * (nrows - len(s.exps))
-    lifts = []
-    divisors = []
-    for i, a in enumerate(exps):
-        if 0 < a <= vf:
-            delta_D = (p ** (vf - a) * s.U[i]) % q  # (f/b_i) a_i in D coordinates
-            # convert per slot from D coordinates to ambient T coordinates
-            slots = delta_D.reshape(-1, d)
-            amb = (slots @ BD) % q
-            lifts.append(amb.reshape(-1))
-            divisors.append(a)
-        elif vf < a < ED:
-            raise CohomologyError(
-                "coboundary divisor p^%d exceeds exp H^%d = p^%d; precision problem" % (a, m + 1, vf)
-            )
-    lifts_arr = np.vstack(lifts) if lifts else np.zeros((0, theta.shape[1]), dtype=np.int64)
-    frame = SplitFrame(m, n, vf, theta, theta_prec, lifts_arr, divisors, sum(next_exps))
-    if sum(divisors) != frame.h_next_order_exp:
-        raise CohomologyError(
-            "complement order p^%d disagrees with |H^%d(T_n)| = p^%d"
-            % (sum(divisors), m + 1, frame.h_next_order_exp)
-        )
-    return frame
+                                      lambda: cocycle_rows(class_coefficients(chain), m))
+    rows = [i for i, a in enumerate(s.exps) if 0 < a < spec.E]
+    divisors = [s.exps[i] for i in rows]
+    scale = np.array([p ** (f_exp - a) for a in divisors], dtype=np.int64)
+    delta = (scale[:, None] * s.U[rows]) % q  # in B' coordinates, slot by slot
+    lifts = linalg.dot_mod(delta.reshape(-1, d), basis, q, q)
+    return SplitFrame(m, basis, f_exp, theta, theta_prec,
+                      lifts.reshape(len(rows), s.U.shape[1]), divisors)
 
 
 @dataclass
@@ -469,7 +449,7 @@ class SplitLevel:
     frame: SplitFrame
     Q: QuotientModule
     level: int
-    scale_exp: int  # (n - base_level) / period
+    scale_exp: int  # c_n - f_exp; grows by one per period step
     theta_hat: np.ndarray
     K_hat: np.ndarray
     H: CohomologyGroup
@@ -496,12 +476,16 @@ class SplitLevel:
         return (self.Q.lattice.p**self.scale_exp * out) % q
 
 
-def split_at_level(frame: SplitFrame, T: LatticeModule, chain: modules.CentralChain,
-                   n: int, period: int) -> SplitLevel:
+def split_at_level(frame: SplitFrame, chain: modules.CentralChain, n: int) -> SplitLevel:
+    """The split of Z^m(R, A_n) through a frame that serves level n, with
+    its certificate: the theta image and the complement p^{c_n - f_exp} K_lifts,
+    reduced mod T_n, span the cocycles of A_n and meet in zero."""
+    T = chain.lattice
+    basis, c = primitive_basis(chain, n)
+    if not np.array_equal(basis, frame.basis):
+        raise CohomologyError("frame of another residue class cannot serve level %d" % n)
+    k = _scale(chain, n, c, frame.f_exp)
     Q = chain.quotient(n)
-    if (n - frame.base_level) % period or n < frame.base_level:
-        raise CohomologyError("frame at level %d cannot serve level %d" % (frame.base_level, n))
-    k = (n - frame.base_level) // period
     if frame.theta_precision < Q.module.E:
         raise CohomologyError("cocycle precision p^%d below module precision p^%d"
                               % (frame.theta_precision, Q.module.E))

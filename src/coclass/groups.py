@@ -130,18 +130,26 @@ def _powers(mul: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _validate_table(mul: np.ndarray, identity: int) -> np.ndarray:
+    """Range, identity and inverses, checked in `_row_blocks` blocks so that
+    no n x n temporary is made; returns the inverse of each element."""
     n = mul.shape[0]
     if mul.shape != (n, n):
         raise GroupError("multiplication table must be square")
-    if np.any(mul < 0) or np.any(mul >= n):
-        raise GroupError("table entries out of range")
+    inverses = np.empty(n, dtype=np.int64)
+    unique = np.empty(n, dtype=bool)  # exactly one right inverse in the row
+    x0 = 0
+    for block in _row_blocks(mul):
+        if np.any(block < 0) or np.any(block >= n):
+            raise GroupError("table entries out of range")
+        hits = block == identity
+        inverses[x0:x0 + len(block)] = np.argmax(hits, axis=1)
+        unique[x0:x0 + len(block)] = np.count_nonzero(hits, axis=1) == 1
+        x0 += len(block)
     if not np.array_equal(mul[identity], np.arange(n)):
         raise GroupError("identity is not a left identity")
     if not np.array_equal(mul[:, identity], np.arange(n)):
         raise GroupError("identity is not a right identity")
-    hits = mul == identity
-    inverses = np.argmax(hits, axis=1)
-    lacking = (hits.sum(axis=1) != 1) | (mul[inverses, np.arange(n)] != identity)
+    lacking = ~unique | (mul[inverses, np.arange(n)] != identity)
     if lacking.any():
         raise GroupError("element %d lacks a two-sided inverse" % np.argmax(lacking))
     return inverses

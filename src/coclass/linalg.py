@@ -71,7 +71,8 @@ def valuation(x: int, p: int) -> int:
 
 @dataclass
 class Smith:
-    """U @ F @ V = diag(p^exps) over Z/p^M (U, V invertible mod p^M)."""
+    """U @ F @ V = diag(p^exps) over Z/p^M (U, V invertible mod p^M), with
+    Vinv the inverse of V whenever V was asked for."""
 
     p: int
     M: int
@@ -79,6 +80,7 @@ class Smith:
     exps: list[int]  # length min(shape), nondecreasing; M encodes a zero diagonal entry
     U: np.ndarray | None
     V: np.ndarray | None
+    Vinv: np.ndarray | None
 
     @property
     def q(self) -> int:
@@ -89,7 +91,9 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
     """Smith normal form over Z/p^M by minimal-valuation pivoting.
 
     Over the local ring the diagonal comes out as p-powers in nondecreasing
-    valuation order without any extra gcd passes.
+    valuation order without any extra gcd passes.  Each column operation on
+    V is the inverse row operation on Vinv, so V and its inverse come out of
+    the same elimination.
     """
     q = p**M
     F = as_matrix(F, q)
@@ -98,6 +102,7 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
     W = np.concatenate([F, eye(r, q)], axis=1) if want_left else F
     A = W[:, :c]
     V = eye(c, q) if want_right else None
+    Vinv = eye(c, q) if want_right else None
     exps: list[int] = []
     n = min(r, c)
     # Divisor valuations are nondecreasing over the local ring, so the search
@@ -131,6 +136,7 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
             A[:, [k, j]] = A[:, [j, k]]
             if V is not None:
                 V[:, [k, j]] = V[:, [j, k]]
+                Vinv[[k, j]] = Vinv[[j, k]]
         # scale the pivot row (and its U part) so the pivot is exactly p^a;
         # columns left of k are zero in A
         pivot = W[k, k:]
@@ -145,24 +151,17 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
             _reduce_inplace(block, q, p)
             W[rows, k:] = block
         # clearing row k right of the pivot touches only V, since column k is
-        # now p^a e_k and row k is never read again
+        # now p^a e_k and row k is never read again; subtracting m_j times
+        # column k of V from column j adds m_j times row j of Vinv to row k
         if V is not None:
             m = A[k, k + 1 :] // pa
             if m.any():
                 V[:, k + 1 :] = (V[:, k + 1 :] - V[:, k][:, None] * m[None, :]) % q
+                Vinv[k] = (Vinv[k] + dot_mod(m, Vinv[k + 1 :], q, q)) % q
         exps.append(vcur)
     exps.extend([M] * (n - len(exps)))
     U = np.ascontiguousarray(W[:, c:]) if want_left else None
-    return Smith(p, M, (r, c), exps, U, V)
-
-
-def invert(A, p: int, M: int):
-    """Inverse of a square matrix over Z/p^M; raises if not invertible."""
-    q = p**M
-    s = smith(A, p, M, want_left=True, want_right=True)
-    if any(e != 0 for e in s.exps) or s.shape[0] != s.shape[1]:
-        raise ValueError("matrix not invertible mod %d^%d" % (p, M))
-    return (s.V @ s.U) % q
+    return Smith(p, M, (r, c), exps, U, V, Vinv)
 
 
 def invertible_mod_p(X, p: int) -> np.ndarray:
@@ -214,21 +213,20 @@ def lattice_kernel(F, p: int, M: int):
     Returns (rows, M_eff): generator rows of the reduction of the exact
     p-adic kernel, valid modulo p^{M_eff}.  Each finite nonzero divisor of F
     costs its exponent in precision, because eliminating past a pivot p^a
-    determines the transform only mod p^{M-a}.
+    determines the transform only mod p^{M-a}.  An empty kernel has no
+    transform rows to lose precision in, so it holds at p^M.
     """
-    q = p**M
     s = smith(F, p, M, want_left=True, want_right=False)
+    r = s.shape[0]
+    rows = [s.U[i] for i, a in enumerate(s.exps) if a >= M]
+    rows.extend(s.U[i] for i in range(len(s.exps), r))
+    if not rows:
+        return zeros((0, r), p**M), M
     loss = sum(a for a in s.exps if 0 < a < M)
     Me = M - loss
     if Me <= 0:
         raise ValueError("no precision left for the kernel (loss %d >= %d)" % (loss, M))
-    r = s.shape[0]
-    rows = [s.U[i] for i, a in enumerate(s.exps) if a >= M]
-    rows.extend(s.U[i] for i in range(len(s.exps), r))
-    qe = p**Me
-    if not rows:
-        return zeros((0, r), qe), Me
-    return np.vstack(rows) % qe, Me
+    return np.vstack(rows) % p**Me, Me
 
 
 @dataclass
@@ -383,11 +381,6 @@ def dot_mod(x, A, bound: int, q: int):
     return ((np.asarray(x, dtype=object) @ A.astype(object)) % q).astype(A.dtype)
 
 
-def solve_rows(gens, b, p: int, M: int):
-    """One x with x @ gens = b over Z/p^M, or None."""
-    return howell(gens, p, M, track=True).solve(b)
-
-
 def span_order_exp(rows, p: int, M: int) -> int:
     """v_p of the order of the row span over Z/p^M."""
     rows = np.asarray(rows)
@@ -461,14 +454,13 @@ def quotient_group(K_rows, B_rows, p: int, M: int) -> QuotientGroup:
     if g == 0:
         return QuotientGroup(p, M, [], zeros((0, np.shape(K_rows)[1]), q), HK, eye(0, q), [])
     rel = row_kernel(Kb, p, M)
-    bcoords = [HK.solve(b) for b in as_matrix(B_rows, q)]
-    if any(x is None for x in bcoords):
+    bcoords = HK.solve(as_matrix(B_rows, q))
+    if bcoords is None:
         raise ValueError("B is not contained in K")
-    pieces = [rel] + ([np.vstack(bcoords)] if bcoords else [])
-    pieces = [x for x in pieces if x.shape[0] > 0]
+    pieces = [x for x in (rel, bcoords) if x.shape[0] > 0]
     L = np.vstack(pieces) if pieces else zeros((0, g), q)
     s = smith(L, p, M, want_left=False, want_right=True)
-    Vinv = invert(s.V, p, M)
+    Vinv = s.Vinv
     exps = list(s.exps) + [M] * (g - len(s.exps))
     kept = [i for i, a in enumerate(exps) if a > 0]
     gens = []

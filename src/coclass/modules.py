@@ -330,8 +330,7 @@ def quotient(T: LatticeModule, chain: CentralChain, n: int) -> QuotientModule:
     else:
         B = chain.bases[n]
     s = linalg.smith(B, p, N, want_left=False, want_right=True)
-    V = s.V
-    Vinv = linalg.invert(V, p, N)
+    V, Vinv = s.V, s.Vinv
     exps = list(s.exps)
     kept = [i for i, e in enumerate(exps) if e > 0]
     kexps = [min(exps[i], N) for i in kept]
@@ -504,10 +503,10 @@ def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None
         raise ModuleError("distinguished generator does not generate the module")
     # X[i] expresses the hatted coordinate generator e_i in the orbit rows
     solver = linalg.howell(orbit, p, V.E, track=True)
-    X = [solver.solve(e) for e in V.member_rows()]
-    if any(x is None for x in X):
+    X = solver.solve(V.member_rows())
+    if X is None:
         raise ModuleError("failed to express a coordinate generator in the orbit")
-    X, bound = np.vstack(X), max(V.q, W.q)
+    bound = max(V.q, W.q)
     rows = [linalg.dot_mod(X, (w @ Wt.act) % W.q, bound, W.q).reshape(-1) for w in fixed]
     if not rows:
         return np.zeros((0, V.rank * W.rank), dtype=np.int64)

@@ -359,7 +359,8 @@ class Complement:
 
 
 def _lift_plain_endo(Q: QuotientModule, C) -> np.ndarray:
-    """Integer matrix on the ambient lattice inducing the plain matrix C on A_n."""
+    """Integer matrix on the ambient lattice inducing the plain matrix C on
+    A_n, or one per matrix of a stack."""
     q = Q.lattice.q
     reps = Q.representatives()
     V = Q._V[:, Q._kept]
@@ -382,9 +383,7 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
     b_exp = max(h1_exps, default=0)
     if n < b_exp * period:
         raise PairError("level %d below the complement hypothesis %d" % (n, b_exp * period))
-    TP = chain_P.lattice
-    frame = cohomology.split_frame(TP, chain_P, n, m=0)
-    level = cohomology.split_at_level(frame, TP, chain_P, n, period)
+    level = cohomology.level_split(chain_P, n, 0)
     t0_hat = Q.hat_of_ambient(t0)
     End = modules.hom_space(A, A, v0_hat=t0_hat)
     t0c = Q.coords(t0)
@@ -392,16 +391,12 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
     gen_rows = [(t0c @ np.asarray(g, dtype=np.int64).reshape(A.rank, A.rank)) % A.q
                 for g in End.structure.gens]
     Rmat = np.vstack(gen_rows) if gen_rows else np.zeros((0, A.rank), dtype=np.int64)
-    E_gens = []
-    lifts = []
-    for w in level.K_hat:
-        x = linalg.solve_rows(Rmat, w % A.q, p, A.E)
-        if x is None:
-            raise PairError("complement generator is not the t0-image of an endomorphism")
-        flat = linalg.dot_mod(x, End.structure.gens, A.q, A.q)
-        E_gens.append(flat)
-        lifts.append(_lift_plain_endo(Q, End.flat_to_matrix(flat)))
-    E_flat = linalg.howell(np.vstack(E_gens), p, A.E).rows if E_gens else (
+    x = linalg.howell(Rmat, p, A.E, track=True).solve(level.K_hat % A.q)
+    if x is None:
+        raise PairError("complement generator is not the t0-image of an endomorphism")
+    E_gens = linalg.dot_mod(x, End.structure.gens, A.q, A.q)
+    lifts = list(_lift_plain_endo(Q, End.flat_to_matrix(E_gens)))
+    E_flat = linalg.howell(E_gens, p, A.E).rows if len(E_gens) else (
         np.zeros((0, A.rank * A.rank), dtype=np.int64))
     # reductions of the lattice endomorphisms, flattened the same way
     endT = modules.lattice_hom_space(T)
@@ -579,9 +574,7 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
     nd = n + period
     Q_n, Q_nd = chain.quotient(n), chain.quotient(nd)
     data = rho_pi_data(T, chain, n, period)
-    base = cohomology.frame_base(chain, n, period)
-    lev_n = cohomology.level_split(chain, base, n, period)
-    lev_nd = cohomology.level_split(chain, base, nd, period)
+    lev_n, lev_nd = cohomology.level_split(chain, n), cohomology.level_split(chain, nd)
     H_n, H_nd = lev_n.H, lev_nd.H
     gens = generator_pairs(T, chain, n, period, Q_n, Q_nd, data)
     witness = None

@@ -481,9 +481,9 @@ def summand_instability_witness(scn: Scenario, n_range=None, k_range=(0, 1, 2),
     invertible endomorphism lifted from the lattice is checked to preserve
     the summand.
 
-    Each level is split through the frame of `cohomology.frame_base`, shared
-    by its residue class modulo the period; a level it refuses is skipped for
-    the reason its own frame would have failed with.
+    Each level is split through the frame of its residue class modulo the
+    period (`cohomology.level_frame`); a level that frame cannot serve is
+    skipped for the reason it gives.
     """
     if n_range is None:
         n_range = range(1, 7)
@@ -497,16 +497,16 @@ def summand_instability_witness(scn: Scenario, n_range=None, k_range=(0, 1, 2),
             skipped.append({"k": str(k), "group_order": str(stage.group.order),
                             "reason": "group order exceeds the scan cap %d" % group_cap})
             continue
-        chain_k, d = stage.chain, stage.period
+        chain_k = stage.chain
         for n in n_range:
             if n > chain_k.depth - 1:
                 break
             try:
-                base = cohomology.frame_base(chain_k, n, d)
+                cohomology.level_frame(chain_k, n)
             except cohomology.CohomologyError as exc:
                 skipped.append({"k": str(k), "n": str(n), "reason": str(exc)})
                 continue
-            level = cohomology.level_split(chain_k, base, n, d)
+            level = cohomology.level_split(chain_k, n)
             H = level.H
             Q = level.Q
             A = Q.module

@@ -308,6 +308,16 @@ def diagonalize_mod(M, p, K, want_u=False, want_v=False):
     return exps, U, V
 
 
+def invert(A, p, K):
+    """Inverse of a square matrix over Z/p^K from `diagonalize_mod`: U A V = 1
+    gives A^-1 = V U.  Raises ValueError when A is not invertible."""
+    A = np.asarray(A)
+    exps, U, V = diagonalize_mod(A, p, K, want_u=True, want_v=True)
+    if A.shape[0] != A.shape[1] or len(exps) != A.shape[0] or any(exps):
+        raise ValueError("matrix not invertible mod %d^%d" % (p, K))
+    return (V @ U) % p**K
+
+
 def kernel_gens_mod(M, p, K):
     """Generators of {x : x M = 0 mod p^K} as rows mod p^K."""
     q = p**K
@@ -530,9 +540,39 @@ def reduce_one_row(H, v):
     return v
 
 
+def split_frame_per_level(chain, n, m=2):
+    """The split frame of level n alone, built without the chain's memo: the
+    level's own conjugation into its primitive basis B' = B_n / p^c, its own
+    Smith form with U of the full d^m, and lifts p^{f - a} U_i B' for the
+    divisors p^a up to f = exp H^{m+1}(R, T_n).  It raises the errors the
+    class frame raises at level n."""
+    T = chain.lattice
+    p, q, d = T.p, T.q, T.rank
+    basis, c = cohomology.primitive_basis(chain, n)
+    spec = cohomology.lattice_coefficients(T, basis)
+    next_exps = cohomology.lattice_invariants(spec, m + 1)
+    vf = max(next_exps, default=0)
+    if c < vf:
+        raise cohomology.CohomologyError(
+            "T_%d is not contained in %d.T; the level is too small for the split" % (n, p**vf))
+    theta, theta_prec = cohomology.cocycle_rows(cohomology.lattice_coefficients(T), m)
+    D = cohomology.coboundary_matrix(spec, m)
+    s = linalg.smith(D, p, spec.E, want_left=True)
+    lifts, divisors = [], []
+    for i, a in enumerate(s.exps):
+        if 0 < a < spec.E:
+            delta = (p ** (vf - a) * s.U[i]) % q
+            lifts.append(((delta.reshape(-1, d) @ basis) % q).reshape(-1))
+            divisors.append(a)
+    assert sorted(divisors) == sorted(next_exps), (divisors, next_exps)
+    lifts = np.vstack(lifts) if lifts else np.zeros((0, D.shape[0]), dtype=np.int64)
+    return cohomology.SplitFrame(m, basis, vf, theta, theta_prec, lifts, divisors)
+
+
 def summand_scan_per_level_frames(scn, n_range=range(1, 7), k_range=(0, 1, 2), group_cap=8):
-    """scenarios.summand_instability_witness with a split frame built at
-    every level rather than one per residue class; returns its report."""
+    """scenarios.summand_instability_witness with the split frame of
+    `split_frame_per_level` built at every level rather than one per residue
+    class; returns its report."""
     scanned, skipped = [], []
     witness = None
     lifted_ok = True
@@ -547,11 +587,11 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7), k_range=(0, 1, 2), g
             if n > chain_k.depth - 1:
                 break
             try:
-                cohomology.level_frame(chain_k, n)
+                frame = split_frame_per_level(chain_k, n)
             except cohomology.CohomologyError as exc:
                 skipped.append({"k": str(k), "n": str(n), "reason": str(exc)})
                 continue
-            level = cohomology.level_split(chain_k, n, n, stage.period)
+            level = cohomology.split_at_level(frame, chain_k, n)
             H, Q = level.H, level.Q
             member = scenarios._summand_membership_solver(level, H)
             classes = scenarios._summand_classes(level)

@@ -199,7 +199,7 @@ def _split_window(scn):
     start = None
     for n in range(1, 6):
         try:
-            cohomology.split_frame(T, chain, n)
+            cohomology.level_frame(chain, n)
             start = n
             break
         except cohomology.CohomologyError:
@@ -227,7 +227,7 @@ def test_h2_splits_across_qualifying_window(name):
         base = window[0] + (n - window[0]) % d
         if base not in frames:
             frames[base] = cohomology.split_frame(T, chain, base)
-        level = cohomology.split_at_level(frames[base], T, chain, n, d)
+        level = cohomology.split_at_level(frames[base], chain, n)
         assert level.H.invariants() == H.invariants()
 
 
@@ -278,10 +278,10 @@ def test_summand_instability_witness_and_recheck():
     # the complement projection moves as recorded
     assert int(w["k"]) == 0
     scn = scenario("d8_gaussian")
-    T, chain, d = scn.lattice(), scn.chain(), scn.period()
+    T, chain = scn.lattice(), scn.chain()
     n = int(w["n"])
     frame = cohomology.split_frame(T, chain, n)
-    level = cohomology.split_at_level(frame, T, chain, n, d)
+    level = cohomology.split_at_level(frame, chain, n)
     coords = tuple(int(x) for x in w["class_coords"])
     row = level.H.representative(coords)
     _, c = level.decompose(row)

@@ -274,7 +274,12 @@ _DERIVED = [
      lambda T, m, basis=None: (_lattice_key(T), m, _bytes(basis))),
     (cohomology, "lattice_invariants",
      lambda spec, m: (_bytes(spec.group.mul), _bytes(spec.act), spec.E, m)),
+    (cohomology, "_generator_smith",
+     lambda spec, k: (_bytes(spec.group.mul), _bytes(spec.act), spec.E, k)),
     (cohomology, "finite_cohomology", lambda A, m: (_module_key(A), m)),
+    (cohomology, "lattice_coefficients",
+     lambda T, basis=None: (_lattice_key(T),
+                            _bytes(np.eye(T.rank) if basis is None else basis))),
     (cohomology, "split_frame",
      lambda T, chain, n, m=2: (_lattice_key(T), _bytes(chain.bases[n]), m)),
     (pairs, "compatible_pairs", lambda A, auts=None: _module_key(A)),

@@ -311,7 +311,7 @@ def test_split_level_d8():
     T = d8_lattice()
     chain = modules.g_central_series(T, 10)
     frame = cohomology.split_frame(T, chain, 4, m=2)
-    lvl = cohomology.split_at_level(frame, T, chain, 4, 2)
+    lvl = cohomology.split_at_level(frame, chain, 4)
     # decompose every generator of Z^2(A_4) and reassemble
     for row in lvl.H.cocycles:
         gamma, c = lvl.decompose(row)
@@ -324,8 +324,8 @@ def test_id_oplus_mu_is_iso_on_classes():
     T = d8_lattice()
     chain = modules.g_central_series(T, 10)
     frame = cohomology.split_frame(T, chain, 4, m=2)
-    src = cohomology.split_at_level(frame, T, chain, 4, 2)
-    dst = cohomology.split_at_level(frame, T, chain, 6, 2)
+    src = cohomology.split_at_level(frame, chain, 4)
+    dst = cohomology.split_at_level(frame, chain, 6)
     assert src.H.order == dst.H.order
     # well-defined: a coboundary shifts to a coboundary
     for brow in src.H.boundaries[:4]:
@@ -347,8 +347,8 @@ def test_id_oplus_mu_additive():
     T = d8_lattice()
     chain = modules.g_central_series(T, 10)
     frame = cohomology.split_frame(T, chain, 4, m=2)
-    src = cohomology.split_at_level(frame, T, chain, 4, 2)
-    dst = cohomology.split_at_level(frame, T, chain, 6, 2)
+    src = cohomology.split_at_level(frame, chain, 4)
+    dst = cohomology.split_at_level(frame, chain, 6)
     rng = np.random.default_rng(5)
     for _ in range(5):
         c1 = [int(rng.integers(0, m)) for m in (int(x) for x in src.H.structure.invariants())]
@@ -382,30 +382,32 @@ def _c2_negation_rank8(N):
                                   modules.PrecisionContext(2, N))
 
 
-def _frame_outcome(build):
-    try:
-        build()
-    except cohomology.CohomologyError as exc:
-        return str(exc)
-    return None
-
-
 @pytest.mark.parametrize("chain, period", [
-    # the precision bound fails from level 5
+    # at the old per-level precision the frame failed from level 5
     (lambda: modules.g_central_series(c2_negation(8), 6), 1),
-    # at level 5 only the rank certificate fails: 2^(4 - 1) is not above the rank 8
+    # at level 5 the old per-level rank certificate failed: 2^(4 - 1) is not
+    # above the rank 8
     (lambda: _scaled_chain(_c2_negation_rank8(9), 6), 1),
     (lambda: modules.g_central_series(d8_lattice(10), 8), 2),
     (lambda: modules.g_central_series(c3_eisenstein(9), 7), 2),
 ], ids=["C2 negation", "C2 negation on rank 8", "D8", "C3"])
-def test_shared_frame_check_fails_as_the_frame_of_its_level(chain, period):
+def test_class_frame_serves_exactly_the_levels_inside_f_T(chain, period):
+    # T_n = p^c T' for the primitive basis of T', so the frame of the class
+    # serves level n at scale p^(c - f) whenever c >= f; below it T_n is not
+    # inside f.T and the level raises
     chain = chain()
     T = chain.lattice
     assert modules.chain_period(T, chain) == period
-    outcome = {n: _frame_outcome(lambda: cohomology.split_frame(T, chain, n))
-               for n in range(1, chain.depth)}
-    assert None in outcome.values()
-    for base in (n for n, reason in outcome.items() if reason is None):
-        for n in range(base + period, chain.depth, period):
-            got = _frame_outcome(lambda: cohomology.check_shared_frame(chain, n))
-            assert got == outcome[n], (base, n)
+    frames, served = {}, 0
+    for n in range(1, chain.depth):
+        f = max(cohomology.lattice_exps(chain, 3, n), default=0)
+        _, c = cohomology.primitive_basis(chain, n)
+        if c >= f:
+            level = cohomology.level_split(chain, n)  # certifies the split
+            assert level.frame is frames.setdefault(n % period, level.frame)
+            assert level.scale_exp == c - f
+            served += 1
+        else:
+            with pytest.raises(cohomology.CohomologyError, match="is not contained in"):
+                cohomology.level_split(chain, n)
+    assert served and len(frames) == period

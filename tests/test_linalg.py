@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from coclass import linalg
 
-from brute_force import span_intersection
+from brute_force import invert, span_intersection
 
 
 def random_matrix(draw, p, M, rmax=5, cmax=5):
@@ -38,9 +38,9 @@ def test_smith_reconstruction(A):
             expect[i, i] = p**e
     assert np.array_equal(D % q, expect % q)
     assert s.exps == sorted(s.exps)
-    # transforms invertible
-    linalg.invert(s.U, p, M)
-    linalg.invert(s.V, p, M)
+    # transforms invertible, and Vinv is the inverse of V
+    invert(s.U, p, M)
+    assert np.array_equal(s.Vinv, invert(s.V, p, M))
 
 
 @given(mat_strategy)
@@ -83,7 +83,7 @@ def test_solve_rows_roundtrip():
             A = rng.integers(0, q, size=shape)
             x = rng.integers(0, q, size=shape[0])
             b = (x.astype(object) @ A.astype(object)) % q
-            sol = linalg.solve_rows(A, b.astype(np.int64), p, M)
+            sol = linalg.howell(A, p, M, track=True).solve(b.astype(np.int64))
             assert sol is not None
             assert np.array_equal((sol.astype(object) @ A.astype(object)) % q, b)
 
@@ -91,12 +91,12 @@ def test_solve_rows_roundtrip():
 def test_solve_rows_infeasible():
     p, M = 2, 4
     A = np.array([[2, 0], [0, 4]])
-    assert linalg.solve_rows(A, np.array([1, 0]), p, M) is None
+    assert linalg.howell(A, p, M, track=True).solve(np.array([1, 0])) is None
 
 
 def test_invert_errors_on_singular():
     with pytest.raises(ValueError):
-        linalg.invert(np.array([[2, 0], [0, 1]]), 2, 5)
+        invert(np.array([[2, 0], [0, 1]]), 2, 5)
 
 
 def test_quotient_group_cyclic():

@@ -113,8 +113,7 @@ def test_chain_terms_invariant_under_lattice_pairs():
     for _, eps in reps:
         for B in chain.bases[:6]:
             img = (B @ eps) % T.q
-            for row in img:
-                assert linalg.solve_rows(B, row, T.p, T.ctx.N) is not None
+            assert linalg.howell(B, T.p, T.ctx.N, track=True).solve(img) is not None
 
 
 def test_orbits_against_brute_reachability():

@@ -6,7 +6,7 @@ import pytest
 
 from coclass import cohomology, extensions, groups, modules, pairs, scenarios
 
-from brute_force import summand_scan_per_level_frames
+from brute_force import split_frame_per_level, summand_scan_per_level_frames
 
 
 _cache = {}
@@ -148,7 +148,7 @@ def test_witness_is_recheckable():
     T, chain = scn.lattice(), scn.chain()
     frame = cohomology.split_frame(T, chain, n, m=2)
     Q = scn.quotient(n)
-    level = cohomology.split_at_level(frame, T, chain, n, scn.period())
+    level = cohomology.split_at_level(frame, chain, n)
     H = level.H
     A = Q.module
     eps_hat = np.array([[int(x) for x in r] for r in w["eps_hat"]], dtype=np.int64)
@@ -197,8 +197,7 @@ def test_summand_scan_tries_only_module_automorphisms(n, exps):
     # matrix read as a hatted one is in most cases no module map at all
     scn = scenarios.load_scenario(str(C3_EISENSTEIN))
     stage = scn.stage(0)
-    cohomology.level_frame(stage.chain, n)
-    level = cohomology.level_split(stage.chain, n, n, stage.period)
+    level = cohomology.level_split(stage.chain, n)
     A, H = level.Q.module, level.H
     assert A.exps == exps
     member = scenarios._summand_membership_solver(level, H)
@@ -245,8 +244,15 @@ def test_scan_builds_one_frame_per_residue_class(source, frames):
     scn = scenarios.load_scenario(source)
     scenarios.summand_instability_witness(scn)
     for k, levels in frames.items():
-        keys = [key for key in scn.stage(k).chain._memo if key[0] == "frame"]
-        assert sorted(keys) == [("frame", n, 2) for n in levels], k
+        chain = scn.stage(k).chain
+        keys = [key for key in chain._memo if key[0] == "frame"]
+        assert sorted(keys) == sorted(_frame_key(chain, n) for n in levels), k
+
+
+def _frame_key(chain, n):
+    """The memo key of the degree-2 frame of n's residue class."""
+    basis, _ = cohomology.primitive_basis(chain, n)
+    return ("frame", 2, basis.astype(np.int64).tobytes())
 
 
 @pytest.mark.parametrize("source, n, base", [
@@ -258,10 +264,20 @@ def test_correspondence_splits_through_the_frame_of_the_residue_class(monkeypatc
                                                                        base):
     scn = scenarios.load_scenario(source)
     shared = scenarios.orbit_correspondence_report(scn, n).result
-    assert sorted(k for k in scn.chain()._memo if k[0] == "frame") == [("frame", base, 2)]
-    # the same certificate through the frame of the correspondence's own level
+    keys = [k for k in scn.chain()._memo if k[0] == "frame"]
+    assert keys == [_frame_key(scn.chain(), base)]
+    # the same certificate through the frame of the correspondence's own
+    # level, built by the per-level oracle
     own = scenarios.load_scenario(source)
-    monkeypatch.setattr(cohomology, "frame_base", lambda chain, level, period: level)
+    frame = split_frame_per_level(own.chain(), shared.level)
+    class_split = cohomology.level_split
+
+    def per_level_split(chain, level, m=2):
+        if chain is own.chain() and m == 2:
+            return cohomology.split_at_level(frame, chain, level)
+        return class_split(chain, level, m)
+
+    monkeypatch.setattr(cohomology, "level_split", per_level_split)
     per_level = scenarios.orbit_correspondence_report(own, n).result
-    assert sorted(k for k in own.chain()._memo if k[0] == "frame") == [("frame", shared.level, 2)]
+    assert not [k for k in own.chain()._memo if k[0] == "frame"]
     assert shared.ok and shared == per_level

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coclass import coclass_tree, extensions, groups, scenarios
+from coclass import coclass_tree, cohomology, extensions, groups, scenarios
 
 
 _cache = {}
@@ -137,10 +137,12 @@ def test_vertices_pairwise_nonisomorphic():
 
 
 def test_shift_splits_through_the_frame_of_the_residue_class():
-    # period 1: one residue class, whose frame is built at level 1 and serves
-    # the levels of both branches
+    # period 1: one residue class, whose frame serves the levels of both
+    # branches
     scn = scenarios.load_scenario("dihedral_mainline")
     rep, _ = coclass_tree.nu_shift(scn, coclass_tree.build_branch(scn, 7, 1))
     top = scn.top()
     assert rep.ok and top.period == 1
-    assert sorted(key for key in top.chain._memo if key[0] == "frame") == [("frame", 1, 2)]
+    basis, _ = cohomology.primitive_basis(top.chain, 1)
+    assert [key for key in top.chain._memo if key[0] == "frame"] == [
+        ("frame", 2, basis.astype(np.int64).tobytes())]
