@@ -49,9 +49,6 @@ class BranchGraph:
     def root(self) -> BranchVertex:
         return self.vertices[0]
 
-    def at_distance(self, j: int) -> list[BranchVertex]:
-        return [v for v in self.vertices if v.distance == j]
-
 
 @dataclass
 class LevelData:

@@ -182,10 +182,7 @@ def _generator_columns(spec: CoefficientSpace, m: int) -> np.ndarray:
 def coboundary_rows(spec: CoefficientSpace, m: int) -> np.ndarray:
     if m == 0:
         return np.zeros((0, spec.rank), dtype=np.int64)
-    D = coboundary_matrix(spec, m - 1)
-    if spec.lattice:
-        return D % spec.q
-    return (_legal_rows(spec, m - 1) @ D) % spec.q
+    return (_legal_rows(spec, m - 1) @ coboundary_matrix(spec, m - 1)) % spec.q
 
 
 @dataclass
@@ -211,19 +208,12 @@ class CohomologyGroup:
     def representative(self, coords) -> np.ndarray:
         return self.structure.element(coords)
 
-    def is_coboundary(self, cocycle_row) -> bool:
-        return not np.any(self.coords(cocycle_row))
-
 
 def cohomology_group(spec: CoefficientSpace, m: int) -> CohomologyGroup:
     Z, Ee = cocycle_rows(spec, m)
     qe = spec.p**Ee
     B = coboundary_rows(spec, m) % qe
-    structure = linalg.quotient_group(Z % qe, B, spec.p, Ee)
-    H = CohomologyGroup(spec, m, Z, B, structure, Ee)
-    if spec.lattice and m >= 1:
-        _check_group_order_bound(spec, m, structure.exps)
-    return H
+    return CohomologyGroup(spec, m, Z, B, linalg.quotient_group(Z % qe, B, spec.p, Ee), Ee)
 
 
 def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
@@ -233,8 +223,8 @@ def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
     C^m / B^m: the nonzero, nonunit Smith divisors of d^{m-1}.  Each is at
     most v_p|G| and so read exactly at precision p^E, and the rank
     certificate checks that no divisor reached p^E: their count must equal
-    the rational rank of d^{m-1}.  `lattice_cohomology` is the slower
-    kernel-and-quotient path to the same exponents.
+    the rational rank of d^{m-1}.  The kernel-and-quotient path to the same
+    exponents is kept as a test oracle.
 
     Only the generator columns of d^{m-1} are eliminated.  By the rule in
     `cocycle_rows`, read mod p^a, a cochain c has dc = 0 mod p^a iff dc
@@ -301,10 +291,6 @@ def _check_group_order_bound(spec: CoefficientSpace, m: int, exps) -> None:
 
 def finite_cohomology(A: FiniteModule, m: int) -> CohomologyGroup:
     return cohomology_group(finite_coefficients(A), m)
-
-
-def lattice_cohomology(T: LatticeModule, m: int, basis=None) -> CohomologyGroup:
-    return cohomology_group(lattice_coefficients(T, basis), m)
 
 
 # ---------------------------------------------------------------------------
@@ -536,15 +522,3 @@ def id_oplus_mu(src: SplitLevel, dst: SplitLevel, tau_hat) -> np.ndarray:
     lifted = (gamma + (src.Q.lattice.p**step) * delta) % q
     return lattice_row_to_quotient(dst.Q, lifted)
 
-
-def id_oplus_mu_inverse(src: SplitLevel, dst: SplitLevel, tau_hat) -> np.ndarray:
-    """Preimage under the shift, on cocycle representatives (dst = deeper level).
-
-    Both levels share the complement frame, so the coefficients of the
-    complement part transfer directly.
-    """
-    if dst.frame is not src.frame:
-        raise CohomologyError("source and destination must share a split frame")
-    gamma, c = dst.decompose(tau_hat)
-    lifted = (gamma + src.k_lift(c)) % src.Q.lattice.q
-    return lattice_row_to_quotient(src.Q, lifted)

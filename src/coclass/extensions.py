@@ -3,20 +3,16 @@
 A degree-2 cocycle tau on a group R with values in a finite module A defines
 the extension with multiplication (a, g)(b, h) = (a.h + b + tau(g, h), gh).
 This module builds the extension table, computes its coclass together with
-the lower-central criterion, tests isomorphism of small tables, and
-cross-validates that two cocycle classes lie in the same compatible-pair
-orbit exactly when their extensions are isomorphic.
+the lower-central criterion, and tests isomorphism of small tables.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import CoclassError, cohomology, groups, pairs
-from .cohomology import CohomologyGroup
+from . import CoclassError, cohomology, groups
 from .groups import GroupTable
 from .modules import FiniteModule
 
@@ -134,46 +130,3 @@ def are_isomorphic(G1: GroupTable, G2: GroupTable) -> bool:
         return False
     return next(groups.isomorphisms(G1, G2), None) is not None
 
-
-# ---------------------------------------------------------------------------
-# Theorem-4 style cross-validation: same orbit <=> isomorphic extensions
-
-
-@dataclass
-class OrbitIsomorphismReport:
-    level_order: int
-    checked_pairs: int
-    skipped_classes: int  # classes whose extension does not have the base coclass
-    ok: bool
-    witness: dict | None
-
-
-def orbit_isomorphism_check(H: CohomologyGroup, A: FiniteModule,
-                            partition: pairs.OrbitPartition) -> OrbitIsomorphismReport:
-    """Verify (same orbit <=> isomorphic extensions) over all qualifying classes.
-
-    Classes whose extension does not share the base's coclass fall outside
-    the hypothesis and are skipped (counted in the report).
-    """
-    R = A.group
-    exts = {}
-    skipped = 0
-    for i, cl in enumerate(partition.classes):
-        for c in cl:
-            ext = build_extension(R, A, H.representative(c))
-            cc, flag = coclass_of_extension(ext)
-            if flag:
-                exts[c] = (i, ext)
-            else:
-                skipped += 1
-    items = sorted(exts.items())
-    checked = 0
-    for (c1, (i1, e1)), (c2, (i2, e2)) in itertools.combinations(items, 2):
-        iso = are_isomorphic(e1.table, e2.table)
-        same_orbit = i1 == i2
-        checked += 1
-        if iso != same_orbit:
-            return OrbitIsomorphismReport(A.order, checked, skipped, False,
-                                          {"class_a": list(c1), "class_b": list(c2),
-                                           "same_orbit": same_orbit, "isomorphic": iso})
-    return OrbitIsomorphismReport(A.order, checked, skipped, True, None)

@@ -267,20 +267,20 @@ def table_from_generators(right) -> GroupTable:
     return GroupTable(mul, 0, _validate_table(mul, 0), right[:, 0].tolist())
 
 
-def closure_table(gen_elems: list, multiply, identity_elem, *,
-                  cap: int = CLOSURE_CAP) -> tuple[GroupTable, list]:
+def closure_table(gen_elems: list, multiply, identity_elem) -> tuple[GroupTable, list]:
     """Close abstract generators under an associative product into a table.
 
     gen_elems are hashable values, multiply(x, y) their product.  Returns the
-    validated table plus the element list in index order (identity first).
+    validated table plus the element list in index order (identity first);
+    more than CLOSURE_CAP elements is an error.
     """
-    elems = list(closure([identity_elem], gen_elems, multiply, cap=cap))
+    elems = list(closure([identity_elem], gen_elems, multiply, cap=CLOSURE_CAP))
     index = {x: i for i, x in enumerate(elems)}
     right = [[index[multiply(x, g)] for x in elems] for g in gen_elems]
     return table_from_generators(np.array(right, dtype=np.int64).reshape(-1, len(elems))), elems
 
 
-def from_permutations(perms: list[tuple[int, ...]], *, cap: int = CLOSURE_CAP) -> tuple[GroupTable, list]:
+def from_permutations(perms: list[tuple[int, ...]]) -> tuple[GroupTable, list]:
     """Close permutations of range(deg), all of one degree, under composition."""
     deg = len(perms[0]) if perms else 1
     ident = tuple(range(deg))
@@ -292,10 +292,10 @@ def from_permutations(perms: list[tuple[int, ...]], *, cap: int = CLOSURE_CAP) -
         # a then b, so right-multiplication maps compose like the group itself
         return tuple(b[a[i]] for i in range(deg))
 
-    return closure_table([tuple(p) for p in perms], mult, ident, cap=cap)
+    return closure_table([tuple(p) for p in perms], mult, ident)
 
 
-def from_matrices(mats, q: int, *, cap: int = CLOSURE_CAP) -> tuple[GroupTable, list]:
+def from_matrices(mats, q: int) -> tuple[GroupTable, list]:
     """Close square integer matrix generators of one size under multiplication mod q."""
     if q < 2:
         raise GroupError("modulus %d is below 2" % q)
@@ -323,7 +323,7 @@ def from_matrices(mats, q: int, *, cap: int = CLOSURE_CAP) -> tuple[GroupTable, 
         lookup.setdefault(k, c)
         return k
 
-    table, keys = closure_table([key(m) for m in mats], mult, key(ident), cap=cap)
+    table, keys = closure_table([key(m) for m in mats], mult, key(ident))
     return table, [lookup[k] for k in keys]
 
 
@@ -642,16 +642,11 @@ def isomorphisms(G: GroupTable, H: GroupTable):
             yield img
 
 
-def automorphism_group(G: GroupTable, *, cap: int = AUT_CAP) -> list[np.ndarray]:
-    """All automorphisms as index permutations."""
-    if G.order > cap:
-        raise GroupError("automorphism search capped at order %d" % cap)
+def automorphism_group(G: GroupTable) -> list[np.ndarray]:
+    """All automorphisms as index permutations, for groups up to order AUT_CAP."""
+    if G.order > AUT_CAP:
+        raise GroupError("automorphism search capped at order %d" % AUT_CAP)
     return list(isomorphisms(G, G))
-
-
-def compose_perms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a then b) as index maps: x -> b[a[x]]."""
-    return b[a]
 
 
 def invert_perm(a: np.ndarray) -> np.ndarray:

@@ -289,9 +289,6 @@ class Howell:
             return x % q
         return dot_mod(x, self.transform, self.q, q)
 
-    def contains(self, v) -> bool:
-        return not np.any(self.reduce(v))
-
     def index_exponent(self) -> int:
         """v_p of the index of the span in (Z/p^M)^ncols."""
         tot = self.M * self.ncols
@@ -425,8 +422,11 @@ class QuotientGroup:
         if x is None:
             raise ValueError("element not in the subgroup K")
         z = dot_mod(x, self._V, q, q)[..., self._kept]
-        mods = np.array([self.p**e for e in self.exps], dtype=np.int64)
-        return (z % mods).astype(np.int64)
+        return (z % self.moduli()).astype(np.int64)
+
+    def moduli(self) -> np.ndarray:
+        """p^e for each invariant exponent, in coordinate order."""
+        return np.array([self.p**e for e in self.exps], dtype=np.int64)
 
     def element(self, coords) -> np.ndarray:
         """An ambient representative with the given coordinates."""

@@ -40,8 +40,10 @@ class PrecisionContext:
 # lattices
 
 
-@dataclass
-class LatticeModule:
+@dataclass(eq=False)
+class LatticeModule(Owner):
+    """The lattice holds its hom bases (`lattice_hom_space`), one per beta."""
+
     group: GroupTable
     ctx: PrecisionContext
     rank: int
@@ -212,21 +214,39 @@ class FiniteModule:
     def scales(self) -> np.ndarray:
         return np.array([self.p ** (self.E - e) for e in self.exps], dtype=np.int64)
 
+    def coord_moduli(self) -> np.ndarray:
+        return np.array([self.p**e for e in self.exps], dtype=np.int64)
+
     def member_rows(self) -> np.ndarray:
         """Generator rows of the module inside the hatted ambient space."""
         return np.diag(self.scales()).astype(np.int64)
 
     def hat(self, coords) -> np.ndarray:
+        """Hatted vector of plain coordinates, rowwise on a stack."""
         c = np.asarray(coords, dtype=np.int64)
-        return (c * self.scales()) % self.q
+        return (c % self.q * self.scales()) % self.q
 
     def unhat(self, x) -> np.ndarray:
+        """Plain coordinates of a hatted vector, rowwise on a stack."""
         x = np.asarray(x, dtype=np.int64) % self.q
         s = self.scales()
         if np.any(x % s):
             raise ModuleError("vector is not in the hatted module")
-        mods = np.array([self.p**e for e in self.exps], dtype=np.int64)
-        return (x // s) % mods
+        return (x // s) % self.coord_moduli()
+
+    def canonical(self, M) -> np.ndarray:
+        """Canonical form of a hatted matrix, or of each in a stack: hatted
+        matrices represent the same map whenever row i agrees mod p^{e_i}."""
+        return np.asarray(M, dtype=np.int64) % self.q % self.coord_moduli()[:, None]
+
+    def hat_matrix(self, plain) -> np.ndarray:
+        """Canonical hatted matrix of an additive map given by a plain
+        coordinate matrix (entry ij mod p^{e_j}), or of each map in a stack."""
+        X = self.hat(plain)  # X[i, j] = C_ij p^{E - e_j}
+        s = self.scales()[:, None]
+        if np.any(X % s):
+            raise ModuleError("plain matrix is not a well defined module map")
+        return self.canonical(X // s)
 
     def invariants(self) -> list[int]:
         return [self.p**e for e in sorted(self.exps, reverse=True)]
@@ -237,32 +257,24 @@ class FiniteModule:
         return FiniteModule(self.group, self.p, list(self.exps), self.E,
                             self.act[b], self.plain[b])
 
-    def coord_moduli(self) -> np.ndarray:
-        return np.array([self.p**e for e in self.exps], dtype=np.int64)
-
 
 def finite_module_from_plain(group: GroupTable, p: int, exps: list[int], plain_act) -> FiniteModule:
-    """Build from action matrices on plain coordinates (entry ij mod p^{e_j})."""
+    """Build from action matrices on plain coordinates (entry ij mod p^{e_j}).
+
+    The hatted entry ij is A_ij p^{E-e_j} / p^{E-e_i}: a multiple of A_ij
+    when e_i >= e_j, and an exact quotient of it otherwise."""
     exps = [int(e) for e in exps]
     E = max(exps) if exps else 1
     q = p**E
     r = len(exps)
-    act = np.zeros((group.order, r, r), dtype=np.int64)
-    plain = np.zeros((group.order, r, r), dtype=np.int64)
-    mods = np.array([p**e for e in exps], dtype=np.int64).reshape(1, r)
-    for g in range(group.order):
-        A = np.asarray(plain_act[g], dtype=np.int64)
-        plain[g] = A % mods
-        M = np.zeros((r, r), dtype=np.int64)
-        for i in range(r):
-            for j in range(r):
-                num = int(A[i, j]) * p ** (E - exps[j])
-                den = p ** (E - exps[i])
-                if num % den:
-                    raise ModuleError("action matrix is not a well defined module map")
-                M[i, j] = (num // den) % q
-        act[g] = M
-    fm = FiniteModule(group, p, exps, E, act, plain)
+    e = np.array(exps, dtype=np.int64)
+    A = np.asarray(plain_act, dtype=np.int64).reshape(group.order, r, r)
+    shift = e[:, None] - e[None, :]  # e_i - e_j
+    mult, div = p ** np.maximum(shift, 0), p ** np.maximum(-shift, 0)
+    if np.any(A % div):
+        raise ModuleError("action matrix is not a well defined module map")
+    act = (A // div % q * mult) % q
+    fm = FiniteModule(group, p, exps, E, act, A % p**e)
     _validate_finite_action(fm)
     return fm
 
@@ -379,22 +391,14 @@ class HomSpace:
 
     def flat_to_matrix(self, flat_hat) -> np.ndarray:
         """Plain coordinate matrix (entry ij mod p^{f_j}) from a hatted flat
-        row, or one per row of a stack."""
+        row, or one per row of a stack: each matrix row is a hatted vector
+        of the codomain."""
         W = self.codomain
-        r, rw = self.domain.rank, W.rank
         flat_hat = np.asarray(flat_hat, dtype=np.int64)
-        X = flat_hat.reshape(*flat_hat.shape[:-1], r, rw) % W.q
-        s = W.scales()
-        mods = np.array([W.p**e for e in W.exps], dtype=np.int64)
-        if np.any(X % s[None, :]):
-            raise ModuleError("flat row is not a hom representative")
-        return (X // s[None, :]) % mods[None, :]
+        return W.unhat(flat_hat.reshape(*flat_hat.shape[:-1], self.domain.rank, W.rank))
 
     def matrix_to_flat(self, C) -> np.ndarray:
-        W = self.codomain
-        C = np.asarray(C, dtype=np.int64)
-        s = W.scales()
-        return ((C % W.q) * s[None, :]).reshape(-1) % W.q
+        return self.codomain.hat(C).reshape(-1)
 
     def invariants(self) -> list[int]:
         return self.structure.invariants()
@@ -408,7 +412,7 @@ class HomSpace:
         coordinate order."""
         S = self.structure
         q = S.p**S.M
-        coords = groups.all_coord_rows([S.p**e for e in S.exps])
+        coords = groups.all_coord_rows(S.moduli().tolist())
         return self.flat_to_matrix(linalg.dot_mod(coords, S.gens, q, q))
 
 
@@ -530,15 +534,19 @@ def hom_space(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None) -> HomSp
 
 
 def lattice_hom_space(T: LatticeModule, beta=None) -> list[np.ndarray]:
-    """Basis matrices of hom_R(T, T^(beta)) as a free module, at precision N.
+    """Basis matrices of hom_R(T, T^(beta)) as a free module, at precision N;
+    held by T, one basis per beta (default: the identity)."""
+    b = np.arange(T.group.order, dtype=np.int64) if beta is None else np.asarray(beta, dtype=np.int64)
+    return T.derived(("hom", b.tobytes()), lambda: _lattice_hom_basis(T, b))
 
-    Solutions of act[g] X = X act[beta g] for all generators; `lattice_kernel`
-    discards precision artifacts, so the row count is the free rank.
-    """
+
+def _lattice_hom_basis(T: LatticeModule, beta: np.ndarray) -> list[np.ndarray]:
+    """Solutions of act[g] X = X act[beta g] for all generators;
+    `lattice_kernel` discards precision artifacts, so the row count is the
+    free rank."""
     p, N, q = T.p, T.ctx.N, T.q
     d = T.rank
-    bperm = np.arange(T.group.order) if beta is None else np.asarray(beta, dtype=np.int64)
-    F = np.hstack([_commuting_columns(T.act[g], T.act[int(bperm[g])])
+    F = np.hstack([_commuting_columns(T.act[g], T.act[int(beta[g])])
                    for g in T.group.generators]) % q
     K, Ke = linalg.lattice_kernel(F, p, N)
     return [K[i].reshape(d, d) % (p**Ke) for i in range(K.shape[0])]
@@ -562,3 +570,10 @@ def endo_to_quotient(Q: QuotientModule, Phi) -> np.ndarray:
     M = M[..., Q._kept, :][..., Q._kept]
     mods = Q.module.coord_moduli()
     return M % mods[None, :]
+
+
+def lift_endo(Q: QuotientModule, C) -> np.ndarray:
+    """Integer matrix on the ambient lattice inducing the plain matrix C on
+    A_n, or one per matrix of a stack."""
+    q = Q.lattice.q
+    return (Q._V[:, Q._kept] @ (np.asarray(C, dtype=np.int64) % q) @ Q.representatives()) % q

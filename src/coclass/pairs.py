@@ -34,48 +34,14 @@ class PairError(CoclassError):
 
 @dataclass
 class CompatiblePair:
-    """(beta, eps) with eps in hatted coordinates on the finite module.
-
-    Hat matrices represent the same module map whenever row i agrees mod
-    p^{e_i}, so eps_hat is kept in the canonical reduced form.
-    """
+    """(beta, eps) with eps in hatted coordinates on the finite module, in
+    the canonical form of `FiniteModule.canonical`."""
 
     beta: np.ndarray  # index permutation of the group
     eps_hat: np.ndarray  # hatted matrix, row i reduced mod p^{e_i}
 
     def key(self) -> tuple:
         return (self.beta.tobytes(), self.eps_hat.tobytes())
-
-
-def canonical_hat(A: FiniteModule, M) -> np.ndarray:
-    row_mods = np.array([A.p**e for e in A.exps], dtype=np.int64)
-    return np.asarray(M, dtype=np.int64) % A.q % row_mods[:, None]
-
-
-def pair_compose(A: FiniteModule, x: CompatiblePair, y: CompatiblePair) -> CompatiblePair:
-    """Product in action order: tau.(x y) = (tau.x).y."""
-    beta = groups.compose_perms(x.beta, y.beta)
-    eps = canonical_hat(A, x.eps_hat @ y.eps_hat)
-    return CompatiblePair(beta, eps)
-
-
-def pair_identity(A: FiniteModule) -> CompatiblePair:
-    n = A.group.order
-    return CompatiblePair(np.arange(n, dtype=np.int64),
-                          canonical_hat(A, np.eye(A.rank, dtype=np.int64)))
-
-
-def pair_inverse(A: FiniteModule, x: CompatiblePair) -> CompatiblePair:
-    """Inverse by finite order of the pair (desk scale)."""
-    ident = pair_identity(A)
-    acc = x
-    prev = pair_identity(A)
-    for _ in range(4 * A.order * A.group.order + 4):
-        if acc.key() == ident.key():
-            return prev
-        prev = acc
-        acc = pair_compose(A, acc, x)
-    raise PairError("pair order not found; eps may not be invertible")
 
 
 def automorphism_mask(A: FiniteModule, eps_hat) -> np.ndarray:
@@ -106,8 +72,8 @@ def satisfies_compatibility(A: FiniteModule, beta, eps_hats) -> np.ndarray:
     eps = np.asarray(eps_hats, dtype=np.int64)
     ok = np.ones(eps.shape[:-2], dtype=bool)
     for g in A.group.generators:
-        lhs = canonical_hat(A, A.act[g] @ eps)
-        rhs = canonical_hat(A, eps @ A.act[int(beta[g])])
+        lhs = A.canonical(A.act[g] @ eps)
+        rhs = A.canonical(eps @ A.act[int(beta[g])])
         ok &= (lhs == rhs).all(axis=(-2, -1))
     return ok
 
@@ -119,23 +85,12 @@ def compatible_pairs(A: FiniteModule, auts: list[np.ndarray] | None = None) -> l
     out = []
     for beta in auts:
         beta = np.asarray(beta, dtype=np.int64)
-        hats = hat_matrix(A, modules.hom_space(A, A, beta=beta).all_matrices())
+        hats = A.hat_matrix(modules.hom_space(A, A, beta=beta).all_matrices())
         hats = hats[automorphism_mask(A, hats)]
         if not satisfies_compatibility(A, beta, hats).all():
             raise PairError("hom space produced an incompatible pair")
         out.extend(CompatiblePair(beta, eps_hat) for eps_hat in hats)
     return out
-
-
-def hat_matrix(A: FiniteModule, plain) -> np.ndarray:
-    """Hatted matrix of an additive map given by a plain coordinate matrix,
-    or of each map in a stack."""
-    C = np.asarray(plain, dtype=np.int64)
-    s = A.scales()
-    X = (C % A.q) * s[None, :] % A.q  # X[i, j] = C_ij p^{E - e_j}
-    if np.any(X % s[:, None]):
-        raise PairError("plain matrix is not a well defined module map")
-    return canonical_hat(A, X // s[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +135,7 @@ def _h2_matrices(H: CohomologyGroup, pairs: list[CompatiblePair]) -> list[np.nda
 
 
 def _apply_coord_matrix(H: CohomologyGroup, M: np.ndarray, coords) -> tuple:
-    mods = np.array([H.spec.p**e for e in H.structure.exps], dtype=np.int64)
-    v = (np.asarray(coords, dtype=np.int64) @ M) % mods
+    v = (np.asarray(coords, dtype=np.int64) @ M) % H.structure.moduli()
     return tuple(int(x) for x in v)
 
 
@@ -208,7 +162,7 @@ def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartit
     """Exact orbit partition of H under the pairs, by breadth-first closure."""
     gens = list({M.tobytes(): M for M in _h2_matrices(H, pairs)}.values())
     # close the induced image under composition to get the acting order
-    mods = np.array([H.spec.p**e for e in H.structure.exps], dtype=np.int64)
+    mods = H.structure.moduli()
     closed = groups.closure(gens, gens, lambda X, Y: (X @ Y) % mods[None, :] if X.size else X,
                             key=lambda X: X.tobytes())
     acting_order = max(len(closed), 1)
@@ -262,7 +216,7 @@ def lattice_pairs_mod(T: LatticeModule, c_exp: int,
 def reduce_pair(Q: QuotientModule, beta, eps_lattice) -> CompatiblePair:
     """The pair induced on A_n by a lattice pair (beta, eps)."""
     C = modules.endo_to_quotient(Q, eps_lattice)
-    return CompatiblePair(np.asarray(beta, dtype=np.int64), hat_matrix(Q.module, C))
+    return CompatiblePair(np.asarray(beta, dtype=np.int64), Q.module.hat_matrix(C))
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +312,6 @@ class Complement:
         return out
 
 
-def _lift_plain_endo(Q: QuotientModule, C) -> np.ndarray:
-    """Integer matrix on the ambient lattice inducing the plain matrix C on
-    A_n, or one per matrix of a stack."""
-    q = Q.lattice.q
-    reps = Q.representatives()
-    V = Q._V[:, Q._kept]
-    return (V @ (np.asarray(C, dtype=np.int64) % q) @ reps) % q
-
-
 def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) -> Complement:
     """Complement of the reduced lattice endomorphisms inside End(A_n).
 
@@ -395,7 +340,7 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
     if x is None:
         raise PairError("complement generator is not the t0-image of an endomorphism")
     E_gens = linalg.dot_mod(x, End.structure.gens, A.q, A.q)
-    lifts = list(_lift_plain_endo(Q, End.flat_to_matrix(E_gens)))
+    lifts = list(modules.lift_endo(Q, End.flat_to_matrix(E_gens)))
     E_flat = linalg.howell(E_gens, p, A.E).rows if len(E_gens) else (
         np.zeros((0, A.rank * A.rank), dtype=np.int64))
     # reductions of the lattice endomorphisms, flattened the same way
@@ -433,77 +378,23 @@ def _verify_complement(comp: Complement):
 class RhoPiData:
     bounds: ExponentBounds
     complement: Complement
-    rho_pairs: list[CompatiblePair]  # (1, 1 + eps) for the complement basis
-    pi_rho_pairs: list[CompatiblePair]  # closure of (1, (1 + p^c phi)_{A_n})
     gamma_mod_c: list  # (beta, lattice eps) reps of the pair group mod p^c
 
 
 def one_plus(A: FiniteModule, eps_flat) -> CompatiblePair:
     """(1, 1 + eps) from a hatted flat hom row (X[i, j] = C_ij p^{E - e_j})."""
-    X = np.asarray(eps_flat, dtype=np.int64).reshape(A.rank, A.rank)
-    s = A.scales()
-    C_hat = hat_matrix(A, (X // s[None, :]) % A.coord_moduli()[None, :])
-    eps_hat = canonical_hat(A, np.eye(A.rank, dtype=np.int64) + C_hat)
-    return CompatiblePair(np.arange(A.group.order, dtype=np.int64), eps_hat)
+    C = A.unhat(np.asarray(eps_flat, dtype=np.int64).reshape(A.rank, A.rank))
+    return CompatiblePair(np.arange(A.group.order, dtype=np.int64),
+                          A.hat_matrix(np.eye(A.rank, dtype=np.int64) + C))
 
 
 def rho_pi_data(T: LatticeModule, chain: CentralChain, n: int, period: int) -> RhoPiData:
-    Q = chain.quotient(n)
-    A = Q.module
     bounds = exponent_bounds(T, chain, n, period)
     if not bounds.qualifies(n):
         raise PairError("level %d does not satisfy the deep-level assumption; need %d"
                         % (n, bounds.least_qualifying()))
     comp = complement_En(T, chain, n, period)
-    rho_pairs = [one_plus(A, row) for row in comp.E_flat]
-    for pair in rho_pairs:
-        if not (is_module_automorphism(A, pair.eps_hat)
-                and satisfies_compatibility(A, pair.beta, pair.eps_hat[None])[0]):
-            raise PairError("1 + eps is not a compatible pair")
-    c = T.p**bounds.c_exp
-    gens = []
-    for Phi in modules.lattice_hom_space(T):
-        eps = (np.eye(T.rank, dtype=np.int64) + c * Phi) % T.q
-        gens.append(reduce_pair(Q, np.arange(T.group.order, dtype=np.int64), eps))
-    pi_rho = _pair_closure(A, gens)
-    gamma = lattice_pairs_mod(T, bounds.c_exp)
-    return RhoPiData(bounds, comp, rho_pairs, pi_rho, gamma)
-
-
-def _pair_closure(A: FiniteModule, gens: list[CompatiblePair]) -> list[CompatiblePair]:
-    return list(groups.closure([pair_identity(A)], gens, lambda x, g: pair_compose(A, x, g),
-                               key=CompatiblePair.key).values())
-
-
-def check_rho_additivity(A: FiniteModule, comp: Complement) -> bool:
-    """(1 + eps)(1 + eps') = 1 + eps + eps' on the complement at deep levels."""
-    rows = list(comp.E_flat)
-    for x in rows:
-        for y in rows:
-            lhs = pair_compose(A, one_plus(A, x), one_plus(A, y))
-            rhs = one_plus(A, (np.asarray(x) + np.asarray(y)) % A.q)
-            if not np.array_equal(lhs.eps_hat, rhs.eps_hat):
-                return False
-    return True
-
-
-def check_centralizing(A: FiniteModule, data: RhoPiData) -> bool:
-    for x in data.rho_pairs:
-        for y in data.pi_rho_pairs:
-            if pair_compose(A, x, y).key() != pair_compose(A, y, x).key():
-                return False
-    return True
-
-
-def check_pi_rho_trivial_on_h2(H: CohomologyGroup, data: RhoPiData) -> bool:
-    mods = _mods(H)
-    ident = np.eye(len(H.structure.exps), dtype=np.int64) % mods[None, :]
-    return all(np.array_equal(M % mods[None, :], ident)
-               for M in _h2_matrices(H, data.pi_rho_pairs))
-
-
-def _mods(H: CohomologyGroup) -> np.ndarray:
-    return np.array([H.spec.p**e for e in H.structure.exps], dtype=np.int64)
+    return RhoPiData(bounds, comp, lattice_pairs_mod(T, bounds.c_exp))
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +432,9 @@ def generator_pairs(T: LatticeModule, chain: CentralChain, n: int, period: int,
                     data: RhoPiData) -> list[GeneratorPair]:
     """Matched generators of the pair groups at levels n and n + d.
 
-    Lattice pairs reduce at both levels directly; complement generators map
-    by eps -> p * eps through the fixed integer lifts.
+    Lattice pairs reduce at both levels directly; complement generators
+    (1, 1 + eps) map by eps -> p * eps through the fixed integer lifts, and
+    both must be compatible pairs.
     """
     p = T.p
     out = []
@@ -553,14 +445,18 @@ def generator_pairs(T: LatticeModule, chain: CentralChain, n: int, period: int,
     A_nd = Q_nd.module
     for row, lift in zip(data.complement.E_flat, data.complement.lattice_lifts):
         at_n = one_plus(Q_n.module, row)
+        _require_pair(Q_n.module, at_n, "1 + eps is not a compatible pair")
         C_nd = modules.endo_to_quotient(Q_nd, (p * lift) % T.q)
-        eps_nd = canonical_hat(A_nd, np.eye(A_nd.rank, dtype=np.int64) + hat_matrix(A_nd, C_nd))
-        at_nd = CompatiblePair(np.arange(T.group.order, dtype=np.int64), eps_nd)
-        if not (is_module_automorphism(A_nd, at_nd.eps_hat)
-                and satisfies_compatibility(A_nd, at_nd.beta, at_nd.eps_hat[None])[0]):
-            raise PairError("shifted complement generator is not a compatible pair")
+        at_nd = CompatiblePair(at_n.beta, A_nd.hat_matrix(np.eye(A_nd.rank, dtype=np.int64) + C_nd))
+        _require_pair(A_nd, at_nd, "shifted complement generator is not a compatible pair")
         out.append(GeneratorPair("complement", at_n, at_nd))
     return out
+
+
+def _require_pair(A: FiniteModule, pair: CompatiblePair, message: str):
+    if not (is_module_automorphism(A, pair.eps_hat)
+            and satisfies_compatibility(A, pair.beta, pair.eps_hat[None])[0]):
+        raise PairError(message)
 
 
 def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,

@@ -374,7 +374,7 @@ def _fiber_term_indices(scn: Scenario, Qm: QuotientModule, j: int, na: int,
     return sorted(found)
 
 
-def check_lower_central_series(scn: Scenario, max_order: int = 2048) -> LcsReport:
+def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
     """Identify the lower central terms of the finite semidirect quotients.
 
     For each buildable quotient G0 x (T / T_m), checks that with the
@@ -453,7 +453,7 @@ def _summand_classes(level: cohomology.SplitLevel) -> list[tuple[tuple, np.ndarr
     summand of H^2, in lexicographic coordinate order."""
     H = level.H
     q = H.spec.q
-    mods = np.array([H.spec.p**e for e in H.structure.exps], dtype=np.int64)
+    mods = H.structure.moduli()
     # coordinates are additive, so each sum carries its own
     gens = [(row, H.coords(row)) for row in level.theta_hat]
     zero = (np.zeros(H.cocycles.shape[1], dtype=np.int64), np.zeros(len(mods), dtype=np.int64))
@@ -469,8 +469,12 @@ def _h3_component(level: cohomology.SplitLevel, row) -> list[int]:
     return [int(ci % p**a) for ci, a in zip(c, level.frame.K_divisor_exps)]
 
 
-def summand_instability_witness(scn: Scenario, n_range=None, k_range=(0, 1, 2),
-                                group_cap: int = 8) -> SummandScanReport:
+# the rescaling stages the summand scan visits, and the largest group order it scans
+SCAN_STAGES = (0, 1, 2)
+SCAN_GROUP_CAP = 8
+
+
+def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanReport:
     """Scan for an invertible module endomorphism whose compatible-pair
     action moves some class of the lattice summand of H^2 out of the
     summand, i.e. gives it a nonzero complement component.
@@ -491,11 +495,11 @@ def summand_instability_witness(scn: Scenario, n_range=None, k_range=(0, 1, 2),
     skipped: list[dict] = []
     witness = None
     lifted_ok = True
-    for k in k_range:
+    for k in SCAN_STAGES:
         stage = scn.stage(k)
-        if stage.group.order > group_cap:
+        if stage.group.order > SCAN_GROUP_CAP:
             skipped.append({"k": str(k), "group_order": str(stage.group.order),
-                            "reason": "group order exceeds the scan cap %d" % group_cap})
+                            "reason": "group order exceeds the scan cap %d" % SCAN_GROUP_CAP})
             continue
         chain_k = stage.chain
         for n in n_range:
@@ -539,7 +543,7 @@ def _scan_level(scn, k, n, level, H, A, member, classes):
     mats = End.all_matrices()
     # the two forms of each endomorphism, interleaved in scan order
     forms = np.stack([mats, (np.eye(A.rank, dtype=np.int64) + mats) % A.q], axis=1)
-    hats = pairs.hat_matrix(A, forms.reshape(-1, A.rank, A.rank))
+    hats = A.hat_matrix(forms.reshape(-1, A.rank, A.rank))
     autos = np.flatnonzero(pairs.automorphism_mask(A, hats))
     hit = _first_move(H, member, classes, hats[autos])
     if hit is None:
@@ -581,7 +585,7 @@ def _lifted_endos_stable(Tk, Q, H, member, classes) -> bool:
     summand inside itself."""
     A = Q.module
     Phi = modules.lattice_endomorphisms(Tk, Tk.p * Tk.p)
-    hats = pairs.hat_matrix(A, modules.endo_to_quotient(Q, Phi))
+    hats = A.hat_matrix(modules.endo_to_quotient(Q, Phi))
     return _first_move(H, member, classes, hats[pairs.automorphism_mask(A, hats)]) is None
 
 

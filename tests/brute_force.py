@@ -6,10 +6,11 @@ order statistics.  Keep it slow and obviously correct.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from coclass import cohomology, linalg, scenarios
+from coclass import cohomology, extensions, groups, linalg, modules, pairs, scenarios
 
 
 def module_elements(moduli):
@@ -569,18 +570,19 @@ def split_frame_per_level(chain, n, m=2):
     return cohomology.SplitFrame(m, basis, vf, theta, theta_prec, lifts, divisors)
 
 
-def summand_scan_per_level_frames(scn, n_range=range(1, 7), k_range=(0, 1, 2), group_cap=8):
+def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
     """scenarios.summand_instability_witness with the split frame of
     `split_frame_per_level` built at every level rather than one per residue
     class; returns its report."""
     scanned, skipped = [], []
     witness = None
     lifted_ok = True
-    for k in k_range:
+    for k in scenarios.SCAN_STAGES:
         stage = scn.stage(k)
-        if stage.group.order > group_cap:
+        if stage.group.order > scenarios.SCAN_GROUP_CAP:
             skipped.append({"k": str(k), "group_order": str(stage.group.order),
-                            "reason": "group order exceeds the scan cap %d" % group_cap})
+                            "reason": "group order exceeds the scan cap %d"
+                            % scenarios.SCAN_GROUP_CAP})
             continue
         chain_k = stage.chain
         for n in n_range:
@@ -608,3 +610,188 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7), k_range=(0, 1, 2), g
             break
     return scenarios.SummandScanReport(scn.name, witness is not None, witness,
                                        lifted_ok, scanned, skipped)
+
+
+def finite_module_from_plain_entries(group, p, exps, plain_act):
+    """modules.finite_module_from_plain with each hatted entry
+    A_ij p^{E-e_j} / p^{E-e_i} worked out in Python integers, one entry at a
+    time."""
+    exps = [int(e) for e in exps]
+    E = max(exps) if exps else 1
+    q = p**E
+    r = len(exps)
+    act = np.zeros((group.order, r, r), dtype=np.int64)
+    plain = np.zeros((group.order, r, r), dtype=np.int64)
+    mods = np.array([p**e for e in exps], dtype=np.int64).reshape(1, r)
+    for g in range(group.order):
+        A = np.asarray(plain_act[g], dtype=np.int64)
+        plain[g] = A % mods
+        M = np.zeros((r, r), dtype=np.int64)
+        for i in range(r):
+            for j in range(r):
+                num = int(A[i, j]) * p ** (E - exps[j])
+                den = p ** (E - exps[i])
+                if num % den:
+                    raise modules.ModuleError("action matrix is not a well defined module map")
+                M[i, j] = (num // den) % q
+        act[g] = M
+    fm = modules.FiniteModule(group, p, exps, E, act, plain)
+    modules._validate_finite_action(fm)
+    return fm
+
+
+# ---------------------------------------------------------------------------
+# Checks and conveniences only the tests use.
+# ---------------------------------------------------------------------------
+
+
+def contains(H, v):
+    """Whether v lies in the span of the Howell form H."""
+    return not np.any(H.reduce(v))
+
+
+def is_coboundary(H, cocycle_row):
+    """Whether a cocycle is zero in the cohomology group H."""
+    return not np.any(H.coords(cocycle_row))
+
+
+def at_distance(branch, j):
+    """The vertices of a branch at edge distance j from its root."""
+    return [v for v in branch.vertices if v.distance == j]
+
+
+def lattice_cohomology(T, m, basis=None):
+    """Lattice H^m(R, T), or of the sublattice with the given basis rows, by
+    kernel and quotient: the exact p-adic cocycles modulo the coboundaries.
+    `cohomology.lattice_invariants` reads the same exponents from d^{m-1}."""
+    spec = cohomology.lattice_coefficients(T, basis)
+    H = cohomology.cohomology_group(spec, m)
+    if m >= 1:
+        cohomology._check_group_order_bound(spec, m, H.structure.exps)
+    return H
+
+
+def id_oplus_mu_inverse(src, dst, tau_hat):
+    """Preimage under the shift `cohomology.id_oplus_mu`, on cocycle
+    representatives (dst is the deeper level).  Both levels share the
+    complement frame, so the complement coefficients transfer directly."""
+    if dst.frame is not src.frame:
+        raise cohomology.CohomologyError("source and destination must share a split frame")
+    gamma, c = dst.decompose(tau_hat)
+    lifted = (gamma + src.k_lift(c)) % src.Q.lattice.q
+    return cohomology.lattice_row_to_quotient(src.Q, lifted)
+
+
+def compose_perms(a, b):
+    """(a then b) as index maps: x -> b[a[x]]."""
+    return b[a]
+
+
+def pair_compose(A, x, y):
+    """Product of compatible pairs in action order: tau.(x y) = (tau.x).y."""
+    return pairs.CompatiblePair(compose_perms(x.beta, y.beta), A.canonical(x.eps_hat @ y.eps_hat))
+
+
+def pair_identity(A):
+    return pairs.CompatiblePair(np.arange(A.group.order, dtype=np.int64),
+                                A.canonical(np.eye(A.rank, dtype=np.int64)))
+
+
+def pair_inverse(A, x):
+    """Inverse of a compatible pair by its finite order."""
+    ident = pair_identity(A)
+    acc, prev = x, ident
+    for _ in range(4 * A.order * A.group.order + 4):
+        if acc.key() == ident.key():
+            return prev
+        prev = acc
+        acc = pair_compose(A, acc, x)
+    raise pairs.PairError("pair order not found; eps may not be invertible")
+
+
+@dataclass
+class RhoPiPairs:
+    rho_pairs: list  # (1, 1 + eps) for the complement basis
+    pi_rho_pairs: list  # closure of (1, (1 + p^c phi)_{A_n})
+
+
+def rho_pi_pairs(T, chain, n, data):
+    """The rho images of the complement basis and the closure of the pi-rho
+    images of the lattice endomorphisms at level n, for `pairs.rho_pi_data`'s
+    data."""
+    Q = chain.quotient(n)
+    A = Q.module
+    rho = [pairs.one_plus(A, row) for row in data.complement.E_flat]
+    c = T.p**data.bounds.c_exp
+    ident = np.arange(T.group.order, dtype=np.int64)
+    gens = [pairs.reduce_pair(Q, ident, (np.eye(T.rank, dtype=np.int64) + c * Phi) % T.q)
+            for Phi in modules.lattice_hom_space(T)]
+    closed = groups.closure([pair_identity(A)], gens,
+                            lambda x, g: pair_compose(A, x, g),
+                            key=pairs.CompatiblePair.key)
+    return RhoPiPairs(rho, list(closed.values()))
+
+
+def check_rho_additivity(A, comp):
+    """(1 + eps)(1 + eps') = 1 + eps + eps' on the complement at deep levels."""
+    rows = list(comp.E_flat)
+    for x in rows:
+        for y in rows:
+            lhs = pair_compose(A, pairs.one_plus(A, x), pairs.one_plus(A, y))
+            rhs = pairs.one_plus(A, (np.asarray(x) + np.asarray(y)) % A.q)
+            if not np.array_equal(lhs.eps_hat, rhs.eps_hat):
+                return False
+    return True
+
+
+def check_centralizing(A, rp):
+    """The rho images centralize the pi-rho closure."""
+    return all(pair_compose(A, x, y).key() == pair_compose(A, y, x).key()
+               for x in rp.rho_pairs for y in rp.pi_rho_pairs)
+
+
+def check_pi_rho_trivial_on_h2(H, rp):
+    """The pi-rho closure acts trivially on H^2."""
+    mods = H.structure.moduli()
+    ident = np.eye(len(mods), dtype=np.int64) % mods[None, :]
+    return all(np.array_equal(M % mods[None, :], ident)
+               for M in pairs._h2_matrices(H, rp.pi_rho_pairs))
+
+
+@dataclass
+class OrbitIsomorphismReport:
+    level_order: int
+    checked_pairs: int
+    skipped_classes: int  # classes whose extension does not have the base coclass
+    ok: bool
+    witness: dict | None
+
+
+def orbit_isomorphism_check(H, A, partition):
+    """Verify (same orbit <=> isomorphic extensions) over all qualifying classes.
+
+    Classes whose extension does not share the base's coclass fall outside
+    the hypothesis and are skipped (counted in the report).
+    """
+    R = A.group
+    exts = {}
+    skipped = 0
+    for i, cl in enumerate(partition.classes):
+        for c in cl:
+            ext = extensions.build_extension(R, A, H.representative(c))
+            cc, flag = extensions.coclass_of_extension(ext)
+            if flag:
+                exts[c] = (i, ext)
+            else:
+                skipped += 1
+    items = sorted(exts.items())
+    checked = 0
+    for (c1, (i1, e1)), (c2, (i2, e2)) in itertools.combinations(items, 2):
+        iso = extensions.are_isomorphic(e1.table, e2.table)
+        same_orbit = i1 == i2
+        checked += 1
+        if iso != same_orbit:
+            return OrbitIsomorphismReport(A.order, checked, skipped, False,
+                                          {"class_a": list(c1), "class_b": list(c2),
+                                           "same_orbit": same_orbit, "isomorphic": iso})
+    return OrbitIsomorphismReport(A.order, checked, skipped, True, None)

@@ -15,7 +15,8 @@ import pytest
 from coclass import (cli, coclass_tree, cohomology, extensions, groups,
                      linalg, modules, pairs, scenarios)
 
-from brute_force import semi_brute_h_stats, stats_from_invariants
+from brute_force import (at_distance, lattice_cohomology, orbit_isomorphism_check,
+                         semi_brute_h_stats, stats_from_invariants)
 
 
 _cache = {}
@@ -213,12 +214,12 @@ def test_h2_splits_across_qualifying_window(name):
     scn = scenario(name)
     T, chain, d = scn.lattice(), scn.chain(), scn.period()
     window = _split_window(scn)
-    lat_inv = sorted(int(x) for x in cohomology.lattice_cohomology(T, 2).invariants())
+    lat_inv = sorted(int(x) for x in lattice_cohomology(T, 2).invariants())
     frames = {}
     for n in window:
         Q = scn.quotient(n)
         H = cohomology.finite_cohomology(Q.module, 2)
-        h3 = cohomology.lattice_cohomology(T, 3, basis=chain.bases[n])
+        h3 = lattice_cohomology(T, 3, basis=chain.bases[n])
         got = sorted(int(x) for x in H.invariants())
         want = sorted(lat_inv + [int(x) for x in h3.invariants()])
         assert got == want, (name, n, got, want)
@@ -246,7 +247,7 @@ def test_orbits_match_isomorphism_dihedral():
     Q = top.quotient(2)
     H = cohomology.finite_cohomology(Q.module, 2)
     part = pairs.orbits_on_h2(H, pairs.compatible_pairs(Q.module))
-    rep = extensions.orbit_isomorphism_check(H, Q.module, part)
+    rep = orbit_isomorphism_check(H, Q.module, part)
     assert rep.ok, rep.witness
     assert rep.checked_pairs > 0
 
@@ -256,7 +257,7 @@ def test_orbits_match_isomorphism_d8():
     Q = scn.quotient(1)
     H = cohomology.finite_cohomology(Q.module, 2)
     part = pairs.orbits_on_h2(H, pairs.compatible_pairs(Q.module))
-    rep = extensions.orbit_isomorphism_check(H, Q.module, part)
+    rep = orbit_isomorphism_check(H, Q.module, part)
     assert rep.ok, rep.witness
     assert rep.checked_pairs > 0
 
@@ -289,7 +290,7 @@ def test_summand_instability_witness_and_recheck():
     eps = np.array([[int(x) for x in r] for r in w["eps_hat"]], dtype=np.int64)
     moved = pairs.act_on_cochain(level.H, pairs.CompatiblePair(
         np.arange(level.Q.module.group.order, dtype=np.int64),
-        pairs.canonical_hat(level.Q.module, eps)), row)
+        level.Q.module.canonical(eps)), row)
     _, c2 = level.decompose(moved)
     got = [int(ci) % T.p**a for ci, a in zip(c2, frame.K_divisor_exps)]
     assert got == [int(x) for x in w["h3_component"]]
@@ -314,7 +315,7 @@ def test_branches_and_shift_certification():
     scn = scenario("dihedral_mainline")
     branches = {i: coclass_tree.build_branch(scn, i) for i in (3, 4, 5)}
     for i, br in branches.items():
-        kids = br.at_distance(1)
+        kids = at_distance(br, 1)
         assert len(kids) == 3
         order = 2 ** (i + 1)
         counts = sorted(int(np.count_nonzero(br.tables[v.index].element_orders() == 2))
@@ -365,8 +366,8 @@ def test_invariants_stable_under_precision_bump(name):
             b = cohomology.finite_cohomology(hi.quotient(n).module, m).invariants()
             assert [int(x) for x in a] == [int(x) for x in b], (name, n, m)
     for m in (2, 3):
-        a = cohomology.lattice_cohomology(lo.lattice(), m).invariants()
-        b = cohomology.lattice_cohomology(hi.lattice(), m).invariants()
+        a = lattice_cohomology(lo.lattice(), m).invariants()
+        b = lattice_cohomology(hi.lattice(), m).invariants()
         assert [int(x) for x in a] == [int(x) for x in b], (name, m)
     assert (lo.bounds().a_exp, lo.bounds().b_exp) == (hi.bounds().a_exp, hi.bounds().b_exp)
     n0 = lo.bounds().least_qualifying()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import coclass
-from coclass import cli, cohomology, extensions, groups, pairs, scenarios
+from coclass import cli, cohomology, extensions, groups, modules, pairs, scenarios
 
 
 def run(argv, capsys):
@@ -270,8 +270,6 @@ def _module_key(A):
 
 # input-content keys of the derived objects that must each be computed once
 _DERIVED = [
-    (cohomology, "lattice_cohomology",
-     lambda T, m, basis=None: (_lattice_key(T), m, _bytes(basis))),
     (cohomology, "lattice_invariants",
      lambda spec, m: (_bytes(spec.group.mul), _bytes(spec.act), spec.E, m)),
     (cohomology, "_generator_smith",
@@ -280,6 +278,7 @@ _DERIVED = [
     (cohomology, "lattice_coefficients",
      lambda T, basis=None: (_lattice_key(T),
                             _bytes(np.eye(T.rank) if basis is None else basis))),
+    (modules, "_lattice_hom_basis", lambda T, beta: (_lattice_key(T), _bytes(beta))),
     (cohomology, "split_frame",
      lambda T, chain, n, m=2: (_lattice_key(T), _bytes(chain.bases[n]), m)),
     (pairs, "compatible_pairs", lambda A, auts=None: _module_key(A)),

@@ -5,7 +5,7 @@ import pytest
 
 from coclass import cohomology, extensions, groups, linalg, modules, pairs, scenarios
 
-from brute_force import extension_table_by_formula
+from brute_force import extension_table_by_formula, orbit_isomorphism_check
 
 
 def cyclic_table(n):
@@ -143,7 +143,7 @@ def test_fingerprint_prefilter_matches_isomorphism_on_order_eight():
 def test_orbit_isomorphism_on_d8_level_one():
     Q, H = d8_level_one()
     part = pairs.orbits_on_h2(H, pairs.compatible_pairs(Q.module))
-    rep = extensions.orbit_isomorphism_check(H, Q.module, part)
+    rep = orbit_isomorphism_check(H, Q.module, part)
     assert rep.ok
     assert rep.checked_pairs == 6
     assert rep.skipped_classes == 4

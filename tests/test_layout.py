@@ -1,8 +1,10 @@
-"""Every public function, class and method of the package is used by the package.
+"""Every public function, class and method of the package is used by the package,
+and each object's private fields are read by the module that owns them.
 
 A public name defined in `src/coclass` must be referenced there somewhere
 other than its own definition, or be listed in ORACLES with the reason it is
-kept although only the tests call it.
+kept although only the tests call it; the checks only tests use live in
+`tests/brute_force.py`.
 """
 
 import ast
@@ -10,18 +12,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coclass"
 
-ORACLES = {
-    "lattice_cohomology": "kernel-and-quotient lattice H^m, checked against lattice_invariants",
-    "orbit_isomorphism_check": "orbits on H^2 against isomorphism classes of the extensions",
-    "check_rho_additivity": "(1 + eps)(1 + eps') = 1 + eps + eps' on the complement",
-    "check_centralizing": "the rho images centralize the pi-rho closure",
-    "check_pi_rho_trivial_on_h2": "the pi-rho closure acts trivially on H^2",
-    "pair_inverse": "pair inverse by finite order, for the group-action tests",
-    "id_oplus_mu_inverse": "preimage of the level shift, for the round-trip tests",
-    "is_coboundary": "test convenience: a class is zero",
-    "at_distance": "test convenience: the vertices of a branch at one distance",
-    "contains": "test convenience: membership in a Howell span",
-}
+ORACLES: dict[str, str] = {}
+
+# fields of a QuotientModule that only `modules` reads: its Smith transforms
+# and the coordinates they keep
+QUOTIENT_PRIVATE = {"_V", "_Vinv", "_kept"}
 
 
 def _definitions(tree):
@@ -60,3 +55,14 @@ def test_every_oracle_is_still_defined():
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     defined = {name for tree in trees for name, _ in _definitions(tree)}
     assert set(ORACLES) <= defined, set(ORACLES) - defined
+
+
+def test_only_modules_reads_the_smith_data_of_a_quotient():
+    # outside modules.py an object may read these names only from itself, as
+    # linalg.QuotientGroup reads its own
+    reads = sorted("%s:%d" % (path.name, node.lineno)
+                   for path in sorted(SRC.glob("*.py")) if path.name != "modules.py"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr in QUOTIENT_PRIVATE
+                   and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+    assert not reads, "QuotientModule internals read outside modules.py: %s" % reads

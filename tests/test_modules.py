@@ -1,7 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coclass import groups, linalg, modules
+from coclass import groups, linalg, modules, scenarios
+
+from brute_force import finite_module_from_plain_entries
+
+C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
 
 
 def cyclic_table(n):
@@ -221,3 +228,55 @@ def test_precision_stability_of_invariants():
         chain = modules.g_central_series(T, 6)
         Q = modules.quotient(T, chain, 5)
         assert Q.invariants() == [8, 4]
+
+
+def _same_module(got, want):
+    return (got.exps == want.exps and got.E == want.E
+            and got.act.tobytes() == want.act.tobytes()
+            and got.plain.tobytes() == want.plain.tobytes())
+
+
+@pytest.mark.parametrize("source", ["dihedral_mainline", "d8_gaussian", str(C3_EISENSTEIN)],
+                         ids=["dihedral_mainline", "d8_gaussian", "c3_eisenstein"])
+def test_hatted_action_of_every_level_quotient_matches_the_entrywise_oracle(monkeypatch, source):
+    seen = []
+    build = modules.finite_module_from_plain
+
+    def recorded(group, p, exps, plain_act):
+        fm = build(group, p, exps, plain_act)
+        seen.append((group, p, exps, plain_act, fm))
+        return fm
+
+    monkeypatch.setattr(modules, "finite_module_from_plain", recorded)
+    scn = scenarios.load_scenario(source)
+    for k in scenarios.SCAN_STAGES:
+        chain = scn.stage(k).chain
+        for n in range(chain.depth + 1):
+            chain.quotient(n)
+    assert len(seen) >= 3 * len(scenarios.SCAN_STAGES)
+    for group, p, exps, plain_act, fm in seen:
+        assert _same_module(fm, finite_module_from_plain_entries(group, p, exps, plain_act))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_hatted_action_with_mixed_exponents_matches_the_entrywise_oracle(data):
+    # C2 acting by M = [[1, X], [0, -1]] in blocks, an involution for every X;
+    # X_ij needs p^(e_j - e_i) | X_ij to be a module map, and the last
+    # coordinate has a larger exponent than the first
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    r1 = data.draw(st.integers(1, 2))
+    r = r1 + data.draw(st.integers(1, 2))
+    exps = [1] + [data.draw(st.integers(1, 3)) for _ in range(r - 2)] + [data.draw(st.integers(2, 4))]
+    M = np.diag([1] * r1 + [-1] * (r - r1)).astype(np.int64)
+    for i in range(r1):
+        for j in range(r1, r):
+            M[i, j] = p ** max(exps[j] - exps[i], 0) * data.draw(st.integers(-p**3, p**3))
+    C2 = groups.make_table(cyclic_table(2))
+    ident = np.eye(r, dtype=np.int64)
+    fm = modules.finite_module_from_plain(C2, p, exps, [ident, M])
+    assert _same_module(fm, finite_module_from_plain_entries(C2, p, exps, [ident, M]))
+    M[0, r - 1] += 1  # not divisible by p^(e_last - e_first): not a module map
+    for build in (modules.finite_module_from_plain, finite_module_from_plain_entries):
+        with pytest.raises(modules.ModuleError, match="not a well defined module map"):
+            build(C2, p, exps, [ident, M])

@@ -22,6 +22,8 @@ DATA = Path(__file__).resolve().parent / "data"
 # each with exit code 0
 STORED = {
     "c3_eisenstein.run-all.out": ["run-all", "--scenario", "tests/data/c3_eisenstein.json"],
+    "c3_eisenstein_p19.run-all.out":
+        ["run-all", "--scenario", "tests/data/c3_eisenstein_p19.json"],
     "dihedral_p9_d7.run-all.out": ["run-all", "--scenario", "tests/data/dihedral_p9_d7.json"],
     "dihedral_mainline.branch-i5-k2-shift.out":
         ["branch", "--scenario", "dihedral_mainline", "--i", "5", "--k", "2", "--shift"],

@@ -153,7 +153,7 @@ def test_witness_is_recheckable():
     A = Q.module
     eps_hat = np.array([[int(x) for x in r] for r in w["eps_hat"]], dtype=np.int64)
     pair = pairs.CompatiblePair(np.arange(A.group.order, dtype=np.int64),
-                                pairs.canonical_hat(A, eps_hat))
+                                A.canonical(eps_hat))
     assert pairs.is_module_automorphism(A, pair.eps_hat)
     # rebuild the class from the theta rows so it provably sits in the summand
     classes = scenarios._summand_classes(level)

@@ -3,6 +3,8 @@ import pytest
 
 from coclass import coclass_tree, cohomology, extensions, groups, scenarios
 
+from brute_force import at_distance
+
 
 _cache = {}
 
@@ -41,7 +43,7 @@ def test_branch_root_is_the_mainline_quotient():
 def test_branch_children_are_the_expected_triple():
     for i in (3, 4, 5):
         br = branch(i)
-        kids = br.at_distance(1)
+        kids = at_distance(br, 1)
         assert len(kids) == 3
         order = 2 ** (i + 1)
         assert all(v.order == order for v in kids)
@@ -55,7 +57,7 @@ def test_branch_children_are_the_expected_triple():
 
 def test_branch_edges_all_point_to_the_root_at_k1():
     br = branch(4)
-    assert sorted(br.edges) == [(0, v.index) for v in br.at_distance(1)]
+    assert sorted(br.edges) == [(0, v.index) for v in at_distance(br, 1)]
 
 
 def test_deeper_shave_adds_nothing_off_the_mainline():
@@ -64,7 +66,7 @@ def test_deeper_shave_adds_nothing_off_the_mainline():
     br1 = branch(4, 1)
     br2 = branch(4, 2)
     assert len(br2.vertices) == len(br1.vertices)
-    assert br2.at_distance(2) == []
+    assert at_distance(br2, 2) == []
 
 
 def test_branch_too_shallow_is_rejected():
@@ -103,9 +105,9 @@ def test_shift_two_consecutive_branches():
                 # dihedral -> dihedral, semidihedral -> semidihedral,
                 # quaternion -> quaternion
                 rank_a = sorted(involution_count(src.tables[v.index])
-                                for v in src.at_distance(1)).index(ia)
+                                for v in at_distance(src, 1)).index(ia)
                 rank_b = sorted(involution_count(dst.tables[v.index])
-                                for v in dst.at_distance(1)).index(ib)
+                                for v in at_distance(dst, 1)).index(ib)
                 assert rank_a == rank_b
 
 
@@ -130,7 +132,7 @@ def test_dot_export_is_deterministic_and_complete():
 
 def test_vertices_pairwise_nonisomorphic():
     br = branch(4)
-    idxs = [v.index for v in br.at_distance(1)]
+    idxs = [v.index for v in at_distance(br, 1)]
     for x in range(len(idxs)):
         for y in range(x + 1, len(idxs)):
             assert not extensions.are_isomorphic(br.tables[idxs[x]], br.tables[idxs[y]])
