@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import CoclassError, Owner
 
@@ -680,6 +681,48 @@ def all_coord_rows(moduli: list[int]) -> np.ndarray:
     return out
 
 
+def _addition_table(moduli: list[int], dtype) -> np.ndarray:
+    """add[i, j] = index(V_i + V_j) for the coordinate rows V in mixed-radix
+    order, one coordinate at a time from the last: with n the order of the
+    coordinates after the first, add[i0 n + i', j0 n + j'] =
+    ((i0 + j0) mod m0) n + add'[i', j'], one broadcast sum into the
+    (m0, n, m0, n) view of the table.  The first term is a sliding window
+    over 2 m0 values, so no array of more than na x na entries is made."""
+    add = np.zeros((1, 1), dtype=dtype)
+    for m in reversed(moduli):
+        n = add.shape[0]
+        digit = sliding_window_view((np.arange(2 * m) % m * n).astype(dtype), m)[:m]
+        out = np.empty((m * n, m * n), dtype=dtype)
+        np.add(digit[:, None, :, None], add[None, :, None, :], out=out.reshape(m, n, m, n))
+        add = out
+    return add
+
+
+def _extension_mul(gmul: np.ndarray, moduli: list[int], act_coords,
+                   tau_coords=None) -> np.ndarray:
+    """The raw table of `abelian_extension_table`: block (g, h) is
+    add[pi_h][:, add[:, tau_gh]] + gmul[g, h] * |A|, written in place."""
+    gmul = np.asarray(gmul)
+    ng = gmul.shape[0]
+    V = all_coord_rows(moduli)
+    na = V.shape[0]
+    dtype = index_dtype(ng * na)
+    add = _addition_table(moduli, dtype)
+    if tau_coords is None:
+        tau = np.zeros((ng, ng), dtype=np.int64)
+    else:
+        tau = mixed_radix_index(np.asarray(tau_coords, dtype=np.int64), moduli)
+    mul = np.empty((ng * na, ng * na), dtype=dtype)
+    for h in range(ng):
+        pi = mixed_radix_index(V @ np.asarray(act_coords[h], dtype=np.int64), moduli)
+        rows = add[pi]  # rows[a, c] = index(a.h + V_c)
+        for g in range(ng):
+            block = mul[g * na:(g + 1) * na, h * na:(h + 1) * na]
+            np.take(rows, add[:, tau[g, h]], axis=1, out=block)
+            block += int(gmul[g, h]) * na
+    return mul
+
+
 def abelian_extension_table(gmul: np.ndarray, moduli: list[int], act_coords,
                             tau_coords=None) -> GroupTable:
     """Multiplication table of A x G with (a,g)(b,h) = (a.h + b + tau(g,h), gh).
@@ -687,23 +730,19 @@ def abelian_extension_table(gmul: np.ndarray, moduli: list[int], act_coords,
     A is the abelian group with the given coordinate moduli; act_coords[h] is
     the matrix of the right action of h on coordinates; tau_coords[g][h] is the
     factor-set coordinate vector (omit for the split case).  Element index is
-    g * |A| + index(a), so (0, identity) is index 0 as required.  Each
-    (g, h) block is computed in int64 and cast as it is stored.
+    g * |A| + index(a), so (0, identity) is index 0 as required.  An order
+    above CLOSURE_CAP is refused before anything is allocated.
+
+    The table is a gather over the addition table add[i, j] = index(V_i + V_j)
+    of A.  With pi_h(a) = index(a.h) and t = index(tau(g, h)), block (g, h) is
+    add[pi_h(a), add[b, t]] + gmul[g, h] * |A| = index(a.h + b + tau(g, h)) +
+    gmul[g, h] * |A|, because index is a bijection from the coordinate rows
+    onto [0, |A|) and addition mod the moduli is associative.  That is the
+    defining formula entry by entry, for any integer action matrices,
+    automorphisms or not, so the table does not depend on how it is
+    gathered; `make_table` then checks the group axioms.
     """
-    gmul = np.asarray(gmul)
-    ng = gmul.shape[0]
-    V = all_coord_rows(moduli)
-    na = V.shape[0]
-    mul = np.empty((ng * na, ng * na), dtype=index_dtype(ng * na))
-    for h in range(ng):
-        AV = V @ np.asarray(act_coords[h], dtype=np.int64)  # a.h for every a
-        for g in range(ng):
-            # coordinates of a.h + b + tau(g, h) for every a and b, one block
-            # at a time to keep the temporaries small; mixed_radix_index
-            # reduces them
-            s = AV[:, None, :] + V
-            if tau_coords is not None:
-                s += np.asarray(tau_coords[g][h], dtype=np.int64)
-            mul[g * na:(g + 1) * na, h * na:(h + 1) * na] = (
-                int(gmul[g, h]) * na + mixed_radix_index(s, moduli))
-    return make_table(mul)
+    order = len(gmul) * math.prod(int(m) for m in moduli)
+    if order > CLOSURE_CAP:
+        raise GroupError("extension of order %d exceeds the table cap %d" % (order, CLOSURE_CAP))
+    return make_table(_extension_mul(gmul, moduli, act_coords, tau_coords))

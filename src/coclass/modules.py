@@ -262,19 +262,20 @@ def finite_module_from_plain(group: GroupTable, p: int, exps: list[int], plain_a
     """Build from action matrices on plain coordinates (entry ij mod p^{e_j}).
 
     The hatted entry ij is A_ij p^{E-e_j} / p^{E-e_i}: a multiple of A_ij
-    when e_i >= e_j, and an exact quotient of it otherwise."""
+    when e_i >= e_j, and an exact quotient of it otherwise.  A_ij is first
+    reduced mod p^{e_j}, so every integer lift of the same map gives the same
+    canonical hatted matrices."""
     exps = [int(e) for e in exps]
     E = max(exps) if exps else 1
-    q = p**E
     r = len(exps)
     e = np.array(exps, dtype=np.int64)
-    A = np.asarray(plain_act, dtype=np.int64).reshape(group.order, r, r)
+    A = np.asarray(plain_act, dtype=np.int64).reshape(group.order, r, r) % p**e
     shift = e[:, None] - e[None, :]  # e_i - e_j
     mult, div = p ** np.maximum(shift, 0), p ** np.maximum(-shift, 0)
     if np.any(A % div):
         raise ModuleError("action matrix is not a well defined module map")
-    act = (A // div % q * mult) % q
-    fm = FiniteModule(group, p, exps, E, act, A % p**e)
+    act = A // div * mult  # row i below p^{e_i}: canonical
+    fm = FiniteModule(group, p, exps, E, act, A)
     _validate_finite_action(fm)
     return fm
 
@@ -282,12 +283,13 @@ def finite_module_from_plain(group: GroupTable, p: int, exps: list[int], plain_a
 def _validate_finite_action(fm: FiniteModule):
     """The identity acts trivially, act[x.s] = act[x] act[s] for every
     element x and generator s (so the action is multiplicative, by induction
-    on word length), and the generators preserve the hatted module."""
-    G, q = fm.group, fm.q
-    if not np.array_equal(fm.act[G.identity] % q, np.eye(fm.rank, dtype=np.int64)):
+    on word length), and the generators preserve the hatted module.  Matrices
+    are compared in canonical form, as maps of the module."""
+    G = fm.group
+    if not np.array_equal(fm.canonical(fm.act[G.identity]), np.eye(fm.rank, dtype=np.int64)):
         raise ModuleError("the identity does not act trivially")
     for s in G.generators:
-        if not np.array_equal((fm.act @ fm.act[s]) % q, fm.act[G.mul[:, s]] % q):
+        if not np.array_equal(fm.canonical(fm.act @ fm.act[s]), fm.canonical(fm.act[G.mul[:, s]])):
             raise ModuleError("finite module action is not multiplicative")
     if np.any((fm.member_rows() @ fm.act[G.generators]) % fm.scales()):
         raise ModuleError("action does not preserve the module")

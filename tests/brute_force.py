@@ -458,6 +458,30 @@ def extension_table_by_formula(gmul, moduli, act_coords, tau_coords):
 # ---------------------------------------------------------------------------
 
 
+def extension_mul_by_blocks(gmul, moduli, act_coords, tau_coords=None):
+    """The raw table `groups._extension_mul` builds, computed the way
+    `groups.abelian_extension_table` once did: each (g, h) block as the
+    coordinates of a.h + b + tau(g, h) in int64, indexed by
+    `mixed_radix_index` and cast as it is stored."""
+    gmul = np.asarray(gmul)
+    ng = gmul.shape[0]
+    V = groups.all_coord_rows(moduli)
+    na = V.shape[0]
+    mul = np.empty((ng * na, ng * na), dtype=groups.index_dtype(ng * na))
+    for h in range(ng):
+        AV = V @ np.asarray(act_coords[h], dtype=np.int64)  # a.h for every a
+        for g in range(ng):
+            # coordinates of a.h + b + tau(g, h) for every a and b, one block
+            # at a time to keep the temporaries small; mixed_radix_index
+            # reduces them
+            s = AV[:, None, :] + V
+            if tau_coords is not None:
+                s += np.asarray(tau_coords[g][h], dtype=np.int64)
+            mul[g * na:(g + 1) * na, h * na:(h + 1) * na] = (
+                int(gmul[g, h]) * na + groups.mixed_radix_index(s, moduli))
+    return mul
+
+
 def span_automorphism(A, eps_hat):
     """A hatted matrix is an automorphism of A iff the images of the module's
     generator rows span the module again (both spans in Howell form)."""
@@ -614,8 +638,8 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
 
 def finite_module_from_plain_entries(group, p, exps, plain_act):
     """modules.finite_module_from_plain with each hatted entry
-    A_ij p^{E-e_j} / p^{E-e_i} worked out in Python integers, one entry at a
-    time."""
+    A_ij p^{E-e_j} / p^{E-e_i}, for A_ij reduced mod p^{e_j}, worked out in
+    Python integers, one entry at a time."""
     exps = [int(e) for e in exps]
     E = max(exps) if exps else 1
     q = p**E
@@ -629,7 +653,7 @@ def finite_module_from_plain_entries(group, p, exps, plain_act):
         M = np.zeros((r, r), dtype=np.int64)
         for i in range(r):
             for j in range(r):
-                num = int(A[i, j]) * p ** (E - exps[j])
+                num = int(plain[g, i, j]) * p ** (E - exps[j])
                 den = p ** (E - exps[i])
                 if num % den:
                     raise modules.ModuleError("action matrix is not a well defined module map")

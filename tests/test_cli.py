@@ -117,6 +117,18 @@ def test_oversized_coboundary_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("error: coboundary d^2") and err.count("\n") == 1
 
 
+def test_oversized_extension_table_is_refused_before_it_is_allocated(tmp_path, capsys):
+    # at depth 17 the lower central series check would reach split quotients
+    # of order 8192 to 131072: 0.5 GiB of int16 entries at order 16384
+    data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"], depth=17, precision=20)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["verify-lcs", "--scenario", str(path), "--max-order", "200000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: extension of order 8192 exceeds the table cap %d\n" % groups.CLOSURE_CAP
+
+
 def test_branch_with_shift_and_dot(tmp_path, capsys):
     dot = tmp_path / "b.dot"
     code, out = run(["branch", "--scenario", "dihedral_mainline", "--i", "3",

@@ -1,12 +1,13 @@
 import contextlib
 import io
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coclass import cli, groups
+from coclass import cli, groups, scenarios
 
 from brute_force import (brute_is_normal, brute_is_subgroup, brute_isomorphisms, center_of_table,
                          closure_table_fill, compose_permutations, compose_perms,
@@ -219,6 +220,22 @@ def test_semidirect_split_table():
     E = groups.abelian_extension_table(gmul, [4], act)
     assert E.order == 8
     assert groups.lower_central_series(E).sizes() == [8, 2, 1]
+
+
+def test_split_product_peaks_under_twice_its_table():
+    # the order-512 split quotient of dihedral_mainline (|G0| = 2); beside
+    # the table, the kernel holds A's addition table, its rows permuted by
+    # the action and one block, each a quarter of the table
+    scn = scenarios.load_scenario("dihedral_mainline")
+    scn.group(), scn.quotient(8)
+    tracemalloc.start()
+    try:
+        table = scn.split_product(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.order == 512
+    assert peak <= 2 * table.mul.nbytes, "peak %.2f x the table" % (peak / table.mul.nbytes)
 
 
 def test_factor_set_extension_table():

@@ -47,6 +47,21 @@ def test_finite_action_with_a_nontrivial_identity_is_rejected():
         modules.finite_module_from_plain(C2, 2, [1, 1], [proj, proj])
 
 
+def test_finite_action_from_any_integer_lift_is_the_same_module():
+    # C2 on Z/2 + Z/4: [[3, 2], [0, -1]] and [[1, 2], [0, -1]] are the same
+    # involution, since entry 00 only counts mod 2
+    C2 = groups.make_table(cyclic_table(2))
+    ident = np.eye(2, dtype=np.int64)
+    lifts = [modules.finite_module_from_plain(C2, 2, [1, 2], [ident, M])
+             for M in ([[3, 2], [0, -1]], [[1, 2], [0, -1]])]
+    assert lifts[0].act.tobytes() == lifts[1].act.tobytes()
+    assert lifts[0].plain.tobytes() == lifts[1].plain.tobytes()
+    # an automorphism of order 4 is not an action of C2, whatever its lift
+    for M in ([[1, 2], [1, 1]], [[3, 6], [-1, 5]]):
+        with pytest.raises(modules.ModuleError, match="finite module action is not multiplicative"):
+            modules.finite_module_from_plain(C2, 2, [1, 2], [ident, M])
+
+
 def test_finite_action_leaving_the_hatted_module_is_rejected():
     # Z/2 + Z/4 hatted in (Z/4)^2 as 2Z/4 + Z/4; the generator is an
     # involution mod 4 that sends (0, 1) to (1, 3), outside the module

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
 from brute_force import (brute_act_on_cochain, center_of_table, closure_table_fill,
                          compose_permutations, contains, diagonalize_mod, element_orders_by_steps,
-                         is_associative, is_coboundary, kernel_gens_mod, lower_central_series_terms,
-                         pair_compose, reduce_one_row, semi_brute_h_stats, span_automorphism)
+                         extension_mul_by_blocks, is_associative, is_coboundary, kernel_gens_mod,
+                         lower_central_series_terms, pair_compose, reduce_one_row,
+                         semi_brute_h_stats, span_automorphism)
 
 
 def cyclic_table(n):
@@ -95,6 +96,38 @@ def test_mixed_radix_round_trip(exps, data):
     idx = groups.mixed_radix_index(v, moduli)
     rows = groups.all_coord_rows(moduli)
     assert np.array_equal(rows[idx], v)
+
+
+EXTENSION_BASES = {
+    "C1": [[0]],
+    "C2": cyclic_table(2),
+    "C4": cyclic_table(4),
+    "S3": groups.from_permutations([(1, 2, 0), (1, 0, 2)])[0].mul.tolist(),
+}
+
+
+@given(st.sampled_from([2, 3, 5]), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.sampled_from(sorted(EXTENSION_BASES)), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_extension_gathers_match_the_int64_blocks(p, exps, base, with_tau, data):
+    # any integer action matrices, automorphisms of A or not, and any factor set
+    assume(p ** sum(exps) <= 128)
+    moduli = [p**e for e in exps]
+    na = int(np.prod(moduli))
+    gmul = np.array(EXTENSION_BASES[base])
+    ng, r = len(gmul), len(moduli)
+
+    def integers(*shape):
+        n = int(np.prod(shape))
+        flat = data.draw(st.lists(st.integers(-3 * na, 3 * na), min_size=n, max_size=n))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    act = integers(ng, r, r)
+    tau = integers(ng, ng, r) if with_tau else None
+    got = groups._extension_mul(gmul, moduli, act, tau)
+    want = extension_mul_by_blocks(gmul, moduli, act, tau)
+    assert got.dtype == want.dtype == groups.index_dtype(ng * na)
+    assert got.tobytes() == want.tobytes()
 
 
 def _dihedral_setup():

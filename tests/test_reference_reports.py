@@ -29,6 +29,8 @@ STORED = {
         ["branch", "--scenario", "dihedral_mainline", "--i", "5", "--k", "2", "--shift"],
     "d8_gaussian.verify-lcs-4096.out":
         ["verify-lcs", "--scenario", "d8_gaussian", "--max-order", "4096"],
+    "dihedral_mainline.verify-lcs-2048.out":
+        ["verify-lcs", "--scenario", "dihedral_mainline", "--max-order", "2048"],
 }
 
 
