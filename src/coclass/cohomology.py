@@ -29,10 +29,10 @@ from .groups import GroupTable
 from .modules import FiniteModule, LatticeModule, QuotientModule
 
 
-# Entries of the largest dense coboundary matrix that may be built.  The
-# largest any built-in verification needs is d^3 of the order-8 group on a
-# rank-2 module, 686 x 4802 (about 3.3 M); d^2 of an order-32 group on a
-# rank-2 module would be 1922 x 59582 (about 114.5 M entries, 0.9 GB).
+# Entries of the largest coboundary matrix that may be built, counted over the
+# columns built.  Built-in runs build at most 686 x 1372 (0.9 M, d^3 of d8 on a
+# rank-2 module); `extend` of d8's level-1 mainline builds 961 x 3844 (3.7 M)
+# on its order-32 group, and at rank 2, 1922 x 7688 (14.8 M, 118 MB) is refused.
 COBOUNDARY_CAP = 1 << 23
 
 
@@ -58,14 +58,13 @@ class CoefficientSpace(Owner):
         return self.p**self.E
 
     def generator_smith(self, k: int) -> linalg.Smith:
-        """Smith form, with U, of the generator columns of d^k (by the rule in
-        `cocycle_rows` they carry the divisors of all of d^k); built once."""
+        """Smith form, with U, of the generator columns of d^k, which carry
+        the divisors of all of d^k (see `coboundary_matrix`); built once."""
         return self.derived(("smith", k), lambda: _generator_smith(self, k))
 
 
 def _generator_smith(spec: CoefficientSpace, k: int) -> linalg.Smith:
-    return linalg.smith(coboundary_matrix(spec, k)[:, _generator_columns(spec, k)],
-                        spec.p, spec.E)
+    return linalg.smith(coboundary_matrix(spec, k, spec.group.generators), spec.p, spec.E)
 
 
 def finite_coefficients(A: FiniteModule) -> CoefficientSpace:
@@ -107,21 +106,33 @@ def _basis_precision(T: LatticeModule, B: np.ndarray) -> int:
     return E
 
 
-def coboundary_matrix(spec: CoefficientSpace, m: int) -> np.ndarray:
-    """Matrix of d^m: C^m -> C^{m+1} acting on flat cochain rows.
+def coboundary_matrix(spec: CoefficientSpace, m: int, last=None) -> np.ndarray:
+    """The columns of d^m: C^m -> C^{m+1}, acting on flat cochain rows, whose
+    (m+1)-tuple ends in an element of `last` (default: all of d^m), in the
+    column order of d^m; the cap is checked on their size before any is built.
 
-    Each term is one scatter of r x r blocks into the (source tuple, slot,
-    target tuple, slot) view of D; its blocks go to distinct targets, so `+=`
-    adds them all."""
+    The group generators are enough as last entries to test a cocycle.  For an
+    A-valued cochain f, u = df is normalised and du = 0, and du(g_1, ..., g_m,
+    x, y) = 0 writes u(g_1, ..., g_m, xy) as u(g_1, ..., g_m, x).y plus values
+    of u whose last entry is y.  For a generator y those vanish if u does on
+    the generator columns, and induction on the word length of the last entry
+    gives u = 0.  This holds mod every p^a, so these columns have the row
+    kernels, and so the Smith divisors, of all of d^m.  Each term is one
+    scatter of r x r blocks into the (source tuple, slot, target tuple, slot)
+    view of D; its blocks go to distinct targets, so `+=` adds them all."""
     G = spec.group
     r = spec.rank
-    rows, cols = r * (G.order - 1) ** m, r * (G.order - 1) ** (m + 1)
+    allowed = np.zeros(G.order, dtype=bool)
+    allowed[np.arange(G.order) if last is None else np.asarray(last, dtype=np.int64)] = True
+    last = np.flatnonzero(allowed & (np.arange(G.order) != G.identity))
+    rows = r * (G.order - 1) ** m
+    cols = rows * len(last)
     if rows * cols > COBOUNDARY_CAP:
         raise CohomologyError("coboundary d^%d over a group of order %d is %d x %d, "
                               "above the cap of %d entries" % (m, G.order, rows, cols,
                                                                COBOUNDARY_CAP))
     src = G.bar_index(m)
-    T = G.bar_index(m + 1).tuples
+    T = np.column_stack([np.repeat(src.tuples, len(last), axis=0), np.tile(last, len(src.tuples))])
     D = np.zeros((rows, cols), dtype=np.int64)
     blocks = D.reshape(len(src.tuples), r, len(T), r)
     targets = np.arange(len(T))
@@ -139,50 +150,45 @@ def coboundary_matrix(spec: CoefficientSpace, m: int) -> np.ndarray:
     return np.remainder(D, spec.q, out=D)
 
 
-def _legal_rows(spec: CoefficientSpace, m: int) -> np.ndarray:
-    s = (spec.group.order - 1) ** m
-    return np.diag(np.tile(spec.scales, s)).astype(np.int64)
+def _slot_scales(spec: CoefficientSpace, m: int) -> np.ndarray:
+    """The hat scale of each slot of a flat m-cochain row."""
+    return np.tile(spec.scales, (spec.group.order - 1) ** m)
+
+
+def is_cocycle(spec: CoefficientSpace, m: int, row) -> bool:
+    """Whether a flat m-cochain row is an A-valued cocycle, tested on the
+    generator columns of d^m.  That test holds only for A-valued rows, so a
+    row outside the hatted module is refused first."""
+    row = np.asarray(row, dtype=np.int64) % spec.q
+    if np.any(row % _slot_scales(spec, m)):
+        return False
+    D = coboundary_matrix(spec, m, spec.group.generators)
+    return not np.any(linalg.dot_mod(row, D, spec.q, spec.q))
 
 
 def cocycle_rows(spec: CoefficientSpace, m: int) -> tuple[np.ndarray, int]:
-    """Generators of the cocycles together with the precision they hold at.
+    """Generators of the cocycles together with the precision they hold at,
+    read off the generator columns of d^m (see `coboundary_matrix`).
 
-    For a lattice the kernel of the coboundary map is read off a mod p^E
-    computation, which only determines it to a reduced precision.
-
-    For finite coefficients the arithmetic is exact and the precision is
-    spec.E.  The A-valued cochains are c @ L for the `_legal_rows` diagonal
-    L, and Z^m(A) = K @ L in Howell form, with K the kernel of L @ d^m on
-    the columns whose last bar entry is a group generator.  A normalised
-    A-valued cochain f is a cocycle iff u = df vanishes on those columns:
-    u is normalised and du = 0, and du(g_1, ..., g_m, x, y) = 0 writes
-    u(g_1, ..., g_m, xy) as u(g_1, ..., g_m, x).y plus a sum of values of u
-    whose last entry is y.  For a generator y that sum vanishes, so u(., x)
-    = 0 gives u(., xy) = 0, and u = 0 by induction on the word length of the
-    last entry.  The Howell form of a span is canonical, so the rows are
-    those of the full kernel intersected with the A-valued cochains.
+    A lattice kernel is read off their memoised Smith form mod p^E, which
+    determines it only to a reduced precision.  Finite coefficients are exact
+    at spec.E: with l the slot scales, Z^m(A) = K * l in Howell form, for K
+    the kernel of l * d^m.  The Howell form of a span is canonical, so the
+    rows are those of the full kernel intersected with the A-valued cochains.
     """
-    D = coboundary_matrix(spec, m)
     if spec.lattice:
-        return linalg.lattice_kernel(D, spec.p, spec.E)
-    L = _legal_rows(spec, m)
-    K = linalg.row_kernel((L @ D[:, _generator_columns(spec, m)]) % spec.q, spec.p, spec.E)
-    return linalg.howell((K @ L) % spec.q, spec.p, spec.E).rows, spec.E
-
-
-def _generator_columns(spec: CoefficientSpace, m: int) -> np.ndarray:
-    """Columns of d^m whose (m+1)-tuple ends in a group generator."""
-    G = spec.group
-    is_gen = np.zeros(G.order, dtype=bool)
-    is_gen[G.generators] = True
-    tuples = np.flatnonzero(is_gen[G.bar_index(m + 1).tuples[:, m]])
-    return (tuples[:, None] * spec.rank + np.arange(spec.rank)).reshape(-1)
+        return linalg.lattice_kernel(spec.generator_smith(m))
+    scales = _slot_scales(spec, m)
+    D = coboundary_matrix(spec, m, spec.group.generators)
+    K = linalg.row_kernel((scales[:, None] * D) % spec.q, spec.p, spec.E)
+    return linalg.howell((K * scales) % spec.q, spec.p, spec.E).rows, spec.E
 
 
 def coboundary_rows(spec: CoefficientSpace, m: int) -> np.ndarray:
+    """Generators of B^m: the image of d^{m-1} on the A-valued cochains."""
     if m == 0:
         return np.zeros((0, spec.rank), dtype=np.int64)
-    return (_legal_rows(spec, m - 1) @ coboundary_matrix(spec, m - 1)) % spec.q
+    return (_slot_scales(spec, m - 1)[:, None] * coboundary_matrix(spec, m - 1)) % spec.q
 
 
 @dataclass
@@ -226,10 +232,8 @@ def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
     the rational rank of d^{m-1}.  The kernel-and-quotient path to the same
     exponents is kept as a test oracle.
 
-    Only the generator columns of d^{m-1} are eliminated.  By the rule in
-    `cocycle_rows`, read mod p^a, a cochain c has dc = 0 mod p^a iff dc
-    vanishes mod p^a there, so both matrices have the same row kernel mod
-    every p^a, and these kernels fix the Smith divisors.
+    Only the generator columns of d^{m-1} are eliminated; they have the
+    Smith divisors of all of d^{m-1} (see `coboundary_matrix`).
     """
     if m < 1:
         raise CohomologyError("lattice invariants need degree m >= 1, not %d" % m)
@@ -410,15 +414,14 @@ def split_frame(T: LatticeModule, chain: modules.CentralChain, n: int, m: int = 
     from, so its rank certificate and |G| bound hold, every divisor a_i lies
     in (0, f_exp] and they sum to v_p |H^{m+1}|.  On the generator columns
     U_i d^m is p^{a_i} times a row of the unit V^-1, so d(delta_i) vanishes
-    mod p^{f_exp} there, and so everywhere by the rule in `cocycle_rows`.
+    mod p^{f_exp} there, and so everywhere by the rule in `coboundary_matrix`.
     """
     p, q, d = T.p, T.q, T.rank
     basis, _ = primitive_basis(chain, n)
     spec = class_coefficients(chain, n)
     f_exp = max(lattice_exps(chain, m + 1, n), default=0)
     s = spec.generator_smith(m)
-    theta, theta_prec = chain.derived(("cocycles", m),
-                                      lambda: cocycle_rows(class_coefficients(chain), m))
+    theta, theta_prec = cocycle_rows(class_coefficients(chain), m)
     rows = [i for i, a in enumerate(s.exps) if 0 < a < spec.E]
     divisors = [s.exps[i] for i in rows]
     scale = np.array([p ** (f_exp - a) for a in divisors], dtype=np.int64)

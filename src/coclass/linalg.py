@@ -207,8 +207,8 @@ def row_kernel(F, p: int, M: int):
     return np.vstack(rows) % q
 
 
-def lattice_kernel(F, p: int, M: int):
-    """Kernel of a map of free modules read at precision p^M.
+def lattice_kernel(s: Smith):
+    """Kernel of a map F of free modules read at precision p^M, from its Smith form s.
 
     Returns (rows, M_eff): generator rows of the reduction of the exact
     p-adic kernel, valid modulo p^{M_eff}.  Each finite nonzero divisor of F
@@ -216,8 +216,7 @@ def lattice_kernel(F, p: int, M: int):
     determines the transform only mod p^{M-a}.  An empty kernel has no
     transform rows to lose precision in, so it holds at p^M.
     """
-    s = smith(F, p, M, want_left=True, want_right=False)
-    r = s.shape[0]
+    p, M, r = s.p, s.M, s.shape[0]
     rows = [s.U[i] for i, a in enumerate(s.exps) if a >= M]
     rows.extend(s.U[i] for i in range(len(s.exps), r))
     if not rows:

@@ -550,7 +550,7 @@ def _lattice_hom_basis(T: LatticeModule, beta: np.ndarray) -> list[np.ndarray]:
     d = T.rank
     F = np.hstack([_commuting_columns(T.act[g], T.act[int(beta[g])])
                    for g in T.group.generators]) % q
-    K, Ke = linalg.lattice_kernel(F, p, N)
+    K, Ke = linalg.lattice_kernel(linalg.smith(F, p, N))
     return [K[i].reshape(d, d) % (p**Ke) for i in range(K.shape[0])]
 
 

@@ -319,8 +319,7 @@ class TopQuotient(Owner):
         if np.any(value % scale):
             raise ScenarioError("mainline factor set left the fiber lattice")
         row = Q.hat_of_ambient(value // scale).reshape(-1)
-        spec = cohomology.finite_coefficients(A)
-        if np.any((row @ cohomology.coboundary_matrix(spec, 2)) % A.q):
+        if not cohomology.is_cocycle(cohomology.finite_coefficients(A), 2, row):
             raise ScenarioError("mainline factor set is not a cocycle")
         return row
 

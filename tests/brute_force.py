@@ -501,6 +501,22 @@ def span_intersection(gens_a, gens_b, p, M):
     return (K[:, : A.shape[0]] @ A) % q
 
 
+def generator_columns(spec, m):
+    """Columns of the full d^m whose (m+1)-tuple ends in a group generator,
+    picked out of the `bar_index(m + 1)` tuples."""
+    G = spec.group
+    is_gen = np.zeros(G.order, dtype=bool)
+    is_gen[G.generators] = True
+    tuples = np.flatnonzero(is_gen[G.bar_index(m + 1).tuples[:, m]])
+    return (tuples[:, None] * spec.rank + np.arange(spec.rank)).reshape(-1)
+
+
+def full_lattice_cocycles(spec, m):
+    """The lattice Z^m and its precision, from the Smith form of all of d^m."""
+    D = cohomology.coboundary_matrix(spec, m)
+    return linalg.lattice_kernel(linalg.smith(D, spec.p, spec.E))
+
+
 def cocycles_by_intersection(spec, m):
     """Z^m(A) as the full kernel of d^m intersected with the A-valued cochains."""
     K = linalg.row_kernel(cohomology.coboundary_matrix(spec, m), spec.p, spec.E)
@@ -580,7 +596,7 @@ def split_frame_per_level(chain, n, m=2):
     if c < vf:
         raise cohomology.CohomologyError(
             "T_%d is not contained in %d.T; the level is too small for the split" % (n, p**vf))
-    theta, theta_prec = cohomology.cocycle_rows(cohomology.lattice_coefficients(T), m)
+    theta, theta_prec = full_lattice_cocycles(cohomology.lattice_coefficients(T), m)
     D = cohomology.coboundary_matrix(spec, m)
     s = linalg.smith(D, p, spec.E, want_left=True)
     lifts, divisors = [], []
@@ -686,10 +702,15 @@ def at_distance(branch, j):
 
 def lattice_cohomology(T, m, basis=None):
     """Lattice H^m(R, T), or of the sublattice with the given basis rows, by
-    kernel and quotient: the exact p-adic cocycles modulo the coboundaries.
-    `cohomology.lattice_invariants` reads the same exponents from d^{m-1}."""
+    kernel and quotient: the exact p-adic cocycles, read off the full d^m,
+    modulo the coboundaries.  `cohomology.lattice_invariants` reads the same
+    exponents from d^{m-1}."""
     spec = cohomology.lattice_coefficients(T, basis)
-    H = cohomology.cohomology_group(spec, m)
+    Z, Ee = full_lattice_cocycles(spec, m)
+    qe = spec.p**Ee
+    B = cohomology.coboundary_rows(spec, m) % qe
+    H = cohomology.CohomologyGroup(spec, m, Z, B,
+                                   linalg.quotient_group(Z % qe, B, spec.p, Ee), Ee)
     if m >= 1:
         cohomology._check_group_order_bound(spec, m, H.structure.exps)
     return H

@@ -254,18 +254,37 @@ def test_unreadable_or_unwritable_file_is_a_one_line_error(tmp_path, capsys, arg
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Prints the exit code and peak RSS in KiB of the command in its argv, read
+# through os.wait4 by a fresh, small interpreter (a forked child's ru_maxrss
+# starts at its parent's peak); the command's stderr passes through.
+PEAK = ("import os, subprocess, sys\n"
+        "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(child.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
 def test_large_cyclic_group_stops_at_the_coboundary_cap(tmp_path, capsys):
     # a^1024 acting by -1 on Z_2: its table builds from the coset table in
-    # about a second, and the 1023 x 1023^2 bar coboundary d^1 is refused
+    # about a second.  H^1 reads the 1023 x 1023 generator columns of d^1;
+    # H^2 would need 1023^2 x 1023^2 of d^2, refused before it is allocated
     data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"],
                 group={"presentation": {"generators": ["a"], "relators": ["a^1024"]}})
     path = tmp_path / "c1024.json"
     path.write_text(json.dumps(data))
     code = cli.main(["cohomology", "--scenario", str(path), "--n", "1", "--degree", "1"])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert json.loads(out)["invariants"] == ["2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(coclass.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "coclass.cli", "cohomology", "--scenario", str(path),
+            "--n", "1", "--degree", "2"]
+    proc = subprocess.run([sys.executable, "-c", PEAK] + argv, env=env,
+                          capture_output=True, text=True, check=True)
+    code, peak_kib = (int(x) for x in proc.stdout.split())
     assert code == 2
-    assert err.startswith("error: coboundary d^1 over a group of order 1024")
-    assert err.count("\n") == 1
+    assert proc.stderr.startswith("error: coboundary d^2 over a group of order 1024")
+    assert proc.stderr.count("\n") == 1
+    assert peak_kib < 100 * 1024, "peak RSS %.1f MiB" % (peak_kib / 1024)
 
 
 def _bytes(a) -> bytes:
@@ -319,6 +338,28 @@ def test_each_derived_object_is_computed_once(monkeypatch, capsys, argv):
     assert calls
     repeated = collections.Counter(name for (name, _), n in calls.items() if n > 1)
     assert not repeated, repeated
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-all", "--scenario", "dihedral_mainline"],
+    ["verify-counterexample", "--scenario", "d8_gaussian"],
+])
+def test_no_full_coboundary_is_built_for_a_lattice_or_above_degree_one(monkeypatch, capsys,
+                                                                       argv):
+    full = []
+
+    def guarded(spec, m, last=None, _fn=cohomology.coboundary_matrix):
+        D = _fn(spec, m, last)
+        n = spec.group.order
+        # when every nonidentity element is a generator, all columns are asked for
+        if D.shape[1] == spec.rank * (n - 1) ** (m + 1) and len(spec.group.generators) < n - 1:
+            if spec.lattice or m >= 2:
+                full.append((n, m, spec.lattice))
+        return D
+    monkeypatch.setattr(cohomology, "coboundary_matrix", guarded)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert not full, full
 
 
 def test_run_all_does_not_import_numpy_ma():

@@ -9,6 +9,7 @@ from brute_force import (
     brute_cocycles_and_boundaries,
     coboundary_matrix_naive,
     cocycles_by_intersection,
+    full_lattice_cocycles,
     id_oplus_mu_inverse,
     is_coboundary,
     lattice_cohomology,
@@ -211,6 +212,30 @@ def test_generator_column_cocycles_match_the_full_kernel(name):
         got, E = cohomology.cocycle_rows(spec, m)
         assert E == spec.E
         assert np.array_equal(got, cocycles_by_intersection(spec, m)), m
+
+
+def _d8_class(n):
+    # the action conjugated into a chain level works at a reduced precision
+    return cohomology.class_coefficients(modules.g_central_series(d8_lattice(), 8), n)
+
+
+_LATTICE_SPACES = dict(
+    {name: _ORACLE_SPACES[name] for name in [
+        "C2 negation lattice", "C4 rotation lattice", "S3 permutation lattice", "D8 lattice",
+        "C3 on Z_3[omega]"]},
+    **{"D8 class of level %d" % n: (lambda n=n: _d8_class(n), 3) for n in range(1, 5)})
+
+
+@pytest.mark.parametrize("name", list(_LATTICE_SPACES))
+def test_lattice_cocycles_match_the_full_kernel(name):
+    build, degrees = _LATTICE_SPACES[name]
+    spec = build()
+    assert spec.lattice
+    for m in range(degrees):
+        got, E = cohomology.cocycle_rows(spec, m)
+        want, E_want = full_lattice_cocycles(spec, m)
+        assert E == E_want, m
+        assert linalg.span_equal(got, want, spec.p, E), m
 
 
 @pytest.mark.parametrize("want_right", [False, True])

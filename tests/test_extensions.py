@@ -79,10 +79,33 @@ def test_cocycle_identity_is_enforced():
     A = Q.module
     bad = H.representative(list(H.structure.all_coords())[1]).copy()
     bad[0] = (bad[0] + 1) % A.q
-    if np.any((bad @ cohomology.coboundary_matrix(
-            cohomology.finite_coefficients(A), 2)) % A.q):
-        with pytest.raises(extensions.ExtensionError):
-            extensions.build_extension(A.group, A, bad)
+    assert np.any((bad @ cohomology.coboundary_matrix(
+        cohomology.finite_coefficients(A), 2)) % A.q)
+    with pytest.raises(extensions.ExtensionError):
+        extensions.build_extension(A.group, A, bad)
+
+
+def test_is_cocycle_on_c2_acting_on_z2_plus_z4():
+    # C2 fixes Z/2 and negates Z/4; its one 2-tuple (g, g) is a generator
+    # column, and a 2-cochain f is a cocycle iff f(g, g) is fixed
+    C2 = groups.make_table(cyclic_table(2))
+    A = modules.finite_module_from_plain(C2, 2, [1, 2], [np.eye(2), np.diag([1, -1])])
+    spec = cohomology.finite_coefficients(A)
+    D = cohomology.coboundary_matrix(spec, 2)
+    cocycle = A.hat([1, 2])
+    assert cohomology.is_cocycle(spec, 2, cocycle)
+    assert extensions.build_extension(C2, A, cocycle).order == 16
+    moved = A.hat([0, 1])
+    assert np.any((moved @ D) % A.q)
+    assert not cohomology.is_cocycle(spec, 2, moved)
+    with pytest.raises(extensions.ExtensionError, match="cocycle identity"):
+        extensions.build_extension(C2, A, moved)
+    # the hatted Z/2 coordinate must be even; d^2 alone would let this through
+    outside = np.array([1, 0], dtype=np.int64)
+    assert not np.any((outside @ D) % A.q)
+    assert not cohomology.is_cocycle(spec, 2, outside)
+    with pytest.raises(extensions.ExtensionError, match="cocycle identity"):
+        extensions.build_extension(C2, A, outside)
 
 
 def test_coclass_criterion_on_the_dihedral_tower():

@@ -163,7 +163,7 @@ def test_saturated_kernel_drops_precision_artifacts():
     # multiplication by 2 on Z_2 at precision 2^6: the honest kernel is 0
     p, M = 2, 6
     F = np.array([[2]])
-    K, _ = linalg.lattice_kernel(F, p, M)
+    K, _ = linalg.lattice_kernel(linalg.smith(F, p, M))
     assert K.shape[0] == 0
     K_full = linalg.row_kernel(F, p, M)
     assert K_full.shape[0] == 1  # the mod-p^M artifact 2^{M-1}

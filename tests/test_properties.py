@@ -8,7 +8,8 @@ from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
 from brute_force import (brute_act_on_cochain, center_of_table, closure_table_fill,
                          compose_permutations, contains, diagonalize_mod, element_orders_by_steps,
-                         extension_mul_by_blocks, is_associative, is_coboundary, kernel_gens_mod,
+                         extension_mul_by_blocks, generator_columns, is_associative,
+                         is_coboundary, kernel_gens_mod,
                          lower_central_series_terms, pair_compose, reduce_one_row,
                          semi_brute_h_stats, span_automorphism)
 
@@ -84,6 +85,50 @@ def test_coboundary_squares_to_zero(order, e, negate):
         D0 = cohomology.coboundary_matrix(spec, m)
         D1 = cohomology.coboundary_matrix(spec, m + 1)
         assert not np.any((D0 @ D1) % spec.q)
+
+
+def _c4_by_c4():
+    # element 4a + b is (a, b); the generators are given out of order
+    table = [[4 * ((i // 4 + j // 4) % 4) + (i + j) % 4 for j in range(16)] for i in range(16)]
+    return groups.make_table(table, generators=[4, 1])
+
+
+def _d8_unsorted():
+    D8 = groups.from_permutations([(1, 2, 3, 0), (3, 2, 1, 0)])[0]
+    return groups.make_table(D8.mul, generators=sorted(D8.generators, reverse=True))
+
+
+COLUMN_GROUPS = {
+    "C1": lambda: groups.make_table([[0]]),
+    "C3": lambda: groups.make_table(cyclic_table(3)),
+    "C16": lambda: groups.make_table(cyclic_table(16)),
+    "S3": lambda: groups.from_permutations([(1, 2, 0), (1, 0, 2)])[0],
+    "D8 unsorted": _d8_unsorted,
+    "C2^4": lambda: groups.make_table([[i ^ j for j in range(16)] for i in range(16)]),
+    "C4 x C4 unsorted": _c4_by_c4,
+}
+
+
+@given(st.sampled_from(sorted(COLUMN_GROUPS)), st.sampled_from([2, 3]), st.integers(1, 2),
+       st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_generator_columns_are_the_full_columns_ending_in_a_generator(name, p, r, lattice,
+                                                                      data):
+    # any action matrices: the column rule is about where d^m is read, not
+    # about whether the action is a representation
+    G = COLUMN_GROUPS[name]()
+    E = 3
+    flat = data.draw(st.lists(st.integers(0, p**E - 1), min_size=G.order * r * r,
+                              max_size=G.order * r * r))
+    act = np.array(flat, dtype=np.int64).reshape(G.order, r, r)
+    exps = np.ones(r, dtype=np.int64) if lattice else np.array(
+        data.draw(st.lists(st.integers(1, E), min_size=r, max_size=r)))
+    spec = cohomology.CoefficientSpace(G, p, E, r, act, p ** (E - exps), lattice)
+    for m in range(3):
+        got = cohomology.coboundary_matrix(spec, m, G.generators)
+        want = cohomology.coboundary_matrix(spec, m)[:, generator_columns(spec, m)]
+        assert got.dtype == want.dtype and got.shape == want.shape, m
+        assert got.tobytes() == want.tobytes(), m
 
 
 @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),

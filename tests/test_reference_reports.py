@@ -31,6 +31,8 @@ STORED = {
         ["verify-lcs", "--scenario", "d8_gaussian", "--max-order", "4096"],
     "dihedral_mainline.verify-lcs-2048.out":
         ["verify-lcs", "--scenario", "dihedral_mainline", "--max-order", "2048"],
+    "d8_gaussian.cohomology-n3-d3.out":
+        ["cohomology", "--scenario", "d8_gaussian", "--n", "3", "--degree", "3"],
 }
 
 
