@@ -106,6 +106,8 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
     if top.group.order * scn.p ** (n0 + k) > extensions.EXTENSION_CAP:
         raise BranchError("extensions at level %d exceed the order cap %d"
                           % (n0 + k, extensions.EXTENSION_CAP))
+    for n in range(n0, n0 + k + 1):  # refuse a level's cocycles before any level is computed
+        cohomology.coboundary_shape(top.group, top.quotient(n).module.rank, 2, top.group.generators)
     levels = {n: _level_data(top, n) for n in range(n0, n0 + k + 1)}
     root_lv = levels[n0]
     root_orbit = root_lv.partition.orbit_of(np.array(root_lv.mainline_coords, dtype=np.int64))

@@ -122,15 +122,7 @@ def coboundary_matrix(spec: CoefficientSpace, m: int, last=None) -> np.ndarray:
     view of D; its blocks go to distinct targets, so `+=` adds them all."""
     G = spec.group
     r = spec.rank
-    allowed = np.zeros(G.order, dtype=bool)
-    allowed[np.arange(G.order) if last is None else np.asarray(last, dtype=np.int64)] = True
-    last = np.flatnonzero(allowed & (np.arange(G.order) != G.identity))
-    rows = r * (G.order - 1) ** m
-    cols = rows * len(last)
-    if rows * cols > COBOUNDARY_CAP:
-        raise CohomologyError("coboundary d^%d over a group of order %d is %d x %d, "
-                              "above the cap of %d entries" % (m, G.order, rows, cols,
-                                                               COBOUNDARY_CAP))
+    last, rows, cols = coboundary_shape(G, r, m, last)
     src = G.bar_index(m)
     T = np.column_stack([np.repeat(src.tuples, len(last), axis=0), np.tile(last, len(src.tuples))])
     D = np.zeros((rows, cols), dtype=np.int64)
@@ -148,6 +140,21 @@ def coboundary_matrix(spec: CoefficientSpace, m: int, last=None) -> np.ndarray:
     # trailing term (-1)^{m+1} f(g_1, ..., g_m).g_{m+1}
     blocks[src.index(T[:, :m]), :, targets, :] += (-1) ** (m + 1) * spec.act[T[:, m]]
     return np.remainder(D, spec.q, out=D)
+
+
+def coboundary_shape(G: GroupTable, r: int, m: int, last=None) -> tuple[np.ndarray, int, int]:
+    """(last entries, rows, columns) of what `coboundary_matrix` builds of d^m
+    over rank-r coefficients for `last`; raises above COBOUNDARY_CAP entries."""
+    allowed = np.zeros(G.order, dtype=bool)
+    allowed[np.arange(G.order) if last is None else np.asarray(last, dtype=np.int64)] = True
+    last = np.flatnonzero(allowed & (np.arange(G.order) != G.identity))
+    rows = r * (G.order - 1) ** m
+    cols = rows * len(last)
+    if rows * cols > COBOUNDARY_CAP:
+        raise CohomologyError("coboundary d^%d over a group of order %d is %d x %d, "
+                              "above the cap of %d entries" % (m, G.order, rows, cols,
+                                                               COBOUNDARY_CAP))
+    return last, rows, cols
 
 
 def _slot_scales(spec: CoefficientSpace, m: int) -> np.ndarray:

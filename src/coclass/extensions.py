@@ -27,7 +27,6 @@ class ExtensionError(CoclassError):
 class ExtensionGroup:
     base: GroupTable
     fiber: FiniteModule
-    cocycle_hat: np.ndarray  # hatted degree-2 cochain row
     table: GroupTable
     fiber_elements: list[int]  # table indices of the fiber, the kernel onto the base
 
@@ -58,25 +57,19 @@ def build_extension(R: GroupTable, A: FiniteModule, tau_hat) -> ExtensionGroup:
     tau = cocycle_value_table(A, row)
     moduli = [int(m) for m in A.coord_moduli()]
     table = groups.abelian_extension_table(R.mul, moduli, A.plain, tau)
-    ext = ExtensionGroup(R, A, row, table, list(range(A.order)))
+    ext = ExtensionGroup(R, A, table, list(range(A.order)))
     _validate_extension(ext)
     return ext
 
 
 def _validate_extension(ext: ExtensionGroup):
-    """The block projection g_of onto R is a homomorphism by construction;
-    check it on the generator edges.  E and R are associative (Light's
-    test), so the y with g_of(xy) = g_of(x)g_of(y) for every x are
-    closed under products, g_of(x(ab)) = g_of((xa)b) = g_of(x)g_of(a)g_of(b);
-    they hold the generators of E, so by induction on word length they are
-    all of E.  The fiber is its kernel, hence a normal subgroup."""
+    """The block projection onto R is a homomorphism by construction;
+    `groups.is_homomorphism` checks it on the generator edges.  The fiber
+    is its kernel, hence a normal subgroup."""
     E, R = ext.table, ext.base
     if E.order != R.order * ext.fiber.order:
         raise ExtensionError("extension order mismatch")
-    g_of = np.arange(E.order) // ext.fiber.order
-    S = E.generators
-    if g_of[E.identity] != R.identity or not np.array_equal(
-            g_of[E.mul[:, S]], R.mul[g_of[:, None], g_of[S]]):
+    if not groups.is_homomorphism(E, R, np.arange(E.order) // ext.fiber.order):
         raise ExtensionError("projection to the base is not a homomorphism")
 
 

@@ -46,9 +46,9 @@ def index_dtype(n: int) -> np.dtype:
 @dataclass(eq=False)
 class GroupTable(Owner):
     """A validated table; it owns its element orders, minimal generators,
-    lower central series, bar-complex index arrays and isomorphism
-    fingerprint, each built once.  mul holds `index_dtype(order)` entries;
-    any other type is refused."""
+    lower central series, bar-complex index arrays, automorphisms and
+    isomorphism fingerprint, each built once.  mul holds
+    `index_dtype(order)` entries; any other type is refused."""
 
     mul: np.ndarray  # order x order element indices
     identity: int
@@ -78,6 +78,10 @@ class GroupTable(Owner):
     def bar_index(self, m: int) -> "BarIndex":
         """The normalized bar m-tuples, built once by `bar_index`."""
         return self.derived(("bar_index", m), lambda: bar_index(self, m))
+
+    def automorphisms(self) -> list[np.ndarray]:
+        """Every automorphism, found once by `automorphism_group`."""
+        return self.derived("automorphisms", lambda: automorphism_group(self))
 
 
 @dataclass(eq=False)
@@ -627,6 +631,19 @@ def _extend_hom(G: GroupTable, H: GroupTable, gen_src: list[int], gen_img: list[
     if np.any(img == -1):
         return None
     return img
+
+
+def is_homomorphism(G: GroupTable, H: GroupTable, img) -> bool:
+    """Whether x -> img[x] is a homomorphism G -> H, checked on the identity
+    and on every generator edge x -> xs.  Then the y with img(xy) =
+    img(x)img(y) for every x hold the identity and are closed under right
+    multiplication by the generators: img(x(ys)) = img(xy)img(s) = img(x)img(ys)."""
+    img = np.asarray(img, dtype=np.int64)
+    if img.shape != (G.order,) or not np.all((img >= 0) & (img < H.order)):
+        return False
+    S = G.generators
+    return bool(img[G.identity] == H.identity
+                and np.array_equal(img[G.mul[:, S]], H.mul[img[:, None], img[S]]))
 
 
 def isomorphisms(G: GroupTable, H: GroupTable):

@@ -14,7 +14,7 @@ linear-algebra question mod p^E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +57,16 @@ class LatticeModule(Owner):
     def q(self) -> int:
         return self.ctx.q
 
+    def pullback(self, group: GroupTable, elements) -> "LatticeModule":
+        """The same lattice for a group whose element x acts as elements[x]."""
+        return LatticeModule(group, self.ctx, self.rank, self.act[_along(group, self.group, elements)])
+
+
+def _along(group: GroupTable, acting: GroupTable, elements) -> np.ndarray:
+    if not groups.is_homomorphism(group, acting, elements):
+        raise ModuleError("the elements to pull back along do not form a homomorphism")
+    return np.asarray(elements, dtype=np.int64)
+
 
 def lattice_module(group: GroupTable, gen_action: dict, ctx: PrecisionContext) -> LatticeModule:
     """Extend generator action matrices to the whole table and validate.
@@ -90,20 +100,33 @@ class CentralChain(Owner):
 
     The chain owns every object derived from the pair: level quotients here,
     and the cohomology, split frames and stabilizer data built on them by
-    `cohomology` and `pairs`.
+    `cohomology` and `pairs`; one made by `pullback` reads its quotients from its source.
     """
 
     lattice: LatticeModule
     bases: list[np.ndarray]  # bases[i] rows span T_i mod p^N
     index_exponents: list[int]  # v_p([T : T_i]) for each term
     stopped: bool  # True when the series became stationary before reaching depth
+    pulled_from: tuple[CentralChain, np.ndarray] | None = None  # (chain, elements)
 
     @property
     def depth(self) -> int:
         return len(self.bases) - 1
 
     def quotient(self, n: int) -> "QuotientModule":
-        return self.derived(("quotient", n), lambda: quotient(self.lattice, self, n))
+        def build():
+            if self.pulled_from is None:
+                return quotient(self.lattice, self, n)
+            Q = self.pulled_from[0].quotient(n)
+            return replace(Q, lattice=self.lattice,
+                           module=Q.module.pullback(self.lattice.group, self.pulled_from[1]))
+        return self.derived(("quotient", n), build)
+
+    def pullback(self, group: GroupTable, elements) -> "CentralChain":
+        """The same chain for a group whose element x acts as elements[x]: it
+        keeps the bases, and each level quotient is this chain's pulled back."""
+        return CentralChain(self.lattice.pullback(group, elements), self.bases,
+                            self.index_exponents, self.stopped, (self, np.asarray(elements)))
 
 
 def g_central_series(T: LatticeModule, depth: int) -> CentralChain:
@@ -142,14 +165,9 @@ def is_uniserial(chain: CentralChain, depth: int) -> tuple[bool, list[int]]:
 
 def chain_period(T: LatticeModule, chain: CentralChain) -> int | None:
     """Least d with T_{i+d} = p T_i for all applicable i, or None."""
-    p = T.p
     for dd in range(1, chain.depth + 1):
-        ok = True
-        for i in range(0, chain.depth - dd + 1):
-            if not linalg.span_equal((p * chain.bases[i]) % T.q, chain.bases[i + dd], p, T.ctx.N):
-                ok = False
-                break
-        if ok and chain.depth >= dd:
+        if all(linalg.span_equal((T.p * chain.bases[i]) % T.q, chain.bases[i + dd], T.p, T.ctx.N)
+               for i in range(chain.depth - dd + 1)):
             return dd
     return None
 
@@ -251,11 +269,10 @@ class FiniteModule:
     def invariants(self) -> list[int]:
         return [self.p**e for e in sorted(self.exps, reverse=True)]
 
-    def twisted(self, beta: np.ndarray) -> "FiniteModule":
-        """Same underlying group with t * g := t.(g^beta)."""
-        b = np.asarray(beta, dtype=np.int64)
-        return FiniteModule(self.group, self.p, list(self.exps), self.E,
-                            self.act[b], self.plain[b])
+    def pullback(self, group: GroupTable, elements) -> "FiniteModule":
+        """The same module for a group whose element x acts as elements[x]."""
+        e = _along(group, self.group, elements)
+        return FiniteModule(group, self.p, list(self.exps), self.E, self.act[e], self.plain[e])
 
 
 def finite_module_from_plain(group: GroupTable, p: int, exps: list[int], plain_act) -> FiniteModule:
@@ -301,7 +318,6 @@ class QuotientModule:
 
     lattice: LatticeModule
     level: int
-    relation_basis: np.ndarray
     module: FiniteModule
     _V: np.ndarray  # ambient -> SNF coordinates
     _Vinv: np.ndarray
@@ -338,23 +354,13 @@ def quotient(T: LatticeModule, chain: CentralChain, n: int) -> QuotientModule:
     if n > chain.depth:
         raise ModuleError("chain only computed to depth %d < %d" % (chain.depth, n))
     p, N, q = T.p, T.ctx.N, T.q
-    d = T.rank
-    if n == 0:
-        B = np.eye(d, dtype=np.int64)
-    else:
-        B = chain.bases[n]
-    s = linalg.smith(B, p, N, want_left=False, want_right=True)
-    V, Vinv = s.V, s.Vinv
-    exps = list(s.exps)
-    kept = [i for i, e in enumerate(exps) if e > 0]
-    kexps = [min(exps[i], N) for i in kept]
+    s = linalg.smith(chain.bases[n], p, N, want_left=False, want_right=True)
+    kept = [i for i, e in enumerate(s.exps) if e > 0]
+    kexps = [min(s.exps[i], N) for i in kept]
     # induced plain action on the kept coordinates
-    plain = []
-    for g in range(T.group.order):
-        M = (Vinv @ T.act[g] @ V) % q
-        plain.append(M[np.ix_(kept, kept)])
+    plain = ((s.Vinv @ T.act @ s.V) % q)[:, kept][:, :, kept]
     fm = finite_module_from_plain(T.group, p, kexps, plain)
-    return QuotientModule(T, n, B.copy(), fm, V, Vinv, kept)
+    return QuotientModule(T, n, fm, s.V, s.Vinv, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +395,6 @@ class HomSpace:
     domain: FiniteModule
     codomain: FiniteModule
     structure: linalg.QuotientGroup  # over flattened hatted hom coordinates
-    v0_hat: np.ndarray | None  # distinguished domain generator used by the orbit route
 
     def flat_to_matrix(self, flat_hat) -> np.ndarray:
         """Plain coordinate matrix (entry ij mod p^{f_j}) from a hatted flat
@@ -458,8 +463,8 @@ def _commuting_columns(A, B) -> np.ndarray:
             - np.kron(np.eye(A.shape[0], dtype=np.int64), B.T)).T
 
 
-def hom_space_flat(V: FiniteModule, W: FiniteModule, beta=None) -> np.ndarray:
-    """Hatted flat generator rows of hom_R(V, W^(beta)), by direct linear solve.
+def hom_space_flat(V: FiniteModule, W: FiniteModule) -> np.ndarray:
+    """Hatted flat generator rows of hom_R(V, W), by direct linear solve.
 
     A hom is a plain coordinate matrix C with entry (i, j) mod p^{f_j}; it is
     flattened row major and hatted at precision E_W.
@@ -469,12 +474,11 @@ def hom_space_flat(V: FiniteModule, W: FiniteModule, beta=None) -> np.ndarray:
     u = r * rw
     if u == 0:
         return np.zeros((0, u), dtype=np.int64)
-    Wplain = W.plain if beta is None else W.plain[np.asarray(beta, dtype=np.int64)]
     cols = []
     target_exps: list[int] = []
     for g in V.group.generators:
         # (A @ C - C @ Bm)[a, b] = 0 mod p^{f_b}: linear in the entries of C
-        cols.extend(_commuting_columns(V.plain[g], Wplain[g]).T)
+        cols.extend(_commuting_columns(V.plain[g], W.plain[g]).T)
         target_exps.extend(W.exps * r)
     # well-definedness: p^{e_a} C[a, b] = 0 mod p^{f_b}
     for a in range(r):
@@ -488,24 +492,20 @@ def hom_space_flat(V: FiniteModule, W: FiniteModule, beta=None) -> np.ndarray:
     return solve_homogeneous(F, unknown_exps, target_exps, p)
 
 
-def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None) -> np.ndarray:
+def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, v0_hat) -> np.ndarray:
     """Hatted flat hom generators via the distinguished-generator orbit route.
 
     Requires v0 to generate V as a module: the stabilizer of v0 is computed,
-    each fixed point of the stabilizer in W^(beta) lifts to the unique hom
+    each fixed point of the stabilizer in W lifts to the unique hom
     with v0 -> w, and the lifts of the fixed-submodule generators generate
     the hom space.
     """
-    if v0_hat is None:
-        raise ModuleError("orbit route needs a distinguished generator")
     p = V.p
     v0_hat = np.asarray(v0_hat, dtype=np.int64) % V.q
     orbit = (v0_hat @ V.act) % V.q
-    Wt = W if beta is None else W.twisted(beta)
-    fixed = fixed_points(Wt, stabilizer(V.act, v0_hat, V.q))
+    fixed = fixed_points(W, stabilizer(V.act, v0_hat, V.q))
     # orbit must span V
-    span = linalg.howell(orbit, p, V.E)
-    if not linalg.span_equal(span.rows, V.member_rows(), p, V.E):
+    if not linalg.span_equal(orbit, V.member_rows(), p, V.E):
         raise ModuleError("distinguished generator does not generate the module")
     # X[i] expresses the hatted coordinate generator e_i in the orbit rows
     solver = linalg.howell(orbit, p, V.E, track=True)
@@ -513,22 +513,23 @@ def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None
     if X is None:
         raise ModuleError("failed to express a coordinate generator in the orbit")
     bound = max(V.q, W.q)
-    rows = [linalg.dot_mod(X, (w @ Wt.act) % W.q, bound, W.q).reshape(-1) for w in fixed]
+    rows = [linalg.dot_mod(X, (w @ W.act) % W.q, bound, W.q).reshape(-1) for w in fixed]
     if not rows:
         return np.zeros((0, V.rank * W.rank), dtype=np.int64)
     return linalg.howell(np.vstack(rows), p, W.E).rows
 
 
-def hom_space(V: FiniteModule, W: FiniteModule, beta=None, v0_hat=None) -> HomSpace:
-    """hom_R(V, W^(beta)) with the orbit route cross-checked when v0 is given."""
-    flat = hom_space_flat(V, W, beta)
+def hom_space(V: FiniteModule, W: FiniteModule, v0_hat=None) -> HomSpace:
+    """hom_R(V, W) with the orbit route cross-checked when v0 is given; for
+    hom_R(V, W^(beta)), pass W pulled back along beta."""
+    flat = hom_space_flat(V, W)
     if v0_hat is not None:
-        flat2 = hom_space_via_orbit(V, W, beta, v0_hat)
+        flat2 = hom_space_via_orbit(V, W, v0_hat)
         if not linalg.span_equal(flat, flat2, V.p, W.E):
             raise ModuleError("hom space routes disagree")
     structure = linalg.quotient_group(flat, np.zeros((0, flat.shape[1]), dtype=np.int64),
                                       V.p, W.E)
-    return HomSpace(V, W, structure, v0_hat)
+    return HomSpace(V, W, structure)
 
 
 # ---------------------------------------------------------------------------

@@ -78,14 +78,11 @@ def satisfies_compatibility(A: FiniteModule, beta, eps_hats) -> np.ndarray:
     return ok
 
 
-def compatible_pairs(A: FiniteModule, auts: list[np.ndarray] | None = None) -> list[CompatiblePair]:
-    """All pairs (beta, eps) by exhausting hom(A, A^(beta)) per automorphism."""
-    if auts is None:
-        auts = groups.automorphism_group(A.group)
+def compatible_pairs(A: FiniteModule) -> list[CompatiblePair]:
+    """All pairs (beta, eps) by exhausting hom(A, A^(beta)) = hom(A, A pulled back along beta)."""
     out = []
-    for beta in auts:
-        beta = np.asarray(beta, dtype=np.int64)
-        hats = A.hat_matrix(modules.hom_space(A, A, beta=beta).all_matrices())
+    for beta in A.group.automorphisms():
+        hats = A.hat_matrix(modules.hom_space(A, A.pullback(A.group, beta)).all_matrices())
         hats = hats[automorphism_mask(A, hats)]
         if not satisfies_compatibility(A, beta, hats).all():
             raise PairError("hom space produced an incompatible pair")
@@ -187,8 +184,7 @@ def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartit
 # the lattice pair group, reduced modulo c
 
 
-def lattice_pairs_mod(T: LatticeModule, c_exp: int,
-                      auts: list[np.ndarray] | None = None):
+def lattice_pairs_mod(T: LatticeModule, c_exp: int):
     """Representatives (beta, eps) of the image of the lattice pair group in
     the pairs of T / p^c T.
 
@@ -196,12 +192,9 @@ def lattice_pairs_mod(T: LatticeModule, c_exp: int,
     filtered by invertibility mod p; distinct reductions are kept once, each
     with a full-precision lattice representative.
     """
-    if auts is None:
-        auts = groups.automorphism_group(T.group)
     qc = T.p**c_exp
     out = []
-    for beta in auts:
-        beta = np.asarray(beta, dtype=np.int64)
+    for beta in T.group.automorphisms():
         seen = set()
         endos = modules.lattice_endomorphisms(T, qc, beta)
         for eps in endos[linalg.invertible_mod_p(endos, T.p)]:
@@ -252,28 +245,20 @@ class ExponentBounds:
         return max(self.v * self.d, self.b_exp * self.d, 1)
 
 
-def restricted_lattice(T: LatticeModule, elems) -> tuple[LatticeModule, list[int]]:
-    """The same lattice viewed as a module for a subgroup."""
-    sub, elements = groups.restricted_table(T.group, elems)
-    act = T.act[np.array(elements, dtype=np.int64)]
-    return LatticeModule(sub, T.ctx, T.rank, act.copy()), elements
-
-
-def stabilizer_chain(T: LatticeModule, chain: CentralChain) -> tuple[np.ndarray, list[int], CentralChain]:
-    """(t0, P, chain of T as P-lattices) for the distinguished generator t0 and
+def stabilizer_chain(T: LatticeModule, chain: CentralChain) -> tuple[np.ndarray, CentralChain]:
+    """(t0, the chain pulled back to P) for the distinguished generator t0 and
     its stabilizer P; held by the chain."""
     def build():
         t0 = modules.distinguished_generator(T, chain)
-        stab = modules.stabilizer(T.act, t0 % T.q, T.q).tolist()
-        TP, _ = restricted_lattice(T, stab)
-        return t0, stab, CentralChain(TP, chain.bases, chain.index_exponents, chain.stopped)
+        P, elements = groups.restricted_table(T.group, modules.stabilizer(T.act, t0 % T.q, T.q))
+        return t0, chain.pullback(P, elements)
     return chain.derived("stabilizer", build)
 
 
 def exponent_bounds(T: LatticeModule, chain: CentralChain, n: int, d: int) -> ExponentBounds:
     a2 = max(cohomology.lattice_exps(chain, 2), default=0)
     a3 = max(cohomology.lattice_exps(chain, 3, n), default=0)
-    _, _, chain_P = stabilizer_chain(T, chain)
+    _, chain_P = stabilizer_chain(T, chain)
     b = max(cohomology.lattice_exps(chain_P, 1, n), default=0)
     return ExponentBounds(T.p, d, max(a2, a3), b)
 
@@ -290,9 +275,6 @@ class Complement:
     are integer matrices on the ambient lattice reducing to the generators.
     """
 
-    level: int
-    t0: np.ndarray
-    stabilizer: list[int]
     h1_invariants: list[int]
     end_space: modules.HomSpace
     endT_flat: np.ndarray
@@ -323,7 +305,7 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
     Q = chain.quotient(n)
     p = T.p
     A = Q.module
-    t0, stab, chain_P = stabilizer_chain(T, chain)
+    t0, chain_P = stabilizer_chain(T, chain)
     h1_exps = cohomology.lattice_exps(chain_P, 1, n)
     b_exp = max(h1_exps, default=0)
     if n < b_exp * period:
@@ -349,7 +331,7 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
     endT_flat = linalg.howell(np.vstack(endT_rows), p, A.E).rows if endT_rows else (
         np.zeros((0, A.rank * A.rank), dtype=np.int64))
     h1_invariants = [p**e for e in sorted(h1_exps, reverse=True)]
-    comp = Complement(n, t0, stab, h1_invariants, End, endT_flat, E_flat, lifts)
+    comp = Complement(h1_invariants, End, endT_flat, E_flat, lifts)
     _verify_complement(comp)
     return comp
 
@@ -413,7 +395,6 @@ class GeneratorPair:
 @dataclass
 class OrbitCorrespondence:
     level: int
-    next_level: int
     equivariant: bool
     witness: dict | None
     orbits_n: OrbitPartition
@@ -507,4 +488,4 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
                 break
             hit.add(j)
             bijection.append((i, j))
-    return OrbitCorrespondence(n, nd, equivariant, witness, orb_n, orb_nd, bijection)
+    return OrbitCorrespondence(n, equivariant, witness, orb_n, orb_nd, bijection)

@@ -111,21 +111,20 @@ class Scenario(Owner):
         return self.derived(("split product", m), build)
 
     def stage(self, k: int) -> "TopQuotient":
-        """The quotient by 1 x T_{k d} acting on the rescaled fiber; stage 0 is G0 on T."""
+        """The quotient R by 1 x T_{k d} acting on the rescaled fiber; stage 0 is G0 on T.
+
+        R acts on T through its projection onto G0, and its chain is the
+        scenario chain pulled back along it.  That is R's own chain, with the
+        same bases and period: T_{i+1} = span{t.g - t} depends only on the
+        set of acting matrices, R acts through all of G0's, and Howell rows
+        are canonical.
+        """
         def build():
-            T, d = self.lattice(), self.period()
             if k == 0:
-                return TopQuotient(self, 0, self.group(), T, self.chain())
-            R = self.split_product(k * d)
-            fiber = R.order // self.group().order
-            act = T.act[np.arange(R.order, dtype=np.int64) // fiber]
-            lattice = LatticeModule(R, T.ctx, T.rank, act)
-            chain = modules.g_central_series(lattice, self.depth)
-            d_top = modules.chain_period(lattice, chain)
-            if d_top != d:
-                raise ScenarioError("top lattice period %s differs from the base period %d"
-                                    % (d_top, d))
-            return TopQuotient(self, k, R, lattice, chain)
+                return TopQuotient(self, 0, self.group(), self.lattice(), self.chain())
+            R = self.split_product(k * self.period())
+            chain = self.chain().pullback(R, np.arange(R.order) // (R.order // self.group().order))
+            return TopQuotient(self, k, R, chain.lattice, chain)
         return self.derived(("stage", k), build)
 
     def top(self) -> "TopQuotient":
@@ -304,7 +303,7 @@ class TopQuotient(Owner):
         if n < 1:
             raise ScenarioError("the mainline cocycle needs a level of at least 1")
         scn = self.scenario
-        T = scn.lattice()
+        T = self.lattice
         Q = self.quotient(n)
         A = Q.module
         na = self.fiber_size()
@@ -314,7 +313,7 @@ class TopQuotient(Owner):
         amb = (groups.all_coord_rows(moduli) @ Qj.representatives()) % T.q  # lift per fiber index
         x, y = self.group.bar_index(2).tuples.T
         # the factor set of (g, u)(h, v) is u.h + v minus its canonical representative
-        w = (np.einsum("ti,tij->tj", amb[x % na], T.act[y // na]) + amb[y % na]) % T.q
+        w = (np.einsum("ti,tij->tj", amb[x % na], T.act[y]) + amb[y % na]) % T.q
         value = (w - Qj.reduce(w)) % T.q
         if np.any(value % scale):
             raise ScenarioError("mainline factor set left the fiber lattice")

@@ -652,6 +652,28 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
                                        lifted_ok, scanned, skipped)
 
 
+def stage_chain_by_rebuild(scn, k):
+    """Stage k's chain built from scratch: the lattice with the action lifted
+    to the stage group R, and R's own central series over it."""
+    T = scn.lattice()
+    if k == 0:
+        R, act = scn.group(), T.act
+    else:
+        R = scn.split_product(k * scn.period())
+        act = T.act[np.arange(R.order) // (R.order // scn.group().order)]
+    return modules.g_central_series(modules.LatticeModule(R, T.ctx, T.rank, act), scn.depth)
+
+
+def stabilizer_chain_by_restriction(T, chain):
+    """The chain of T as a lattice for the stabilizer P of the distinguished
+    generator: the action restricted to P's own table, the bases kept, and
+    each level quotient built again by `modules.quotient`."""
+    t0 = modules.distinguished_generator(T, chain)
+    P, elements = groups.restricted_table(T.group, modules.stabilizer(T.act, t0 % T.q, T.q))
+    TP = modules.LatticeModule(P, T.ctx, T.rank, T.act[np.array(elements)].copy())
+    return modules.CentralChain(TP, chain.bases, chain.index_exponents, chain.stopped)
+
+
 def finite_module_from_plain_entries(group, p, exps, plain_act):
     """modules.finite_module_from_plain with each hatted entry
     A_ij p^{E-e_j} / p^{E-e_i}, for A_ij reduced mod p^{e_j}, worked out in

@@ -312,11 +312,18 @@ _DERIVED = [
     (modules, "_lattice_hom_basis", lambda T, beta: (_lattice_key(T), _bytes(beta))),
     (cohomology, "split_frame",
      lambda T, chain, n, m=2: (_lattice_key(T), _bytes(chain.bases[n]), m)),
-    (pairs, "compatible_pairs", lambda A, auts=None: _module_key(A)),
+    (pairs, "compatible_pairs", _module_key),
     (extensions, "build_extension",
      lambda R, A, tau_hat: (_bytes(R.mul), _module_key(A), _bytes(tau_hat))),
     (groups, "lower_central_series", lambda G: _bytes(G.mul)),
     (groups, "bar_index", lambda G, m: (_bytes(G.mul), m)),
+    (groups, "automorphism_group", lambda G: _bytes(G.mul)),
+    # a level quotient depends on the chain's basis and not on the group
+    # acting: a pulled-back chain reads it from the chain it came from
+    (modules, "quotient", lambda T, chain, n: (T.p, T.ctx.N, _bytes(chain.bases[n]))),
+    # T_{i+1} = span{t.g - t} depends only on the set of acting matrices
+    (modules, "g_central_series",
+     lambda T, depth: (T.p, T.ctx.N, depth, tuple(sorted({a.tobytes() for a in T.act % T.q})))),
 ]
 
 
@@ -338,6 +345,19 @@ def test_each_derived_object_is_computed_once(monkeypatch, capsys, argv):
     assert calls
     repeated = collections.Counter(name for (name, _), n in calls.items() if n > 1)
     assert not repeated, repeated
+
+
+def test_a_branch_is_refused_at_the_coboundary_cap_before_any_level_is_computed(
+        monkeypatch, capsys):
+    # level 1 of d8's order-32 top group has rank 1 and level 2 rank 2, whose
+    # generator columns of d^2 are above the cap; both sizes are known from
+    # the quotient ranks, so the refusal comes before level 1 is computed
+    calls = []
+    monkeypatch.setattr(cohomology, "level_cohomology", lambda *args: calls.append(args))
+    assert cli.main(["branch", "--scenario", "d8_gaussian", "--i", "4", "--k", "1"]) == 2
+    assert capsys.readouterr().err == ("error: coboundary d^2 over a group of order 32 is "
+                                       "1922 x 7688, above the cap of 8388608 entries\n")
+    assert not calls
 
 
 @pytest.mark.parametrize("argv", [

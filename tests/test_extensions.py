@@ -192,8 +192,7 @@ def test_projection_is_checked_on_the_generator_edges():
     swap = np.array([0, 2, 1, 3])
     relabelled = groups.make_table(swap[C4.mul[np.ix_(swap, swap)]])
     assert extensions.are_isomorphic(relabelled, C4)
-    bad = extensions.ExtensionGroup(relabelled, A, ext.cocycle_hat, ext.table,
-                                    ext.fiber_elements)
+    bad = extensions.ExtensionGroup(relabelled, A, ext.table, ext.fiber_elements)
     with pytest.raises(extensions.ExtensionError, match="not a homomorphism"):
         extensions._validate_extension(bad)
 

@@ -1,5 +1,6 @@
 """Every public function, class and method of the package is used by the package,
-and each object's private fields are read by the module that owns them.
+every dataclass field is read, and each object's private fields are read by the
+module that owns them.
 
 A public name defined in `src/coclass` must be referenced there somewhere
 other than its own definition, or be listed in ORACLES with the reason it is
@@ -55,6 +56,29 @@ def test_every_oracle_is_still_defined():
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     defined = {name for tree in trees for name, _ in _definitions(tree)}
     assert set(ORACLES) <= defined, set(ORACLES) - defined
+
+
+def _dataclass_fields(tree):
+    """(class, field) of each annotated field of a class decorated with
+    `dataclass` or `dataclass(...)`."""
+    for node in ast.walk(tree):
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in getattr(node, "decorator_list", [])]
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted("%s:%s.%s" % (fname, cls, field)
+                    for fname, tree in trees.items()
+                    for cls, field in _dataclass_fields(tree) if field not in reads)
+    assert not unread, "dataclass fields that nothing reads: %s" % unread
 
 
 def test_only_modules_reads_the_smith_data_of_a_quotient():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coclass import groups, linalg, modules, scenarios
+from coclass import groups, linalg, modules, pairs, scenarios
 
-from brute_force import finite_module_from_plain_entries
+from brute_force import (finite_module_from_plain_entries, stabilizer_chain_by_restriction,
+                         stage_chain_by_rebuild)
 
 C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
 
@@ -271,6 +272,53 @@ def test_hatted_action_of_every_level_quotient_matches_the_entrywise_oracle(monk
     assert len(seen) >= 3 * len(scenarios.SCAN_STAGES)
     for group, p, exps, plain_act, fm in seen:
         assert _same_module(fm, finite_module_from_plain_entries(group, p, exps, plain_act))
+
+
+def _same_array(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+SCENARIOS = {"dihedral_mainline": "dihedral_mainline", "d8_gaussian": "d8_gaussian",
+             "c3_eisenstein": str(C3_EISENSTEIN)}
+
+
+@pytest.mark.parametrize("source", sorted(SCENARIOS))
+@pytest.mark.parametrize("k", list(scenarios.SCAN_STAGES) + ["stabilizer"])
+def test_pulled_back_chain_matches_the_rebuilt_chain(source, k):
+    # a stage chain pulled back along R -> G0, and the stabilizer chain pulled
+    # back along P in G0, against the chains built from scratch over R and P
+    scn = scenarios.load_scenario(SCENARIOS[source])
+    if k == "stabilizer":
+        _, got = pairs.stabilizer_chain(scn.lattice(), scn.chain())
+        want = stabilizer_chain_by_restriction(scn.lattice(), scn.chain())
+    else:
+        got, want = scn.stage(k).chain, stage_chain_by_rebuild(scn, k)
+    assert _same_array(got.lattice.group.mul, want.lattice.group.mul)
+    assert _same_array(got.lattice.act, want.lattice.act)
+    assert len(got.bases) == len(want.bases)
+    assert all(_same_array(a, b) for a, b in zip(got.bases, want.bases))
+    assert (got.index_exponents, got.stopped) == (want.index_exponents, want.stopped)
+    for n in range(want.depth + 1):
+        Qg, Qw = got.quotient(n), want.quotient(n)
+        assert Qg.lattice is got.lattice and Qg.module.group is got.lattice.group
+        assert (Qg.module.exps, Qg.module.E, Qg._kept) == (Qw.module.exps, Qw.module.E, Qw._kept)
+        for a, b in [(Qg.module.act, Qw.module.act), (Qg.module.plain, Qw.module.plain),
+                     (Qg._V, Qw._V), (Qg._Vinv, Qw._Vinv)]:
+            assert _same_array(a, b), n
+
+
+def test_pullback_along_a_map_that_is_not_a_homomorphism_is_refused():
+    scn = scenarios.load_scenario("d8_gaussian")
+    G, chain = scn.group(), scn.chain()
+    shifted = np.roll(np.arange(G.order), 1)  # moves the identity
+    swapped = np.arange(G.order)
+    swapped[[1, 2]] = [2, 1]
+    assert G.element_orders()[1] != G.element_orders()[2]  # so no automorphism swaps them
+    for elements in (shifted, swapped, np.arange(G.order - 1)):
+        for target in (scn.lattice(), chain, chain.quotient(3).module):
+            with pytest.raises(modules.ModuleError, match="not form a homomorphism"):
+                target.pullback(G, elements)
 
 
 @given(st.data())

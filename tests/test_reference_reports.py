@@ -33,6 +33,10 @@ STORED = {
         ["verify-lcs", "--scenario", "dihedral_mainline", "--max-order", "2048"],
     "d8_gaussian.cohomology-n3-d3.out":
         ["cohomology", "--scenario", "d8_gaussian", "--n", "3", "--degree", "3"],
+    # the extension over d8's order-32 top quotient, whose chain is pulled back
+    "d8_gaussian.extend-mainline-1.out":
+        ["extend", "--scenario", "d8_gaussian", "--cocycle",
+         "tests/data/mainline_level1.cocycle.json"],
 }
 
 
