@@ -4,13 +4,20 @@ the shift isomorphism between branches one period apart.
 Vertices of branch i are isomorphism classes of finite groups that are
 descendants of the depth-i mainline quotient but not of the next one,
 realized as extension classes in H^2(R, A_n) over the finite top quotient R.
-Classes are identified up to compatible-pair orbits, extensions are built
-and cross-checked with the isomorphism oracle, and the branch-to-branch
+Classes are identified up to compatible-pair orbits, and the branch-to-branch
 shift is induced by the summand-preserving level shift on cohomology.
+
+Each vertex's extension table is built once, read for what it certifies
+(order, coclass flag and isomorphism fingerprint) and dropped, so a branch
+holds at most one table at a time.  The top quotient keeps the certificate,
+keyed by (level, class coordinates), so a class that two branches share is
+built once.  Vertices at one level are told apart by their fingerprints;
+only a tie rebuilds the two tables for the isomorphism oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +40,21 @@ class BranchVertex:
     order: int
     mainline: bool
     parent: int | None
+    fingerprint: tuple  # extensions.fingerprint of the vertex's group
 
 
 @dataclass
 class BranchGraph:
+    """Vertices and edges of one branch.  No vertex keeps its extension
+    table: its fingerprint stands for it in the level check and the DOT
+    label."""
+
     scenario: str
     i: int  # branch index: the root is the depth-i mainline quotient
     k: int  # distance cap
     root_level: int
     vertices: list[BranchVertex]
     edges: list[tuple[int, int]]  # (parent index, child index)
-    tables: list  # GroupTable per vertex, for isomorphism checks
 
     @property
     def root(self) -> BranchVertex:
@@ -70,12 +81,19 @@ def _level_data(top: TopQuotient, n: int) -> LevelData:
     return top.derived(("level", n), build)
 
 
+def _vertex_table(top: TopQuotient, lv: LevelData, coords) -> extensions.ExtensionGroup:
+    """The extension of a class at level lv.n, built afresh."""
+    row = lv.H.representative(np.array(coords, dtype=np.int64))
+    return extensions.build_extension(top.group, lv.Q.module, row)
+
+
 def _vertex_extension(top: TopQuotient, lv: LevelData, coords):
-    """(extension, (coclass, flag)) of a class at level lv.n, held by the top quotient."""
+    """(order, (coclass, flag), fingerprint) of a class at level lv.n, held
+    by the top quotient; the extension itself is dropped once read."""
     def build():
-        row = lv.H.representative(np.array(coords, dtype=np.int64))
-        ext = extensions.build_extension(top.group, lv.Q.module, row)
-        return ext, extensions.coclass_of_extension(ext, l=top.l)
+        ext = _vertex_table(top, lv, coords)
+        return (ext.order, extensions.coclass_of_extension(ext, l=top.l),
+                extensions.fingerprint(ext.table))
     return top.derived(("extension", lv.n, tuple(coords)), build)
 
 
@@ -111,13 +129,13 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
     levels = {n: _level_data(top, n) for n in range(n0, n0 + k + 1)}
     root_lv = levels[n0]
     root_orbit = root_lv.partition.orbit_of(np.array(root_lv.mainline_coords, dtype=np.int64))
-    root_ext, (root_cc, root_flag) = _vertex_extension(top, root_lv, root_lv.mainline_coords)
+    root_order, (_, root_flag), root_print = _vertex_extension(top, root_lv,
+                                                               root_lv.mainline_coords)
     if not root_flag:
         raise BranchError("mainline quotient at level %d fails the coclass criterion" % n0)
     vertices = [BranchVertex(0, n0, 0, root_lv.mainline_coords, root_orbit,
-                             root_ext.order, True, None)]
+                             root_order, True, None, root_print)]
     edges: list[tuple[int, int]] = []
-    tables = [root_ext.table]
     by_level_orbit = {(n0, root_orbit): 0}
     for j in range(1, k + 1):
         n = n0 + j
@@ -142,35 +160,44 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
                     continue
             if not descends:
                 continue
-            ext, (cc, flag) = _vertex_extension(top, lv, coords)
+            order, (_, flag), fprint = _vertex_extension(top, lv, coords)
             if not flag:
                 continue
             idx = len(vertices)
             parent = by_level_orbit[parent_key]
             vertices.append(BranchVertex(idx, n, j, tuple(coords), oi,
-                                         ext.order, is_main, parent))
+                                         order, is_main, parent, fprint))
             edges.append((parent, idx))
-            tables.append(ext.table)
             by_level_orbit[(n, oi)] = idx
-    _check_orbit_isomorphism(vertices, tables)
-    return BranchGraph(scn.name, i, k, n0, vertices, edges, tables)
+    _check_orbit_isomorphism(top, levels, vertices)
+    return BranchGraph(scn.name, i, k, n0, vertices, edges)
 
 
 def lv_parent_orbit(lv: LevelData, coords) -> int:
     return lv.partition.orbit_of(np.array(coords, dtype=np.int64))
 
 
-def _check_orbit_isomorphism(vertices, tables):
-    """Distinct vertices at one level must be pairwise non-isomorphic."""
-    by_level: dict[int, list[int]] = {}
+def _check_orbit_isomorphism(top: TopQuotient, levels: dict[int, LevelData], vertices):
+    """Distinct vertices at one level must be pairwise non-isomorphic.
+
+    Groups with different fingerprints are not isomorphic, and
+    `are_isomorphic` compares fingerprints first, so only a tie needs the
+    tables.  A tie rebuilds both from the level data: this trades time for
+    memory, since no vertex keeps its table, and it is the one place a
+    table is built twice.  No built-in scenario reaches it.
+    """
+    by_level: dict[int, list[BranchVertex]] = {}
     for v in vertices:
-        by_level.setdefault(v.level, []).append(v.index)
-    for level, idxs in by_level.items():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                if extensions.are_isomorphic(tables[idxs[a]], tables[idxs[b]]):
-                    raise BranchError(
-                        "distinct orbits at level %d gave isomorphic groups" % level)
+        by_level.setdefault(v.level, []).append(v)
+    for level, vs in by_level.items():
+        for a, b in itertools.combinations(vs, 2):
+            if a.fingerprint != b.fingerprint:
+                continue
+            lv = levels[level]
+            if extensions.are_isomorphic(_vertex_table(top, lv, a.class_coords).table,
+                                         _vertex_table(top, lv, b.class_coords).table):
+                raise BranchError(
+                    "distinct orbits at level %d gave isomorphic groups" % level)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +270,12 @@ def nu_shift(scn: Scenario, src: BranchGraph,
 # DOT export
 
 
-def _vertex_label(v: BranchVertex, table) -> str:
-    orders = table.element_orders()
-    involutions = int(np.count_nonzero(orders == 2))
+def _vertex_label(v: BranchVertex) -> str:
+    """Involutions and exponent, read off the sorted element-order spectrum
+    of the vertex's fingerprint."""
+    _, spectrum, _, _ = v.fingerprint
     return "order %d | inv %d | exp %d%s" % (
-        v.order, involutions, int(max(orders)), " | mainline" if v.mainline else "")
+        v.order, spectrum.count(2), max(spectrum), " | mainline" if v.mainline else "")
 
 
 def export_dot(branch: BranchGraph, nu: ShiftReport | None = None) -> str:
@@ -258,7 +286,7 @@ def export_dot(branch: BranchGraph, nu: ShiftReport | None = None) -> str:
              '  node [shape=box];']
     shift_of = dict(nu.vertex_map) if nu is not None else {}
     for v in branch.vertices:
-        label = _vertex_label(v, branch.tables[v.index])
+        label = _vertex_label(v)
         if v.index in shift_of:
             label += " | nu -> %d" % shift_of[v.index]
         lines.append('  v%d [label="%s"];' % (v.index, label))

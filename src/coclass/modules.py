@@ -199,11 +199,12 @@ def distinguished_generator(T: LatticeModule, chain: CentralChain) -> np.ndarray
 
 
 @dataclass
-class FiniteModule:
+class FiniteModule(Owner):
     """Direct sum of Z/p^{e_i} with a right group action, in hatted coordinates.
 
     Elements live in (Z/p^E)^r as multiples of scale_i = p^{E-e_i} on
-    coordinate i; act[g] are the hatted action matrices.
+    coordinate i; act[g] are the hatted action matrices.  The module holds
+    its hom spaces (`hom_to`), one per codomain action.
     """
 
     group: GroupTable
@@ -273,6 +274,20 @@ class FiniteModule:
         """The same module for a group whose element x acts as elements[x]."""
         e = _along(group, self.group, elements)
         return FiniteModule(group, self.p, list(self.exps), self.E, self.act[e], self.plain[e])
+
+    def hom_to(self, W: "FiniteModule", v0_hat=None) -> "HomSpace":
+        """`hom_space(self, W)`, solved once per codomain, and cross-checked
+        once by `_check_orbit_route` for each v0 given.  W is keyed by its
+        exponents and its generators' canonical action, which fix it as a
+        module over this module's group, so hom(A, A^(beta)) is solved once
+        for all beta that act alike on A; the space names the first such W
+        as its codomain."""
+        key = ("hom", tuple(W.exps), W.canonical(W.act[self.group.generators]).tobytes())
+        hs = self.derived(key, lambda: hom_space(self, W))
+        if v0_hat is not None:
+            v0 = np.asarray(v0_hat, dtype=np.int64) % self.q
+            self.derived(key + (v0.tobytes(),), lambda: _check_orbit_route(hs, v0))
+        return hs
 
 
 def finite_module_from_plain(group: GroupTable, p: int, exps: list[int], plain_act) -> FiniteModule:
@@ -519,17 +534,21 @@ def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, v0_hat) -> np.ndarray:
     return linalg.howell(np.vstack(rows), p, W.E).rows
 
 
-def hom_space(V: FiniteModule, W: FiniteModule, v0_hat=None) -> HomSpace:
-    """hom_R(V, W) with the orbit route cross-checked when v0 is given; for
-    hom_R(V, W^(beta)), pass W pulled back along beta."""
+def hom_space(V: FiniteModule, W: FiniteModule) -> HomSpace:
+    """hom_R(V, W); for hom_R(V, W^(beta)), pass W pulled back along beta.
+    `FiniteModule.hom_to` holds it."""
     flat = hom_space_flat(V, W)
-    if v0_hat is not None:
-        flat2 = hom_space_via_orbit(V, W, v0_hat)
-        if not linalg.span_equal(flat, flat2, V.p, W.E):
-            raise ModuleError("hom space routes disagree")
     structure = linalg.quotient_group(flat, np.zeros((0, flat.shape[1]), dtype=np.int64),
                                       V.p, W.E)
     return HomSpace(V, W, structure)
+
+
+def _check_orbit_route(hs: HomSpace, v0_hat) -> None:
+    """The orbit route from the module generator v0 must give the same homs
+    as the direct solve; the structure's generators span what it solved."""
+    V, W = hs.domain, hs.codomain
+    if not linalg.span_equal(hs.structure.gens, hom_space_via_orbit(V, W, v0_hat), V.p, W.E):
+        raise ModuleError("hom space routes disagree")
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def compatible_pairs(A: FiniteModule) -> list[CompatiblePair]:
     """All pairs (beta, eps) by exhausting hom(A, A^(beta)) = hom(A, A pulled back along beta)."""
     out = []
     for beta in A.group.automorphisms():
-        hats = A.hat_matrix(modules.hom_space(A, A.pullback(A.group, beta)).all_matrices())
+        hats = A.hat_matrix(A.hom_to(A.pullback(A.group, beta)).all_matrices())
         hats = hats[automorphism_mask(A, hats)]
         if not satisfies_compatibility(A, beta, hats).all():
             raise PairError("hom space produced an incompatible pair")
@@ -312,7 +312,7 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
         raise PairError("level %d below the complement hypothesis %d" % (n, b_exp * period))
     level = cohomology.level_split(chain_P, n, 0)
     t0_hat = Q.hat_of_ambient(t0)
-    End = modules.hom_space(A, A, v0_hat=t0_hat)
+    End = A.hom_to(A, v0_hat=t0_hat)
     t0c = Q.coords(t0)
     # image of t0 under each hom generator, in hatted coordinates
     gen_rows = [(t0c @ np.asarray(g, dtype=np.int64).reshape(A.rank, A.rank)) % A.q

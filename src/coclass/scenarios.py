@@ -537,7 +537,7 @@ def _summand_membership_solver(level: cohomology.SplitLevel,
 
 
 def _scan_level(scn, k, n, level, H, A, member, classes):
-    End = modules.hom_space(A, A)
+    End = A.hom_to(A)
     mats = End.all_matrices()
     # the two forms of each endomorphism, interleaved in scan order
     forms = np.stack([mats, (np.eye(A.rank, dtype=np.int64) + mats) % A.q], axis=1)

@@ -722,6 +722,16 @@ def at_distance(branch, j):
     return [v for v in branch.vertices if v.distance == j]
 
 
+def vertex_table(scn, v):
+    """The extension table of a branch vertex, rebuilt from its level and
+    class coordinates through `extensions.build_extension`, so that a test
+    does not read what the branch kept of it."""
+    top = scn.top()
+    H = cohomology.level_cohomology(top.chain, v.level, 2)
+    row = H.representative(np.array(v.class_coords, dtype=np.int64))
+    return extensions.build_extension(top.group, top.quotient(v.level).module, row).table
+
+
 def lattice_cohomology(T, m, basis=None):
     """Lattice H^m(R, T), or of the sublattice with the given basis rows, by
     kernel and quotient: the exact p-adic cocycles, read off the full d^m,

@@ -16,7 +16,7 @@ from coclass import (cli, coclass_tree, cohomology, extensions, groups,
                      linalg, modules, pairs, scenarios)
 
 from brute_force import (at_distance, lattice_cohomology, orbit_isomorphism_check,
-                         semi_brute_h_stats, stats_from_invariants)
+                         semi_brute_h_stats, stats_from_invariants, vertex_table)
 
 
 _cache = {}
@@ -318,7 +318,7 @@ def test_branches_and_shift_certification():
         kids = at_distance(br, 1)
         assert len(kids) == 3
         order = 2 ** (i + 1)
-        counts = sorted(int(np.count_nonzero(br.tables[v.index].element_orders() == 2))
+        counts = sorted(int(np.count_nonzero(vertex_table(scn, v).element_orders() == 2))
                         for v in kids)
         # dihedral, semidihedral, quaternion: order/2 + 1, order/4 + 1, 1
         assert counts == sorted([order // 2 + 1, order // 4 + 1, 1])

@@ -310,6 +310,10 @@ _DERIVED = [
      lambda T, basis=None: (_lattice_key(T),
                             _bytes(np.eye(T.rank) if basis is None else basis))),
     (modules, "_lattice_hom_basis", lambda T, beta: (_lattice_key(T), _bytes(beta))),
+    # hom(A, A^(beta)) is fixed by A and beta's action on the generators
+    (modules, "hom_space",
+     lambda V, W: (_module_key(V), tuple(W.exps),
+                   _bytes(W.canonical(W.act[V.group.generators])))),
     (cohomology, "split_frame",
      lambda T, chain, n, m=2: (_lattice_key(T), _bytes(chain.bases[n]), m)),
     (pairs, "compatible_pairs", _module_key),

@@ -197,7 +197,7 @@ def test_hom_space_c2_endos_with_orbit_route():
     chain = modules.g_central_series(T, 4)
     Q = modules.quotient(T, chain, 3)
     v0 = Q.hat_of_ambient([1])
-    hs = modules.hom_space(Q.module, Q.module, v0_hat=v0)
+    hs = Q.module.hom_to(Q.module, v0_hat=v0)
     assert hs.invariants() == [8]
 
 
@@ -208,7 +208,7 @@ def test_hom_space_d8_endos_routes_agree():
     for n in (1, 2, 3, 4):
         Q = modules.quotient(T, chain, n)
         v0 = Q.hat_of_ambient(t0)
-        hs = modules.hom_space(Q.module, Q.module, v0_hat=v0)
+        hs = Q.module.hom_to(Q.module, v0_hat=v0)
         # every basis hom commutes with the action
         for C in (hs.flat_to_matrix(g) for g in hs.structure.gens):
             for g in range(8):

@@ -1,5 +1,5 @@
 """Each reference report under perfbench/reference/ and each stored report
-under tests/data/ is reproduced byte for byte.
+and DOT file under tests/data/ is reproduced byte for byte.
 
 `<name>.json` holds the argv and the exit code, `<name>.out` the report the
 CLI printed for that argv.  The files are only read here.
@@ -54,6 +54,15 @@ def test_stored_report_is_reproduced(capsys, monkeypatch, name):
     monkeypatch.chdir(DATA.parent.parent)
     assert cli.main(STORED[name]) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+def test_stored_dot_file_is_reproduced(capsys, tmp_path):
+    # the DOT labels are read off each vertex's fingerprint
+    dot = tmp_path / "branch.dot"
+    assert cli.main(["branch", "--scenario", "dihedral_mainline", "--i", "7", "--k", "1",
+                     "--shift", "--dot", str(dot)]) == 0
+    capsys.readouterr()
+    assert dot.read_bytes() == (DATA / "dihedral_mainline.branch-i7-k1-shift.dot").read_bytes()
 
 
 # A child's ru_maxrss starts at the peak of the process it was forked from,

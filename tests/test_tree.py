@@ -1,9 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from coclass import coclass_tree, cohomology, extensions, groups, scenarios
+from coclass import cli, coclass_tree, cohomology, extensions, groups, scenarios
 
-from brute_force import at_distance
+from brute_force import at_distance, vertex_table
 
 
 _cache = {}
@@ -22,7 +25,8 @@ def branch(i, k=1):
     return _cache[key]
 
 
-def involution_count(table):
+def involution_count(v):
+    table = vertex_table(dihedral(), v)
     return int(np.count_nonzero(table.element_orders() == 2))
 
 
@@ -37,7 +41,7 @@ def test_branch_root_is_the_mainline_quotient():
     assert br.root.mainline
     assert br.root.order == 8
     # D8: dihedral of order 8
-    assert involution_count(br.tables[0]) == 5
+    assert involution_count(br.root) == 5
 
 
 def test_branch_children_are_the_expected_triple():
@@ -47,12 +51,12 @@ def test_branch_children_are_the_expected_triple():
         assert len(kids) == 3
         order = 2 ** (i + 1)
         assert all(v.order == order for v in kids)
-        got = sorted(involution_count(br.tables[v.index]) for v in kids)
+        got = sorted(involution_count(v) for v in kids)
         assert got == expected_triple(order)
         assert sum(v.mainline for v in kids) == 1
         # the mainline child is the dihedral group (most involutions)
         main = [v for v in kids if v.mainline][0]
-        assert involution_count(br.tables[main.index]) == order // 2 + 1
+        assert involution_count(main) == order // 2 + 1
 
 
 def test_branch_edges_all_point_to_the_root_at_k1():
@@ -100,13 +104,13 @@ def test_shift_two_consecutive_branches():
             assert vb.order == 2 * va.order
             assert va.mainline == vb.mainline
             if va.distance == 1:
-                ia = involution_count(src.tables[a])
-                ib = involution_count(dst.tables[b])
+                ia = involution_count(va)
+                ib = involution_count(vb)
                 # dihedral -> dihedral, semidihedral -> semidihedral,
                 # quaternion -> quaternion
-                rank_a = sorted(involution_count(src.tables[v.index])
+                rank_a = sorted(involution_count(v)
                                 for v in at_distance(src, 1)).index(ia)
-                rank_b = sorted(involution_count(dst.tables[v.index])
+                rank_b = sorted(involution_count(v)
                                 for v in at_distance(dst, 1)).index(ib)
                 assert rank_a == rank_b
 
@@ -132,10 +136,10 @@ def test_dot_export_is_deterministic_and_complete():
 
 def test_vertices_pairwise_nonisomorphic():
     br = branch(4)
-    idxs = [v.index for v in at_distance(br, 1)]
-    for x in range(len(idxs)):
-        for y in range(x + 1, len(idxs)):
-            assert not extensions.are_isomorphic(br.tables[idxs[x]], br.tables[idxs[y]])
+    tables = [vertex_table(dihedral(), v) for v in at_distance(br, 1)]
+    for x in range(len(tables)):
+        for y in range(x + 1, len(tables)):
+            assert not extensions.are_isomorphic(tables[x], tables[y])
 
 
 def test_shift_splits_through_the_frame_of_the_residue_class():
@@ -148,3 +152,72 @@ def test_shift_splits_through_the_frame_of_the_residue_class():
     basis, _ = cohomology.primitive_basis(top.chain, 1)
     assert [key for key in top.chain._memo if key[0] == "frame"] == [
         ("frame", 2, basis.astype(np.int64).tobytes())]
+
+
+def test_branch_shift_peaks_under_three_of_its_largest_tables():
+    # no vertex keeps its extension table, so at most one table of order
+    # 512 is alive at a time, beside its fingerprint's temporaries
+    scn = scenarios.load_scenario("dihedral_mainline")
+    tracemalloc.start()
+    try:
+        br = coclass_tree.build_branch(scn, 7, 1)
+        _, dst = coclass_tree.nu_shift(scn, br)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    largest = max(v.order for v in br.vertices + dst.vertices)
+    table_bytes = largest**2 * np.dtype(groups.index_dtype(largest)).itemsize
+    assert largest == 512
+    assert peak <= 3 * table_bytes, "peak %.2f x the largest table" % (peak / table_bytes)
+    assert held < table_bytes, "%.2f MiB still held" % (held / 2**20)
+
+
+def test_branch_shift_builds_each_class_once_and_never_compares_two_groups(monkeypatch, capsys):
+    # branch 8's root is branch 7's mainline child: 8 vertices, 7 classes
+    requests, builds, searches = [], [], []
+
+    def requested(top, lv, coords, _fn=coclass_tree._vertex_extension):
+        requests.append((lv.n, tuple(coords)))
+        return _fn(top, lv, coords)
+
+    def built(*args, _fn=extensions.build_extension):
+        builds.append(args)
+        return _fn(*args)
+
+    def search(G, H, _fn=groups.isomorphisms):
+        if G is not H:  # automorphism_group searches the top quotient's own
+            searches.append((G.order, H.order))
+        return _fn(G, H)
+
+    monkeypatch.setattr(coclass_tree, "_vertex_extension", requested)
+    monkeypatch.setattr(extensions, "build_extension", built)
+    monkeypatch.setattr(groups, "isomorphisms", search)
+    assert cli.main(["branch", "--scenario", "dihedral_mainline", "--i", "7", "--k", "1",
+                     "--shift"]) == 0
+    capsys.readouterr()
+    assert len(requests) == 8
+    assert len(builds) == len(set(requests)) == 7
+    assert not searches
+
+
+def test_a_fingerprint_tie_rebuilds_both_tables_and_is_refused(monkeypatch):
+    scn, br = dihedral(), branch(4)
+    top = scn.top()
+    kids = at_distance(br, 1)
+    level = kids[0].level
+    levels = {level: coclass_tree._level_data(top, level)}
+    builds = []
+
+    def built(*args, _fn=extensions.build_extension):
+        builds.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(extensions, "build_extension", built)
+    # distinct fingerprints settle the level without a table
+    coclass_tree._check_orbit_isomorphism(top, levels, kids)
+    assert builds == []
+    twin = dataclasses.replace(kids[0], index=len(br.vertices))
+    with pytest.raises(coclass_tree.BranchError,
+                       match="distinct orbits at level %d gave isomorphic groups" % level):
+        coclass_tree._check_orbit_isomorphism(top, levels, [kids[0], twin])
+    assert len(builds) == 2
