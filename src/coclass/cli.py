@@ -168,9 +168,7 @@ def cmd_branch(args) -> int:
         with open(args.dot, "w") as fh:
             fh.write(coclass_tree.export_dot(br, nu))
     _emit(report, args.out)
-    if args.shift and not nu.ok:
-        return 1
-    return 0
+    return 1 if args.shift and not nu.ok else 0
 
 
 def cmd_verify_counterexample(args) -> int:

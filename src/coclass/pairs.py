@@ -15,6 +15,7 @@ between two consecutive qualifying levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,15 @@ def satisfies_compatibility(A: FiniteModule, beta, eps_hats) -> np.ndarray:
 
 
 def compatible_pairs(A: FiniteModule) -> list[CompatiblePair]:
-    """All pairs (beta, eps) by exhausting hom(A, A^(beta)) = hom(A, A pulled back along beta)."""
-    out = []
+    """All pairs (beta, eps) by exhausting hom(A, A^(beta)) = hom(A, A pulled back along beta);
+    the betas that share a hom space share its enumeration."""
+    out, autos = [], {}  # id of a hom space A holds -> its invertible homs, hatted
     for beta in A.group.automorphisms():
-        hats = A.hat_matrix(A.hom_to(A.pullback(A.group, beta)).all_matrices())
-        hats = hats[automorphism_mask(A, hats)]
+        hs = A.hom_to(A.pullback(A.group, beta))
+        if id(hs) not in autos:
+            hats = A.hat_matrix(hs.all_matrices())
+            autos[id(hs)] = hats[automorphism_mask(A, hats)]
+        hats = autos[id(hs)]
         if not satisfies_compatibility(A, beta, hats).all():
             raise PairError("hom space produced an incompatible pair")
         out.extend(CompatiblePair(beta, eps_hat) for eps_hat in hats)
@@ -195,14 +200,11 @@ def lattice_pairs_mod(T: LatticeModule, c_exp: int):
     qc = T.p**c_exp
     out = []
     for beta in T.group.automorphisms():
-        seen = set()
         endos = modules.lattice_endomorphisms(T, qc, beta)
+        first: dict[bytes, np.ndarray] = {}
         for eps in endos[linalg.invertible_mod_p(endos, T.p)]:
-            k = (eps % qc).tobytes()
-            if k in seen:
-                continue
-            seen.add(k)
-            out.append((beta, eps))
+            first.setdefault((eps % qc).tobytes(), eps)
+        out.extend((beta, eps) for eps in first.values())
     return out
 
 
@@ -288,10 +290,7 @@ class Complement:
 
     @property
     def order(self) -> int:
-        out = 1
-        for x in self.invariants():
-            out *= x
-        return out
+        return math.prod(self.invariants())
 
 
 def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) -> Complement:

@@ -103,11 +103,15 @@ class Scenario(Owner):
         return self.chain().quotient(n)
 
     def split_product(self, m: int) -> GroupTable:
-        """The finite split quotient G0 x (T / T_m) of the semidirect product."""
+        """The finite split quotient G0 x (T / T_m) of the semidirect product, kept
+        only when a stage reads it (the scan's stages and the top)."""
         def build():
             A = self.quotient(m).module
             return groups.abelian_extension_table(
                 self.group().mul, [int(x) for x in A.coord_moduli()], A.plain, None)
+        d = self.period()
+        if m % d or m // d not in SCAN_STAGES + (self.top_offset // d,):
+            return build()
         return self.derived(("split product", m), build)
 
     def stage(self, k: int) -> "TopQuotient":
@@ -353,8 +357,7 @@ class LcsReport:
         }
 
 
-def _fiber_term_indices(scn: Scenario, Qm: QuotientModule, j: int, na: int,
-                        identity: int) -> list[int]:
+def _fiber_term_indices(scn: Scenario, Qm: QuotientModule, j: int) -> list[int]:
     """Table indices of the image of 1 x T_j inside G0 x (T / T_m)."""
     T = scn.lattice()
     chain = scn.chain()
@@ -365,7 +368,8 @@ def _fiber_term_indices(scn: Scenario, Qm: QuotientModule, j: int, na: int,
     moduli = [int(x) for x in Qm.module.coord_moduli()]
     amb = (groups.all_coord_rows([count] * scn.rank) @ Bj) % T.q
     plain = Qm.module.unhat(Qm.hat_of_ambient(amb))
-    found = set((identity * na + groups.mixed_radix_index(plain, moduli)).tolist())
+    coset = scn.group().identity * Qm.module.order
+    found = set((coset + groups.mixed_radix_index(plain, moduli)).tolist())
     if len(found) != count:
         raise ScenarioError("fiber sublattice enumeration produced %d of %d elements"
                             % (len(found), count))
@@ -378,25 +382,23 @@ def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
     For each buildable quotient G0 x (T / T_m), checks that with the
     convention gamma_1 = G the (1+j)-th lower central term equals the image
     of 1 x T_j for every j from top_offset up to m, and that the coclass of
-    the quotients stabilizes at the declared value.
+    the quotients stabilizes at the declared value.  Each table is dropped
+    before the next is built, unless a stage keeps it.
     """
     G0 = scn.group()
-    T = scn.lattice()
     chain = scn.chain()
     failures: list[str] = []
     identified: list[tuple[int, int, int]] = []
     coclasses: list[tuple[int, int]] = []
     orders: list[int] = []
     m = 1
-    last_m = 0
     while m <= chain.depth and G0.order * scn.p ** chain.index_exponents[m] <= max_order:
         Qm = scn.quotient(m)
         table = scn.split_product(m)
         orders.append(table.order)
         series = table.lcs().terms
-        na = Qm.module.order
         for j in range(scn.top_offset, m + 1):
-            expected = _fiber_term_indices(scn, Qm, j, na, G0.identity)
+            expected = _fiber_term_indices(scn, Qm, j)
             li = 1 + j
             actual = series[li - 1] if li - 1 < len(series) else [table.identity]
             if sorted(actual) == expected:
@@ -407,8 +409,9 @@ def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
                     "image of the depth-%d sublattice (size %d)"
                     % (m, li, len(actual), j, len(expected)))
         coclasses.append((m, groups.coclass(table)))
-        last_m = m
+        del table, series
         m += 1
+    last_m = m - 1
     if last_m < scn.top_offset + 1:
         failures.append("no quotient deep enough to test the identification")
     stabilized = [c for mm, c in coclasses if mm >= scn.top_offset + scn.period()]

@@ -319,6 +319,11 @@ _DERIVED = [
     (pairs, "compatible_pairs", _module_key),
     (extensions, "build_extension",
      lambda R, A, tau_hat: (_bytes(R.mul), _module_key(A), _bytes(tau_hat))),
+    # each split product G0 x (T / T_m) is one call, a stage's shared by the
+    # lower-central-series check and the scan
+    (groups, "abelian_extension_table",
+     lambda gmul, moduli, act, tau=None: (_bytes(gmul), tuple(moduli), _bytes(act),
+                                          _bytes(tau))),
     (groups, "lower_central_series", lambda G: _bytes(G.mul)),
     (groups, "bar_index", lambda G, m: (_bytes(G.mul), m)),
     (groups, "automorphism_group", lambda G: _bytes(G.mul)),
@@ -336,6 +341,7 @@ _DERIVED = [
     ["correspondence", "--scenario", "dihedral_mainline"],
     ["run-all", "--scenario", "dihedral_mainline"],
     ["verify-counterexample", "--scenario", "d8_gaussian"],
+    ["verify-lcs", "--scenario", "dihedral_mainline"],
 ])
 def test_each_derived_object_is_computed_once(monkeypatch, capsys, argv):
     calls = collections.Counter()
@@ -349,6 +355,43 @@ def test_each_derived_object_is_computed_once(monkeypatch, capsys, argv):
     assert calls
     repeated = collections.Counter(name for (name, _), n in calls.items() if n > 1)
     assert not repeated, repeated
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-all", "--scenario", "dihedral_mainline"],
+    ["branch", "--scenario", "dihedral_mainline", "--i", "7", "--k", "1", "--shift"],
+])
+def test_compatible_pairs_enumerates_each_hom_space_once(monkeypatch, capsys, argv):
+    # automorphisms beta that act alike on A share hom(A, A^(beta)): one call
+    # enumerates and filters it once, and still checks each beta's pairs
+    calls, active, betas = [], [], []  # per call: the hom spaces enumerated, the masks taken
+
+    def call(A, _fn=pairs.compatible_pairs):
+        calls.append(([], []))
+        active.append(calls[-1])
+        betas.extend(A.group.automorphisms())
+        try:
+            return _fn(A)
+        finally:
+            active.pop()
+
+    def enumerate_homs(hs, _fn=modules.HomSpace.all_matrices):
+        for spaces, _ in active:  # the summand scan enumerates End(A) outside any call
+            spaces.append(id(hs))
+        return _fn(hs)
+
+    def mask(A, hats, _fn=pairs.automorphism_mask):
+        for _, masks in active:
+            masks.append(len(hats))
+        return _fn(A, hats)
+
+    monkeypatch.setattr(pairs, "compatible_pairs", call)
+    monkeypatch.setattr(modules.HomSpace, "all_matrices", enumerate_homs)
+    monkeypatch.setattr(pairs, "automorphism_mask", mask)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert all(len(spaces) == len(set(spaces)) == len(masks) for spaces, masks in calls)
+    assert sum(len(spaces) for spaces, _ in calls) < len(betas)
 
 
 def test_a_branch_is_refused_at_the_coboundary_cap_before_any_level_is_computed(

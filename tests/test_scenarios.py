@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,46 @@ def test_lcs_identification_d8():
     identified = {(m, li) for m, li, _ in rep.identified_terms}
     assert (4, 5) in identified and (5, 5) in identified
     assert (3, 3) in identified
+
+
+def _check_traced(scn, max_order):
+    """The report of the check on a fresh scenario, and the bytes it peaked
+    at and still held, with the chain's quotients built beforehand."""
+    for m in range(1, scn.chain().depth + 1):
+        scn.quotient(m)
+    tracemalloc.start()
+    try:
+        rep = scenarios.check_lower_central_series(scn, max_order)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rep, peak, held
+
+
+def _kept_split_products(scn):
+    return sorted(key[1] for key in scn._memo if key[0] == "split product")
+
+
+def test_lcs_check_holds_one_quotient_table_at_a_time():
+    # orders 4 to 512: each table is dropped before the next, 4 times larger,
+    # is built; only stages 1 and 2 (orders 4 and 8) stay for the scan
+    scn = scenarios.load_scenario("dihedral_mainline")
+    rep, peak, held = _check_traced(scn, 512)
+    table_bytes = 512**2 * np.dtype(groups.index_dtype(512)).itemsize
+    assert rep.ok and rep.quotient_orders[-1] == 512
+    assert peak <= 2 * table_bytes, "peak %.2f x the table" % (peak / table_bytes)
+    assert held <= 64 * 1024, "%.1f KiB still held" % (held / 1024)
+    assert _kept_split_products(scn) == [1, 2]
+    assert [scn.stage(k).group.order for k in (1, 2)] == [4, 8]
+
+
+def test_lcs_check_of_d8_at_order_4096_keeps_only_stage_tables():
+    # stage 1 (the top) and stage 2 are the quotients at chain indices 2 and 4
+    scn = scenarios.load_scenario("d8_gaussian")
+    rep, _, held = _check_traced(scn, 4096)
+    assert rep.ok and rep.quotient_orders[-1] == 4096
+    assert held < 2**20, "%.2f MiB still held" % (held / 2**20)
+    assert _kept_split_products(scn) == [2, 4]
 
 
 def d8_scan():
