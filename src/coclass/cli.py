@@ -40,9 +40,7 @@ def _load(args, precision: int | None = None) -> Scenario:
 
 
 def _invariants_at(scn: Scenario, n: int, degree: int) -> list[int]:
-    Q = scn.quotient(n)
-    H = cohomology.cohomology_group(cohomology.finite_coefficients(Q.module), degree)
-    return H.invariants()
+    return cohomology.finite_cohomology(scn.quotient(n).module, degree).invariants()
 
 
 def cmd_cohomology(args) -> int:
@@ -65,9 +63,9 @@ def cmd_cohomology(args) -> int:
 
 def cmd_orbits(args) -> int:
     scn = _load(args)
-    Q = scn.quotient(args.n)
-    H = cohomology.cohomology_group(cohomology.finite_coefficients(Q.module), 2)
-    part = pairs.orbits_on_h2(H, pairs.compatible_pairs(Q.module))
+    A = scn.quotient(args.n).module
+    H = cohomology.finite_cohomology(A, 2)
+    part = pairs.orbits_on_h2(H, pairs.compatible_pairs(A))
     report = {
         "scenario": scn.name,
         "n": str(args.n),

@@ -128,7 +128,7 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
         cohomology.coboundary_shape(top.group, top.quotient(n).module.rank, 2, top.group.generators)
     levels = {n: _level_data(top, n) for n in range(n0, n0 + k + 1)}
     root_lv = levels[n0]
-    root_orbit = root_lv.partition.orbit_of(np.array(root_lv.mainline_coords, dtype=np.int64))
+    root_orbit = root_lv.partition.orbit_of(root_lv.mainline_coords)
     root_order, (_, root_flag), root_print = _vertex_extension(top, root_lv,
                                                                root_lv.mainline_coords)
     if not root_flag:
@@ -140,14 +140,14 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
     for j in range(1, k + 1):
         n = n0 + j
         lv = levels[n]
-        main_orbit = lv.partition.orbit_of(np.array(lv.mainline_coords, dtype=np.int64))
+        main_orbit = lv.partition.orbit_of(lv.mainline_coords)
         lv1 = levels[n0 + 1]
-        main_orbit_1 = lv1.partition.orbit_of(np.array(lv1.mainline_coords, dtype=np.int64))
+        main_orbit_1 = lv1.partition.orbit_of(lv1.mainline_coords)
         for oi, cl in enumerate(lv.partition.classes):
             coords = cl[0]
             row = lv.H.representative(np.array(coords, dtype=np.int64))
             down = _reduced_coords(levels, n, n - 1, row)
-            parent_key = (n - 1, lv_parent_orbit(levels[n - 1], down))
+            parent_key = (n - 1, levels[n - 1].partition.orbit_of(down))
             is_main = oi == main_orbit
             if j == 1:
                 descends = parent_key == (n0, root_orbit)
@@ -156,7 +156,7 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
                 # everything strictly below the next mainline quotient
                 # belongs to the next branch; the mainline child stays
                 red1 = _reduced_coords(levels, n, n0 + 1, row)
-                if lv_parent_orbit(lv1, red1) == main_orbit_1:
+                if lv1.partition.orbit_of(red1) == main_orbit_1:
                     continue
             if not descends:
                 continue
@@ -171,10 +171,6 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
             by_level_orbit[(n, oi)] = idx
     _check_orbit_isomorphism(top, levels, vertices)
     return BranchGraph(scn.name, i, k, n0, vertices, edges)
-
-
-def lv_parent_orbit(lv: LevelData, coords) -> int:
-    return lv.partition.orbit_of(np.array(coords, dtype=np.int64))
 
 
 def _check_orbit_isomorphism(top: TopQuotient, levels: dict[int, LevelData], vertices):

@@ -71,27 +71,22 @@ def finite_coefficients(A: FiniteModule) -> CoefficientSpace:
     return CoefficientSpace(A.group, A.p, A.E, A.rank, A.act % A.q, A.scales(), False)
 
 
-def lattice_coefficients(T: LatticeModule, basis=None) -> CoefficientSpace:
-    """Coefficients in a finite-index sublattice given by basis rows (default T).
+def lattice_coefficients(T: LatticeModule, basis) -> CoefficientSpace:
+    """Coefficients in the finite-index sublattice spanned by the basis rows.
 
     The action conjugated into the sublattice basis is only determined modulo
     p^{N - a}, where p^a is the largest elementary divisor of the basis, so
     the returned space works at that reduced precision.  In the primitive
     basis of a chain level (`primitive_basis`) a does not grow with depth.
     """
-    p, N, q = T.p, T.ctx.N, T.q
-    if basis is None:
-        act = T.act % q
-        d = T.rank
-        E = N
-    else:
-        B = np.asarray(basis, dtype=np.int64) % q
-        d = B.shape[0]
-        E = _basis_precision(T, B)
-        act = linalg.howell(B, p, N, track=True).solve((B @ T.act) % q)
-        if act is None:
-            raise CohomologyError("sublattice is not invariant under the action")
-        act %= p**E
+    p, N, q = T.p, T.N, T.q
+    B = np.asarray(basis, dtype=np.int64) % q
+    d = B.shape[0]
+    E = _basis_precision(T, B)
+    act = linalg.howell(B, p, N, track=True).solve((B @ T.act) % q)
+    if act is None:
+        raise CohomologyError("sublattice is not invariant under the action")
+    act %= p**E
     return CoefficientSpace(T.group, p, E, d, act, np.ones(d, dtype=np.int64), True)
 
 
@@ -99,8 +94,8 @@ def _basis_precision(T: LatticeModule, B: np.ndarray) -> int:
     """The precision E = N - a left to the action conjugated into the basis
     rows B, with p^a the largest elementary divisor of B; raises when E is
     too small to read invariants killed by |G|."""
-    sB = linalg.smith(B, T.p, T.ctx.N, want_left=False, want_right=False)
-    E = T.ctx.N - max(sB.exps, default=0)
+    sB = linalg.smith(B, T.p, T.N, want_left=False, want_right=False)
+    E = T.N - max(sB.exps, default=0)
     if E < linalg.valuation(T.group.order, T.p) + 3:
         raise CohomologyError("precision p^%d left after the basis change is too small" % E)
     return E
@@ -323,7 +318,7 @@ def primitive_basis(chain: modules.CentralChain, n: int) -> tuple[np.ndarray, in
     T = chain.lattice
     B = chain.bases[n]
     c = 0
-    while c < T.ctx.N and not np.any(B % T.p ** (c + 1)):
+    while c < T.N and not np.any(B % T.p ** (c + 1)):
         c += 1
     return B // T.p**c, c
 

@@ -27,8 +27,7 @@ class ExtensionError(CoclassError):
 class ExtensionGroup:
     base: GroupTable
     fiber: FiniteModule
-    table: GroupTable
-    fiber_elements: list[int]  # table indices of the fiber, the kernel onto the base
+    table: GroupTable  # the fiber, the kernel onto the base, is indices 0 to |fiber| - 1
 
     @property
     def order(self) -> int:
@@ -57,7 +56,7 @@ def build_extension(R: GroupTable, A: FiniteModule, tau_hat) -> ExtensionGroup:
     tau = cocycle_value_table(A, row)
     moduli = [int(m) for m in A.coord_moduli()]
     table = groups.abelian_extension_table(R.mul, moduli, A.plain, tau)
-    ext = ExtensionGroup(R, A, table, list(range(A.order)))
+    ext = ExtensionGroup(R, A, table)
     _validate_extension(ext)
     return ext
 
@@ -89,9 +88,9 @@ def coclass_of_extension(ext: ExtensionGroup, l: int | None = None) -> tuple[int
     if l is None:
         l = groups.nilpotency_class(ext.base) + 1
     cc = groups.coclass(ext.table)
-    series = ext.table.lcs().terms
+    series = ext.table.lcs()
     gamma_l = series[l - 1] if l - 1 < len(series) else [ext.table.identity]
-    flag = sorted(gamma_l) == sorted(ext.fiber_elements)
+    flag = gamma_l == list(range(ext.fiber.order))
     base_cc = groups.coclass(ext.base)
     if ext.fiber.order > 1 and (cc == base_cc) != flag:
         raise ExtensionError(
@@ -107,7 +106,7 @@ def fingerprint(G: GroupTable) -> tuple:
     """Cheap isomorphism invariants: order, spectrum, center, central series."""
     def build():
         spectrum = tuple(sorted(int(x) for x in G.element_orders()))
-        lcs = tuple(len(t) for t in G.lcs().terms)
+        lcs = tuple(len(t) for t in G.lcs())
         return (G.order, spectrum, len(groups.center(G)), lcs)
     return G.derived("fingerprint", build)
 

@@ -71,7 +71,7 @@ class GroupTable(Owner):
         return self.derived("minimal_generators",
                             lambda: _minimal_generators(self.mul, self.identity))
 
-    def lcs(self) -> "SubgroupChain":
+    def lcs(self) -> list[list[int]]:
         """The lower central series, built once by `lower_central_series`."""
         return self.derived("lower_central_series", lambda: lower_central_series(self))
 
@@ -521,16 +521,9 @@ def center(G: GroupTable) -> list[int]:
     return np.flatnonzero((G.mul[:, S] == G.mul[S].T).all(axis=1)).tolist()
 
 
-@dataclass
-class SubgroupChain:
-    terms: list[list[int]]  # descending, each a sorted element list
-
-    def sizes(self) -> list[int]:
-        return [len(t) for t in self.terms]
-
-
-def lower_central_series(G: GroupTable) -> SubgroupChain:
-    """gamma_1 = G, gamma_{i+1} = [gamma_i, G], computed until it stabilizes.
+def lower_central_series(G: GroupTable) -> list[list[int]]:
+    """gamma_1 = G, gamma_{i+1} = [gamma_i, G], computed until it stabilizes,
+    as descending terms, each a sorted element list.
 
     [gamma_i, G] is generated by the [x, s], x in gamma_i and s a generator:
     [x, gs] = [x, g].[x^g, s] with x^g in gamma_i, as gamma_i is normal, so
@@ -557,14 +550,14 @@ def lower_central_series(G: GroupTable) -> SubgroupChain:
         terms.append(nxt)
         if len(nxt) == 1:
             break
-    return SubgroupChain(terms)
+    return terms
 
 
 def nilpotency_class(G: GroupTable) -> int:
-    chain = G.lcs()
-    if len(chain.terms[-1]) != 1:
+    terms = G.lcs()
+    if len(terms[-1]) != 1:
         raise GroupError("group is not nilpotent")
-    return len(chain.terms) - 1
+    return len(terms) - 1
 
 
 def _factorization(n: int) -> dict[int, int]:

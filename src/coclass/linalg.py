@@ -82,10 +82,6 @@ class Smith:
     V: np.ndarray | None
     Vinv: np.ndarray | None
 
-    @property
-    def q(self) -> int:
-        return self.p**self.M
-
 
 def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False) -> Smith:
     """Smith normal form over Z/p^M by minimal-valuation pivoting.
@@ -406,12 +402,8 @@ class QuotientGroup:
     _kept: list[int]
 
     @property
-    def order_exponent(self) -> int:
-        return sum(self.exps)
-
-    @property
     def order(self) -> int:
-        return self.p**self.order_exponent
+        return self.p ** sum(self.exps)
 
     def coords(self, v) -> np.ndarray:
         """Coordinates of v + B in the invariant-factor decomposition, for one

@@ -26,40 +26,32 @@ class ModuleError(CoclassError):
     pass
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    p: int
-    N: int
-
-    @property
-    def q(self) -> int:
-        return self.p**self.N
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
 
 @dataclass(eq=False)
 class LatticeModule(Owner):
-    """The lattice holds its hom bases (`lattice_hom_space`), one per beta."""
+    """A lattice mod p^N; it holds its hom bases (`lattice_hom_space`), one per beta."""
 
     group: GroupTable
-    ctx: PrecisionContext
+    p: int
+    N: int
     rank: int
     act: np.ndarray  # (|G|, d, d), right action v -> v @ act[g], act[gh] = act[g] @ act[h]
 
     @property
-    def p(self) -> int:
-        return self.ctx.p
+    def q(self) -> int:
+        return self.p**self.N
 
     @property
-    def q(self) -> int:
-        return self.ctx.q
+    def ctx(self) -> "LatticeModule":  # perfbench/tracer.py reads the precision as T.ctx.N
+        return self
 
     def pullback(self, group: GroupTable, elements) -> "LatticeModule":
         """The same lattice for a group whose element x acts as elements[x]."""
-        return LatticeModule(group, self.ctx, self.rank, self.act[_along(group, self.group, elements)])
+        return LatticeModule(group, self.p, self.N, self.rank,
+                             self.act[_along(group, self.group, elements)])
 
 
 def _along(group: GroupTable, acting: GroupTable, elements) -> np.ndarray:
@@ -68,15 +60,15 @@ def _along(group: GroupTable, acting: GroupTable, elements) -> np.ndarray:
     return np.asarray(elements, dtype=np.int64)
 
 
-def lattice_module(group: GroupTable, gen_action: dict, ctx: PrecisionContext) -> LatticeModule:
-    """Extend generator action matrices to the whole table and validate.
+def lattice_module(group: GroupTable, gen_action: dict, p: int, N: int) -> LatticeModule:
+    """Extend generator action matrices mod p^N to the whole table and validate.
 
     gen_action maps generator element indices to d x d integer matrices.
     The matrices are carried along a breadth-first closure from the
     identity; act[x.g] = act[x] M_g for every element x and generator g then
     gives act[xy] = act[x] act[y] by induction on the word length of y.
     """
-    q = ctx.q
+    q = p**N
     gen_mats = [(g, np.asarray(m, dtype=np.int64) % q) for g, m in gen_action.items()]
     if not gen_mats:
         raise ModuleError("need at least one generator action matrix")
@@ -91,7 +83,7 @@ def lattice_module(group: GroupTable, gen_action: dict, ctx: PrecisionContext) -
     for g, Mg in gen_mats:
         if not np.array_equal(act[group.mul[:, g]], (act @ Mg) % q):
             raise ModuleError("action matrices violate the group relations")
-    return LatticeModule(group, ctx, d, act)
+    return LatticeModule(group, p, N, d, act)
 
 
 @dataclass(eq=False)
@@ -131,7 +123,7 @@ class CentralChain(Owner):
 
 def g_central_series(T: LatticeModule, depth: int) -> CentralChain:
     """T_0 = T, T_{i+1} = span{ t.g - t : t in T_i, g in the group }."""
-    p, N, q = T.p, T.ctx.N, T.q
+    p, N, q = T.p, T.N, T.q
     d = T.rank
     ident = np.eye(d, dtype=np.int64)
     diffs = [(T.act[g] - ident) % q for g in range(T.group.order)]
@@ -166,7 +158,7 @@ def is_uniserial(chain: CentralChain, depth: int) -> tuple[bool, list[int]]:
 def chain_period(T: LatticeModule, chain: CentralChain) -> int | None:
     """Least d with T_{i+d} = p T_i for all applicable i, or None."""
     for dd in range(1, chain.depth + 1):
-        if all(linalg.span_equal((T.p * chain.bases[i]) % T.q, chain.bases[i + dd], T.p, T.ctx.N)
+        if all(linalg.span_equal((T.p * chain.bases[i]) % T.q, chain.bases[i + dd], T.p, T.N)
                for i in range(chain.depth - dd + 1)):
             return dd
     return None
@@ -176,7 +168,7 @@ def distinguished_generator(T: LatticeModule, chain: CentralChain) -> np.ndarray
     """A vector t0 with <t0, T_1> = T, preferring ambient basis vectors."""
     if chain.depth < 1:
         raise ModuleError("need T_1 to choose a distinguished generator")
-    p, N = T.p, T.ctx.N
+    p, N = T.p, T.N
     B1 = chain.bases[1]
     d = T.rank
     candidates = [np.eye(d, dtype=np.int64)[i] for i in range(d)]
@@ -223,12 +215,8 @@ class FiniteModule(Owner):
         return self.p**self.E
 
     @property
-    def order_exponent(self) -> int:
-        return int(sum(self.exps))
-
-    @property
     def order(self) -> int:
-        return self.p**self.order_exponent
+        return self.p ** int(sum(self.exps))
 
     def scales(self) -> np.ndarray:
         return np.array([self.p ** (self.E - e) for e in self.exps], dtype=np.int64)
@@ -355,20 +343,13 @@ class QuotientModule:
     def hat_of_ambient(self, v) -> np.ndarray:
         return self.module.hat(self.coords(v))
 
-    def invariants(self) -> list[int]:
-        return self.module.invariants()
-
-    @property
-    def order(self) -> int:
-        return self.module.order
-
 
 def quotient(T: LatticeModule, chain: CentralChain, n: int) -> QuotientModule:
     if n < 0:
         raise ModuleError("chain level %d is negative" % n)
     if n > chain.depth:
         raise ModuleError("chain only computed to depth %d < %d" % (chain.depth, n))
-    p, N, q = T.p, T.ctx.N, T.q
+    p, N, q = T.p, T.N, T.q
     s = linalg.smith(chain.bases[n], p, N, want_left=False, want_right=True)
     kept = [i for i, e in enumerate(s.exps) if e > 0]
     kexps = [min(s.exps[i], N) for i in kept]
@@ -403,9 +384,11 @@ def fixed_points(W: FiniteModule, subgroup_elems) -> np.ndarray:
     return linalg.howell((K @ L) % q, W.p, W.E).rows
 
 
-@dataclass
-class HomSpace:
-    """hom_R(V, W) as a finite abelian group of plain coordinate matrices."""
+@dataclass(eq=False)
+class HomSpace(Owner):
+    """hom_R(V, W) as a finite abelian group of plain coordinate matrices.  It
+    holds its enumeration (`matrices`) and, as `pairs.compatible_pairs` finds
+    them, the invertible homs among it."""
 
     domain: FiniteModule
     codomain: FiniteModule
@@ -422,12 +405,9 @@ class HomSpace:
     def matrix_to_flat(self, C) -> np.ndarray:
         return self.codomain.hat(C).reshape(-1)
 
-    def invariants(self) -> list[int]:
-        return self.structure.invariants()
-
-    @property
-    def order(self) -> int:
-        return self.structure.order
+    def matrices(self) -> np.ndarray:
+        """Every hom's plain matrix, enumerated once by `all_matrices`."""
+        return self.derived("matrices", self.all_matrices)
 
     def all_matrices(self) -> np.ndarray:
         """The plain matrix of every hom, as one stack in mixed-radix
@@ -566,7 +546,7 @@ def _lattice_hom_basis(T: LatticeModule, beta: np.ndarray) -> list[np.ndarray]:
     """Solutions of act[g] X = X act[beta g] for all generators;
     `lattice_kernel` discards precision artifacts, so the row count is the
     free rank."""
-    p, N, q = T.p, T.ctx.N, T.q
+    p, N, q = T.p, T.N, T.q
     d = T.rank
     F = np.hstack([_commuting_columns(T.act[g], T.act[int(beta[g])])
                    for g in T.group.generators]) % q

@@ -15,7 +15,6 @@ between two consecutive qualifying levels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +40,6 @@ class CompatiblePair:
     beta: np.ndarray  # index permutation of the group
     eps_hat: np.ndarray  # hatted matrix, row i reduced mod p^{e_i}
 
-    def key(self) -> tuple:
-        return (self.beta.tobytes(), self.eps_hat.tobytes())
-
 
 def automorphism_mask(A: FiniteModule, eps_hat) -> np.ndarray:
     """Which hatted matrices of a stack (..., r, r) are automorphisms of A.
@@ -62,10 +58,6 @@ def automorphism_mask(A: FiniteModule, eps_hat) -> np.ndarray:
     return ok
 
 
-def is_module_automorphism(A: FiniteModule, eps_hat) -> bool:
-    return bool(automorphism_mask(A, eps_hat))
-
-
 def satisfies_compatibility(A: FiniteModule, beta, eps_hats) -> np.ndarray:
     """Which hatted matrices of a stack (s, r, r) make a compatible pair with
     beta: M_g eps = eps M_beta(g) for every generator g, one broadcast per
@@ -81,14 +73,15 @@ def satisfies_compatibility(A: FiniteModule, beta, eps_hats) -> np.ndarray:
 
 def compatible_pairs(A: FiniteModule) -> list[CompatiblePair]:
     """All pairs (beta, eps) by exhausting hom(A, A^(beta)) = hom(A, A pulled back along beta);
-    the betas that share a hom space share its enumeration."""
-    out, autos = [], {}  # id of a hom space A holds -> its invertible homs, hatted
+    the space holds its invertible homs, hatted, so the betas that share it
+    share their enumeration and filtering."""
+    out = []
     for beta in A.group.automorphisms():
         hs = A.hom_to(A.pullback(A.group, beta))
-        if id(hs) not in autos:
-            hats = A.hat_matrix(hs.all_matrices())
-            autos[id(hs)] = hats[automorphism_mask(A, hats)]
-        hats = autos[id(hs)]
+        def invertible():
+            hats = A.hat_matrix(hs.matrices())
+            return hats[automorphism_mask(A, hats)]
+        hats = hs.derived("automorphisms", invertible)
         if not satisfies_compatibility(A, beta, hats).all():
             raise PairError("hom space produced an incompatible pair")
         out.extend(CompatiblePair(beta, eps_hat) for eps_hat in hats)
@@ -274,23 +267,20 @@ class Complement:
     """End(A_n) = (reduced lattice endomorphisms) + E_n, a direct sum.
 
     E_flat holds hatted flat rows of the complement generators; lattice_lifts
-    are integer matrices on the ambient lattice reducing to the generators.
+    are integer matrices on the ambient lattice, lift i reducing to row i, as
+    `generator_pairs` pairs them.
     """
 
     h1_invariants: list[int]
     end_space: modules.HomSpace
     endT_flat: np.ndarray
     E_flat: np.ndarray
-    lattice_lifts: list[np.ndarray]
+    lattice_lifts: np.ndarray  # (generators, d, d)
 
     def invariants(self) -> list[int]:
         A = self.end_space.codomain
         B = np.zeros((0, self.E_flat.shape[1]), dtype=np.int64)
         return linalg.quotient_group(self.E_flat, B, A.p, A.E).invariants()
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.invariants())
 
 
 def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) -> Complement:
@@ -321,7 +311,6 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
     if x is None:
         raise PairError("complement generator is not the t0-image of an endomorphism")
     E_gens = linalg.dot_mod(x, End.structure.gens, A.q, A.q)
-    lifts = list(modules.lift_endo(Q, End.flat_to_matrix(E_gens)))
     E_flat = linalg.howell(E_gens, p, A.E).rows if len(E_gens) else (
         np.zeros((0, A.rank * A.rank), dtype=np.int64))
     # reductions of the lattice endomorphisms, flattened the same way
@@ -330,14 +319,18 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
     endT_flat = linalg.howell(np.vstack(endT_rows), p, A.E).rows if endT_rows else (
         np.zeros((0, A.rank * A.rank), dtype=np.int64))
     h1_invariants = [p**e for e in sorted(h1_exps, reverse=True)]
+    lifts = modules.lift_endo(Q, End.flat_to_matrix(E_flat))
     comp = Complement(h1_invariants, End, endT_flat, E_flat, lifts)
-    _verify_complement(comp)
+    _verify_complement(comp, Q)
     return comp
 
 
-def _verify_complement(comp: Complement):
+def _verify_complement(comp: Complement, Q: QuotientModule):
     A = comp.end_space.codomain
     p, E = A.p, A.E
+    if not np.array_equal(modules.endo_to_quotient(Q, comp.lattice_lifts),
+                          comp.end_space.flat_to_matrix(comp.E_flat)):
+        raise PairError("a complement lift does not reduce to its own generator")
     joint = np.vstack([comp.E_flat, comp.endT_flat])
     # |X + Y| = |X| |Y| exactly when X and Y meet in zero
     orders = [linalg.span_order_exp(x, p, E) for x in (comp.E_flat, comp.endT_flat, joint)]
@@ -434,7 +427,7 @@ def generator_pairs(T: LatticeModule, chain: CentralChain, n: int, period: int,
 
 
 def _require_pair(A: FiniteModule, pair: CompatiblePair, message: str):
-    if not (is_module_automorphism(A, pair.eps_hat)
+    if not (automorphism_mask(A, pair.eps_hat)
             and satisfies_compatibility(A, pair.beta, pair.eps_hat[None])[0]):
         raise PairError(message)
 
@@ -465,9 +458,9 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
             if not np.array_equal(lhs, rhs):
                 equivariant = False
                 witness = {"kind": gp.kind,
-                           "tau_coords": [int(x) for x in H_n.coords(tau)],
-                           "lhs": [int(x) for x in lhs],
-                           "rhs": [int(x) for x in rhs]}
+                           "tau_coords": [str(int(x)) for x in H_n.coords(tau)],
+                           "lhs": [str(int(x)) for x in lhs],
+                           "rhs": [str(int(x)) for x in rhs]}
                 break
         if not equivariant:
             break

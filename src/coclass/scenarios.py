@@ -70,10 +70,9 @@ class Scenario(Owner):
     def lattice(self) -> LatticeModule:
         def build():
             G = self.group()
-            ctx = modules.PrecisionContext(self.p, self.precision)
             act = {g: np.asarray(m, dtype=np.int64)
                    for g, m in zip(G.generators, self.action)}
-            return modules.lattice_module(G, act, ctx)
+            return modules.lattice_module(G, act, self.p, self.precision)
         return self.derived("lattice", build)
 
     def chain(self) -> CentralChain:
@@ -104,15 +103,21 @@ class Scenario(Owner):
 
     def split_product(self, m: int) -> GroupTable:
         """The finite split quotient G0 x (T / T_m) of the semidirect product, kept
-        only when a stage reads it (the scan's stages and the top)."""
+        only when a stage reads it: the top, and the stages the summand scan
+        does not skip for their order."""
         def build():
             A = self.quotient(m).module
             return groups.abelian_extension_table(
                 self.group().mul, [int(x) for x in A.coord_moduli()], A.plain, None)
-        d = self.period()
-        if m % d or m // d not in SCAN_STAGES + (self.top_offset // d,):
+        d, k = self.period(), m // self.period()
+        if m % d or not (k == self.top_offset // d
+                         or k in SCAN_STAGES and self.stage_order(k) <= SCAN_GROUP_CAP):
             return build()
         return self.derived(("split product", m), build)
+
+    def stage_order(self, k: int) -> int:
+        """The order |G0| [T : T_{kd}] of stage k, known before its table is built."""
+        return self.group().order * self.quotient(k * self.period()).module.order
 
     def stage(self, k: int) -> "TopQuotient":
         """The quotient R by 1 x T_{k d} acting on the rescaled fiber; stage 0 is G0 on T.
@@ -147,7 +152,7 @@ class Scenario(Owner):
             raise ScenarioError("top_offset must be a positive multiple of the period")
         scale = self.p ** (j // d)
         ident = np.eye(self.rank, dtype=np.int64)
-        if not linalg.span_equal((scale * ident) % T.q, chain.bases[j], self.p, T.ctx.N):
+        if not linalg.span_equal((scale * ident) % T.q, chain.bases[j], self.p, T.N):
             raise ScenarioError("chain term %d is not the %d-fold scaled lattice" % (j, scale))
         return self
 
@@ -396,7 +401,7 @@ def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
         Qm = scn.quotient(m)
         table = scn.split_product(m)
         orders.append(table.order)
-        series = table.lcs().terms
+        series = table.lcs()
         for j in range(scn.top_offset, m + 1):
             expected = _fiber_term_indices(scn, Qm, j)
             li = 1 + j
@@ -497,11 +502,12 @@ def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanRepor
     witness = None
     lifted_ok = True
     for k in SCAN_STAGES:
-        stage = scn.stage(k)
-        if stage.group.order > SCAN_GROUP_CAP:
-            skipped.append({"k": str(k), "group_order": str(stage.group.order),
+        order = scn.stage_order(k)
+        if order > SCAN_GROUP_CAP:
+            skipped.append({"k": str(k), "group_order": str(order),
                             "reason": "group order exceeds the scan cap %d" % SCAN_GROUP_CAP})
             continue
+        stage = scn.stage(k)
         chain_k = stage.chain
         for n in n_range:
             if n > chain_k.depth - 1:
@@ -540,8 +546,7 @@ def _summand_membership_solver(level: cohomology.SplitLevel,
 
 
 def _scan_level(scn, k, n, level, H, A, member, classes):
-    End = A.hom_to(A)
-    mats = End.all_matrices()
+    mats = A.hom_to(A).matrices()
     # the two forms of each endomorphism, interleaved in scan order
     forms = np.stack([mats, (np.eye(A.rank, dtype=np.int64) + mats) % A.q], axis=1)
     hats = A.hat_matrix(forms.reshape(-1, A.rank, A.rank))

@@ -596,7 +596,7 @@ def split_frame_per_level(chain, n, m=2):
     if c < vf:
         raise cohomology.CohomologyError(
             "T_%d is not contained in %d.T; the level is too small for the split" % (n, p**vf))
-    theta, theta_prec = full_lattice_cocycles(cohomology.lattice_coefficients(T), m)
+    theta, theta_prec = full_lattice_cocycles(lattice_coefficients(T), m)
     D = cohomology.coboundary_matrix(spec, m)
     s = linalg.smith(D, p, spec.E, want_left=True)
     lifts, divisors = [], []
@@ -661,7 +661,7 @@ def stage_chain_by_rebuild(scn, k):
     else:
         R = scn.split_product(k * scn.period())
         act = T.act[np.arange(R.order) // (R.order // scn.group().order)]
-    return modules.g_central_series(modules.LatticeModule(R, T.ctx, T.rank, act), scn.depth)
+    return modules.g_central_series(modules.LatticeModule(R, T.p, T.N, T.rank, act), scn.depth)
 
 
 def stabilizer_chain_by_restriction(T, chain):
@@ -670,7 +670,7 @@ def stabilizer_chain_by_restriction(T, chain):
     each level quotient built again by `modules.quotient`."""
     t0 = modules.distinguished_generator(T, chain)
     P, elements = groups.restricted_table(T.group, modules.stabilizer(T.act, t0 % T.q, T.q))
-    TP = modules.LatticeModule(P, T.ctx, T.rank, T.act[np.array(elements)].copy())
+    TP = modules.LatticeModule(P, T.p, T.N, T.rank, T.act[np.array(elements)].copy())
     return modules.CentralChain(TP, chain.bases, chain.index_exponents, chain.stopped)
 
 
@@ -732,12 +732,19 @@ def vertex_table(scn, v):
     return extensions.build_extension(top.group, top.quotient(v.level).module, row).table
 
 
+def lattice_coefficients(T, basis=None):
+    """`cohomology.lattice_coefficients` in the given basis rows, or in the
+    identity basis of T itself."""
+    return cohomology.lattice_coefficients(
+        T, np.eye(T.rank, dtype=np.int64) if basis is None else basis)
+
+
 def lattice_cohomology(T, m, basis=None):
     """Lattice H^m(R, T), or of the sublattice with the given basis rows, by
     kernel and quotient: the exact p-adic cocycles, read off the full d^m,
     modulo the coboundaries.  `cohomology.lattice_invariants` reads the same
     exponents from d^{m-1}."""
-    spec = cohomology.lattice_coefficients(T, basis)
+    spec = lattice_coefficients(T, basis)
     Z, Ee = full_lattice_cocycles(spec, m)
     qe = spec.p**Ee
     B = cohomology.coboundary_rows(spec, m) % qe
@@ -769,6 +776,12 @@ def pair_compose(A, x, y):
     return pairs.CompatiblePair(compose_perms(x.beta, y.beta), A.canonical(x.eps_hat @ y.eps_hat))
 
 
+def pair_key(pair) -> tuple:
+    """A hashable key of a compatible pair, equal for equal pairs in
+    canonical form."""
+    return (pair.beta.tobytes(), pair.eps_hat.tobytes())
+
+
 def pair_identity(A):
     return pairs.CompatiblePair(np.arange(A.group.order, dtype=np.int64),
                                 A.canonical(np.eye(A.rank, dtype=np.int64)))
@@ -779,7 +792,7 @@ def pair_inverse(A, x):
     ident = pair_identity(A)
     acc, prev = x, ident
     for _ in range(4 * A.order * A.group.order + 4):
-        if acc.key() == ident.key():
+        if pair_key(acc) == pair_key(ident):
             return prev
         prev = acc
         acc = pair_compose(A, acc, x)
@@ -805,7 +818,7 @@ def rho_pi_pairs(T, chain, n, data):
             for Phi in modules.lattice_hom_space(T)]
     closed = groups.closure([pair_identity(A)], gens,
                             lambda x, g: pair_compose(A, x, g),
-                            key=pairs.CompatiblePair.key)
+                            key=pair_key)
     return RhoPiPairs(rho, list(closed.values()))
 
 
@@ -823,7 +836,7 @@ def check_rho_additivity(A, comp):
 
 def check_centralizing(A, rp):
     """The rho images centralize the pi-rho closure."""
-    return all(pair_compose(A, x, y).key() == pair_compose(A, y, x).key()
+    return all(pair_key(pair_compose(A, x, y)) == pair_key(pair_compose(A, y, x))
                for x in rp.rho_pairs for y in rp.pi_rho_pairs)
 
 

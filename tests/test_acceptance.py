@@ -15,7 +15,7 @@ import pytest
 from coclass import (cli, coclass_tree, cohomology, extensions, groups,
                      linalg, modules, pairs, scenarios)
 
-from brute_force import (at_distance, lattice_cohomology, orbit_isomorphism_check,
+from brute_force import (at_distance, lattice_cohomology, orbit_isomorphism_check, pair_key,
                          semi_brute_h_stats, stats_from_invariants, vertex_table)
 
 
@@ -349,7 +349,7 @@ def test_chain_terms_invariant_under_all_pairs(name, level):
     for x in ps:
         for S in terms:
             img = (S @ x.eps_hat) % A.q
-            assert linalg.span_equal(S, img, T.p, A.E), (name, x.key())
+            assert linalg.span_equal(S, img, T.p, A.E), (name, pair_key(x))
 
 
 @pytest.mark.parametrize("name", ["dihedral_mainline", "d8_gaussian"])

@@ -57,6 +57,34 @@ def test_correspondence_exit_codes(capsys):
     assert json.loads(out)["qualified"] is False
 
 
+def test_a_non_equivariant_generator_is_reported_in_strings(monkeypatch, capsys):
+    # the first generator's partner at n + d moves every cochain by one more
+    # nonzero class, so that generator pair is no longer equivariant
+    partners = []
+
+    def generator_pairs(*args, _fn=pairs.generator_pairs):
+        gens = _fn(*args)
+        partners.append(gens[0].at_nd)
+        return gens
+
+    def act(H, pair, row, _fn=pairs.act_on_cochain):
+        moved = _fn(H, pair, row)
+        if pair is partners[0]:
+            first = np.eye(1, len(H.structure.exps), dtype=np.int64)[0]
+            moved = (moved + H.representative(first)) % H.spec.q
+        return moved
+    monkeypatch.setattr(pairs, "generator_pairs", generator_pairs)
+    monkeypatch.setattr(pairs, "act_on_cochain", act)
+    code, out = run(["correspondence", "--scenario", "dihedral_mainline"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["equivariant"] is False
+    witness = data["witness"]
+    assert witness["lhs"] != witness["rhs"]
+    values = [witness["kind"]] + witness["tau_coords"] + witness["lhs"] + witness["rhs"]
+    assert all(isinstance(x, str) for x in values), witness
+
+
 def test_extend_mainline(tmp_path, capsys):
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps({"level": 1, "mainline": True}))
@@ -292,7 +320,7 @@ def _bytes(a) -> bytes:
 
 
 def _lattice_key(T):
-    return (_bytes(T.group.mul), _bytes(T.act), T.ctx.N)
+    return (_bytes(T.group.mul), _bytes(T.act), T.N)
 
 
 def _module_key(A):
@@ -306,14 +334,15 @@ _DERIVED = [
     (cohomology, "_generator_smith",
      lambda spec, k: (_bytes(spec.group.mul), _bytes(spec.act), spec.E, k)),
     (cohomology, "finite_cohomology", lambda A, m: (_module_key(A), m)),
-    (cohomology, "lattice_coefficients",
-     lambda T, basis=None: (_lattice_key(T),
-                            _bytes(np.eye(T.rank) if basis is None else basis))),
+    (cohomology, "lattice_coefficients", lambda T, basis: (_lattice_key(T), _bytes(basis))),
     (modules, "_lattice_hom_basis", lambda T, beta: (_lattice_key(T), _bytes(beta))),
     # hom(A, A^(beta)) is fixed by A and beta's action on the generators
     (modules, "hom_space",
      lambda V, W: (_module_key(V), tuple(W.exps),
                    _bytes(W.canonical(W.act[V.group.generators])))),
+    # a hom space holds its enumeration, which compatible_pairs and the
+    # summand scan both read
+    (modules.HomSpace, "all_matrices", id),
     (cohomology, "split_frame",
      lambda T, chain, n, m=2: (_lattice_key(T), _bytes(chain.bases[n]), m)),
     (pairs, "compatible_pairs", _module_key),
@@ -329,10 +358,10 @@ _DERIVED = [
     (groups, "automorphism_group", lambda G: _bytes(G.mul)),
     # a level quotient depends on the chain's basis and not on the group
     # acting: a pulled-back chain reads it from the chain it came from
-    (modules, "quotient", lambda T, chain, n: (T.p, T.ctx.N, _bytes(chain.bases[n]))),
+    (modules, "quotient", lambda T, chain, n: (T.p, T.N, _bytes(chain.bases[n]))),
     # T_{i+1} = span{t.g - t} depends only on the set of acting matrices
     (modules, "g_central_series",
-     lambda T, depth: (T.p, T.ctx.N, depth, tuple(sorted({a.tobytes() for a in T.act % T.q})))),
+     lambda T, depth: (T.p, T.N, depth, tuple(sorted({a.tobytes() for a in T.act % T.q})))),
 ]
 
 
@@ -362,36 +391,43 @@ def test_each_derived_object_is_computed_once(monkeypatch, capsys, argv):
     ["branch", "--scenario", "dihedral_mainline", "--i", "7", "--k", "1", "--shift"],
 ])
 def test_compatible_pairs_enumerates_each_hom_space_once(monkeypatch, capsys, argv):
-    # automorphisms beta that act alike on A share hom(A, A^(beta)): one call
-    # enumerates and filters it once, and still checks each beta's pairs
-    calls, active, betas = [], [], []  # per call: the hom spaces enumerated, the masks taken
+    # automorphisms beta that act alike on A share hom(A, A^(beta)), which
+    # holds its enumeration and its invertible homs: over the whole run each
+    # space is enumerated once and filtered once, and each beta's pairs are
+    # still checked
+    active, spaces, enumerated, masks, betas = [], [], [], [], []
 
     def call(A, _fn=pairs.compatible_pairs):
-        calls.append(([], []))
-        active.append(calls[-1])
+        active.append(A)
         betas.extend(A.group.automorphisms())
         try:
             return _fn(A)
         finally:
             active.pop()
 
-    def enumerate_homs(hs, _fn=modules.HomSpace.all_matrices):
-        for spaces, _ in active:  # the summand scan enumerates End(A) outside any call
+    def hom_to(A, W, v0_hat=None, _fn=modules.FiniteModule.hom_to):
+        hs = _fn(A, W, v0_hat)
+        if active:
             spaces.append(id(hs))
+        return hs
+
+    def enumerate_homs(hs, _fn=modules.HomSpace.all_matrices):
+        enumerated.append(id(hs))  # the summand scan enumerates End(A) too
         return _fn(hs)
 
     def mask(A, hats, _fn=pairs.automorphism_mask):
-        for _, masks in active:
+        if active:
             masks.append(len(hats))
         return _fn(A, hats)
 
     monkeypatch.setattr(pairs, "compatible_pairs", call)
+    monkeypatch.setattr(modules.FiniteModule, "hom_to", hom_to)
     monkeypatch.setattr(modules.HomSpace, "all_matrices", enumerate_homs)
     monkeypatch.setattr(pairs, "automorphism_mask", mask)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert all(len(spaces) == len(set(spaces)) == len(masks) for spaces, masks in calls)
-    assert sum(len(spaces) for spaces, _ in calls) < len(betas)
+    assert len(enumerated) == len(set(enumerated))
+    assert len(masks) == len(set(spaces)) < len(betas)
 
 
 def test_a_branch_is_refused_at_the_coboundary_cap_before_any_level_is_computed(

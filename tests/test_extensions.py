@@ -27,10 +27,9 @@ def d8_level_one():
             {"presentation": {"generators": ["a", "b"],
                               "relators": ["a^2", "b^4", "a^-1 b a b"]}}
         )
-        ctx = modules.PrecisionContext(2, 16)
         a = np.array([[1, 0], [0, -1]])
         b = np.array([[0, 1], [-1, 0]])
-        T = modules.lattice_module(D8, {D8.generators[0]: a, D8.generators[1]: b}, ctx)
+        T = modules.lattice_module(D8, {D8.generators[0]: a, D8.generators[1]: b}, 2, 16)
         chain = modules.g_central_series(T, 4)
         Q = modules.quotient(T, chain, 1)
         H = cohomology.cohomology_group(cohomology.finite_coefficients(Q.module), 2)
@@ -123,7 +122,7 @@ def test_coclass_criterion_on_the_dihedral_tower():
     assert len(flagged) == 4
     # gamma_2 has order 4 in a maximal-class group of order 16
     for ext in flagged:
-        terms = groups.lower_central_series(ext.table).terms
+        terms = groups.lower_central_series(ext.table)
         assert [len(t) for t in terms] == [16, 4, 2, 1]
 
 
@@ -192,7 +191,7 @@ def test_projection_is_checked_on_the_generator_edges():
     swap = np.array([0, 2, 1, 3])
     relabelled = groups.make_table(swap[C4.mul[np.ix_(swap, swap)]])
     assert extensions.are_isomorphic(relabelled, C4)
-    bad = extensions.ExtensionGroup(relabelled, A, ext.table, ext.fiber_elements)
+    bad = extensions.ExtensionGroup(relabelled, A, ext.table)
     with pytest.raises(extensions.ExtensionError, match="not a homomorphism"):
         extensions._validate_extension(bad)
 

@@ -1,19 +1,36 @@
-"""Every public function, class and method of the package is used by the package,
-every dataclass field is read, and each object's private fields are read by the
-module that owns them.
+"""Every function and method of the package is entered by some command-line
+run, every public name is used by the package, every dataclass field is read,
+and each object's private fields are read by the module that owns them.
 
-A public name defined in `src/coclass` must be referenced there somewhere
-other than its own definition, or be listed in ORACLES with the reason it is
-kept although only the tests call it; the checks only tests use live in
-`tests/brute_force.py`.
+`test_every_function_is_entered_by_a_cli_run` runs the subcommands in process
+under `sys.setprofile` and fails on any function or method of `src/coclass`
+that none of them enters, unless NOT_ENTERED names it with the reason it is
+kept; the checks only tests use live in `tests/brute_force.py`.  A public name
+must also be referenced in `src/coclass` other than at its own definition, so
+a class that nothing builds is caught too.
 """
 
 import ast
+import contextlib
+import io
+import json
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coclass"
+from coclass import cli, scenarios
 
-ORACLES: dict[str, str] = {}
+SRC = Path(__file__).resolve().parent.parent / "src" / "coclass"
+DATA = Path(__file__).resolve().parent / "data"
+
+# functions and methods, as module.name or module.Class.name, that no run of
+# `_cli_runs` enters, with the reason each is kept
+NOT_ENTERED: dict[str, str] = {
+    "extensions.are_isomorphic":
+        "the oracle for two vertices of one level whose fingerprints tie, "
+        "which no built-in scenario has",
+    "modules.LatticeModule.ctx":
+        "read only by perfbench/tracer.py, which keys lattice inputs by T.ctx.N",
+}
 
 # fields of a QuotientModule that only `modules` reads: its Smith transforms
 # and the coordinates they keep
@@ -45,17 +62,88 @@ def _references(tree) -> set[str]:
 def test_every_public_name_is_used_by_the_package_or_is_an_oracle():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     referenced = set().union(*(_references(t) for t in trees.values()))
+    kept = {name.rsplit(".", 1)[-1] for name in NOT_ENTERED}
     unused = sorted("%s:%s" % (fname, name)
                     for fname, tree in trees.items()
                     for name, _ in _definitions(tree)
-                    if name not in referenced and name not in ORACLES)
+                    if name not in referenced and name not in kept)
     assert not unused, "public names that only tests reach: %s" % unused
 
 
+def _functions():
+    """(file, module.name or module.Class.name, first lines) of each function
+    of a module and each method of a module-level class.  A code object's
+    first line is its first decorator's, if it has one, and else its def's."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                owned = [("", node)]
+            elif isinstance(node, ast.ClassDef):
+                owned = [(node.name + ".", item) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for prefix, fn in owned:
+                firsts = {fn.lineno} | {d.lineno for d in fn.decorator_list}
+                yield path, "%s.%s%s" % (path.stem, prefix, fn.name), firsts
+
+
 def test_every_oracle_is_still_defined():
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    defined = {name for tree in trees for name, _ in _definitions(tree)}
-    assert set(ORACLES) <= defined, set(ORACLES) - defined
+    defined = {name for _, name, _ in _functions()}
+    assert set(NOT_ENTERED) <= defined, set(NOT_ENTERED) - defined
+
+
+def _cli_runs(tmp: Path) -> list[tuple[list[str], int]]:
+    """Each subcommand on the built-in scenarios and the C3 file, and each
+    form of group input, with the exit code it must end with."""
+    def write(name, data):
+        (tmp / name).write_text(json.dumps(data))
+        return str(tmp / name)
+
+    D = "dihedral_mainline"
+    runs = [(["run-all", "--scenario", s], 0)
+            for s in (D, "d8_gaussian", str(DATA / "c3_eisenstein.json"))]
+    runs.append((["branch", "--scenario", D, "--i", "5", "--k", "2", "--shift",
+                  "--dot", str(tmp / "b.dot")], 0))
+    for i, cocycle in enumerate(({"level": 1, "mainline": True}, {"level": 1, "coords": [1, 0, 1]},
+                                 {"level": 1, "row": [0] * 9})):
+        runs.append((["extend", "--scenario", D, "--cocycle", write("c%d.json" % i, cocycle)], 0))
+    runs += [(["orbits", "--scenario", D, "--n", "2"], 0),
+             (["correspondence", "--scenario", D], 0),
+             (["verify-counterexample", "--scenario", D], 1),  # no witness on dihedral
+             (["verify-lcs", "--scenario", D], 0)]
+    runs += [(["cohomology", "--scenario", D, "--n", "2", "--degree", str(m)], 0)
+             for m in range(4)]
+    for i, group in enumerate(({"permutations": [[1, 0]]},
+                               {"matrix_generators": [[[-1]]], "modulus": 3},
+                               {"table": [[0, 1], [1, 0]], "generators": [1]})):
+        data = dict(scenarios.BUILTIN_SCENARIOS[D], group=group)
+        runs.append((["cohomology", "--scenario", write("s%d.json" % i, data), "--n", "1"], 0))
+    return runs
+
+
+def test_every_function_is_entered_by_a_cli_run(tmp_path):
+    entered = set()  # (file, first line) of each code object called
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    for argv, code in _cli_runs(tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            sys.setprofile(profile)
+            try:
+                got = cli.main(argv)
+            finally:
+                sys.setprofile(previous)
+        assert got == code, argv
+    lines: dict[Path, set[int]] = {}
+    for filename, line in entered:
+        lines.setdefault(Path(filename).resolve(), set()).add(line)
+    missed = [name for path, name, firsts in _functions()
+              if not firsts & lines.get(path, set()) and name not in NOT_ENTERED]
+    assert not missed, "functions that no command-line run enters: %s" % missed
 
 
 def _dataclass_fields(tree):

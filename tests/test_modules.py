@@ -18,26 +18,24 @@ def cyclic_table(n):
 
 def c2_negation(N=10, rank=1):
     C2 = groups.make_table(cyclic_table(2))
-    ctx = modules.PrecisionContext(2, N)
     mat = -np.eye(rank, dtype=np.int64)
-    return modules.lattice_module(C2, {1: mat}, ctx)
+    return modules.lattice_module(C2, {1: mat}, 2, N)
 
 
 def d8_lattice(N=12):
     D8 = groups.build_group(
         {"presentation": {"generators": ["a", "b"], "relators": ["a^2", "b^4", "a^-1 b a b"]}}
     )
-    ctx = modules.PrecisionContext(2, N)
     a = np.array([[1, 0], [0, -1]])
     b = np.array([[0, 1], [-1, 0]])
     ga, gb = D8.generators[0], D8.generators[1]
-    return modules.lattice_module(D8, {ga: a, gb: b}, ctx)
+    return modules.lattice_module(D8, {ga: a, gb: b}, 2, N)
 
 
 def test_lattice_action_violating_a_relator_is_rejected():
     C2 = groups.make_table(cyclic_table(2))
     with pytest.raises(modules.ModuleError, match="group relations"):
-        modules.lattice_module(C2, {1: np.array([[0, 1], [1, 1]])}, modules.PrecisionContext(2, 6))
+        modules.lattice_module(C2, {1: np.array([[0, 1], [1, 1]])}, 2, 6)
 
 
 def test_finite_action_with_a_nontrivial_identity_is_rejected():
@@ -84,8 +82,7 @@ def test_c2_negation_chain():
 
 def test_trivial_action_chain_stops():
     C2 = groups.make_table(cyclic_table(2))
-    ctx = modules.PrecisionContext(2, 8)
-    T = modules.lattice_module(C2, {1: np.eye(1, dtype=np.int64)}, ctx)
+    T = modules.lattice_module(C2, {1: np.eye(1, dtype=np.int64)}, 2, 8)
     chain = modules.g_central_series(T, 3)
     assert chain.stopped and chain.depth == 0
 
@@ -106,7 +103,7 @@ def test_d8_chain_uniserial_and_periodic():
     assert modules.chain_period(T, chain) == 2
     # T_1 = {(x, y) : x + y even}
     B1 = chain.bases[1]
-    assert linalg.span_equal(B1, [[1, 1], [0, 2]], 2, T.ctx.N)
+    assert linalg.span_equal(B1, [[1, 1], [0, 2]], 2, T.N)
 
 
 def test_d8_quotients():
@@ -114,23 +111,23 @@ def test_d8_quotients():
     chain = modules.g_central_series(T, 8)
     for n in range(0, 7):
         Q = modules.quotient(T, chain, n)
-        assert Q.order == 2**n
+        assert Q.module.order == 2**n
     Q2 = modules.quotient(T, chain, 2)
-    assert Q2.invariants() == [2, 2]
+    assert Q2.module.invariants() == [2, 2]
 
 
 def test_quotient_zero_level_trivial():
     T = d8_lattice()
     chain = modules.g_central_series(T, 2)
     Q0 = modules.quotient(T, chain, 0)
-    assert Q0.order == 1 and Q0.invariants() == []
+    assert Q0.module.order == 1 and Q0.module.invariants() == []
 
 
 def test_c2_quotient_invariants():
     T = c2_negation()
     chain = modules.g_central_series(T, 4)
     Q = modules.quotient(T, chain, 3)
-    assert Q.invariants() == [8]
+    assert Q.module.invariants() == [8]
 
 
 def test_quotient_coords_additive_and_action():
@@ -158,7 +155,7 @@ def test_distinguished_generator_d8():
     T = d8_lattice()
     chain = modules.g_central_series(T, 4)
     t0 = modules.distinguished_generator(T, chain)
-    H = linalg.howell(np.vstack([t0[None, :], chain.bases[1]]), 2, T.ctx.N)
+    H = linalg.howell(np.vstack([t0[None, :], chain.bases[1]]), 2, T.N)
     assert H.index_exponent() == 0
 
 
@@ -184,12 +181,12 @@ def test_hom_space_trivial_group_all_maps():
     ident = [np.eye(2, dtype=np.int64)]
     # homocyclic case: every linear map counts, |W|^(number of generators)
     V = modules.finite_module_from_plain(triv, 2, [2, 2], ident)
-    assert modules.hom_space(V, V).order == 16**2
+    assert modules.hom_space(V, V).structure.order == 16**2
     # mixed exponents: hom(Z4+Z2, Z4+Z2) = Z4 x Z2 x Z2 x Z2
     Vm = modules.finite_module_from_plain(triv, 2, [2, 1], ident)
     hs = modules.hom_space(Vm, Vm)
-    assert hs.order == 32
-    assert hs.invariants() == [4, 2, 2, 2]
+    assert hs.structure.order == 32
+    assert hs.structure.invariants() == [4, 2, 2, 2]
 
 
 def test_hom_space_c2_endos_with_orbit_route():
@@ -198,7 +195,7 @@ def test_hom_space_c2_endos_with_orbit_route():
     Q = modules.quotient(T, chain, 3)
     v0 = Q.hat_of_ambient([1])
     hs = Q.module.hom_to(Q.module, v0_hat=v0)
-    assert hs.invariants() == [8]
+    assert hs.structure.invariants() == [8]
 
 
 def test_hom_space_d8_endos_routes_agree():
@@ -243,7 +240,7 @@ def test_precision_stability_of_invariants():
         T = d8_lattice(N)
         chain = modules.g_central_series(T, 6)
         Q = modules.quotient(T, chain, 5)
-        assert Q.invariants() == [8, 4]
+        assert Q.module.invariants() == [8, 4]
 
 
 def _same_module(got, want):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from coclass import cohomology, groups, linalg, modules, pairs
 
 from brute_force import (brute_act_on_cochain, check_centralizing, check_pi_rho_trivial_on_h2,
                          check_rho_additivity, is_coboundary, pair_compose, pair_identity,
-                         pair_inverse, rho_pi_pairs)
+                         pair_inverse, pair_key, rho_pi_pairs)
 
 
 def cyclic_table(n):
@@ -14,18 +16,16 @@ def cyclic_table(n):
 
 def c2_negation(N=12):
     C2 = groups.make_table(cyclic_table(2))
-    ctx = modules.PrecisionContext(2, N)
-    return modules.lattice_module(C2, {1: -np.eye(1, dtype=np.int64)}, ctx)
+    return modules.lattice_module(C2, {1: -np.eye(1, dtype=np.int64)}, 2, N)
 
 
 def d8_lattice(N=21):
     D8 = groups.build_group(
         {"presentation": {"generators": ["a", "b"], "relators": ["a^2", "b^4", "a^-1 b a b"]}}
     )
-    ctx = modules.PrecisionContext(2, N)
     a = np.array([[1, 0], [0, -1]])
     b = np.array([[0, 1], [-1, 0]])
-    return modules.lattice_module(D8, {D8.generators[0]: a, D8.generators[1]: b}, ctx)
+    return modules.lattice_module(D8, {D8.generators[0]: a, D8.generators[1]: b}, 2, N)
 
 
 _cache = {}
@@ -54,8 +54,8 @@ def test_compatible_pairs_c2_on_z4():
     ps = pairs.compatible_pairs(Q.module)
     # only the identity automorphism of C2; the units of Z/4 commute with -1
     assert len(ps) == 2
-    keys = {p.key() for p in ps}
-    assert pair_identity(Q.module).key() in keys
+    keys = {pair_key(p) for p in ps}
+    assert pair_key(pair_identity(Q.module)) in keys
 
 
 def test_pairs_closed_under_composition_and_inverse():
@@ -63,11 +63,11 @@ def test_pairs_closed_under_composition_and_inverse():
     Q = modules.quotient(T, chain, 3)
     A = Q.module
     ps = pairs.compatible_pairs(A)
-    keys = {p.key() for p in ps}
+    keys = {pair_key(p) for p in ps}
     for x in ps:
-        assert pair_inverse(A, x).key() in keys
+        assert pair_key(pair_inverse(A, x)) in keys
         for y in ps:
-            assert pair_compose(A, x, y).key() in keys
+            assert pair_key(pair_compose(A, x, y)) in keys
 
 
 def test_trivial_action_gives_full_product():
@@ -115,7 +115,7 @@ def test_chain_terms_invariant_under_lattice_pairs():
     for _, eps in reps:
         for B in chain.bases[:6]:
             img = (B @ eps) % T.q
-            assert linalg.howell(B, T.p, T.ctx.N, track=True).solve(img) is not None
+            assert linalg.howell(B, T.p, T.N, track=True).solve(img) is not None
 
 
 def test_orbits_against_brute_reachability():
@@ -184,7 +184,20 @@ def test_complement_d8_matches_h1():
     A = comp.end_space.codomain
     empty = np.zeros((0, comp.endT_flat.shape[1]), dtype=np.int64)
     endT_order = linalg.quotient_group(comp.endT_flat, empty, T.p, A.E).order
-    assert comp.end_space.order == comp.order * endT_order
+    assert comp.end_space.structure.order == math.prod(comp.invariants()) * endT_order
+
+
+def test_each_complement_lift_reduces_to_its_own_generator(monkeypatch):
+    # generator_pairs pairs generator i of E_n with lift i; on d8 at level 4
+    # the one generator is [[0, 2], [2, 0]], and a lift reducing elsewhere is refused
+    T, chain, period = d8_setup()
+    comp = pairs.complement_En(T, chain, 4, period)
+    assert comp.E_flat.tolist() == [[0, 2, 2, 0]]
+    assert np.array_equal(modules.endo_to_quotient(chain.quotient(4), comp.lattice_lifts),
+                          comp.end_space.flat_to_matrix(comp.E_flat))
+    monkeypatch.setattr(modules, "lift_endo", lambda Q, C, _fn=modules.lift_endo: 2 * _fn(Q, C))
+    with pytest.raises(pairs.PairError, match="its own generator"):
+        pairs.complement_En(T, chain, 4, period)
 
 
 def test_rho_pi_structure_d8():
@@ -201,7 +214,7 @@ def test_rho_pi_structure_d8():
     assert check_pi_rho_trivial_on_h2(H, rp)
     for pair in rp.rho_pairs:
         assert pairs.satisfies_compatibility(A, pair.beta, pair.eps_hat[None]).all()
-        assert pairs.is_module_automorphism(A, pair.eps_hat)
+        assert pairs.automorphism_mask(A, pair.eps_hat)
 
 
 def test_orbit_correspondence_c2():

@@ -327,7 +327,7 @@ def test_permutation_tables_match_the_all_pairs_fill(perms):
 @settings(max_examples=40, deadline=None)
 def test_lcs_orders_and_center_match_the_naive_ones(perms):
     G, _ = groups.from_permutations([tuple(p) for p in perms])
-    assert groups.lower_central_series(G).terms == lower_central_series_terms(G)
+    assert groups.lower_central_series(G) == lower_central_series_terms(G)
     assert np.array_equal(G.element_orders(), element_orders_by_steps(G.mul, G.identity))
     assert groups.center(G) == center_of_table(G.mul)
 
@@ -348,7 +348,7 @@ def test_automorphism_mask_matches_the_span_comparison(p, exps, into, data):
     stack = np.stack([X, A.canonical(np.eye(r, dtype=np.int64) + X)])
     want = [span_automorphism(A, x) for x in stack]
     assert pairs.automorphism_mask(A, stack).tolist() == want
-    assert [pairs.is_module_automorphism(A, x) for x in stack] == want
+    assert [bool(pairs.automorphism_mask(A, x)) for x in stack] == want
 
 
 @given(st.sampled_from([(2, 5), (3, 3), (5, 2)]), st.integers(1, 4), st.integers(1, 4),

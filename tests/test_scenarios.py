@@ -158,12 +158,13 @@ def test_lcs_check_holds_one_quotient_table_at_a_time():
 
 
 def test_lcs_check_of_d8_at_order_4096_keeps_only_stage_tables():
-    # stage 1 (the top) and stage 2 are the quotients at chain indices 2 and 4
+    # stage 1, the top, is the quotient at chain index 2; stage 2, at index 4,
+    # has order 128, above the scan cap, so the scan never reads its table
     scn = scenarios.load_scenario("d8_gaussian")
     rep, _, held = _check_traced(scn, 4096)
     assert rep.ok and rep.quotient_orders[-1] == 4096
     assert held < 2**20, "%.2f MiB still held" % (held / 2**20)
-    assert _kept_split_products(scn) == [2, 4]
+    assert _kept_split_products(scn) == [2]
 
 
 def d8_scan():
@@ -195,7 +196,7 @@ def test_witness_is_recheckable():
     eps_hat = np.array([[int(x) for x in r] for r in w["eps_hat"]], dtype=np.int64)
     pair = pairs.CompatiblePair(np.arange(A.group.order, dtype=np.int64),
                                 A.canonical(eps_hat))
-    assert pairs.is_module_automorphism(A, pair.eps_hat)
+    assert pairs.automorphism_mask(A, pair.eps_hat)
     # rebuild the class from the theta rows so it provably sits in the summand
     classes = scenarios._summand_classes(level)
     lookup = dict(classes)
@@ -230,6 +231,23 @@ def test_correspondence_report_qualifying_and_not():
 
 
 C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
+
+
+def test_summand_scan_sizes_a_stage_before_building_it(monkeypatch):
+    # stages 1 and 2 of C3 have orders 3 * 3^2 and 3 * 3^4, read off the chain,
+    # so the scan skips both without building their split tables
+    scn = scenarios.load_scenario(str(C3_EISENSTEIN))
+    built = []
+
+    def counted(*args, _fn=groups.abelian_extension_table):
+        table = _fn(*args)
+        built.append(table.order)
+        return table
+    monkeypatch.setattr(groups, "abelian_extension_table", counted)
+    rep = scenarios.summand_instability_witness(scn)
+    assert [(s["k"], s["group_order"]) for s in rep.skipped if "group_order" in s] == [
+        ("1", "27"), ("2", "243")]
+    assert built == []
 
 
 @pytest.mark.parametrize("n, exps", [(3, [1, 2]), (5, [2, 3])])
