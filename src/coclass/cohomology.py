@@ -174,16 +174,15 @@ def cocycle_rows(spec: CoefficientSpace, m: int) -> tuple[np.ndarray, int]:
 
     A lattice kernel is read off their memoised Smith form mod p^E, which
     determines it only to a reduced precision.  Finite coefficients are exact
-    at spec.E: with l the slot scales, Z^m(A) = K * l in Howell form, for K
-    the kernel of l * d^m.  The Howell form of a span is canonical, so the
-    rows are those of the full kernel intersected with the A-valued cochains.
+    at spec.E: Z^m(A) is the kernel of d^m on the A-valued cochains, whose
+    hat scales are the slot scales (`linalg.scaled_kernel`).  The Howell form
+    of a span is canonical, so the rows are those of the full kernel
+    intersected with the A-valued cochains.
     """
     if spec.lattice:
         return linalg.lattice_kernel(spec.generator_smith(m))
-    scales = _slot_scales(spec, m)
     D = coboundary_matrix(spec, m, spec.group.generators)
-    K = linalg.row_kernel((scales[:, None] * D) % spec.q, spec.p, spec.E)
-    return linalg.howell((K * scales) % spec.q, spec.p, spec.E).rows, spec.E
+    return linalg.scaled_kernel(D, _slot_scales(spec, m), spec.p, spec.E), spec.E
 
 
 def coboundary_rows(spec: CoefficientSpace, m: int) -> np.ndarray:

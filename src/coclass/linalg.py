@@ -1,10 +1,16 @@
 """Exact linear algebra over Z/p^M.
 
 Everything downstream (lattice chains, cochain complexes, orbit machinery)
-reduces to Smith/Howell normal forms over the local ring Z/p^M.  Row
-convention throughout: a linear map is a matrix F acting on row vectors,
-f(x) = x @ F, and subgroups of (Z/p^M)^n are given by matrices whose rows
-generate them.
+reduces to row spans over the local ring Z/p^M.  Row convention throughout:
+a linear map is a matrix F acting on row vectors, f(x) = x @ F, and
+subgroups of (Z/p^M)^n are given by matrices whose rows generate them.
+
+Both normal forms are one array elimination by least-valuation pivots, with
+the row transform carried as the right-hand block of a single array
+[A | U]: `smith` also pivots on columns and gives the invariant exponents
+and kernels; `howell` pivots on rows only, column by column, and gives the
+canonical rows of a span (J. A. Howell, "Spans in the module (Z_m)^s",
+1986), against which membership is tested and equations are solved.
 
 Matrices are numpy int64 arrays when p^M fits comfortably (products must not
 overflow), with a python-int (object dtype) fallback for larger moduli.
@@ -16,7 +22,6 @@ q)`, exact for entries in [0, bound): it sums in int64 while rows * (bound -
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,24 +29,25 @@ import numpy as np
 INT64_SAFE_MODULUS = 1 << 31
 
 
+def _dtype(q: int):
+    """int64 while products of entries below q cannot overflow, else object."""
+    return np.int64 if q <= INT64_SAFE_MODULUS else object
+
+
 def as_matrix(rows, q: int):
     """Coerce to a 2-D array with dtype suited to modulus q."""
-    dtype = np.int64 if q <= INT64_SAFE_MODULUS else object
-    a = np.array(rows, dtype=dtype)
+    a = np.array(rows, dtype=_dtype(q))
     if a.ndim == 1:
         a = a.reshape(1, -1)
     return a % q
 
 
 def zeros(shape, q: int):
-    dtype = np.int64 if q <= INT64_SAFE_MODULUS else object
-    z = np.zeros(shape, dtype=dtype)
-    return z
+    return np.zeros(shape, dtype=_dtype(q))
 
 
 def eye(n: int, q: int):
-    dtype = np.int64 if q <= INT64_SAFE_MODULUS else object
-    return np.eye(n, dtype=np.int64).astype(dtype)
+    return np.eye(n, dtype=np.int64).astype(_dtype(q))
 
 
 def _reduce_inplace(a, q: int, p: int):
@@ -165,7 +171,7 @@ def invertible_mod_p(X, p: int) -> np.ndarray:
     so mod every power of p.  Fraction-free elimination over F_p: each row
     below the pivot becomes pivot * row - entry * pivot row."""
     k = np.shape(X)[-1]
-    A = (np.asarray(X) % p).astype(np.int64 if p <= INT64_SAFE_MODULUS else object)
+    A = (np.asarray(X) % p).astype(_dtype(p))
     A = A.reshape(-1, k, k)
     ok = np.ones(len(A), dtype=bool)
     stack = np.arange(len(A))
@@ -181,26 +187,36 @@ def invertible_mod_p(X, p: int) -> np.ndarray:
     return ok.reshape(np.shape(X)[:-2])
 
 
+def _padded_exps(s: Smith) -> list[int]:
+    """The divisor exponent of each row of U: M past the diagonal."""
+    return s.exps + [s.M] * (s.shape[0] - len(s.exps))
+
+
 def row_kernel(F, p: int, M: int):
     """Generators of {x : x @ F = 0 mod p^M}.
 
     For maps of free modules read at finite precision, `lattice_kernel`
     drops the p^{M-a}-scaled rows that exist only because of the modulus.
     """
-    q = p**M
     s = smith(F, p, M, want_left=True, want_right=False)
-    r = s.shape[0]
-    rows = []
-    for i, a in enumerate(s.exps):
-        if a >= M:
-            rows.append(s.U[i])
-        elif a > 0:
-            rows.append((p ** (M - a) * s.U[i]) % q)
-    for i in range(len(s.exps), r):
-        rows.append(s.U[i])
-    if not rows:
-        return zeros((0, r), q)
-    return np.vstack(rows) % q
+    # row i of U times p^{M-a} for each divisor p^a with a > 0; the rows of U
+    # past the diagonal have a = M
+    exps = _padded_exps(s)
+    keep = [i for i, a in enumerate(exps) if a > 0]
+    scale = np.array([p ** (M - exps[i]) for i in keep], dtype=s.U.dtype)
+    return (scale[:, None] * s.U[keep]) % p**M
+
+
+def scaled_kernel(F, scales, p: int, M: int) -> np.ndarray:
+    """Howell rows of { x in the span of diag(scales) : x @ F = 0 mod p^M }.
+
+    x = c * scales for each c in the row kernel of scales * F, which is how
+    the kernel of a map is read on a finite module held in hatted
+    coordinates, with the hat scale of each coordinate in `scales`.
+    """
+    q = p**M
+    K = row_kernel((scales[:, None] * F) % q, p, M)
+    return howell((K * scales) % q, p, M).rows
 
 
 def lattice_kernel(s: Smith):
@@ -212,16 +228,15 @@ def lattice_kernel(s: Smith):
     determines the transform only mod p^{M-a}.  An empty kernel has no
     transform rows to lose precision in, so it holds at p^M.
     """
-    p, M, r = s.p, s.M, s.shape[0]
-    rows = [s.U[i] for i, a in enumerate(s.exps) if a >= M]
-    rows.extend(s.U[i] for i in range(len(s.exps), r))
-    if not rows:
-        return zeros((0, r), p**M), M
+    p, M = s.p, s.M
+    rows = s.U[[i for i, a in enumerate(_padded_exps(s)) if a >= M]]
+    if not len(rows):
+        return rows, M
     loss = sum(a for a in s.exps if 0 < a < M)
     Me = M - loss
     if Me <= 0:
         raise ValueError("no precision left for the kernel (loss %d >= %d)" % (loss, M))
-    return np.vstack(rows) % p**Me, Me
+    return rows % p**Me, Me
 
 
 @dataclass
@@ -302,67 +317,61 @@ class Howell:
 
 
 def howell(gens, p: int, M: int, *, track: bool = False) -> Howell:
-    """Howell canonical form of the row span of gens over Z/p^M."""
+    """Howell canonical form of the row span of gens over Z/p^M.
+
+    One elimination on W = [gens | I], the identity part only when `track`
+    is set, so a row operation carries its transform along.  W[:k] are the
+    k finished rows and W[k:live] the rows still in play, in the order they
+    entered.  In each column the first row in play of least valuation
+    becomes pivot k, scaled to p^a; one block update clears the column in
+    the rows still in play and reduces the finished rows into [0, p^a); and
+    p^{M-a} times the pivot row, which the span still holds, joins the rows
+    in play.  W has room for that annihilator tail of every pivot.
+    """
     q = p**M
     G = as_matrix(gens, q)
     nrows, ncols = G.shape
-    work: list[np.ndarray] = [G[i].copy() for i in range(nrows)]
-    trans: list[np.ndarray] = [eye(max(nrows, 1), q)[i] for i in range(nrows)] if track else []
-    ntrack = nrows
-    done_rows: list[np.ndarray] = []
-    done_trans: list[np.ndarray] = []
+    W = zeros((nrows + ncols, ncols + (nrows if track else 0)), q)
+    W[:nrows, :ncols] = G
+    if track:
+        W[:nrows, ncols:] = eye(nrows, q)
+    live = nrows
     pivots: list[tuple[int, int]] = []
     for j in range(ncols):
-        cand = [i for i, w in enumerate(work) if int(w[j]) % q != 0]
-        if not cand:
+        k = len(pivots)
+        if k == live:
+            break
+        g = np.gcd(W[k:live, j], q)
+        i = int(g.argmin())
+        pa = int(g[i])
+        if pa == q:
             continue
-        best = min(cand, key=lambda i: math.gcd(int(work[i][j]), q))
-        pa = math.gcd(int(work[best][j]), q)
+        if i:
+            W[k:k + i + 1] = W[[k + i, *range(k, k + i)]]
+        # columns left of j are zero in the pivot row
+        piv = W[k, j:]
+        unit = int(piv[0]) // pa
+        if unit != 1:
+            piv *= pow(unit, -1, q)
+            _reduce_inplace(piv, q, p)
+        m = W[:live, j] // pa
+        m[k] = 0
+        rows = m.nonzero()[0]
+        if rows.size:
+            block = W[rows, j:] - np.multiply.outer(m[rows], piv)
+            _reduce_inplace(block, q, p)
+            W[rows, j:] = block
         a = valuation(pa, p)
-        piv = work.pop(best)
-        tpiv = trans.pop(best) if track else None
-        w = int(piv[j]) // pa
-        winv = pow(w, -1, q)
-        piv = (piv * winv) % q
-        if track:
-            tpiv = (tpiv * winv) % q
-        # eliminate from remaining working rows (their entries at j have val >= a)
-        for i, wrow in enumerate(work):
-            x = int(wrow[j])
-            if x:
-                m = x // pa
-                work[i] = (wrow - m * piv) % q
-                if track:
-                    trans[i] = (trans[i] - m * tpiv) % q
-        # canonicalize entries above the pivot into [0, p^a)
-        for i, drow in enumerate(done_rows):
-            x = int(drow[j])
-            if x // pa:
-                m = x // pa
-                done_rows[i] = (drow - m * piv) % q
-                if track:
-                    done_trans[i] = (done_trans[i] - m * tpiv) % q
-        # annihilator tail: p^{M-a} * pivot row still generates span elements
-        if a > 0:
-            ann = (p ** (M - a) * piv) % q
-            if np.any(ann):
-                work.append(ann)
-                if track:
-                    trans.append((p ** (M - a) * tpiv) % q)
-        done_rows.append(piv)
-        if track:
-            done_trans.append(tpiv)
+        if a and j + 1 < ncols:
+            tail = piv * p ** (M - a)
+            _reduce_inplace(tail, q, p)
+            if tail[1:ncols - j].any():
+                W[live, j:] = tail
+                live += 1
         pivots.append((j, a))
-    if done_rows:
-        rows = np.vstack(done_rows) % q
-    else:
-        rows = zeros((0, ncols), q)
-    tr = None
-    if track:
-        tr = np.vstack(done_trans) % q if done_trans else zeros((0, ntrack), q)
-        if tr.shape[1] != nrows:  # pragma: no cover - only for degenerate nrows=0
-            tr = tr[:, :nrows]
-    return Howell(p, M, ncols, rows, pivots, tr)
+    k = len(pivots)
+    return Howell(p, M, ncols, W[:k, :ncols].copy(), pivots,
+                  W[:k, ncols:].copy() if track else None)
 
 
 def dot_mod(x, A, bound: int, q: int):
@@ -424,13 +433,6 @@ class QuotientGroup:
         q = self.p**self.M
         return dot_mod(np.asarray(coords, dtype=object) % q, self.gens, q, q)
 
-    def all_coords(self):
-        """Iterate over all coordinate tuples (desk scale only)."""
-        import itertools
-
-        ranges = [range(self.p**e) for e in self.exps]
-        yield from itertools.product(*ranges)
-
     def invariants(self) -> list[int]:
         return [self.p**e for e in sorted(self.exps, reverse=True)]
 
@@ -451,24 +453,9 @@ def quotient_group(K_rows, B_rows, p: int, M: int) -> QuotientGroup:
     pieces = [x for x in (rel, bcoords) if x.shape[0] > 0]
     L = np.vstack(pieces) if pieces else zeros((0, g), q)
     s = smith(L, p, M, want_left=False, want_right=True)
-    Vinv = s.Vinv
-    exps = list(s.exps) + [M] * (g - len(s.exps))
+    # each of the g columns of L past the diagonal has exponent M
+    exps = s.exps + [M] * (g - len(s.exps))
     kept = [i for i, a in enumerate(exps) if a > 0]
-    gens = []
-    new_exps = []
-    for i in kept:
-        x = (Vinv[i] if i < Vinv.shape[0] else zeros((g,), q)) % q
-        amb = (x @ Kb) % q
-        gens.append(amb)
-        new_exps.append(exps[i])
-    qg = QuotientGroup(
-        p,
-        M,
-        new_exps,
-        np.vstack(gens) % q if gens else zeros((0, Kb.shape[1]), q),
-        HK,
-        s.V,
-        kept,
-    )
-    return qg
+    gens = dot_mod(s.Vinv[kept], Kb, q, q)
+    return QuotientGroup(p, M, [exps[i] for i in kept], gens, HK, s.V, kept)
 

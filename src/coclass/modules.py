@@ -378,10 +378,7 @@ def fixed_points(W: FiniteModule, subgroup_elems) -> np.ndarray:
     blocks = [((W.act[h] - ident) % q) for h in subgroup_elems if h != W.group.identity]
     if not blocks:
         return W.member_rows()
-    # the module elements are c @ L for the diagonal L of generator rows
-    L = W.member_rows()
-    K = linalg.row_kernel((L @ np.hstack(blocks)) % q, W.p, W.E)
-    return linalg.howell((K @ L) % q, W.p, W.E).rows
+    return linalg.scaled_kernel(np.hstack(blocks), W.scales(), W.p, W.E)
 
 
 @dataclass(eq=False)

@@ -163,7 +163,7 @@ def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartit
     acting_order = max(len(closed), 1)
     seen: set[tuple] = set()
     classes: list[list[tuple]] = []
-    for start in H.structure.all_coords():
+    for start in map(tuple, groups.all_coord_rows(mods.tolist()).tolist()):
         if start in seen:
             continue
         orbit = groups.closure([start], gens, lambda c, M: _apply_coord_matrix(H, M, c))
@@ -448,7 +448,8 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
     gens = generator_pairs(T, chain, n, period, Q_n, Q_nd, data)
     witness = None
     equivariant = True
-    elements = [H_n.representative(c) for c in H_n.structure.all_coords()]
+    elements = [H_n.representative(c)
+                for c in groups.all_coord_rows(H_n.structure.moduli().tolist())]
     for gp in gens:
         for tau in elements:
             moved = act_on_cochain(H_n, gp.at_n, tau)

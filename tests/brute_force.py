@@ -501,6 +501,22 @@ def span_intersection(gens_a, gens_b, p, M):
     return (K[:, : A.shape[0]] @ A) % q
 
 
+def span_elements(gens, q):
+    """Every element of the row span of gens mod q, as a set of tuples.  The
+    span grows by one generator g at a time: S + <g> is the union of the
+    cosets S + t g for t up to the first t with t g in S."""
+    zero = (0,) * np.shape(gens)[1]
+    span = {zero}
+    for g in np.asarray(gens, dtype=object).tolist():
+        g = tuple(x % q for x in g)
+        shifts, t = [zero], g
+        while t not in span:
+            shifts.append(t)
+            t = tuple((a + b) % q for a, b in zip(t, g))
+        span = {tuple((a + b) % q for a, b in zip(s, t)) for s in span for t in shifts}
+    return span
+
+
 def generator_columns(spec, m):
     """Columns of the full d^m whose (m+1)-tuple ends in a group generator,
     picked out of the `bar_index(m + 1)` tuples."""

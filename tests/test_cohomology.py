@@ -358,7 +358,7 @@ def test_id_oplus_mu_is_iso_on_classes():
         assert is_coboundary(dst.H, img)
     # injective on classes and compatible with the inverse
     seen = set()
-    for coords in src.H.structure.all_coords():
+    for coords in groups.all_coord_rows(src.H.structure.moduli().tolist()):
         tau = src.H.representative(coords)
         img = cohomology.id_oplus_mu(src, dst, tau)
         cls = tuple(dst.H.coords(img))

@@ -37,6 +37,11 @@ def d8_level_one():
     return _cache["d8"]
 
 
+def h2_coords(H):
+    """Every coordinate row of H, in mixed-radix order."""
+    return groups.all_coord_rows(H.structure.moduli().tolist())
+
+
 def test_zero_cocycle_gives_direct_product():
     C2 = groups.make_table(cyclic_table(2))
     A = trivial_module(C2, 2, [1])
@@ -64,7 +69,7 @@ def test_cohomologous_cocycles_give_isomorphic_extensions():
     spec = cohomology.finite_coefficients(A)
     d1 = cohomology.coboundary_matrix(spec, 1)
     rng = np.random.default_rng(7)
-    for coords in list(H.structure.all_coords())[:4]:
+    for coords in h2_coords(H)[:4]:
         rep = H.representative(coords)
         f = rng.integers(0, A.q, size=d1.shape[0], dtype=np.int64)
         rep2 = (rep + f @ d1) % A.q
@@ -76,7 +81,7 @@ def test_cohomologous_cocycles_give_isomorphic_extensions():
 def test_cocycle_identity_is_enforced():
     Q, H = d8_level_one()
     A = Q.module
-    bad = H.representative(list(H.structure.all_coords())[1]).copy()
+    bad = H.representative(h2_coords(H)[1]).copy()
     bad[0] = (bad[0] + 1) % A.q
     assert np.any((bad @ cohomology.coboundary_matrix(
         cohomology.finite_coefficients(A), 2)) % A.q)
@@ -113,7 +118,7 @@ def test_coclass_criterion_on_the_dihedral_tower():
     Q, H = d8_level_one()
     A = Q.module
     flagged = []
-    for coords in list(H.structure.all_coords()):
+    for coords in h2_coords(H):
         ext = extensions.build_extension(A.group, A, H.representative(coords))
         cc, flag = extensions.coclass_of_extension(ext)
         assert flag == (cc == 1)
@@ -130,7 +135,7 @@ def test_dihedral_quaternion_semidihedral_all_distinct():
     Q, H = d8_level_one()
     A = Q.module
     flagged = [extensions.build_extension(A.group, A, H.representative(c))
-               for c in H.structure.all_coords()]
+               for c in h2_coords(H)]
     flagged = [e for e in flagged if extensions.coclass_of_extension(e)[1]]
     spectra = sorted(tuple(sorted(int(o) for o in e.table.element_orders()))
                      for e in flagged)

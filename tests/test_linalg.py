@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from coclass import linalg
 
-from brute_force import contains, invert, span_intersection
+from brute_force import contains, invert, span_elements, span_intersection
 
 
 def random_matrix(draw, p, M, rmax=5, cmax=5):
@@ -70,6 +70,62 @@ def test_howell_membership(A):
     for _ in range(3):
         x = rng.integers(0, q, size=A.shape[0])
         assert contains(H, (x @ (A % q)) % q)
+
+
+def check_howell_form(A, p, M):
+    """The Howell form of A against its span listed in full: the same span,
+    echelon rows with strictly increasing pivot columns, each pivot exactly
+    p^a with the entries above it in [0, p^a), the Howell property, and the
+    transform taking the generators to the rows."""
+    q = p**M
+    H = linalg.howell(A, p, M, track=True)
+    span = span_elements(A, q)
+    assert span_elements(H.rows, q) == span
+    cols = [j for j, _ in H.pivots]
+    assert cols == sorted(set(cols)) and len(cols) == H.rows.shape[0]
+    for i, (j, a) in enumerate(H.pivots):
+        assert 0 <= a < M and H.rows[i, j] == p**a and not H.rows[i, :j].any()
+        assert all(0 <= H.rows[h, j] < p**a for h in range(i))
+    assert ((H.rows >= 0) & (H.rows < q)).all()
+    # Howell property: the span elements that vanish on the first t columns
+    # are spanned by the rows whose pivot lies in column t or later
+    for t in range(A.shape[1] + 1):
+        tail = [i for i, j in enumerate(cols) if j >= t]
+        assert span_elements(H.rows[tail], q) == {v for v in span if not any(v[:t])}
+    G = np.asarray(A, dtype=object) % q
+    assert np.array_equal((H.transform.astype(object) @ G) % q, H.rows)
+    assert H.transform.shape == (len(cols), A.shape[0])
+    plain = linalg.howell(A, p, M)
+    assert plain.transform is None and plain.same_span(H)
+    return H
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_howell_is_the_canonical_form_of_the_span(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    M = data.draw(st.integers(1, 4))
+    q = p**M
+    # shapes up to 4 x 4 whose spans (of at most q^min(r, c) elements) can
+    # be listed
+    r, c = data.draw(st.sampled_from([(r, c) for r in range(1, 5) for c in range(1, 5)
+                                      if q ** min(r, c) <= 1 << 12]))
+    # entries of every valuation, so that pivots p^a with a > 0 and their
+    # annihilator rows come up; valuation M is a zero entry
+    entry = st.tuples(st.integers(1, q - 1), st.integers(0, M)).map(
+        lambda uv: uv[0] * p ** uv[1] % q)
+    A = np.array(data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                    min_size=r, max_size=r)), dtype=np.int64)
+    check_howell_form(A, p, M)
+
+
+def test_howell_form_in_python_ints():
+    # 3^25 > 2^31, so entries are Python ints; the span lies in 3^23 (Z/3^25)^3
+    p, M = 3, 25
+    t = 3**23
+    A = np.array([[t, 2 * t, 0], [3 * t, 0, 5 * t], [2 * t, 4 * t, 7 * t]], dtype=object)
+    H = check_howell_form(A, p, M)
+    assert H.rows.dtype == object and H.pivots == [(0, 23), (1, 24), (2, 23)]
 
 
 def test_solve_rows_roundtrip():

@@ -85,7 +85,7 @@ def test_action_is_a_group_action_on_classes():
     H = cohomology.finite_cohomology(Q.module, 2)
     A = Q.module
     ps = pairs.compatible_pairs(A)
-    rep = H.representative(next(iter(H.structure.all_coords())))
+    rep = H.representative(groups.all_coord_rows(H.structure.moduli().tolist())[0])
     rng = np.random.default_rng(5)
     picks = rng.choice(len(ps), size=min(6, len(ps)), replace=False)
     for i in picks:
@@ -125,7 +125,7 @@ def test_orbits_against_brute_reachability():
     ps = pairs.compatible_pairs(Q.module)
     orb = pairs.orbits_on_h2(H, ps)
     # literal oracle: act on representative rows of every class by every pair
-    coords = list(H.structure.all_coords())
+    coords = [tuple(c) for c in groups.all_coord_rows(H.structure.moduli().tolist()).tolist()]
     parent = {c: c for c in coords}
 
     def find(c):

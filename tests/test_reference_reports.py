@@ -37,6 +37,12 @@ STORED = {
     "d8_gaussian.extend-mainline-1.out":
         ["extend", "--scenario", "d8_gaussian", "--cocycle",
          "tests/data/mainline_level1.cocycle.json"],
+    # the summand witness, the H^2 orbits and the orbit correspondence, which
+    # solve over Howell forms and list every H^2 coordinate
+    "d8_gaussian.verify-counterexample.out":
+        ["verify-counterexample", "--scenario", "d8_gaussian"],
+    "d8_gaussian.orbits-n3.out": ["orbits", "--scenario", "d8_gaussian", "--n", "3"],
+    "d8_gaussian.correspondence.out": ["correspondence", "--scenario", "d8_gaussian"],
 }
 
 
