@@ -168,19 +168,20 @@ def _row_blocks(mul: np.ndarray):
     return (mul[x0:x0 + rows] for x0 in range(0, n, rows))
 
 
-def _check_associative(mul: np.ndarray, generators: list[int]) -> None:
-    """Light's associativity test: (xs)y = x(sy) for each generator s.
+def _check_edges(mul: np.ndarray, right, message: str) -> None:
+    """(yx)s = y(xs) on every generator edge, where right[s, x] is x.s.
 
-    The set A = {a : (xa)y = x(ay) for all x, y} holds the identity and is
-    closed under the product: for a, b in A,
-    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+    With right[s] = mul[:, s] this is Light's associativity test with s on
+    the right.  The set A = {a : (yx)a = y(xa) for all x, y} holds the
+    identity and is closed under the product: for a, b in A,
+    (yx)(ab) = ((yx)a)b = (y(xa))b = y((xa)b) = y(x(ab)).
     Right multiplication by the generators reaches every element from the
     identity, so A is the whole table once it holds them.
     """
-    for s in generators:
+    for r in right:
         for block in _row_blocks(mul):
-            if not np.array_equal(mul[block[:, s]], block[:, mul[s]]):
-                raise GroupError("table is not associative")
+            if not np.array_equal(block.take(r, axis=1), r.take(block)):
+                raise GroupError(message)
 
 
 def _checked_generators(generators, n: int) -> list[int]:
@@ -210,7 +211,7 @@ def make_table(mul, generators: list[int] | None = None) -> GroupTable:
         table.generators = _checked_generators(generators, table.order)
         if len(subgroup_closure_table(mul, identity, table.generators)) != table.order:
             raise GroupError("given generators do not generate the table")
-    _check_associative(mul, table.generators)
+    _check_edges(mul, mul[:, table.generators].T, "table is not associative")
     return table
 
 
@@ -265,10 +266,7 @@ def table_from_generators(right) -> GroupTable:
 
     if len(closure([0], range(len(right)), step)) != n:
         raise GroupError("generators do not reach every element")
-    for r in right:
-        for block in _row_blocks(mul):
-            if not np.array_equal(block[:, r], r[block]):
-                raise GroupError("generator permutations disagree with the table")
+    _check_edges(mul, right, "generator permutations disagree with the table")
     return GroupTable(mul, 0, _validate_table(mul, 0), right[:, 0].tolist())
 
 

@@ -7,10 +7,11 @@ subgroups of (Z/p^M)^n are given by matrices whose rows generate them.
 
 Both normal forms are one array elimination by least-valuation pivots, with
 the row transform carried as the right-hand block of a single array
-[A | U]: `smith` also pivots on columns and gives the invariant exponents
-and kernels; `howell` pivots on rows only, column by column, and gives the
-canonical rows of a span (J. A. Howell, "Spans in the module (Z_m)^s",
-1986), against which membership is tested and equations are solved.
+[A | U], and both read a valuation by one rule, as gcd(x, p^M): `smith`
+also pivots on columns and gives the invariant exponents and kernels;
+`howell` pivots on rows only, column by column, and gives the canonical
+rows of a span (J. A. Howell, "Spans in the module (Z_m)^s", 1986), against
+which membership is tested and equations are solved.
 
 Matrices are numpy int64 arrays when p^M fits comfortably (products must not
 overflow), with a python-int (object dtype) fallback for larger moduli.
@@ -58,13 +59,6 @@ def _reduce_inplace(a, q: int, p: int):
         a %= q
 
 
-def _nonzero_mod(a, pv: int, p: int):
-    """Boolean mask of entries not divisible by pv."""
-    if p == 2 and a.dtype == np.int64:
-        return (a & (pv - 1)) != 0
-    return (a % pv) != 0
-
-
 def valuation(x: int, p: int) -> int:
     """p-adic valuation of a nonzero integer x."""
     x = int(x)
@@ -90,12 +84,17 @@ class Smith:
 
 
 def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False) -> Smith:
-    """Smith normal form over Z/p^M by minimal-valuation pivoting.
+    """Smith normal form over Z/p^M by least-valuation pivoting.
 
-    Over the local ring the diagonal comes out as p-powers in nondecreasing
-    valuation order without any extra gcd passes.  Each column operation on
-    V is the inverse row operation on Vinv, so V and its inverse come out of
-    the same elimination.
+    Valuations are read as in `howell`, as gcd(x, p^M): g[i] is gcd(row i,
+    p^M) over the trailing columns, kept for the rows still in play and
+    recomputed only on the rows that a block update touches.  The pivot is
+    an entry of least valuation p^a = min g: the first one in column k while
+    a equals the previous pivot's (0 before the first), and otherwise the
+    first one in row order.  Over the local ring that pivot divides its whole
+    block, so the diagonal comes out as p-powers in nondecreasing order with
+    no Bezout steps.  Each column operation on V is the inverse row
+    operation on Vinv, so V and its inverse come out of the same elimination.
     """
     q = p**M
     F = as_matrix(F, q)
@@ -107,33 +106,21 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
     Vinv = eye(c, q) if want_right else None
     exps: list[int] = []
     n = min(r, c)
-    # Divisor valuations are nondecreasing over the local ring, so the search
-    # for a minimal-valuation pivot can start where the previous one left off
-    # and use a cheap divisibility mask instead of gcd passes.
-    vcur = 0
+    g = np.gcd.reduce(A, axis=1, initial=q)
+    last = 1  # p^a of the previous pivot
     for k in range(n):
-        # fast path: a valuation-vcur entry in the current column, if any
-        pv = p ** (vcur + 1)
-        colmask = _nonzero_mod(A[k:, k], pv, p)
-        if colmask.any():
-            ii, jj = int(np.argmax(colmask)), 0
+        pa = int(g[k:].min())
+        if pa == q:
+            break  # remaining submatrix is zero mod p^M
+        hits = np.gcd(A[k:, k], q) == pa
+        if pa == last and hits.any():
+            i, j = k + int(hits.argmax()), k
         else:
-            sub = A[k:, k:]
-            mask = None
-            while vcur < M:
-                pv = p ** (vcur + 1)
-                mask = _nonzero_mod(sub, pv, p)
-                if mask.any():
-                    break
-                mask = None
-                vcur += 1
-            if mask is None:
-                break  # remaining submatrix is zero mod p^M
-            ii, jj = np.unravel_index(int(np.argmax(mask)), mask.shape)
-        i, j = k + int(ii), k + int(jj)
-        pa = p**vcur
+            i = k + int((g[k:] == pa).argmax())
+            j = k + int((np.gcd(A[i, k:], q) == pa).argmax())
         if i != k:
             W[[k, i]] = W[[i, k]]
+            g[[k, i]] = g[[i, k]]
         if j != k:
             A[:, [k, j]] = A[:, [j, k]]
             if V is not None:
@@ -145,13 +132,14 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
         pivot *= pow(int(A[k, k]) // pa, -1, q)
         _reduce_inplace(pivot, q, p)
         # clear column k below the pivot (rows above are already clear); only
-        # the rows with a nonzero entry in column k change
+        # the rows with a nonzero entry in column k change, so only their g
         rows = k + 1 + np.flatnonzero(A[k + 1 :, k])
         if rows.size:
             block = W[rows, k:]
             block -= (block[:, 0] // pa)[:, None] * pivot[None, :]
             _reduce_inplace(block, q, p)
             W[rows, k:] = block
+            g[rows] = np.gcd.reduce(block[:, 1 : c - k], axis=1, initial=q)
         # clearing row k right of the pivot touches only V, since column k is
         # now p^a e_k and row k is never read again; subtracting m_j times
         # column k of V from column j adds m_j times row j of Vinv to row k
@@ -160,7 +148,8 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
             if m.any():
                 V[:, k + 1 :] = (V[:, k + 1 :] - V[:, k][:, None] * m[None, :]) % q
                 Vinv[k] = (Vinv[k] + dot_mod(m, Vinv[k + 1 :], q, q)) % q
-        exps.append(vcur)
+        exps.append(valuation(pa, p))
+        last = pa
     exps.extend([M] * (n - len(exps)))
     U = np.ascontiguousarray(W[:, c:]) if want_left else None
     return Smith(p, M, (r, c), exps, U, V, Vinv)

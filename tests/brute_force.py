@@ -586,6 +586,63 @@ def smith_dense_update(F, p, M, want_right=False):
     return exps, U, V
 
 
+def smith_rescan(F, p, M, *, want_left=True, want_right=False):
+    """linalg.smith with its pivot found by rescanning the trailing block
+    once per candidate valuation vcur, a divisibility mask by p^(vcur + 1)
+    each time, instead of keeping the gcd of each row."""
+    q = p**M
+    F = linalg.as_matrix(F, q)
+    r, c = F.shape
+    W = np.concatenate([F, linalg.eye(r, q)], axis=1) if want_left else F
+    A = W[:, :c]
+    V = linalg.eye(c, q) if want_right else None
+    Vinv = linalg.eye(c, q) if want_right else None
+    exps = []
+    n = min(r, c)
+    vcur = 0
+    for k in range(n):
+        colmask = A[k:, k] % p ** (vcur + 1) != 0
+        if colmask.any():
+            ii, jj = int(np.argmax(colmask)), 0
+        else:
+            sub, mask = A[k:, k:], None
+            while vcur < M:
+                mask = sub % p ** (vcur + 1) != 0
+                if mask.any():
+                    break
+                mask = None
+                vcur += 1
+            if mask is None:
+                break
+            ii, jj = np.unravel_index(int(np.argmax(mask)), mask.shape)
+        i, j = k + int(ii), k + int(jj)
+        pa = p**vcur
+        if i != k:
+            W[[k, i]] = W[[i, k]]
+        if j != k:
+            A[:, [k, j]] = A[:, [j, k]]
+            if V is not None:
+                V[:, [k, j]] = V[:, [j, k]]
+                Vinv[[k, j]] = Vinv[[j, k]]
+        pivot = W[k, k:]
+        pivot *= pow(int(A[k, k]) // pa, -1, q)
+        pivot %= q
+        rows = k + 1 + np.flatnonzero(A[k + 1:, k])
+        if rows.size:
+            block = W[rows, k:]
+            block -= (block[:, 0] // pa)[:, None] * pivot[None, :]
+            W[rows, k:] = block % q
+        if V is not None:
+            m = A[k, k + 1:] // pa
+            if m.any():
+                V[:, k + 1:] = (V[:, k + 1:] - V[:, k][:, None] * m[None, :]) % q
+                Vinv[k] = (Vinv[k] + linalg.dot_mod(m, Vinv[k + 1:], q, q)) % q
+        exps.append(vcur)
+    exps.extend([M] * (n - len(exps)))
+    U = np.ascontiguousarray(W[:, c:]) if want_left else None
+    return linalg.Smith(p, M, (r, c), exps, U, V, Vinv)
+
+
 def reduce_one_row(H, v):
     """Howell.reduce on a single row, one pivot and one Python integer at a time."""
     q = H.q

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from coclass import linalg
 
-from brute_force import contains, invert, span_elements, span_intersection
+from brute_force import contains, invert, smith_rescan, span_elements, span_intersection
 
 
 def random_matrix(draw, p, M, rmax=5, cmax=5):
@@ -42,6 +42,68 @@ def test_smith_reconstruction(A):
     invert(s.U, p, M)
     assert np.array_equal(s.Vinv, invert(s.V, p, M))
 
+
+
+def assert_smith_matches_rescan(F, p, M):
+    """smith and the rescanning oracle give the same U, V, Vinv and
+    exponents, under every choice of transforms."""
+    for want_left in (True, False):
+        for want_right in (True, False):
+            got = linalg.smith(F, p, M, want_left=want_left, want_right=want_right)
+            want = smith_rescan(F, p, M, want_left=want_left, want_right=want_right)
+            assert got.shape == want.shape and got.exps == want.exps
+            for x, y in ((got.U, want.U), (got.V, want.V), (got.Vinv, want.Vinv)):
+                assert (x is None and y is None) or (
+                    x.dtype == y.dtype and np.array_equal(x, y))
+
+
+def test_smith_pivots_match_the_rescan():
+    rng = np.random.default_rng(24)
+    for _ in range(400):
+        p = int(rng.choice([2, 3, 5]))
+        M = int(rng.integers(1, 6))
+        r, c = (int(x) for x in rng.integers(1, 8, size=2))
+        # units scaled by p^0 .. p^M, so pivots of every valuation (and zero
+        # entries) come up
+        F = rng.integers(1, p**M, size=(r, c)) * p ** rng.integers(0, M + 1, size=(r, c))
+        assert_smith_matches_rescan(F, p, M)
+
+
+def test_smith_pivots_match_the_rescan_in_python_ints():
+    p, M = 3, 25
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        r, c = (int(x) for x in rng.integers(1, 6, size=2))
+        F = np.array([[int(rng.integers(1, 1 << 40)) * p ** int(rng.integers(0, M + 1))
+                       for _ in range(c)] for _ in range(r)], dtype=object)
+        assert linalg.as_matrix(F, p**M).dtype == object
+        assert_smith_matches_rescan(F, p, M)
+
+
+@pytest.mark.parametrize("F", [np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+                               np.zeros((3, 4), dtype=np.int64), np.array([4, 0, 6, 2])])
+def test_smith_of_degenerate_shapes_matches_the_rescan(F):
+    assert_smith_matches_rescan(F, 2, 3)
+
+
+def test_smith_pivot_in_row_order_when_the_least_valuation_rises():
+    p, M = 2, 4
+    # after the unit pivot the least valuation rises to 1; the first entry
+    # 2 in row order is (1, 2), though column 1 holds a 2 below it at (2, 1)
+    F = np.array([[1, 0, 0], [0, 0, 2], [0, 2, 0]])
+    s = linalg.smith(F, p, M, want_left=True, want_right=True)
+    assert s.exps == [0, 1, 1]
+    assert np.array_equal(s.U, np.eye(3, dtype=np.int64))  # no row swap
+    assert np.array_equal(s.V, np.eye(3, dtype=np.int64)[:, [0, 2, 1]])  # columns 1, 2 swap
+    assert_smith_matches_rescan(F, p, M)
+    # while the least valuation stays at the last pivot's, column k comes
+    # first: the first pivot 2 is (0, 0), then (2, 1) before (1, 2)
+    F = np.array([[2, 0, 0], [0, 0, 2], [0, 2, 0]])
+    s = linalg.smith(F, p, M, want_left=True, want_right=True)
+    assert s.exps == [1, 1, 1]
+    assert np.array_equal(s.U, np.eye(3, dtype=np.int64)[[0, 2, 1]])  # rows 1, 2 swap
+    assert np.array_equal(s.V, np.eye(3, dtype=np.int64))
+    assert_smith_matches_rescan(F, p, M)
 
 @given(mat_strategy)
 @settings(max_examples=60, deadline=None)
