@@ -93,7 +93,7 @@ def _int_vector(data: dict, name: str, length: int) -> np.ndarray:
         values = data[name]
         if not isinstance(values, list) or len(values) != length:
             raise ValueError("expected a list of %d integers" % length)
-        return np.array([int(x) for x in values], dtype=np.int64)
+        return np.array(scenarios.checked_integers(name, values, "cocycle"), dtype=np.int64)
     return scenarios.checked_field(name, parse, "cocycle")
 
 
@@ -102,10 +102,11 @@ def cmd_extend(args) -> int:
     data = scenarios.read_json_object(args.cocycle, "cocycle")
     if "level" not in data:
         raise ScenarioError("cocycle file is missing the field 'level'")
-    n = scenarios.checked_field("level", lambda: int(data["level"]), "cocycle")
+    level = scenarios.checked_integers("level", data["level"], "cocycle")
+    n = scenarios.checked_field("level", lambda: int(level), "cocycle")
     top = scn.top()
     Q = top.quotient(n)
-    H = cohomology.level_cohomology(top.chain, n, 2)
+    H = cohomology.finite_cohomology(Q.module, 2)
     if "coords" in data:
         row = H.representative(_int_vector(data, "coords", len(H.invariants())))
     elif "row" in data:

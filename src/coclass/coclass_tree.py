@@ -74,7 +74,7 @@ def _level_data(top: TopQuotient, n: int) -> LevelData:
     """The level-n orbits and mainline class, held by the top quotient."""
     def build():
         Q = top.quotient(n)
-        H = cohomology.level_cohomology(top.chain, n, 2)
+        H = cohomology.finite_cohomology(Q.module, 2)
         partition = pairs.orbits_on_h2(H, pairs.compatible_pairs(Q.module))
         lam = top.mainline_cocycle(n)
         return LevelData(n, Q, H, partition, tuple(int(x) for x in H.coords(lam)))

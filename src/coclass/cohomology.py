@@ -11,11 +11,13 @@ with terms containing an identity argument dropped.  Cochains are flat row
 vectors (one coefficient block per tuple) and d is a matrix acting on the
 right, so cocycles are row kernels and coboundaries are row spans.
 
-Two coefficient regimes share the machinery:
-  - finite modules in hatted coordinates mod p^E (exact);
-  - free lattices at working precision p^N, where cocycles are the exact
-    p-adic kernel (`linalg.lattice_kernel`) and computed invariants must
-    divide |G| (anything larger signals precision loss and raises).
+One coefficient type, `modules.FiniteModule` in hatted coordinates mod p^E,
+holds finite modules and free lattices at working precision, a lattice as
+(Z/p^E)^d (`lattice_coefficients`); the caller picks how a kernel is read:
+  - finite cocycles are the exact kernel of d^m on the A-valued cochains;
+  - lattice cocycles are the exact p-adic kernel (`linalg.lattice_kernel`),
+    and computed invariants must divide |G| (anything larger signals
+    precision loss and raises).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CoclassError, Owner, linalg, modules
+from . import CoclassError, linalg, modules
 from .groups import GroupTable
 from .modules import FiniteModule, LatticeModule, QuotientModule
 
@@ -40,43 +42,22 @@ class CohomologyError(CoclassError):
     pass
 
 
-@dataclass
-class CoefficientSpace(Owner):
-    """Uniform coefficient description for the cochain complex; it holds the
-    Smith forms of its coboundaries and the lattice invariants read from them."""
-
-    group: GroupTable
-    p: int
-    E: int  # arithmetic happens mod p^E
-    rank: int
-    act: np.ndarray  # (|G|, r, r) matrices on coefficient rows, mod p^E
-    scales: np.ndarray  # hat scales; ones in lattice mode
-    lattice: bool
-
-    @property
-    def q(self) -> int:
-        return self.p**self.E
-
-    def generator_smith(self, k: int) -> linalg.Smith:
-        """Smith form, with U, of the generator columns of d^k, which carry
-        the divisors of all of d^k (see `coboundary_matrix`); built once."""
-        return self.derived(("smith", k), lambda: _generator_smith(self, k))
+def generator_smith(A: FiniteModule, k: int) -> linalg.Smith:
+    """Smith form, with U, of the generator columns of d^k, which carry the
+    divisors of all of d^k (see `coboundary_matrix`); held by A."""
+    return A.derived(("smith", k), lambda: _generator_smith(A, k))
 
 
-def _generator_smith(spec: CoefficientSpace, k: int) -> linalg.Smith:
-    return linalg.smith(coboundary_matrix(spec, k, spec.group.generators), spec.p, spec.E)
+def _generator_smith(A: FiniteModule, k: int) -> linalg.Smith:
+    return linalg.smith(coboundary_matrix(A, k, A.group.generators), A.p, A.E)
 
 
-def finite_coefficients(A: FiniteModule) -> CoefficientSpace:
-    return CoefficientSpace(A.group, A.p, A.E, A.rank, A.act % A.q, A.scales(), False)
-
-
-def lattice_coefficients(T: LatticeModule, basis) -> CoefficientSpace:
-    """Coefficients in the finite-index sublattice spanned by the basis rows.
+def lattice_coefficients(T: LatticeModule, basis) -> FiniteModule:
+    """(Z/p^E)^d for the finite-index sublattice spanned by the d basis rows.
 
     The action conjugated into the sublattice basis is only determined modulo
     p^{N - a}, where p^a is the largest elementary divisor of the basis, so
-    the returned space works at that reduced precision.  In the primitive
+    the returned module works at that reduced precision E.  In the primitive
     basis of a chain level (`primitive_basis`) a does not grow with depth.
     """
     p, N, q = T.p, T.N, T.q
@@ -87,7 +68,7 @@ def lattice_coefficients(T: LatticeModule, basis) -> CoefficientSpace:
     if act is None:
         raise CohomologyError("sublattice is not invariant under the action")
     act %= p**E
-    return CoefficientSpace(T.group, p, E, d, act, np.ones(d, dtype=np.int64), True)
+    return FiniteModule(T.group, p, [E] * d, E, act, act)
 
 
 def _basis_precision(T: LatticeModule, B: np.ndarray) -> int:
@@ -101,7 +82,7 @@ def _basis_precision(T: LatticeModule, B: np.ndarray) -> int:
     return E
 
 
-def coboundary_matrix(spec: CoefficientSpace, m: int, last=None) -> np.ndarray:
+def coboundary_matrix(A: FiniteModule, m: int, last=None) -> np.ndarray:
     """The columns of d^m: C^m -> C^{m+1}, acting on flat cochain rows, whose
     (m+1)-tuple ends in an element of `last` (default: all of d^m), in the
     column order of d^m; the cap is checked on their size before any is built.
@@ -115,8 +96,8 @@ def coboundary_matrix(spec: CoefficientSpace, m: int, last=None) -> np.ndarray:
     kernels, and so the Smith divisors, of all of d^m.  Each term is one
     scatter of r x r blocks into the (source tuple, slot, target tuple, slot)
     view of D; its blocks go to distinct targets, so `+=` adds them all."""
-    G = spec.group
-    r = spec.rank
+    G = A.group
+    r = A.rank
     last, rows, cols = coboundary_shape(G, r, m, last)
     src = G.bar_index(m)
     T = np.column_stack([np.repeat(src.tuples, len(last), axis=0), np.tile(last, len(src.tuples))])
@@ -133,8 +114,8 @@ def coboundary_matrix(spec: CoefficientSpace, m: int, last=None) -> np.ndarray:
         keep = merged[:, k - 1] != G.identity
         blocks[src.index(merged[keep]), :, targets[keep], :] += (-1) ** k * ident
     # trailing term (-1)^{m+1} f(g_1, ..., g_m).g_{m+1}
-    blocks[src.index(T[:, :m]), :, targets, :] += (-1) ** (m + 1) * spec.act[T[:, m]]
-    return np.remainder(D, spec.q, out=D)
+    blocks[src.index(T[:, :m]), :, targets, :] += (-1) ** (m + 1) * A.act[T[:, m]]
+    return np.remainder(D, A.q, out=D)
 
 
 def coboundary_shape(G: GroupTable, r: int, m: int, last=None) -> tuple[np.ndarray, int, int]:
@@ -152,54 +133,44 @@ def coboundary_shape(G: GroupTable, r: int, m: int, last=None) -> tuple[np.ndarr
     return last, rows, cols
 
 
-def _slot_scales(spec: CoefficientSpace, m: int) -> np.ndarray:
+def _slot_scales(A: FiniteModule, m: int) -> np.ndarray:
     """The hat scale of each slot of a flat m-cochain row."""
-    return np.tile(spec.scales, (spec.group.order - 1) ** m)
+    return np.tile(A.scales(), (A.group.order - 1) ** m)
 
 
-def is_cocycle(spec: CoefficientSpace, m: int, row) -> bool:
-    """Whether a flat m-cochain row is an A-valued cocycle, tested on the
-    generator columns of d^m.  That test holds only for A-valued rows, so a
-    row outside the hatted module is refused first."""
-    row = np.asarray(row, dtype=np.int64) % spec.q
-    if np.any(row % _slot_scales(spec, m)):
-        return False
-    D = coboundary_matrix(spec, m, spec.group.generators)
-    return not np.any(linalg.dot_mod(row, D, spec.q, spec.q))
+def is_cocycle(A: FiniteModule, m: int, row) -> bool:
+    """Whether a flat m-cochain row is an A-valued cocycle: whether it lies
+    in the Howell span of Z^m(A) that `finite_cohomology` holds."""
+    return not np.any(finite_cohomology(A, m).structure.K.reduce(row))
 
 
-def cocycle_rows(spec: CoefficientSpace, m: int) -> tuple[np.ndarray, int]:
-    """Generators of the cocycles together with the precision they hold at,
-    read off the generator columns of d^m (see `coboundary_matrix`).
+def cocycle_rows(A: FiniteModule, m: int) -> np.ndarray:
+    """Howell rows of Z^m(A), read off the generator columns of d^m (see
+    `coboundary_matrix`).
 
-    A lattice kernel is read off their memoised Smith form mod p^E, which
-    determines it only to a reduced precision.  Finite coefficients are exact
-    at spec.E: Z^m(A) is the kernel of d^m on the A-valued cochains, whose
-    hat scales are the slot scales (`linalg.scaled_kernel`).  The Howell form
-    of a span is canonical, so the rows are those of the full kernel
-    intersected with the A-valued cochains.
+    Z^m(A) is the kernel of d^m on the A-valued cochains, whose hat scales
+    are the slot scales (`linalg.scaled_kernel`).  The Howell form of a span
+    is canonical, so the rows are those of the full kernel intersected with
+    the A-valued cochains.
     """
-    if spec.lattice:
-        return linalg.lattice_kernel(spec.generator_smith(m))
-    D = coboundary_matrix(spec, m, spec.group.generators)
-    return linalg.scaled_kernel(D, _slot_scales(spec, m), spec.p, spec.E), spec.E
+    D = coboundary_matrix(A, m, A.group.generators)
+    return linalg.scaled_kernel(D, _slot_scales(A, m), A.p, A.E)
 
 
-def coboundary_rows(spec: CoefficientSpace, m: int) -> np.ndarray:
+def coboundary_rows(A: FiniteModule, m: int) -> np.ndarray:
     """Generators of B^m: the image of d^{m-1} on the A-valued cochains."""
     if m == 0:
-        return np.zeros((0, spec.rank), dtype=np.int64)
-    return (_slot_scales(spec, m - 1)[:, None] * coboundary_matrix(spec, m - 1)) % spec.q
+        return np.zeros((0, A.rank), dtype=np.int64)
+    return (_slot_scales(A, m - 1)[:, None] * coboundary_matrix(A, m - 1)) % A.q
 
 
 @dataclass
 class CohomologyGroup:
-    spec: CoefficientSpace
+    module: FiniteModule
     m: int
     cocycles: np.ndarray
     boundaries: np.ndarray
     structure: linalg.QuotientGroup
-    E_eff: int
 
     def invariants(self) -> list[int]:
         return self.structure.invariants()
@@ -209,21 +180,24 @@ class CohomologyGroup:
         return self.structure.order
 
     def coords(self, cocycle_row) -> np.ndarray:
-        qe = self.spec.p**self.E_eff
-        return self.structure.coords(np.asarray(cocycle_row) % qe)
+        return self.structure.coords(cocycle_row)
 
     def representative(self, coords) -> np.ndarray:
         return self.structure.element(coords)
 
 
-def cohomology_group(spec: CoefficientSpace, m: int) -> CohomologyGroup:
-    Z, Ee = cocycle_rows(spec, m)
-    qe = spec.p**Ee
-    B = coboundary_rows(spec, m) % qe
-    return CohomologyGroup(spec, m, Z, B, linalg.quotient_group(Z % qe, B, spec.p, Ee), Ee)
+def finite_cohomology(A: FiniteModule, m: int) -> CohomologyGroup:
+    """H^m(R, A), held by A."""
+    return A.derived(("H", m), lambda: _cohomology_group(A, m))
 
 
-def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
+def _cohomology_group(A: FiniteModule, m: int) -> CohomologyGroup:
+    Z = cocycle_rows(A, m)
+    B = coboundary_rows(A, m)
+    return CohomologyGroup(A, m, Z, B, linalg.quotient_group(Z, B, A.p, A.E))
+
+
+def lattice_invariants(A: FiniteModule, m: int) -> list[int]:
     """Invariant exponents of the lattice H^m (m >= 1), from d^{m-1} alone.
 
     Z^m is a direct summand of C^m and H^m is finite, so H^m is the torsion of
@@ -238,10 +212,10 @@ def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
     """
     if m < 1:
         raise CohomologyError("lattice invariants need degree m >= 1, not %d" % m)
-    E = spec.E
-    s = spec.generator_smith(m - 1)
+    E = A.E
+    s = generator_smith(A, m - 1)
     finite = [a for a in s.exps if a < E]
-    rank = _coboundary_rank(spec, m - 1)
+    rank = _coboundary_rank(A, m - 1)
     if len(finite) != rank:
         raise CohomologyError(
             "d^%d has %d divisors below p^%d but rational rank %d; the action is "
@@ -249,21 +223,21 @@ def lattice_invariants(spec: CoefficientSpace, m: int) -> list[int]:
             % (m - 1, len(finite), E, rank)
         )
     exps = [a for a in finite if a > 0]
-    _check_group_order_bound(spec, m, exps)
+    _check_group_order_bound(A, m, exps)
     return exps
 
 
-def _coboundary_rank(spec: CoefficientSpace, k: int) -> int:
+def _coboundary_rank(A: FiniteModule, k: int) -> int:
     """Rational rank of d^k on lattice cochains.
 
     rank d^0 = r - dim V^G, and rank d^k = dim C^k - rank d^{k-1} because
     H^k is finite for k >= 1.  dim V^G is the average trace of the action,
     known mod p^{E - v_p|G|} and lying in [0, r].
     """
-    G, p, r = spec.group, spec.p, spec.rank
+    G, p, r = A.group, A.p, A.rank
     gexp = linalg.valuation(G.order, p)
-    P = _rank_modulus(G, p, spec.E, r)
-    total = sum(int(t) for t in np.trace(spec.act, axis1=1, axis2=2)) % spec.q
+    P = _rank_modulus(G, p, A.E, r)
+    total = sum(int(t) for t in np.trace(A.act, axis1=1, axis2=2)) % A.q
     fixed = (total // p**gexp) * pow(G.order // p**gexp, -1, P) % P
     if total % p**gexp or fixed > r:
         raise CohomologyError("the action's traces average to no dimension in [0, %d]; "
@@ -283,9 +257,9 @@ def _rank_modulus(G: GroupTable, p: int, E: int, r: int) -> int:
     return P
 
 
-def _check_group_order_bound(spec: CoefficientSpace, m: int, exps) -> None:
+def _check_group_order_bound(A: FiniteModule, m: int, exps) -> None:
     """|G| kills the lattice H^m, so a larger invariant means lost precision."""
-    gexp = linalg.valuation(spec.group.order, spec.p)
+    gexp = linalg.valuation(A.group.order, A.p)
     for e in exps:
         if e > gexp:
             raise CohomologyError(
@@ -294,13 +268,9 @@ def _check_group_order_bound(spec: CoefficientSpace, m: int, exps) -> None:
             )
 
 
-def finite_cohomology(A: FiniteModule, m: int) -> CohomologyGroup:
-    return cohomology_group(finite_coefficients(A), m)
-
-
 # ---------------------------------------------------------------------------
 # derived objects held by the chain they come from, or by the coefficient
-# space of a residue class it holds; each accessor looks in the memo first
+# module of a residue class it holds; each accessor looks in the memo first
 
 
 def primitive_basis(chain: modules.CentralChain, n: int) -> tuple[np.ndarray, int]:
@@ -326,7 +296,7 @@ def _class_key(basis: np.ndarray) -> bytes:
     return np.asarray(basis, dtype=np.int64).tobytes()
 
 
-def class_coefficients(chain: modules.CentralChain, n: int = 0) -> CoefficientSpace:
+def class_coefficients(chain: modules.CentralChain, n: int = 0) -> FiniteModule:
     """The action conjugated into the primitive basis of level n, shared by
     n's residue class; level 0 is T itself."""
     basis, _ = primitive_basis(chain, n)
@@ -342,13 +312,8 @@ def lattice_exps(chain: modules.CentralChain, m: int, n: int = 0) -> list[int]:
     by `lattice_invariants` once per residue class, from the Smith divisors of
     d^{m-1} on the class coefficients; the larger d^m is never built.
     """
-    spec = class_coefficients(chain, n)
-    return spec.derived(("lattice H", m), lambda: lattice_invariants(spec, m))
-
-
-def level_cohomology(chain: modules.CentralChain, n: int, m: int) -> CohomologyGroup:
-    """H^m(R, A_n) of the level quotient A_n = T / T_n."""
-    return chain.derived(("H", n, m), lambda: finite_cohomology(chain.quotient(n).module, m))
+    A = class_coefficients(chain, n)
+    return A.derived(("lattice H", m), lambda: lattice_invariants(A, m))
 
 
 def level_frame(chain: modules.CentralChain, n: int, m: int = 2) -> "SplitFrame":
@@ -419,11 +384,11 @@ def split_frame(T: LatticeModule, chain: modules.CentralChain, n: int, m: int = 
     """
     p, q, d = T.p, T.q, T.rank
     basis, _ = primitive_basis(chain, n)
-    spec = class_coefficients(chain, n)
+    A = class_coefficients(chain, n)
     f_exp = max(lattice_exps(chain, m + 1, n), default=0)
-    s = spec.generator_smith(m)
-    theta, theta_prec = cocycle_rows(class_coefficients(chain), m)
-    rows = [i for i, a in enumerate(s.exps) if 0 < a < spec.E]
+    s = generator_smith(A, m)
+    theta, theta_prec = linalg.lattice_kernel(generator_smith(class_coefficients(chain), m))
+    rows = [i for i, a in enumerate(s.exps) if 0 < a < A.E]
     divisors = [s.exps[i] for i in rows]
     scale = np.array([p ** (f_exp - a) for a in divisors], dtype=np.int64)
     delta = (scale[:, None] * s.U[rows]) % q  # in B' coordinates, slot by slot
@@ -481,9 +446,9 @@ def split_at_level(frame: SplitFrame, chain: modules.CentralChain, n: int) -> Sp
                               % (frame.theta_precision, Q.module.E))
     theta_hat = lattice_row_to_quotient(Q, frame.theta_rows)
     K_hat = lattice_row_to_quotient(Q, (T.p**k * frame.K_lifts) % T.q)
-    H = level_cohomology(chain, n, frame.m)
+    H = finite_cohomology(Q.module, frame.m)
     solver = linalg.howell(np.vstack([theta_hat, K_hat]), T.p, Q.module.E, track=True)
-    Z = linalg.howell(H.cocycles, T.p, Q.module.E)
+    Z = H.structure.K
     # the two parts must span the cocycles exactly and independently
     if not solver.same_span(Z):
         raise CohomologyError("theta image plus complement does not span the cocycles")

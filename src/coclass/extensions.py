@@ -51,7 +51,7 @@ def build_extension(R: GroupTable, A: FiniteModule, tau_hat) -> ExtensionGroup:
     if total > EXTENSION_CAP:
         raise ExtensionError("extension order %d exceeds the cap %d" % (total, EXTENSION_CAP))
     row = np.asarray(tau_hat, dtype=np.int64) % A.q
-    if not cohomology.is_cocycle(cohomology.finite_coefficients(A), 2, row):
+    if not cohomology.is_cocycle(A, 2, row):
         raise ExtensionError("cochain does not satisfy the cocycle identity")
     tau = cocycle_value_table(A, row)
     moduli = [int(m) for m in A.coord_moduli()]

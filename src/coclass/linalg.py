@@ -395,7 +395,7 @@ class QuotientGroup:
     M: int
     exps: list[int]  # invariant factor exponents, > 0, nondecreasing
     gens: np.ndarray  # one ambient row per invariant factor
-    _K: Howell  # untracked, so solving gives coordinates over its own rows
+    K: Howell  # untracked, so solving gives coordinates over its own rows
     _V: np.ndarray  # right transform sending K-coordinates to SNF coordinates
     _kept: list[int]
 
@@ -407,7 +407,7 @@ class QuotientGroup:
         """Coordinates of v + B in the invariant-factor decomposition, for one
         element of K or for each row of a stack."""
         q = self.p**self.M
-        x = self._K.solve(v)
+        x = self.K.solve(v)
         if x is None:
             raise ValueError("element not in the subgroup K")
         z = dot_mod(x, self._V, q, q)[..., self._kept]

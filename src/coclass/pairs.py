@@ -101,12 +101,12 @@ def act_on_cochain(H: CohomologyGroup, pair: CompatiblePair, row) -> np.ndarray:
 def act_on_cochains(H: CohomologyGroup, beta, eps_hats, rows) -> np.ndarray:
     """The pair (beta, eps_hats[s]) acting on rows[c], at [s, c]: one gather
     of the bar slots and one matmul for the whole stack."""
-    spec = H.spec
-    bar = spec.group.bar_index(H.m)
+    A = H.module
+    bar = A.group.bar_index(H.m)
     binv = groups.invert_perm(beta)
-    rows = np.asarray(rows, dtype=np.int64) % spec.q
-    slots = rows.reshape(len(rows), len(bar.tuples), spec.rank)[:, bar.index(binv[bar.tuples])]
-    out = (slots.reshape(-1, spec.rank) @ np.asarray(eps_hats, dtype=np.int64)) % spec.q
+    rows = np.asarray(rows, dtype=np.int64) % A.q
+    slots = rows.reshape(len(rows), len(bar.tuples), A.rank)[:, bar.index(binv[bar.tuples])]
+    out = (slots.reshape(-1, A.rank) @ np.asarray(eps_hats, dtype=np.int64)) % A.q
     return out.reshape(len(out), *rows.shape)
 
 

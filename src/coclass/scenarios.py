@@ -174,6 +174,21 @@ def checked_field(fieldname: str, build, source: str = "scenario"):
         raise ScenarioError("%s field %r is malformed: %s" % (source, fieldname, exc)) from None
 
 
+def checked_integers(fieldname: str, value, source: str = "scenario"):
+    """value, once each of its leaves (in lists nested to any depth) is an
+    int; a float, a string or a bool, which int() and NumPy would truncate
+    or parse, is a ScenarioError that names the field."""
+    leaves = [value]
+    while leaves:
+        x = leaves.pop()
+        if isinstance(x, list):
+            leaves.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, int):
+            raise ScenarioError("%s field %r is malformed: %r is not an integer"
+                                % (source, fieldname, x))
+    return value
+
+
 INT_FIELDS = ("p", "rank", "precision", "depth", "top_offset", "pro_coclass")
 
 
@@ -192,7 +207,7 @@ def _is_prime(n: int) -> bool:
 def scenario_from_dict(data: dict) -> Scenario:
     for f in REQUIRED_FIELDS:
         _require(data, f)
-    ints = {f: checked_field(f, lambda: int(data[f])) for f in INT_FIELDS}
+    ints = {f: checked_field(f, lambda: int(checked_integers(f, data[f]))) for f in INT_FIELDS}
     p, precision = ints["p"], ints["precision"]
     if not _is_prime(p):
         raise ScenarioError("scenario field 'p' is %d, not a prime" % p)
@@ -201,12 +216,17 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("scenario field 'precision' is %d; it must be at least 1, "
                             "with p^precision below 2^63" % precision)
     rank = ints["rank"]
-    matrices = checked_field("action",
-                             lambda: [np.asarray(m, dtype=np.int64) for m in data["action"]])
+    matrices = checked_field("action", lambda: [
+        np.asarray(m, dtype=np.int64) for m in checked_integers("action", data["action"])])
     for i, arr in enumerate(matrices):
         if arr.shape != (rank, rank):
             raise ScenarioError("action matrix %d is not %d x %d" % (i, rank, rank))
-    scn = Scenario(name=str(data["name"]), group_spec=data["group"],
+    group = data["group"]
+    keys = ("table", "generators", "permutations", "matrix_generators", "modulus")
+    # the numbers of a group spec; a presentation holds strings
+    checked_integers("group", [group.get(k) for k in keys if group.get(k) is not None]
+                     if isinstance(group, dict) else group)
+    scn = Scenario(name=str(data["name"]), group_spec=group,
                    action=[arr.tolist() for arr in matrices], **ints)
     if len(matrices) != len(checked_field("group", scn.group).generators):
         raise ScenarioError("expected one action matrix per group generator")
@@ -327,7 +347,7 @@ class TopQuotient(Owner):
         if np.any(value % scale):
             raise ScenarioError("mainline factor set left the fiber lattice")
         row = Q.hat_of_ambient(value // scale).reshape(-1)
-        if not cohomology.is_cocycle(cohomology.finite_coefficients(A), 2, row):
+        if not cohomology.is_cocycle(A, 2, row):
             raise ScenarioError("mainline factor set is not a cocycle")
         return row
 
@@ -458,7 +478,7 @@ def _summand_classes(level: cohomology.SplitLevel) -> list[tuple[tuple, np.ndarr
     """(coords, representative cocycle row) for every class in the lattice
     summand of H^2, in lexicographic coordinate order."""
     H = level.H
-    q = H.spec.q
+    q = H.module.q
     mods = H.structure.moduli()
     # coordinates are additive, so each sum carries its own
     gens = [(row, H.coords(row)) for row in level.theta_hat]
@@ -542,7 +562,7 @@ def _summand_membership_solver(level: cohomology.SplitLevel,
     stack = [x for x in (level.theta_hat, H.boundaries) if x.shape[0]]
     rows = np.vstack(stack) if stack else np.zeros((0, H.cocycles.shape[1]),
                                                    dtype=np.int64)
-    return linalg.howell(rows, H.spec.p, H.spec.E)
+    return linalg.howell(rows, H.module.p, H.module.E)
 
 
 def _scan_level(scn, k, n, level, H, A, member, classes):
@@ -576,7 +596,7 @@ def _first_move(H, member, classes, eps_hats) -> tuple[int, int] | None:
     moves class c out of the summand, or None when every class stays."""
     rows = np.array([row for _, row in classes])
     step = max(1, SCAN_ENTRIES // rows.size)
-    beta = np.arange(H.spec.group.order)
+    beta = np.arange(H.module.group.order)
     for start in range(0, len(eps_hats), step):
         images = pairs.act_on_cochains(H, beta, eps_hats[start:start + step], rows)
         moved = np.any(member.reduce(images), axis=-1)

@@ -418,18 +418,18 @@ def semi_brute_h_stats(mul, identity, moduli, act, m, p):
 
 def brute_act_on_cochain(H, pair, row):
     """(tau.(beta, eps))(g_1..g_m) = tau(g_1^{beta^-1}, ..).eps, one tuple at a time."""
-    spec = H.spec
+    A = H.module
     m = H.m
-    nonid = [g for g in range(spec.group.order) if g != spec.group.identity]
+    nonid = [g for g in range(A.group.order) if g != A.group.identity]
     tuples = list(itertools.product(nonid, repeat=m))
     index = {t: i for i, t in enumerate(tuples)}
     binv = np.argsort(pair.beta)
-    r = spec.rank
-    row = np.asarray(row, dtype=np.int64) % spec.q
+    r = A.rank
+    row = np.asarray(row, dtype=np.int64) % A.q
     out = np.zeros_like(row)
     for i, t in enumerate(tuples):
         src = index[tuple(int(binv[g]) for g in t)]
-        out[i * r : (i + 1) * r] = (row[src * r : (src + 1) * r] @ pair.eps_hat) % spec.q
+        out[i * r : (i + 1) * r] = (row[src * r : (src + 1) * r] @ pair.eps_hat) % A.q
     return out
 
 
@@ -517,28 +517,27 @@ def span_elements(gens, q):
     return span
 
 
-def generator_columns(spec, m):
+def generator_columns(A, m):
     """Columns of the full d^m whose (m+1)-tuple ends in a group generator,
     picked out of the `bar_index(m + 1)` tuples."""
-    G = spec.group
+    G = A.group
     is_gen = np.zeros(G.order, dtype=bool)
     is_gen[G.generators] = True
     tuples = np.flatnonzero(is_gen[G.bar_index(m + 1).tuples[:, m]])
-    return (tuples[:, None] * spec.rank + np.arange(spec.rank)).reshape(-1)
+    return (tuples[:, None] * A.rank + np.arange(A.rank)).reshape(-1)
 
 
-def full_lattice_cocycles(spec, m):
+def full_lattice_cocycles(A, m):
     """The lattice Z^m and its precision, from the Smith form of all of d^m."""
-    D = cohomology.coboundary_matrix(spec, m)
-    return linalg.lattice_kernel(linalg.smith(D, spec.p, spec.E))
+    D = cohomology.coboundary_matrix(A, m)
+    return linalg.lattice_kernel(linalg.smith(D, A.p, A.E))
 
 
-def cocycles_by_intersection(spec, m):
+def cocycles_by_intersection(A, m):
     """Z^m(A) as the full kernel of d^m intersected with the A-valued cochains."""
-    K = linalg.row_kernel(cohomology.coboundary_matrix(spec, m), spec.p, spec.E)
-    legal = np.diag(np.tile(spec.scales, (spec.group.order - 1) ** m)).astype(np.int64)
-    return linalg.howell(span_intersection(K, legal, spec.p, spec.E),
-                         spec.p, spec.E).rows
+    K = linalg.row_kernel(cohomology.coboundary_matrix(A, m), A.p, A.E)
+    legal = np.diag(np.tile(A.scales(), (A.group.order - 1) ** m)).astype(np.int64)
+    return linalg.howell(span_intersection(K, legal, A.p, A.E), A.p, A.E).rows
 
 
 def smith_dense_update(F, p, M, want_right=False):
@@ -663,18 +662,18 @@ def split_frame_per_level(chain, n, m=2):
     T = chain.lattice
     p, q, d = T.p, T.q, T.rank
     basis, c = cohomology.primitive_basis(chain, n)
-    spec = cohomology.lattice_coefficients(T, basis)
-    next_exps = cohomology.lattice_invariants(spec, m + 1)
+    A = cohomology.lattice_coefficients(T, basis)
+    next_exps = cohomology.lattice_invariants(A, m + 1)
     vf = max(next_exps, default=0)
     if c < vf:
         raise cohomology.CohomologyError(
             "T_%d is not contained in %d.T; the level is too small for the split" % (n, p**vf))
     theta, theta_prec = full_lattice_cocycles(lattice_coefficients(T), m)
-    D = cohomology.coboundary_matrix(spec, m)
-    s = linalg.smith(D, p, spec.E, want_left=True)
+    D = cohomology.coboundary_matrix(A, m)
+    s = linalg.smith(D, p, A.E, want_left=True)
     lifts, divisors = [], []
     for i, a in enumerate(s.exps):
-        if 0 < a < spec.E:
+        if 0 < a < A.E:
             delta = (p ** (vf - a) * s.U[i]) % q
             lifts.append(((delta.reshape(-1, d) @ basis) % q).reshape(-1))
             divisors.append(a)
@@ -800,7 +799,7 @@ def vertex_table(scn, v):
     class coordinates through `extensions.build_extension`, so that a test
     does not read what the branch kept of it."""
     top = scn.top()
-    H = cohomology.level_cohomology(top.chain, v.level, 2)
+    H = cohomology.finite_cohomology(top.quotient(v.level).module, 2)
     row = H.representative(np.array(v.class_coords, dtype=np.int64))
     return extensions.build_extension(top.group, top.quotient(v.level).module, row).table
 
@@ -815,16 +814,16 @@ def lattice_coefficients(T, basis=None):
 def lattice_cohomology(T, m, basis=None):
     """Lattice H^m(R, T), or of the sublattice with the given basis rows, by
     kernel and quotient: the exact p-adic cocycles, read off the full d^m,
-    modulo the coboundaries.  `cohomology.lattice_invariants` reads the same
-    exponents from d^{m-1}."""
-    spec = lattice_coefficients(T, basis)
-    Z, Ee = full_lattice_cocycles(spec, m)
-    qe = spec.p**Ee
-    B = cohomology.coboundary_rows(spec, m) % qe
-    H = cohomology.CohomologyGroup(spec, m, Z, B,
-                                   linalg.quotient_group(Z % qe, B, spec.p, Ee), Ee)
+    modulo the coboundaries, at the reduced precision p^Ee the kernel holds
+    at.  `cohomology.lattice_invariants` reads the same exponents from
+    d^{m-1}."""
+    A = lattice_coefficients(T, basis)
+    Z, Ee = full_lattice_cocycles(A, m)
+    qe = A.p**Ee
+    B = cohomology.coboundary_rows(A, m) % qe
+    H = cohomology.CohomologyGroup(A, m, Z, B, linalg.quotient_group(Z % qe, B, A.p, Ee))
     if m >= 1:
-        cohomology._check_group_order_bound(spec, m, H.structure.exps)
+        cohomology._check_group_order_bound(A, m, H.structure.exps)
     return H
 
 

@@ -11,6 +11,8 @@ import pytest
 import coclass
 from coclass import cli, cohomology, extensions, groups, modules, pairs, scenarios
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -71,7 +73,7 @@ def test_a_non_equivariant_generator_is_reported_in_strings(monkeypatch, capsys)
         moved = _fn(H, pair, row)
         if pair is partners[0]:
             first = np.eye(1, len(H.structure.exps), dtype=np.int64)[0]
-            moved = (moved + H.representative(first)) % H.spec.q
+            moved = (moved + H.representative(first)) % H.module.q
         return moved
     monkeypatch.setattr(pairs, "generator_pairs", generator_pairs)
     monkeypatch.setattr(pairs, "act_on_cochain", act)
@@ -260,6 +262,35 @@ def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
             assert line in err
 
 
+@pytest.mark.parametrize("source, field, value, leaf", [
+    ("scenario", "precision", 14.5, 14.5),
+    ("scenario", "rank", True, True),
+    ("scenario", "depth", "10", "10"),
+    ("scenario", "group", {"table": [[0, 1], [1, 0.9]]}, 0.9),
+    ("scenario", "group", {"table": [[0, 1], [1, "0"]]}, "0"),
+    ("scenario", "action", [[[-1.6]]], -1.6),
+    ("cocycle", "level", 1.5, 1.5),
+    ("cocycle", "coords", [1.0, 0, 0], 1.0),
+    ("cocycle", "row", ["0"] + [0] * 8, "0"),
+])
+def test_a_number_that_is_no_json_integer_is_refused(tmp_path, capsys, source, field, value,
+                                                     leaf):
+    # int() and NumPy would truncate these or parse their digits, and each
+    # file would then extend at level 1 with exit 0
+    files = {"scenario": dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"]),
+             "cocycle": {"level": 1, "coords": [1, 0, 0]}}
+    if field == "row":
+        del files["cocycle"]["coords"]
+    files[source][field] = value
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    code = cli.main(["extend", "--scenario", str(tmp_path / "scenario"),
+                     "--cocycle", str(tmp_path / "cocycle")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: %s field %r is malformed: %r is not an integer\n" % (source, field, leaf))
+
+
 @pytest.mark.parametrize("argv", [
     ["extend", "--scenario", "{dir}", "--cocycle", "{cocycle}"],
     ["extend", "--scenario", "dihedral_mainline", "--cocycle", "{dir}"],
@@ -329,11 +360,13 @@ def _module_key(A):
 
 # input-content keys of the derived objects that must each be computed once
 _DERIVED = [
-    (cohomology, "lattice_invariants",
-     lambda spec, m: (_bytes(spec.group.mul), _bytes(spec.act), spec.E, m)),
-    (cohomology, "_generator_smith",
-     lambda spec, k: (_bytes(spec.group.mul), _bytes(spec.act), spec.E, k)),
-    (cohomology, "finite_cohomology", lambda A, m: (_module_key(A), m)),
+    (cohomology, "lattice_invariants", lambda A, m: (_module_key(A), m)),
+    (cohomology, "_generator_smith", lambda A, k: (_module_key(A), k)),
+    # H^m of a module holds its cocycles, which `is_cocycle` reads, so each
+    # coboundary matrix is built once per run
+    (cohomology, "_cohomology_group", lambda A, m: (_module_key(A), m)),
+    (cohomology, "coboundary_matrix",
+     lambda A, m, last=None: (_module_key(A), m, _bytes(last))),
     (cohomology, "lattice_coefficients", lambda T, basis: (_lattice_key(T), _bytes(basis))),
     (modules, "_lattice_hom_basis", lambda T, beta: (_lattice_key(T), _bytes(beta))),
     # hom(A, A^(beta)) is fixed by A and beta's action on the generators
@@ -371,6 +404,8 @@ _DERIVED = [
     ["run-all", "--scenario", "dihedral_mainline"],
     ["verify-counterexample", "--scenario", "d8_gaussian"],
     ["verify-lcs", "--scenario", "dihedral_mainline"],
+    ["extend", "--scenario", "d8_gaussian", "--cocycle",
+     str(DATA / "mainline_level1.cocycle.json")],
 ])
 def test_each_derived_object_is_computed_once(monkeypatch, capsys, argv):
     calls = collections.Counter()
@@ -436,7 +471,7 @@ def test_a_branch_is_refused_at_the_coboundary_cap_before_any_level_is_computed(
     # generator columns of d^2 are above the cap; both sizes are known from
     # the quotient ranks, so the refusal comes before level 1 is computed
     calls = []
-    monkeypatch.setattr(cohomology, "level_cohomology", lambda *args: calls.append(args))
+    monkeypatch.setattr(cohomology, "finite_cohomology", lambda *args: calls.append(args))
     assert cli.main(["branch", "--scenario", "d8_gaussian", "--i", "4", "--k", "1"]) == 2
     assert capsys.readouterr().err == ("error: coboundary d^2 over a group of order 32 is "
                                        "1922 x 7688, above the cap of 8388608 entries\n")
@@ -450,15 +485,23 @@ def test_a_branch_is_refused_at_the_coboundary_cap_before_any_level_is_computed(
 def test_no_full_coboundary_is_built_for_a_lattice_or_above_degree_one(monkeypatch, capsys,
                                                                        argv):
     full = []
+    lattices = []  # the lattice coefficients, told apart from finite modules by identity
 
-    def guarded(spec, m, last=None, _fn=cohomology.coboundary_matrix):
-        D = _fn(spec, m, last)
-        n = spec.group.order
+    def coefficients(T, basis, _fn=cohomology.lattice_coefficients):
+        A = _fn(T, basis)
+        lattices.append(A)
+        return A
+
+    def guarded(A, m, last=None, _fn=cohomology.coboundary_matrix):
+        D = _fn(A, m, last)
+        n = A.group.order
+        lattice = any(A is L for L in lattices)
         # when every nonidentity element is a generator, all columns are asked for
-        if D.shape[1] == spec.rank * (n - 1) ** (m + 1) and len(spec.group.generators) < n - 1:
-            if spec.lattice or m >= 2:
-                full.append((n, m, spec.lattice))
+        if D.shape[1] == A.rank * (n - 1) ** (m + 1) and len(A.group.generators) < n - 1:
+            if lattice or m >= 2:
+                full.append((n, m, lattice))
         return D
+    monkeypatch.setattr(cohomology, "lattice_coefficients", coefficients)
     monkeypatch.setattr(cohomology, "coboundary_matrix", guarded)
     assert cli.main(argv) == 0
     capsys.readouterr()

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -64,20 +62,20 @@ def test_d_squared_is_zero_finite():
     T = d8_lattice()
     chain = modules.g_central_series(T, 5)
     Q = modules.quotient(T, chain, 4)
-    spec = cohomology.finite_coefficients(Q.module)
+    A = Q.module
     for m in (0, 1, 2):
-        D0 = cohomology.coboundary_matrix(spec, m)
-        D1 = cohomology.coboundary_matrix(spec, m + 1)
-        assert not np.any((D0 @ D1) % spec.q)
+        D0 = cohomology.coboundary_matrix(A, m)
+        D1 = cohomology.coboundary_matrix(A, m + 1)
+        assert not np.any((D0 @ D1) % A.q)
 
 
 def test_d_squared_is_zero_lattice():
     T = d8_lattice(N=10)
-    spec = lattice_coefficients(T)
+    A = lattice_coefficients(T)
     for m in (0, 1, 2):
-        D0 = cohomology.coboundary_matrix(spec, m)
-        D1 = cohomology.coboundary_matrix(spec, m + 1)
-        assert not np.any((D0 @ D1) % spec.q)
+        D0 = cohomology.coboundary_matrix(A, m)
+        D1 = cohomology.coboundary_matrix(A, m + 1)
+        assert not np.any((D0 @ D1) % A.q)
 
 
 def test_c2_negation_finite_known_values():
@@ -173,17 +171,16 @@ def _s3_permutation_finite():
     return finite_mod(S3, [4, 4, 4], mats)
 
 
-# coefficient spaces whose hatted and plain coordinates agree, with the
+# coefficient modules whose hatted and plain coordinates agree, with the
 # degrees m the naive formula is compared at
 _ORACLE_SPACES = {
     "C2 negation lattice": (lambda: lattice_coefficients(c2_negation(N=6)), 3),
-    "C2 swap on (Z/4)^2": (lambda: cohomology.finite_coefficients(_c2_swap()), 3),
+    "C2 swap on (Z/4)^2": (_c2_swap, 3),
     "C4 rotation lattice": (lambda: lattice_coefficients(_c4_rotation_lattice()), 3),
-    "C4 by 3 on Z/8": (lambda: cohomology.finite_coefficients(_c4_by_three()), 3),
+    "C4 by 3 on Z/8": (_c4_by_three, 3),
     "S3 permutation lattice": (
         lambda: lattice_coefficients(_s3_permutation_lattice()), 3),
-    "S3 permutation on (Z/4)^3": (
-        lambda: cohomology.finite_coefficients(_s3_permutation_finite()), 3),
+    "S3 permutation on (Z/4)^3": (_s3_permutation_finite, 3),
     "D8 lattice": (lambda: lattice_coefficients(d8_lattice(N=8)), 2),
     "C3 on Z_3[omega]": (lambda: lattice_coefficients(c3_eisenstein(N=5)), 3),
 }
@@ -192,23 +189,22 @@ _ORACLE_SPACES = {
 @pytest.mark.parametrize("name", list(_ORACLE_SPACES))
 def test_coboundary_matrix_matches_the_naive_formula(name):
     build, degrees = _ORACLE_SPACES[name]
-    spec = build()
-    G = spec.group
+    A = build()
+    G = A.group
     for m in range(degrees):
-        want = coboundary_matrix_naive(G.mul, G.identity, spec.act, [spec.q] * spec.rank, m)
-        got = cohomology.coboundary_matrix(spec, m)
-        assert got.shape == want.shape and np.array_equal(got, want % spec.q), m
+        want = coboundary_matrix_naive(G.mul, G.identity, A.act, [A.q] * A.rank, m)
+        got = cohomology.coboundary_matrix(A, m)
+        assert got.shape == want.shape and np.array_equal(got, want % A.q), m
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_SPACES))
 def test_generator_column_cocycles_match_the_full_kernel(name):
-    # the lattice spaces are read as the finite modules (Z/p^E)^r
+    # the lattice coefficients are read as the finite modules (Z/p^E)^r
     build, degrees = _ORACLE_SPACES[name]
-    spec = dataclasses.replace(build(), lattice=False)
+    A = build()
     for m in range(degrees):
-        got, E = cohomology.cocycle_rows(spec, m)
-        assert E == spec.E
-        assert np.array_equal(got, cocycles_by_intersection(spec, m)), m
+        got = cohomology.cocycle_rows(A, m)
+        assert np.array_equal(got, cocycles_by_intersection(A, m)), m
 
 
 def _d8_class(n):
@@ -226,35 +222,35 @@ _LATTICE_SPACES = dict(
 @pytest.mark.parametrize("name", list(_LATTICE_SPACES))
 def test_lattice_cocycles_match_the_full_kernel(name):
     build, degrees = _LATTICE_SPACES[name]
-    spec = build()
-    assert spec.lattice
+    A = build()
+    assert A.exps == [A.E] * A.rank  # the lattice held as (Z/p^E)^d
     for m in range(degrees):
-        got, E = cohomology.cocycle_rows(spec, m)
-        want, E_want = full_lattice_cocycles(spec, m)
+        got, E = linalg.lattice_kernel(cohomology.generator_smith(A, m))
+        want, E_want = full_lattice_cocycles(A, m)
         assert E == E_want, m
-        assert linalg.span_equal(got, want, spec.p, E), m
+        assert linalg.span_equal(got, want, A.p, E), m
 
 
 @pytest.mark.parametrize("want_right", [False, True])
 @pytest.mark.parametrize("name", list(_ORACLE_SPACES))
 def test_smith_matches_the_dense_update(name, want_right):
     build, degrees = _ORACLE_SPACES[name]
-    spec = build()
+    A = build()
     for m in range(degrees):
-        D = cohomology.coboundary_matrix(spec, m)
-        exps, U, V = smith_dense_update(D, spec.p, spec.E, want_right=want_right)
+        D = cohomology.coboundary_matrix(A, m)
+        exps, U, V = smith_dense_update(D, A.p, A.E, want_right=want_right)
         for want_left in (True, False):
-            s = linalg.smith(D, spec.p, spec.E, want_left=want_left, want_right=want_right)
+            s = linalg.smith(D, A.p, A.E, want_left=want_left, want_right=want_right)
             assert s.exps == exps, (m, want_left)
             assert np.array_equal(s.U, U) if want_left else s.U is None, (m, want_left)
             assert (s.V is None and V is None) or np.array_equal(s.V, V), (m, want_left)
 
 
 def _assert_invariants_match(T, basis=None):
-    spec = lattice_coefficients(T, basis)
+    A = lattice_coefficients(T, basis)
     for m in (1, 2, 3):
         want = lattice_cohomology(T, m, basis=basis).structure.exps
-        assert cohomology.lattice_invariants(spec, m) == want, m
+        assert cohomology.lattice_invariants(A, m) == want, m
 
 
 @pytest.mark.parametrize("lattice, n", [
@@ -280,10 +276,10 @@ def test_lattice_invariants_rank_certificate_is_live():
     # to a dimension, 1, but d^0 = 1 - g has rank 2, not 2 - 1
     C2 = groups.make_table(cyclic_table(2))
     act = np.array([np.eye(2), [[0, 1], [0, 0]]], dtype=np.int64)
-    spec = cohomology.CoefficientSpace(C2, 2, 10, 2, act, np.ones(2, dtype=np.int64), True)
+    A = modules.FiniteModule(C2, 2, [10, 10], 10, act, act)
     for m in (1, 2):
         with pytest.raises(cohomology.CohomologyError, match="rational rank"):
-            cohomology.lattice_invariants(spec, m)
+            cohomology.lattice_invariants(A, m)
 
 
 def test_lattice_h0_fixed_points():

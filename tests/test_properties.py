@@ -80,11 +80,10 @@ def test_coboundary_squares_to_zero(order, e, negate):
     sign = -1 if (negate and order % 2 == 0) else 1
     act = [np.array([[sign**i]], dtype=np.int64) % 2**e for i in range(order)]
     A = modules.finite_module_from_plain(G, 2, [e], act)
-    spec = cohomology.finite_coefficients(A)
     for m in (0, 1, 2):
-        D0 = cohomology.coboundary_matrix(spec, m)
-        D1 = cohomology.coboundary_matrix(spec, m + 1)
-        assert not np.any((D0 @ D1) % spec.q)
+        D0 = cohomology.coboundary_matrix(A, m)
+        D1 = cohomology.coboundary_matrix(A, m + 1)
+        assert not np.any((D0 @ D1) % A.q)
 
 
 def _c4_by_c4():
@@ -115,18 +114,19 @@ COLUMN_GROUPS = {
 def test_generator_columns_are_the_full_columns_ending_in_a_generator(name, p, r, lattice,
                                                                       data):
     # any action matrices: the column rule is about where d^m is read, not
-    # about whether the action is a representation
+    # about whether the action is a representation; a lattice is held as
+    # (Z/p^E)^r, a finite module may have any exponents up to E
     G = COLUMN_GROUPS[name]()
     E = 3
     flat = data.draw(st.lists(st.integers(0, p**E - 1), min_size=G.order * r * r,
                               max_size=G.order * r * r))
     act = np.array(flat, dtype=np.int64).reshape(G.order, r, r)
-    exps = np.ones(r, dtype=np.int64) if lattice else np.array(
-        data.draw(st.lists(st.integers(1, E), min_size=r, max_size=r)))
-    spec = cohomology.CoefficientSpace(G, p, E, r, act, p ** (E - exps), lattice)
+    exps = [E] * r if lattice else data.draw(st.lists(st.integers(1, E), min_size=r,
+                                                      max_size=r))
+    A = modules.FiniteModule(G, p, exps, E, act, act)
     for m in range(3):
-        got = cohomology.coboundary_matrix(spec, m, G.generators)
-        want = cohomology.coboundary_matrix(spec, m)[:, generator_columns(spec, m)]
+        got = cohomology.coboundary_matrix(A, m, G.generators)
+        want = cohomology.coboundary_matrix(A, m)[:, generator_columns(A, m)]
         assert got.dtype == want.dtype and got.shape == want.shape, m
         assert got.tobytes() == want.tobytes(), m
 
@@ -187,7 +187,7 @@ def test_restrict_level_composes(data):
     Q4, Q3, Q2 = scn.quotient(4), scn.quotient(3), scn.quotient(2)
     H = cohomology.finite_cohomology(Q4.module, 2)
     coords = tuple(data.draw(st.integers(min_value=0, max_value=int(m) - 1))
-                   for m in (H.spec.p**e for e in H.structure.exps))
+                   for m in (H.module.p**e for e in H.structure.exps))
     row = H.representative(coords)
     one = cohomology.restrict_level(Q4, Q2, row)
     two = cohomology.restrict_level(Q3, Q2, cohomology.restrict_level(Q4, Q3, row))
@@ -205,7 +205,7 @@ def test_pair_action_is_an_action(data):
     x = ps[data.draw(st.integers(min_value=0, max_value=len(ps) - 1))]
     y = ps[data.draw(st.integers(min_value=0, max_value=len(ps) - 1))]
     coords = tuple(data.draw(st.integers(min_value=0, max_value=int(m) - 1))
-                   for m in (H.spec.p**e for e in H.structure.exps))
+                   for m in (H.module.p**e for e in H.structure.exps))
     row = H.representative(coords)
     xy = pair_compose(A, x, y)
     via_product = pairs.act_on_cochain(H, xy, row)
