@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import CoclassError, coclass_tree, cohomology, extensions, groups, pairs, scenarios
+from . import CoclassError, coclass_tree, cohomology, extensions, pairs, scenarios
 from .scenarios import Scenario, ScenarioError
 
 
@@ -115,15 +115,14 @@ def cmd_extend(args) -> int:
         row = top.mainline_cocycle(n)
     else:
         raise ScenarioError("cocycle file needs 'coords', 'row', or 'mainline'")
-    ext = extensions.build_extension(top.group, Q.module, row)
-    cc, flag = extensions.coclass_of_extension(ext, l=top.l)
+    cert = extensions.certify(Q.module, row, top.l)
     report = {
         "scenario": scn.name,
         "level": str(n),
-        "order": str(ext.order),
-        "nilpotency_class": str(groups.nilpotency_class(ext.table)),
-        "coclass": str(cc),
-        "has_top_coclass": flag,
+        "order": str(cert.order),
+        "nilpotency_class": str(cert.nilpotency_class),
+        "coclass": str(cert.coclass),
+        "has_top_coclass": cert.flag,
         "class_coords": [str(int(x)) for x in H.coords(row)],
         "fiber_invariants": [str(x) for x in Q.module.invariants()],
     }
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=cmd_correspondence)
 
-    p = sub.add_parser("extend", help="build the extension of a cocycle class")
+    p = sub.add_parser("extend", help="certify the extension of a cocycle class")
     common(p)
     p.add_argument("--cocycle", required=True,
                    help="JSON file with 'level' plus 'coords', 'row', or 'mainline'")

@@ -7,23 +7,24 @@ realized as extension classes in H^2(R, A_n) over the finite top quotient R.
 Classes are identified up to compatible-pair orbits, and the branch-to-branch
 shift is induced by the summand-preserving level shift on cohomology.
 
-Each vertex's extension table is built once, read for what it certifies
-(order, coclass flag and isomorphism fingerprint) and dropped, so a branch
-holds at most one table at a time.  The top quotient keeps the certificate,
-keyed by (level, class coordinates), so a class that two branches share is
-built once.  Vertices at one level are told apart by their fingerprints;
-only a tie rebuilds the two tables for the isomorphism oracle.
+No vertex builds its extension table: `extensions.certify` reads the
+order, the coclass flag and the element-order spectrum off the cocycle in
+coordinates.  The top quotient keeps each certificate, keyed by (level,
+class coordinates), so a class that two branches share is certified once.
+Vertices at one level are non-isomorphic by theorem, with no search: see
+`_check_orbit_isomorphism`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import CoclassError, cohomology, extensions, modules, pairs
 from .scenarios import Scenario, TopQuotient
+
+EXTENSION_CAP = 512  # the largest extension a branch may reach
 
 
 class BranchError(CoclassError):
@@ -40,14 +41,13 @@ class BranchVertex:
     order: int
     mainline: bool
     parent: int | None
-    fingerprint: tuple  # extensions.fingerprint of the vertex's group
+    spectrum: tuple  # (order, count) of the element orders of the vertex's group
 
 
 @dataclass
 class BranchGraph:
-    """Vertices and edges of one branch.  No vertex keeps its extension
-    table: its fingerprint stands for it in the level check and the DOT
-    label."""
+    """Vertices and edges of one branch.  No vertex has an extension
+    table: its spectrum stands for it in the DOT label."""
 
     scenario: str
     i: int  # branch index: the root is the depth-i mainline quotient
@@ -81,19 +81,12 @@ def _level_data(top: TopQuotient, n: int) -> LevelData:
     return top.derived(("level", n), build)
 
 
-def _vertex_table(top: TopQuotient, lv: LevelData, coords) -> extensions.ExtensionGroup:
-    """The extension of a class at level lv.n, built afresh."""
-    row = lv.H.representative(np.array(coords, dtype=np.int64))
-    return extensions.build_extension(top.group, lv.Q.module, row)
-
-
-def _vertex_extension(top: TopQuotient, lv: LevelData, coords):
-    """(order, (coclass, flag), fingerprint) of a class at level lv.n, held
-    by the top quotient; the extension itself is dropped once read."""
+def _vertex_extension(top: TopQuotient, lv: LevelData, coords) -> extensions.ExtensionCertificate:
+    """The certificate of the extension of a class at level lv.n, held by
+    the top quotient."""
     def build():
-        ext = _vertex_table(top, lv, coords)
-        return (ext.order, extensions.coclass_of_extension(ext, l=top.l),
-                extensions.fingerprint(ext.table))
+        row = lv.H.representative(np.array(coords, dtype=np.int64))
+        return extensions.certify(lv.Q.module, row, top.l)
     return top.derived(("extension", lv.n, tuple(coords)), build)
 
 
@@ -121,20 +114,19 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
         raise BranchError("branch %d needs root level %d >= 1" % (i, n0))
     if n0 + k > top.chain.depth - 1:
         raise BranchError("chain depth %d cannot host level %d" % (top.chain.depth, n0 + k))
-    if top.group.order * scn.p ** (n0 + k) > extensions.EXTENSION_CAP:
+    if top.group.order * scn.p ** (n0 + k) > EXTENSION_CAP:
         raise BranchError("extensions at level %d exceed the order cap %d"
-                          % (n0 + k, extensions.EXTENSION_CAP))
+                          % (n0 + k, EXTENSION_CAP))
     for n in range(n0, n0 + k + 1):  # refuse a level's cocycles before any level is computed
         cohomology.coboundary_shape(top.group, top.quotient(n).module.rank, 2, top.group.generators)
     levels = {n: _level_data(top, n) for n in range(n0, n0 + k + 1)}
     root_lv = levels[n0]
     root_orbit = root_lv.partition.orbit_of(root_lv.mainline_coords)
-    root_order, (_, root_flag), root_print = _vertex_extension(top, root_lv,
-                                                               root_lv.mainline_coords)
-    if not root_flag:
+    root = _vertex_extension(top, root_lv, root_lv.mainline_coords)
+    if not root.flag:
         raise BranchError("mainline quotient at level %d fails the coclass criterion" % n0)
     vertices = [BranchVertex(0, n0, 0, root_lv.mainline_coords, root_orbit,
-                             root_order, True, None, root_print)]
+                             root.order, True, None, root.spectrum())]
     edges: list[tuple[int, int]] = []
     by_level_orbit = {(n0, root_orbit): 0}
     for j in range(1, k + 1):
@@ -160,13 +152,13 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
                     continue
             if not descends:
                 continue
-            order, (_, flag), fprint = _vertex_extension(top, lv, coords)
-            if not flag:
+            cert = _vertex_extension(top, lv, coords)
+            if not cert.flag:
                 continue
             idx = len(vertices)
             parent = by_level_orbit[parent_key]
             vertices.append(BranchVertex(idx, n, j, tuple(coords), oi,
-                                         order, is_main, parent, fprint))
+                                         cert.order, is_main, parent, cert.spectrum()))
             edges.append((parent, idx))
             by_level_orbit[(n, oi)] = idx
     _check_orbit_isomorphism(top, levels, vertices)
@@ -174,26 +166,28 @@ def build_branch(scn: Scenario, i: int, k: int = 1) -> BranchGraph:
 
 
 def _check_orbit_isomorphism(top: TopQuotient, levels: dict[int, LevelData], vertices):
-    """Distinct vertices at one level must be pairwise non-isomorphic.
+    """Distinct vertices at one level are pairwise non-isomorphic, by theorem.
 
-    Groups with different fingerprints are not isomorphic, and
-    `are_isomorphic` compares fingerprints first, so only a tie needs the
-    tables.  A tie rebuilds both from the level data: this trades time for
-    memory, since no vertex keeps its table, and it is the one place a
-    table is built twice.  No built-in scenario reaches it.
+    If gamma_l(E) = A for the extension E of a class c, then A is
+    characteristic in E, so an isomorphism E_c -> E_c' maps A onto A and
+    induces a compatible pair (beta, eps) with [c'] = [c].(beta, eps).
+    `pairs.compatible_pairs` holds every automorphism beta of G with every
+    invertible compatible eps, so classes in distinct orbits give
+    non-isomorphic groups (Eick and O'Brien, "Enumerating p-groups", 1999).
+    This checks the premises that vary by vertex: each one's certificate
+    has gamma_l(E) = A, and no two vertices of a level share an orbit.
     """
-    by_level: dict[int, list[BranchVertex]] = {}
+    seen: dict[tuple[int, int], int] = {}
     for v in vertices:
-        by_level.setdefault(v.level, []).append(v)
-    for level, vs in by_level.items():
-        for a, b in itertools.combinations(vs, 2):
-            if a.fingerprint != b.fingerprint:
-                continue
-            lv = levels[level]
-            if extensions.are_isomorphic(_vertex_table(top, lv, a.class_coords).table,
-                                         _vertex_table(top, lv, b.class_coords).table):
-                raise BranchError(
-                    "distinct orbits at level %d gave isomorphic groups" % level)
+        lv = levels[v.level]
+        if not _vertex_extension(top, lv, v.class_coords).flag:
+            raise BranchError("vertex %d at level %d does not have gamma_l(E) = A"
+                              % (v.index, v.level))
+        key = (v.level, lv.partition.orbit_of(v.class_coords))
+        if key in seen:
+            raise BranchError("vertices %d and %d at level %d are one orbit"
+                              % (seen[key], v.index, v.level))
+        seen[key] = v.index
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +261,10 @@ def nu_shift(scn: Scenario, src: BranchGraph,
 
 
 def _vertex_label(v: BranchVertex) -> str:
-    """Involutions and exponent, read off the sorted element-order spectrum
-    of the vertex's fingerprint."""
-    _, spectrum, _, _ = v.fingerprint
+    """Involutions and exponent, read off the vertex's element-order spectrum."""
     return "order %d | inv %d | exp %d%s" % (
-        v.order, spectrum.count(2), max(spectrum), " | mainline" if v.mainline else "")
+        v.order, dict(v.spectrum).get(2, 0), v.spectrum[-1][0],
+        " | mainline" if v.mainline else "")
 
 
 def export_dot(branch: BranchGraph, nu: ShiftReport | None = None) -> str:

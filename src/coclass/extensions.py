@@ -1,9 +1,14 @@
-"""Finite group extensions from 2-cocycles and their classification.
+"""Extensions of a finite group by a finite module, certified in coordinates.
 
-A degree-2 cocycle tau on a group R with values in a finite module A defines
-the extension with multiplication (a, g)(b, h) = (a.h + b + tau(g, h), gh).
-This module builds the extension table, computes its coclass together with
-the lower-central criterion, and tests isomorphism of small tables.
+A normalised 2-cocycle c on G with values in a finite G-module A defines the
+extension E of order |G| |A| with elements (a, g) and the product
+(a, g)(b, h) = (a.h + b + c(g, h), gh).  The cocycle identity with the
+normalisation is exactly what makes this product associative, with identity
+(0, 1), so `certify` checks the cocycle and then reads E without its
+|E| x |E| table: its lower central series, held in coordinates, and from it
+the nilpotency class, the coclass and the lower-central criterion; a branch
+vertex also reads its element-order spectrum.  tests/brute_force.py builds
+the table and checks each of these against it.
 """
 
 from __future__ import annotations
@@ -12,72 +17,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CoclassError, cohomology, groups
-from .groups import GroupTable
+from . import CoclassError, cohomology, groups, linalg
 from .modules import FiniteModule
-
-EXTENSION_CAP = 512
 
 
 class ExtensionError(CoclassError):
     pass
 
 
-@dataclass
-class ExtensionGroup:
-    base: GroupTable
-    fiber: FiniteModule
-    table: GroupTable  # the fiber, the kernel onto the base, is indices 0 to |fiber| - 1
+@dataclass(eq=False)
+class ExtensionCertificate:
+    """What E = (G, A, c) is known to be, for G = module.group."""
+
+    module: FiniteModule
+    tau: np.ndarray  # hatted factor set, tau[g, h] = c(g, h)
+    lcs_orders: list[int]  # |gamma_i(E)| for i = 1, 2, ... down to the trivial group
+    flag: bool  # gamma_l(E) = A
 
     @property
     def order(self) -> int:
-        return self.table.order
+        return self.lcs_orders[0]
+
+    @property
+    def nilpotency_class(self) -> int:
+        return len(self.lcs_orders) - 1
+
+    @property
+    def coclass(self) -> int:
+        return groups.order_coclass(self.order, self.nilpotency_class)
+
+    def spectrum(self) -> tuple[tuple[int, int], ...]:
+        """(order, count) of the element orders of E, by increasing order.
+
+        For g of order o in G, (a, g)^o = (a N_g + t_g, 1) with
+        N_g = 1 + g + ... + g^(o-1) and t_g the factor-set part, so the
+        order of (a, g) is o times the order of a N_g + t_g in A, taken for
+        every a at once."""
+        A, tau, G, q = self.module, self.tau, self.module.group, self.module.q
+        every = A.hat(groups.all_coord_rows(A.coord_moduli().tolist()))
+        ident = np.eye(A.rank, dtype=np.int64)
+        orders = []
+        for g, o in enumerate(G.element_orders()):
+            N, t, x = ident, np.zeros(A.rank, dtype=np.int64), g  # x = g^j
+            for _ in range(int(o) - 1):
+                t = (t @ A.act[g] + tau[x, g]) % q
+                N = (N @ A.act[g] + ident) % q
+                x = G.mul[x, g]
+            y = (every @ N + t) % q
+            orders.append(o * (q // np.gcd.reduce(np.c_[y, np.full(len(y), q)], axis=1)))
+        values, counts = np.unique(np.concatenate(orders), return_counts=True)
+        return tuple(zip(values.tolist(), counts.tolist()))
 
 
-def cocycle_value_table(A: FiniteModule, tau_hat) -> np.ndarray:
-    """Plain coordinate values tau[g, h] for all pairs, zero on the identity."""
-    G = A.group
-    T = G.bar_index(2).tuples
-    out = np.zeros((G.order, G.order, A.rank), dtype=np.int64)
-    out[T[:, 0], T[:, 1]] = A.unhat(np.asarray(tau_hat, dtype=np.int64).reshape(len(T), A.rank))
-    return out
-
-
-def build_extension(R: GroupTable, A: FiniteModule, tau_hat) -> ExtensionGroup:
-    """Validated multiplication table of the extension defined by tau."""
-    if A.group is not R and A.group.order != R.order:
-        raise ExtensionError("cocycle module must be an R-module")
-    total = R.order * A.order
-    if total > EXTENSION_CAP:
-        raise ExtensionError("extension order %d exceeds the cap %d" % (total, EXTENSION_CAP))
-    row = np.asarray(tau_hat, dtype=np.int64) % A.q
-    if not cohomology.is_cocycle(A, 2, row):
-        raise ExtensionError("cochain does not satisfy the cocycle identity")
-    tau = cocycle_value_table(A, row)
-    moduli = [int(m) for m in A.coord_moduli()]
-    table = groups.abelian_extension_table(R.mul, moduli, A.plain, tau)
-    ext = ExtensionGroup(R, A, table)
-    _validate_extension(ext)
-    return ext
-
-
-def _validate_extension(ext: ExtensionGroup):
-    """The block projection onto R is a homomorphism by construction;
-    `groups.is_homomorphism` checks it on the generator edges.  The fiber
-    is its kernel, hence a normal subgroup."""
-    E, R = ext.table, ext.base
-    if E.order != R.order * ext.fiber.order:
-        raise ExtensionError("extension order mismatch")
-    if not groups.is_homomorphism(E, R, np.arange(E.order) // ext.fiber.order):
-        raise ExtensionError("projection to the base is not a homomorphism")
-
-
-# ---------------------------------------------------------------------------
-# coclass and the lower-central criterion
-
-
-def coclass_of_extension(ext: ExtensionGroup, l: int | None = None) -> tuple[int, bool]:
-    """(coclass of the extension, gamma_l(E) = fiber flag).
+def certify(A: FiniteModule, tau_hat, l: int | None = None) -> ExtensionCertificate:
+    """The certificate of the extension of A.group by A with cocycle tau_hat.
 
     l is a 1-based lower-central index (gamma_1(E) = E) and defaults to one
     past the nilpotency class of the base, which is the right index when the
@@ -85,39 +78,104 @@ def coclass_of_extension(ext: ExtensionGroup, l: int | None = None) -> tuple[int
     lower-central criterion: the extension has the base's coclass exactly
     when gamma_l(E) equals the whole fiber.
     """
+    G = A.group
+    row = np.asarray(tau_hat, dtype=np.int64) % A.q
+    if not cohomology.is_cocycle(A, 2, row):
+        raise ExtensionError("cochain does not satisfy the cocycle identity")
+    T = G.bar_index(2).tuples
+    tau = np.zeros((G.order, G.order, A.rank), dtype=np.int64)
+    tau[T[:, 0], T[:, 1]] = row.reshape(len(T), A.rank)
     if l is None:
-        l = groups.nilpotency_class(ext.base) + 1
-    cc = groups.coclass(ext.table)
-    series = ext.table.lcs()
-    gamma_l = series[l - 1] if l - 1 < len(series) else [ext.table.identity]
-    flag = gamma_l == list(range(ext.fiber.order))
-    base_cc = groups.coclass(ext.base)
-    if ext.fiber.order > 1 and (cc == base_cc) != flag:
-        raise ExtensionError(
-            "coclass criterion disagreement: cc %d vs base %d, flag %s" % (cc, base_cc, flag))
-    return cc, flag
+        l = groups.nilpotency_class(G) + 1
+    series = _lower_central_series(A, tau)
+    orders = [len(image) * A.p ** K.order_exp() for image, K, _ in series]
+    if l <= len(series):  # gamma_l(E) = A iff it lies over 1 and has the order of A
+        flag = len(series[l - 1][0]) == 1 and orders[l - 1] == A.order
+    else:
+        flag = A.order == 1
+    cert = ExtensionCertificate(A, tau, orders, flag)
+    base_cc = groups.coclass(G)
+    if A.order > 1 and (cert.coclass == base_cc) != flag:
+        raise ExtensionError("coclass criterion disagreement: cc %d vs base %d, flag %s"
+                             % (cert.coclass, base_cc, flag))
+    return cert
 
 
-# ---------------------------------------------------------------------------
-# isomorphism testing for small tables
+def _mul(A: FiniteModule, tau, a, g, b, h):
+    """(a, g)(b, h) = (a.h + b + c(g, h), gh), rowwise."""
+    return (np.einsum("ir,irs->is", a, A.act[h]) + b + tau[g, h]) % A.q, A.group.mul[g, h]
 
 
-def fingerprint(G: GroupTable) -> tuple:
-    """Cheap isomorphism invariants: order, spectrum, center, central series."""
-    def build():
-        spectrum = tuple(sorted(int(x) for x in G.element_orders()))
-        lcs = tuple(len(t) for t in G.lcs())
-        return (G.order, spectrum, len(groups.center(G)), lcs)
-    return G.derived("fingerprint", build)
+def _commutator(A: FiniteModule, tau, a, g, b, h):
+    """[x, y] = (yx)^-1 (xy), rowwise, for x = (a, g) and y = (b, h); the
+    inverse of (a, g) is (-(a.g^-1 + c(g, g^-1)), g^-1)."""
+    ya, yg = _mul(A, tau, b, h, a, g)
+    yi = A.group.inverses[yg]
+    inv = -(np.einsum("ir,irs->is", ya, A.act[yi]) + tau[yg, yi]) % A.q
+    return _mul(A, tau, inv, yi, *_mul(A, tau, a, g, b, h))
 
 
-def are_isomorphic(G1: GroupTable, G2: GroupTable) -> bool:
-    """Brute-force isomorphism test with invariant prefilters."""
-    if G1.order != G2.order:
-        return False
-    if G1.order > EXTENSION_CAP:
-        raise ExtensionError("isomorphism test capped at order %d" % EXTENSION_CAP)
-    if fingerprint(G1) != fingerprint(G2):
-        return False
-    return next(groups.isomorphisms(G1, G2), None) is not None
+def _lower_central_series(A: FiniteModule, tau) -> list[tuple]:
+    """gamma_i(E) as (gamma_i(G), K_i = gamma_i(E) & A, section), from
+    gamma_1(E) = E down to the trivial group, where gamma_i(E) is the set of
+    (section[j] + k, image[j]) with k in the Howell span K_i.
 
+    For x_u = (section[u], u), every element of gamma_i(E) is x_u k with k
+    in K_i, and [x_u k, y] = [x_u, y] [[x_u, y], k] [k, y], whose last two
+    factors lie in [K_i, E] = K_i I: K_i is a submodule, so that is the
+    span of the k(s - 1), k a Howell row of K_i and s a generator of G.  So
+    gamma_{i+1}(E) = [gamma_i(E), E] is generated by K_i I and the [x_u, y]
+    over u in gamma_i(G) and y in the generators (0, s) and (e_j, 1) of E.
+    Past the class of G, gamma_i(E) = K_i and only K_i I is left.
+    """
+    G, p, q = A.group, A.p, A.q
+    S = G.generators
+    ident = np.eye(A.rank, dtype=np.int64)
+    gen_a = np.vstack([np.zeros((len(S), A.rank), dtype=np.int64), A.member_rows()])
+    gen_g = np.array(S + [G.identity] * A.rank, dtype=np.int64)
+    series = [(np.arange(G.order), linalg.howell(A.member_rows(), p, A.E),
+               np.zeros((G.order, A.rank), dtype=np.int64))]
+    while True:
+        image, K, section = series[-1]
+        if len(image) == 1 and not K.pivots:
+            return series
+        KI = np.einsum("kr,srt->kst", K.rows, A.act[S] - ident).reshape(-1, A.rank) % q
+        if len(image) == 1:
+            nxt = (image, linalg.howell(KI, p, A.E), section)
+        else:
+            comm = _commutator(A, tau, np.repeat(section, len(gen_g), axis=0),
+                               np.repeat(image, len(gen_g)),
+                               np.tile(gen_a, (len(image), 1)), np.tile(gen_g, len(image)))
+            nxt = _generated(A, tau, *comm, KI)
+        if len(nxt[0]) == len(image) and nxt[1].order_exp() == K.order_exp():
+            raise groups.GroupError("group is not nilpotent")
+        series.append(nxt)
+
+
+def _generated(A: FiniteModule, tau, gen_a, gen_g, rows) -> tuple:
+    """(image, K, section) of the subgroup of E generated by the elements
+    (gen_a[i], gen_g[i]) and the span of `rows`, which must be a submodule
+    of A that the subgroup holds.
+
+    A breadth-first search over the image lifts each element u reached to
+    l(u) = l(v) y, and by Schreier's lemma the subgroup meets A in the span
+    of l(u) y l(uh)^-1 = ((l(u) y)_A - l(uh)_A).(uh)^-1 over every u and
+    generator y = (b, h), with the rows."""
+    G = A.group
+    found = np.zeros(G.order, dtype=bool)
+    found[G.identity] = True
+    lifts = np.zeros((G.order, A.rank), dtype=np.int64)
+    schreier = [rows]
+    frontier = np.array([G.identity])
+    while frontier.size:
+        u = np.repeat(frontier, len(gen_g))
+        pa, pg = _mul(A, tau, lifts[u], u, np.tile(gen_a, (len(frontier), 1)),
+                      np.tile(gen_g, len(frontier)))
+        _, first = np.unique(pg, return_index=True)
+        fresh = first[~found[pg[first]]]
+        lifts[pg[fresh]] = pa[fresh]
+        found[pg[fresh]] = True
+        schreier.append(np.einsum("ir,irs->is", pa - lifts[pg], A.act[G.inverses[pg]]) % A.q)
+        frontier = pg[fresh]
+    image = np.flatnonzero(found)
+    return image, linalg.howell(np.vstack(schreier), A.p, A.E), lifts[image]

@@ -46,9 +46,9 @@ def index_dtype(n: int) -> np.dtype:
 @dataclass(eq=False)
 class GroupTable(Owner):
     """A validated table; it owns its element orders, minimal generators,
-    lower central series, bar-complex index arrays, automorphisms and
-    isomorphism fingerprint, each built once.  mul holds
-    `index_dtype(order)` entries; any other type is refused."""
+    lower central series, bar-complex index arrays and automorphisms, each
+    built once.  mul holds `index_dtype(order)` entries; any other type is
+    refused."""
 
     mul: np.ndarray  # order x order element indices
     identity: int
@@ -513,12 +513,6 @@ def restricted_table(G: GroupTable, elems) -> tuple[GroupTable, list[int]]:
     return make_table(mul), elements
 
 
-def center(G: GroupTable) -> list[int]:
-    """The elements that commute with every generator, so with every element."""
-    S = G.generators
-    return np.flatnonzero((G.mul[:, S] == G.mul[S].T).all(axis=1)).tolist()
-
-
 def lower_central_series(G: GroupTable) -> list[list[int]]:
     """gamma_1 = G, gamma_{i+1} = [gamma_i, G], computed until it stabilizes,
     as descending terms, each a sorted element list.
@@ -570,13 +564,17 @@ def _factorization(n: int) -> dict[int, int]:
 
 
 def coclass(G: GroupTable) -> int:
+    return order_coclass(G.order, nilpotency_class(G))
+
+
+def order_coclass(order: int, cls: int) -> int:
     """n - c for a p-group of order p^n and nilpotency class c."""
-    if G.order == 1:
+    if order == 1:
         return 0
-    exps = list(_factorization(G.order).values())
+    exps = list(_factorization(order).values())
     if len(exps) != 1:
-        raise GroupError("order %d is not a prime power" % G.order)
-    return exps[0] - nilpotency_class(G)
+        raise GroupError("order %d is not a prime power" % order)
+    return exps[0] - cls
 
 
 # ---------------------------------------------------------------------------

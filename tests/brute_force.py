@@ -796,12 +796,12 @@ def at_distance(branch, j):
 
 def vertex_table(scn, v):
     """The extension table of a branch vertex, rebuilt from its level and
-    class coordinates through `extensions.build_extension`, so that a test
-    does not read what the branch kept of it."""
+    class coordinates through `build_extension`, so that a test does not
+    read what the branch kept of it."""
     top = scn.top()
     H = cohomology.finite_cohomology(top.quotient(v.level).module, 2)
     row = H.representative(np.array(v.class_coords, dtype=np.int64))
-    return extensions.build_extension(top.group, top.quotient(v.level).module, row).table
+    return build_extension(top.group, top.quotient(v.level).module, row).table
 
 
 def lattice_coefficients(T, basis=None):
@@ -940,8 +940,8 @@ def orbit_isomorphism_check(H, A, partition):
     skipped = 0
     for i, cl in enumerate(partition.classes):
         for c in cl:
-            ext = extensions.build_extension(R, A, H.representative(c))
-            cc, flag = extensions.coclass_of_extension(ext)
+            ext = build_extension(R, A, H.representative(c))
+            cc, flag = coclass_of_extension(ext)
             if flag:
                 exts[c] = (i, ext)
             else:
@@ -949,7 +949,7 @@ def orbit_isomorphism_check(H, A, partition):
     items = sorted(exts.items())
     checked = 0
     for (c1, (i1, e1)), (c2, (i2, e2)) in itertools.combinations(items, 2):
-        iso = extensions.are_isomorphic(e1.table, e2.table)
+        iso = are_isomorphic(e1.table, e2.table)
         same_orbit = i1 == i2
         checked += 1
         if iso != same_orbit:
@@ -957,3 +957,129 @@ def orbit_isomorphism_check(H, A, partition):
                                           {"class_a": list(c1), "class_b": list(c2),
                                            "same_orbit": same_orbit, "isomorphic": iso})
     return OrbitIsomorphismReport(A.order, checked, skipped, True, None)
+
+
+# ---------------------------------------------------------------------------
+# Extensions as validated tables: the oracle for `extensions.certify`.
+# ---------------------------------------------------------------------------
+
+ISOMORPHISM_CAP = 512  # the generator-image search is refused above this order
+
+
+def center(G):
+    """The elements that commute with every generator, so with every element."""
+    S = G.generators
+    return np.flatnonzero((G.mul[:, S] == G.mul[S].T).all(axis=1)).tolist()
+
+
+@dataclass
+class ExtensionGroup:
+    base: groups.GroupTable
+    fiber: modules.FiniteModule
+    table: groups.GroupTable  # the fiber, the kernel onto the base, is indices 0 to |fiber| - 1
+
+    @property
+    def order(self) -> int:
+        return self.table.order
+
+
+def cocycle_value_table(A, tau_hat):
+    """Plain coordinate values tau[g, h] for all pairs, zero on the identity."""
+    G = A.group
+    T = G.bar_index(2).tuples
+    out = np.zeros((G.order, G.order, A.rank), dtype=np.int64)
+    out[T[:, 0], T[:, 1]] = A.unhat(np.asarray(tau_hat, dtype=np.int64).reshape(len(T), A.rank))
+    return out
+
+
+def build_extension(R, A, tau_hat):
+    """Validated multiplication table of the extension defined by tau, up to
+    `groups.CLOSURE_CAP`."""
+    if A.group is not R and A.group.order != R.order:
+        raise extensions.ExtensionError("cocycle module must be an R-module")
+    row = np.asarray(tau_hat, dtype=np.int64) % A.q
+    if not cohomology.is_cocycle(A, 2, row):
+        raise extensions.ExtensionError("cochain does not satisfy the cocycle identity")
+    tau = cocycle_value_table(A, row)
+    moduli = [int(m) for m in A.coord_moduli()]
+    ext = ExtensionGroup(R, A, groups.abelian_extension_table(R.mul, moduli, A.plain, tau))
+    validate_extension(ext)
+    return ext
+
+
+def validate_extension(ext):
+    """The block projection onto R is a homomorphism by construction;
+    `groups.is_homomorphism` checks it on the generator edges.  The fiber
+    is its kernel, hence a normal subgroup."""
+    E, R = ext.table, ext.base
+    if E.order != R.order * ext.fiber.order:
+        raise extensions.ExtensionError("extension order mismatch")
+    if not groups.is_homomorphism(E, R, np.arange(E.order) // ext.fiber.order):
+        raise extensions.ExtensionError("projection to the base is not a homomorphism")
+
+
+def coclass_of_extension(ext, l=None):
+    """(coclass of the extension, gamma_l(E) = fiber flag), read off the
+    table; l defaults to one past the nilpotency class of the base."""
+    if l is None:
+        l = groups.nilpotency_class(ext.base) + 1
+    cc = groups.coclass(ext.table)
+    series = ext.table.lcs()
+    gamma_l = series[l - 1] if l - 1 < len(series) else [ext.table.identity]
+    flag = gamma_l == list(range(ext.fiber.order))
+    base_cc = groups.coclass(ext.base)
+    if ext.fiber.order > 1 and (cc == base_cc) != flag:
+        raise extensions.ExtensionError(
+            "coclass criterion disagreement: cc %d vs base %d, flag %s" % (cc, base_cc, flag))
+    return cc, flag
+
+
+def fingerprint(G):
+    """Cheap isomorphism invariants: order, spectrum, center, central series."""
+    def build():
+        spectrum = tuple(sorted(int(x) for x in G.element_orders()))
+        lcs = tuple(len(t) for t in G.lcs())
+        return (G.order, spectrum, len(center(G)), lcs)
+    return G.derived("fingerprint", build)
+
+
+def are_isomorphic(G1, G2):
+    """Brute-force isomorphism test with invariant prefilters."""
+    if G1.order != G2.order:
+        return False
+    if G1.order > ISOMORPHISM_CAP:
+        raise extensions.ExtensionError("isomorphism test capped at order %d" % ISOMORPHISM_CAP)
+    if fingerprint(G1) != fingerprint(G2):
+        return False
+    return next(groups.isomorphisms(G1, G2), None) is not None
+
+
+def table_spectrum(G):
+    """(order, count) of the element orders of a table, by increasing order."""
+    values, counts = np.unique(G.element_orders(), return_counts=True)
+    return tuple(zip(values.tolist(), counts.tolist()))
+
+
+def check_certificate(A, row, l=None):
+    """Certify the extension of A by the cocycle row and compare it with the
+    table of the same extension: order, the size of every lower-central
+    term, class, coclass, the flag and the element-order spectrum.  A
+    coclass-criterion refusal must be the table's refusal too.  Returns the
+    certificate, or None after a matching refusal."""
+    ext = build_extension(A.group, A, row)
+    try:
+        cert = extensions.certify(A, row, l)
+    except extensions.ExtensionError as exc:
+        try:
+            coclass_of_extension(ext, l)
+        except extensions.ExtensionError as table_exc:
+            assert str(table_exc) == str(exc)
+            return None
+        raise
+    cc, flag = coclass_of_extension(ext, l)
+    assert cert.order == ext.order
+    assert cert.lcs_orders == [len(t) for t in ext.table.lcs()]
+    assert cert.nilpotency_class == groups.nilpotency_class(ext.table)
+    assert (cert.coclass, cert.flag) == (cc, flag)
+    assert cert.spectrum() == table_spectrum(ext.table)
+    return cert

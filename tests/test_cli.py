@@ -379,8 +379,8 @@ _DERIVED = [
     (cohomology, "split_frame",
      lambda T, chain, n, m=2: (_lattice_key(T), _bytes(chain.bases[n]), m)),
     (pairs, "compatible_pairs", _module_key),
-    (extensions, "build_extension",
-     lambda R, A, tau_hat: (_bytes(R.mul), _module_key(A), _bytes(tau_hat))),
+    # a branch vertex's certificate is held by the top quotient
+    (extensions, "certify", lambda A, tau_hat, l=None: (_module_key(A), _bytes(tau_hat), l)),
     # each split product G0 x (T / T_m) is one call, a stage's shared by the
     # lower-central-series check and the scan
     (groups, "abelian_extension_table",

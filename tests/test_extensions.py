@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from coclass import cohomology, extensions, groups, linalg, modules, pairs, scenarios
+from coclass import cohomology, extensions, groups, modules, pairs, scenarios
 
-from brute_force import extension_table_by_formula, orbit_isomorphism_check
+from brute_force import (ExtensionGroup, are_isomorphic, build_extension, check_certificate,
+                         cocycle_value_table, extension_table_by_formula,
+                         orbit_isomorphism_check, validate_extension)
 
 
 def cyclic_table(n):
@@ -46,11 +48,10 @@ def test_zero_cocycle_gives_direct_product():
     C2 = groups.make_table(cyclic_table(2))
     A = trivial_module(C2, 2, [1])
     H = cohomology.finite_cohomology(A, 2)
-    ext = extensions.build_extension(C2, A, H.representative(H.structure.coords(
+    cert = check_certificate(A, H.representative(H.structure.coords(
         np.zeros(H.cocycles.shape[1], dtype=np.int64))))
-    orders = sorted(int(o) for o in ext.table.element_orders())
-    assert ext.order == 4
-    assert orders == [1, 2, 2, 2]  # C2 x C2
+    assert cert.order == 4
+    assert cert.spectrum() == ((1, 1), (2, 3))  # C2 x C2
 
 
 def test_nonzero_cocycle_gives_c4():
@@ -59,8 +60,8 @@ def test_nonzero_cocycle_gives_c4():
     H = cohomology.finite_cohomology(A, 2)
     assert H.structure.invariants() == [2]
     rep = H.representative(np.array([1], dtype=np.int64))
-    ext = extensions.build_extension(C2, A, rep)
-    assert max(int(o) for o in ext.table.element_orders()) == 4  # C4
+    cert = check_certificate(A, rep)
+    assert cert.spectrum()[-1][0] == 4  # C4
 
 
 def test_cohomologous_cocycles_give_isomorphic_extensions():
@@ -72,9 +73,11 @@ def test_cohomologous_cocycles_give_isomorphic_extensions():
         rep = H.representative(coords)
         f = rng.integers(0, A.q, size=d1.shape[0], dtype=np.int64)
         rep2 = (rep + f @ d1) % A.q
-        e1 = extensions.build_extension(A.group, A, rep)
-        e2 = extensions.build_extension(A.group, A, rep2)
-        assert extensions.are_isomorphic(e1.table, e2.table)
+        e1 = build_extension(A.group, A, rep)
+        e2 = build_extension(A.group, A, rep2)
+        assert are_isomorphic(e1.table, e2.table)
+        c1, c2 = extensions.certify(A, rep), extensions.certify(A, rep2)
+        assert (c1.lcs_orders, c1.flag, c1.spectrum()) == (c2.lcs_orders, c2.flag, c2.spectrum())
 
 
 def test_cocycle_identity_is_enforced():
@@ -83,8 +86,8 @@ def test_cocycle_identity_is_enforced():
     bad = H.representative(h2_coords(H)[1]).copy()
     bad[0] = (bad[0] + 1) % A.q
     assert np.any((bad @ cohomology.coboundary_matrix(A, 2)) % A.q)
-    with pytest.raises(extensions.ExtensionError):
-        extensions.build_extension(A.group, A, bad)
+    with pytest.raises(extensions.ExtensionError, match="cocycle identity"):
+        extensions.certify(A, bad)
 
 
 def test_is_cocycle_on_c2_acting_on_z2_plus_z4():
@@ -95,18 +98,18 @@ def test_is_cocycle_on_c2_acting_on_z2_plus_z4():
     D = cohomology.coboundary_matrix(A, 2)
     cocycle = A.hat([1, 2])
     assert cohomology.is_cocycle(A, 2, cocycle)
-    assert extensions.build_extension(C2, A, cocycle).order == 16
+    assert check_certificate(A, cocycle).order == 16
     moved = A.hat([0, 1])
     assert np.any((moved @ D) % A.q)
     assert not cohomology.is_cocycle(A, 2, moved)
     with pytest.raises(extensions.ExtensionError, match="cocycle identity"):
-        extensions.build_extension(C2, A, moved)
+        extensions.certify(A, moved)
     # the hatted Z/2 coordinate must be even; d^2 alone would let this through
     outside = np.array([1, 0], dtype=np.int64)
     assert not np.any((outside @ D) % A.q)
     assert not cohomology.is_cocycle(A, 2, outside)
     with pytest.raises(extensions.ExtensionError, match="cocycle identity"):
-        extensions.build_extension(C2, A, outside)
+        extensions.certify(A, outside)
 
 
 def test_coclass_criterion_on_the_dihedral_tower():
@@ -116,26 +119,21 @@ def test_coclass_criterion_on_the_dihedral_tower():
     A = Q.module
     flagged = []
     for coords in h2_coords(H):
-        ext = extensions.build_extension(A.group, A, H.representative(coords))
-        cc, flag = extensions.coclass_of_extension(ext)
-        assert flag == (cc == 1)
-        if flag:
-            flagged.append(ext)
+        cert = check_certificate(A, H.representative(coords))
+        assert cert.flag == (cert.coclass == 1)
+        if cert.flag:
+            flagged.append(cert)
     assert len(flagged) == 4
     # gamma_2 has order 4 in a maximal-class group of order 16
-    for ext in flagged:
-        terms = groups.lower_central_series(ext.table)
-        assert [len(t) for t in terms] == [16, 4, 2, 1]
+    for cert in flagged:
+        assert cert.lcs_orders == [16, 4, 2, 1]
 
 
 def test_dihedral_quaternion_semidihedral_all_distinct():
     Q, H = d8_level_one()
     A = Q.module
-    flagged = [extensions.build_extension(A.group, A, H.representative(c))
-               for c in h2_coords(H)]
-    flagged = [e for e in flagged if extensions.coclass_of_extension(e)[1]]
-    spectra = sorted(tuple(sorted(int(o) for o in e.table.element_orders()))
-                     for e in flagged)
+    flagged = [extensions.certify(A, H.representative(c)) for c in h2_coords(H)]
+    spectra = sorted(cert.spectrum() for cert in flagged if cert.flag)
     # D16, SD16 (two classes), Q16 by their order spectra
     assert len(spectra) == 4
     assert len(set(spectra)) == 3
@@ -149,8 +147,8 @@ def test_are_isomorphic_separates_d8_q8():
         {"presentation": {"generators": ["a", "b"],
                           "relators": ["a^4", "a^2 b^-2", "a^-1 b a b"]}})
     assert D8.order == 8 and Q8.order == 8
-    assert not extensions.are_isomorphic(D8, Q8)
-    assert extensions.are_isomorphic(D8, D8)
+    assert not are_isomorphic(D8, Q8)
+    assert are_isomorphic(D8, D8)
 
 
 def test_fingerprint_prefilter_matches_isomorphism_on_order_eight():
@@ -161,7 +159,7 @@ def test_fingerprint_prefilter_matches_isomorphism_on_order_eight():
         {"presentation": {"generators": ["a", "b"],
                           "relators": ["a^2", "b^4", "a^-1 b a b"]}}))
     for G1, G2 in itertools.combinations(tables, 2):
-        assert not extensions.are_isomorphic(G1, G2)
+        assert not are_isomorphic(G1, G2)
 
 
 def test_orbit_isomorphism_on_d8_level_one():
@@ -174,28 +172,31 @@ def test_orbit_isomorphism_on_d8_level_one():
 
 
 def test_extension_cap_is_enforced():
-    # C2 acting trivially on Z/2^9: the extension has order 1024 > EXTENSION_CAP
+    # C2 acting trivially on Z/2^12: the certificate has no order cap, and
+    # the table oracle refuses order 8192 > CLOSURE_CAP before it allocates
     C2 = groups.make_table(cyclic_table(2))
-    A = trivial_module(C2, 2, [9])
+    A = trivial_module(C2, 2, [12])
     H = cohomology.finite_cohomology(A, 2)
     rep = H.representative(np.array([1], dtype=np.int64))
-    with pytest.raises(extensions.ExtensionError, match="order 1024 exceeds the cap 512"):
-        extensions.build_extension(C2, A, rep)
+    cert = extensions.certify(A, rep)
+    assert (cert.order, cert.lcs_orders, cert.spectrum()[-1]) == (8192, [8192, 1], (8192, 4096))
+    with pytest.raises(groups.GroupError, match="order 8192 exceeds the table cap 4096"):
+        build_extension(C2, A, rep)
 
 
 def test_projection_is_checked_on_the_generator_edges():
     C4 = groups.make_table(cyclic_table(4))
     A = trivial_module(C4, 2, [1])
     H = cohomology.finite_cohomology(A, 2)
-    ext = extensions.build_extension(C4, A, H.representative(np.array([1], dtype=np.int64)))
+    ext = build_extension(C4, A, H.representative(np.array([1], dtype=np.int64)))
     # the same base with the labels of a and a^2 swapped, so that the block
     # projection, read in the new labels, is no longer a homomorphism
     swap = np.array([0, 2, 1, 3])
     relabelled = groups.make_table(swap[C4.mul[np.ix_(swap, swap)]])
-    assert extensions.are_isomorphic(relabelled, C4)
-    bad = extensions.ExtensionGroup(relabelled, A, ext.table)
+    assert are_isomorphic(relabelled, C4)
+    bad = ExtensionGroup(relabelled, A, ext.table)
     with pytest.raises(extensions.ExtensionError, match="not a homomorphism"):
-        extensions._validate_extension(bad)
+        validate_extension(bad)
 
 
 @pytest.mark.parametrize("stage, level", [(2, 6), (3, 5)])
@@ -205,10 +206,24 @@ def test_extension_table_matches_the_int64_formula(stage, level):
     A = top.chain.quotient(level).module
     H = cohomology.finite_cohomology(A, 2)
     tau_hat = H.representative([1] * len(H.structure.exps))
-    tau = extensions.cocycle_value_table(A, tau_hat)
+    tau = cocycle_value_table(A, tau_hat)
     assert tau.any()
-    ext = extensions.build_extension(top.group, A, tau_hat)
+    ext = build_extension(top.group, A, tau_hat)
     assert ext.table.order == 512
     assert ext.table.mul.dtype == groups.index_dtype(512)
     want = extension_table_by_formula(top.group.mul, A.coord_moduli(), A.plain, tau)
     assert np.array_equal(ext.table.mul, want)
+
+
+def test_a_coclass_criterion_disagreement_is_refused():
+    # D8 over the dihedral top quotient V4 has the base's coclass 1; read at
+    # the wrong index l = 1, gamma_1(E) = E is not the fiber, so the flag
+    # and the coclass disagree, on the table as on the certificate
+    top = scenarios.load_scenario("dihedral_mainline").top()
+    A = top.quotient(1).module
+    lam = top.mainline_cocycle(1)
+    assert check_certificate(A, lam, l=top.l).flag
+    assert check_certificate(A, lam, l=1) is None
+    with pytest.raises(extensions.ExtensionError,
+                       match="coclass criterion disagreement: cc 1 vs base 1, flag False"):
+        extensions.certify(A, lam, l=1)

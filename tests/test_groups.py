@@ -9,8 +9,8 @@ import pytest
 
 from coclass import cli, groups, scenarios
 
-from brute_force import (brute_is_normal, brute_is_subgroup, brute_isomorphisms, center_of_table,
-                         closure_table_fill, compose_permutations, compose_perms,
+from brute_force import (brute_is_normal, brute_is_subgroup, brute_isomorphisms, center,
+                         center_of_table, closure_table_fill, compose_permutations, compose_perms,
                          element_orders_by_steps,
                          lower_central_series_terms)
 
@@ -210,7 +210,7 @@ def test_lcs_terms_are_normal():
 
 def test_center_d8():
     D8 = groups.build_group(D8_PRESENTATION)
-    assert len(groups.center(D8)) == 2
+    assert len(center(D8)) == 2
 
 
 def test_semidirect_split_table():
@@ -322,4 +322,4 @@ def test_lcs_from_generator_commutators_matches_all_commutators(pipeline_tables)
 def test_orders_and_center_match_the_naive_ones(pipeline_tables):
     for G in pipeline_tables:
         assert np.array_equal(G.element_orders(), element_orders_by_steps(G.mul, G.identity))
-        assert groups.center(G) == center_of_table(G.mul)
+        assert center(G) == center_of_table(G.mul)

@@ -25,9 +25,6 @@ DATA = Path(__file__).resolve().parent / "data"
 # functions and methods, as module.name or module.Class.name, that no run of
 # `_cli_runs` enters, with the reason each is kept
 NOT_ENTERED: dict[str, str] = {
-    "extensions.are_isomorphic":
-        "the oracle for two vertices of one level whose fingerprints tie, "
-        "which no built-in scenario has",
     "modules.LatticeModule.ctx":
         "read only by perfbench/tracer.py, which keys lattice inputs by T.ctx.N",
 }

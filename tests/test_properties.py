@@ -1,17 +1,23 @@
 """Property-based checks of the structural identities the pipeline relies on."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
-from brute_force import (brute_act_on_cochain, center_of_table, closure_table_fill,
+from brute_force import (brute_act_on_cochain, center, center_of_table, check_certificate,
+                         closure_table_fill,
                          compose_permutations, contains, diagonalize_mod, element_orders_by_steps,
                          extension_mul_by_blocks, generator_columns, is_associative,
                          is_coboundary, kernel_gens_mod,
                          lower_central_series_terms, pair_compose, reduce_one_row,
                          semi_brute_h_stats, span_automorphism)
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def cyclic_table(n):
@@ -329,7 +335,7 @@ def test_lcs_orders_and_center_match_the_naive_ones(perms):
     G, _ = groups.from_permutations([tuple(p) for p in perms])
     assert groups.lower_central_series(G) == lower_central_series_terms(G)
     assert np.array_equal(G.element_orders(), element_orders_by_steps(G.mul, G.identity))
-    assert groups.center(G) == center_of_table(G.mul)
+    assert center(G) == center_of_table(G.mul)
 
 
 @given(st.sampled_from([2, 3, 5]), st.sampled_from([[1, 2], [2, 1], [2, 2], [1, 3, 2]]),
@@ -402,3 +408,53 @@ def test_stacked_solve_and_coords_match_the_row_by_row_calls(pM, ngens, nrows, d
     outside = next((v for v in np.eye(width, dtype=np.int64) if not contains(H, v)), None)
     if outside is not None:
         assert H.solve(np.vstack([stack, outside])) is None
+
+
+def _d8_on_plane(e):
+    # D8 acting on (Z/2^e)^2 by its integer matrices, read off a closure mod 64
+    G, mats = groups.from_matrices([[[1, 0], [0, -1]], [[0, 1], [-1, 0]]], 64)
+    return modules.finite_module_from_plain(G, 2, [e, e], mats)
+
+
+def _trivial_on(table, p):
+    G = groups.make_table(table)
+    return lambda *exps: modules.finite_module_from_plain(
+        G, p, list(exps), [np.eye(len(exps), dtype=np.int64)] * G.order)
+
+
+# (G, A) up to |G| |A| = 512: trivial and faithful actions of 2- and
+# 3-groups, and the level quotients of the built-in scenarios
+_CERT_MODULES = {
+    "C2 trivial": (_trivial_on(cyclic_table(2), 2), [(1,), (3,), (1, 2), (2, 2), (1, 1, 2)]),
+    "C4 trivial": (_trivial_on(cyclic_table(4), 2), [(1,), (2,), (1, 2), (1, 1, 1)]),
+    "V4 trivial": (_trivial_on([[i ^ j for j in range(4)] for i in range(4)], 2),
+                   [(1,), (2,), (1, 1), (1, 3)]),
+    "C9 trivial": (_trivial_on(cyclic_table(9), 3), [(1,), (2,), (1, 1)]),
+    "D8 on a plane": (_d8_on_plane, [(1,), (2,), (3,)]),
+    "dihedral_mainline": (lambda n: scenarios.load_scenario("dihedral_mainline").top()
+                          .quotient(n).module, [(n,) for n in range(1, 8)]),
+    "d8_gaussian": (lambda n: scenarios.load_scenario("d8_gaussian").top().quotient(n).module,
+                    [(1,)]),
+    "c3_eisenstein": (lambda n: scenarios.load_scenario(str(DATA / "c3_eisenstein.json")).top()
+                      .quotient(n).module, [(1,), (2,)]),
+}
+_cert_cache = {}
+
+
+@given(st.sampled_from(sorted(_CERT_MODULES)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_extension_certificate_matches_the_table(name, data):
+    # a random cocycle, any class plus any coboundary, of a random module
+    build, choices = _CERT_MODULES[name]
+    args = data.draw(st.sampled_from(choices))
+    if (name, args) not in _cert_cache:
+        A = build(*args)
+        _cert_cache[name, args] = (A, cohomology.finite_cohomology(A, 2),
+                                   cohomology.coboundary_rows(A, 2))
+    A, H, B = _cert_cache[name, args]
+    assert A.group.order * A.order <= 512
+    coords = [data.draw(st.integers(0, int(m) - 1)) for m in H.structure.moduli()]
+    mix = np.array(data.draw(st.lists(st.integers(0, A.q - 1), min_size=len(B),
+                                      max_size=len(B))), dtype=np.int64)
+    row = (H.representative(coords) + mix @ B) % A.q
+    check_certificate(A, row)

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from coclass import cli
+from coclass import cli, groups, scenarios
+
+from brute_force import build_extension, coclass_of_extension
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 DATA = Path(__file__).resolve().parent / "data"
@@ -27,6 +29,8 @@ STORED = {
     "dihedral_p9_d7.run-all.out": ["run-all", "--scenario", "tests/data/dihedral_p9_d7.json"],
     "dihedral_mainline.branch-i5-k2-shift.out":
         ["branch", "--scenario", "dihedral_mainline", "--i", "5", "--k", "2", "--shift"],
+    "dihedral_mainline.branch-i3-k3-shift.out":
+        ["branch", "--scenario", "dihedral_mainline", "--i", "3", "--k", "3", "--shift"],
     "d8_gaussian.verify-lcs-4096.out":
         ["verify-lcs", "--scenario", "d8_gaussian", "--max-order", "4096"],
     "dihedral_mainline.verify-lcs-2048.out":
@@ -37,6 +41,10 @@ STORED = {
     "d8_gaussian.extend-mainline-1.out":
         ["extend", "--scenario", "d8_gaussian", "--cocycle",
          "tests/data/mainline_level1.cocycle.json"],
+    # order 2048, above the 512 that the extension table once allowed
+    "dihedral_mainline.extend-mainline-9.out":
+        ["extend", "--scenario", "dihedral_mainline", "--cocycle",
+         "tests/data/mainline_level9.cocycle.json"],
     # the summand witness, the H^2 orbits and the orbit correspondence, which
     # solve over Howell forms and list every H^2 coordinate
     "d8_gaussian.verify-counterexample.out":
@@ -62,8 +70,22 @@ def test_stored_report_is_reproduced(capsys, monkeypatch, name):
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
 
 
+def test_the_level_9_extend_report_matches_the_table_oracle():
+    # the stored report of the order-2048 mainline extension, read again off
+    # its multiplication table (2048 <= groups.CLOSURE_CAP)
+    name = "dihedral_mainline.extend-mainline-9.out"
+    report = json.loads((DATA / name).read_text())
+    top = scenarios.load_scenario("dihedral_mainline").top()
+    A = top.quotient(9).module
+    ext = build_extension(top.group, A, top.mainline_cocycle(9))
+    cc, flag = coclass_of_extension(ext, l=top.l)
+    assert (report["order"], report["nilpotency_class"], report["coclass"]) == (
+        str(ext.order), str(groups.nilpotency_class(ext.table)), str(cc))
+    assert report["has_top_coclass"] is flag is True
+
+
 def test_stored_dot_file_is_reproduced(capsys, tmp_path):
-    # the DOT labels are read off each vertex's fingerprint
+    # the DOT labels are read off each vertex's element-order spectrum
     dot = tmp_path / "branch.dot"
     assert cli.main(["branch", "--scenario", "dihedral_mainline", "--i", "7", "--k", "1",
                      "--shift", "--dot", str(dot)]) == 0

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coclass import cohomology, extensions, groups, modules, pairs, scenarios
+from coclass import cohomology, groups, modules, pairs, scenarios
 
-from brute_force import split_frame_per_level, summand_scan_per_level_frames
+from brute_force import (are_isomorphic, build_extension, check_certificate, split_frame_per_level,
+                         summand_scan_per_level_frames)
 
 
 _cache = {}
@@ -87,14 +88,14 @@ def test_mainline_extensions_are_the_finite_quotients():
     for n in (1, 2, 3):
         Q = top.quotient(n)
         lam = top.mainline_cocycle(n)
-        ext = extensions.build_extension(top.group, Q.module, lam)
+        ext = build_extension(top.group, Q.module, lam)
         Qfull = scn.quotient(n + scn.top_offset)
         Am = Qfull.module
         quotient_table = groups.abelian_extension_table(
             G0.mul, [int(x) for x in Am.coord_moduli()], Am.plain, None)
-        assert extensions.are_isomorphic(ext.table, quotient_table)
-        cc, flag = extensions.coclass_of_extension(ext, l=top.l)
-        assert flag and cc == groups.coclass(top.group)
+        assert are_isomorphic(ext.table, quotient_table)
+        cert = check_certificate(Q.module, lam, l=top.l)
+        assert cert.flag and cert.coclass == groups.coclass(top.group)
 
 
 def test_mainline_reduction_is_mainline():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from coclass import cli, coclass_tree, cohomology, extensions, groups, scenarios
 
-from brute_force import at_distance, vertex_table
+from brute_force import are_isomorphic, at_distance, build_extension, check_certificate, vertex_table
 
 
 _cache = {}
@@ -139,7 +140,45 @@ def test_vertices_pairwise_nonisomorphic():
     tables = [vertex_table(dihedral(), v) for v in at_distance(br, 1)]
     for x in range(len(tables)):
         for y in range(x + 1, len(tables)):
-            assert not extensions.are_isomorphic(tables[x], tables[y])
+            assert not are_isomorphic(tables[x], tables[y])
+
+
+@pytest.mark.parametrize("i", [3, 4, 5, 6, 7])
+def test_every_vertex_certificate_matches_its_table(i):
+    # every vertex of branches 3-7 shaved at k <= 2, up to order 512
+    scn = dihedral()
+    top = scn.top()
+    for k in (1, 2):
+        for v in branch(i, k).vertices:
+            lv = coclass_tree._level_data(top, v.level)
+            cert = check_certificate(lv.Q.module, lv.H.representative(v.class_coords), l=top.l)
+            assert cert.flag
+            assert (v.order, v.spectrum) == (cert.order, cert.spectrum())
+
+
+@pytest.mark.parametrize("i", [3, 4, 5, 6, 7])
+def test_orbits_certify_the_isomorphism_types_of_a_level(i):
+    # what `_check_orbit_isomorphism` certifies by theorem, checked by
+    # search: the vertices of a level are pairwise non-isomorphic; as a
+    # positive control, two classes of one orbit give isomorphic groups
+    scn = dihedral()
+    top = scn.top()
+    br = branch(i, 2)
+    controls = 0
+    for level in sorted({v.level for v in br.vertices}):
+        vs = [v for v in br.vertices if v.level == level]
+        tables = [vertex_table(scn, v) for v in vs]
+        for a, b in itertools.combinations(tables, 2):
+            assert not are_isomorphic(a, b)
+        lv = coclass_tree._level_data(top, level)
+        for v in vs:
+            twins = lv.partition.classes[v.orbit]
+            if len(twins) > 1 and v.order <= 64:
+                a, b = (build_extension(top.group, lv.Q.module, lv.H.representative(c)).table
+                        for c in twins[:2])
+                assert are_isomorphic(a, b)
+                controls += 1
+    assert controls or i > 5
 
 
 def test_shift_splits_through_the_frame_of_the_residue_class():
@@ -154,9 +193,10 @@ def test_shift_splits_through_the_frame_of_the_residue_class():
         ("frame", 2, basis.astype(np.int64).tobytes())]
 
 
-def test_branch_shift_peaks_under_three_of_its_largest_tables():
-    # no vertex keeps its extension table, so at most one table of order
-    # 512 is alive at a time, beside its fingerprint's temporaries
+def test_branch_shift_peaks_under_half_of_its_largest_table():
+    # no vertex builds its extension table: the peak is set by the level
+    # cohomology and the certificates, under half of the order-512 table
+    # that the largest vertex once built
     scn = scenarios.load_scenario("dihedral_mainline")
     tracemalloc.start()
     try:
@@ -168,56 +208,71 @@ def test_branch_shift_peaks_under_three_of_its_largest_tables():
     largest = max(v.order for v in br.vertices + dst.vertices)
     table_bytes = largest**2 * np.dtype(groups.index_dtype(largest)).itemsize
     assert largest == 512
-    assert peak <= 3 * table_bytes, "peak %.2f x the largest table" % (peak / table_bytes)
-    assert held < table_bytes, "%.2f MiB still held" % (held / 2**20)
+    assert peak <= table_bytes / 2, "peak %.2f x the largest table" % (peak / table_bytes)
+    assert held < table_bytes / 4, "%.2f MiB still held" % (held / 2**20)
 
 
 def test_branch_shift_builds_each_class_once_and_never_compares_two_groups(monkeypatch, capsys):
-    # branch 8's root is branch 7's mainline child: 8 vertices, 7 classes
-    requests, builds, searches = [], [], []
+    # branch 8's root is branch 7's mainline child: 8 vertices, 7 classes;
+    # the only table built is the scenario's split product, the top group
+    certified, searches, tables, splits = [], [], [], []
 
-    def requested(top, lv, coords, _fn=coclass_tree._vertex_extension):
-        requests.append((lv.n, tuple(coords)))
-        return _fn(top, lv, coords)
-
-    def built(*args, _fn=extensions.build_extension):
-        builds.append(args)
-        return _fn(*args)
+    def certify(A, row, l=None, _fn=extensions.certify):
+        certified.append((A.order, np.asarray(row).tobytes()))
+        return _fn(A, row, l)
 
     def search(G, H, _fn=groups.isomorphisms):
         if G is not H:  # automorphism_group searches the top quotient's own
             searches.append((G.order, H.order))
         return _fn(G, H)
 
-    monkeypatch.setattr(coclass_tree, "_vertex_extension", requested)
-    monkeypatch.setattr(extensions, "build_extension", built)
+    def split_product(self, m, _fn=scenarios.Scenario.split_product):
+        splits.append(m)
+        table = _fn(self, m)
+        splits.pop()
+        return table
+
+    def table(*args, _fn=groups.abelian_extension_table):
+        tables.append(bool(splits))
+        return _fn(*args)
+
+    monkeypatch.setattr(extensions, "certify", certify)
     monkeypatch.setattr(groups, "isomorphisms", search)
+    monkeypatch.setattr(scenarios.Scenario, "split_product", split_product)
+    monkeypatch.setattr(groups, "abelian_extension_table", table)
     assert cli.main(["branch", "--scenario", "dihedral_mainline", "--i", "7", "--k", "1",
                      "--shift"]) == 0
     capsys.readouterr()
-    assert len(requests) == 8
-    assert len(builds) == len(set(requests)) == 7
+    assert len(certified) == len(set(certified)) == 7
     assert not searches
+    assert tables == [True]
 
 
-def test_a_fingerprint_tie_rebuilds_both_tables_and_is_refused(monkeypatch):
+def test_the_orbit_certificate_refuses_a_shared_orbit_or_a_missing_flag(monkeypatch):
     scn, br = dihedral(), branch(4)
     top = scn.top()
     kids = at_distance(br, 1)
     level = kids[0].level
     levels = {level: coclass_tree._level_data(top, level)}
-    builds = []
+    certified = []
 
-    def built(*args, _fn=extensions.build_extension):
-        builds.append(args)
+    def certify(*args, _fn=extensions.certify):
+        certified.append(args)
         return _fn(*args)
 
-    monkeypatch.setattr(extensions, "build_extension", built)
-    # distinct fingerprints settle the level without a table
+    monkeypatch.setattr(extensions, "certify", certify)
+    # distinct orbits of flagged classes settle the level from the held
+    # certificates, with no table and no search
     coclass_tree._check_orbit_isomorphism(top, levels, kids)
-    assert builds == []
+    assert certified == []
     twin = dataclasses.replace(kids[0], index=len(br.vertices))
     with pytest.raises(coclass_tree.BranchError,
-                       match="distinct orbits at level %d gave isomorphic groups" % level):
+                       match="vertices %d and %d at level %d are one orbit"
+                       % (kids[0].index, twin.index, level)):
         coclass_tree._check_orbit_isomorphism(top, levels, [kids[0], twin])
-    assert len(builds) == 2
+    # the split class has no gamma_l(E) = A, so its orbit certifies nothing
+    split = dataclasses.replace(kids[0], class_coords=(0, 0, 0))
+    with pytest.raises(coclass_tree.BranchError,
+                       match="vertex %d at level %d does not have gamma_l" % (split.index, level)):
+        coclass_tree._check_orbit_isomorphism(top, levels, [split])
+    assert len(certified) == 1
