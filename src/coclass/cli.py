@@ -182,14 +182,23 @@ def cmd_verify_counterexample(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def _max_order(args) -> int:
+    """--max-order, which must be positive: no quotient is smaller than 1."""
+    if args.max_order < 1:
+        raise CoclassError("--max-order must be positive, not %d" % args.max_order)
+    return args.max_order
+
+
 def cmd_verify_lcs(args) -> int:
+    max_order = _max_order(args)
     scn = _load(args)
-    rep = scenarios.check_lower_central_series(scn, max_order=args.max_order)
+    rep = scenarios.check_lower_central_series(scn, max_order=max_order)
     _emit(rep.as_dict(), args.out)
     return 0 if rep.ok else 1
 
 
 def cmd_run_all(args) -> int:
+    max_order = _max_order(args)
     names = [args.scenario] if args.scenario else list(scenarios.BUILTIN_SCENARIOS)
     failures = []
     report: dict = {"scenarios": {}}
@@ -200,7 +209,7 @@ def cmd_run_all(args) -> int:
         n = bounds.least_qualifying()
         entry["bounds"] = {"a": str(bounds.a_exp), "b": str(bounds.b_exp),
                            "v": str(bounds.v), "least_qualifying_n": str(n)}
-        lcs = scenarios.check_lower_central_series(scn, max_order=args.max_order)
+        lcs = scenarios.check_lower_central_series(scn, max_order=max_order)
         entry["lcs"] = lcs.as_dict()
         if not lcs.ok:
             failures.append("%s: lower central series" % name)

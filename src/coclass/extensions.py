@@ -7,8 +7,10 @@ normalisation is exactly what makes this product associative, with identity
 (0, 1), so `certify` checks the cocycle and then reads E without its
 |E| x |E| table: its lower central series, held in coordinates, and from it
 the nilpotency class, the coclass and the lower-central criterion; a branch
-vertex also reads its element-order spectrum.  tests/brute_force.py builds
-the table and checks each of these against it.
+vertex also reads its element-order spectrum.  The lower-central-series
+check of the scenarios reads the same series of each split quotient, the
+extension by the zero factor set.  tests/brute_force.py builds the table
+and checks each of these against it.
 """
 
 from __future__ import annotations

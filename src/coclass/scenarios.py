@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CoclassError, Owner, cohomology, groups, linalg, modules, pairs
+from . import CoclassError, Owner, cohomology, extensions, groups, linalg, modules, pairs
 from .groups import GroupTable
 from .modules import CentralChain, LatticeModule, QuotientModule
 
@@ -102,18 +102,11 @@ class Scenario(Owner):
         return self.chain().quotient(n)
 
     def split_product(self, m: int) -> GroupTable:
-        """The finite split quotient G0 x (T / T_m) of the semidirect product, kept
-        only when a stage reads it: the top, and the stages the summand scan
-        does not skip for their order."""
-        def build():
-            A = self.quotient(m).module
-            return groups.abelian_extension_table(
-                self.group().mul, [int(x) for x in A.coord_moduli()], A.plain, None)
-        d, k = self.period(), m // self.period()
-        if m % d or not (k == self.top_offset // d
-                         or k in SCAN_STAGES and self.stage_order(k) <= SCAN_GROUP_CAP):
-            return build()
-        return self.derived(("split product", m), build)
+        """The table of the finite split quotient G0 x (T / T_m) of the
+        semidirect product; only `stage` builds one, for a bar complex."""
+        A = self.quotient(m).module
+        return groups.abelian_extension_table(
+            self.group().mul, [int(x) for x in A.coord_moduli()], A.plain, None)
 
     def stage_order(self, k: int) -> int:
         """The order |G0| [T : T_{kd}] of stage k, known before its table is built."""
@@ -382,33 +375,17 @@ class LcsReport:
         }
 
 
-def _fiber_term_indices(scn: Scenario, Qm: QuotientModule, j: int) -> list[int]:
-    """Table indices of the image of 1 x T_j inside G0 x (T / T_m)."""
-    T = scn.lattice()
-    chain = scn.chain()
-    Bj = chain.bases[j]
-    m = Qm.level
-    steps = chain.index_exponents
-    count = scn.p ** (steps[m] - steps[j])
-    moduli = [int(x) for x in Qm.module.coord_moduli()]
-    amb = (groups.all_coord_rows([count] * scn.rank) @ Bj) % T.q
-    plain = Qm.module.unhat(Qm.hat_of_ambient(amb))
-    coset = scn.group().identity * Qm.module.order
-    found = set((coset + groups.mixed_radix_index(plain, moduli)).tolist())
-    if len(found) != count:
-        raise ScenarioError("fiber sublattice enumeration produced %d of %d elements"
-                            % (len(found), count))
-    return sorted(found)
-
-
 def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
     """Identify the lower central terms of the finite semidirect quotients.
 
-    For each buildable quotient G0 x (T / T_m), checks that with the
+    For each quotient G0 x (T / T_m) up to max_order, checks that with the
     convention gamma_1 = G the (1+j)-th lower central term equals the image
     of 1 x T_j for every j from top_offset up to m, and that the coclass of
-    the quotients stabilizes at the declared value.  Each table is dropped
-    before the next is built, unless a stage keeps it.
+    the quotients stabilizes at the declared value.  The quotient is the
+    extension of A = T / T_m by the zero factor set, so its series is read
+    in coordinates (`extensions._lower_central_series`), with no table: a
+    term is the image of T_j when it lies over the identity of G0 and meets
+    A in the span of T_j.
     """
     G0 = scn.group()
     chain = scn.chain()
@@ -419,22 +396,24 @@ def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
     m = 1
     while m <= chain.depth and G0.order * scn.p ** chain.index_exponents[m] <= max_order:
         Qm = scn.quotient(m)
-        table = scn.split_product(m)
-        orders.append(table.order)
-        series = table.lcs()
+        A = Qm.module
+        split = np.zeros((G0.order, G0.order, A.rank), dtype=np.int64)
+        series = extensions._lower_central_series(A, split)
+        sizes = [len(image) * A.p ** K.order_exp() for image, K, _ in series]
+        orders.append(sizes[0])
         for j in range(scn.top_offset, m + 1):
-            expected = _fiber_term_indices(scn, Qm, j)
+            expected = linalg.howell(Qm.hat_of_ambient(chain.bases[j]), A.p, A.E)
             li = 1 + j
-            actual = series[li - 1] if li - 1 < len(series) else [table.identity]
-            if sorted(actual) == expected:
-                identified.append((m, li, len(expected)))
+            i = min(li, len(series)) - 1  # past the class, the trivial last term
+            image, K, _ = series[i]
+            if len(image) == 1 and K.same_span(expected):
+                identified.append((m, li, sizes[i]))
             else:
                 failures.append(
                     "chain index %d: lcs term %d has size %d, expected the "
                     "image of the depth-%d sublattice (size %d)"
-                    % (m, li, len(actual), j, len(expected)))
-        coclasses.append((m, groups.coclass(table)))
-        del table, series
+                    % (m, li, sizes[i], j, A.p ** expected.order_exp()))
+        coclasses.append((m, groups.order_coclass(sizes[0], len(series) - 1)))
         m += 1
     last_m = m - 1
     if last_m < scn.top_offset + 1:

@@ -1083,3 +1083,69 @@ def check_certificate(A, row, l=None):
     assert (cert.coclass, cert.flag) == (cc, flag)
     assert cert.spectrum() == table_spectrum(ext.table)
     return cert
+
+
+# ---------------------------------------------------------------------------
+# The lower central series of the split quotients, read off their tables:
+# the oracle for `scenarios.check_lower_central_series`.
+# ---------------------------------------------------------------------------
+
+
+def _fiber_term_indices(scn, Qm, j):
+    """Table indices of the image of 1 x T_j inside G0 x (T / T_m), each
+    element of T_j enumerated."""
+    T = scn.lattice()
+    chain = scn.chain()
+    Bj = chain.bases[j]
+    m = Qm.level
+    steps = chain.index_exponents
+    count = scn.p ** (steps[m] - steps[j])
+    moduli = [int(x) for x in Qm.module.coord_moduli()]
+    amb = (groups.all_coord_rows([count] * scn.rank) @ Bj) % T.q
+    plain = Qm.module.unhat(Qm.hat_of_ambient(amb))
+    coset = scn.group().identity * Qm.module.order
+    found = set((coset + groups.mixed_radix_index(plain, moduli)).tolist())
+    assert len(found) == count, "fiber sublattice enumeration produced %d of %d elements" % (
+        len(found), count)
+    return sorted(found)
+
+
+def lcs_report_by_table(scn, max_order):
+    """The report of `scenarios.check_lower_central_series`, with each split
+    quotient built as a table (`Scenario.split_product`, up to
+    `groups.CLOSURE_CAP`) and each lower central term compared element by
+    element with the enumerated fiber sublattice."""
+    G0 = scn.group()
+    chain = scn.chain()
+    failures, identified, coclasses, orders = [], [], [], []
+    m = 1
+    while m <= chain.depth and G0.order * scn.p ** chain.index_exponents[m] <= max_order:
+        Qm = scn.quotient(m)
+        table = scn.split_product(m)
+        orders.append(table.order)
+        series = table.lcs()
+        for j in range(scn.top_offset, m + 1):
+            expected = _fiber_term_indices(scn, Qm, j)
+            li = 1 + j
+            actual = series[li - 1] if li - 1 < len(series) else [table.identity]
+            if sorted(actual) == expected:
+                identified.append((m, li, len(expected)))
+            else:
+                failures.append(
+                    "chain index %d: lcs term %d has size %d, expected the "
+                    "image of the depth-%d sublattice (size %d)"
+                    % (m, li, len(actual), j, len(expected)))
+        coclasses.append((m, groups.coclass(table)))
+        m += 1
+    last_m = m - 1
+    if last_m < scn.top_offset + 1:
+        failures.append("no quotient deep enough to test the identification")
+    stabilized = [c for mm, c in coclasses if mm >= scn.top_offset + scn.period()]
+    limit = stabilized[-1] if stabilized else -1
+    if limit != scn.pro_coclass:
+        failures.append("quotient coclass %d does not stabilize at the declared %d"
+                        % (limit, scn.pro_coclass))
+    elif any(c != limit for c in stabilized):
+        failures.append("quotient coclass has not stabilized: %s" % coclasses)
+    return scenarios.LcsReport(scn.name, last_m, orders, identified, coclasses,
+                               limit, not failures, failures)

@@ -148,15 +148,31 @@ def test_oversized_coboundary_is_a_one_line_error(tmp_path, capsys):
 
 
 def test_oversized_extension_table_is_refused_before_it_is_allocated(tmp_path, capsys):
-    # at depth 17 the lower central series check would reach split quotients
-    # of order 8192 to 131072: 0.5 GiB of int16 entries at order 16384
+    # at depth 17 the lower central series check reaches split quotients of
+    # order 8192 to 131072, which it reads in coordinates, with no table
     data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"], depth=17, precision=20)
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(data))
-    code = cli.main(["verify-lcs", "--scenario", str(path), "--max-order", "200000"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == "error: extension of order 8192 exceeds the table cap %d\n" % groups.CLOSURE_CAP
+    code, out = run(["verify-lcs", "--scenario", str(path), "--max-order", "200000"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True and report["quotient_orders"][-1] == "131072"
+    # where a table is still built, an order above the cap is refused before
+    # it is allocated: 8192^2 int16 entries would be 128 MiB
+    flip = np.array([[0, 1], [1, 0]])
+    with pytest.raises(groups.GroupError) as exc:
+        groups.abelian_extension_table(flip, [4096], np.array([[[1]], [[-1]]]))
+    assert str(exc.value) == "extension of order 8192 exceeds the table cap %d" % groups.CLOSURE_CAP
+
+
+@pytest.mark.parametrize("command", ["verify-lcs", "run-all"])
+@pytest.mark.parametrize("max_order", ["0", "-4"])
+def test_a_max_order_below_one_is_a_usage_error(capsys, command, max_order):
+    # no quotient has order below 1, so no claim would be checked
+    code = cli.main([command, "--scenario", "dihedral_mainline", "--max-order", max_order])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: --max-order must be positive, not %s\n" % max_order
 
 
 def test_branch_with_shift_and_dot(tmp_path, capsys):

@@ -11,7 +11,7 @@ from coclass import cli, groups, scenarios
 
 from brute_force import (brute_is_normal, brute_is_subgroup, brute_isomorphisms, center,
                          center_of_table, closure_table_fill, compose_permutations, compose_perms,
-                         element_orders_by_steps,
+                         element_orders_by_steps, lcs_report_by_table,
                          lower_central_series_terms)
 
 C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
@@ -297,7 +297,9 @@ _PIPELINE_ARGVS = [
 
 @pytest.fixture(scope="module")
 def pipeline_tables():
-    """Every distinct table whose lower central series the pipeline takes."""
+    """Every distinct table whose lower central series the pipeline takes,
+    and the split quotients up to order 512 of each run-all scenario, whose
+    tables the lower-central-series oracle reads."""
     tables = {}
     series = groups.lower_central_series
 
@@ -310,6 +312,8 @@ def pipeline_tables():
         for argv in _PIPELINE_ARGVS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0
+            if argv[0] == "run-all":
+                assert lcs_report_by_table(scenarios.load_scenario(argv[2]), 512).ok
     return list(tables.values())
 
 

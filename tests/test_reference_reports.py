@@ -35,6 +35,13 @@ STORED = {
         ["verify-lcs", "--scenario", "d8_gaussian", "--max-order", "4096"],
     "dihedral_mainline.verify-lcs-2048.out":
         ["verify-lcs", "--scenario", "dihedral_mainline", "--max-order", "2048"],
+    # past the order 4096 of the largest table: d8 at depth 12 and every
+    # chain index of the C3 file
+    "d8_gaussian_depth12.verify-lcs-32768.out":
+        ["verify-lcs", "--scenario", "tests/data/d8_gaussian_depth12.json",
+         "--max-order", "32768"],
+    "c3_eisenstein.verify-lcs-177147.out":
+        ["verify-lcs", "--scenario", "tests/data/c3_eisenstein.json", "--max-order", "177147"],
     "d8_gaussian.cohomology-n3-d3.out":
         ["cohomology", "--scenario", "d8_gaussian", "--n", "3", "--degree", "3"],
     # the extension over d8's order-32 top quotient, whose chain is pulled back
@@ -68,6 +75,23 @@ def test_stored_report_is_reproduced(capsys, monkeypatch, name):
     monkeypatch.chdir(DATA.parent.parent)
     assert cli.main(STORED[name]) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, depth", [("d8_gaussian_depth12.verify-lcs-32768.out", 12),
+                                         ("c3_eisenstein.verify-lcs-177147.out", 10)])
+def test_lcs_reports_past_the_table_oracle_identify_every_fiber_term(name, depth):
+    # no table oracle reaches these orders, so each identified term is checked
+    # against the order of the image of T_j in T / T_m, p^(steps[m] - steps[j]),
+    # and every (m, 1 + j) with top_offset <= j <= m must be identified
+    report = json.loads((DATA / name).read_text())
+    scn = scenarios.load_scenario(str(DATA.parent.parent / STORED[name][2]))
+    steps = scn.chain().index_exponents
+    terms = [tuple(int(t[k]) for k in ("chain_index", "lcs_index", "size"))
+             for t in report["identified_terms"]]
+    assert report["ok"] is True and report["max_chain_index"] == str(depth)
+    assert [(m, li) for m, li, _ in terms] == [
+        (m, 1 + j) for m in range(1, depth + 1) for j in range(scn.top_offset, m + 1)]
+    assert all(size == scn.p ** (steps[m] - steps[li - 1]) for m, li, size in terms)
 
 
 def test_the_level_9_extend_report_matches_the_table_oracle():
@@ -106,10 +130,8 @@ LAUNCH = ("import os, subprocess, sys\n"
 
 
 def test_verify_lcs_at_order_4096_stays_under_100_mib(tmp_path):
-    # one quotient table is alive at a time, beside the small stage tables
-    # (orders 32 and 128) that are kept: the order-4096 table is 32 MiB of
-    # int16 entries, and the run peaks near 65 MiB; when every table of order
-    # 16 to 4096 was kept, it peaked near 76 MiB
+    # the quotients are read in coordinates, with no table, so the run peaks
+    # near 32 MiB, where an order-4096 table alone is 32 MiB of int16 entries
     out = tmp_path / "lcs.out"
     env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent / "src"))
     argv = [sys.executable, "-m", "coclass.cli"] + STORED["d8_gaussian.verify-lcs-4096.out"]

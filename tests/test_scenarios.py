@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +6,8 @@ import pytest
 
 from coclass import cohomology, groups, modules, pairs, scenarios
 
-from brute_force import (are_isomorphic, build_extension, check_certificate, split_frame_per_level,
-                         summand_scan_per_level_frames)
+from brute_force import (are_isomorphic, build_extension, check_certificate, lcs_report_by_table,
+                         split_frame_per_level, summand_scan_per_level_frames)
 
 
 _cache = {}
@@ -127,45 +126,48 @@ def test_lcs_identification_d8():
     assert (3, 3) in identified
 
 
-def _check_traced(scn, max_order):
-    """The report of the check on a fresh scenario, and the bytes it peaked
-    at and still held, with the chain's quotients built beforehand."""
-    for m in range(1, scn.chain().depth + 1):
-        scn.quotient(m)
-    tracemalloc.start()
-    try:
-        rep = scenarios.check_lower_central_series(scn, max_order)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return rep, peak, held
+DATA = Path(__file__).resolve().parent / "data"
+C3_EISENSTEIN = DATA / "c3_eisenstein.json"
+
+# D8 acting on Z_2 through D8 -> C2, both generators negating: the derived
+# subgroup of D8 is not trivial, so gamma_2 of each quotient does not lie
+# over the identity of G0 as the image of T_1 does, and every quotient
+# fails the identification
+D8_NEGATION = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"], name="d8_negation",
+                   group=scenarios.BUILTIN_SCENARIOS["d8_gaussian"]["group"],
+                   action=[[[-1]], [[-1]]])
 
 
-def _kept_split_products(scn):
-    return sorted(key[1] for key in scn._memo if key[0] == "split product")
+@pytest.mark.parametrize("source, max_order, last_order, ok", [
+    ("dihedral_mainline", 2048, 2048, True),
+    ("d8_gaussian", 4096, 4096, True),
+    (str(C3_EISENSTEIN), 2187, 2187, True),
+    (str(DATA / "dihedral_p9_d7.json"), 4096, 256, True),  # its chain stops at depth 7
+    (D8_NEGATION, 4096, 4096, False),
+], ids=["dihedral_mainline", "d8_gaussian", "c3_eisenstein", "dihedral_p9_d7", "d8_negation"])
+def test_lcs_report_matches_the_table_oracle(source, max_order, last_order, ok):
+    # every field: orders, identified terms and their sizes, coclasses, the
+    # limit and the failures, against each quotient's table
+    rep = scenarios.check_lower_central_series(scenarios.load_scenario(source), max_order)
+    assert rep == lcs_report_by_table(scenarios.load_scenario(source), max_order)
+    assert (rep.ok, rep.quotient_orders[-1]) == (ok, last_order)
 
 
-def test_lcs_check_holds_one_quotient_table_at_a_time():
-    # orders 4 to 512: each table is dropped before the next, 4 times larger,
-    # is built; only stages 1 and 2 (orders 4 and 8) stay for the scan
-    scn = scenarios.load_scenario("dihedral_mainline")
-    rep, peak, held = _check_traced(scn, 512)
-    table_bytes = 512**2 * np.dtype(groups.index_dtype(512)).itemsize
-    assert rep.ok and rep.quotient_orders[-1] == 512
-    assert peak <= 2 * table_bytes, "peak %.2f x the table" % (peak / table_bytes)
-    assert held <= 64 * 1024, "%.1f KiB still held" % (held / 1024)
-    assert _kept_split_products(scn) == [1, 2]
-    assert [scn.stage(k).group.order for k in (1, 2)] == [4, 8]
+@pytest.mark.parametrize("source, max_order", [("dihedral_mainline", 512),
+                                               ("d8_gaussian", 4096)])
+def test_lcs_check_builds_and_keeps_no_table(monkeypatch, source, max_order):
+    # each split quotient is read in coordinates: no table is built or read
+    scn = scenarios.load_scenario(source)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("the check built or read a table")
 
-def test_lcs_check_of_d8_at_order_4096_keeps_only_stage_tables():
-    # stage 1, the top, is the quotient at chain index 2; stage 2, at index 4,
-    # has order 128, above the scan cap, so the scan never reads its table
-    scn = scenarios.load_scenario("d8_gaussian")
-    rep, _, held = _check_traced(scn, 4096)
-    assert rep.ok and rep.quotient_orders[-1] == 4096
-    assert held < 2**20, "%.2f MiB still held" % (held / 2**20)
-    assert _kept_split_products(scn) == [2]
+    monkeypatch.setattr(groups, "abelian_extension_table", refused)
+    monkeypatch.setattr(scenarios.Scenario, "split_product", refused)
+    monkeypatch.setattr(groups, "lower_central_series", refused)
+    rep = scenarios.check_lower_central_series(scn, max_order)
+    assert rep.ok and rep.quotient_orders[-1] == max_order
+    assert not [key for key in scn._memo if isinstance(key, tuple) and key[0] == "split product"]
 
 
 def d8_scan():
@@ -228,9 +230,6 @@ def test_correspondence_report_qualifying_and_not():
     assert rep.ok and rep.qualified
     bad = scenarios.orbit_correspondence_report(dihedral(), n=0)
     assert not bad.qualified and "violates" in bad.reason
-
-
-C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
 
 
 def test_summand_scan_sizes_a_stage_before_building_it(monkeypatch):
