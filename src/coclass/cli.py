@@ -182,34 +182,45 @@ def cmd_verify_counterexample(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _max_order(args) -> int:
-    """--max-order, which must be positive: no quotient is smaller than 1."""
+def _check_max_order(args, scn: Scenario) -> None:
+    """--max-order must be positive and reach the first quotient deep
+    enough to test the identification, G0 x (T / T_m) for m = top_offset + 1.
+    Its order |G0| p^[T : T_m] is read off the chain before any quotient is
+    built; a chain shallower than m is left to the report."""
     if args.max_order < 1:
         raise CoclassError("--max-order must be positive, not %d" % args.max_order)
-    return args.max_order
+    chain, m = scn.chain(), scn.top_offset + 1
+    if m <= chain.depth:
+        need = scn.group().order * scn.p ** chain.index_exponents[m]
+        if args.max_order < need:
+            raise CoclassError("--max-order %d is below %d, the order of the first quotient "
+                               "of %s deep enough to test the identification"
+                               % (args.max_order, need, scn.name))
 
 
 def cmd_verify_lcs(args) -> int:
-    max_order = _max_order(args)
     scn = _load(args)
-    rep = scenarios.check_lower_central_series(scn, max_order=max_order)
+    _check_max_order(args, scn)
+    rep = scenarios.check_lower_central_series(scn, max_order=args.max_order)
     _emit(rep.as_dict(), args.out)
     return 0 if rep.ok else 1
 
 
 def cmd_run_all(args) -> int:
-    max_order = _max_order(args)
     names = [args.scenario] if args.scenario else list(scenarios.BUILTIN_SCENARIOS)
+    loaded = {name: scenarios.load_scenario(name) for name in names}
+    for scn in loaded.values():
+        _check_max_order(args, scn)
     failures = []
     report: dict = {"scenarios": {}}
     for name in names:
-        scn = scenarios.load_scenario(name)
+        scn = loaded.pop(name)
         entry: dict = {}
         bounds = scn.bounds()
         n = bounds.least_qualifying()
         entry["bounds"] = {"a": str(bounds.a_exp), "b": str(bounds.b_exp),
                            "v": str(bounds.v), "least_qualifying_n": str(n)}
-        lcs = scenarios.check_lower_central_series(scn, max_order=max_order)
+        lcs = scenarios.check_lower_central_series(scn, max_order=args.max_order)
         entry["lcs"] = lcs.as_dict()
         if not lcs.ok:
             failures.append("%s: lower central series" % name)

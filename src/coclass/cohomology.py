@@ -68,7 +68,7 @@ def lattice_coefficients(T: LatticeModule, basis) -> FiniteModule:
     if act is None:
         raise CohomologyError("sublattice is not invariant under the action")
     act %= p**E
-    return FiniteModule(T.group, p, [E] * d, E, act, act)
+    return FiniteModule(T.group, p, [E] * d, E, act)
 
 
 def _basis_precision(T: LatticeModule, B: np.ndarray) -> int:

@@ -9,8 +9,10 @@ normalisation is exactly what makes this product associative, with identity
 the nilpotency class, the coclass and the lower-central criterion; a branch
 vertex also reads its element-order spectrum.  The lower-central-series
 check of the scenarios reads the same series of each split quotient, the
-extension by the zero factor set.  tests/brute_force.py builds the table
-and checks each of these against it.
+extension by the zero factor set.  A split extension whose table is needed,
+a stage group of the scenarios, is built by `split_table` through the one
+table builder, `groups.table_from_generators`.  tests/brute_force.py builds
+every table independently and checks each of these against it.
 """
 
 from __future__ import annotations
@@ -101,6 +103,36 @@ def certify(A: FiniteModule, tau_hat, l: int | None = None) -> ExtensionCertific
         raise ExtensionError("coclass criterion disagreement: cc %d vs base %d, flag %s"
                              % (cert.coclass, base_cc, flag))
     return cert
+
+
+def split_table(A: FiniteModule) -> groups.GroupTable:
+    """The table of the split extension of G = A.group by A, built by
+    `groups.table_from_generators` from the right multiplications by the
+    generators (0, s) and (e_j, 1), read off `_mul` with the zero factor set.
+
+    Element g |A| + i is (a_i, g), a_i the i-th coordinate row in mixed-radix
+    order, and the table's generators are its minimal generators.  An order
+    above `groups.CLOSURE_CAP` is refused before anything is allocated.
+    """
+    G = A.group
+    na = A.order
+    order = G.order * na
+    if order > groups.CLOSURE_CAP:
+        raise groups.GroupError("extension of order %d exceeds the table cap %d"
+                                % (order, groups.CLOSURE_CAP))
+    moduli = A.coord_moduli().tolist()
+    a = np.tile(A.hat(groups.all_coord_rows(moduli)), (G.order, 1))
+    g = np.repeat(np.arange(G.order), na)
+    tau = np.zeros((G.order, G.order, A.rank), dtype=np.int64)
+    gens = ([(np.zeros(A.rank, dtype=np.int64), s) for s in G.generators]
+            + [(row, G.identity) for row in A.member_rows()])
+    right = np.empty((len(gens), order), dtype=np.int64)
+    for k, (b, h) in enumerate(gens):
+        pa, pg = _mul(A, tau, a, g, b, np.full(order, h))
+        right[k] = pg.astype(np.int64) * na + groups.mixed_radix_index(A.unhat(pa), moduli)
+    table = groups.table_from_generators(right)
+    table.generators = table.minimal_generators()
+    return table
 
 
 def _mul(A: FiniteModule, tau, a, g, b, h):

@@ -11,8 +11,9 @@ index, `index_dtype(order)`: int16 up to order 2^15, int32 above.  NumPy
 keeps that type through arithmetic (`int16_array * k` is int16), so any
 arithmetic on table entries other than indexing goes through int64 first.
 
-Permutations, matrices and presentations all reach their table through one
-builder, `table_from_generators`, from the generators' right multiplications.
+Permutations, matrices, presentations and split extensions
+(`extensions.split_table`) all reach their table through one builder,
+`table_from_generators`, from the generators' right multiplications.
 
 Convention: all module actions in this package are right actions, written
 v.g, and a homomorphism of tables preserves products in the given order.
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import CoclassError, Owner
 
@@ -368,10 +368,9 @@ def _parse_word(word: str, gen_names: list[str]) -> list[int]:
     return out
 
 
-def from_presentation(gen_names: list[str], relator_words: list[str], *,
-                      cap: int = CLOSURE_CAP) -> GroupTable:
+def from_presentation(gen_names: list[str], relator_words: list[str]) -> GroupTable:
     """Finite group from a presentation via coset enumeration over the trivial
-    subgroup; an order above cap is refused before the table is built."""
+    subgroup; an order above CLOSURE_CAP is refused before the table is built."""
     relators = [_parse_word(w, gen_names) for w in relator_words]
     ngens = len(gen_names)
     cols = 2 * ngens  # generator g -> column 2(g-1), inverse -> 2(g-1)+1
@@ -415,7 +414,7 @@ def from_presentation(gen_names: list[str], relator_words: list[str], *,
         table[b][invcol(c)] = a
 
     def define(a: int, c: int) -> int:
-        if len(table) >= cap * 4:
+        if len(table) >= CLOSURE_CAP * 4:
             raise GroupError("coset enumeration exceeded cap")
         table.append([-1] * cols)
         reps.append(len(table) - 1)
@@ -458,8 +457,8 @@ def from_presentation(gen_names: list[str], relator_words: list[str], *,
     # cosets of the trivial subgroup are the elements, coset 0 the identity;
     # they are numbered breadth first, as closing their permutations would
     order = list(closure([0], range(ngens), lambda x, g: find(table[x][2 * g])))
-    if len(order) > cap:
-        raise GroupError("group of order %d exceeds the table cap %d" % (len(order), cap))
+    if len(order) > CLOSURE_CAP:
+        raise GroupError("group of order %d exceeds the table cap %d" % (len(order), CLOSURE_CAP))
     index = {x: k for k, x in enumerate(order)}
     right = [[index[find(table[x][2 * g])] for x in order] for g in range(ngens)]
     return table_from_generators(np.array(right, dtype=np.int64).reshape(ngens, len(order)))
@@ -663,7 +662,7 @@ def invert_perm(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# building tables over abelian coordinate fibers
+# coordinate rows of abelian fibers
 
 
 def mixed_radix_index(coords: np.ndarray, moduli: list[int]) -> np.ndarray:
@@ -685,70 +684,3 @@ def all_coord_rows(moduli: list[int]) -> np.ndarray:
         rep //= m
         out[:, j] = np.tile(np.repeat(np.arange(m), rep), total // (rep * m))
     return out
-
-
-def _addition_table(moduli: list[int], dtype) -> np.ndarray:
-    """add[i, j] = index(V_i + V_j) for the coordinate rows V in mixed-radix
-    order, one coordinate at a time from the last: with n the order of the
-    coordinates after the first, add[i0 n + i', j0 n + j'] =
-    ((i0 + j0) mod m0) n + add'[i', j'], one broadcast sum into the
-    (m0, n, m0, n) view of the table.  The first term is a sliding window
-    over 2 m0 values, so no array of more than na x na entries is made."""
-    add = np.zeros((1, 1), dtype=dtype)
-    for m in reversed(moduli):
-        n = add.shape[0]
-        digit = sliding_window_view((np.arange(2 * m) % m * n).astype(dtype), m)[:m]
-        out = np.empty((m * n, m * n), dtype=dtype)
-        np.add(digit[:, None, :, None], add[None, :, None, :], out=out.reshape(m, n, m, n))
-        add = out
-    return add
-
-
-def _extension_mul(gmul: np.ndarray, moduli: list[int], act_coords,
-                   tau_coords=None) -> np.ndarray:
-    """The raw table of `abelian_extension_table`: block (g, h) is
-    add[pi_h][:, add[:, tau_gh]] + gmul[g, h] * |A|, written in place."""
-    gmul = np.asarray(gmul)
-    ng = gmul.shape[0]
-    V = all_coord_rows(moduli)
-    na = V.shape[0]
-    dtype = index_dtype(ng * na)
-    add = _addition_table(moduli, dtype)
-    if tau_coords is None:
-        tau = np.zeros((ng, ng), dtype=np.int64)
-    else:
-        tau = mixed_radix_index(np.asarray(tau_coords, dtype=np.int64), moduli)
-    mul = np.empty((ng * na, ng * na), dtype=dtype)
-    for h in range(ng):
-        pi = mixed_radix_index(V @ np.asarray(act_coords[h], dtype=np.int64), moduli)
-        rows = add[pi]  # rows[a, c] = index(a.h + V_c)
-        for g in range(ng):
-            block = mul[g * na:(g + 1) * na, h * na:(h + 1) * na]
-            np.take(rows, add[:, tau[g, h]], axis=1, out=block)
-            block += int(gmul[g, h]) * na
-    return mul
-
-
-def abelian_extension_table(gmul: np.ndarray, moduli: list[int], act_coords,
-                            tau_coords=None) -> GroupTable:
-    """Multiplication table of A x G with (a,g)(b,h) = (a.h + b + tau(g,h), gh).
-
-    A is the abelian group with the given coordinate moduli; act_coords[h] is
-    the matrix of the right action of h on coordinates; tau_coords[g][h] is the
-    factor-set coordinate vector (omit for the split case).  Element index is
-    g * |A| + index(a), so (0, identity) is index 0 as required.  An order
-    above CLOSURE_CAP is refused before anything is allocated.
-
-    The table is a gather over the addition table add[i, j] = index(V_i + V_j)
-    of A.  With pi_h(a) = index(a.h) and t = index(tau(g, h)), block (g, h) is
-    add[pi_h(a), add[b, t]] + gmul[g, h] * |A| = index(a.h + b + tau(g, h)) +
-    gmul[g, h] * |A|, because index is a bijection from the coordinate rows
-    onto [0, |A|) and addition mod the moduli is associative.  That is the
-    defining formula entry by entry, for any integer action matrices,
-    automorphisms or not, so the table does not depend on how it is
-    gathered; `make_table` then checks the group axioms.
-    """
-    order = len(gmul) * math.prod(int(m) for m in moduli)
-    if order > CLOSURE_CAP:
-        raise GroupError("extension of order %d exceeds the table cap %d" % (order, CLOSURE_CAP))
-    return make_table(_extension_mul(gmul, moduli, act_coords, tau_coords))

@@ -8,8 +8,9 @@ drop index p at every step and satisfy T_{i+d} = p T_i.
 Finite coefficient modules (the quotients A_n = T/T_n and friends) are
 direct sums of cyclic p-groups Z/p^{e_i}.  They are embedded into a uniform
 ambient (Z/p^E)^r by scaling coordinate i with p^{E-e_i} ("hatted"
-coordinates), which makes every subgroup computation a plain exact
-linear-algebra question mod p^E.
+coordinates), which makes every subgroup computation, fixed points and hom
+spaces included, one exact kernel mod p^E (`linalg.scaled_kernel`); a module
+holds its action in these coordinates only.
 """
 
 from __future__ import annotations
@@ -195,8 +196,10 @@ class FiniteModule(Owner):
     """Direct sum of Z/p^{e_i} with a right group action, in hatted coordinates.
 
     Elements live in (Z/p^E)^r as multiples of scale_i = p^{E-e_i} on
-    coordinate i; act[g] are the hatted action matrices.  The module holds
-    its hom spaces (`hom_to`), one per codomain action.
+    coordinate i; act[g] are the hatted action matrices, the one copy of
+    the action.  Its plain coordinate matrix (entry ij mod p^{e_j}) is read
+    from it as `unhat(member_rows() @ act[g])`.  The module holds its hom
+    spaces (`hom_to`), one per codomain action.
     """
 
     group: GroupTable
@@ -204,7 +207,6 @@ class FiniteModule(Owner):
     exps: list[int]  # e_i > 0
     E: int
     act: np.ndarray  # (|G|, r, r) hatted matrices mod p^E
-    plain: np.ndarray  # (|G|, r, r) plain coordinate matrices, entry ij mod p^{e_j}
 
     @property
     def rank(self) -> int:
@@ -261,7 +263,7 @@ class FiniteModule(Owner):
     def pullback(self, group: GroupTable, elements) -> "FiniteModule":
         """The same module for a group whose element x acts as elements[x]."""
         e = _along(group, self.group, elements)
-        return FiniteModule(group, self.p, list(self.exps), self.E, self.act[e], self.plain[e])
+        return FiniteModule(group, self.p, list(self.exps), self.E, self.act[e])
 
     def hom_to(self, W: "FiniteModule", v0_hat=None) -> "HomSpace":
         """`hom_space(self, W)`, solved once per codomain, and cross-checked
@@ -295,7 +297,7 @@ def finite_module_from_plain(group: GroupTable, p: int, exps: list[int], plain_a
     if np.any(A % div):
         raise ModuleError("action matrix is not a well defined module map")
     act = A // div * mult  # row i below p^{e_i}: canonical
-    fm = FiniteModule(group, p, exps, E, act, A)
+    fm = FiniteModule(group, p, exps, E, act)
     _validate_finite_action(fm)
     return fm
 
@@ -415,34 +417,6 @@ class HomSpace(Owner):
         return self.flat_to_matrix(linalg.dot_mod(coords, S.gens, q, q))
 
 
-def solve_homogeneous(F, unknown_exps: list[int], target_exps: list[int], p: int) -> np.ndarray:
-    """Generators of { c in sum Z/p^{m_u} : (c @ F) column t = 0 mod p^{f_t} }.
-
-    F has one row per unknown and one column per condition.  The result is
-    returned as hatted rows mod p^{E} with E = max(unknown_exps), coordinate u
-    scaled by p^{E - m_u}.
-    """
-    u = len(unknown_exps)
-    Eu = max(unknown_exps) if unknown_exps else 1
-    qu = p**Eu
-    if u == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if len(target_exps) == 0:
-        K = np.eye(u, dtype=np.int64)
-    else:
-        Es = max(target_exps)
-        qs = p**Es
-        F = np.asarray(F, dtype=np.int64)
-        scale = np.array([p ** (Es - f) for f in target_exps], dtype=np.int64)
-        Fs = (F % qs * scale[None, :]) % qs
-        K = linalg.row_kernel(Fs, p, Es)
-    # reduce unknowns to their own moduli and pass to hat coordinates
-    mods = np.array([p**m for m in unknown_exps], dtype=np.int64)
-    hat_scale = np.array([p ** (Eu - m) for m in unknown_exps], dtype=np.int64)
-    rows = ((K % mods[None, :]) * hat_scale[None, :]) % qu
-    return linalg.howell(rows, p, Eu).rows
-
-
 def _commuting_columns(A, B) -> np.ndarray:
     """Condition columns of A C - C B = 0 in the row-major entries of C.
 
@@ -456,32 +430,21 @@ def _commuting_columns(A, B) -> np.ndarray:
 
 
 def hom_space_flat(V: FiniteModule, W: FiniteModule) -> np.ndarray:
-    """Hatted flat generator rows of hom_R(V, W), by direct linear solve.
+    """Hatted flat generator rows of hom_R(V, W), by one `linalg.scaled_kernel`.
 
-    A hom is a plain coordinate matrix C with entry (i, j) mod p^{f_j}; it is
-    flattened row major and hatted at precision E_W.
+    A hom is the r x r_W matrix X whose row i is the hatted image in W of
+    coordinate generator i of V, flattened row major.  With P_g the plain
+    matrix of g on V, X is a hom exactly when P_g X = X W.act[g] for each
+    generator g and p^{e_i} X[i] = 0, all mod p^{E_W}.
     """
-    p = V.p
     r, rw = V.rank, W.rank
-    u = r * rw
-    if u == 0:
-        return np.zeros((0, u), dtype=np.int64)
-    cols = []
-    target_exps: list[int] = []
-    for g in V.group.generators:
-        # (A @ C - C @ Bm)[a, b] = 0 mod p^{f_b}: linear in the entries of C
-        cols.extend(_commuting_columns(V.plain[g], W.plain[g]).T)
-        target_exps.extend(W.exps * r)
-    # well-definedness: p^{e_a} C[a, b] = 0 mod p^{f_b}
-    for a in range(r):
-        for b in range(rw):
-            col = np.zeros(u, dtype=np.int64)
-            col[a * rw + b] = p ** V.exps[a]
-            cols.append(col)
-            target_exps.append(W.exps[b])
-    F = np.stack(cols, axis=1)
-    unknown_exps = [W.exps[j] for _ in range(r) for j in range(rw)]
-    return solve_homogeneous(F, unknown_exps, target_exps, p)
+    if r * rw == 0:
+        return np.zeros((0, r * rw), dtype=np.int64)
+    S = V.group.generators
+    P = V.unhat(V.member_rows() @ V.act[S])
+    F = np.hstack([_commuting_columns(Pg, W.act[g]) for Pg, g in zip(P, S)]
+                  + [np.diag(np.repeat(V.coord_moduli(), rw))]) % W.q
+    return linalg.scaled_kernel(F, np.tile(W.scales(), r), W.p, W.E)
 
 
 def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, v0_hat) -> np.ndarray:

@@ -101,13 +101,6 @@ class Scenario(Owner):
     def quotient(self, n: int) -> QuotientModule:
         return self.chain().quotient(n)
 
-    def split_product(self, m: int) -> GroupTable:
-        """The table of the finite split quotient G0 x (T / T_m) of the
-        semidirect product; only `stage` builds one, for a bar complex."""
-        A = self.quotient(m).module
-        return groups.abelian_extension_table(
-            self.group().mul, [int(x) for x in A.coord_moduli()], A.plain, None)
-
     def stage_order(self, k: int) -> int:
         """The order |G0| [T : T_{kd}] of stage k, known before its table is built."""
         return self.group().order * self.quotient(k * self.period()).module.order
@@ -124,7 +117,7 @@ class Scenario(Owner):
         def build():
             if k == 0:
                 return TopQuotient(self, 0, self.group(), self.lattice(), self.chain())
-            R = self.split_product(k * self.period())
+            R = extensions.split_table(self.quotient(k * self.period()).module)
             chain = self.chain().pullback(R, np.arange(R.order) // (R.order // self.group().order))
             return TopQuotient(self, k, R, chain.lattice, chain)
         return self.derived(("stage", k), build)

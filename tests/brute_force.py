@@ -459,10 +459,9 @@ def extension_table_by_formula(gmul, moduli, act_coords, tau_coords):
 
 
 def extension_mul_by_blocks(gmul, moduli, act_coords, tau_coords=None):
-    """The raw table `groups._extension_mul` builds, computed the way
-    `groups.abelian_extension_table` once did: each (g, h) block as the
-    coordinates of a.h + b + tau(g, h) in int64, indexed by
-    `mixed_radix_index` and cast as it is stored."""
+    """The raw table of A x G with (a, g)(b, h) = (a.h + b + tau(g, h), gh),
+    each (g, h) block as the coordinates of a.h + b + tau(g, h) in int64,
+    indexed by `mixed_radix_index` and cast as it is stored."""
     gmul = np.asarray(gmul)
     ng = gmul.shape[0]
     V = groups.all_coord_rows(moduli)
@@ -480,6 +479,20 @@ def extension_mul_by_blocks(gmul, moduli, act_coords, tau_coords=None):
             mul[g * na:(g + 1) * na, h * na:(h + 1) * na] = (
                 int(gmul[g, h]) * na + groups.mixed_radix_index(s, moduli))
     return mul
+
+
+def extension_table_by_blocks(G, A, tau_coords=None):
+    """The validated table of the extension of G by the finite module A with
+    factor set tau_coords (omit for the split one), from
+    `extension_mul_by_blocks` on A's plain action; an order above
+    `groups.CLOSURE_CAP` is refused before anything is allocated."""
+    order = G.order * A.order
+    if order > groups.CLOSURE_CAP:
+        raise groups.GroupError("extension of order %d exceeds the table cap %d"
+                                % (order, groups.CLOSURE_CAP))
+    moduli = [int(m) for m in A.coord_moduli()]
+    return groups.make_table(extension_mul_by_blocks(G.mul, moduli, plain_action_entries(A),
+                                                     tau_coords))
 
 
 def span_automorphism(A, eps_hat):
@@ -731,7 +744,7 @@ def stage_chain_by_rebuild(scn, k):
     if k == 0:
         R, act = scn.group(), T.act
     else:
-        R = scn.split_product(k * scn.period())
+        R = extension_table_by_blocks(scn.group(), scn.quotient(k * scn.period()).module)
         act = T.act[np.arange(R.order) // (R.order // scn.group().order)]
     return modules.g_central_series(modules.LatticeModule(R, T.p, T.N, T.rank, act), scn.depth)
 
@@ -755,23 +768,92 @@ def finite_module_from_plain_entries(group, p, exps, plain_act):
     q = p**E
     r = len(exps)
     act = np.zeros((group.order, r, r), dtype=np.int64)
-    plain = np.zeros((group.order, r, r), dtype=np.int64)
     mods = np.array([p**e for e in exps], dtype=np.int64).reshape(1, r)
     for g in range(group.order):
-        A = np.asarray(plain_act[g], dtype=np.int64)
-        plain[g] = A % mods
+        A = np.asarray(plain_act[g], dtype=np.int64) % mods
         M = np.zeros((r, r), dtype=np.int64)
         for i in range(r):
             for j in range(r):
-                num = int(plain[g, i, j]) * p ** (E - exps[j])
+                num = int(A[i, j]) * p ** (E - exps[j])
                 den = p ** (E - exps[i])
                 if num % den:
                     raise modules.ModuleError("action matrix is not a well defined module map")
                 M[i, j] = (num // den) % q
         act[g] = M
-    fm = modules.FiniteModule(group, p, exps, E, act, plain)
+    fm = modules.FiniteModule(group, p, exps, E, act)
     modules._validate_finite_action(fm)
     return fm
+
+
+def plain_action_entries(A):
+    """The plain coordinate matrices of A's action, entry ij mod p^{e_j},
+    read from the hatted matrices one entry at a time in Python integers:
+    the hatted entry H_ij stands for H_ij p^{E-e_i} / p^{E-e_j}."""
+    p, E, exps = A.p, A.E, A.exps
+    r = len(exps)
+    out = np.zeros((A.group.order, r, r), dtype=np.int64)
+    for g, i, j in itertools.product(range(A.group.order), range(r), range(r)):
+        num = int(A.act[g, i, j]) * p ** (E - exps[i]) % p**E
+        den = p ** (E - exps[j])
+        assert num % den == 0, "the action leaves the hatted module"
+        out[g, i, j] = num // den % p ** exps[j]
+    return out
+
+
+def _commuting_columns_by_kron(A, B):
+    """Condition columns of A C - C B = 0 in the row-major entries of C."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    return (np.kron(A, np.eye(B.shape[0], dtype=np.int64))
+            - np.kron(np.eye(A.shape[0], dtype=np.int64), B.T)).T
+
+
+def _solve_homogeneous(F, unknown_exps, target_exps, p):
+    """Howell rows, hatted at p^max(unknown_exps), of the c in
+    sum Z/p^{m_u} with (c @ F) column t = 0 mod p^{f_t}."""
+    u = len(unknown_exps)
+    Eu = max(unknown_exps) if unknown_exps else 1
+    qu = p**Eu
+    if u == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    if len(target_exps) == 0:
+        K = np.eye(u, dtype=np.int64)
+    else:
+        Es = max(target_exps)
+        qs = p**Es
+        F = np.asarray(F, dtype=np.int64)
+        scale = np.array([p ** (Es - f) for f in target_exps], dtype=np.int64)
+        K = linalg.row_kernel((F % qs * scale[None, :]) % qs, p, Es)
+    mods = np.array([p**m for m in unknown_exps], dtype=np.int64)
+    hat_scale = np.array([p ** (Eu - m) for m in unknown_exps], dtype=np.int64)
+    rows = ((K % mods[None, :]) * hat_scale[None, :]) % qu
+    return linalg.howell(rows, p, Eu).rows
+
+
+def hom_space_flat_by_plain_solve(V, W):
+    """`modules.hom_space_flat` as the package once solved it: the unknown is
+    the plain matrix C (entry ij mod p^{f_j}), the conditions are
+    P_g C = C Q_g mod p^{f_b} on the plain action matrices and
+    p^{e_a} C[a, b] = 0 mod p^{f_b}, each column reduced at its own
+    modulus, and the kernel is hatted at p^{E_W} afterwards."""
+    p = V.p
+    r, rw = V.rank, W.rank
+    u = r * rw
+    if u == 0:
+        return np.zeros((0, u), dtype=np.int64)
+    PV, PW = plain_action_entries(V), plain_action_entries(W)
+    cols, target_exps = [], []
+    for g in V.group.generators:
+        cols.extend(_commuting_columns_by_kron(PV[g], PW[g]).T)
+        target_exps.extend(W.exps * r)
+    for a in range(r):
+        for b in range(rw):
+            col = np.zeros(u, dtype=np.int64)
+            col[a * rw + b] = p ** V.exps[a]
+            cols.append(col)
+            target_exps.append(W.exps[b])
+    unknown_exps = [W.exps[j] for _ in range(r) for j in range(rw)]
+    return _solve_homogeneous(np.stack(cols, axis=1), unknown_exps, target_exps, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,9 +1082,7 @@ def build_extension(R, A, tau_hat):
     row = np.asarray(tau_hat, dtype=np.int64) % A.q
     if not cohomology.is_cocycle(A, 2, row):
         raise extensions.ExtensionError("cochain does not satisfy the cocycle identity")
-    tau = cocycle_value_table(A, row)
-    moduli = [int(m) for m in A.coord_moduli()]
-    ext = ExtensionGroup(R, A, groups.abelian_extension_table(R.mul, moduli, A.plain, tau))
+    ext = ExtensionGroup(R, A, extension_table_by_blocks(R, A, cocycle_value_table(A, row)))
     validate_extension(ext)
     return ext
 
@@ -1112,7 +1192,7 @@ def _fiber_term_indices(scn, Qm, j):
 
 def lcs_report_by_table(scn, max_order):
     """The report of `scenarios.check_lower_central_series`, with each split
-    quotient built as a table (`Scenario.split_product`, up to
+    quotient built as a table (`extension_table_by_blocks`, up to
     `groups.CLOSURE_CAP`) and each lower central term compared element by
     element with the enumerated fiber sublattice."""
     G0 = scn.group()
@@ -1121,7 +1201,7 @@ def lcs_report_by_table(scn, max_order):
     m = 1
     while m <= chain.depth and G0.order * scn.p ** chain.index_exponents[m] <= max_order:
         Qm = scn.quotient(m)
-        table = scn.split_product(m)
+        table = extension_table_by_blocks(G0, Qm.module)
         orders.append(table.order)
         series = table.lcs()
         for j in range(scn.top_offset, m + 1):

@@ -157,22 +157,46 @@ def test_oversized_extension_table_is_refused_before_it_is_allocated(tmp_path, c
     assert code == 0
     report = json.loads(out)
     assert report["ok"] is True and report["quotient_orders"][-1] == "131072"
-    # where a table is still built, an order above the cap is refused before
-    # it is allocated: 8192^2 int16 entries would be 128 MiB
-    flip = np.array([[0, 1], [1, 0]])
+    # where a split table is still built, an order above the cap is refused
+    # before it is allocated: 8192^2 int16 entries would be 128 MiB
+    C2 = groups.make_table([[0, 1], [1, 0]])
+    A = modules.finite_module_from_plain(C2, 2, [12], [[[1]], [[-1]]])
     with pytest.raises(groups.GroupError) as exc:
-        groups.abelian_extension_table(flip, [4096], np.array([[[1]], [[-1]]]))
+        extensions.split_table(A)
     assert str(exc.value) == "extension of order 8192 exceeds the table cap %d" % groups.CLOSURE_CAP
 
 
+_BELOW_FIRST = ("--max-order %d is below %d, the order of the first quotient of %s deep enough "
+                "to test the identification")
+
+
 @pytest.mark.parametrize("command", ["verify-lcs", "run-all"])
-@pytest.mark.parametrize("max_order", ["0", "-4"])
-def test_a_max_order_below_one_is_a_usage_error(capsys, command, max_order):
-    # no quotient has order below 1, so no claim would be checked
-    code = cli.main([command, "--scenario", "dihedral_mainline", "--max-order", max_order])
+@pytest.mark.parametrize("scenario, max_order, reason", [
+    pytest.param("dihedral_mainline", "0", "--max-order must be positive, not 0", id="0"),
+    pytest.param("dihedral_mainline", "-4", "--max-order must be positive, not -4", id="-4"),
+    # the first quotient deep enough, G0 x (T / T_(top_offset + 1)), has
+    # order 2 * 2^2 for dihedral and 8 * 2^3 for d8, read off the chain
+    pytest.param("dihedral_mainline", "4", _BELOW_FIRST % (4, 8, "dihedral_mainline"),
+                 id="dihedral_mainline-4"),
+    pytest.param("d8_gaussian", "32", _BELOW_FIRST % (32, 64, "d8_gaussian"),
+                 id="d8_gaussian-32"),
+])
+def test_a_max_order_below_one_is_a_usage_error(capsys, command, scenario, max_order, reason):
+    # below the first quotient deep enough no claim would be checked
+    code = cli.main([command, "--scenario", scenario, "--max-order", max_order])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err == "error: --max-order must be positive, not %s\n" % max_order
+    assert err == "error: %s\n" % reason
+
+
+def test_a_chain_too_shallow_for_the_identification_still_fails_the_check(tmp_path, capsys):
+    # at depth 1 there is no T_2 to size the first quotient deep enough by,
+    # so the report, and not the option check, says that none was tested
+    path = tmp_path / "shallow.json"
+    path.write_text(json.dumps(dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"], depth=1)))
+    code, out = run(["verify-lcs", "--scenario", str(path), "--max-order", "4"], capsys)
+    assert code == 1
+    assert "no quotient deep enough to test the identification" in json.loads(out)["failures"]
 
 
 def test_branch_with_shift_and_dot(tmp_path, capsys):
@@ -397,11 +421,9 @@ _DERIVED = [
     (pairs, "compatible_pairs", _module_key),
     # a branch vertex's certificate is held by the top quotient
     (extensions, "certify", lambda A, tau_hat, l=None: (_module_key(A), _bytes(tau_hat), l)),
-    # each split product G0 x (T / T_m) is one call, a stage's shared by the
-    # lower-central-series check and the scan
-    (groups, "abelian_extension_table",
-     lambda gmul, moduli, act, tau=None: (_bytes(gmul), tuple(moduli), _bytes(act),
-                                          _bytes(tau))),
+    # each split table G0 x (T / T_m) is one call, a stage's shared by the
+    # branch and the scan
+    (extensions, "split_table", _module_key),
     (groups, "lower_central_series", lambda G: _bytes(G.mul)),
     (groups, "bar_index", lambda G, m: (_bytes(G.mul), m)),
     (groups, "automorphism_group", lambda G: _bytes(G.mul)),

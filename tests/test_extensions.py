@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,12 @@ import pytest
 from coclass import cohomology, extensions, groups, modules, pairs, scenarios
 
 from brute_force import (ExtensionGroup, are_isomorphic, build_extension, check_certificate,
-                         cocycle_value_table, extension_table_by_formula,
-                         orbit_isomorphism_check, validate_extension)
+                         cocycle_value_table, extension_table_by_blocks,
+                         extension_table_by_formula,
+                         orbit_isomorphism_check, plain_action_entries, validate_extension)
+
+
+C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
 
 
 def cyclic_table(n):
@@ -211,8 +216,27 @@ def test_extension_table_matches_the_int64_formula(stage, level):
     ext = build_extension(top.group, A, tau_hat)
     assert ext.table.order == 512
     assert ext.table.mul.dtype == groups.index_dtype(512)
-    want = extension_table_by_formula(top.group.mul, A.coord_moduli(), A.plain, tau)
+    want = extension_table_by_formula(top.group.mul, A.coord_moduli(), plain_action_entries(A),
+                                      tau)
     assert np.array_equal(ext.table.mul, want)
+
+
+@pytest.mark.parametrize("source", ["dihedral_mainline", "d8_gaussian", str(C3_EISENSTEIN)],
+                         ids=["dihedral_mainline", "d8_gaussian", "c3_eisenstein"])
+def test_split_table_of_every_stage_matches_the_block_oracle(source):
+    # each stage G0 x (T / T_kd) up to the table cap, built by the package
+    # from the generators' right multiplications and by the oracle block by block
+    scn = scenarios.load_scenario(source)
+    d = scn.period()
+    stages = [k for k in range(1, scn.chain().depth // d + 1)
+              if scn.stage_order(k) <= groups.CLOSURE_CAP]
+    assert len(stages) >= 3
+    for k in stages:
+        A = scn.quotient(k * d).module
+        got, want = extensions.split_table(A), extension_table_by_blocks(scn.group(), A)
+        assert got.mul.dtype == want.mul.dtype and got.mul.tobytes() == want.mul.tobytes(), k
+        assert np.array_equal(got.inverses, want.inverses), k
+        assert got.generators == want.generators, k
 
 
 def test_a_coclass_criterion_disagreement_is_refused():

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coclass import cli, groups, scenarios
+from coclass import cli, extensions, groups, modules, scenarios
 
 from brute_force import (brute_is_normal, brute_is_subgroup, brute_isomorphisms, center,
                          center_of_table, closure_table_fill, compose_permutations, compose_perms,
-                         element_orders_by_steps, lcs_report_by_table,
+                         element_orders_by_steps, extension_mul_by_blocks, lcs_report_by_table,
                          lower_central_series_terms)
 
 C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
@@ -103,7 +103,7 @@ def test_every_builder_stores_the_narrowest_index_type():
         groups.make_table(cyclic_table(5)),
         groups.make_table(np.array(cyclic_table(6), dtype=np.uint8)),
         groups.restricted_table(D8, D8.lcs()[1])[0],
-        groups.abelian_extension_table(C2.mul, [4], [[[1]], [[-1]]]),
+        extensions.split_table(modules.finite_module_from_plain(C2, 2, [2], [[[1]], [[-1]]])),
     ]
     for G in built:
         assert G.mul.dtype == groups.index_dtype(G.order), G.order
@@ -217,20 +217,20 @@ def test_semidirect_split_table():
     # C2 acting by negation on Z/4: the dihedral group of order 8
     gmul = np.array([[0, 1], [1, 0]])
     act = [np.array([[1]]), np.array([[-1]])]
-    E = groups.abelian_extension_table(gmul, [4], act)
+    E = groups.make_table(extension_mul_by_blocks(gmul, [4], act))
     assert E.order == 8
     assert [len(t) for t in groups.lower_central_series(E)] == [8, 2, 1]
 
 
 def test_split_product_peaks_under_twice_its_table():
     # the order-512 split quotient of dihedral_mainline (|G0| = 2); beside
-    # the table, the kernel holds A's addition table, its rows permuted by
-    # the action and one block, each a quarter of the table
+    # the table, `split_table` holds the right multiplications by the two
+    # generators and a few columns, each far below a quarter of the table
     scn = scenarios.load_scenario("dihedral_mainline")
-    scn.group(), scn.quotient(8)
+    A = scn.quotient(8).module
     tracemalloc.start()
     try:
-        table = scn.split_product(8)
+        table = extensions.split_table(A)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -243,7 +243,7 @@ def test_factor_set_extension_table():
     gmul = np.array([[0, 1], [1, 0]])
     act = [np.array([[1]]), np.array([[-1]])]
     tau = [[np.array([0]), np.array([0])], [np.array([0]), np.array([2])]]
-    E = groups.abelian_extension_table(gmul, [4], act, tau)
+    E = groups.make_table(extension_mul_by_blocks(gmul, [4], act, tau))
     assert E.order == 8
     assert int(np.sum(E.element_orders() == 2)) == 1  # quaternion group
 
@@ -269,10 +269,12 @@ def test_presentation_matches_the_permutation_closure(gens, relators, order, inv
     assert G.generators == gen_idx
 
 
-def test_presentation_order_is_checked_against_the_table_cap():
+def test_presentation_order_is_checked_against_the_table_cap(monkeypatch):
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 8)
     with pytest.raises(groups.GroupError, match="order 10 exceeds the table cap 8"):
-        groups.from_presentation(["a"], ["a^10"], cap=8)
-    assert groups.from_presentation(["a"], ["a^10"], cap=10).order == 10
+        groups.from_presentation(["a"], ["a^10"])
+    monkeypatch.setattr(groups, "CLOSURE_CAP", 10)
+    assert groups.from_presentation(["a"], ["a^10"]).order == 10
 
 
 def test_light_test_checks_the_last_partial_row_block():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coclass import groups, linalg, modules, pairs, scenarios
+from coclass import cli, groups, linalg, modules, pairs, scenarios
 
-from brute_force import (finite_module_from_plain_entries, stabilizer_chain_by_restriction,
+from brute_force import (finite_module_from_plain_entries, hom_space_flat_by_plain_solve,
+                         plain_action_entries, stabilizer_chain_by_restriction,
                          stage_chain_by_rebuild)
 
 C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
@@ -54,7 +55,8 @@ def test_finite_action_from_any_integer_lift_is_the_same_module():
     lifts = [modules.finite_module_from_plain(C2, 2, [1, 2], [ident, M])
              for M in ([[3, 2], [0, -1]], [[1, 2], [0, -1]])]
     assert lifts[0].act.tobytes() == lifts[1].act.tobytes()
-    assert lifts[0].plain.tobytes() == lifts[1].plain.tobytes()
+    for fm in lifts:
+        assert plain_action_entries(fm)[1].tolist() == [[1, 2], [0, 3]]
     # an automorphism of order 4 is not an action of C2, whatever its lift
     for M in ([[1, 2], [1, 1]], [[3, 6], [-1, 5]]):
         with pytest.raises(modules.ModuleError, match="finite module action is not multiplicative"):
@@ -66,7 +68,7 @@ def test_finite_action_leaving_the_hatted_module_is_rejected():
     # involution mod 4 that sends (0, 1) to (1, 3), outside the module
     C2 = groups.make_table(cyclic_table(2))
     act = np.array([np.eye(2, dtype=np.int64), [[1, 0], [1, 3]]])
-    fm = modules.FiniteModule(C2, 2, [1, 2], 2, act, act)
+    fm = modules.FiniteModule(C2, 2, [1, 2], 2, act)
     with pytest.raises(modules.ModuleError, match="does not preserve the module"):
         modules._validate_finite_action(fm)
 
@@ -207,12 +209,34 @@ def test_hom_space_d8_endos_routes_agree():
         v0 = Q.hat_of_ambient(t0)
         hs = Q.module.hom_to(Q.module, v0_hat=v0)
         # every basis hom commutes with the action
+        plain = plain_action_entries(Q.module)
         for C in (hs.flat_to_matrix(g) for g in hs.structure.gens):
             for g in range(8):
-                lhs = (Q.module.plain[g] @ C) % Q.module.q
-                rhs = (C @ Q.module.plain[g]) % Q.module.q
+                lhs = (plain[g] @ C) % Q.module.q
+                rhs = (C @ plain[g]) % Q.module.q
                 mods = Q.module.coord_moduli()
                 assert np.array_equal(lhs % mods[None, :], rhs % mods[None, :])
+
+
+def test_every_run_all_hom_space_matches_the_plain_solve(monkeypatch, capsys):
+    # each hom space the three run-all scenarios solve in hatted coordinates
+    # has the Howell rows of the solve on plain matrices
+    calls = []
+    solve = modules.hom_space_flat
+
+    def recorded(V, W):
+        calls.append((V, W, solve(V, W)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(modules, "hom_space_flat", recorded)
+    for source in ("dihedral_mainline", "d8_gaussian", str(C3_EISENSTEIN)):
+        assert cli.main(["run-all", "--scenario", source]) == 0
+    capsys.readouterr()
+    assert {(1, 2), (2, 3)} <= {tuple(V.exps) for V, _, _ in calls}  # mixed exponents
+    for V, W, got in calls:
+        want = hom_space_flat_by_plain_solve(V, W)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lattice_hom_space_ranks():
@@ -245,8 +269,12 @@ def test_precision_stability_of_invariants():
 
 def _same_module(got, want):
     return (got.exps == want.exps and got.E == want.E
-            and got.act.tobytes() == want.act.tobytes()
-            and got.plain.tobytes() == want.plain.tobytes())
+            and got.act.tobytes() == want.act.tobytes())
+
+
+def _plain_input(fm, plain_act):
+    """The plain matrices a module was built from, reduced mod p^{e_j}."""
+    return np.asarray(plain_act, dtype=np.int64).reshape(fm.act.shape) % fm.coord_moduli()
 
 
 @pytest.mark.parametrize("source", ["dihedral_mainline", "d8_gaussian", str(C3_EISENSTEIN)],
@@ -269,6 +297,8 @@ def test_hatted_action_of_every_level_quotient_matches_the_entrywise_oracle(monk
     assert len(seen) >= 3 * len(scenarios.SCAN_STAGES)
     for group, p, exps, plain_act, fm in seen:
         assert _same_module(fm, finite_module_from_plain_entries(group, p, exps, plain_act))
+        # the plain action read back from the hatted one is the input
+        assert np.array_equal(plain_action_entries(fm), _plain_input(fm, plain_act))
 
 
 def _same_array(got, want):
@@ -300,7 +330,8 @@ def test_pulled_back_chain_matches_the_rebuilt_chain(source, k):
         Qg, Qw = got.quotient(n), want.quotient(n)
         assert Qg.lattice is got.lattice and Qg.module.group is got.lattice.group
         assert (Qg.module.exps, Qg.module.E, Qg._kept) == (Qw.module.exps, Qw.module.E, Qw._kept)
-        for a, b in [(Qg.module.act, Qw.module.act), (Qg.module.plain, Qw.module.plain),
+        for a, b in [(Qg.module.act, Qw.module.act),
+                     (plain_action_entries(Qg.module), plain_action_entries(Qw.module)),
                      (Qg._V, Qw._V), (Qg._Vinv, Qw._Vinv)]:
             assert _same_array(a, b), n
 
@@ -336,6 +367,7 @@ def test_hatted_action_with_mixed_exponents_matches_the_entrywise_oracle(data):
     ident = np.eye(r, dtype=np.int64)
     fm = modules.finite_module_from_plain(C2, p, exps, [ident, M])
     assert _same_module(fm, finite_module_from_plain_entries(C2, p, exps, [ident, M]))
+    assert np.array_equal(plain_action_entries(fm), _plain_input(fm, [ident, M]))
     M[0, r - 1] += 1  # not divisible by p^(e_last - e_first): not a module map
     for build in (modules.finite_module_from_plain, finite_module_from_plain_entries):
         with pytest.raises(modules.ModuleError, match="not a well defined module map"):

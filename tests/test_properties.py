@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from coclass import cohomology, groups, linalg, modules, pairs, scenarios
+from coclass import cohomology, extensions, groups, linalg, modules, pairs, scenarios
 
 from brute_force import (brute_act_on_cochain, center, center_of_table, check_certificate,
                          closure_table_fill,
                          compose_permutations, contains, diagonalize_mod, element_orders_by_steps,
-                         extension_mul_by_blocks, generator_columns, is_associative,
-                         is_coboundary, kernel_gens_mod,
-                         lower_central_series_terms, pair_compose, reduce_one_row,
-                         semi_brute_h_stats, span_automorphism)
+                         extension_mul_by_blocks, extension_table_by_formula, generator_columns,
+                         hom_space_flat_by_plain_solve, is_associative, is_coboundary,
+                         kernel_gens_mod, lower_central_series_terms, pair_compose,
+                         plain_action_entries, reduce_one_row, semi_brute_h_stats,
+                         span_automorphism)
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -129,7 +130,7 @@ def test_generator_columns_are_the_full_columns_ending_in_a_generator(name, p, r
     act = np.array(flat, dtype=np.int64).reshape(G.order, r, r)
     exps = [E] * r if lattice else data.draw(st.lists(st.integers(1, E), min_size=r,
                                                       max_size=r))
-    A = modules.FiniteModule(G, p, exps, E, act, act)
+    A = modules.FiniteModule(G, p, exps, E, act)
     for m in range(3):
         got = cohomology.coboundary_matrix(A, m, G.generators)
         want = cohomology.coboundary_matrix(A, m)[:, generator_columns(A, m)]
@@ -160,8 +161,10 @@ EXTENSION_BASES = {
 @given(st.sampled_from([2, 3, 5]), st.lists(st.integers(1, 3), min_size=1, max_size=3),
        st.sampled_from(sorted(EXTENSION_BASES)), st.booleans(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_extension_gathers_match_the_int64_blocks(p, exps, base, with_tau, data):
-    # any integer action matrices, automorphisms of A or not, and any factor set
+def test_extension_blocks_match_the_int64_formula(p, exps, base, with_tau, data):
+    # the block oracle that builds the tests' extension tables, against the
+    # flat formula, for any integer action matrices, automorphisms of A or
+    # not, and any factor set
     assume(p ** sum(exps) <= 128)
     moduli = [p**e for e in exps]
     na = int(np.prod(moduli))
@@ -175,10 +178,88 @@ def test_extension_gathers_match_the_int64_blocks(p, exps, base, with_tau, data)
 
     act = integers(ng, r, r)
     tau = integers(ng, ng, r) if with_tau else None
-    got = groups._extension_mul(gmul, moduli, act, tau)
-    want = extension_mul_by_blocks(gmul, moduli, act, tau)
-    assert got.dtype == want.dtype == groups.index_dtype(ng * na)
-    assert got.tobytes() == want.tobytes()
+    got = extension_mul_by_blocks(gmul, moduli, act, tau)
+    want = extension_table_by_formula(gmul, moduli, act,
+                                      np.zeros((ng, ng, r), dtype=np.int64) if tau is None else tau)
+    assert got.dtype == groups.index_dtype(ng * na)
+    assert np.array_equal(got, want)
+
+
+def _v4_signs(p, exps, signs):
+    """V4 = <a, b> acting on the sum of Z/p^{e_i} by commuting sign matrices:
+    coordinate i is negated by a when signs[i] is 1 or 3, by b when 2 or 3."""
+    V4 = groups.make_table([[i ^ j for j in range(4)] for i in range(4)])
+    act = [np.diag([(-1) ** bin(x & s).count("1") for s in signs]) for x in range(4)]
+    return modules.finite_module_from_plain(V4, p, exps, act)
+
+
+def _c2_blocks(p, exps, r1, X):
+    """C2 acting by the involution [[1, X], [0, -1]] in blocks of r1 and
+    len(exps) - r1 coordinates."""
+    r = len(exps)
+    M = np.diag([1] * r1 + [-1] * (r - r1)).astype(np.int64)
+    M[:r1, r1:] = X
+    return modules.finite_module_from_plain(groups.make_table(cyclic_table(2)), p, exps,
+                                            [np.eye(r, dtype=np.int64), M])
+
+
+def _d8_on_plane(e):
+    # D8 acting on (Z/2^e)^2 by its integer matrices, read off a closure mod 64
+    G, mats = groups.from_matrices([[[1, 0], [0, -1]], [[0, 1], [-1, 0]]], 64)
+    return modules.finite_module_from_plain(G, 2, [e, e], mats)
+
+
+@st.composite
+def mixed_modules(draw):
+    """A finite module with mixed exponents and a pullback of it along an
+    automorphism of its group: sign matrices of V4, whose automorphisms
+    permute a, b and ab, block involutions of C2 over p = 2, 3, 5, or D8 on
+    a plane."""
+    kind = draw(st.sampled_from(["V4 signs", "C2 blocks", "D8 on a plane"]))
+    if kind == "D8 on a plane":
+        A = _d8_on_plane(draw(st.integers(1, 2)))
+    else:
+        p = draw(st.sampled_from([2, 3, 5] if kind == "C2 blocks" else [2, 3]))
+        r = draw(st.integers(1 if kind == "V4 signs" else 2, 3))
+        exps = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+        if kind == "V4 signs":
+            A = _v4_signs(p, exps, draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+        else:
+            # X_ij must be a multiple of p^(e_j - e_i) to be a module map
+            r1 = draw(st.integers(1, r - 1))
+            X = np.array([[p ** max(exps[j] - exps[i], 0) * draw(st.integers(-p**2, p**2))
+                           for j in range(r1, r)] for i in range(r1)], dtype=np.int64)
+            A = _c2_blocks(p, exps, r1, X)
+    beta = draw(st.sampled_from(A.group.automorphisms()))
+    return A, A.pullback(A.group, beta)
+
+
+@given(mixed_modules())
+@settings(max_examples=80, deadline=None)
+def test_hom_space_matches_the_plain_solve_on_pullbacks(modules_pair):
+    # hom(A, A^beta) and hom(A^beta, A), solved in hatted coordinates, have
+    # the Howell rows of the solve on plain matrices at the codomain moduli
+    A, W = modules_pair
+    for V, U in ((A, W), (W, A)):
+        got, want = modules.hom_space_flat(V, U), hom_space_flat_by_plain_solve(V, U)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@given(mixed_modules(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_split_table_matches_the_int64_formula(modules_pair, pulled):
+    A = modules_pair[pulled]
+    G = A.group
+    assume(G.order * A.order <= 512)
+    got = extensions.split_table(A)
+    formula = extension_table_by_formula(G.mul, A.coord_moduli(), plain_action_entries(A),
+                                         np.zeros((G.order, G.order, A.rank), dtype=np.int64))
+    want = groups.make_table(formula)
+    assert got.mul.dtype == want.mul.dtype == groups.index_dtype(G.order * A.order)
+    assert got.mul.tobytes() == want.mul.tobytes()
+    assert np.array_equal(got.inverses, want.inverses)
+    assert got.generators == want.generators
 
 
 def _dihedral_setup():
@@ -408,12 +489,6 @@ def test_stacked_solve_and_coords_match_the_row_by_row_calls(pM, ngens, nrows, d
     outside = next((v for v in np.eye(width, dtype=np.int64) if not contains(H, v)), None)
     if outside is not None:
         assert H.solve(np.vstack([stack, outside])) is None
-
-
-def _d8_on_plane(e):
-    # D8 acting on (Z/2^e)^2 by its integer matrices, read off a closure mod 64
-    G, mats = groups.from_matrices([[[1, 0], [0, -1]], [[0, 1], [-1, 0]]], 64)
-    return modules.finite_module_from_plain(G, 2, [e, e], mats)
 
 
 def _trivial_on(table, p):

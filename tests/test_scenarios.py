@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coclass import cohomology, groups, modules, pairs, scenarios
+from coclass import cohomology, extensions, groups, modules, pairs, scenarios
 
-from brute_force import (are_isomorphic, build_extension, check_certificate, lcs_report_by_table,
+from brute_force import (are_isomorphic, build_extension, check_certificate,
+                         extension_table_by_blocks, lcs_report_by_table,
                          split_frame_per_level, summand_scan_per_level_frames)
 
 
@@ -89,9 +90,7 @@ def test_mainline_extensions_are_the_finite_quotients():
         lam = top.mainline_cocycle(n)
         ext = build_extension(top.group, Q.module, lam)
         Qfull = scn.quotient(n + scn.top_offset)
-        Am = Qfull.module
-        quotient_table = groups.abelian_extension_table(
-            G0.mul, [int(x) for x in Am.coord_moduli()], Am.plain, None)
+        quotient_table = extension_table_by_blocks(G0, Qfull.module)
         assert are_isomorphic(ext.table, quotient_table)
         cert = check_certificate(Q.module, lam, l=top.l)
         assert cert.flag and cert.coclass == groups.coclass(top.group)
@@ -162,12 +161,11 @@ def test_lcs_check_builds_and_keeps_no_table(monkeypatch, source, max_order):
     def refused(*args, **kwargs):
         raise AssertionError("the check built or read a table")
 
-    monkeypatch.setattr(groups, "abelian_extension_table", refused)
-    monkeypatch.setattr(scenarios.Scenario, "split_product", refused)
+    monkeypatch.setattr(extensions, "split_table", refused)
     monkeypatch.setattr(groups, "lower_central_series", refused)
     rep = scenarios.check_lower_central_series(scn, max_order)
     assert rep.ok and rep.quotient_orders[-1] == max_order
-    assert not [key for key in scn._memo if isinstance(key, tuple) and key[0] == "split product"]
+    assert not [key for key in scn._memo if isinstance(key, tuple) and key[0] == "stage"]
 
 
 def d8_scan():
@@ -238,11 +236,11 @@ def test_summand_scan_sizes_a_stage_before_building_it(monkeypatch):
     scn = scenarios.load_scenario(str(C3_EISENSTEIN))
     built = []
 
-    def counted(*args, _fn=groups.abelian_extension_table):
-        table = _fn(*args)
+    def counted(A, _fn=extensions.split_table):
+        table = _fn(A)
         built.append(table.order)
         return table
-    monkeypatch.setattr(groups, "abelian_extension_table", counted)
+    monkeypatch.setattr(extensions, "split_table", counted)
     rep = scenarios.summand_instability_witness(scn)
     assert [(s["k"], s["group_order"]) for s in rep.skipped if "group_order" in s] == [
         ("1", "27"), ("2", "243")]

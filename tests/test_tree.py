@@ -214,8 +214,8 @@ def test_branch_shift_peaks_under_half_of_its_largest_table():
 
 def test_branch_shift_builds_each_class_once_and_never_compares_two_groups(monkeypatch, capsys):
     # branch 8's root is branch 7's mainline child: 8 vertices, 7 classes;
-    # the only table built is the scenario's split product, the top group
-    certified, searches, tables, splits = [], [], [], []
+    # the only table built is the top group's split table, in its stage
+    certified, searches, tables, stages = [], [], [], []
 
     def certify(A, row, l=None, _fn=extensions.certify):
         certified.append((A.order, np.asarray(row).tobytes()))
@@ -226,20 +226,20 @@ def test_branch_shift_builds_each_class_once_and_never_compares_two_groups(monke
             searches.append((G.order, H.order))
         return _fn(G, H)
 
-    def split_product(self, m, _fn=scenarios.Scenario.split_product):
-        splits.append(m)
-        table = _fn(self, m)
-        splits.pop()
-        return table
+    def stage(self, k, _fn=scenarios.Scenario.stage):
+        stages.append(k)
+        top = _fn(self, k)
+        stages.pop()
+        return top
 
-    def table(*args, _fn=groups.abelian_extension_table):
-        tables.append(bool(splits))
-        return _fn(*args)
+    def table(A, _fn=extensions.split_table):
+        tables.append(bool(stages))
+        return _fn(A)
 
     monkeypatch.setattr(extensions, "certify", certify)
     monkeypatch.setattr(groups, "isomorphisms", search)
-    monkeypatch.setattr(scenarios.Scenario, "split_product", split_product)
-    monkeypatch.setattr(groups, "abelian_extension_table", table)
+    monkeypatch.setattr(scenarios.Scenario, "stage", stage)
+    monkeypatch.setattr(extensions, "split_table", table)
     assert cli.main(["branch", "--scenario", "dihedral_mainline", "--i", "7", "--k", "1",
                      "--shift"]) == 0
     capsys.readouterr()
