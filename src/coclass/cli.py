@@ -184,18 +184,21 @@ def cmd_verify_counterexample(args) -> int:
 
 def _check_max_order(args, scn: Scenario) -> None:
     """--max-order must be positive and reach the first quotient deep
-    enough to test the identification, G0 x (T / T_m) for m = top_offset + 1.
-    Its order |G0| p^[T : T_m] is read off the chain before any quotient is
+    enough to test the identification, G0 x (T / T_m) for m = top_offset + 1,
+    and the first whose coclass is checked, m = top_offset + period.  The
+    order |G0| p^[T : T_m] is read off the chain before any quotient is
     built; a chain shallower than m is left to the report."""
     if args.max_order < 1:
         raise CoclassError("--max-order must be positive, not %d" % args.max_order)
-    chain, m = scn.chain(), scn.top_offset + 1
-    if m <= chain.depth:
+    chain = scn.chain()
+    for m, purpose in ((scn.top_offset + 1, "test the identification"),
+                       (scn.top_offset + scn.period(), "check the coclass")):
+        if m > chain.depth:
+            return
         need = scn.group().order * scn.p ** chain.index_exponents[m]
         if args.max_order < need:
             raise CoclassError("--max-order %d is below %d, the order of the first quotient "
-                               "of %s deep enough to test the identification"
-                               % (args.max_order, need, scn.name))
+                               "of %s deep enough to %s" % (args.max_order, need, scn.name, purpose))
 
 
 def cmd_verify_lcs(args) -> int:

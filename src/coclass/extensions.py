@@ -7,12 +7,14 @@ normalisation is exactly what makes this product associative, with identity
 (0, 1), so `certify` checks the cocycle and then reads E without its
 |E| x |E| table: its lower central series, held in coordinates, and from it
 the nilpotency class, the coclass and the lower-central criterion; a branch
-vertex also reads its element-order spectrum.  The lower-central-series
-check of the scenarios reads the same series of each split quotient, the
-extension by the zero factor set.  A split extension whose table is needed,
-a stage group of the scenarios, is built by `split_table` through the one
-table builder, `groups.table_from_generators`.  tests/brute_force.py builds
-every table independently and checks each of these against it.
+vertex also reads its element-order spectrum.  `lower_central_series` is
+the package's one builder of the series: `certify` also reads the class of G
+off it, and the lower-central-series check of the scenarios reads it for
+each split quotient, the extension by the zero factor set.  A split
+extension whose table is needed, a stage group of the scenarios, is built by
+`split_table` through the one table builder, `groups.table_from_generators`.
+tests/brute_force.py builds every table independently and checks each of
+these against it.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ def certify(A: FiniteModule, tau_hat, l: int | None = None) -> ExtensionCertific
     past the nilpotency class of the base, which is the right index when the
     base is the depth-l mainline quotient.  The flag captures the
     lower-central criterion: the extension has the base's coclass exactly
-    when gamma_l(E) equals the whole fiber.
+    when gamma_l(E) equals the whole fiber.  The image of gamma_i(E) in G is
+    gamma_i(G), so the class of G is the index of the first term of the
+    series whose image is trivial.
     """
     G = A.group
     row = np.asarray(tau_hat, dtype=np.int64) % A.q
@@ -89,16 +93,17 @@ def certify(A: FiniteModule, tau_hat, l: int | None = None) -> ExtensionCertific
     T = G.bar_index(2).tuples
     tau = np.zeros((G.order, G.order, A.rank), dtype=np.int64)
     tau[T[:, 0], T[:, 1]] = row.reshape(len(T), A.rank)
+    series = lower_central_series(A, tau)
+    base_class = next(i for i, (image, _, _) in enumerate(series) if len(image) == 1)
     if l is None:
-        l = groups.nilpotency_class(G) + 1
-    series = _lower_central_series(A, tau)
+        l = base_class + 1
     orders = [len(image) * A.p ** K.order_exp() for image, K, _ in series]
     if l <= len(series):  # gamma_l(E) = A iff it lies over 1 and has the order of A
         flag = len(series[l - 1][0]) == 1 and orders[l - 1] == A.order
     else:
         flag = A.order == 1
     cert = ExtensionCertificate(A, tau, orders, flag)
-    base_cc = groups.coclass(G)
+    base_cc = groups.order_coclass(G.order, base_class)
     if A.order > 1 and (cert.coclass == base_cc) != flag:
         raise ExtensionError("coclass criterion disagreement: cc %d vs base %d, flag %s"
                              % (cert.coclass, base_cc, flag))
@@ -149,7 +154,7 @@ def _commutator(A: FiniteModule, tau, a, g, b, h):
     return _mul(A, tau, inv, yi, *_mul(A, tau, a, g, b, h))
 
 
-def _lower_central_series(A: FiniteModule, tau) -> list[tuple]:
+def lower_central_series(A: FiniteModule, tau) -> list[tuple]:
     """gamma_i(E) as (gamma_i(G), K_i = gamma_i(E) & A, section), from
     gamma_1(E) = E down to the trivial group, where gamma_i(E) is the set of
     (section[j] + k, image[j]) with k in the Howell span K_i.

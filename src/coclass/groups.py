@@ -13,7 +13,9 @@ arithmetic on table entries other than indexing goes through int64 first.
 
 Permutations, matrices, presentations and split extensions
 (`extensions.split_table`) all reach their table through one builder,
-`table_from_generators`, from the generators' right multiplications.
+`table_from_generators`, from the generators' right multiplications.  No
+table builds its lower central series: the package reads every series in
+coordinates, with `extensions.lower_central_series`.
 
 Convention: all module actions in this package are right actions, written
 v.g, and a homomorphism of tables preserves products in the given order.
@@ -46,9 +48,8 @@ def index_dtype(n: int) -> np.dtype:
 @dataclass(eq=False)
 class GroupTable(Owner):
     """A validated table; it owns its element orders, minimal generators,
-    lower central series, bar-complex index arrays and automorphisms, each
-    built once.  mul holds `index_dtype(order)` entries; any other type is
-    refused."""
+    bar-complex index arrays and automorphisms, each built once.  mul holds
+    `index_dtype(order)` entries; any other type is refused."""
 
     mul: np.ndarray  # order x order element indices
     identity: int
@@ -70,10 +71,6 @@ class GroupTable(Owner):
     def minimal_generators(self) -> list[int]:
         return self.derived("minimal_generators",
                             lambda: _minimal_generators(self.mul, self.identity))
-
-    def lcs(self) -> list[list[int]]:
-        """The lower central series, built once by `lower_central_series`."""
-        return self.derived("lower_central_series", lambda: lower_central_series(self))
 
     def bar_index(self, m: int) -> "BarIndex":
         """The normalized bar m-tuples, built once by `bar_index`."""
@@ -489,7 +486,7 @@ def build_group(spec) -> GroupTable:
 
 
 # ---------------------------------------------------------------------------
-# subgroups and series
+# subgroups and orders
 
 
 def subgroup_closure_table(mul: np.ndarray, identity: int, gens) -> list[int]:
@@ -512,45 +509,6 @@ def restricted_table(G: GroupTable, elems) -> tuple[GroupTable, list[int]]:
     return make_table(mul), elements
 
 
-def lower_central_series(G: GroupTable) -> list[list[int]]:
-    """gamma_1 = G, gamma_{i+1} = [gamma_i, G], computed until it stabilizes,
-    as descending terms, each a sorted element list.
-
-    [gamma_i, G] is generated by the [x, s], x in gamma_i and s a generator:
-    [x, gs] = [x, g].[x^g, s] with x^g in gamma_i, as gamma_i is normal, so
-    every [x, g] is a product of them, by induction on the length of g as a
-    positive word in the generators.  A finite set holding the identity
-    generates a subgroup once it is closed under products, so their mask is
-    squared, S -> S.S, until it stops growing.
-    """
-    S = np.asarray(G.generators, dtype=np.int64)
-    terms = [list(range(G.order))]
-    while True:
-        x = np.asarray(terms[-1], dtype=np.int64)[:, None]
-        mask = np.zeros(G.order, dtype=bool)
-        mask[G.mul[G.mul[G.inverses[x], G.inverses[S]], G.mul[x, S]]] = True
-        mask[G.identity] = True
-        while True:
-            idx = np.flatnonzero(mask)
-            mask[G.mul[np.ix_(idx, idx)]] = True
-            if np.count_nonzero(mask) == idx.size:
-                break
-        nxt = idx.tolist()
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-        if len(nxt) == 1:
-            break
-    return terms
-
-
-def nilpotency_class(G: GroupTable) -> int:
-    terms = G.lcs()
-    if len(terms[-1]) != 1:
-        raise GroupError("group is not nilpotent")
-    return len(terms) - 1
-
-
 def _factorization(n: int) -> dict[int, int]:
     """{p: e} for each prime power p^e exactly dividing n."""
     out, p = {}, 2
@@ -560,10 +518,6 @@ def _factorization(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
         p += 1
     return out
-
-
-def coclass(G: GroupTable) -> int:
-    return order_coclass(G.order, nilpotency_class(G))
 
 
 def order_coclass(order: int, cls: int) -> int:

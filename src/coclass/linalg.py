@@ -396,8 +396,7 @@ class QuotientGroup:
     exps: list[int]  # invariant factor exponents, > 0, nondecreasing
     gens: np.ndarray  # one ambient row per invariant factor
     K: Howell  # untracked, so solving gives coordinates over its own rows
-    _V: np.ndarray  # right transform sending K-coordinates to SNF coordinates
-    _kept: list[int]
+    to_coords: np.ndarray  # K-coordinates -> coordinates: the kept columns of the Smith V
 
     @property
     def order(self) -> int:
@@ -410,8 +409,7 @@ class QuotientGroup:
         x = self.K.solve(v)
         if x is None:
             raise ValueError("element not in the subgroup K")
-        z = dot_mod(x, self._V, q, q)[..., self._kept]
-        return (z % self.moduli()).astype(np.int64)
+        return (dot_mod(x, self.to_coords, q, q) % self.moduli()).astype(np.int64)
 
     def moduli(self) -> np.ndarray:
         """p^e for each invariant exponent, in coordinate order."""
@@ -434,7 +432,7 @@ def quotient_group(K_rows, B_rows, p: int, M: int) -> QuotientGroup:
     Kb = HK.rows
     g = Kb.shape[0]
     if g == 0:
-        return QuotientGroup(p, M, [], zeros((0, np.shape(K_rows)[1]), q), HK, eye(0, q), [])
+        return QuotientGroup(p, M, [], zeros((0, np.shape(K_rows)[1]), q), HK, eye(0, q))
     rel = row_kernel(Kb, p, M)
     bcoords = HK.solve(as_matrix(B_rows, q))
     if bcoords is None:
@@ -446,5 +444,5 @@ def quotient_group(K_rows, B_rows, p: int, M: int) -> QuotientGroup:
     exps = s.exps + [M] * (g - len(s.exps))
     kept = [i for i, a in enumerate(exps) if a > 0]
     gens = dot_mod(s.Vinv[kept], Kb, q, q)
-    return QuotientGroup(p, M, [exps[i] for i in kept], gens, HK, s.V, kept)
+    return QuotientGroup(p, M, [exps[i] for i in kept], gens, HK, s.V[:, kept])
 

@@ -319,19 +319,17 @@ def _validate_finite_action(fm: FiniteModule):
 
 @dataclass
 class QuotientModule:
-    """A_n = T / T_n with coordinates from the Smith form of the T_n basis."""
+    """A_n = T / T_n, with coordinates and representatives from its
+    structure, `linalg.quotient_group` of the whole lattice by the T_n basis."""
 
     lattice: LatticeModule
     level: int
     module: FiniteModule
-    _V: np.ndarray  # ambient -> SNF coordinates
-    _Vinv: np.ndarray
-    _kept: list[int]  # SNF coordinates with nontrivial modulus
+    structure: linalg.QuotientGroup  # T / T_n, over ambient lattice coordinates
 
     def coords(self, v) -> np.ndarray:
         """Plain coordinates of v + T_n, for one ambient vector or a stack of them."""
-        V = self._V[:, self._kept]
-        return (np.asarray(v, dtype=np.int64) @ V) % self.lattice.q % self.module.coord_moduli()
+        return self.structure.coords(v)
 
     def reduce(self, v) -> np.ndarray:
         """Canonical ambient representative of v + T_n (rowwise on a stack)."""
@@ -339,26 +337,23 @@ class QuotientModule:
 
     def representatives(self) -> np.ndarray:
         """Ambient rows representing the coordinate generators."""
-        rows = [self._Vinv[i] for i in self._kept]
-        return np.vstack(rows) % self.lattice.q if rows else np.zeros((0, self.lattice.rank), dtype=np.int64)
+        return self.structure.gens
 
     def hat_of_ambient(self, v) -> np.ndarray:
         return self.module.hat(self.coords(v))
 
 
 def quotient(T: LatticeModule, chain: CentralChain, n: int) -> QuotientModule:
+    """T / T_n.  The lattice is the span of the identity, whose Howell form
+    is itself with no relations, so `linalg.quotient_group` runs its one
+    Smith elimination on the T_n basis as given."""
     if n < 0:
         raise ModuleError("chain level %d is negative" % n)
     if n > chain.depth:
         raise ModuleError("chain only computed to depth %d < %d" % (chain.depth, n))
-    p, N, q = T.p, T.N, T.q
-    s = linalg.smith(chain.bases[n], p, N, want_left=False, want_right=True)
-    kept = [i for i, e in enumerate(s.exps) if e > 0]
-    kexps = [min(s.exps[i], N) for i in kept]
-    # induced plain action on the kept coordinates
-    plain = ((s.Vinv @ T.act @ s.V) % q)[:, kept][:, :, kept]
-    fm = finite_module_from_plain(T.group, p, kexps, plain)
-    return QuotientModule(T, n, fm, s.V, s.Vinv, kept)
+    S = linalg.quotient_group(np.eye(T.rank, dtype=np.int64), chain.bases[n], T.p, T.N)
+    plain = S.coords(S.gens @ T.act)  # the induced action on the coordinates
+    return QuotientModule(T, n, finite_module_from_plain(T.group, T.p, S.exps, plain), S)
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +522,11 @@ def lattice_endomorphisms(T: LatticeModule, c: int, beta=None) -> np.ndarray:
 def endo_to_quotient(Q: QuotientModule, Phi) -> np.ndarray:
     """Plain coordinate matrix of a lattice endomorphism acting on A_n, or of
     each one in a stack."""
-    q = Q.lattice.q
-    M = (Q._Vinv @ (np.asarray(Phi, dtype=np.int64) % q) @ Q._V) % q
-    M = M[..., Q._kept, :][..., Q._kept]
-    mods = Q.module.coord_moduli()
-    return M % mods[None, :]
+    return Q.coords(Q.representatives() @ (np.asarray(Phi, dtype=np.int64) % Q.lattice.q))
 
 
 def lift_endo(Q: QuotientModule, C) -> np.ndarray:
     """Integer matrix on the ambient lattice inducing the plain matrix C on
     A_n, or one per matrix of a stack."""
     q = Q.lattice.q
-    return (Q._V[:, Q._kept] @ (np.asarray(C, dtype=np.int64) % q) @ Q.representatives()) % q
+    return (Q.structure.to_coords @ (np.asarray(C, dtype=np.int64) % q) @ Q.representatives()) % q

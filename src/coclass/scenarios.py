@@ -376,7 +376,7 @@ def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
     of 1 x T_j for every j from top_offset up to m, and that the coclass of
     the quotients stabilizes at the declared value.  The quotient is the
     extension of A = T / T_m by the zero factor set, so its series is read
-    in coordinates (`extensions._lower_central_series`), with no table: a
+    in coordinates (`extensions.lower_central_series`), with no table: a
     term is the image of T_j when it lies over the identity of G0 and meets
     A in the span of T_j.
     """
@@ -391,7 +391,7 @@ def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
         Qm = scn.quotient(m)
         A = Qm.module
         split = np.zeros((G0.order, G0.order, A.rank), dtype=np.int64)
-        series = extensions._lower_central_series(A, split)
+        series = extensions.lower_central_series(A, split)
         sizes = [len(image) * A.p ** K.order_exp() for image, K, _ in series]
         orders.append(sizes[0])
         for j in range(scn.top_offset, m + 1):
@@ -624,6 +624,8 @@ def orbit_correspondence_report(scn: Scenario, n: int | None = None) -> Correspo
     d = scn.period()
     if n is None:
         n = bounds.least_qualifying()
+    if n < 0:
+        raise ScenarioError("chain level %d is negative" % n)
     if not bounds.qualifies(n):
         reason = ("level %d violates n >= v*d = %d*%d or n >= b*d = %d*%d"
                   % (n, bounds.v, d, bounds.b_exp, d))

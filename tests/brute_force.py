@@ -165,6 +165,34 @@ def lower_central_series_terms(G):
     return terms
 
 
+def table_lcs(G):
+    """`lower_central_series_terms`, held by the table."""
+    return G.derived("lower_central_series_terms", lambda: lower_central_series_terms(G))
+
+
+def table_class(G):
+    """The nilpotency class, read off `table_lcs`."""
+    terms = table_lcs(G)
+    if len(terms[-1]) != 1:
+        raise groups.GroupError("group is not nilpotent")
+    return len(terms) - 1
+
+
+def table_coclass(G):
+    return groups.order_coclass(G.order, table_class(G))
+
+
+def series_images(G):
+    """The images in G of `extensions.lower_central_series` of G x Z/2, the
+    extension by the trivial rank-1 module with the zero cocycle, up to the
+    first trivial one: gamma_i(G), to be compared with
+    `lower_central_series_terms`."""
+    A = modules.finite_module_from_plain(G, 2, [1], np.ones((G.order, 1, 1), dtype=np.int64))
+    series = extensions.lower_central_series(A, np.zeros((G.order, G.order, 1), dtype=np.int64))
+    images = [image.tolist() for image, _, _ in series]
+    return images[:next(i for i, image in enumerate(images) if len(image) == 1) + 1]
+
+
 def element_orders_by_steps(mul, identity):
     """The order of each element, by stepping all powers g^k at once."""
     elems = np.arange(len(mul))
@@ -1102,12 +1130,12 @@ def coclass_of_extension(ext, l=None):
     """(coclass of the extension, gamma_l(E) = fiber flag), read off the
     table; l defaults to one past the nilpotency class of the base."""
     if l is None:
-        l = groups.nilpotency_class(ext.base) + 1
-    cc = groups.coclass(ext.table)
-    series = ext.table.lcs()
+        l = table_class(ext.base) + 1
+    cc = table_coclass(ext.table)
+    series = table_lcs(ext.table)
     gamma_l = series[l - 1] if l - 1 < len(series) else [ext.table.identity]
     flag = gamma_l == list(range(ext.fiber.order))
-    base_cc = groups.coclass(ext.base)
+    base_cc = table_coclass(ext.base)
     if ext.fiber.order > 1 and (cc == base_cc) != flag:
         raise extensions.ExtensionError(
             "coclass criterion disagreement: cc %d vs base %d, flag %s" % (cc, base_cc, flag))
@@ -1118,7 +1146,7 @@ def fingerprint(G):
     """Cheap isomorphism invariants: order, spectrum, center, central series."""
     def build():
         spectrum = tuple(sorted(int(x) for x in G.element_orders()))
-        lcs = tuple(len(t) for t in G.lcs())
+        lcs = tuple(len(t) for t in table_lcs(G))
         return (G.order, spectrum, len(center(G)), lcs)
     return G.derived("fingerprint", build)
 
@@ -1158,8 +1186,8 @@ def check_certificate(A, row, l=None):
         raise
     cc, flag = coclass_of_extension(ext, l)
     assert cert.order == ext.order
-    assert cert.lcs_orders == [len(t) for t in ext.table.lcs()]
-    assert cert.nilpotency_class == groups.nilpotency_class(ext.table)
+    assert cert.lcs_orders == [len(t) for t in table_lcs(ext.table)]
+    assert cert.nilpotency_class == table_class(ext.table)
     assert (cert.coclass, cert.flag) == (cc, flag)
     assert cert.spectrum() == table_spectrum(ext.table)
     return cert
@@ -1203,7 +1231,7 @@ def lcs_report_by_table(scn, max_order):
         Qm = scn.quotient(m)
         table = extension_table_by_blocks(G0, Qm.module)
         orders.append(table.order)
-        series = table.lcs()
+        series = table_lcs(table)
         for j in range(scn.top_offset, m + 1):
             expected = _fiber_term_indices(scn, Qm, j)
             li = 1 + j
@@ -1215,7 +1243,7 @@ def lcs_report_by_table(scn, max_order):
                     "chain index %d: lcs term %d has size %d, expected the "
                     "image of the depth-%d sublattice (size %d)"
                     % (m, li, len(actual), j, len(expected)))
-        coclasses.append((m, groups.coclass(table)))
+        coclasses.append((m, table_coclass(table)))
         m += 1
     last_m = m - 1
     if last_m < scn.top_offset + 1:

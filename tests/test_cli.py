@@ -137,6 +137,13 @@ def test_malformed_cocycle_is_a_one_line_error(tmp_path, capsys, cocycle):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["cohomology", "orbits", "correspondence"])
+def test_a_negative_level_is_a_usage_error(capsys, command):
+    code = cli.main([command, "--scenario", "d8_gaussian", "--n", "-1"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: chain level -1 is negative\n")
+
+
 def test_oversized_coboundary_is_a_one_line_error(tmp_path, capsys):
     # level 2 of the order-32 top group of d8 needs a 1922 x 59582 bar coboundary
     cfile = tmp_path / "c.json"
@@ -168,6 +175,8 @@ def test_oversized_extension_table_is_refused_before_it_is_allocated(tmp_path, c
 
 _BELOW_FIRST = ("--max-order %d is below %d, the order of the first quotient of %s deep enough "
                 "to test the identification")
+_BELOW_COCLASS = ("--max-order %d is below %d, the order of the first quotient of %s deep enough "
+                  "to check the coclass")
 
 
 @pytest.mark.parametrize("command", ["verify-lcs", "run-all"])
@@ -180,6 +189,12 @@ _BELOW_FIRST = ("--max-order %d is below %d, the order of the first quotient of 
                  id="dihedral_mainline-4"),
     pytest.param("d8_gaussian", "32", _BELOW_FIRST % (32, 64, "d8_gaussian"),
                  id="d8_gaussian-32"),
+    # the first quotient whose coclass is checked, at m = top_offset + period,
+    # has order 8 * 2^4 for d8 and 3 * 3^4 for C3
+    pytest.param("d8_gaussian", "64", _BELOW_COCLASS % (64, 128, "d8_gaussian"),
+                 id="d8_gaussian-64"),
+    pytest.param(str(DATA / "c3_eisenstein.json"), "81",
+                 _BELOW_COCLASS % (81, 243, "c3_eisenstein"), id="c3_eisenstein-81"),
 ])
 def test_a_max_order_below_one_is_a_usage_error(capsys, command, scenario, max_order, reason):
     # below the first quotient deep enough no claim would be checked
@@ -424,7 +439,9 @@ _DERIVED = [
     # each split table G0 x (T / T_m) is one call, a stage's shared by the
     # branch and the scan
     (extensions, "split_table", _module_key),
-    (groups, "lower_central_series", lambda G: _bytes(G.mul)),
+    # the one lower central series, of a split quotient or of an extension
+    # that a certificate reads
+    (extensions, "lower_central_series", lambda A, tau: (_module_key(A), _bytes(tau))),
     (groups, "bar_index", lambda G, m: (_bytes(G.mul), m)),
     (groups, "automorphism_group", lambda G: _bytes(G.mul)),
     # a level quotient depends on the chain's basis and not on the group

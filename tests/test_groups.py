@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import brute_force
 from coclass import cli, extensions, groups, modules, scenarios
 
 from brute_force import (brute_is_normal, brute_is_subgroup, brute_isomorphisms, center,
                          center_of_table, closure_table_fill, compose_permutations, compose_perms,
                          element_orders_by_steps, extension_mul_by_blocks, lcs_report_by_table,
-                         lower_central_series_terms)
+                         lower_central_series_terms, series_images, table_coclass)
 
 C3_EISENSTEIN = Path(__file__).resolve().parent / "data" / "c3_eisenstein.json"
 
@@ -34,8 +35,8 @@ D8_MATRICES = {
 def test_trivial_group():
     G = groups.build_group({"presentation": {"generators": [], "relators": []}})
     assert G.order == 1
-    assert [len(t) for t in groups.lower_central_series(G)] == [1]
-    assert groups.coclass(G) == 0
+    assert [len(t) for t in lower_central_series_terms(G)] == [1]
+    assert table_coclass(G) == 0
 
 
 def test_cyclic_table_and_orders():
@@ -43,7 +44,7 @@ def test_cyclic_table_and_orders():
     assert G.order == 4
     assert sorted(G.element_orders()) == [1, 2, 4, 4]
     assert np.array_equal(G.mul, G.mul.T)
-    assert groups.coclass(G) == 1
+    assert table_coclass(G) == 1
 
 
 def test_cyclic_closure_from_generator():
@@ -56,8 +57,8 @@ def test_cyclic_closure_from_generator():
 def test_d8_from_presentation():
     G = groups.build_group(D8_PRESENTATION)
     assert G.order == 8
-    assert [len(t) for t in groups.lower_central_series(G)] == [8, 2, 1]
-    assert groups.coclass(G) == 1
+    assert [len(t) for t in lower_central_series_terms(G)] == [8, 2, 1]
+    assert table_coclass(G) == 1
     assert not np.array_equal(G.mul, G.mul.T)
 
 
@@ -66,7 +67,7 @@ def test_d8_from_matrices_matches_presentation():
     H = groups.build_group(D8_PRESENTATION)
     assert G.order == H.order == 8
     assert sorted(G.element_orders()) == sorted(H.element_orders())
-    assert [len(t) for t in groups.lower_central_series(G)] == [8, 2, 1]
+    assert [len(t) for t in lower_central_series_terms(G)] == [8, 2, 1]
 
 
 def test_quaternion_presentation():
@@ -77,7 +78,7 @@ def test_quaternion_presentation():
     assert Q.order == 8
     # one element of order 2 distinguishes Q8 from D8
     assert int(np.sum(Q.element_orders() == 2)) == 1
-    assert groups.coclass(Q) == 1
+    assert table_coclass(Q) == 1
 
 
 def test_bad_table_rejected():
@@ -102,7 +103,7 @@ def test_every_builder_stores_the_narrowest_index_type():
         D8,
         groups.make_table(cyclic_table(5)),
         groups.make_table(np.array(cyclic_table(6), dtype=np.uint8)),
-        groups.restricted_table(D8, D8.lcs()[1])[0],
+        groups.restricted_table(D8, lower_central_series_terms(D8)[1])[0],
         extensions.split_table(modules.finite_module_from_plain(C2, 2, [2], [[[1]], [[-1]]])),
     ]
     for G in built:
@@ -203,7 +204,7 @@ def test_given_generators_are_tested_for_associativity():
 def test_lcs_terms_are_normal():
     D8 = groups.build_group(D8_PRESENTATION)
     mul, inv = D8.mul.tolist(), D8.inverses.tolist()
-    for term in groups.lower_central_series(D8):
+    for term in series_images(D8):
         assert brute_is_subgroup(mul, D8.identity, term)
         assert brute_is_normal(mul, inv, term)
 
@@ -219,7 +220,7 @@ def test_semidirect_split_table():
     act = [np.array([[1]]), np.array([[-1]])]
     E = groups.make_table(extension_mul_by_blocks(gmul, [4], act))
     assert E.order == 8
-    assert [len(t) for t in groups.lower_central_series(E)] == [8, 2, 1]
+    assert [len(t) for t in lower_central_series_terms(E)] == [8, 2, 1]
 
 
 def test_split_product_peaks_under_twice_its_table():
@@ -299,18 +300,23 @@ _PIPELINE_ARGVS = [
 
 @pytest.fixture(scope="module")
 def pipeline_tables():
-    """Every distinct table whose lower central series the pipeline takes,
-    and the split quotients up to order 512 of each run-all scenario, whose
-    tables the lower-central-series oracle reads."""
+    """Every distinct group whose lower central series the pipeline reads off
+    an extension of it, and the split quotients up to order 512 of each
+    run-all scenario, whose tables the lower-central-series oracle builds."""
     tables = {}
-    series = groups.lower_central_series
+    series, build = extensions.lower_central_series, brute_force.extension_table_by_blocks
 
     def record(G):
         tables.setdefault(G.mul.tobytes(), G)
-        return series(G)
+        return G
+
+    def recorded_series(A, tau):
+        record(A.group)
+        return series(A, tau)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups, "lower_central_series", record)
+        mp.setattr(extensions, "lower_central_series", recorded_series)
+        mp.setattr(brute_force, "extension_table_by_blocks", lambda G, A: record(build(G, A)))
         for argv in _PIPELINE_ARGVS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0
@@ -320,9 +326,11 @@ def pipeline_tables():
 
 
 def test_lcs_from_generator_commutators_matches_all_commutators(pipeline_tables):
+    # the coordinate series commutes with generators only; its images in G
+    # are gamma_i(G), against every commutator of G
     assert max(G.order for G in pipeline_tables) == 512
     for G in pipeline_tables:
-        assert groups.lower_central_series(G) == lower_central_series_terms(G)
+        assert series_images(G) == lower_central_series_terms(G)
 
 
 def test_orders_and_center_match_the_naive_ones(pipeline_tables):

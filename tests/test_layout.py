@@ -1,6 +1,6 @@
 """Every function and method of the package is entered by some command-line
-run, every public name is used by the package, every dataclass field is read,
-and each object's private fields are read by the module that owns them.
+run, every public name is used by the package and every dataclass field is
+read.
 
 `test_every_function_is_entered_by_a_cli_run` runs the subcommands in process
 under `sys.setprofile` and fails on any function or method of `src/coclass`
@@ -28,10 +28,6 @@ NOT_ENTERED: dict[str, str] = {
     "modules.LatticeModule.ctx":
         "read only by perfbench/tracer.py, which keys lattice inputs by T.ctx.N",
 }
-
-# fields of a QuotientModule that only `modules` reads: its Smith transforms
-# and the coordinates they keep
-QUOTIENT_PRIVATE = {"_V", "_Vinv", "_kept"}
 
 
 def _definitions(tree):
@@ -164,14 +160,3 @@ def test_every_dataclass_field_is_read_by_the_package():
                     for fname, tree in trees.items()
                     for cls, field in _dataclass_fields(tree) if field not in reads)
     assert not unread, "dataclass fields that nothing reads: %s" % unread
-
-
-def test_only_modules_reads_the_smith_data_of_a_quotient():
-    # outside modules.py an object may read these names only from itself, as
-    # linalg.QuotientGroup reads its own
-    reads = sorted("%s:%d" % (path.name, node.lineno)
-                   for path in sorted(SRC.glob("*.py")) if path.name != "modules.py"
-                   for node in ast.walk(ast.parse(path.read_text()))
-                   if isinstance(node, ast.Attribute) and node.attr in QUOTIENT_PRIVATE
-                   and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
-    assert not reads, "QuotientModule internals read outside modules.py: %s" % reads

@@ -329,10 +329,12 @@ def test_pulled_back_chain_matches_the_rebuilt_chain(source, k):
     for n in range(want.depth + 1):
         Qg, Qw = got.quotient(n), want.quotient(n)
         assert Qg.lattice is got.lattice and Qg.module.group is got.lattice.group
-        assert (Qg.module.exps, Qg.module.E, Qg._kept) == (Qw.module.exps, Qw.module.E, Qw._kept)
+        Sg, Sw = Qg.structure, Qw.structure
+        assert (Qg.module.exps, Qg.module.E) == (Qw.module.exps, Qw.module.E)
+        assert (Sg.p, Sg.M, Sg.exps, Sg.K.pivots) == (Sw.p, Sw.M, Sw.exps, Sw.K.pivots)
         for a, b in [(Qg.module.act, Qw.module.act),
                      (plain_action_entries(Qg.module), plain_action_entries(Qw.module)),
-                     (Qg._V, Qw._V), (Qg._Vinv, Qw._Vinv)]:
+                     (Sg.gens, Sw.gens), (Sg.to_coords, Sw.to_coords), (Sg.K.rows, Sw.K.rows)]:
             assert _same_array(a, b), n
 
 

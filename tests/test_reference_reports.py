@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from coclass import cli, groups, scenarios
+from coclass import cli, scenarios
 
-from brute_force import build_extension, coclass_of_extension
+from brute_force import build_extension, coclass_of_extension, table_class
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 DATA = Path(__file__).resolve().parent / "data"
@@ -31,6 +31,10 @@ STORED = {
         ["branch", "--scenario", "dihedral_mainline", "--i", "5", "--k", "2", "--shift"],
     "dihedral_mainline.branch-i3-k3-shift.out":
         ["branch", "--scenario", "dihedral_mainline", "--i", "3", "--k", "3", "--shift"],
+    # the one stored branch with p = 3: each vertex certificate reads the
+    # class of its base off the series of the extension
+    "c3_eisenstein.branch-i4-k1.out":
+        ["branch", "--scenario", "tests/data/c3_eisenstein.json", "--i", "4", "--k", "1"],
     "d8_gaussian.verify-lcs-4096.out":
         ["verify-lcs", "--scenario", "d8_gaussian", "--max-order", "4096"],
     "dihedral_mainline.verify-lcs-2048.out":
@@ -104,7 +108,7 @@ def test_the_level_9_extend_report_matches_the_table_oracle():
     ext = build_extension(top.group, A, top.mainline_cocycle(9))
     cc, flag = coclass_of_extension(ext, l=top.l)
     assert (report["order"], report["nilpotency_class"], report["coclass"]) == (
-        str(ext.order), str(groups.nilpotency_class(ext.table)), str(cc))
+        str(ext.order), str(table_class(ext.table)), str(cc))
     assert report["has_top_coclass"] is flag is True
 
 

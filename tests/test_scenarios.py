@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coclass import cohomology, extensions, groups, modules, pairs, scenarios
+from coclass import cohomology, extensions, modules, pairs, scenarios
 
 from brute_force import (are_isomorphic, build_extension, check_certificate,
                          extension_table_by_blocks, lcs_report_by_table,
-                         split_frame_per_level, summand_scan_per_level_frames)
+                         split_frame_per_level, summand_scan_per_level_frames, table_coclass)
 
 
 _cache = {}
@@ -74,10 +74,10 @@ def test_d8_thresholds():
 def test_top_quotient_structure():
     top = dihedral().top()
     assert top.group.order == 4
-    assert groups.coclass(top.group) == 1 and top.l == 2
+    assert table_coclass(top.group) == 1 and top.l == 2
     t8 = d8().top()
     assert t8.group.order == 32
-    assert groups.coclass(t8.group) == 3 and t8.l == 3
+    assert table_coclass(t8.group) == 3 and t8.l == 3
 
 
 def test_mainline_extensions_are_the_finite_quotients():
@@ -93,7 +93,7 @@ def test_mainline_extensions_are_the_finite_quotients():
         quotient_table = extension_table_by_blocks(G0, Qfull.module)
         assert are_isomorphic(ext.table, quotient_table)
         cert = check_certificate(Q.module, lam, l=top.l)
-        assert cert.flag and cert.coclass == groups.coclass(top.group)
+        assert cert.flag and cert.coclass == table_coclass(top.group)
 
 
 def test_mainline_reduction_is_mainline():
@@ -162,7 +162,6 @@ def test_lcs_check_builds_and_keeps_no_table(monkeypatch, source, max_order):
         raise AssertionError("the check built or read a table")
 
     monkeypatch.setattr(extensions, "split_table", refused)
-    monkeypatch.setattr(groups, "lower_central_series", refused)
     rep = scenarios.check_lower_central_series(scn, max_order)
     assert rep.ok and rep.quotient_orders[-1] == max_order
     assert not [key for key in scn._memo if isinstance(key, tuple) and key[0] == "stage"]
