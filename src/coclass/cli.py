@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "groups of fixed coclass.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, n_required=False):
+    def common(p):
         p.add_argument("--scenario", required=True,
                        help="built-in name (%s) or JSON file path"
                             % ", ".join(sorted(scenarios.BUILTIN_SCENARIOS)))

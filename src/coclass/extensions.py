@@ -178,7 +178,10 @@ def lower_central_series(A: FiniteModule, tau) -> list[tuple]:
         image, K, section = series[-1]
         if len(image) == 1 and not K.pivots:
             return series
-        KI = np.einsum("kr,srt->kst", K.rows, A.act[S] - ident).reshape(-1, A.rank) % q
+        # the row count is explicit: at level 0 the rank is 0, and
+        # reshape(-1, 0) cannot infer it
+        KI = np.einsum("kr,srt->kst", K.rows, A.act[S] - ident).reshape(
+            len(K.rows) * len(S), A.rank) % q
         if len(image) == 1:
             nxt = (image, linalg.howell(KI, p, A.E), section)
         else:

@@ -11,8 +11,8 @@ index, `index_dtype(order)`: int16 up to order 2^15, int32 above.  NumPy
 keeps that type through arithmetic (`int16_array * k` is int16), so any
 arithmetic on table entries other than indexing goes through int64 first.
 
-Permutations, matrices, presentations and split extensions
-(`extensions.split_table`) all reach their table through one builder,
+A scenario's group is a table or a presentation.  Presentations and split
+extensions (`extensions.split_table`) reach their table through one builder,
 `table_from_generators`, from the generators' right multiplications.  No
 table builds its lower central series: the package reads every series in
 coordinates, with `extensions.lower_central_series`.
@@ -24,7 +24,6 @@ v.g, and a homomorphism of tables preserves products in the given order.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,11 +211,11 @@ def make_table(mul, generators: list[int] | None = None) -> GroupTable:
     return table
 
 
-def closure(seeds, gens, step, key=None, cap: int | None = None) -> dict:
+def closure(seeds, gens, step, key=None) -> dict:
     """Everything reached from the seeds by repeated step(x, g), g in gens.
 
     Returns {key(x): x} in breadth-first order, seeds first; each key keeps
-    the first value that reached it.  Raises GroupError past cap entries.
+    the first value that reached it.
     """
     key = key or (lambda x: x)
     gens = list(gens)
@@ -231,8 +230,6 @@ def closure(seeds, gens, step, key=None, cap: int | None = None) -> dict:
                 y = step(x, g)
                 k = key(y)
                 if k not in found:
-                    if cap is not None and len(found) >= cap:
-                        raise GroupError("closure exceeds cap %d" % cap)
                     found[k] = y
                     nxt.append(y)
         frontier = nxt
@@ -265,83 +262,6 @@ def table_from_generators(right) -> GroupTable:
         raise GroupError("generators do not reach every element")
     _check_edges(mul, right, "generator permutations disagree with the table")
     return GroupTable(mul, 0, _validate_table(mul, 0), right[:, 0].tolist())
-
-
-def closure_table(gen_elems: list, multiply, identity_elem) -> tuple[GroupTable, list]:
-    """Close abstract generators under an associative product into a table.
-
-    gen_elems are hashable values, multiply(x, y) their product.  Returns the
-    validated table plus the element list in index order (identity first);
-    more than CLOSURE_CAP elements is an error.
-    """
-    elems = list(closure([identity_elem], gen_elems, multiply, cap=CLOSURE_CAP))
-    index = {x: i for i, x in enumerate(elems)}
-    right = [[index[multiply(x, g)] for x in elems] for g in gen_elems]
-    return table_from_generators(np.array(right, dtype=np.int64).reshape(-1, len(elems))), elems
-
-
-def from_permutations(perms: list[tuple[int, ...]]) -> tuple[GroupTable, list]:
-    """Close permutations of range(deg), all of one degree, under composition."""
-    deg = len(perms[0]) if perms else 1
-    ident = tuple(range(deg))
-    for perm in perms:
-        if sorted(perm) != list(ident):
-            raise GroupError("generator %r is not a permutation of range(%d)" % (perm, deg))
-
-    def mult(a, b):
-        # a then b, so right-multiplication maps compose like the group itself
-        return tuple(b[a[i]] for i in range(deg))
-
-    return closure_table([tuple(p) for p in perms], mult, ident)
-
-
-def from_matrices(mats, q: int) -> tuple[GroupTable, list]:
-    """Close square integer matrix generators of one size under multiplication mod q."""
-    if q < 2:
-        raise GroupError("modulus %d is below 2" % q)
-    mats = [np.asarray(m, dtype=np.int64) % q for m in mats]
-    if not mats:
-        raise GroupError("need at least one matrix generator")
-    d = mats[0].shape[0] if mats[0].ndim else 0
-    if any(m.shape != (d, d) for m in mats):
-        raise GroupError("matrix generators must be square and of one size")
-    for i, m in enumerate(mats):
-        if math.gcd(_determinant(m), q) != 1:
-            raise GroupError("matrix generator %d is singular mod %d" % (i, q))
-    ident = np.eye(d, dtype=np.int64)
-
-    def key(m):
-        return m.tobytes()
-
-    lookup = {key(ident): ident}
-    for m in mats:
-        lookup[key(m)] = m
-
-    def mult(a, b):
-        c = (lookup[a] @ lookup[b]) % q
-        k = key(c)
-        lookup.setdefault(k, c)
-        return k
-
-    table, keys = closure_table([key(m) for m in mats], mult, key(ident))
-    return table, [lookup[k] for k in keys]
-
-
-def _determinant(m) -> int:
-    """Exact integer determinant, by Bareiss' fraction-free elimination."""
-    a = [[int(x) for x in row] for row in m]
-    sign, prev = 1, 1
-    for k in range(len(a) - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap], sign = a[swap], a[k], -sign
-        for i in range(k + 1, len(a)):
-            for j in range(k + 1, len(a)):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if a else 1
 
 
 # ---------------------------------------------------------------------------
@@ -462,27 +382,15 @@ def from_presentation(gen_names: list[str], relator_words: list[str]) -> GroupTa
 
 
 def build_group(spec) -> GroupTable:
-    """Build and validate a group from a table / permutations / matrices / presentation.
-
-    Accepted dict keys: "table"; "permutations"; "matrix_generators" with
-    "modulus"; "presentation" with "generators" and "relators".
-    """
-    if isinstance(spec, GroupTable):
-        return spec
-    if isinstance(spec, (list, np.ndarray)):
-        return make_table(spec)
-    if not isinstance(spec, dict):
-        raise GroupError("unsupported group spec %r" % type(spec))
-    if "table" in spec:
+    """Build and validate a group from a scenario's group spec: a dict with
+    "table" (and optional "generators"), or "presentation" with "generators"
+    and "relators"."""
+    if isinstance(spec, dict) and "table" in spec:
         return make_table(spec["table"], generators=spec.get("generators"))
-    if "permutations" in spec:
-        return from_permutations(spec["permutations"])[0]
-    if "matrix_generators" in spec:
-        return from_matrices(spec["matrix_generators"], int(spec["modulus"]))[0]
-    if "presentation" in spec:
+    if isinstance(spec, dict) and "presentation" in spec:
         pres = spec["presentation"]
         return from_presentation(list(pres["generators"]), list(pres["relators"]))
-    raise GroupError("group spec must contain table/permutations/matrix_generators/presentation")
+    raise GroupError("group spec must contain table or presentation")
 
 
 # ---------------------------------------------------------------------------

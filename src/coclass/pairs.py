@@ -400,8 +400,7 @@ class OrbitCorrespondence:
                 and sorted(self.orbits_n.sizes) == sorted(self.orbits_nd.sizes))
 
 
-def generator_pairs(T: LatticeModule, chain: CentralChain, n: int, period: int,
-                    Q_n: QuotientModule, Q_nd: QuotientModule,
+def generator_pairs(T: LatticeModule, Q_n: QuotientModule, Q_nd: QuotientModule,
                     data: RhoPiData) -> list[GeneratorPair]:
     """Matched generators of the pair groups at levels n and n + d.
 
@@ -445,7 +444,7 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
     data = rho_pi_data(T, chain, n, period)
     lev_n, lev_nd = cohomology.level_split(chain, n), cohomology.level_split(chain, nd)
     H_n, H_nd = lev_n.H, lev_nd.H
-    gens = generator_pairs(T, chain, n, period, Q_n, Q_nd, data)
+    gens = generator_pairs(T, Q_n, Q_nd, data)
     witness = None
     equivariant = True
     elements = [H_n.representative(c)

@@ -208,7 +208,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if arr.shape != (rank, rank):
             raise ScenarioError("action matrix %d is not %d x %d" % (i, rank, rank))
     group = data["group"]
-    keys = ("table", "generators", "permutations", "matrix_generators", "modulus")
+    keys = ("table", "generators")
     # the numbers of a group spec; a presentation holds strings
     checked_integers("group", [group.get(k) for k in keys if group.get(k) is not None]
                      if isinstance(group, dict) else group)
@@ -520,7 +520,7 @@ def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanRepor
                             "summand_classes": str(len(classes)),
                             "h2_order": str(H.order)})
             if witness is None:
-                witness = _scan_level(scn, k, n, level, H, A, member, classes)
+                witness = _scan_level(k, n, level, H, A, member, classes)
             if witness is not None:
                 break
         if witness is not None:
@@ -537,7 +537,7 @@ def _summand_membership_solver(level: cohomology.SplitLevel,
     return linalg.howell(rows, H.module.p, H.module.E)
 
 
-def _scan_level(scn, k, n, level, H, A, member, classes):
+def _scan_level(k, n, level, H, A, member, classes):
     mats = A.hom_to(A).matrices()
     # the two forms of each endomorphism, interleaved in scan order
     forms = np.stack([mats, (np.eye(A.rank, dtype=np.int64) + mats) % A.q], axis=1)

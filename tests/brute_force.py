@@ -129,6 +129,16 @@ def closure_table_fill(gen_elems, multiply, identity_elem):
     return mul, gens, elems
 
 
+def permutation_table(perms):
+    """The group generated by permutations of range(degree), all of one
+    degree, as a validated table over `closure_table_fill`, with its
+    elements in index order."""
+    identity = tuple(range(len(perms[0]) if perms else 1))
+    mul, gens, elems = closure_table_fill([tuple(p) for p in perms], compose_permutations,
+                                          identity)
+    return groups.make_table(mul, generators=gens), elems
+
+
 def commutator_subgroup(G, a_elems, b_elems):
     """The subgroup generated by the commutators [a, b], from all |a||b| of them.
 
@@ -756,7 +766,7 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
                             "summand_classes": str(len(classes)),
                             "h2_order": str(H.order)})
             if witness is None:
-                witness = scenarios._scan_level(scn, k, n, level, H, Q.module, member, classes)
+                witness = scenarios._scan_level(k, n, level, H, Q.module, member, classes)
             if witness is not None:
                 break
         if witness is not None:

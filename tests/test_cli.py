@@ -11,6 +11,8 @@ import pytest
 import coclass
 from coclass import cli, cohomology, extensions, groups, modules, pairs, scenarios
 
+from brute_force import table_class
+
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -108,6 +110,23 @@ def test_extend_coords(tmp_path, capsys):
     data = json.loads(out)
     assert data["order"] == "8"
     assert data["has_top_coclass"] is False  # the split extension is D4 x C2
+
+
+@pytest.mark.parametrize("scenario", ["dihedral_mainline", "d8_gaussian",
+                                      str(DATA / "c3_eisenstein.json")],
+                         ids=["dihedral_mainline", "d8_gaussian", "c3_eisenstein"])
+@pytest.mark.parametrize("form", ["coords", "row"])
+def test_extend_at_level_0_certifies_the_top_quotient(tmp_path, capsys, scenario, form):
+    # A_0 is zero, so the only extension at level 0 is the top quotient itself
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"level": 0, form: []}))
+    code, out = run(["extend", "--scenario", scenario, "--cocycle", str(cfile)], capsys)
+    assert code == 0
+    data = json.loads(out)
+    top = scenarios.load_scenario(scenario).top()
+    assert data["order"] == str(top.group.order)
+    assert data["nilpotency_class"] == str(table_class(top.group))
+    assert data["has_top_coclass"] is True
 
 
 def test_extend_bad_file(tmp_path, capsys):
@@ -265,15 +284,6 @@ def test_precision_override(capsys):
     assert data["invariants"] == ["2"]
 
 
-# scenario groups with a generator that is singular mod the modulus, and the
-# error line that names it
-SINGULAR_GROUPS = [
-    ({"matrix_generators": [[[2]]], "modulus": 4}, "matrix generator 0 is singular mod 4"),
-    ({"matrix_generators": [[[0, 1], [1, 0]], [[1, 1], [1, 3]]], "modulus": 4},
-     "matrix generator 1 is singular mod 4"),
-]
-
-
 @pytest.mark.parametrize("field, value", [
     ("group", {"presentation": {"generators": ["a"], "relators": ["a^2", "b"]}}),
     ("group", {"presentation": {"generators": ["a"]}}),
@@ -296,7 +306,11 @@ SINGULAR_GROUPS = [
     ("precision", 63),
     ("precision", 62),  # valid, but cohomology rechecks at precision 64
     ("--precision", 0),
-] + [("group", group) for group, _ in SINGULAR_GROUPS])
+    # permutation and matrix generators are no group input, valid or not
+    ("group", {"matrix_generators": [[[2]]], "modulus": 4}),
+    ("group", {"matrix_generators": [[[0, 1], [1, 0]], [[1, 1], [1, 3]]], "modulus": 4}),
+    ("group", {"permutations": [[1, 0]]}),
+])
 def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
     data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"])
     path = tmp_path / "bad.json"
@@ -312,9 +326,8 @@ def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1
     if field.strip("-") in ("p", "precision"):
         assert "field %r" % field.strip("-") in err
-    for group, line in SINGULAR_GROUPS:
-        if value is group:
-            assert line in err
+    if field == "group" and not {"table", "presentation"} & set(value):
+        assert "error: group spec must contain table or presentation\n" == err
 
 
 @pytest.mark.parametrize("source, field, value, leaf", [

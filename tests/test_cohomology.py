@@ -13,6 +13,7 @@ from brute_force import (
     lattice_coefficients,
     lattice_cohomology,
     order_statistics,
+    permutation_table,
     smith_dense_update,
     stats_from_invariants,
 )
@@ -139,7 +140,7 @@ def c3_eisenstein(N=10):
 
 
 def _s3_permutations():
-    S3, perms = groups.from_permutations([(1, 0, 2), (0, 2, 1)])
+    S3, perms = permutation_table([(1, 0, 2), (0, 2, 1)])
     mats = [np.eye(3, dtype=np.int64)[list(g)] for g in perms]  # v.g = v P_g
     return S3, mats
 

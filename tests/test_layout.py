@@ -1,6 +1,6 @@
 """Every function and method of the package is entered by some command-line
-run, every public name is used by the package and every dataclass field is
-read.
+run, every public name is used by the package, every parameter is read and
+every dataclass field is read.
 
 `test_every_function_is_entered_by_a_cli_run` runs the subcommands in process
 under `sys.setprofile` and fails on any function or method of `src/coclass`
@@ -87,8 +87,9 @@ def test_every_oracle_is_still_defined():
 
 
 def _cli_runs(tmp: Path) -> list[tuple[list[str], int]]:
-    """Each subcommand on the built-in scenarios and the C3 file, and each
-    form of group input, with the exit code it must end with."""
+    """Each subcommand on the built-in scenarios and the C3 file, and a group
+    given as a table (the built-ins give presentations), with the exit code
+    it must end with."""
     def write(name, data):
         (tmp / name).write_text(json.dumps(data))
         return str(tmp / name)
@@ -107,11 +108,9 @@ def _cli_runs(tmp: Path) -> list[tuple[list[str], int]]:
              (["verify-lcs", "--scenario", D], 0)]
     runs += [(["cohomology", "--scenario", D, "--n", "2", "--degree", str(m)], 0)
              for m in range(4)]
-    for i, group in enumerate(({"permutations": [[1, 0]]},
-                               {"matrix_generators": [[[-1]]], "modulus": 3},
-                               {"table": [[0, 1], [1, 0]], "generators": [1]})):
-        data = dict(scenarios.BUILTIN_SCENARIOS[D], group=group)
-        runs.append((["cohomology", "--scenario", write("s%d.json" % i, data), "--n", "1"], 0))
+    table = {"table": [[0, 1], [1, 0]], "generators": [1]}
+    data = dict(scenarios.BUILTIN_SCENARIOS[D], group=table)
+    runs.append((["cohomology", "--scenario", write("s.json", data), "--n", "1"], 0))
     return runs
 
 
@@ -160,3 +159,20 @@ def test_every_dataclass_field_is_read_by_the_package():
                     for fname, tree in trees.items()
                     for cls, field in _dataclass_fields(tree) if field not in reads)
     assert not unread, "dataclass fields that nothing reads: %s" % unread
+
+
+def test_every_parameter_is_read():
+    # each parameter of a function, method or lambda is named in its own
+    # body, nested functions included
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            body = node.body if isinstance(node.body, list) else [node.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += ["%s:%d %s" % (path.name, node.lineno, arg.arg)
+                       for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                       if arg is not None and arg.arg not in named]
+    assert not unread, "parameters that their function never reads: %s" % unread

@@ -14,7 +14,8 @@ from brute_force import (brute_act_on_cochain, center, center_of_table, check_ce
                          extension_mul_by_blocks, extension_table_by_formula, generator_columns,
                          hom_space_flat_by_plain_solve, is_associative, is_coboundary,
                          kernel_gens_mod, lower_central_series_terms, pair_compose,
-                         plain_action_entries, reduce_one_row, semi_brute_h_stats,
+                         permutation_table, plain_action_entries, reduce_one_row,
+                         semi_brute_h_stats,
                          series_images, span_automorphism)
 
 
@@ -100,7 +101,7 @@ def _c4_by_c4():
 
 
 def _d8_unsorted():
-    D8 = groups.from_permutations([(1, 2, 3, 0), (3, 2, 1, 0)])[0]
+    D8, _ = permutation_table([(1, 2, 3, 0), (3, 2, 1, 0)])
     return groups.make_table(D8.mul, generators=sorted(D8.generators, reverse=True))
 
 
@@ -108,7 +109,7 @@ COLUMN_GROUPS = {
     "C1": lambda: groups.make_table([[0]]),
     "C3": lambda: groups.make_table(cyclic_table(3)),
     "C16": lambda: groups.make_table(cyclic_table(16)),
-    "S3": lambda: groups.from_permutations([(1, 2, 0), (1, 0, 2)])[0],
+    "S3": lambda: permutation_table([(1, 2, 0), (1, 0, 2)])[0],
     "D8 unsorted": _d8_unsorted,
     "C2^4": lambda: groups.make_table([[i ^ j for j in range(16)] for i in range(16)]),
     "C4 x C4 unsorted": _c4_by_c4,
@@ -154,7 +155,7 @@ EXTENSION_BASES = {
     "C1": [[0]],
     "C2": cyclic_table(2),
     "C4": cyclic_table(4),
-    "S3": groups.from_permutations([(1, 2, 0), (1, 0, 2)])[0].mul.tolist(),
+    "S3": closure_table_fill([(1, 2, 0), (1, 0, 2)], compose_permutations, (0, 1, 2))[0].tolist(),
 }
 
 
@@ -204,9 +205,13 @@ def _c2_blocks(p, exps, r1, X):
 
 
 def _d8_on_plane(e):
-    # D8 acting on (Z/2^e)^2 by its integer matrices, read off a closure mod 64
-    G, mats = groups.from_matrices([[[1, 0], [0, -1]], [[0, 1], [-1, 0]]], 64)
-    return modules.finite_module_from_plain(G, 2, [e, e], mats)
+    # D8 = <a, b | a^2, b^4, (ab)^2> acting on (Z/2^e)^2 by its integer
+    # matrices: a reflects, b rotates; every element's matrix is read mod 64
+    D8 = groups.from_presentation(["a", "b"], ["a^2", "b^4", "a^-1 b a b"])
+    a, b = D8.generators
+    T = modules.lattice_module(D8, {a: np.array([[1, 0], [0, -1]]),
+                                    b: np.array([[0, 1], [-1, 0]])}, 2, 6)
+    return modules.finite_module_from_plain(D8, 2, [e, e], T.act)
 
 
 @st.composite
@@ -398,11 +403,14 @@ def permutation_generators(draw):
 @given(permutation_generators())
 @settings(max_examples=40, deadline=None)
 def test_permutation_tables_match_the_all_pairs_fill(perms):
+    # the one table builder, on the right multiplications of the oracle's elements
     perms = [tuple(p) for p in perms]
-    G, elems = groups.from_permutations(perms)
     identity = tuple(range(len(perms[0]) if perms else 1))
-    mul, gens, want = closure_table_fill(perms, compose_permutations, identity)
-    assert elems == want
+    mul, gens, elems = closure_table_fill(perms, compose_permutations, identity)
+    index = {x: i for i, x in enumerate(elems)}
+    right = [[index[compose_permutations(x, g)] for x in elems] for g in perms]
+    G = groups.table_from_generators(np.array(right, dtype=np.int64).reshape(len(perms),
+                                                                               len(elems)))
     assert np.array_equal(G.mul, mul)
     assert G.generators == gens
 
@@ -413,7 +421,7 @@ def test_permutation_tables_match_the_all_pairs_fill(perms):
 @example([(1, 0, 2, 3), (0, 2, 3, 1)])  # S_4
 @settings(max_examples=40, deadline=None)
 def test_lcs_orders_and_center_match_the_naive_ones(perms):
-    G, _ = groups.from_permutations([tuple(p) for p in perms])
+    G, _ = permutation_table(perms)
     terms = lower_central_series_terms(G)
     if len(terms[-1]) == 1:
         assert series_images(G) == terms

@@ -259,7 +259,7 @@ def test_summand_scan_tries_only_module_automorphisms(n, exps):
     # the pair (1, eps) of a module automorphism eps maps coboundaries to
     # coboundaries, since eps commutes with d, so none of these rows may move
     classes = [((i,), row) for i, row in enumerate(H.boundaries)]
-    assert scenarios._scan_level(scn, 0, n, level, H, A, member, classes) is None
+    assert scenarios._scan_level(0, n, level, H, A, member, classes) is None
     assert scenarios._lifted_endos_stable(stage.lattice, level.Q, H, member, classes)
 
 
