@@ -3,14 +3,15 @@
 Exit codes: 0 on success, 1 when a verified mathematical claim fails to
 hold, 2 on usage or validation errors: every package error (a
 `CoclassError`) ends with exit 2 and one `error:` line.  All reports are
-JSON with numeric values rendered as decimal strings; identical
-invocations produce byte-identical output.
+JSON, and identical invocations produce byte-identical output; `_emit` is
+the one place that renders numbers, each as a decimal string.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,8 +20,22 @@ from . import CoclassError, coclass_tree, cohomology, extensions, pairs, scenari
 from .scenarios import Scenario, ScenarioError
 
 
+def _render(x):
+    """x with each integer as a decimal string and each sequence as a list;
+    booleans, None and strings as they are."""
+    if isinstance(x, dict):
+        return {k: _render(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_render(v) for v in x]
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (int, np.integer)):
+        return "%d" % x
+    return x
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_render(report), indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -47,16 +62,9 @@ def cmd_cohomology(args) -> int:
     scn = _load(args)
     inv = _invariants_at(scn, args.n, args.degree)
     recheck = _invariants_at(_load(args, scn.precision + 2), args.n, args.degree)
-    report = {
-        "scenario": scn.name,
-        "n": str(args.n),
-        "degree": str(args.degree),
-        "invariants": [str(x) for x in inv],
-        "order": str(int(np.prod([int(x) for x in inv])) if inv else 1),
-        "precision": str(scn.precision),
-        "recheck_precision": str(scn.precision + 2),
-        "stable": inv == recheck,
-    }
+    report = {"scenario": scn.name, "n": args.n, "degree": args.degree, "invariants": inv,
+              "order": math.prod(inv), "precision": scn.precision,
+              "recheck_precision": scn.precision + 2, "stable": inv == recheck}
     _emit(report, args.out)
     return 0 if inv == recheck else 1
 
@@ -66,16 +74,10 @@ def cmd_orbits(args) -> int:
     A = scn.quotient(args.n).module
     H = cohomology.finite_cohomology(A, 2)
     part = pairs.orbits_on_h2(H, pairs.compatible_pairs(A))
-    report = {
-        "scenario": scn.name,
-        "n": str(args.n),
-        "h2_invariants": [str(x) for x in H.invariants()],
-        "orbit_count": str(part.count),
-        "orbit_sizes": [str(s) for s in part.sizes],
-        "stabilizer_sizes": [str(s) for s in part.stabilizer_sizes],
-        "acting_order": str(part.acting_order),
-        "representatives": [[str(c) for c in cl[0]] for cl in part.classes],
-    }
+    report = {"scenario": scn.name, "n": args.n, "h2_invariants": H.invariants(),
+              "orbit_count": part.count, "orbit_sizes": part.sizes,
+              "stabilizer_sizes": part.stabilizer_sizes, "acting_order": part.acting_order,
+              "representatives": [cl[0] for cl in part.classes]}
     _emit(report, args.out)
     return 0
 
@@ -116,36 +118,22 @@ def cmd_extend(args) -> int:
     else:
         raise ScenarioError("cocycle file needs 'coords', 'row', or 'mainline'")
     cert = extensions.certify(Q.module, row, top.l)
-    report = {
-        "scenario": scn.name,
-        "level": str(n),
-        "order": str(cert.order),
-        "nilpotency_class": str(cert.nilpotency_class),
-        "coclass": str(cert.coclass),
-        "has_top_coclass": cert.flag,
-        "class_coords": [str(int(x)) for x in H.coords(row)],
-        "fiber_invariants": [str(x) for x in Q.module.invariants()],
-    }
+    report = {"scenario": scn.name, "level": n, "order": cert.order,
+              "nilpotency_class": cert.nilpotency_class, "coclass": cert.coclass,
+              "has_top_coclass": cert.flag, "class_coords": H.coords(row),
+              "fiber_invariants": Q.module.invariants()}
     _emit(report, args.out)
     return 0
 
 
 def _branch_dict(br: coclass_tree.BranchGraph) -> dict:
     return {
-        "scenario": br.scenario,
-        "i": str(br.i),
-        "k": str(br.k),
-        "root_level": str(br.root_level),
-        "vertices": [{
-            "index": str(v.index),
-            "level": str(v.level),
-            "distance": str(v.distance),
-            "order": str(v.order),
-            "mainline": v.mainline,
-            "class_coords": [str(c) for c in v.class_coords],
-            "parent": None if v.parent is None else str(v.parent),
-        } for v in br.vertices],
-        "edges": [[str(a), str(b)] for a, b in sorted(br.edges)],
+        "scenario": br.scenario, "i": br.i, "k": br.k, "root_level": br.root_level,
+        "vertices": [{"index": v.index, "level": v.level, "distance": v.distance,
+                      "order": v.order, "mainline": v.mainline,
+                      "class_coords": v.class_coords, "parent": v.parent}
+                     for v in br.vertices],
+        "edges": sorted(br.edges),
     }
 
 
@@ -157,11 +145,8 @@ def cmd_branch(args) -> int:
     if args.shift:
         nu, dst = coclass_tree.nu_shift(scn, br)
         report["shifted_branch"] = _branch_dict(dst)
-        report["shift"] = {
-            "ok": nu.ok,
-            "vertex_map": [[str(a), str(b)] for a, b in nu.vertex_map],
-            "failures": nu.failures,
-        }
+        report["shift"] = {"ok": nu.ok, "vertex_map": nu.vertex_map,
+                           "failures": nu.failures}
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(coclass_tree.export_dot(br, nu))
@@ -221,8 +206,8 @@ def cmd_run_all(args) -> int:
         entry: dict = {}
         bounds = scn.bounds()
         n = bounds.least_qualifying()
-        entry["bounds"] = {"a": str(bounds.a_exp), "b": str(bounds.b_exp),
-                           "v": str(bounds.v), "least_qualifying_n": str(n)}
+        entry["bounds"] = {"a": bounds.a_exp, "b": bounds.b_exp,
+                           "v": bounds.v, "least_qualifying_n": n}
         lcs = scenarios.check_lower_central_series(scn, max_order=args.max_order)
         entry["lcs"] = lcs.as_dict()
         if not lcs.ok:

@@ -468,7 +468,8 @@ def restrict_level(Q_from: QuotientModule, Q_to: QuotientModule, row) -> np.ndar
     if Q_to.level > Q_from.level:
         raise CohomologyError("target level must not exceed the source level")
     A = Q_from.module
-    slots = A.unhat(np.asarray(row, dtype=np.int64).reshape(-1, A.rank))
+    # at rank 0 the row is empty, and so is its image at the shallower level
+    slots = A.unhat(np.reshape(row, (np.size(row) // max(A.rank, 1), A.rank)))
     amb = (slots @ Q_from.representatives()) % Q_from.lattice.q
     return Q_to.hat_of_ambient(amb).reshape(-1)
 

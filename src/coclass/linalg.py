@@ -23,6 +23,7 @@ q)`, exact for entries in [0, bound): it sums in int64 while rows * (bound -
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +162,7 @@ def invertible_mod_p(X, p: int) -> np.ndarray:
     below the pivot becomes pivot * row - entry * pivot row."""
     k = np.shape(X)[-1]
     A = (np.asarray(X) % p).astype(_dtype(p))
-    A = A.reshape(-1, k, k)
+    A = A.reshape(math.prod(np.shape(X)[:-2]), k, k)
     ok = np.ones(len(A), dtype=bool)
     stack = np.arange(len(A))
     for c in range(k):
@@ -257,7 +258,7 @@ class Howell:
         q = self.q
         v = np.array(v, dtype=self.rows.dtype if self.rows.size else None) % q
         # t[j] is entry j of the row, or column j of the stack as a row
-        t = v if v.ndim == 1 else v.reshape(-1, v.shape[-1]).T
+        t = v if v.ndim == 1 else v.reshape(math.prod(v.shape[:-1]), v.shape[-1]).T
         for i, (j, a) in enumerate(self.pivots):
             # reduce by the floor multiple; a leftover entry below p^a stays
             # in the residue and marks the row as outside the span

@@ -106,7 +106,8 @@ def act_on_cochains(H: CohomologyGroup, beta, eps_hats, rows) -> np.ndarray:
     binv = groups.invert_perm(beta)
     rows = np.asarray(rows, dtype=np.int64) % A.q
     slots = rows.reshape(len(rows), len(bar.tuples), A.rank)[:, bar.index(binv[bar.tuples])]
-    out = (slots.reshape(-1, A.rank) @ np.asarray(eps_hats, dtype=np.int64)) % A.q
+    out = (slots.reshape(len(rows) * len(bar.tuples), A.rank)
+           @ np.asarray(eps_hats, dtype=np.int64)) % A.q
     return out.reshape(len(out), *rows.shape)
 
 
@@ -140,6 +141,7 @@ class OrbitPartition:
     sizes: list[int]
     stabilizer_sizes: list[int]
     acting_order: int  # order of the induced image in GL(H^2)
+    orbit_index: dict[tuple, int]  # coordinate tuple -> index of its class
 
     @property
     def count(self) -> int:
@@ -147,10 +149,9 @@ class OrbitPartition:
 
     def orbit_of(self, coords) -> int:
         t = tuple(int(x) for x in coords)
-        for i, cl in enumerate(self.classes):
-            if t in set(cl):
-                return i
-        raise PairError("coordinates not found in any orbit")
+        if t not in self.orbit_index:
+            raise PairError("coordinates not found in any orbit")
+        return self.orbit_index[t]
 
 
 def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartition:
@@ -161,13 +162,13 @@ def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartit
     closed = groups.closure(gens, gens, lambda X, Y: (X @ Y) % mods[None, :] if X.size else X,
                             key=lambda X: X.tobytes())
     acting_order = max(len(closed), 1)
-    seen: set[tuple] = set()
+    index: dict[tuple, int] = {}
     classes: list[list[tuple]] = []
     for start in map(tuple, groups.all_coord_rows(mods.tolist()).tolist()):
-        if start in seen:
+        if start in index:
             continue
         orbit = groups.closure([start], gens, lambda c, M: _apply_coord_matrix(H, M, c))
-        seen.update(orbit)
+        index.update(dict.fromkeys(orbit, len(classes)))
         classes.append(sorted(orbit))
     sizes = [len(c) for c in classes]
     stabs = []
@@ -175,7 +176,7 @@ def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartit
         if acting_order % s:
             raise PairError("orbit size %d does not divide the acting order %d" % (s, acting_order))
         stabs.append(acting_order // s)
-    return OrbitPartition(classes, sizes, stabs, acting_order)
+    return OrbitPartition(classes, sizes, stabs, acting_order, index)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +458,8 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
             rhs = H_nd.coords(act_on_cochain(H_nd, gp.at_nd, shifted))
             if not np.array_equal(lhs, rhs):
                 equivariant = False
-                witness = {"kind": gp.kind,
-                           "tau_coords": [str(int(x)) for x in H_n.coords(tau)],
-                           "lhs": [str(int(x)) for x in lhs],
-                           "rhs": [str(int(x)) for x in rhs]}
+                witness = {"kind": gp.kind, "tau_coords": H_n.coords(tau).tolist(),
+                           "lhs": lhs.tolist(), "rhs": rhs.tolist()}
                 break
         if not equivariant:
             break

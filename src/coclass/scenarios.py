@@ -356,13 +356,12 @@ class LcsReport:
     def as_dict(self) -> dict:
         return {
             "scenario": self.scenario,
-            "max_chain_index": str(self.max_chain_index),
-            "quotient_orders": [str(x) for x in self.quotient_orders],
-            "identified_terms": [{"chain_index": str(m), "lcs_index": str(i),
-                                  "size": str(s)} for m, i, s in self.identified_terms],
-            "coclasses": [{"chain_index": str(m), "coclass": str(c)}
-                          for m, c in self.coclasses],
-            "limit_coclass": str(self.limit_coclass),
+            "max_chain_index": self.max_chain_index,
+            "quotient_orders": self.quotient_orders,
+            "identified_terms": [{"chain_index": m, "lcs_index": i, "size": s}
+                                 for m, i, s in self.identified_terms],
+            "coclasses": [{"chain_index": m, "coclass": c} for m, c in self.coclasses],
+            "limit_coclass": self.limit_coclass,
             "ok": self.ok,
             "failures": self.failures,
         }
@@ -436,14 +435,9 @@ class SummandScanReport:
     skipped: list[dict]
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "found": self.found,
-            "witness": self.witness,
-            "lifted_endomorphisms_stable": self.lifted_endomorphisms_stable,
-            "scanned": self.scanned,
-            "skipped": self.skipped,
-        }
+        return {"scenario": self.scenario, "found": self.found, "witness": self.witness,
+                "lifted_endomorphisms_stable": self.lifted_endomorphisms_stable,
+                "scanned": self.scanned, "skipped": self.skipped}
 
 
 def _summand_classes(level: cohomology.SplitLevel) -> list[tuple[tuple, np.ndarray]]:
@@ -496,7 +490,7 @@ def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanRepor
     for k in SCAN_STAGES:
         order = scn.stage_order(k)
         if order > SCAN_GROUP_CAP:
-            skipped.append({"k": str(k), "group_order": str(order),
+            skipped.append({"k": k, "group_order": order,
                             "reason": "group order exceeds the scan cap %d" % SCAN_GROUP_CAP})
             continue
         stage = scn.stage(k)
@@ -507,7 +501,7 @@ def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanRepor
             try:
                 cohomology.level_frame(chain_k, n)
             except cohomology.CohomologyError as exc:
-                skipped.append({"k": str(k), "n": str(n), "reason": str(exc)})
+                skipped.append({"k": k, "n": n, "reason": str(exc)})
                 continue
             level = cohomology.level_split(chain_k, n)
             H = level.H
@@ -516,9 +510,8 @@ def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanRepor
             member = _summand_membership_solver(level, H)
             classes = _summand_classes(level)
             lifted_ok = lifted_ok and _lifted_endos_stable(stage.lattice, Q, H, member, classes)
-            scanned.append({"k": str(k), "n": str(n),
-                            "summand_classes": str(len(classes)),
-                            "h2_order": str(H.order)})
+            scanned.append({"k": k, "n": n, "summand_classes": len(classes),
+                            "h2_order": H.order})
             if witness is None:
                 witness = _scan_level(k, n, level, H, A, member, classes)
             if witness is not None:
@@ -551,11 +544,9 @@ def _scan_level(k, n, level, H, A, member, classes):
     cls, row = classes[c]
     image = pairs.act_on_cochain(H, pairs.CompatiblePair(np.arange(A.group.order), eps_hat), row)
     return {
-        "k": str(k), "n": str(n), "form": ("eps", "one_plus_eps")[autos[s] % 2],
-        "eps_hat": [[str(int(x)) for x in r] for r in eps_hat],
-        "class_coords": [str(c) for c in cls],
-        "image_coords": [str(int(c)) for c in H.coords(image)],
-        "h3_component": [str(c) for c in _h3_component(level, image)],
+        "k": k, "n": n, "form": ("eps", "one_plus_eps")[autos[s] % 2],
+        "eps_hat": eps_hat.tolist(), "class_coords": cls,
+        "image_coords": H.coords(image).tolist(), "h3_component": _h3_component(level, image),
     }
 
 
@@ -604,15 +595,15 @@ class CorrespondenceReport:
         return self.qualified and self.result is not None and self.result.ok
 
     def as_dict(self) -> dict:
-        out = {"scenario": self.scenario, "level": str(self.level),
+        out = {"scenario": self.scenario, "level": self.level,
                "qualified": self.qualified, "ok": self.ok}
         if self.reason:
             out["reason"] = self.reason
         if self.result is not None:
             out["equivariant"] = self.result.equivariant
-            out["orbit_sizes"] = [str(s) for s in sorted(self.result.orbits_n.sizes)]
-            out["orbit_sizes_next"] = [str(s) for s in sorted(self.result.orbits_nd.sizes)]
-            out["bijection"] = [[str(a), str(b)] for a, b in self.result.bijection]
+            out["orbit_sizes"] = sorted(self.result.orbits_n.sizes)
+            out["orbit_sizes_next"] = sorted(self.result.orbits_nd.sizes)
+            out["bijection"] = self.result.bijection
             if self.result.witness:
                 out["witness"] = self.result.witness
         return out

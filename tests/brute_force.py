@@ -743,7 +743,7 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
     for k in scenarios.SCAN_STAGES:
         stage = scn.stage(k)
         if stage.group.order > scenarios.SCAN_GROUP_CAP:
-            skipped.append({"k": str(k), "group_order": str(stage.group.order),
+            skipped.append({"k": k, "group_order": stage.group.order,
                             "reason": "group order exceeds the scan cap %d"
                             % scenarios.SCAN_GROUP_CAP})
             continue
@@ -754,7 +754,7 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
             try:
                 frame = split_frame_per_level(chain_k, n)
             except cohomology.CohomologyError as exc:
-                skipped.append({"k": str(k), "n": str(n), "reason": str(exc)})
+                skipped.append({"k": k, "n": n, "reason": str(exc)})
                 continue
             level = cohomology.split_at_level(frame, chain_k, n)
             H, Q = level.H, level.Q
@@ -762,9 +762,8 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
             classes = scenarios._summand_classes(level)
             lifted_ok = lifted_ok and scenarios._lifted_endos_stable(
                 stage.lattice, Q, H, member, classes)
-            scanned.append({"k": str(k), "n": str(n),
-                            "summand_classes": str(len(classes)),
-                            "h2_order": str(H.order)})
+            scanned.append({"k": k, "n": n, "summand_classes": len(classes),
+                            "h2_order": H.order})
             if witness is None:
                 witness = scenarios._scan_level(k, n, level, H, Q.module, member, classes)
             if witness is not None:

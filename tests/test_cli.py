@@ -43,6 +43,26 @@ def test_cohomology_json(capsys):
     assert isinstance(data["order"], str)
 
 
+def test_emit_renders_each_integer_as_a_decimal_string(capsys):
+    table = groups.make_table([[0, 1], [1, 0]]).mul  # np.int16 entries
+    assert table.dtype == np.int16
+    cli._emit({
+        "int": 7, "big": 2**70, "int64": np.int64(-3), "table": table,
+        "entry": table[0, 1], "nested": (1, (2, (np.int16(3),)), []),
+        "array": np.arange(3), "flags": [True, False, np.bool_(True), np.bool_(False)],
+        "mask": np.array([True, False]), "none": None, "text": "7", "dict": {"k": (np.int64(5),)},
+    }, None)
+    data = json.loads(capsys.readouterr().out)
+    assert data == {
+        "int": "7", "big": str(2**70), "int64": "-3", "table": [["0", "1"], ["1", "0"]],
+        "entry": "1", "nested": ["1", ["2", ["3"]], []],
+        "array": ["0", "1", "2"], "flags": [True, False, True, False],
+        "mask": [True, False], "none": None, "text": "7", "dict": {"k": ["5"]},
+    }
+    # True == 1 in Python, so the types are checked too: booleans stay booleans
+    assert [type(x) for x in data["flags"] + data["mask"]] == [bool] * 6
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     _, out1 = run(["orbits", "--scenario", "dihedral_mainline", "--n", "3"], capsys)
     _, out2 = run(["orbits", "--scenario", "dihedral_mainline", "--n", "3"], capsys)

@@ -382,6 +382,17 @@ def test_id_oplus_mu_additive():
         assert tuple(dst.H.coords(a)) == tuple(dst.H.coords(b % dst.Q.module.q))
 
 
+def test_restrict_level_to_and_from_rank_0():
+    chain = modules.g_central_series(c2_negation(), 6)
+    Q0, Q1, Q3 = (chain.quotient(n) for n in (0, 1, 3))
+    row = np.arange(4, dtype=np.int64)  # a 2-cochain of C2 with values in A_3
+    assert Q0.module.rank == 0
+    assert cohomology.restrict_level(Q3, Q0, row).shape == (0,)
+    assert cohomology.restrict_level(Q0, Q0, np.zeros(0, dtype=np.int64)).shape == (0,)
+    # each value a of Z/8 restricts to a mod 2
+    assert cohomology.restrict_level(Q3, Q1, row).tolist() == [0, 1, 0, 1]
+
+
 def test_trivial_group_cohomology():
     triv = groups.make_table([[0]])
     A = modules.finite_module_from_plain(triv, 2, [2], [np.eye(1, dtype=np.int64)])

@@ -5,7 +5,8 @@ every dataclass field is read.
 `test_every_function_is_entered_by_a_cli_run` runs the subcommands in process
 under `sys.setprofile` and fails on any function or method of `src/coclass`
 that none of them enters, unless NOT_ENTERED names it with the reason it is
-kept; the checks only tests use live in `tests/brute_force.py`.  A public name
+kept; the checks only tests use live in `tests/brute_force.py`.  It also
+fails when a report of these runs holds a JSON number.  A public name
 must also be referenced in `src/coclass` other than at its own definition, so
 a class that nothing builds is caught too.
 """
@@ -121,15 +122,21 @@ def test_every_function_is_entered_by_a_cli_run(tmp_path):
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
+    def number(text):
+        raise AssertionError("%s printed the JSON number %s" % (" ".join(argv), text))
+
     previous = sys.getprofile()
     for argv, code in _cli_runs(tmp_path):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             sys.setprofile(profile)
             try:
                 got = cli.main(argv)
             finally:
                 sys.setprofile(previous)
         assert got == code, argv
+        # every number of a report is printed as a decimal string
+        json.loads(out.getvalue(), parse_int=number, parse_float=number, parse_constant=number)
     lines: dict[Path, set[int]] = {}
     for filename, line in entered:
         lines.setdefault(Path(filename).resolve(), set()).add(line)

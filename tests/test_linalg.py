@@ -162,6 +162,14 @@ def check_howell_form(A, p, M):
     return H
 
 
+@pytest.mark.parametrize("gens", [0, 2])
+def test_width_0_rows_reduce_to_width_0_residues(gens):
+    H = linalg.howell(np.zeros((gens, 0), dtype=np.int64), 2, 3)
+    assert H.pivots == []
+    assert H.reduce(np.zeros((3, 0), dtype=np.int64)).shape == (3, 0)
+    assert H.reduce(np.zeros((2, 3, 0), dtype=np.int64)).shape == (2, 3, 0)
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_howell_is_the_canonical_form_of_the_span(data):
@@ -301,11 +309,13 @@ def test_object_dtype_path():
     assert np.array_equal(D, expect)
 
 
-@given(st.sampled_from([2, 3, 5, 2**31 - 1, 2**61 - 1]), st.integers(1, 4), st.data())
+@given(st.sampled_from([2, 3, 5, 2**31 - 1, 2**61 - 1]), st.integers(0, 4), st.data())
 @settings(max_examples=60, deadline=None)
 def test_invertible_mod_p_matches_the_smith_divisors(p, k, data):
+    # at k = 0 the stack holds three empty matrices, each invertible
     entries = st.integers(0, min(p - 1, 3) if data.draw(st.booleans()) else p - 1)
-    X = [[[data.draw(entries) for _ in range(k)] for _ in range(k)] for _ in range(3)]
-    want = [all(e == 0 for e in linalg.smith(np.array(x, dtype=object), p, 1).exps) for x in X]
-    got = linalg.invertible_mod_p(np.array(X, dtype=object), p)
+    X = np.array([[[data.draw(entries) for _ in range(k)] for _ in range(k)] for _ in range(3)],
+                 dtype=object).reshape(3, k, k)
+    want = [all(e == 0 for e in linalg.smith(x, p, 1).exps) for x in X]
+    got = linalg.invertible_mod_p(X, p)
     assert got.shape == (3,) and got.tolist() == want

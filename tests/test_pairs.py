@@ -159,6 +159,33 @@ def test_zero_class_is_a_fixed_point():
     assert orb.sizes[i] == 1
 
 
+def test_orbit_of_reads_each_class_and_refuses_coordinates_in_none():
+    T, chain, _ = d8_setup()
+    Q = modules.quotient(T, chain, 4)
+    H = cohomology.finite_cohomology(Q.module, 2)
+    orb = pairs.orbits_on_h2(H, pairs.compatible_pairs(Q.module))
+    assert [[orb.orbit_of(c) for c in cl] for cl in orb.classes] == [
+        [i] * len(cl) for i, cl in enumerate(orb.classes)]
+    # a modulus is no coordinate, and neither is a tuple of the wrong length
+    for coords in (H.structure.moduli(), (0,) * (len(H.structure.exps) + 1)):
+        with pytest.raises(pairs.PairError, match="not found in any orbit"):
+            orb.orbit_of(coords)
+
+
+def test_pairs_act_on_the_width_0_cochains_of_level_0():
+    # at level 0 the module is 0, so every cochain is the empty row
+    T, chain, _ = d8_setup()
+    A = modules.quotient(T, chain, 0).module
+    H = cohomology.finite_cohomology(A, 2)
+    assert A.rank == 0
+    beta = np.arange(A.group.order)
+    out = pairs.act_on_cochains(H, beta, np.zeros((2, 0, 0), dtype=np.int64),
+                                np.zeros((3, 0), dtype=np.int64))
+    assert out.shape == (2, 3, 0)
+    orb = pairs.orbits_on_h2(H, pairs.compatible_pairs(A))
+    assert (orb.classes, orb.sizes, orb.orbit_of(())) == ([[()]], [1], 0)
+
+
 def test_complement_trivial_for_c2():
     T, chain, period = c2_setup()
     comp = pairs.complement_En(T, chain, 3, period)
