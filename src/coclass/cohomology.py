@@ -64,7 +64,7 @@ def lattice_coefficients(T: LatticeModule, basis) -> FiniteModule:
     B = np.asarray(basis, dtype=np.int64) % q
     d = B.shape[0]
     E = _basis_precision(T, B)
-    act = linalg.howell(B, p, N, track=True).solve((B @ T.act) % q)
+    act = linalg.howell(B, p, N, track=True).solve(linalg.dot_mod(B, T.act, q, q))
     if act is None:
         raise CohomologyError("sublattice is not invariant under the action")
     act %= p**E
@@ -161,7 +161,7 @@ def coboundary_rows(A: FiniteModule, m: int) -> np.ndarray:
     """Generators of B^m: the image of d^{m-1} on the A-valued cochains."""
     if m == 0:
         return np.zeros((0, A.rank), dtype=np.int64)
-    return (_slot_scales(A, m - 1)[:, None] * coboundary_matrix(A, m - 1)) % A.q
+    return linalg.mul_mod(_slot_scales(A, m - 1)[:, None], coboundary_matrix(A, m - 1), A.q)
 
 
 @dataclass
@@ -391,7 +391,7 @@ def split_frame(T: LatticeModule, chain: modules.CentralChain, n: int, m: int = 
     rows = [i for i, a in enumerate(s.exps) if 0 < a < A.E]
     divisors = [s.exps[i] for i in rows]
     scale = np.array([p ** (f_exp - a) for a in divisors], dtype=np.int64)
-    delta = (scale[:, None] * s.U[rows]) % q  # in B' coordinates, slot by slot
+    delta = linalg.mul_mod(scale[:, None], s.U[rows], q)  # in B' coordinates, slot by slot
     lifts = linalg.dot_mod(delta.reshape(-1, d), basis, q, q)
     return SplitFrame(m, basis, f_exp, theta, theta_prec,
                       lifts.reshape(len(rows), s.U.shape[1]), divisors)
@@ -419,16 +419,15 @@ class SplitLevel:
         x = self._solver.solve(np.asarray(tau_hat) % self.Q.module.q, modulus=self.Q.lattice.q)
         if x is None:
             raise CohomologyError("cocycle does not split; it may not be a cocycle")
-        q = self.frame.theta_rows.shape[1]
+        q = self.Q.lattice.q
         nt = self.frame.theta_rows.shape[0]
-        gamma = (x[:nt] @ self.frame.theta_rows) % self.Q.lattice.q if nt else np.zeros(q, dtype=np.int64)
-        return gamma, x[nt:]
+        return linalg.dot_mod(x[:nt], self.frame.theta_rows, q, q), x[nt:]
 
     def k_lift(self, c) -> np.ndarray:
         """T-valued cochain lift of the K-part with the given coefficients."""
         q = self.Q.lattice.q
         out = linalg.dot_mod(np.asarray(c, dtype=np.int64), self.frame.K_lifts, q, q)
-        return (self.Q.lattice.p**self.scale_exp * out) % q
+        return linalg.mul_mod(pow(self.Q.lattice.p, self.scale_exp, q), out, q)
 
 
 def split_at_level(frame: SplitFrame, chain: modules.CentralChain, n: int) -> SplitLevel:
@@ -445,15 +444,15 @@ def split_at_level(frame: SplitFrame, chain: modules.CentralChain, n: int) -> Sp
         raise CohomologyError("cocycle precision p^%d below module precision p^%d"
                               % (frame.theta_precision, Q.module.E))
     theta_hat = lattice_row_to_quotient(Q, frame.theta_rows)
-    K_hat = lattice_row_to_quotient(Q, (T.p**k * frame.K_lifts) % T.q)
+    K_hat = lattice_row_to_quotient(Q, linalg.mul_mod(pow(T.p, k, T.q), frame.K_lifts, T.q))
     H = finite_cohomology(Q.module, frame.m)
     solver = linalg.howell(np.vstack([theta_hat, K_hat]), T.p, Q.module.E, track=True)
     Z = H.structure.K
     # the two parts must span the cocycles exactly and independently
     if not solver.same_span(Z):
         raise CohomologyError("theta image plus complement does not span the cocycles")
-    ord_theta = linalg.span_order_exp(theta_hat, T.p, Q.module.E)
-    ord_K = linalg.span_order_exp(K_hat, T.p, Q.module.E)
+    ord_theta = linalg.howell(theta_hat, T.p, Q.module.E).order_exp()
+    ord_K = linalg.howell(K_hat, T.p, Q.module.E).order_exp()
     if ord_theta + ord_K != Z.order_exp():
         raise CohomologyError("theta image and complement are not independent")
     return SplitLevel(frame, Q, n, k, theta_hat, K_hat, H, solver)
@@ -470,8 +469,7 @@ def restrict_level(Q_from: QuotientModule, Q_to: QuotientModule, row) -> np.ndar
     A = Q_from.module
     # at rank 0 the row is empty, and so is its image at the shallower level
     slots = A.unhat(np.reshape(row, (np.size(row) // max(A.rank, 1), A.rank)))
-    amb = (slots @ Q_from.representatives()) % Q_from.lattice.q
-    return Q_to.hat_of_ambient(amb).reshape(-1)
+    return Q_to.hat_of_ambient(Q_from.structure.element(slots)).reshape(-1)
 
 
 def id_oplus_mu(src: SplitLevel, dst: SplitLevel, tau_hat) -> np.ndarray:
@@ -489,6 +487,6 @@ def id_oplus_mu(src: SplitLevel, dst: SplitLevel, tau_hat) -> np.ndarray:
     step = dst.scale_exp - src.scale_exp
     if step <= 0:
         raise CohomologyError("destination level must be deeper than the source")
-    lifted = (gamma + (src.Q.lattice.p**step) * delta) % q
+    lifted = (gamma + linalg.mul_mod(pow(src.Q.lattice.p, step, q), delta, q)) % q
     return lattice_row_to_quotient(dst.Q, lifted)
 

@@ -66,10 +66,10 @@ class ExtensionCertificate:
         for g, o in enumerate(G.element_orders()):
             N, t, x = ident, np.zeros(A.rank, dtype=np.int64), g  # x = g^j
             for _ in range(int(o) - 1):
-                t = (t @ A.act[g] + tau[x, g]) % q
-                N = (N @ A.act[g] + ident) % q
+                t = (linalg.dot_mod(t, A.act[g], q, q) + tau[x, g]) % q
+                N = (linalg.dot_mod(N, A.act[g], q, q) + ident) % q
                 x = G.mul[x, g]
-            y = (every @ N + t) % q
+            y = (linalg.dot_mod(every, N, q, q) + t) % q
             orders.append(o * (q // np.gcd.reduce(np.c_[y, np.full(len(y), q)], axis=1)))
         values, counts = np.unique(np.concatenate(orders), return_counts=True)
         return tuple(zip(values.tolist(), counts.tolist()))
@@ -140,9 +140,14 @@ def split_table(A: FiniteModule) -> groups.GroupTable:
     return table
 
 
+def _act(A: FiniteModule, a, g) -> np.ndarray:
+    """a.g, rowwise: row i of a acted on by element g[i]."""
+    return linalg.dot_mod(a[:, None], A.act[g], A.q, A.q)[:, 0]
+
+
 def _mul(A: FiniteModule, tau, a, g, b, h):
     """(a, g)(b, h) = (a.h + b + c(g, h), gh), rowwise."""
-    return (np.einsum("ir,irs->is", a, A.act[h]) + b + tau[g, h]) % A.q, A.group.mul[g, h]
+    return (_act(A, a, h) + b + tau[g, h]) % A.q, A.group.mul[g, h]
 
 
 def _commutator(A: FiniteModule, tau, a, g, b, h):
@@ -150,7 +155,7 @@ def _commutator(A: FiniteModule, tau, a, g, b, h):
     inverse of (a, g) is (-(a.g^-1 + c(g, g^-1)), g^-1)."""
     ya, yg = _mul(A, tau, b, h, a, g)
     yi = A.group.inverses[yg]
-    inv = -(np.einsum("ir,irs->is", ya, A.act[yi]) + tau[yg, yi]) % A.q
+    inv = -(_act(A, ya, yi) + tau[yg, yi]) % A.q
     return _mul(A, tau, inv, yi, *_mul(A, tau, a, g, b, h))
 
 
@@ -180,8 +185,8 @@ def lower_central_series(A: FiniteModule, tau) -> list[tuple]:
             return series
         # the row count is explicit: at level 0 the rank is 0, and
         # reshape(-1, 0) cannot infer it
-        KI = np.einsum("kr,srt->kst", K.rows, A.act[S] - ident).reshape(
-            len(K.rows) * len(S), A.rank) % q
+        KI = linalg.dot_mod(K.rows, (A.act[S] - ident) % q, q, q).swapaxes(0, 1).reshape(
+            len(K.rows) * len(S), A.rank)
         if len(image) == 1:
             nxt = (image, linalg.howell(KI, p, A.E), section)
         else:
@@ -217,7 +222,7 @@ def _generated(A: FiniteModule, tau, gen_a, gen_g, rows) -> tuple:
         fresh = first[~found[pg[first]]]
         lifts[pg[fresh]] = pa[fresh]
         found[pg[fresh]] = True
-        schreier.append(np.einsum("ir,irs->is", pa - lifts[pg], A.act[G.inverses[pg]]) % A.q)
+        schreier.append(_act(A, (pa - lifts[pg]) % A.q, G.inverses[pg]))
         frontier = pg[fresh]
     image = np.flatnonzero(found)
     return image, linalg.howell(np.vstack(schreier), A.p, A.E), lifts[image]

@@ -13,12 +13,14 @@ also pivots on columns and gives the invariant exponents and kernels;
 rows of a span (J. A. Howell, "Spans in the module (Z_m)^s", 1986), against
 which membership is tested and equations are solved.
 
-Matrices are numpy int64 arrays when p^M fits comfortably (products must not
-overflow), with a python-int (object dtype) fallback for larger moduli.
-
-Every integer combination of rows mod q goes through `dot_mod(x, A, bound,
-q)`, exact for entries in [0, bound): it sums in int64 while rows * (bound -
-1)^2 < 2^63, so that no partial sum can overflow, and in Python ints otherwise.
+One ring rule holds for Z/p^M, q = p^M < 2^63: every ring array is int64
+with entries in [0, q), and this module forms every product of ring
+elements.  `dot_mod(x, A, bound, q)` is x @ A mod q and `mul_mod(x, y, q)`
+the elementwise x * y mod q; each works in int64 while k * (bound - 1)^2 <
+2^63 for k terms in a sum (k = 1 and bound = q elementwise), so that no
+partial sum can overflow, in Python ints past it, and returns int64.
+`smith`, `howell` and `invertible_mod_p` work in an array chosen by the same
+bound, (q - 1)^2 < 2^63, and return int64.
 """
 
 from __future__ import annotations
@@ -28,28 +30,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-INT64_SAFE_MODULUS = 1 << 31
+def _fits(k: int, bound: int) -> bool:
+    """Whether a sum of k products of entries below `bound` fits int64."""
+    return k * (bound - 1) ** 2 < 1 << 63
 
 
-def _dtype(q: int):
-    """int64 while products of entries below q cannot overflow, else object."""
-    return np.int64 if q <= INT64_SAFE_MODULUS else object
+def _work(a, q: int):
+    """a as the array an elimination mod q works in: itself while a product
+    of two entries below q fits int64, else a copy in Python ints."""
+    return a if _fits(1, q) else a.astype(object)
 
 
-def as_matrix(rows, q: int):
-    """Coerce to a 2-D array with dtype suited to modulus q."""
-    a = np.array(rows, dtype=_dtype(q))
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return a % q
-
-
-def zeros(shape, q: int):
-    return np.zeros(shape, dtype=_dtype(q))
-
-
-def eye(n: int, q: int):
-    return np.eye(n, dtype=np.int64).astype(_dtype(q))
+def as_matrix(rows):
+    """rows as a 2-D int64 array."""
+    a = np.array(rows, dtype=np.int64)
+    return a.reshape(1, -1) if a.ndim == 1 else a
 
 
 def _reduce_inplace(a, q: int, p: int):
@@ -98,13 +93,13 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
     operation on Vinv, so V and its inverse come out of the same elimination.
     """
     q = p**M
-    F = as_matrix(F, q)
+    F = as_matrix(F) % q
     r, c = F.shape
     # W = [A | U]: a row operation on A carries its U part along in one pass
-    W = np.concatenate([F, eye(r, q)], axis=1) if want_left else F
+    W = _work(np.concatenate([F, np.eye(r, dtype=np.int64)], axis=1) if want_left else F, q)
     A = W[:, :c]
-    V = eye(c, q) if want_right else None
-    Vinv = eye(c, q) if want_right else None
+    V = _work(np.eye(c, dtype=np.int64), q) if want_right else None
+    Vinv = _work(np.eye(c, dtype=np.int64), q) if want_right else None
     exps: list[int] = []
     n = min(r, c)
     g = np.gcd.reduce(A, axis=1, initial=q)
@@ -152,7 +147,8 @@ def smith(F, p: int, M: int, *, want_left: bool = True, want_right: bool = False
         exps.append(valuation(pa, p))
         last = pa
     exps.extend([M] * (n - len(exps)))
-    U = np.ascontiguousarray(W[:, c:]) if want_left else None
+    U = np.ascontiguousarray(W[:, c:], dtype=np.int64) if want_left else None
+    V, Vinv = (None, None) if V is None else (V.astype(np.int64), Vinv.astype(np.int64))
     return Smith(p, M, (r, c), exps, U, V, Vinv)
 
 
@@ -161,7 +157,7 @@ def invertible_mod_p(X, p: int) -> np.ndarray:
     so mod every power of p.  Fraction-free elimination over F_p: each row
     below the pivot becomes pivot * row - entry * pivot row."""
     k = np.shape(X)[-1]
-    A = (np.asarray(X) % p).astype(_dtype(p))
+    A = _work((np.asarray(X) % p).astype(np.int64), p)
     A = A.reshape(math.prod(np.shape(X)[:-2]), k, k)
     ok = np.ones(len(A), dtype=bool)
     stack = np.arange(len(A))
@@ -193,8 +189,8 @@ def row_kernel(F, p: int, M: int):
     # past the diagonal have a = M
     exps = _padded_exps(s)
     keep = [i for i, a in enumerate(exps) if a > 0]
-    scale = np.array([p ** (M - exps[i]) for i in keep], dtype=s.U.dtype)
-    return (scale[:, None] * s.U[keep]) % p**M
+    scale = np.array([p ** (M - exps[i]) for i in keep], dtype=np.int64)
+    return mul_mod(scale[:, None], s.U[keep], p**M)
 
 
 def scaled_kernel(F, scales, p: int, M: int) -> np.ndarray:
@@ -205,8 +201,8 @@ def scaled_kernel(F, scales, p: int, M: int) -> np.ndarray:
     coordinates, with the hat scale of each coordinate in `scales`.
     """
     q = p**M
-    K = row_kernel((scales[:, None] * F) % q, p, M)
-    return howell((K * scales) % q, p, M).rows
+    K = row_kernel(mul_mod(scales[:, None], F, q), p, M)
+    return howell(mul_mod(K, scales, q), p, M).rows
 
 
 def lattice_kernel(s: Smith):
@@ -256,9 +252,10 @@ class Howell:
         given it receives the multiple of each basis row taken, in order.
         """
         q = self.q
-        v = np.array(v, dtype=self.rows.dtype if self.rows.size else None) % q
+        v = np.array(v, dtype=np.int64) % q
+        rows = _work(self.rows, q)
         # t[j] is entry j of the row, or column j of the stack as a row
-        t = v if v.ndim == 1 else v.reshape(math.prod(v.shape[:-1]), v.shape[-1]).T
+        t = _work(v if v.ndim == 1 else v.reshape(math.prod(v.shape[:-1]), v.shape[-1]).T, q)
         for i, (j, a) in enumerate(self.pivots):
             # reduce by the floor multiple; a leftover entry below p^a stays
             # in the residue and marks the row as outside the span
@@ -266,8 +263,8 @@ class Howell:
             if coeffs_out is not None:
                 coeffs_out.append(m)
             if m.any() if t.ndim > 1 else m:
-                t = (t - np.multiply.outer(self.rows[i], m)) % q
-        return t if v.ndim == 1 else t.T.reshape(v.shape)
+                t = (t - np.multiply.outer(rows[i], m)) % q
+        return np.asarray(t if v.ndim == 1 else t.T.reshape(v.shape), dtype=np.int64)
 
     def solve(self, v, modulus: int | None = None):
         """One x with x @ gens = v, or None when v is outside the span; for
@@ -283,7 +280,7 @@ class Howell:
             return None
         q = self.q if modulus is None else modulus
         # one coefficient per pivot, moved behind the stack axes of v
-        x = np.moveaxis(np.array(coeffs, dtype=self.rows.dtype).reshape(
+        x = np.moveaxis(np.array(coeffs, dtype=np.int64).reshape(
             len(coeffs), *np.shape(v)[:-1]), 0, -1)
         if self.transform is None:
             return x % q
@@ -319,12 +316,12 @@ def howell(gens, p: int, M: int, *, track: bool = False) -> Howell:
     in play.  W has room for that annihilator tail of every pivot.
     """
     q = p**M
-    G = as_matrix(gens, q)
+    G = as_matrix(gens) % q
     nrows, ncols = G.shape
-    W = zeros((nrows + ncols, ncols + (nrows if track else 0)), q)
+    W = _work(np.zeros((nrows + ncols, ncols + (nrows if track else 0)), dtype=np.int64), q)
     W[:nrows, :ncols] = G
     if track:
-        W[:nrows, ncols:] = eye(nrows, q)
+        W[:nrows, ncols:] = np.eye(nrows, dtype=np.int64)
     live = nrows
     pivots: list[tuple[int, int]] = []
     for j in range(ncols):
@@ -360,24 +357,26 @@ def howell(gens, p: int, M: int, *, track: bool = False) -> Howell:
                 live += 1
         pivots.append((j, a))
     k = len(pivots)
-    return Howell(p, M, ncols, W[:k, :ncols].copy(), pivots,
-                  W[:k, ncols:].copy() if track else None)
+    return Howell(p, M, ncols, W[:k, :ncols].astype(np.int64), pivots,
+                  W[:k, ncols:].astype(np.int64) if track else None)
 
 
-def dot_mod(x, A, bound: int, q: int):
+def dot_mod(x, A, bound: int, q: int) -> np.ndarray:
     """x @ A mod q, exact for entries in [0, bound), by the rule in the
-    module docstring."""
-    if A.dtype != object and A.shape[0] * (bound - 1) ** 2 < 1 << 63:
-        return (x.astype(np.int64) @ A) % q
-    return ((np.asarray(x, dtype=object) @ A.astype(object)) % q).astype(A.dtype)
+    module docstring; either side may be a stack, as for `@`."""
+    x, A = np.asarray(x), np.asarray(A)
+    if _fits(x.shape[-1], bound):
+        return (x.astype(np.int64, copy=False) @ A.astype(np.int64, copy=False)) % q
+    return ((x.astype(object) @ A.astype(object)) % q).astype(np.int64)
 
 
-def span_order_exp(rows, p: int, M: int) -> int:
-    """v_p of the order of the row span over Z/p^M."""
-    rows = np.asarray(rows)
-    if rows.shape[0] == 0:
-        return 0
-    return howell(rows, p, M).order_exp()
+def mul_mod(x, y, q: int) -> np.ndarray:
+    """x * y mod q elementwise, broadcast as for `*`, exact for entries in
+    [0, q), by the rule in the module docstring."""
+    x, y = np.asarray(x), np.asarray(y)
+    if _fits(1, q):
+        return (x.astype(np.int64, copy=False) * y.astype(np.int64, copy=False)) % q
+    return ((x.astype(object) * y.astype(object)) % q).astype(np.int64)
 
 
 def span_equal(gens_a, gens_b, p: int, M: int) -> bool:
@@ -410,7 +409,7 @@ class QuotientGroup:
         x = self.K.solve(v)
         if x is None:
             raise ValueError("element not in the subgroup K")
-        return (dot_mod(x, self.to_coords, q, q) % self.moduli()).astype(np.int64)
+        return dot_mod(x, self.to_coords, q, q) % self.moduli()
 
     def moduli(self) -> np.ndarray:
         """p^e for each invariant exponent, in coordinate order."""
@@ -419,7 +418,7 @@ class QuotientGroup:
     def element(self, coords) -> np.ndarray:
         """An ambient representative with the given coordinates."""
         q = self.p**self.M
-        return dot_mod(np.asarray(coords, dtype=object) % q, self.gens, q, q)
+        return dot_mod(np.asarray(coords) % q, self.gens, q, q)
 
     def invariants(self) -> list[int]:
         return [self.p**e for e in sorted(self.exps, reverse=True)]
@@ -431,18 +430,13 @@ def quotient_group(K_rows, B_rows, p: int, M: int) -> QuotientGroup:
     HK = howell(K_rows, p, M)
     # keep the howell rows as the working generating set of K
     Kb = HK.rows
-    g = Kb.shape[0]
-    if g == 0:
-        return QuotientGroup(p, M, [], zeros((0, np.shape(K_rows)[1]), q), HK, eye(0, q))
-    rel = row_kernel(Kb, p, M)
-    bcoords = HK.solve(as_matrix(B_rows, q))
+    bcoords = HK.solve(as_matrix(B_rows))
     if bcoords is None:
         raise ValueError("B is not contained in K")
-    pieces = [x for x in (rel, bcoords) if x.shape[0] > 0]
-    L = np.vstack(pieces) if pieces else zeros((0, g), q)
-    s = smith(L, p, M, want_left=False, want_right=True)
-    # each of the g columns of L past the diagonal has exponent M
-    exps = s.exps + [M] * (g - len(s.exps))
+    # the relations of Kb and the coordinates of B, one column per row of Kb
+    s = smith(np.vstack([row_kernel(Kb, p, M), bcoords]), p, M, want_left=False, want_right=True)
+    # each column past the diagonal has exponent M
+    exps = s.exps + [M] * (len(Kb) - len(s.exps))
     kept = [i for i, a in enumerate(exps) if a > 0]
     gens = dot_mod(s.Vinv[kept], Kb, q, q)
     return QuotientGroup(p, M, [exps[i] for i in kept], gens, HK, s.V[:, kept])

@@ -76,13 +76,13 @@ def lattice_module(group: GroupTable, gen_action: dict, p: int, N: int) -> Latti
     d = gen_mats[0][1].shape[0]
     reached = groups.closure(
         [(group.identity, np.eye(d, dtype=np.int64))], gen_mats,
-        lambda xa, gm: (int(group.mul[xa[0], gm[0]]), (xa[1] @ gm[1]) % q),
+        lambda xa, gm: (int(group.mul[xa[0], gm[0]]), linalg.dot_mod(xa[1], gm[1], q, q)),
         key=lambda xa: xa[0])
     if len(reached) != group.order:
         raise ModuleError("generators with action matrices do not generate the group")
     act = np.stack([reached[x][1] for x in range(group.order)])
     for g, Mg in gen_mats:
-        if not np.array_equal(act[group.mul[:, g]], (act @ Mg) % q):
+        if not np.array_equal(act[group.mul[:, g]], linalg.dot_mod(act, Mg, q, q)):
             raise ModuleError("action matrices violate the group relations")
     return LatticeModule(group, p, N, d, act)
 
@@ -127,13 +127,13 @@ def g_central_series(T: LatticeModule, depth: int) -> CentralChain:
     p, N, q = T.p, T.N, T.q
     d = T.rank
     ident = np.eye(d, dtype=np.int64)
-    diffs = [(T.act[g] - ident) % q for g in range(T.group.order)]
-    bases = [ident.copy()]
+    diffs = (T.act - ident) % q
+    bases = [ident]
     idx = [0]
     stopped = False
     for _ in range(depth):
         B = bases[-1]
-        rows = np.vstack([(B @ D) % q for D in diffs])
+        rows = linalg.dot_mod(B, diffs, q, q).reshape(-1, d)
         H = linalg.howell(rows, p, N)
         if H.rows.shape[0] < d:
             stopped = True
@@ -159,7 +159,8 @@ def is_uniserial(chain: CentralChain, depth: int) -> tuple[bool, list[int]]:
 def chain_period(T: LatticeModule, chain: CentralChain) -> int | None:
     """Least d with T_{i+d} = p T_i for all applicable i, or None."""
     for dd in range(1, chain.depth + 1):
-        if all(linalg.span_equal((T.p * chain.bases[i]) % T.q, chain.bases[i + dd], T.p, T.N)
+        if all(linalg.span_equal(linalg.mul_mod(T.p, chain.bases[i], T.q), chain.bases[i + dd],
+                                 T.p, T.N)
                for i in range(chain.depth - dd + 1)):
             return dd
     return None
@@ -232,8 +233,7 @@ class FiniteModule(Owner):
 
     def hat(self, coords) -> np.ndarray:
         """Hatted vector of plain coordinates, rowwise on a stack."""
-        c = np.asarray(coords, dtype=np.int64)
-        return (c % self.q * self.scales()) % self.q
+        return linalg.mul_mod(np.asarray(coords, dtype=np.int64) % self.q, self.scales(), self.q)
 
     def unhat(self, x) -> np.ndarray:
         """Plain coordinates of a hatted vector, rowwise on a stack."""
@@ -311,9 +311,10 @@ def _validate_finite_action(fm: FiniteModule):
     if not np.array_equal(fm.canonical(fm.act[G.identity]), np.eye(fm.rank, dtype=np.int64)):
         raise ModuleError("the identity does not act trivially")
     for s in G.generators:
-        if not np.array_equal(fm.canonical(fm.act @ fm.act[s]), fm.canonical(fm.act[G.mul[:, s]])):
+        if not np.array_equal(fm.canonical(linalg.dot_mod(fm.act, fm.act[s], fm.q, fm.q)),
+                              fm.canonical(fm.act[G.mul[:, s]])):
             raise ModuleError("finite module action is not multiplicative")
-    if np.any((fm.member_rows() @ fm.act[G.generators]) % fm.scales()):
+    if np.any(linalg.dot_mod(fm.member_rows(), fm.act[G.generators], fm.q, fm.q) % fm.scales()):
         raise ModuleError("action does not preserve the module")
 
 
@@ -333,11 +334,7 @@ class QuotientModule:
 
     def reduce(self, v) -> np.ndarray:
         """Canonical ambient representative of v + T_n (rowwise on a stack)."""
-        return (self.coords(v) @ self.representatives()) % self.lattice.q
-
-    def representatives(self) -> np.ndarray:
-        """Ambient rows representing the coordinate generators."""
-        return self.structure.gens
+        return self.structure.element(self.coords(v))
 
     def hat_of_ambient(self, v) -> np.ndarray:
         return self.module.hat(self.coords(v))
@@ -352,7 +349,8 @@ def quotient(T: LatticeModule, chain: CentralChain, n: int) -> QuotientModule:
     if n > chain.depth:
         raise ModuleError("chain only computed to depth %d < %d" % (chain.depth, n))
     S = linalg.quotient_group(np.eye(T.rank, dtype=np.int64), chain.bases[n], T.p, T.N)
-    plain = S.coords(S.gens @ T.act)  # the induced action on the coordinates
+    # the induced action on the coordinates
+    plain = S.coords(linalg.dot_mod(S.gens, T.act, T.q, T.q))
     return QuotientModule(T, n, finite_module_from_plain(T.group, T.p, S.exps, plain), S)
 
 
@@ -362,17 +360,13 @@ def quotient(T: LatticeModule, chain: CentralChain, n: int) -> QuotientModule:
 
 def stabilizer(act: np.ndarray, v, q: int) -> np.ndarray:
     """Elements g with v.g = v, for action matrices act mod q and v reduced mod q."""
-    return np.flatnonzero(((v @ act) % q == v).all(axis=1))
+    return np.flatnonzero((linalg.dot_mod(v, act, q, q) == v).all(axis=1))
 
 
 def fixed_points(W: FiniteModule, subgroup_elems) -> np.ndarray:
     """Hatted generator rows of { w : w.h = w for all h in the subgroup }."""
-    q = W.q
-    r = W.rank
-    if r == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    ident = np.eye(r, dtype=np.int64)
-    blocks = [((W.act[h] - ident) % q) for h in subgroup_elems if h != W.group.identity]
+    ident = np.eye(W.rank, dtype=np.int64)
+    blocks = [(W.act[h] - ident) % W.q for h in subgroup_elems if h != W.group.identity]
     if not blocks:
         return W.member_rows()
     return linalg.scaled_kernel(np.hstack(blocks), W.scales(), W.p, W.E)
@@ -418,8 +412,6 @@ def _commuting_columns(A, B) -> np.ndarray:
     Row i * cols(C) + j is the unknown C[i, j]; column a * cols(C) + b is the
     (a, b) entry of A C - C B.
     """
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
     return (np.kron(A, np.eye(B.shape[0], dtype=np.int64))
             - np.kron(np.eye(A.shape[0], dtype=np.int64), B.T)).T
 
@@ -433,10 +425,8 @@ def hom_space_flat(V: FiniteModule, W: FiniteModule) -> np.ndarray:
     generator g and p^{e_i} X[i] = 0, all mod p^{E_W}.
     """
     r, rw = V.rank, W.rank
-    if r * rw == 0:
-        return np.zeros((0, r * rw), dtype=np.int64)
     S = V.group.generators
-    P = V.unhat(V.member_rows() @ V.act[S])
+    P = V.unhat(linalg.dot_mod(V.member_rows(), V.act[S], V.q, V.q))
     F = np.hstack([_commuting_columns(Pg, W.act[g]) for Pg, g in zip(P, S)]
                   + [np.diag(np.repeat(V.coord_moduli(), rw))]) % W.q
     return linalg.scaled_kernel(F, np.tile(W.scales(), r), W.p, W.E)
@@ -452,7 +442,7 @@ def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, v0_hat) -> np.ndarray:
     """
     p = V.p
     v0_hat = np.asarray(v0_hat, dtype=np.int64) % V.q
-    orbit = (v0_hat @ V.act) % V.q
+    orbit = linalg.dot_mod(v0_hat, V.act, V.q, V.q)
     fixed = fixed_points(W, stabilizer(V.act, v0_hat, V.q))
     # orbit must span V
     if not linalg.span_equal(orbit, V.member_rows(), p, V.E):
@@ -463,7 +453,8 @@ def hom_space_via_orbit(V: FiniteModule, W: FiniteModule, v0_hat) -> np.ndarray:
     if X is None:
         raise ModuleError("failed to express a coordinate generator in the orbit")
     bound = max(V.q, W.q)
-    rows = [linalg.dot_mod(X, (w @ W.act) % W.q, bound, W.q).reshape(-1) for w in fixed]
+    rows = [linalg.dot_mod(X, linalg.dot_mod(w, W.act, W.q, W.q), bound, W.q).reshape(-1)
+            for w in fixed]
     if not rows:
         return np.zeros((0, V.rank * W.rank), dtype=np.int64)
     return linalg.howell(np.vstack(rows), p, W.E).rows
@@ -522,11 +513,13 @@ def lattice_endomorphisms(T: LatticeModule, c: int, beta=None) -> np.ndarray:
 def endo_to_quotient(Q: QuotientModule, Phi) -> np.ndarray:
     """Plain coordinate matrix of a lattice endomorphism acting on A_n, or of
     each one in a stack."""
-    return Q.coords(Q.representatives() @ (np.asarray(Phi, dtype=np.int64) % Q.lattice.q))
+    q = Q.lattice.q
+    return Q.coords(linalg.dot_mod(Q.structure.gens, np.asarray(Phi, dtype=np.int64) % q, q, q))
 
 
 def lift_endo(Q: QuotientModule, C) -> np.ndarray:
     """Integer matrix on the ambient lattice inducing the plain matrix C on
     A_n, or one per matrix of a stack."""
     q = Q.lattice.q
-    return (Q.structure.to_coords @ (np.asarray(C, dtype=np.int64) % q) @ Q.representatives()) % q
+    coords = linalg.dot_mod(Q.structure.to_coords, np.asarray(C, dtype=np.int64) % q, q, q)
+    return linalg.dot_mod(coords, Q.structure.gens, q, q)

@@ -51,7 +51,7 @@ def automorphism_mask(A: FiniteModule, eps_hat) -> np.ndarray:
     """
     X = np.asarray(eps_hat, dtype=np.int64) % A.q
     s = A.scales()
-    ok = ~np.any((s[:, None] * X) % A.q % s, axis=(-2, -1))
+    ok = ~np.any(linalg.mul_mod(s[:, None], X, A.q) % s, axis=(-2, -1))
     for e in set(A.exps):
         block = np.flatnonzero(np.array(A.exps) == e)
         ok &= linalg.invertible_mod_p(X[..., block[:, None], block], A.p)
@@ -65,8 +65,8 @@ def satisfies_compatibility(A: FiniteModule, beta, eps_hats) -> np.ndarray:
     eps = np.asarray(eps_hats, dtype=np.int64)
     ok = np.ones(eps.shape[:-2], dtype=bool)
     for g in A.group.generators:
-        lhs = A.canonical(A.act[g] @ eps)
-        rhs = A.canonical(eps @ A.act[int(beta[g])])
+        lhs = A.canonical(linalg.dot_mod(A.act[g], eps, A.q, A.q))
+        rhs = A.canonical(linalg.dot_mod(eps, A.act[int(beta[g])], A.q, A.q))
         ok &= (lhs == rhs).all(axis=(-2, -1))
     return ok
 
@@ -106,8 +106,8 @@ def act_on_cochains(H: CohomologyGroup, beta, eps_hats, rows) -> np.ndarray:
     binv = groups.invert_perm(beta)
     rows = np.asarray(rows, dtype=np.int64) % A.q
     slots = rows.reshape(len(rows), len(bar.tuples), A.rank)[:, bar.index(binv[bar.tuples])]
-    out = (slots.reshape(len(rows) * len(bar.tuples), A.rank)
-           @ np.asarray(eps_hats, dtype=np.int64)) % A.q
+    out = linalg.dot_mod(slots.reshape(len(rows) * len(bar.tuples), A.rank),
+                         np.asarray(eps_hats, dtype=np.int64) % A.q, A.q, A.q)
     return out.reshape(len(out), *rows.shape)
 
 
@@ -130,9 +130,11 @@ def _h2_matrices(H: CohomologyGroup, pairs: list[CompatiblePair]) -> list[np.nda
     return [M for beta, eps in by_beta.values() for M in induced_h2_matrix(H, beta, np.stack(eps))]
 
 
-def _apply_coord_matrix(H: CohomologyGroup, M: np.ndarray, coords) -> tuple:
-    v = (np.asarray(coords, dtype=np.int64) @ M) % H.structure.moduli()
-    return tuple(int(x) for x in v)
+def _coord_product(H: CohomologyGroup, X, Y) -> np.ndarray:
+    """X @ Y on H coordinates, each column reduced mod its own modulus, which
+    divides the module's q."""
+    q = H.module.q
+    return linalg.dot_mod(X, Y, q, q) % H.structure.moduli()
 
 
 @dataclass
@@ -159,7 +161,7 @@ def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartit
     gens = list({M.tobytes(): M for M in _h2_matrices(H, pairs)}.values())
     # close the induced image under composition to get the acting order
     mods = H.structure.moduli()
-    closed = groups.closure(gens, gens, lambda X, Y: (X @ Y) % mods[None, :] if X.size else X,
+    closed = groups.closure(gens, gens, lambda X, Y: _coord_product(H, X, Y),
                             key=lambda X: X.tobytes())
     acting_order = max(len(closed), 1)
     index: dict[tuple, int] = {}
@@ -167,7 +169,7 @@ def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartit
     for start in map(tuple, groups.all_coord_rows(mods.tolist()).tolist()):
         if start in index:
             continue
-        orbit = groups.closure([start], gens, lambda c, M: _apply_coord_matrix(H, M, c))
+        orbit = groups.closure([start], gens, lambda c, M: tuple(_coord_product(H, c, M).tolist()))
         index.update(dict.fromkeys(orbit, len(classes)))
         classes.append(sorted(orbit))
     sizes = [len(c) for c in classes]
@@ -305,15 +307,13 @@ def complement_En(T: LatticeModule, chain: CentralChain, n: int, period: int) ->
     End = A.hom_to(A, v0_hat=t0_hat)
     t0c = Q.coords(t0)
     # image of t0 under each hom generator, in hatted coordinates
-    gen_rows = [(t0c @ np.asarray(g, dtype=np.int64).reshape(A.rank, A.rank)) % A.q
-                for g in End.structure.gens]
-    Rmat = np.vstack(gen_rows) if gen_rows else np.zeros((0, A.rank), dtype=np.int64)
+    gens = End.structure.gens
+    Rmat = linalg.dot_mod(t0c, gens.reshape(len(gens), A.rank, A.rank), A.q, A.q)
     x = linalg.howell(Rmat, p, A.E, track=True).solve(level.K_hat % A.q)
     if x is None:
         raise PairError("complement generator is not the t0-image of an endomorphism")
     E_gens = linalg.dot_mod(x, End.structure.gens, A.q, A.q)
-    E_flat = linalg.howell(E_gens, p, A.E).rows if len(E_gens) else (
-        np.zeros((0, A.rank * A.rank), dtype=np.int64))
+    E_flat = linalg.howell(E_gens, p, A.E).rows
     # reductions of the lattice endomorphisms, flattened the same way
     endT = modules.lattice_hom_space(T)
     endT_rows = [End.matrix_to_flat(modules.endo_to_quotient(Q, Phi)) for Phi in endT]
@@ -334,11 +334,10 @@ def _verify_complement(comp: Complement, Q: QuotientModule):
         raise PairError("a complement lift does not reduce to its own generator")
     joint = np.vstack([comp.E_flat, comp.endT_flat])
     # |X + Y| = |X| |Y| exactly when X and Y meet in zero
-    orders = [linalg.span_order_exp(x, p, E) for x in (comp.E_flat, comp.endT_flat, joint)]
+    orders = [linalg.howell(x, p, E).order_exp() for x in (comp.E_flat, comp.endT_flat, joint)]
     if orders[0] + orders[1] != orders[2]:
         raise PairError("complement intersects the reduced lattice endomorphisms")
-    full = np.vstack([comp.end_space.structure.gens]) if comp.end_space.structure.gens.shape[0] else joint
-    if not linalg.span_equal(joint, full, p, E):
+    if not linalg.span_equal(joint, comp.end_space.structure.gens, p, E):
         raise PairError("complement plus lattice endomorphisms do not fill End(A_n)")
     if comp.invariants() != comp.h1_invariants:
         raise PairError("complement invariants %s differ from H^1 invariants %s"
@@ -419,7 +418,7 @@ def generator_pairs(T: LatticeModule, Q_n: QuotientModule, Q_nd: QuotientModule,
     for row, lift in zip(data.complement.E_flat, data.complement.lattice_lifts):
         at_n = one_plus(Q_n.module, row)
         _require_pair(Q_n.module, at_n, "1 + eps is not a compatible pair")
-        C_nd = modules.endo_to_quotient(Q_nd, (p * lift) % T.q)
+        C_nd = modules.endo_to_quotient(Q_nd, linalg.mul_mod(p, lift, T.q))
         at_nd = CompatiblePair(at_n.beta, A_nd.hat_matrix(np.eye(A_nd.rank, dtype=np.int64) + C_nd))
         _require_pair(A_nd, at_nd, "shifted complement generator is not a compatible pair")
         out.append(GeneratorPair("complement", at_n, at_nd))

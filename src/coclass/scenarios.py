@@ -197,10 +197,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     p, precision = ints["p"], ints["precision"]
     if not _is_prime(p):
         raise ScenarioError("scenario field 'p' is %d, not a prime" % p)
-    # p^precision is the working modulus, held in int64
-    if precision < 1 or precision >= 63 or p**precision >= 2**63:
+    # q = p^precision is the working modulus: every entry lies in [0, q) and is
+    # held in int64, q <= 2^62 so that a sum of two entries fits too, and
+    # linalg forms every product, in int64 while it cannot overflow and in
+    # Python ints past that; the cohomology recheck at precision + 2 passes
+    # this check too
+    if precision < 1 or precision >= 63 or p**precision > 2**62:
         raise ScenarioError("scenario field 'precision' is %d; it must be at least 1, "
-                            "with p^precision below 2^63" % precision)
+                            "with p^precision at most 2^62" % precision)
     rank = ints["rank"]
     matrices = checked_field("action", lambda: [
         np.asarray(m, dtype=np.int64) for m in checked_integers("action", data["action"])])
@@ -325,10 +329,10 @@ class TopQuotient(Owner):
         Qj = scn.quotient(self.k * self.period)
         scale = scn.p ** self.k
         moduli = [int(m) for m in Qj.module.coord_moduli()]
-        amb = (groups.all_coord_rows(moduli) @ Qj.representatives()) % T.q  # lift per fiber index
+        amb = Qj.structure.element(groups.all_coord_rows(moduli))  # lift per fiber index
         x, y = self.group.bar_index(2).tuples.T
         # the factor set of (g, u)(h, v) is u.h + v minus its canonical representative
-        w = (np.einsum("ti,tij->tj", amb[x % na], T.act[y]) + amb[y % na]) % T.q
+        w = (linalg.dot_mod(amb[x % na][:, None], T.act[y], T.q, T.q)[:, 0] + amb[y % na]) % T.q
         value = (w - Qj.reduce(w)) % T.q
         if np.any(value % scale):
             raise ScenarioError("mainline factor set left the fiber lattice")

@@ -639,14 +639,15 @@ def smith_dense_update(F, p, M, want_right=False):
 def smith_rescan(F, p, M, *, want_left=True, want_right=False):
     """linalg.smith with its pivot found by rescanning the trailing block
     once per candidate valuation vcur, a divisibility mask by p^(vcur + 1)
-    each time, instead of keeping the gcd of each row."""
+    each time, instead of keeping the gcd of each row; it works in Python
+    ints whatever the modulus, and returns int64 like smith."""
     q = p**M
-    F = linalg.as_matrix(F, q)
+    F = linalg.as_matrix(F).astype(object) % q
     r, c = F.shape
-    W = np.concatenate([F, linalg.eye(r, q)], axis=1) if want_left else F
+    W = np.concatenate([F, np.eye(r, dtype=object)], axis=1) if want_left else F
     A = W[:, :c]
-    V = linalg.eye(c, q) if want_right else None
-    Vinv = linalg.eye(c, q) if want_right else None
+    V = np.eye(c, dtype=object) if want_right else None
+    Vinv = np.eye(c, dtype=object) if want_right else None
     exps = []
     n = min(r, c)
     vcur = 0
@@ -686,10 +687,12 @@ def smith_rescan(F, p, M, *, want_left=True, want_right=False):
             m = A[k, k + 1:] // pa
             if m.any():
                 V[:, k + 1:] = (V[:, k + 1:] - V[:, k][:, None] * m[None, :]) % q
-                Vinv[k] = (Vinv[k] + linalg.dot_mod(m, Vinv[k + 1:], q, q)) % q
+                Vinv[k] = (Vinv[k] + m @ Vinv[k + 1:]) % q
         exps.append(vcur)
     exps.extend([M] * (n - len(exps)))
-    U = np.ascontiguousarray(W[:, c:]) if want_left else None
+    U = np.ascontiguousarray(W[:, c:], dtype=np.int64) if want_left else None
+    if V is not None:
+        V, Vinv = V.astype(np.int64), Vinv.astype(np.int64)
     return linalg.Smith(p, M, (r, c), exps, U, V, Vinv)
 
 

@@ -304,6 +304,15 @@ def test_precision_override(capsys):
     assert data["invariants"] == ["2"]
 
 
+@pytest.mark.parametrize("precision", [27, 25])  # 25: cohomology rechecks at 27
+def test_precision_whose_sums_wrap_int64_is_a_usage_error(capsys, precision):
+    # 5^27 < 2^63, but a sum of two entries below 5^27 can pass 2^63
+    path = str(DATA / "c5_cyclotomic.json")
+    code = cli.main(["cohomology", "--scenario", path, "--n", "1", "--precision", str(precision)])
+    err = capsys.readouterr().err
+    assert code == 2 and "field 'precision' is 27" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field, value", [
     ("group", {"presentation": {"generators": ["a"], "relators": ["a^2", "b"]}}),
     ("group", {"presentation": {"generators": ["a"]}}),

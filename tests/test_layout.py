@@ -1,6 +1,6 @@
 """Every function and method of the package is entered by some command-line
 run, every public name is used by the package, every parameter is read and
-every dataclass field is read.
+every dataclass field is read, and `linalg` forms every matrix product.
 
 `test_every_function_is_entered_by_a_cli_run` runs the subcommands in process
 under `sys.setprofile` and fails on any function or method of `src/coclass`
@@ -183,3 +183,32 @@ def test_every_parameter_is_read():
                        for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
                        if arg is not None and arg.arg not in named]
     assert not unread, "parameters that their function never reads: %s" % unread
+
+
+# functions outside linalg.py, as module.name or module.Class.name, whose `@`
+# is not a product of ring elements, with the reason each is kept
+MATMUL_OUTSIDE_LINALG: dict[str, str] = {
+    "groups.BarIndex.index": "multiplies table indices by their radix, not ring elements",
+}
+
+
+def _matmul_owners(tree, prefix):
+    """The qualified name of the function around each `@` in a module."""
+    def walk(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = "%s.%s" % (name, child.name)
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+                yield name, child.lineno
+            yield from walk(child, inner)
+    yield from walk(tree, prefix)
+
+
+def test_every_matrix_product_is_formed_by_linalg():
+    # one ring rule: a product of ring elements outside linalg goes through
+    # linalg.dot_mod, which picks int64 or Python ints by its bound
+    found = sorted((name, line)
+                   for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
+                   for name, line in _matmul_owners(ast.parse(path.read_text()), path.stem))
+    assert [name for name, _ in found] == sorted(MATMUL_OUTSIDE_LINALG), found

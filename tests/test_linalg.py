@@ -7,6 +7,16 @@ from coclass import linalg
 from brute_force import contains, invert, smith_rescan, span_elements, span_intersection
 
 
+# (p, M) on both sides of the ring rule's bound (p^M - 1)^2 < 2^63: 3^19 and
+# 5^13 below it, the rest past it
+RING_MODULI = [(3, 19), (3, 20), (3, 39), (5, 13), (5, 27), (2, 62)]
+
+
+def assert_ring_array(x, q):
+    """The ring rule's storage: int64 with entries in [0, q)."""
+    assert x.dtype == np.int64 and ((0 <= x) & (x < q)).all()
+
+
 def random_matrix(draw, p, M, rmax=5, cmax=5):
     q = p**M
     r = draw(st.integers(1, rmax))
@@ -70,14 +80,19 @@ def test_smith_pivots_match_the_rescan():
 
 
 def test_smith_pivots_match_the_rescan_in_python_ints():
-    p, M = 3, 25
+    # the rescan works in Python ints, so it checks smith's int64 work array
+    # below the bound and its Python-int one past it
     rng = np.random.default_rng(25)
-    for _ in range(40):
-        r, c = (int(x) for x in rng.integers(1, 6, size=2))
-        F = np.array([[int(rng.integers(1, 1 << 40)) * p ** int(rng.integers(0, M + 1))
-                       for _ in range(c)] for _ in range(r)], dtype=object)
-        assert linalg.as_matrix(F, p**M).dtype == object
-        assert_smith_matches_rescan(F, p, M)
+    for p, M in RING_MODULI:
+        q = p**M
+        for _ in range(40):
+            r, c = (int(x) for x in rng.integers(1, 6, size=2))
+            F = np.array([[int(rng.integers(1, q)) * p ** int(rng.integers(0, M + 1)) % q
+                           for _ in range(c)] for _ in range(r)], dtype=np.int64)
+            s = linalg.smith(F, p, M, want_left=True, want_right=True)
+            for x in (s.U, s.V, s.Vinv):
+                assert_ring_array(x, q)
+            assert_smith_matches_rescan(F, p, M)
 
 
 @pytest.mark.parametrize("F", [np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
@@ -168,6 +183,9 @@ def test_width_0_rows_reduce_to_width_0_residues(gens):
     assert H.pivots == []
     assert H.reduce(np.zeros((3, 0), dtype=np.int64)).shape == (3, 0)
     assert H.reduce(np.zeros((2, 3, 0), dtype=np.int64)).shape == (2, 3, 0)
+    # a Python list of width-0 rows holds no entry to take a dtype from
+    residue = H.reduce([[], [], []])
+    assert residue.shape == (3, 0) and residue.dtype == np.int64
 
 
 @given(st.data())
@@ -190,19 +208,26 @@ def test_howell_is_the_canonical_form_of_the_span(data):
 
 
 def test_howell_form_in_python_ints():
-    # 3^25 > 2^31, so entries are Python ints; the span lies in 3^23 (Z/3^25)^3
-    p, M = 3, 25
-    t = 3**23
-    A = np.array([[t, 2 * t, 0], [3 * t, 0, 5 * t], [2 * t, 4 * t, 7 * t]], dtype=object)
-    H = check_howell_form(A, p, M)
-    assert H.rows.dtype == object and H.pivots == [(0, 23), (1, 24), (2, 23)]
+    # the span lies in p^(M - 2) (Z/p^M)^3; check_howell_form checks the
+    # transform in Python ints
+    for p, M in RING_MODULI:
+        q = p**M
+        t = p ** (M - 2)
+        A = np.array([[t * a % q for a in row] for row in [[1, 2, 0], [p, 0, 5], [2, 4, 7]]],
+                     dtype=np.int64)
+        H = check_howell_form(A, p, M)
+        assert_ring_array(H.rows, q)
+        assert_ring_array(H.transform, q)
+        if p > 2:  # 2, 4 and 7 are units
+            assert H.pivots == [(0, M - 2), (1, M - 1), (2, M - 2)]
 
 
 def test_solve_rows_roundtrip():
-    # 3^19 < 2^31 keeps int64 storage, but 45 * (3^19 - 1)^2 > 2^63: summing
-    # 45 transform rows in int64 would overflow, so the products here are
-    # formed in Python ints
-    for p, M, shape, trials in ((2, 8, (4, 3), 25), (3, 19, (45, 40), 5)):
+    # (3^19 - 1)^2 < 2^63 keeps the elimination in int64, but 45 * (3^19 -
+    # 1)^2 > 2^63: summing 45 transform rows in int64 would overflow, so
+    # dot_mod forms those products in Python ints
+    for p, M, shape, trials in ([(2, 8, (4, 3), 25), (3, 19, (45, 40), 5)]
+                                + [(p, M, (6, 5), 5) for p, M in RING_MODULI]):
         q = p**M
         rng = np.random.default_rng(1)
         for _ in range(trials):
@@ -211,6 +236,7 @@ def test_solve_rows_roundtrip():
             b = (x.astype(object) @ A.astype(object)) % q
             sol = linalg.howell(A, p, M, track=True).solve(b.astype(np.int64))
             assert sol is not None
+            assert_ring_array(sol, q)
             assert np.array_equal((sol.astype(object) @ A.astype(object)) % q, b)
 
 
@@ -296,17 +322,21 @@ def test_saturated_kernel_drops_precision_artifacts():
 
 
 def test_object_dtype_path():
-    p, M = 2, 40  # beyond int64-safe modulus
-    q = p**M
-    A = linalg.as_matrix([[2**35, 1], [3, 2**20]], q)
-    assert A.dtype == object
-    s = linalg.smith(A, p, M, want_left=True, want_right=True)
-    D = (s.U @ A @ s.V) % q
-    expect = linalg.zeros((2, 2), q)
-    for i, e in enumerate(s.exps):
-        if e < M:
-            expect[i, i] = p**e
-    assert np.array_equal(D, expect)
+    # Smith forms past the int64 product bound (and 3^19, 5^13 below it),
+    # stored in int64 and checked in Python ints
+    for p, M in [(2, 40)] + RING_MODULI:
+        q = p**M
+        A = linalg.as_matrix([[p ** (M - 5), 1], [3, p ** (M // 2)]])
+        assert_ring_array(A, q)
+        s = linalg.smith(A, p, M, want_left=True, want_right=True)
+        for x in (s.U, s.V, s.Vinv):
+            assert_ring_array(x, q)
+        D = (s.U.astype(object) @ A.astype(object) @ s.V.astype(object)) % q
+        expect = np.zeros((2, 2), dtype=object)
+        for i, e in enumerate(s.exps):
+            if e < M:
+                expect[i, i] = p**e
+        assert np.array_equal(D, expect)
 
 
 @given(st.sampled_from([2, 3, 5, 2**31 - 1, 2**61 - 1]), st.integers(0, 4), st.data())

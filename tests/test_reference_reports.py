@@ -48,6 +48,10 @@ STORED = {
         ["verify-lcs", "--scenario", "tests/data/c3_eisenstein.json", "--max-order", "177147"],
     "d8_gaussian.cohomology-n3-d3.out":
         ["cohomology", "--scenario", "d8_gaussian", "--n", "3", "--degree", "3"],
+    # p = 5 on Z_5[zeta_5], rechecked at 5^15, past the int64 product bound
+    "c5_cyclotomic.cohomology-n4-d2.out":
+        ["cohomology", "--scenario", "tests/data/c5_cyclotomic.json", "--n", "4",
+         "--degree", "2"],
     # the extension over d8's order-32 top quotient, whose chain is pulled back
     "d8_gaussian.extend-mainline-1.out":
         ["extend", "--scenario", "d8_gaussian", "--cocycle",
@@ -79,6 +83,24 @@ def test_stored_report_is_reproduced(capsys, monkeypatch, name):
     monkeypatch.chdir(DATA.parent.parent)
     assert cli.main(STORED[name]) == 0
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("precision", [20, 22])
+def test_c3_past_the_int64_product_bound_gives_the_precision_19_report(
+        capsys, monkeypatch, tmp_path, precision):
+    # (3^20 - 1)^2 > 2^63, so the lattice products are formed in Python ints;
+    # the report is the precision-19 one, but for the file path and the name
+    monkeypatch.chdir(DATA.parent.parent)
+    name = "c3_eisenstein_p%d" % precision
+    path = "tests/data/%s.json" % name
+    if precision != 22:  # precision 22 is stored, 20 is a copy
+        data = json.loads((DATA / "c3_eisenstein_p19.json").read_text())
+        path = str(tmp_path / (name + ".json"))
+        Path(path).write_text(json.dumps(dict(data, name=name, precision=precision)))
+    assert cli.main(["run-all", "--scenario", path]) == 0
+    want = (DATA / "c3_eisenstein_p19.run-all.out").read_text().replace(
+        "tests/data/c3_eisenstein_p19.json", path).replace("c3_eisenstein_p19", name)
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("name, depth", [("d8_gaussian_depth12.verify-lcs-32768.out", 12),
