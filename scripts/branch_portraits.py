@@ -23,12 +23,12 @@ def main() -> int:
     for i in (3, 4):
         rep, _ = coclass_tree.nu_shift(scn, branches[i], branches[i + 1])
         shifts[i] = rep
-        print("shift %d -> %d: %s" % (i, i + 1, "ok" if rep.ok else rep.failures))
+        print("shift %d -> %d: %s" % (i, i + 1, "ok" if rep["ok"] else rep["failures"]))
     for i, br in branches.items():
         path = outdir / ("branch_%d.dot" % i)
         path.write_text(coclass_tree.export_dot(br, nu=shifts.get(i)))
         print("wrote", path)
-    return 0 if all(r.ok for r in shifts.values()) else 1
+    return 0 if all(r["ok"] for r in shifts.values()) else 1
 
 
 if __name__ == "__main__":

@@ -84,9 +84,9 @@ def cmd_orbits(args) -> int:
 
 def cmd_correspondence(args) -> int:
     scn = _load(args)
-    rep = scenarios.orbit_correspondence_report(scn, args.n)
-    _emit(rep.as_dict(), args.out)
-    return 0 if rep.ok else 1
+    report = scenarios.orbit_correspondence_report(scn, args.n)
+    _emit(report, args.out)
+    return 0 if report["ok"] else 1
 
 
 def _int_vector(data: dict, name: str, length: int) -> np.ndarray:
@@ -145,13 +145,12 @@ def cmd_branch(args) -> int:
     if args.shift:
         nu, dst = coclass_tree.nu_shift(scn, br)
         report["shifted_branch"] = _branch_dict(dst)
-        report["shift"] = {"ok": nu.ok, "vertex_map": nu.vertex_map,
-                           "failures": nu.failures}
+        report["shift"] = nu
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(coclass_tree.export_dot(br, nu))
     _emit(report, args.out)
-    return 1 if args.shift and not nu.ok else 0
+    return 1 if args.shift and not nu["ok"] else 0
 
 
 def cmd_verify_counterexample(args) -> int:
@@ -159,9 +158,9 @@ def cmd_verify_counterexample(args) -> int:
     scan = scenarios.summand_instability_witness(scn)
     corr = scenarios.orbit_correspondence_report(scn)
     report = {
-        "summand_scan": scan.as_dict(),
-        "orbit_correspondence": corr.as_dict(),
-        "ok": scan.found and scan.lifted_endomorphisms_stable and corr.ok,
+        "summand_scan": scan,
+        "orbit_correspondence": corr,
+        "ok": scan["found"] and scan["lifted_endomorphisms_stable"] and corr["ok"],
     }
     _emit(report, args.out)
     return 0 if report["ok"] else 1
@@ -189,9 +188,9 @@ def _check_max_order(args, scn: Scenario) -> None:
 def cmd_verify_lcs(args) -> int:
     scn = _load(args)
     _check_max_order(args, scn)
-    rep = scenarios.check_lower_central_series(scn, max_order=args.max_order)
-    _emit(rep.as_dict(), args.out)
-    return 0 if rep.ok else 1
+    report = scenarios.check_lower_central_series(scn, max_order=args.max_order)
+    _emit(report, args.out)
+    return 0 if report["ok"] else 1
 
 
 def cmd_run_all(args) -> int:
@@ -208,26 +207,23 @@ def cmd_run_all(args) -> int:
         n = bounds.least_qualifying()
         entry["bounds"] = {"a": bounds.a_exp, "b": bounds.b_exp,
                            "v": bounds.v, "least_qualifying_n": n}
-        lcs = scenarios.check_lower_central_series(scn, max_order=args.max_order)
-        entry["lcs"] = lcs.as_dict()
-        if not lcs.ok:
+        entry["lcs"] = scenarios.check_lower_central_series(scn, max_order=args.max_order)
+        if not entry["lcs"]["ok"]:
             failures.append("%s: lower central series" % name)
-        corr = scenarios.orbit_correspondence_report(scn, n)
-        entry["correspondence"] = corr.as_dict()
-        if not corr.ok:
+        entry["correspondence"] = scenarios.orbit_correspondence_report(scn, n)
+        if not entry["correspondence"]["ok"]:
             failures.append("%s: orbit correspondence" % name)
-        scan = scenarios.summand_instability_witness(scn)
-        entry["summand_scan"] = scan.as_dict()
-        if not scan.lifted_endomorphisms_stable:
+        entry["summand_scan"] = scenarios.summand_instability_witness(scn)
+        if not entry["summand_scan"]["lifted_endomorphisms_stable"]:
             failures.append("%s: lifted endomorphism moved the summand" % name)
         top = scn.top()
         i0 = max(top.l + 1, top.l + bounds.v * scn.period())
         try:
             br = coclass_tree.build_branch(scn, i0, 1)
-            nu, dst = coclass_tree.nu_shift(scn, br)
+            nu, _ = coclass_tree.nu_shift(scn, br)
             entry["branch"] = _branch_dict(br)
-            entry["shift_ok"] = nu.ok
-            if not nu.ok:
+            entry["shift_ok"] = nu["ok"]
+            if not nu["ok"]:
                 failures.append("%s: branch shift" % name)
         except coclass_tree.BranchError as exc:
             entry["branch_skipped"] = str(exc)

@@ -194,24 +194,15 @@ def _check_orbit_isomorphism(top: TopQuotient, levels: dict[int, LevelData], ver
 # the branch shift
 
 
-@dataclass
-class ShiftReport:
-    i: int
-    k: int
-    period: int
-    vertex_map: list[tuple[int, int]]  # source index -> target index
-    ok: bool
-    failures: list[str]
-
-
 def nu_shift(scn: Scenario, src: BranchGraph,
-             dst: BranchGraph | None = None) -> tuple[ShiftReport, BranchGraph]:
+             dst: BranchGraph | None = None) -> tuple[dict, BranchGraph]:
     """Map branch i onto the independently built branch i + period.
 
     Every vertex class is pushed through the level shift that fixes the
-    lattice summand and multiplies the complement by p; the report certifies
-    that the induced vertex map is a bijection preserving root, distances,
-    and edges.
+    lattice summand and multiplies the complement by p; the report,
+    {"ok", "vertex_map", "failures"}, certifies that the induced vertex map
+    (source index -> target index) is a bijection preserving root,
+    distances, and edges.
     """
     top = scn.top()
     d = top.period
@@ -253,7 +244,7 @@ def nu_shift(scn: Scenario, src: BranchGraph,
             failures.append("edges are not preserved")
         if mapped[src.root.index] != dst.root.index:
             failures.append("root does not map to the root")
-    return ShiftReport(src.i, src.k, d, vmap, not failures, failures), dst
+    return {"ok": not failures, "vertex_map": vmap, "failures": failures}, dst
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +258,13 @@ def _vertex_label(v: BranchVertex) -> str:
         " | mainline" if v.mainline else "")
 
 
-def export_dot(branch: BranchGraph, nu: ShiftReport | None = None) -> str:
+def export_dot(branch: BranchGraph, nu: dict | None = None) -> str:
     """Deterministic DOT text for a branch, optionally annotated with the
     shift's vertex map."""
     lines = ["digraph branch_%d {" % branch.i,
              '  rankdir=TB;',
              '  node [shape=box];']
-    shift_of = dict(nu.vertex_map) if nu is not None else {}
+    shift_of = dict(nu["vertex_map"]) if nu is not None else {}
     for v in branch.vertices:
         label = _vertex_label(v)
         if v.index in shift_of:

@@ -286,9 +286,8 @@ def primitive_basis(chain: modules.CentralChain, n: int) -> tuple[np.ndarray, in
     """
     T = chain.lattice
     B = chain.bases[n]
-    c = 0
-    while c < T.N and not np.any(B % T.p ** (c + 1)):
-        c += 1
+    # gcd(entries, p^N) = p^{min(N, v_p of every entry)}
+    c = linalg.valuation(np.gcd.reduce(B, axis=None, initial=T.q), T.p)
     return B // T.p**c, c
 
 

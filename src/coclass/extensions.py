@@ -146,8 +146,9 @@ def _act(A: FiniteModule, a, g) -> np.ndarray:
 
 
 def _mul(A: FiniteModule, tau, a, g, b, h):
-    """(a, g)(b, h) = (a.h + b + c(g, h), gh), rowwise."""
-    return (_act(A, a, h) + b + tau[g, h]) % A.q, A.group.mul[g, h]
+    """(a, g)(b, h) = (a.h + b + c(g, h), gh), rowwise; reduced after each
+    sum of two entries, so that it stays in int64 for q <= 2^62."""
+    return ((_act(A, a, h) + b) % A.q + tau[g, h]) % A.q, A.group.mul[g, h]
 
 
 def _commutator(A: FiniteModule, tau, a, g, b, h):

@@ -346,32 +346,7 @@ class TopQuotient(Owner):
 # lower central series of the finite semidirect quotients
 
 
-@dataclass
-class LcsReport:
-    scenario: str
-    max_chain_index: int
-    quotient_orders: list[int]
-    identified_terms: list[tuple[int, int, int]]  # (chain index m, lcs index 1+j, size)
-    coclasses: list[tuple[int, int]]  # (chain index m, coclass of the quotient)
-    limit_coclass: int
-    ok: bool
-    failures: list[str]
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "max_chain_index": self.max_chain_index,
-            "quotient_orders": self.quotient_orders,
-            "identified_terms": [{"chain_index": m, "lcs_index": i, "size": s}
-                                 for m, i, s in self.identified_terms],
-            "coclasses": [{"chain_index": m, "coclass": c} for m, c in self.coclasses],
-            "limit_coclass": self.limit_coclass,
-            "ok": self.ok,
-            "failures": self.failures,
-        }
-
-
-def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
+def check_lower_central_series(scn: Scenario, max_order: int) -> dict:
     """Identify the lower central terms of the finite semidirect quotients.
 
     For each quotient G0 x (T / T_m) up to max_order, checks that with the
@@ -386,8 +361,8 @@ def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
     G0 = scn.group()
     chain = scn.chain()
     failures: list[str] = []
-    identified: list[tuple[int, int, int]] = []
-    coclasses: list[tuple[int, int]] = []
+    identified: list[dict] = []
+    coclasses: list[tuple[int, int]] = []  # (chain index m, coclass of the quotient)
     orders: list[int] = []
     m = 1
     while m <= chain.depth and G0.order * scn.p ** chain.index_exponents[m] <= max_order:
@@ -403,7 +378,7 @@ def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
             i = min(li, len(series)) - 1  # past the class, the trivial last term
             image, K, _ = series[i]
             if len(image) == 1 and K.same_span(expected):
-                identified.append((m, li, sizes[i]))
+                identified.append({"chain_index": m, "lcs_index": li, "size": sizes[i]})
             else:
                 failures.append(
                     "chain index %d: lcs term %d has size %d, expected the "
@@ -421,27 +396,14 @@ def check_lower_central_series(scn: Scenario, max_order: int) -> LcsReport:
                         % (limit, scn.pro_coclass))
     elif any(c != limit for c in stabilized):
         failures.append("quotient coclass has not stabilized: %s" % coclasses)
-    return LcsReport(scn.name, last_m, orders, identified, coclasses,
-                     limit, not failures, failures)
+    return {"scenario": scn.name, "max_chain_index": last_m, "quotient_orders": orders,
+            "identified_terms": identified,
+            "coclasses": [{"chain_index": mm, "coclass": c} for mm, c in coclasses],
+            "limit_coclass": limit, "ok": not failures, "failures": failures}
 
 
 # ---------------------------------------------------------------------------
 # the summand-instability scan
-
-
-@dataclass
-class SummandScanReport:
-    scenario: str
-    found: bool
-    witness: dict | None
-    lifted_endomorphisms_stable: bool
-    scanned: list[dict]
-    skipped: list[dict]
-
-    def as_dict(self) -> dict:
-        return {"scenario": self.scenario, "found": self.found, "witness": self.witness,
-                "lifted_endomorphisms_stable": self.lifted_endomorphisms_stable,
-                "scanned": self.scanned, "skipped": self.skipped}
 
 
 def _summand_classes(level: cohomology.SplitLevel) -> list[tuple[tuple, np.ndarray]]:
@@ -465,12 +427,14 @@ def _h3_component(level: cohomology.SplitLevel, row) -> list[int]:
     return [int(ci % p**a) for ci, a in zip(c, level.frame.K_divisor_exps)]
 
 
-# the rescaling stages the summand scan visits, and the largest group order it scans
+# the rescaling stages and chain levels the summand scan visits, and the
+# largest group order it scans
 SCAN_STAGES = (0, 1, 2)
+SCAN_LEVELS = range(1, 7)
 SCAN_GROUP_CAP = 8
 
 
-def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanReport:
+def summand_instability_witness(scn: Scenario) -> dict:
     """Scan for an invertible module endomorphism whose compatible-pair
     action moves some class of the lattice summand of H^2 out of the
     summand, i.e. gives it a nonzero complement component.
@@ -485,8 +449,6 @@ def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanRepor
     period (`cohomology.level_frame`); a level that frame cannot serve is
     skipped for the reason it gives.
     """
-    if n_range is None:
-        n_range = range(1, 7)
     scanned: list[dict] = []
     skipped: list[dict] = []
     witness = None
@@ -499,7 +461,7 @@ def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanRepor
             continue
         stage = scn.stage(k)
         chain_k = stage.chain
-        for n in n_range:
+        for n in SCAN_LEVELS:
             if n > chain_k.depth - 1:
                 break
             try:
@@ -522,8 +484,8 @@ def summand_instability_witness(scn: Scenario, n_range=None) -> SummandScanRepor
                 break
         if witness is not None:
             break
-    return SummandScanReport(scn.name, witness is not None, witness,
-                             lifted_ok, scanned, skipped)
+    return {"scenario": scn.name, "found": witness is not None, "witness": witness,
+            "lifted_endomorphisms_stable": lifted_ok, "scanned": scanned, "skipped": skipped}
 
 
 def _summand_membership_solver(level: cohomology.SplitLevel,
@@ -586,34 +548,7 @@ def _lifted_endos_stable(Tk, Q, H, member, classes) -> bool:
 # the two-level orbit correspondence report
 
 
-@dataclass
-class CorrespondenceReport:
-    scenario: str
-    level: int
-    qualified: bool
-    reason: str | None
-    result: pairs.OrbitCorrespondence | None
-
-    @property
-    def ok(self) -> bool:
-        return self.qualified and self.result is not None and self.result.ok
-
-    def as_dict(self) -> dict:
-        out = {"scenario": self.scenario, "level": self.level,
-               "qualified": self.qualified, "ok": self.ok}
-        if self.reason:
-            out["reason"] = self.reason
-        if self.result is not None:
-            out["equivariant"] = self.result.equivariant
-            out["orbit_sizes"] = sorted(self.result.orbits_n.sizes)
-            out["orbit_sizes_next"] = sorted(self.result.orbits_nd.sizes)
-            out["bijection"] = self.result.bijection
-            if self.result.witness:
-                out["witness"] = self.result.witness
-        return out
-
-
-def orbit_correspondence_report(scn: Scenario, n: int | None = None) -> CorrespondenceReport:
+def orbit_correspondence_report(scn: Scenario, n: int | None = None) -> dict:
     """Certify the orbit bijection between levels n and n + period."""
     bounds = scn.bounds()
     d = scn.period()
@@ -624,6 +559,13 @@ def orbit_correspondence_report(scn: Scenario, n: int | None = None) -> Correspo
     if not bounds.qualifies(n):
         reason = ("level %d violates n >= v*d = %d*%d or n >= b*d = %d*%d"
                   % (n, bounds.v, d, bounds.b_exp, d))
-        return CorrespondenceReport(scn.name, n, False, reason, None)
+        return {"scenario": scn.name, "level": n, "qualified": False, "ok": False,
+                "reason": reason}
     result = pairs.orbit_correspondence(scn.lattice(), scn.chain(), n, d)
-    return CorrespondenceReport(scn.name, n, True, None, result)
+    report = {"scenario": scn.name, "level": n, "qualified": True, "ok": result.ok,
+              "equivariant": result.equivariant, "orbit_sizes": sorted(result.orbits_n.sizes),
+              "orbit_sizes_next": sorted(result.orbits_nd.sizes),
+              "bijection": result.bijection}
+    if result.witness:
+        report["witness"] = result.witness
+    return report

@@ -736,7 +736,7 @@ def split_frame_per_level(chain, n, m=2):
     return cohomology.SplitFrame(m, basis, vf, theta, theta_prec, lifts, divisors)
 
 
-def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
+def summand_scan_per_level_frames(scn):
     """scenarios.summand_instability_witness with the split frame of
     `split_frame_per_level` built at every level rather than one per residue
     class; returns its report."""
@@ -751,7 +751,7 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
                             % scenarios.SCAN_GROUP_CAP})
             continue
         chain_k = stage.chain
-        for n in n_range:
+        for n in scenarios.SCAN_LEVELS:
             if n > chain_k.depth - 1:
                 break
             try:
@@ -773,8 +773,8 @@ def summand_scan_per_level_frames(scn, n_range=range(1, 7)):
                 break
         if witness is not None:
             break
-    return scenarios.SummandScanReport(scn.name, witness is not None, witness,
-                                       lifted_ok, scanned, skipped)
+    return {"scenario": scn.name, "found": witness is not None, "witness": witness,
+            "lifted_endomorphisms_stable": lifted_ok, "scanned": scanned, "skipped": skipped}
 
 
 def stage_chain_by_rebuild(scn, k):
@@ -1249,7 +1249,7 @@ def lcs_report_by_table(scn, max_order):
             li = 1 + j
             actual = series[li - 1] if li - 1 < len(series) else [table.identity]
             if sorted(actual) == expected:
-                identified.append((m, li, len(expected)))
+                identified.append({"chain_index": m, "lcs_index": li, "size": len(expected)})
             else:
                 failures.append(
                     "chain index %d: lcs term %d has size %d, expected the "
@@ -1267,5 +1267,7 @@ def lcs_report_by_table(scn, max_order):
                         % (limit, scn.pro_coclass))
     elif any(c != limit for c in stabilized):
         failures.append("quotient coclass has not stabilized: %s" % coclasses)
-    return scenarios.LcsReport(scn.name, last_m, orders, identified, coclasses,
-                               limit, not failures, failures)
+    return {"scenario": scn.name, "max_chain_index": last_m, "quotient_orders": orders,
+            "identified_terms": identified,
+            "coclasses": [{"chain_index": mm, "coclass": c} for mm, c in coclasses],
+            "limit_coclass": limit, "ok": not failures, "failures": failures}

@@ -251,3 +251,18 @@ def test_a_coclass_criterion_disagreement_is_refused():
     with pytest.raises(extensions.ExtensionError,
                        match="coclass criterion disagreement: cc 1 vs base 1, flag False"):
         extensions.certify(A, lam, l=1)
+
+
+def test_product_of_three_largest_entries_does_not_wrap():
+    # C3 acting trivially on Z/3^39: a.h + b + c(g, h) with every entry q - 1
+    # is 3(q - 1), past 2^63, so the product must reduce after each sum of two
+    C3 = groups.make_table(cyclic_table(3))
+    A = trivial_module(C3, 3, [39])
+    q = A.q
+    tau = np.full((3, 3, 1), q - 1, dtype=np.int64)
+    a = np.full((3, 1), q - 1, dtype=np.int64)
+    g = np.arange(3)
+    pa, pg = extensions._mul(A, tau, a, g, a, g)
+    assert pa.dtype == np.int64
+    assert pa[:, 0].tolist() == [3 * (q - 1) % q] * 3 == [4052555153018976264] * 3
+    assert pg.tolist() == [0, 2, 1]

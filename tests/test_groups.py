@@ -312,7 +312,7 @@ def pipeline_tables():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0
             if argv[0] == "run-all":
-                assert lcs_report_by_table(scenarios.load_scenario(argv[2]), 512).ok
+                assert lcs_report_by_table(scenarios.load_scenario(argv[2]), 512)["ok"]
     return list(tables.values())
 
 

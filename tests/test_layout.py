@@ -1,6 +1,7 @@
 """Every function and method of the package is entered by some command-line
 run, every public name is used by the package, every parameter is read and
-every dataclass field is read, and `linalg` forms every matrix product.
+every dataclass field is read, `linalg` forms every matrix product, and
+every report is the dict its builder returns.
 
 `test_every_function_is_entered_by_a_cli_run` runs the subcommands in process
 under `sys.setprofile` and fails on any function or method of `src/coclass`
@@ -145,17 +146,23 @@ def test_every_function_is_entered_by_a_cli_run(tmp_path):
     assert not missed, "functions that no command-line run enters: %s" % missed
 
 
-def _dataclass_fields(tree):
-    """(class, field) of each annotated field of a class decorated with
-    `dataclass` or `dataclass(...)`."""
+def _dataclasses(tree):
+    """(name, node) of each class decorated with `dataclass` or
+    `dataclass(...)`."""
     for node in ast.walk(tree):
         decorators = [d.func if isinstance(d, ast.Call) else d
                       for d in getattr(node, "decorator_list", [])]
         if isinstance(node, ast.ClassDef) and any(
                 getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield node.name, item.target.id
+            yield node.name, node
+
+
+def _dataclass_fields(tree):
+    """(class, field) of each annotated field of a dataclass."""
+    for name, node in _dataclasses(tree):
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield name, item.target.id
 
 
 def test_every_dataclass_field_is_read_by_the_package():
@@ -212,3 +219,17 @@ def test_every_matrix_product_is_formed_by_linalg():
                    for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
                    for name, line in _matmul_owners(ast.parse(path.read_text()), path.stem))
     assert [name for name, _ in found] == sorted(MATMUL_OUTSIDE_LINALG), found
+
+
+def test_every_report_is_the_dict_its_builder_returns():
+    # one report path: a report is the dict returned by the function that
+    # computes its numbers, and `cli._emit` renders it; no report class or
+    # `as_dict` copies its keys a second time
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += ["%s:%d def as_dict" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "as_dict"]
+        found += ["%s:%d class %s" % (path.name, node.lineno, cls)
+                  for cls, node in _dataclasses(tree) if cls.endswith("Report")]
+    assert not found, "report classes beside the report dicts: %s" % found

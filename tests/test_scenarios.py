@@ -109,18 +109,18 @@ def test_mainline_reduction_is_mainline():
 
 def test_lcs_identification_dihedral():
     rep = scenarios.check_lower_central_series(dihedral(), max_order=128)
-    assert rep.ok, rep.failures
-    assert rep.limit_coclass == 1
-    assert all(c == 1 for _, c in rep.coclasses)
+    assert rep["ok"], rep["failures"]
+    assert rep["limit_coclass"] == 1
+    assert all(c["coclass"] == 1 for c in rep["coclasses"])
 
 
 def test_lcs_identification_d8():
     rep = scenarios.check_lower_central_series(d8(), max_order=256)
-    assert rep.ok, rep.failures
-    assert rep.limit_coclass == 3
+    assert rep["ok"], rep["failures"]
+    assert rep["limit_coclass"] == 3
     # gamma_{1+2k} of the semidirect product is the 2^k-scaled lattice:
     # at chain index 2k the fiber starts the (1+2k)-th term
-    identified = {(m, li) for m, li, _ in rep.identified_terms}
+    identified = {(t["chain_index"], t["lcs_index"]) for t in rep["identified_terms"]}
     assert (4, 5) in identified and (5, 5) in identified
     assert (3, 3) in identified
 
@@ -149,7 +149,7 @@ def test_lcs_report_matches_the_table_oracle(source, max_order, last_order, ok):
     # limit and the failures, against each quotient's table
     rep = scenarios.check_lower_central_series(scenarios.load_scenario(source), max_order)
     assert rep == lcs_report_by_table(scenarios.load_scenario(source), max_order)
-    assert (rep.ok, rep.quotient_orders[-1]) == (ok, last_order)
+    assert (rep["ok"], rep["quotient_orders"][-1]) == (ok, last_order)
 
 
 @pytest.mark.parametrize("source, max_order", [("dihedral_mainline", 512),
@@ -163,7 +163,7 @@ def test_lcs_check_builds_and_keeps_no_table(monkeypatch, source, max_order):
 
     monkeypatch.setattr(extensions, "split_table", refused)
     rep = scenarios.check_lower_central_series(scn, max_order)
-    assert rep.ok and rep.quotient_orders[-1] == max_order
+    assert rep["ok"] and rep["quotient_orders"][-1] == max_order
     assert not [key for key in scn._memo if isinstance(key, tuple) and key[0] == "stage"]
 
 
@@ -175,9 +175,9 @@ def d8_scan():
 
 def test_summand_instability_witness_d8():
     rep = d8_scan()
-    assert rep.found
-    assert rep.lifted_endomorphisms_stable
-    w = rep.witness
+    assert rep["found"]
+    assert rep["lifted_endomorphisms_stable"]
+    w = rep["witness"]
     assert (w["k"], w["n"]) == (0, 2)
     assert any(c != 0 for c in w["h3_component"])
 
@@ -185,7 +185,7 @@ def test_summand_instability_witness_d8():
 def test_witness_is_recheckable():
     scn = d8()
     rep = d8_scan()
-    w = rep.witness
+    w = rep["witness"]
     n = int(w["n"])
     T, chain = scn.lattice(), scn.chain()
     frame = cohomology.split_frame(T, chain, n, m=2)
@@ -217,16 +217,16 @@ def test_witness_is_recheckable():
 
 
 def test_no_witness_on_dihedral():
-    rep = scenarios.summand_instability_witness(dihedral(), n_range=range(1, 4))
-    assert not rep.found
-    assert rep.lifted_endomorphisms_stable
+    rep = scenarios.summand_instability_witness(dihedral())
+    assert not rep["found"]
+    assert rep["lifted_endomorphisms_stable"]
 
 
 def test_correspondence_report_qualifying_and_not():
     rep = scenarios.orbit_correspondence_report(dihedral())
-    assert rep.ok and rep.qualified
+    assert rep["ok"] and rep["qualified"]
     bad = scenarios.orbit_correspondence_report(dihedral(), n=0)
-    assert not bad.qualified and "violates" in bad.reason
+    assert not bad["qualified"] and "violates" in bad["reason"]
 
 
 def test_summand_scan_sizes_a_stage_before_building_it(monkeypatch):
@@ -241,7 +241,7 @@ def test_summand_scan_sizes_a_stage_before_building_it(monkeypatch):
         return table
     monkeypatch.setattr(extensions, "split_table", counted)
     rep = scenarios.summand_instability_witness(scn)
-    assert [(s["k"], s["group_order"]) for s in rep.skipped if "group_order" in s] == [
+    assert [(s["k"], s["group_order"]) for s in rep["skipped"] if "group_order" in s] == [
         (1, 27), (2, 243)]
     assert built == []
 
@@ -265,8 +265,8 @@ def test_summand_scan_tries_only_module_automorphisms(n, exps):
 
 def test_c3_scenario_file_runs_clean():
     rep = scenarios.summand_instability_witness(scenarios.load_scenario(str(C3_EISENSTEIN)))
-    assert not rep.found and rep.lifted_endomorphisms_stable
-    assert [x["n"] for x in rep.scanned] == [2, 3, 4, 5, 6]
+    assert not rep["found"] and rep["lifted_endomorphisms_stable"]
+    assert [x["n"] for x in rep["scanned"]] == [2, 3, 4, 5, 6]
 
 
 # scenario copies for the scan: built-ins, the C3 file, lower precisions, and
@@ -288,7 +288,7 @@ def test_shared_frames_scan_as_frames_per_level(tmp_path, source, changes):
     path.write_text(json.dumps(dict(scenarios.scenario_data(source), **changes)))
     got = scenarios.summand_instability_witness(scenarios.load_scenario(str(path)))
     want = summand_scan_per_level_frames(scenarios.load_scenario(str(path)))
-    assert got.as_dict() == want.as_dict()
+    assert got == want
 
 
 @pytest.mark.parametrize("source, frames", [
@@ -318,7 +318,9 @@ def _frame_key(chain, n):
 def test_correspondence_splits_through_the_frame_of_the_residue_class(monkeypatch, source, n,
                                                                        base):
     scn = scenarios.load_scenario(source)
-    shared = scenarios.orbit_correspondence_report(scn, n).result
+    if n is None:
+        n = scn.bounds().least_qualifying()
+    shared = pairs.orbit_correspondence(scn.lattice(), scn.chain(), n, scn.period())
     keys = [k for k in scn.chain()._memo if k[0] == "frame"]
     assert keys == [_frame_key(scn.chain(), base)]
     # the same certificate through the frame of the correspondence's own
@@ -333,6 +335,6 @@ def test_correspondence_splits_through_the_frame_of_the_residue_class(monkeypatc
         return class_split(chain, level, m)
 
     monkeypatch.setattr(cohomology, "level_split", per_level_split)
-    per_level = scenarios.orbit_correspondence_report(own, n).result
+    per_level = pairs.orbit_correspondence(own.lattice(), own.chain(), n, own.period())
     assert not [k for k in own.chain()._memo if k[0] == "frame"]
     assert shared.ok and shared == per_level

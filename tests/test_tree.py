@@ -94,12 +94,12 @@ def test_shift_two_consecutive_branches():
     scn = dihedral()
     for i in (3, 4):
         rep, dst = coclass_tree.nu_shift(scn, branch(i), dst=branch(i + 1))
-        assert rep.ok, rep.failures
-        assert len(rep.vertex_map) == len(branch(i).vertices)
+        assert rep["ok"], rep["failures"]
+        assert len(rep["vertex_map"]) == len(branch(i).vertices)
         # the shift respects the group type: images are the extensions whose
         # involution pattern matches, scaled one order up
         src = branch(i)
-        for a, b in rep.vertex_map:
+        for a, b in rep["vertex_map"]:
             va, vb = src.vertices[a], dst.vertices[b]
             assert vb.distance == va.distance
             assert vb.order == 2 * va.order
@@ -118,7 +118,7 @@ def test_shift_two_consecutive_branches():
 
 def test_shift_maps_root_to_root():
     rep, dst = coclass_tree.nu_shift(dihedral(), branch(3), dst=branch(4))
-    mapped = dict(rep.vertex_map)
+    mapped = dict(rep["vertex_map"])
     assert mapped[branch(3).root.index] == dst.root.index
 
 
@@ -187,7 +187,7 @@ def test_shift_splits_through_the_frame_of_the_residue_class():
     scn = scenarios.load_scenario("dihedral_mainline")
     rep, _ = coclass_tree.nu_shift(scn, coclass_tree.build_branch(scn, 7, 1))
     top = scn.top()
-    assert rep.ok and top.period == 1
+    assert rep["ok"] and top.period == 1
     basis, _ = cohomology.primitive_basis(top.chain, 1)
     assert [key for key in top.chain._memo if key[0] == "frame"] == [
         ("frame", 2, basis.astype(np.int64).tobytes())]
