@@ -413,17 +413,17 @@ class SplitLevel:
         """tau = theta(gamma) + sum c_i kappa_i exactly on cocycles.
 
         Returns (gamma, c) with gamma a T-valued m-cocycle row and c the
-        K-lift coefficients.
+        K-lift coefficients, for one row or for each row of a stack.
         """
         x = self._solver.solve(np.asarray(tau_hat) % self.Q.module.q, modulus=self.Q.lattice.q)
         if x is None:
             raise CohomologyError("cocycle does not split; it may not be a cocycle")
         q = self.Q.lattice.q
         nt = self.frame.theta_rows.shape[0]
-        return linalg.dot_mod(x[:nt], self.frame.theta_rows, q, q), x[nt:]
+        return linalg.dot_mod(x[..., :nt], self.frame.theta_rows, q, q), x[..., nt:]
 
     def k_lift(self, c) -> np.ndarray:
-        """T-valued cochain lift of the K-part with the given coefficients."""
+        """T-valued cochain lift of the K-part with the given coefficients (a stack too)."""
         q = self.Q.lattice.q
         out = linalg.dot_mod(np.asarray(c, dtype=np.int64), self.frame.K_lifts, q, q)
         return linalg.mul_mod(pow(self.Q.lattice.p, self.scale_exp, q), out, q)
@@ -472,7 +472,8 @@ def restrict_level(Q_from: QuotientModule, Q_to: QuotientModule, row) -> np.ndar
 
 
 def id_oplus_mu(src: SplitLevel, dst: SplitLevel, tau_hat) -> np.ndarray:
-    """The shift H^m(R, A_n) -> H^m(R, A_{n+d}) on cocycle representatives.
+    """The shift H^m(R, A_n) -> H^m(R, A_{n+d}) on cocycle representatives,
+    one row or a stack.
 
     Decomposes tau = theta(gamma) + kappa and returns the reduction of
     gamma + p^k delta at the destination level, where delta is the T-valued

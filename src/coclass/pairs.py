@@ -7,7 +7,8 @@ action matrices M_g.  The pairs act on cocycles by
     (tau . (beta, eps))(g, h) = tau(beta^{-1} g, beta^{-1} h) . eps
 
 and the induced orbits on H^2 classify the extensions up to the relevant
-isomorphisms.  This module also builds the complement E_n of the reduced
+isomorphisms; every action is `act_on_cochains`, the pairs of one beta on a
+stack of rows.  This module also builds the complement E_n of the reduced
 lattice endomorphisms inside End(A_n), the homomorphisms rho/pi whose images
 generate the pair group at deep levels, and the certified orbit bijection
 between two consecutive qualifying levels.
@@ -92,12 +93,6 @@ def compatible_pairs(A: FiniteModule) -> list[CompatiblePair]:
 # action on cochains and on H^2
 
 
-def act_on_cochain(H: CohomologyGroup, pair: CompatiblePair, row) -> np.ndarray:
-    """(tau.(beta, eps))(g_1..g_m) = tau(g_1^{beta^-1}, ..).eps on hatted rows."""
-    return act_on_cochains(H, pair.beta, np.asarray(pair.eps_hat)[None],
-                           np.asarray(row)[None])[0, 0]
-
-
 def act_on_cochains(H: CohomologyGroup, beta, eps_hats, rows) -> np.ndarray:
     """The pair (beta, eps_hats[s]) acting on rows[c], at [s, c]: one gather
     of the bar slots and one matmul for the whole stack."""
@@ -157,28 +152,32 @@ class OrbitPartition:
 
 
 def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartition:
-    """Exact orbit partition of H under the pairs, by breadth-first closure."""
+    """Exact orbit partition of H under the pairs.
+
+    The induced matrices are closed once into the acting group; the orbit of
+    an element is its image under every matrix of that group, and a class is
+    named by the least mixed-radix index in it, so classes come in the order
+    of their least member and list their members in index order."""
     gens = list({M.tobytes(): M for M in _h2_matrices(H, pairs)}.values())
-    # close the induced image under composition to get the acting order
     mods = H.structure.moduli()
     closed = groups.closure(gens, gens, lambda X, Y: _coord_product(H, X, Y),
                             key=lambda X: X.tobytes())
     acting_order = max(len(closed), 1)
-    index: dict[tuple, int] = {}
-    classes: list[list[tuple]] = []
-    for start in map(tuple, groups.all_coord_rows(mods.tolist()).tolist()):
-        if start in index:
-            continue
-        orbit = groups.closure([start], gens, lambda c, M: tuple(_coord_product(H, c, M).tolist()))
-        index.update(dict.fromkeys(orbit, len(classes)))
-        classes.append(sorted(orbit))
+    elements = groups.all_coord_rows(mods.tolist())
+    least = np.arange(len(elements))
+    for M in closed.values():
+        image = _coord_product(H, elements, M)
+        least = np.minimum(least, np.ravel_multi_index(tuple(image.T), mods.tolist()))
+    names, of = np.unique(least, return_inverse=True)
+    index = dict(zip(map(tuple, elements.tolist()), of.tolist()))
+    classes: list[list[tuple]] = [[] for _ in names]
+    for t, c in index.items():
+        classes[c].append(t)
     sizes = [len(c) for c in classes]
-    stabs = []
     for s in sizes:
         if acting_order % s:
             raise PairError("orbit size %d does not divide the acting order %d" % (s, acting_order))
-        stabs.append(acting_order // s)
-    return OrbitPartition(classes, sizes, stabs, acting_order, index)
+    return OrbitPartition(classes, sizes, [acting_order // s for s in sizes], acting_order, index)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +436,9 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
 
     Checks the equivariance identity shift(tau.g) = shift(tau).partner(g) on
     every H^2 element and every matched generator, then matches the full
-    orbit partitions through the shift.
+    orbit partitions through the shift.  The elements are one stack, shifted
+    once; each generator moves that stack and the shifted one, and the
+    witness is the first failure, generators outermost.
     """
     nd = n + period
     Q_n, Q_nd = chain.quotient(n), chain.quotient(nd)
@@ -445,33 +446,29 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
     lev_n, lev_nd = cohomology.level_split(chain, n), cohomology.level_split(chain, nd)
     H_n, H_nd = lev_n.H, lev_nd.H
     gens = generator_pairs(T, Q_n, Q_nd, data)
+    elements = H_n.representative(groups.all_coord_rows(H_n.structure.moduli().tolist()))
+    shifted = cohomology.id_oplus_mu(lev_n, lev_nd, elements)
     witness = None
-    equivariant = True
-    elements = [H_n.representative(c)
-                for c in groups.all_coord_rows(H_n.structure.moduli().tolist())]
     for gp in gens:
-        for tau in elements:
-            moved = act_on_cochain(H_n, gp.at_n, tau)
-            lhs = H_nd.coords(cohomology.id_oplus_mu(lev_n, lev_nd, moved))
-            shifted = cohomology.id_oplus_mu(lev_n, lev_nd, tau)
-            rhs = H_nd.coords(act_on_cochain(H_nd, gp.at_nd, shifted))
-            if not np.array_equal(lhs, rhs):
-                equivariant = False
-                witness = {"kind": gp.kind, "tau_coords": H_n.coords(tau).tolist(),
-                           "lhs": lhs.tolist(), "rhs": rhs.tolist()}
-                break
-        if not equivariant:
+        moved = act_on_cochains(H_n, gp.at_n.beta, gp.at_n.eps_hat[None], elements)[0]
+        lhs = H_nd.coords(cohomology.id_oplus_mu(lev_n, lev_nd, moved))
+        rhs = H_nd.coords(act_on_cochains(H_nd, gp.at_nd.beta, gp.at_nd.eps_hat[None],
+                                          shifted)[0])
+        bad = np.flatnonzero((lhs != rhs).any(axis=-1))
+        if len(bad):
+            i = bad[0]
+            witness = {"kind": gp.kind, "tau_coords": H_n.coords(elements[i]).tolist(),
+                       "lhs": lhs[i].tolist(), "rhs": rhs[i].tolist()}
             break
-    pairs_n = compatible_pairs(Q_n.module)
-    pairs_nd = compatible_pairs(Q_nd.module)
-    orb_n = orbits_on_h2(H_n, pairs_n)
-    orb_nd = orbits_on_h2(H_nd, pairs_nd)
+    equivariant = witness is None
+    orb_n = orbits_on_h2(H_n, compatible_pairs(Q_n.module))
+    orb_nd = orbits_on_h2(H_nd, compatible_pairs(Q_nd.module))
     bijection = []
     if equivariant and orb_n.count == orb_nd.count:
+        reps = H_n.representative(np.array([cl[0] for cl in orb_n.classes], dtype=np.int64))
+        images = H_nd.coords(cohomology.id_oplus_mu(lev_n, lev_nd, reps))
         hit = set()
-        for i, cl in enumerate(orb_n.classes):
-            rep = H_n.representative(cl[0])
-            img = H_nd.coords(cohomology.id_oplus_mu(lev_n, lev_nd, rep))
+        for i, img in enumerate(images):
             j = orb_nd.orbit_of(img)
             if j in hit or orb_n.sizes[i] != orb_nd.sizes[j]:
                 bijection = []

@@ -508,7 +508,7 @@ def _scan_level(k, n, level, H, A, member, classes):
     s, c = hit
     eps_hat = hats[autos[s]]
     cls, row = classes[c]
-    image = pairs.act_on_cochain(H, pairs.CompatiblePair(np.arange(A.group.order), eps_hat), row)
+    image = pairs.act_on_cochains(H, np.arange(A.group.order), eps_hat[None], row[None])[0, 0]
     return {
         "k": k, "n": n, "form": ("eps", "one_plus_eps")[autos[s] % 2],
         "eps_hat": eps_hat.tolist(), "class_coords": cls,

@@ -454,6 +454,11 @@ def semi_brute_h_stats(mul, identity, moduli, act, m, p):
     return stats
 
 
+def act_on_row(H, pair, row):
+    """One pair acting on one cochain row, through the package's stacked action."""
+    return pairs.act_on_cochains(H, pair.beta, pair.eps_hat[None], np.asarray(row)[None])[0, 0]
+
+
 def brute_act_on_cochain(H, pair, row):
     """(tau.(beta, eps))(g_1..g_m) = tau(g_1^{beta^-1}, ..).eps, one tuple at a time."""
     A = H.module
@@ -1040,6 +1045,65 @@ def check_pi_rho_trivial_on_h2(H, rp):
     ident = np.eye(len(mods), dtype=np.int64) % mods[None, :]
     return all(np.array_equal(M % mods[None, :], ident)
                for M in pairs._h2_matrices(H, rp.pi_rho_pairs))
+
+
+def orbits_by_permutations(H, ps):
+    """(classes, stabiliser sizes, acting order) of the pairs on H, read from
+    the permutation each pair induces on the coordinate tuples: the classes
+    by reachability along those permutations, each sorted, in the order of
+    their least member; the acting group by closing the permutations under
+    composition (the action of GL(H) on the elements of H is faithful), and
+    each stabiliser by counting the permutations that fix the class's least
+    member."""
+    coords = [tuple(c) for c in groups.all_coord_rows(H.structure.moduli().tolist()).tolist()]
+    where = {c: i for i, c in enumerate(coords)}
+    reps = H.representative(np.array(coords, dtype=np.int64).reshape(len(coords), -1))
+    gens = set()
+    for x in ps:
+        moved = H.coords(pairs.act_on_cochains(H, x.beta, x.eps_hat[None], reps)[0])
+        gens.add(tuple(where[tuple(c)] for c in moved.tolist()))
+    group = {tuple(range(len(coords)))}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = tuple(g[i] for i in a)
+                if b not in group:
+                    group.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    seen, classes = set(), []
+    for i in range(len(coords)):
+        if i in seen:
+            continue
+        orbit, frontier = {i}, [i]
+        while frontier:
+            frontier = [g[j] for j in frontier for g in gens if g[j] not in orbit]
+            orbit.update(frontier)
+        seen |= orbit
+        classes.append([coords[j] for j in sorted(orbit)])
+    stabs = [sum(g[where[cl[0]]] == where[cl[0]] for g in group) for cl in classes]
+    return classes, stabs, len(group)
+
+
+def equivariance_by_element(src, dst, gens):
+    """(verdict, witness) of shift(tau.g) = shift(tau).partner(g), checked
+    one H^2 element and one generator pair at a time, generators outermost,
+    with the per-tuple action; the witness is the first failure, in the form
+    of `pairs.OrbitCorrespondence.witness`."""
+    H_n, H_nd = src.H, dst.H
+    for gp in gens:
+        for c in groups.all_coord_rows(H_n.structure.moduli().tolist()):
+            tau = H_n.representative(c)
+            moved = brute_act_on_cochain(H_n, gp.at_n, tau)
+            lhs = H_nd.coords(cohomology.id_oplus_mu(src, dst, moved))
+            shifted = cohomology.id_oplus_mu(src, dst, tau)
+            rhs = H_nd.coords(brute_act_on_cochain(H_nd, gp.at_nd, shifted))
+            if not np.array_equal(lhs, rhs):
+                return False, {"kind": gp.kind, "tau_coords": H_n.coords(tau).tolist(),
+                               "lhs": lhs.tolist(), "rhs": rhs.tolist()}
+    return True, None
 
 
 @dataclass

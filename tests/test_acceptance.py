@@ -290,9 +290,8 @@ def test_summand_instability_witness_and_recheck():
     _, c = level.decompose(row)
     assert not any(int(ci) % T.p**a for ci, a in zip(c, frame.K_divisor_exps))
     eps = np.array([[int(x) for x in r] for r in w["eps_hat"]], dtype=np.int64)
-    moved = pairs.act_on_cochain(level.H, pairs.CompatiblePair(
-        np.arange(level.Q.module.group.order, dtype=np.int64),
-        level.Q.module.canonical(eps)), row)
+    moved = pairs.act_on_cochains(level.H, np.arange(level.Q.module.group.order),
+                                  level.Q.module.canonical(eps)[None], row[None])[0, 0]
     _, c2 = level.decompose(moved)
     got = [int(ci) % T.p**a for ci, a in zip(c2, frame.K_divisor_exps)]
     assert got == [int(x) for x in w["h3_component"]]

@@ -86,19 +86,21 @@ def test_a_non_equivariant_generator_is_reported_in_strings(monkeypatch, capsys)
     # nonzero class, so that generator pair is no longer equivariant
     partners = []
 
-    def generator_pairs(*args, _fn=pairs.generator_pairs):
-        gens = _fn(*args)
-        partners.append(gens[0].at_nd)
+    def generator_pairs(T, Q_n, Q_nd, data, _fn=pairs.generator_pairs):
+        gens = _fn(T, Q_n, Q_nd, data)
+        partners.append((Q_nd.module, gens[0].at_nd))
         return gens
 
-    def act(H, pair, row, _fn=pairs.act_on_cochain):
-        moved = _fn(H, pair, row)
-        if pair is partners[0]:
+    def act(H, beta, eps_hats, rows, _fn=pairs.act_on_cochains):
+        moved = _fn(H, beta, eps_hats, rows)
+        module, partner = partners[0]
+        if (H.module is module and len(eps_hats) == 1 and np.array_equal(beta, partner.beta)
+                and np.array_equal(eps_hats[0], partner.eps_hat)):
             first = np.eye(1, len(H.structure.exps), dtype=np.int64)[0]
             moved = (moved + H.representative(first)) % H.module.q
         return moved
     monkeypatch.setattr(pairs, "generator_pairs", generator_pairs)
-    monkeypatch.setattr(pairs, "act_on_cochain", act)
+    monkeypatch.setattr(pairs, "act_on_cochains", act)
     code, out = run(["correspondence", "--scenario", "dihedral_mainline"], capsys)
     assert code == 1
     data = json.loads(out)

@@ -340,6 +340,12 @@ def test_split_level_d8():
         back = (cohomology.lattice_row_to_quotient(lvl.Q, gamma)
                 + cohomology.lattice_row_to_quotient(lvl.Q, lvl.k_lift(c))) % lvl.Q.module.q
         assert np.array_equal(back, row % lvl.Q.module.q)
+    # a stack of rows decomposes as each row on its own
+    gammas, cs = lvl.decompose(lvl.H.cocycles)
+    for row, gamma, c in zip(lvl.H.cocycles, gammas, cs):
+        one = lvl.decompose(row)
+        assert np.array_equal(gamma, one[0]) and np.array_equal(c, one[1])
+    assert np.array_equal(lvl.k_lift(cs), np.array([lvl.k_lift(c) for c in cs]))
 
 
 def test_id_oplus_mu_is_iso_on_classes():
@@ -363,6 +369,10 @@ def test_id_oplus_mu_is_iso_on_classes():
         back = id_oplus_mu_inverse(src, dst, img)
         assert tuple(src.H.coords(back)) == tuple(int(x) for x in coords)
     assert len(seen) == src.H.order
+    # a stack of rows shifts as each row on its own
+    taus = src.H.representative(groups.all_coord_rows(src.H.structure.moduli().tolist()))
+    assert np.array_equal(cohomology.id_oplus_mu(src, dst, taus),
+                          np.array([cohomology.id_oplus_mu(src, dst, tau) for tau in taus]))
 
 
 def test_id_oplus_mu_additive():

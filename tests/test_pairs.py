@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from coclass import cohomology, groups, linalg, modules, pairs
+from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
-from brute_force import (brute_act_on_cochain, check_centralizing, check_pi_rho_trivial_on_h2,
-                         check_rho_additivity, is_coboundary, pair_compose, pair_identity,
-                         pair_inverse, pair_key, rho_pi_pairs)
+from brute_force import (act_on_row, brute_act_on_cochain, check_centralizing,
+                         check_pi_rho_trivial_on_h2, check_rho_additivity,
+                         equivariance_by_element, is_coboundary, orbits_by_permutations,
+                         pair_compose, pair_identity, pair_inverse, pair_key, rho_pi_pairs)
 
 
 def cyclic_table(n):
@@ -91,11 +92,11 @@ def test_action_is_a_group_action_on_classes():
     for i in picks:
         x = ps[int(i)]
         inv = pair_inverse(A, x)
-        back = pairs.act_on_cochain(H, inv, pairs.act_on_cochain(H, x, rep))
+        back = act_on_row(H, inv, act_on_row(H, x, rep))
         assert np.array_equal(H.coords(back), H.coords(rep))
         # identity pair fixes everything
     ident = pair_identity(A)
-    assert np.array_equal(H.coords(pairs.act_on_cochain(H, ident, rep)), H.coords(rep))
+    assert np.array_equal(H.coords(act_on_row(H, ident, rep)), H.coords(rep))
 
 
 def test_action_sends_coboundaries_to_coboundaries():
@@ -105,7 +106,7 @@ def test_action_sends_coboundaries_to_coboundaries():
     ps = pairs.compatible_pairs(Q.module)
     for row in H.boundaries[:4]:
         for x in ps[:6]:
-            assert is_coboundary(H, pairs.act_on_cochain(H, x, row))
+            assert is_coboundary(H, act_on_row(H, x, row))
 
 
 def test_chain_terms_invariant_under_lattice_pairs():
@@ -118,34 +119,92 @@ def test_chain_terms_invariant_under_lattice_pairs():
             assert linalg.howell(B, T.p, T.N, track=True).solve(img) is not None
 
 
-def test_orbits_against_brute_reachability():
-    T, chain, _ = c2_setup()
-    Q = modules.quotient(T, chain, 3)
+@pytest.mark.parametrize("setup,n", [("dihedral", 3)] + [("d8", n) for n in range(1, 5)],
+                         ids=lambda x: str(x))
+def test_orbits_against_brute_reachability(setup, n):
+    T, chain, _ = {"dihedral": c2_setup, "d8": d8_setup}[setup]()
+    Q = modules.quotient(T, chain, n)
     H = cohomology.finite_cohomology(Q.module, 2)
     ps = pairs.compatible_pairs(Q.module)
     orb = pairs.orbits_on_h2(H, ps)
-    # literal oracle: act on representative rows of every class by every pair
-    coords = [tuple(c) for c in groups.all_coord_rows(H.structure.moduli().tolist()).tolist()]
-    parent = {c: c for c in coords}
+    classes, stabs, acting_order = orbits_by_permutations(H, ps)
+    assert orb.classes == classes
+    assert orb.sizes == [len(cl) for cl in classes]
+    assert orb.stabilizer_sizes == stabs
+    assert orb.acting_order == acting_order
 
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
 
-    for c in coords:
-        rep = H.representative(c)
-        for x in ps:
-            img = tuple(int(v) for v in H.coords(pairs.act_on_cochain(H, x, rep)))
-            ra, rb = find(c), find(img)
-            if ra != rb:
-                parent[ra] = rb
-    brute = {}
-    for c in coords:
-        brute.setdefault(find(c), []).append(c)
-    assert sorted(len(v) for v in brute.values()) == sorted(orb.sizes)
-    assert len(brute) == orb.count
+def test_orbits_under_two_pairs_are_orbits_of_the_group_they_generate():
+    # every test above passes the whole pair group, whose induced matrices
+    # are closed already; two pairs of V4 acting trivially on (Z/4)^2
+    # generate more than their own two matrices
+    V4 = groups.make_table([[i ^ j for j in range(4)] for i in range(4)])
+    A = modules.finite_module_from_plain(V4, 2, [2, 2], [np.eye(2, dtype=np.int64)] * 4)
+    H = cohomology.finite_cohomology(A, 2)
+    ps = pairs.compatible_pairs(A)
+    two = [ps[int(i)] for i in np.random.default_rng(0).choice(len(ps), 2, replace=False)]
+    orb = pairs.orbits_on_h2(H, two)
+    classes, stabs, acting_order = orbits_by_permutations(H, two)
+    assert acting_order > 2
+    assert (orb.classes, orb.stabilizer_sizes, orb.acting_order) == (classes, stabs, acting_order)
+
+
+def _correspondence_inputs(name):
+    scn = scenarios.load_scenario(name)
+    T, chain, d = scn.lattice(), scn.chain(), scn.period()
+    n = scn.bounds().least_qualifying()
+    gens = pairs.generator_pairs(T, chain.quotient(n), chain.quotient(n + d),
+                                 pairs.rho_pi_data(T, chain, n, d))
+    return T, chain, n, d, gens
+
+
+def _perturbed(gens, A):
+    """The d8 generators with two partners replaced by other compatible pairs:
+    the second lattice generator's by the complement generator's, and the
+    complement generator's by the identity, so both fail."""
+    ident = pairs.CompatiblePair(np.arange(A.group.order, dtype=np.int64),
+                                 A.hat_matrix(np.eye(A.rank, dtype=np.int64)))
+    out = list(gens)
+    out[1] = pairs.GeneratorPair(gens[1].kind, gens[1].at_n, gens[-1].at_nd)
+    out[-1] = pairs.GeneratorPair(gens[-1].kind, gens[-1].at_n, ident)
+    return out
+
+
+@pytest.mark.parametrize("case", ["dihedral_mainline", "d8_gaussian", "d8_gaussian perturbed"])
+def test_equivariance_matches_the_per_element_loop(case, monkeypatch):
+    name = case.split()[0]
+    T, chain, n, d, gens = _correspondence_inputs(name)
+    if case.endswith("perturbed"):
+        gens = _perturbed(gens, chain.quotient(n + d).module)
+    monkeypatch.setattr(pairs, "generator_pairs", lambda *args: gens)
+    cor = pairs.orbit_correspondence(T, chain, n, d)
+    want = equivariance_by_element(cohomology.level_split(chain, n),
+                                   cohomology.level_split(chain, n + d), gens)
+    assert (cor.equivariant, cor.witness) == want
+    assert cor.equivariant == (not case.endswith("perturbed"))
+
+
+def test_the_orbit_layer_shifts_and_closes_once(monkeypatch):
+    T, chain, n, d, gens = _correspondence_inputs("d8_gaussian")
+    calls = {"id_oplus_mu": 0, "closure": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    counted(cohomology, "id_oplus_mu")
+    counted(groups, "closure")
+    cor = pairs.orbit_correspondence(T, chain, n, d)
+    assert cor.ok
+    assert calls["id_oplus_mu"] <= len(gens) + 2
+    H = cohomology.level_split(chain, n).H
+    ps = pairs.compatible_pairs(chain.quotient(n).module)
+    calls["closure"] = 0
+    pairs.orbits_on_h2(H, ps)
+    assert calls["closure"] == 1
 
 
 def test_zero_class_is_a_fixed_point():

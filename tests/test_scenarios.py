@@ -204,7 +204,7 @@ def test_witness_is_recheckable():
     row = lookup[key]
     member = scenarios._summand_membership_solver(level, H)
     assert not np.any(member.reduce(row))
-    image = pairs.act_on_cochain(H, pair, row)
+    image = pairs.act_on_cochains(H, pair.beta, pair.eps_hat[None], row[None])[0, 0]
     assert np.any(member.reduce(image))
     comp = scenarios._h3_component(level, image)
     assert comp == w["h3_component"]
