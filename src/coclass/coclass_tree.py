@@ -171,9 +171,10 @@ def _check_orbit_isomorphism(top: TopQuotient, levels: dict[int, LevelData], ver
     If gamma_l(E) = A for the extension E of a class c, then A is
     characteristic in E, so an isomorphism E_c -> E_c' maps A onto A and
     induces a compatible pair (beta, eps) with [c'] = [c].(beta, eps).
-    `pairs.compatible_pairs` holds every automorphism beta of G with every
-    invertible compatible eps, so classes in distinct orbits give
-    non-isomorphic groups (Eick and O'Brien, "Enumerating p-groups", 1999).
+    `pairs.compatible_pairs` holds, for every automorphism beta of G, the
+    stack of every invertible compatible eps, and leaves out only the beta
+    that have none, so classes in distinct orbits give non-isomorphic
+    groups (Eick and O'Brien, "Enumerating p-groups", 1999).
     This checks the premises that vary by vertex: each one's certificate
     has gamma_l(E) = A, and no two vertices of a level share an orbit.
     """

@@ -268,9 +268,10 @@ def table_from_generators(right) -> GroupTable:
 # presentations
 
 
-def _parse_word(word: str, gen_names: list[str]) -> list[int]:
-    """Parse 'a^-1 b a b' into signed generator indices (1-based, sign = inverse)."""
-    out: list[int] = []
+def _parse_word(word: str, gen_names: list[str]) -> list[tuple[int, int]]:
+    """Parse 'a^-1 b a^3' into (signed generator index, exponent) powers, the
+    index 1-based and negative for an inverse."""
+    powers: list[tuple[int, int]] = []
     for tok in word.replace("*", " ").split():
         if "^" in tok:
             name, expo = tok.split("^")
@@ -280,15 +281,23 @@ def _parse_word(word: str, gen_names: list[str]) -> list[int]:
         if name not in gen_names:
             raise GroupError("unknown generator %r in word %r" % (name, word))
         idx = gen_names.index(name) + 1
-        s = idx if e > 0 else -idx
-        out.extend([s] * abs(e))
-    return out
+        powers.append((idx if e > 0 else -idx, abs(e)))
+    return powers
 
 
 def from_presentation(gen_names: list[str], relator_words: list[str]) -> GroupTable:
     """Finite group from a presentation via coset enumeration over the trivial
-    subgroup; an order above CLOSURE_CAP is refused before the table is built."""
-    relators = [_parse_word(w, gen_names) for w in relator_words]
+    subgroup.  Relators longer in all than the coset-table cap of
+    4 * CLOSURE_CAP letters are refused before they are expanded, and an
+    order above CLOSURE_CAP before the table is built."""
+    words = [_parse_word(w, gen_names) for w in relator_words]
+    length = 0
+    for word, powers in zip(relator_words, words):
+        length += sum(e for _, e in powers)
+        if length > 4 * CLOSURE_CAP:
+            raise GroupError("relator %r takes the relators past %d letters, the coset-table cap"
+                             % (word, 4 * CLOSURE_CAP))
+    relators = [[s for s, e in powers for _ in range(e)] for powers in words]
     ngens = len(gen_names)
     cols = 2 * ngens  # generator g -> column 2(g-1), inverse -> 2(g-1)+1
 

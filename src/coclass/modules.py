@@ -376,7 +376,8 @@ def fixed_points(W: FiniteModule, subgroup_elems) -> np.ndarray:
 class HomSpace(Owner):
     """hom_R(V, W) as a finite abelian group of plain coordinate matrices.  It
     holds its enumeration (`matrices`) and, as `pairs.compatible_pairs` finds
-    them, the invertible homs among it."""
+    them, the invertible homs among it: one hatted (s, r, r) stack, which is
+    the eps stack of every beta whose hom(A, A^(beta)) is this space."""
 
     domain: FiniteModule
     codomain: FiniteModule

@@ -7,7 +7,8 @@ action matrices M_g.  The pairs act on cocycles by
     (tau . (beta, eps))(g, h) = tau(beta^{-1} g, beta^{-1} h) . eps
 
 and the induced orbits on H^2 classify the extensions up to the relevant
-isomorphisms; every action is `act_on_cochains`, the pairs of one beta on a
+isomorphisms.  A set of pairs is held as one (beta, eps stack) entry per
+automorphism beta, and every action is `act_on_cochains`, one stack on a
 stack of rows.  This module also builds the complement E_n of the reduced
 lattice endomorphisms inside End(A_n), the homomorphisms rho/pi whose images
 generate the pair group at deep levels, and the certified orbit bijection
@@ -31,15 +32,6 @@ class PairError(CoclassError):
 
 # ---------------------------------------------------------------------------
 # the pair group on a finite module
-
-
-@dataclass
-class CompatiblePair:
-    """(beta, eps) with eps in hatted coordinates on the finite module, in
-    the canonical form of `FiniteModule.canonical`."""
-
-    beta: np.ndarray  # index permutation of the group
-    eps_hat: np.ndarray  # hatted matrix, row i reduced mod p^{e_i}
 
 
 def automorphism_mask(A: FiniteModule, eps_hat) -> np.ndarray:
@@ -72,10 +64,13 @@ def satisfies_compatibility(A: FiniteModule, beta, eps_hats) -> np.ndarray:
     return ok
 
 
-def compatible_pairs(A: FiniteModule) -> list[CompatiblePair]:
-    """All pairs (beta, eps) by exhausting hom(A, A^(beta)) = hom(A, A pulled back along beta);
-    the space holds its invertible homs, hatted, so the betas that share it
-    share their enumeration and filtering."""
+def compatible_pairs(A: FiniteModule) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All pairs, as (beta, eps_hats) for each automorphism beta that has an
+    invertible compatible eps: the (s, r, r) stack of every such eps, hatted
+    and canonical, in hom-space enumeration order; the betas come in
+    `GroupTable.automorphisms` order.  Each stack exhausts hom(A, A^(beta)) =
+    hom(A, A pulled back along beta); the space holds its invertible homs, so
+    the betas that share it share their enumeration and filtering."""
     out = []
     for beta in A.group.automorphisms():
         hs = A.hom_to(A.pullback(A.group, beta))
@@ -85,7 +80,8 @@ def compatible_pairs(A: FiniteModule) -> list[CompatiblePair]:
         hats = hs.derived("automorphisms", invertible)
         if not satisfies_compatibility(A, beta, hats).all():
             raise PairError("hom space produced an incompatible pair")
-        out.extend(CompatiblePair(beta, eps_hat) for eps_hat in hats)
+        if len(hats):
+            out.append((beta, hats))
     return out
 
 
@@ -117,14 +113,6 @@ def induced_h2_matrix(H: CohomologyGroup, beta, eps_hats) -> np.ndarray:
     return H.coords(moved.reshape(-1, moved.shape[-1])).reshape(len(eps_hats), k, k)
 
 
-def _h2_matrices(H: CohomologyGroup, pairs: list[CompatiblePair]) -> list[np.ndarray]:
-    """The matrix of each pair on H coordinates, one stack per beta."""
-    by_beta: dict[bytes, tuple[np.ndarray, list]] = {}
-    for pair in pairs:
-        by_beta.setdefault(pair.beta.tobytes(), (pair.beta, []))[1].append(pair.eps_hat)
-    return [M for beta, eps in by_beta.values() for M in induced_h2_matrix(H, beta, np.stack(eps))]
-
-
 def _coord_product(H: CohomologyGroup, X, Y) -> np.ndarray:
     """X @ Y on H coordinates, each column reduced mod its own modulus, which
     divides the module's q."""
@@ -151,14 +139,17 @@ class OrbitPartition:
         return self.orbit_index[t]
 
 
-def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartition:
-    """Exact orbit partition of H under the pairs.
+def orbits_on_h2(H: CohomologyGroup, stacks) -> OrbitPartition:
+    """Exact orbit partition of H under the pairs of the (beta, eps_hats)
+    stacks.
 
-    The induced matrices are closed once into the acting group; the orbit of
-    an element is its image under every matrix of that group, and a class is
-    named by the least mixed-radix index in it, so classes come in the order
-    of their least member and list their members in index order."""
-    gens = list({M.tobytes(): M for M in _h2_matrices(H, pairs)}.values())
+    The matrices of each stack are induced at once and closed once into the
+    acting group; the orbit of an element is its image under every matrix of
+    that group, and a class is named by the least mixed-radix index in it, so
+    classes come in the order of their least member and list their members
+    in index order."""
+    gens = list({M.tobytes(): M for beta, eps_hats in stacks
+                 for M in induced_h2_matrix(H, beta, eps_hats)}.values())
     mods = H.structure.moduli()
     closed = groups.closure(gens, gens, lambda X, Y: _coord_product(H, X, Y),
                             key=lambda X: X.tobytes())
@@ -184,29 +175,23 @@ def orbits_on_h2(H: CohomologyGroup, pairs: list[CompatiblePair]) -> OrbitPartit
 # the lattice pair group, reduced modulo c
 
 
-def lattice_pairs_mod(T: LatticeModule, c_exp: int):
-    """Representatives (beta, eps) of the image of the lattice pair group in
-    the pairs of T / p^c T.
+def lattice_pairs_mod(T: LatticeModule, c_exp: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Representatives of the image of the lattice pair group in the pairs of
+    T / p^c T, as (beta, lattice eps stack) for each beta that has one.
 
     eps runs over the lattice endomorphisms with coefficients mod p^c,
-    filtered by invertibility mod p; distinct reductions are kept once, each
-    with a full-precision lattice representative.
+    filtered by invertibility mod p; each reduction mod p^c is kept once, by
+    its first full-precision lattice representative.
     """
     qc = T.p**c_exp
     out = []
     for beta in T.group.automorphisms():
         endos = modules.lattice_endomorphisms(T, qc, beta)
-        first: dict[bytes, np.ndarray] = {}
-        for eps in endos[linalg.invertible_mod_p(endos, T.p)]:
-            first.setdefault((eps % qc).tobytes(), eps)
-        out.extend((beta, eps) for eps in first.values())
+        endos = endos[linalg.invertible_mod_p(endos, T.p)]
+        if len(endos):
+            _, first = np.unique((endos % qc).reshape(len(endos), -1), axis=0, return_index=True)
+            out.append((beta, endos[np.sort(first)]))
     return out
-
-
-def reduce_pair(Q: QuotientModule, beta, eps_lattice) -> CompatiblePair:
-    """The pair induced on A_n by a lattice pair (beta, eps)."""
-    C = modules.endo_to_quotient(Q, eps_lattice)
-    return CompatiblePair(np.asarray(beta, dtype=np.int64), Q.module.hat_matrix(C))
 
 
 # ---------------------------------------------------------------------------
@@ -344,43 +329,24 @@ def _verify_complement(comp: Complement, Q: QuotientModule):
 
 
 # ---------------------------------------------------------------------------
-# rho / pi images and their interaction
+# the data that generates the pair group at deep levels
 
 
-@dataclass
-class RhoPiData:
-    bounds: ExponentBounds
-    complement: Complement
-    gamma_mod_c: list  # (beta, lattice eps) reps of the pair group mod p^c
-
-
-def one_plus(A: FiniteModule, eps_flat) -> CompatiblePair:
-    """(1, 1 + eps) from a hatted flat hom row (X[i, j] = C_ij p^{E - e_j})."""
-    C = A.unhat(np.asarray(eps_flat, dtype=np.int64).reshape(A.rank, A.rank))
-    return CompatiblePair(np.arange(A.group.order, dtype=np.int64),
-                          A.hat_matrix(np.eye(A.rank, dtype=np.int64) + C))
-
-
-def rho_pi_data(T: LatticeModule, chain: CentralChain, n: int, period: int) -> RhoPiData:
+def rho_pi_data(T: LatticeModule, chain: CentralChain, n: int,
+                period: int) -> tuple[ExponentBounds, Complement, list]:
+    """(bounds, the complement E_n, the `lattice_pairs_mod` stacks mod p^c)
+    at a qualifying level n: the rho images of the complement and the
+    lattice pairs generate the pair group there."""
     bounds = exponent_bounds(T, chain, n, period)
     if not bounds.qualifies(n):
         raise PairError("level %d does not satisfy the deep-level assumption; need %d"
                         % (n, bounds.least_qualifying()))
     comp = complement_En(T, chain, n, period)
-    return RhoPiData(bounds, comp, lattice_pairs_mod(T, bounds.c_exp))
+    return bounds, comp, lattice_pairs_mod(T, bounds.c_exp)
 
 
 # ---------------------------------------------------------------------------
 # the orbit correspondence between levels n and n + d
-
-
-@dataclass
-class GeneratorPair:
-    """A generator of the pair group at level n with its partner at n + d."""
-
-    kind: str  # "lattice" or "complement"
-    at_n: CompatiblePair
-    at_nd: CompatiblePair
 
 
 @dataclass
@@ -400,33 +366,34 @@ class OrbitCorrespondence:
 
 
 def generator_pairs(T: LatticeModule, Q_n: QuotientModule, Q_nd: QuotientModule,
-                    data: RhoPiData) -> list[GeneratorPair]:
-    """Matched generators of the pair groups at levels n and n + d.
+                    data) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+    """Matched generators of the pair groups at levels n and n + d, as
+    (kind, beta, eps stack at n, partner stack at n + d): pair s of the stack
+    at n is matched with pair s at n + d.
 
-    Lattice pairs reduce at both levels directly; complement generators
-    (1, 1 + eps) map by eps -> p * eps through the fixed integer lifts, and
-    both must be compatible pairs.
+    Each lattice stack of `rho_pi_data` reduces at both levels directly; the
+    complement generators (1, 1 + eps) make one stack, mapped by
+    eps -> p * eps through the fixed integer lifts, and both of its stacks
+    must be compatible pairs.
     """
-    p = T.p
-    out = []
-    for beta, eps in data.gamma_mod_c:
-        out.append(GeneratorPair("lattice",
-                                 reduce_pair(Q_n, beta, eps),
-                                 reduce_pair(Q_nd, beta, eps)))
-    A_nd = Q_nd.module
-    for row, lift in zip(data.complement.E_flat, data.complement.lattice_lifts):
-        at_n = one_plus(Q_n.module, row)
-        _require_pair(Q_n.module, at_n, "1 + eps is not a compatible pair")
-        C_nd = modules.endo_to_quotient(Q_nd, linalg.mul_mod(p, lift, T.q))
-        at_nd = CompatiblePair(at_n.beta, A_nd.hat_matrix(np.eye(A_nd.rank, dtype=np.int64) + C_nd))
-        _require_pair(A_nd, at_nd, "shifted complement generator is not a compatible pair")
-        out.append(GeneratorPair("complement", at_n, at_nd))
+    _, comp, lattice = data
+    A_n, A_nd = Q_n.module, Q_nd.module
+    out = [("lattice", beta, A_n.hat_matrix(modules.endo_to_quotient(Q_n, eps)),
+            A_nd.hat_matrix(modules.endo_to_quotient(Q_nd, eps))) for beta, eps in lattice]
+    if len(comp.E_flat):
+        ident = np.arange(A_n.group.order, dtype=np.int64)
+        C_n = A_n.unhat(comp.E_flat.reshape(-1, A_n.rank, A_n.rank))
+        C_nd = modules.endo_to_quotient(Q_nd, linalg.mul_mod(T.p, comp.lattice_lifts, T.q))
+        at_n = A_n.hat_matrix(np.eye(A_n.rank, dtype=np.int64) + C_n)
+        at_nd = A_nd.hat_matrix(np.eye(A_nd.rank, dtype=np.int64) + C_nd)
+        _require_pairs(A_n, ident, at_n, "1 + eps is not a compatible pair")
+        _require_pairs(A_nd, ident, at_nd, "shifted complement generator is not a compatible pair")
+        out.append(("complement", ident, at_n, at_nd))
     return out
 
 
-def _require_pair(A: FiniteModule, pair: CompatiblePair, message: str):
-    if not (automorphism_mask(A, pair.eps_hat)
-            and satisfies_compatibility(A, pair.beta, pair.eps_hat[None])[0]):
+def _require_pairs(A: FiniteModule, beta, eps_hats, message: str):
+    if not (automorphism_mask(A, eps_hats) & satisfies_compatibility(A, beta, eps_hats)).all():
         raise PairError(message)
 
 
@@ -437,7 +404,7 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
     Checks the equivariance identity shift(tau.g) = shift(tau).partner(g) on
     every H^2 element and every matched generator, then matches the full
     orbit partitions through the shift.  The elements are one stack, shifted
-    once; each generator moves that stack and the shifted one, and the
+    once; each generator stack moves that stack and the shifted one, and the
     witness is the first failure, generators outermost.
     """
     nd = n + period
@@ -449,15 +416,17 @@ def orbit_correspondence(T: LatticeModule, chain: CentralChain, n: int,
     elements = H_n.representative(groups.all_coord_rows(H_n.structure.moduli().tolist()))
     shifted = cohomology.id_oplus_mu(lev_n, lev_nd, elements)
     witness = None
-    for gp in gens:
-        moved = act_on_cochains(H_n, gp.at_n.beta, gp.at_n.eps_hat[None], elements)[0]
+    for kind, beta, eps_n, eps_nd in gens:
+        moved = act_on_cochains(H_n, beta, eps_n, elements)
+        moved = moved.reshape(len(eps_n) * len(elements), moved.shape[-1])
         lhs = H_nd.coords(cohomology.id_oplus_mu(lev_n, lev_nd, moved))
-        rhs = H_nd.coords(act_on_cochains(H_nd, gp.at_nd.beta, gp.at_nd.eps_hat[None],
-                                          shifted)[0])
+        rhs = act_on_cochains(H_nd, beta, eps_nd, shifted)
+        rhs = H_nd.coords(rhs.reshape(len(eps_nd) * len(shifted), rhs.shape[-1]))
         bad = np.flatnonzero((lhs != rhs).any(axis=-1))
         if len(bad):
             i = bad[0]
-            witness = {"kind": gp.kind, "tau_coords": H_n.coords(elements[i]).tolist(),
+            tau = elements[i % len(elements)]
+            witness = {"kind": kind, "tau_coords": H_n.coords(tau).tolist(),
                        "lhs": lhs[i].tolist(), "rhs": rhs[i].tolist()}
             break
     equivariant = witness is None

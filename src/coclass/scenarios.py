@@ -216,6 +216,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     # the numbers of a group spec; a presentation holds strings
     checked_integers("group", [group.get(k) for k in keys if group.get(k) is not None]
                      if isinstance(group, dict) else group)
+    # list() would split a string given for a list of words into its letters
+    pres = group.get("presentation") if isinstance(group, dict) else None
+    if isinstance(pres, dict):
+        for f in ("generators", "relators"):
+            words = pres.get(f)
+            if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+                raise ScenarioError("scenario field 'group' is malformed: presentation %r is %r, "
+                                    "not a list of strings" % (f, words))
     scn = Scenario(name=str(data["name"]), group_spec=group,
                    action=[arr.tolist() for arr in matrices], **ints)
     if len(matrices) != len(checked_field("group", scn.group).generators):

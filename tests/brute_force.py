@@ -454,9 +454,16 @@ def semi_brute_h_stats(mul, identity, moduli, act, m, p):
     return stats
 
 
+def flat_pairs(stacks) -> list[tuple]:
+    """The pairs (beta, eps_hat) of (beta, eps stack) entries, one by one in
+    stack order."""
+    return [(beta, eps) for beta, stack in stacks for eps in stack]
+
+
 def act_on_row(H, pair, row):
     """One pair acting on one cochain row, through the package's stacked action."""
-    return pairs.act_on_cochains(H, pair.beta, pair.eps_hat[None], np.asarray(row)[None])[0, 0]
+    beta, eps = pair
+    return pairs.act_on_cochains(H, beta, eps[None], np.asarray(row)[None])[0, 0]
 
 
 def brute_act_on_cochain(H, pair, row):
@@ -466,13 +473,14 @@ def brute_act_on_cochain(H, pair, row):
     nonid = [g for g in range(A.group.order) if g != A.group.identity]
     tuples = list(itertools.product(nonid, repeat=m))
     index = {t: i for i, t in enumerate(tuples)}
-    binv = np.argsort(pair.beta)
+    beta, eps = pair
+    binv = np.argsort(beta)
     r = A.rank
     row = np.asarray(row, dtype=np.int64) % A.q
     out = np.zeros_like(row)
     for i, t in enumerate(tuples):
         src = index[tuple(int(binv[g]) for g in t)]
-        out[i * r : (i + 1) * r] = (row[src * r : (src + 1) * r] @ pair.eps_hat) % A.q
+        out[i * r : (i + 1) * r] = (row[src * r : (src + 1) * r] @ eps) % A.q
     return out
 
 
@@ -543,6 +551,33 @@ def span_automorphism(A, eps_hat):
     generator rows span the module again (both spans in Howell form)."""
     img = (A.member_rows() @ (np.asarray(eps_hat) % A.q)) % A.q
     return linalg.span_equal(img, A.member_rows(), A.p, A.E)
+
+
+def all_pairs_by_search(A):
+    """Every compatible pair (beta, eps_hat) of A, found by trying every
+    plain coordinate matrix C against every automorphism beta: a pair when C
+    is a well-defined map (p^{e_i} C[i, j] = 0 mod p^{e_j}), its images of
+    the module's generators span A again, and P_g C = C P_beta(g) for the
+    plain action P_g of every group element.  The pairs come in
+    `GroupTable.automorphisms` order and, for each beta, in the enumeration
+    order of hom(A, A^(beta)); a pair that space misses comes after them."""
+    mods = A.coord_moduli()
+    plain = [A.unhat(A.member_rows() @ A.act[g] % A.q) for g in range(A.group.order)]
+    units = []
+    for entries in groups.all_coord_rows([int(m) for m in mods] * A.rank):
+        C = entries.reshape(A.rank, A.rank)
+        if not np.any(C * mods[:, None] % mods) and span_automorphism(A, A.hat_matrix(C)):
+            units.append((C, A.hat_matrix(C)))
+    out = []
+    for beta in A.group.automorphisms():
+        found = {X.tobytes(): X for C, X in units
+                 if all(np.array_equal(plain[g] @ C % mods, C @ plain[int(beta[g])] % mods)
+                        for g in range(A.group.order))}
+        homs = A.hat_matrix(A.hom_to(A.pullback(A.group, beta)).matrices())
+        order = [X.tobytes() for X in homs if X.tobytes() in found]
+        order += [key for key in found if key not in order]
+        out.extend((beta, found[key]) for key in order)
+    return out
 
 
 def span_intersection(gens_a, gens_b, p, M):
@@ -971,19 +1006,33 @@ def compose_perms(a, b):
 
 
 def pair_compose(A, x, y):
-    """Product of compatible pairs in action order: tau.(x y) = (tau.x).y."""
-    return pairs.CompatiblePair(compose_perms(x.beta, y.beta), A.canonical(x.eps_hat @ y.eps_hat))
+    """Product of compatible pairs (beta, eps_hat) in action order:
+    tau.(x y) = (tau.x).y."""
+    return compose_perms(x[0], y[0]), A.canonical(x[1] @ y[1])
 
 
 def pair_key(pair) -> tuple:
     """A hashable key of a compatible pair, equal for equal pairs in
     canonical form."""
-    return (pair.beta.tobytes(), pair.eps_hat.tobytes())
+    return (pair[0].tobytes(), pair[1].tobytes())
 
 
 def pair_identity(A):
-    return pairs.CompatiblePair(np.arange(A.group.order, dtype=np.int64),
-                                A.canonical(np.eye(A.rank, dtype=np.int64)))
+    return (np.arange(A.group.order, dtype=np.int64),
+            A.canonical(np.eye(A.rank, dtype=np.int64)))
+
+
+def one_plus(A, eps_flat):
+    """(1, 1 + eps) from a hatted flat hom row (X[i, j] = C_ij p^{E - e_j})."""
+    C = A.unhat(np.asarray(eps_flat, dtype=np.int64).reshape(A.rank, A.rank))
+    return (np.arange(A.group.order, dtype=np.int64),
+            A.hat_matrix(np.eye(A.rank, dtype=np.int64) + C))
+
+
+def reduce_pair(Q, beta, eps_lattice):
+    """The pair induced on A_n by a lattice pair (beta, eps)."""
+    C = modules.endo_to_quotient(Q, eps_lattice)
+    return np.asarray(beta, dtype=np.int64), Q.module.hat_matrix(C)
 
 
 def pair_inverse(A, x):
@@ -1008,12 +1057,13 @@ def rho_pi_pairs(T, chain, n, data):
     """The rho images of the complement basis and the closure of the pi-rho
     images of the lattice endomorphisms at level n, for `pairs.rho_pi_data`'s
     data."""
+    bounds, comp, _ = data
     Q = chain.quotient(n)
     A = Q.module
-    rho = [pairs.one_plus(A, row) for row in data.complement.E_flat]
-    c = T.p**data.bounds.c_exp
+    rho = [one_plus(A, row) for row in comp.E_flat]
+    c = T.p**bounds.c_exp
     ident = np.arange(T.group.order, dtype=np.int64)
-    gens = [pairs.reduce_pair(Q, ident, (np.eye(T.rank, dtype=np.int64) + c * Phi) % T.q)
+    gens = [reduce_pair(Q, ident, (np.eye(T.rank, dtype=np.int64) + c * Phi) % T.q)
             for Phi in modules.lattice_hom_space(T)]
     closed = groups.closure([pair_identity(A)], gens,
                             lambda x, g: pair_compose(A, x, g),
@@ -1026,9 +1076,9 @@ def check_rho_additivity(A, comp):
     rows = list(comp.E_flat)
     for x in rows:
         for y in rows:
-            lhs = pair_compose(A, pairs.one_plus(A, x), pairs.one_plus(A, y))
-            rhs = pairs.one_plus(A, (np.asarray(x) + np.asarray(y)) % A.q)
-            if not np.array_equal(lhs.eps_hat, rhs.eps_hat):
+            lhs = pair_compose(A, one_plus(A, x), one_plus(A, y))
+            rhs = one_plus(A, (np.asarray(x) + np.asarray(y)) % A.q)
+            if not np.array_equal(lhs[1], rhs[1]):
                 return False
     return True
 
@@ -1043,12 +1093,14 @@ def check_pi_rho_trivial_on_h2(H, rp):
     """The pi-rho closure acts trivially on H^2."""
     mods = H.structure.moduli()
     ident = np.eye(len(mods), dtype=np.int64) % mods[None, :]
-    return all(np.array_equal(M % mods[None, :], ident)
-               for M in pairs._h2_matrices(H, rp.pi_rho_pairs))
+    return all(np.array_equal(pairs.induced_h2_matrix(H, beta, eps[None])[0] % mods[None, :],
+                              ident)
+               for beta, eps in rp.pi_rho_pairs)
 
 
 def orbits_by_permutations(H, ps):
-    """(classes, stabiliser sizes, acting order) of the pairs on H, read from
+    """(classes, stabiliser sizes, acting order) of the pairs (beta, eps_hat)
+    on H, read from
     the permutation each pair induces on the coordinate tuples: the classes
     by reachability along those permutations, each sorted, in the order of
     their least member; the acting group by closing the permutations under
@@ -1059,8 +1111,8 @@ def orbits_by_permutations(H, ps):
     where = {c: i for i, c in enumerate(coords)}
     reps = H.representative(np.array(coords, dtype=np.int64).reshape(len(coords), -1))
     gens = set()
-    for x in ps:
-        moved = H.coords(pairs.act_on_cochains(H, x.beta, x.eps_hat[None], reps)[0])
+    for beta, eps in ps:
+        moved = H.coords(pairs.act_on_cochains(H, beta, eps[None], reps)[0])
         gens.add(tuple(where[tuple(c)] for c in moved.tolist()))
     group = {tuple(range(len(coords)))}
     frontier = list(group)
@@ -1088,20 +1140,24 @@ def orbits_by_permutations(H, ps):
 
 
 def equivariance_by_element(src, dst, gens):
-    """(verdict, witness) of shift(tau.g) = shift(tau).partner(g), checked
-    one H^2 element and one generator pair at a time, generators outermost,
-    with the per-tuple action; the witness is the first failure, in the form
-    of `pairs.OrbitCorrespondence.witness`."""
+    """(verdict, witness) of shift(tau.g) = shift(tau).partner(g) for the
+    (kind, beta, eps stack at n, partner stack) entries of
+    `pairs.generator_pairs`, checked one H^2 element and one generator pair
+    at a time, generators outermost in stack order, with the per-tuple
+    action; the witness is the first failure, in the form of
+    `pairs.OrbitCorrespondence.witness`."""
     H_n, H_nd = src.H, dst.H
-    for gp in gens:
+    flat = [(kind, beta, x, y) for kind, beta, eps_n, eps_nd in gens
+            for x, y in zip(eps_n, eps_nd)]
+    for kind, beta, at_n, at_nd in flat:
         for c in groups.all_coord_rows(H_n.structure.moduli().tolist()):
             tau = H_n.representative(c)
-            moved = brute_act_on_cochain(H_n, gp.at_n, tau)
+            moved = brute_act_on_cochain(H_n, (beta, at_n), tau)
             lhs = H_nd.coords(cohomology.id_oplus_mu(src, dst, moved))
             shifted = cohomology.id_oplus_mu(src, dst, tau)
-            rhs = H_nd.coords(brute_act_on_cochain(H_nd, gp.at_nd, shifted))
+            rhs = H_nd.coords(brute_act_on_cochain(H_nd, (beta, at_nd), shifted))
             if not np.array_equal(lhs, rhs):
-                return False, {"kind": gp.kind, "tau_coords": H_n.coords(tau).tolist(),
+                return False, {"kind": kind, "tau_coords": H_n.coords(tau).tolist(),
                                "lhs": lhs.tolist(), "rhs": rhs.tolist()}
     return True, None
 

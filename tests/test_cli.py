@@ -82,22 +82,23 @@ def test_correspondence_exit_codes(capsys):
 
 
 def test_a_non_equivariant_generator_is_reported_in_strings(monkeypatch, capsys):
-    # the first generator's partner at n + d moves every cochain by one more
-    # nonzero class, so that generator pair is no longer equivariant
+    # the first pair of the first generator stack gets a partner at n + d
+    # that moves every cochain by one more nonzero class, so that generator
+    # pair is no longer equivariant; the partner stack is a copy, which the
+    # action recognises by identity
     partners = []
 
     def generator_pairs(T, Q_n, Q_nd, data, _fn=pairs.generator_pairs):
         gens = _fn(T, Q_n, Q_nd, data)
-        partners.append((Q_nd.module, gens[0].at_nd))
-        return gens
+        kind, beta, eps_n, eps_nd = gens[0]
+        partners.append(eps_nd.copy())
+        return [(kind, beta, eps_n, partners[0])] + gens[1:]
 
     def act(H, beta, eps_hats, rows, _fn=pairs.act_on_cochains):
         moved = _fn(H, beta, eps_hats, rows)
-        module, partner = partners[0]
-        if (H.module is module and len(eps_hats) == 1 and np.array_equal(beta, partner.beta)
-                and np.array_equal(eps_hats[0], partner.eps_hat)):
+        if partners and eps_hats is partners[0]:
             first = np.eye(1, len(H.structure.exps), dtype=np.int64)[0]
-            moved = (moved + H.representative(first)) % H.module.q
+            moved[0] = (moved[0] + H.representative(first)) % H.module.q
         return moved
     monkeypatch.setattr(pairs, "generator_pairs", generator_pairs)
     monkeypatch.setattr(pairs, "act_on_cochains", act)
@@ -341,6 +342,9 @@ def test_precision_whose_sums_wrap_int64_is_a_usage_error(capsys, precision):
     ("group", {"matrix_generators": [[[2]]], "modulus": 4}),
     ("group", {"matrix_generators": [[[0, 1], [1, 0]], [[1, 1], [1, 3]]], "modulus": 4}),
     ("group", {"permutations": [[1, 0]]}),
+    # list("a") would read as ["a"], and list("a^2") as ["a", "^", "2"]
+    ("group", {"presentation": {"generators": "a", "relators": ["a^2"]}}),
+    ("group", {"presentation": {"generators": ["a"], "relators": "a^2"}}),
 ])
 def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
     data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"])
@@ -359,6 +363,9 @@ def test_malformed_scenario_is_a_one_line_error(tmp_path, capsys, field, value):
         assert "field %r" % field.strip("-") in err
     if field == "group" and not {"table", "presentation"} & set(value):
         assert "error: group spec must contain table or presentation\n" == err
+    for name, words in value.get("presentation", {}).items() if field == "group" else ():
+        if isinstance(words, str):
+            assert "presentation %r is %r, not a list of strings" % (name, words) in err
 
 
 @pytest.mark.parametrize("source, field, value, leaf", [
@@ -443,6 +450,19 @@ def test_large_cyclic_group_stops_at_the_coboundary_cap(tmp_path, capsys):
     assert proc.stderr.startswith("error: coboundary d^2 over a group of order 1024")
     assert proc.stderr.count("\n") == 1
     assert peak_kib < 100 * 1024, "peak RSS %.1f MiB" % (peak_kib / 1024)
+
+
+def test_a_relator_past_the_coset_table_cap_is_refused_before_it_is_expanded(tmp_path, capsys):
+    # a^99999999999 would expand to 10^11 letters; a^1024 above still builds
+    data = dict(scenarios.BUILTIN_SCENARIOS["dihedral_mainline"],
+                group={"presentation": {"generators": ["a"], "relators": ["a^99999999999"]}})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(["cohomology", "--scenario", str(path), "--n", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("error: relator 'a^99999999999' takes the relators past %d letters, "
+                   "the coset-table cap\n" % (4 * groups.CLOSURE_CAP))
 
 
 def _bytes(a) -> bytes:

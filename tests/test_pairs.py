@@ -1,14 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coclass import cohomology, groups, linalg, modules, pairs, scenarios
 
-from brute_force import (act_on_row, brute_act_on_cochain, check_centralizing,
-                         check_pi_rho_trivial_on_h2, check_rho_additivity,
-                         equivariance_by_element, is_coboundary, orbits_by_permutations,
-                         pair_compose, pair_identity, pair_inverse, pair_key, rho_pi_pairs)
+from brute_force import (act_on_row, all_pairs_by_search, brute_act_on_cochain,
+                         check_centralizing, check_pi_rho_trivial_on_h2, check_rho_additivity,
+                         equivariance_by_element, flat_pairs, is_coboundary,
+                         orbits_by_permutations, pair_compose, pair_identity, pair_inverse,
+                         pair_key, rho_pi_pairs)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def cyclic_table(n):
@@ -52,9 +56,10 @@ def c2_setup():
 def test_compatible_pairs_c2_on_z4():
     T, chain, _ = c2_setup()
     Q = modules.quotient(T, chain, 2)
-    ps = pairs.compatible_pairs(Q.module)
+    stacks = pairs.compatible_pairs(Q.module)
+    ps = flat_pairs(stacks)
     # only the identity automorphism of C2; the units of Z/4 commute with -1
-    assert len(ps) == 2
+    assert len(stacks) == 1 and len(ps) == 2
     keys = {pair_key(p) for p in ps}
     assert pair_key(pair_identity(Q.module)) in keys
 
@@ -63,7 +68,7 @@ def test_pairs_closed_under_composition_and_inverse():
     T, chain, _ = c2_setup()
     Q = modules.quotient(T, chain, 3)
     A = Q.module
-    ps = pairs.compatible_pairs(A)
+    ps = flat_pairs(pairs.compatible_pairs(A))
     keys = {pair_key(p) for p in ps}
     for x in ps:
         assert pair_key(pair_inverse(A, x)) in keys
@@ -75,7 +80,7 @@ def test_trivial_action_gives_full_product():
     C2 = groups.make_table(cyclic_table(2))
     ident = [np.eye(2, dtype=np.int64)] * 2
     A = modules.finite_module_from_plain(C2, 2, [1, 1], ident)
-    ps = pairs.compatible_pairs(A)
+    ps = flat_pairs(pairs.compatible_pairs(A))
     # Aut(C2) x Aut((Z/2)^2) = 1 x GL(2, 2)
     assert len(ps) == 6
 
@@ -85,7 +90,7 @@ def test_action_is_a_group_action_on_classes():
     Q = modules.quotient(T, chain, 4)
     H = cohomology.finite_cohomology(Q.module, 2)
     A = Q.module
-    ps = pairs.compatible_pairs(A)
+    ps = flat_pairs(pairs.compatible_pairs(A))
     rep = H.representative(groups.all_coord_rows(H.structure.moduli().tolist())[0])
     rng = np.random.default_rng(5)
     picks = rng.choice(len(ps), size=min(6, len(ps)), replace=False)
@@ -103,7 +108,7 @@ def test_action_sends_coboundaries_to_coboundaries():
     T, chain, _ = d8_setup()
     Q = modules.quotient(T, chain, 3)
     H = cohomology.finite_cohomology(Q.module, 2)
-    ps = pairs.compatible_pairs(Q.module)
+    ps = flat_pairs(pairs.compatible_pairs(Q.module))
     for row in H.boundaries[:4]:
         for x in ps[:6]:
             assert is_coboundary(H, act_on_row(H, x, row))
@@ -113,7 +118,7 @@ def test_chain_terms_invariant_under_lattice_pairs():
     # uniserial chain terms are setwise invariant under any compatible pair
     T, chain, _ = d8_setup()
     reps = pairs.lattice_pairs_mod(T, 2)
-    for _, eps in reps:
+    for _, eps in flat_pairs(reps):
         for B in chain.bases[:6]:
             img = (B @ eps) % T.q
             assert linalg.howell(B, T.p, T.N, track=True).solve(img) is not None
@@ -127,7 +132,7 @@ def test_orbits_against_brute_reachability(setup, n):
     H = cohomology.finite_cohomology(Q.module, 2)
     ps = pairs.compatible_pairs(Q.module)
     orb = pairs.orbits_on_h2(H, ps)
-    classes, stabs, acting_order = orbits_by_permutations(H, ps)
+    classes, stabs, acting_order = orbits_by_permutations(H, flat_pairs(ps))
     assert orb.classes == classes
     assert orb.sizes == [len(cl) for cl in classes]
     assert orb.stabilizer_sizes == stabs
@@ -141,9 +146,9 @@ def test_orbits_under_two_pairs_are_orbits_of_the_group_they_generate():
     V4 = groups.make_table([[i ^ j for j in range(4)] for i in range(4)])
     A = modules.finite_module_from_plain(V4, 2, [2, 2], [np.eye(2, dtype=np.int64)] * 4)
     H = cohomology.finite_cohomology(A, 2)
-    ps = pairs.compatible_pairs(A)
+    ps = flat_pairs(pairs.compatible_pairs(A))
     two = [ps[int(i)] for i in np.random.default_rng(0).choice(len(ps), 2, replace=False)]
-    orb = pairs.orbits_on_h2(H, two)
+    orb = pairs.orbits_on_h2(H, [(beta, eps[None]) for beta, eps in two])
     classes, stabs, acting_order = orbits_by_permutations(H, two)
     assert acting_order > 2
     assert (orb.classes, orb.stabilizer_sizes, orb.acting_order) == (classes, stabs, acting_order)
@@ -159,29 +164,46 @@ def _correspondence_inputs(name):
 
 
 def _perturbed(gens, A):
-    """The d8 generators with two partners replaced by other compatible pairs:
-    the second lattice generator's by the complement generator's, and the
-    complement generator's by the identity, so both fail."""
-    ident = pairs.CompatiblePair(np.arange(A.group.order, dtype=np.int64),
-                                 A.hat_matrix(np.eye(A.rank, dtype=np.int64)))
+    """The d8 generators with two partners replaced by other compatible
+    pairs: the second lattice generator's by its product with the complement
+    generator's partner, and the complement generator's by the identity, so
+    both fail."""
+    (kind, beta, eps_n, eps_nd), last = gens[1], gens[-1]
+    assert len(eps_n) == len(last[3]) == 1
     out = list(gens)
-    out[1] = pairs.GeneratorPair(gens[1].kind, gens[1].at_n, gens[-1].at_nd)
-    out[-1] = pairs.GeneratorPair(gens[-1].kind, gens[-1].at_n, ident)
+    out[1] = (kind, beta, eps_n, A.canonical(eps_nd @ last[3]))
+    out[-1] = last[:3] + (A.hat_matrix(np.eye(A.rank, dtype=np.int64))[None],)
     return out
 
 
-@pytest.mark.parametrize("case", ["dihedral_mainline", "d8_gaussian", "d8_gaussian perturbed"])
+def _perturbed_in_a_stack(gens):
+    """The C3 generators with the partners of pairs 2 and 4 of the first
+    lattice stack, of 6 pairs, replaced by those of pairs 3 and 0, which act
+    on H^2 by the other unit, so pair 2 is the first to fail."""
+    kind, beta, eps_n, eps_nd = gens[0]
+    assert len(eps_n) == 6
+    partners = eps_nd.copy()
+    partners[[2, 4]] = eps_nd[[3, 0]]
+    return [(kind, beta, eps_n, partners)] + gens[1:]
+
+
+@pytest.mark.parametrize("case", ["dihedral_mainline", "d8_gaussian", "d8_gaussian perturbed",
+                                  "c3_eisenstein perturbed in a stack"])
 def test_equivariance_matches_the_per_element_loop(case, monkeypatch):
     name = case.split()[0]
+    if name.startswith("c3"):
+        name = str(DATA / (name + ".json"))
     T, chain, n, d, gens = _correspondence_inputs(name)
     if case.endswith("perturbed"):
         gens = _perturbed(gens, chain.quotient(n + d).module)
+    elif case.endswith("stack"):
+        gens = _perturbed_in_a_stack(gens)
     monkeypatch.setattr(pairs, "generator_pairs", lambda *args: gens)
     cor = pairs.orbit_correspondence(T, chain, n, d)
     want = equivariance_by_element(cohomology.level_split(chain, n),
                                    cohomology.level_split(chain, n + d), gens)
     assert (cor.equivariant, cor.witness) == want
-    assert cor.equivariant == (not case.endswith("perturbed"))
+    assert cor.equivariant == ("perturbed" not in case)
 
 
 def test_the_orbit_layer_shifts_and_closes_once(monkeypatch):
@@ -294,13 +316,13 @@ def test_rho_pi_structure_d8():
     data = pairs.rho_pi_data(T, chain, n, period)
     rp = rho_pi_pairs(T, chain, n, data)
     A = Q.module
-    assert check_rho_additivity(A, data.complement)
+    assert check_rho_additivity(A, data[1])
     assert check_centralizing(A, rp)
     H = cohomology.finite_cohomology(A, 2)
     assert check_pi_rho_trivial_on_h2(H, rp)
-    for pair in rp.rho_pairs:
-        assert pairs.satisfies_compatibility(A, pair.beta, pair.eps_hat[None]).all()
-        assert pairs.automorphism_mask(A, pair.eps_hat)
+    for beta, eps in rp.rho_pairs:
+        assert pairs.satisfies_compatibility(A, beta, eps[None]).all()
+        assert pairs.automorphism_mask(A, eps)
 
 
 def test_orbit_correspondence_c2():
@@ -340,12 +362,11 @@ def test_compatibility_mask_matches_the_pair_enumeration():
     # mask must pick out exactly the pairs that the hom spaces produce
     T, chain, _ = d8_setup()
     A = modules.quotient(T, chain, 3).module
-    ps = pairs.compatible_pairs(A)
-    stack = np.stack(list({p.eps_hat.tobytes(): p.eps_hat for p in ps}.values()))
-    betas = {p.beta.tobytes(): p.beta for p in ps}
-    assert len(betas) > 1
-    for key, beta in betas.items():
-        found = {p.eps_hat.tobytes() for p in ps if p.beta.tobytes() == key}
+    stacks = pairs.compatible_pairs(A)
+    stack = np.stack(list({eps.tobytes(): eps for _, eps in flat_pairs(stacks)}.values()))
+    assert len(stacks) > 1
+    for beta, eps_hats in stacks:
+        found = {eps.tobytes() for eps in eps_hats}
         want = [eps.tobytes() in found for eps in stack]
         assert pairs.satisfies_compatibility(A, beta, stack).tolist() == want
         assert 0 < sum(want) < len(stack)
@@ -355,11 +376,30 @@ def test_induced_matrices_of_a_stack_match_the_per_pair_action():
     T, chain, _ = d8_setup()
     A = modules.quotient(T, chain, 4).module
     H = cohomology.finite_cohomology(A, 2)
-    ps = pairs.compatible_pairs(A)
-    beta = ps[-1].beta
-    eps = np.stack([p.eps_hat for p in ps if np.array_equal(p.beta, beta)])
+    beta, eps = pairs.compatible_pairs(A)[-1]
+    assert len(eps) > 1
     got = pairs.induced_h2_matrix(H, beta, eps)
     for M, e in zip(got, eps):
-        pair = pairs.CompatiblePair(beta, e)
-        want = [H.coords(brute_act_on_cochain(H, pair, g)) for g in H.structure.gens]
+        want = [H.coords(brute_act_on_cochain(H, (beta, e), g)) for g in H.structure.gens]
         assert np.array_equal(M, np.array(want))
+
+
+_STAGE_LEVELS = [("d8_gaussian", 0, 2), ("d8_gaussian", 0, 3),
+                 ("dihedral_mainline", 1, 2), ("dihedral_mainline", 1, 3)]
+
+
+@pytest.mark.parametrize("name,k,n", _STAGE_LEVELS, ids=lambda x: str(x))
+def test_stacks_leave_out_the_betas_without_pairs(name, k, n):
+    # at these levels half or more of the automorphisms beta have no
+    # invertible compatible eps, and their stacks are left out
+    A = scenarios.load_scenario(name).stage(k).quotient(n).module
+    stacks = pairs.compatible_pairs(A)
+    assert len(stacks) < len(A.group.automorphisms())
+    assert all(len(eps) for _, eps in stacks)
+    want = all_pairs_by_search(A)
+    assert [pair_key(x) for x in flat_pairs(stacks)] == [pair_key(x) for x in want]
+    H = cohomology.finite_cohomology(A, 2)
+    orb = pairs.orbits_on_h2(H, stacks)
+    classes, stabs, acting_order = orbits_by_permutations(H, want)
+    assert (orb.classes, orb.sizes, orb.stabilizer_sizes, orb.acting_order) == (
+        classes, [len(cl) for cl in classes], stabs, acting_order)

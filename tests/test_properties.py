@@ -11,7 +11,8 @@ from coclass import cohomology, extensions, groups, linalg, modules, pairs, scen
 from brute_force import (act_on_row, brute_act_on_cochain, center, center_of_table,
                          check_certificate, closure_table_fill,
                          compose_permutations, contains, diagonalize_mod, element_orders_by_steps,
-                         extension_mul_by_blocks, extension_table_by_formula, generator_columns,
+                         extension_mul_by_blocks, extension_table_by_formula, flat_pairs,
+                         generator_columns,
                          hom_space_flat_by_plain_solve, is_associative, is_coboundary,
                          kernel_gens_mod, lower_central_series_terms, pair_compose,
                          permutation_table, plain_action_entries, reduce_one_row,
@@ -293,7 +294,7 @@ def test_pair_action_is_an_action(data):
     Q = scn.quotient(3)
     A = Q.module
     H = cohomology.finite_cohomology(A, 2)
-    ps = pairs.compatible_pairs(A)
+    ps = flat_pairs(pairs.compatible_pairs(A))
     x = ps[data.draw(st.integers(min_value=0, max_value=len(ps) - 1))]
     y = ps[data.draw(st.integers(min_value=0, max_value=len(ps) - 1))]
     coords = tuple(data.draw(st.integers(min_value=0, max_value=int(m) - 1))
@@ -326,7 +327,7 @@ def _module_pairs(name):
     if name not in _pair_cache:
         A = _PAIR_MODULES[name]()
         Hs = [cohomology.finite_cohomology(A, m) for m in (1, 2)]
-        _pair_cache[name] = (A, Hs, pairs.compatible_pairs(A))
+        _pair_cache[name] = (A, Hs, flat_pairs(pairs.compatible_pairs(A)))
     return _pair_cache[name]
 
 

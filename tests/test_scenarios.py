@@ -194,9 +194,8 @@ def test_witness_is_recheckable():
     H = level.H
     A = Q.module
     eps_hat = np.array([[int(x) for x in r] for r in w["eps_hat"]], dtype=np.int64)
-    pair = pairs.CompatiblePair(np.arange(A.group.order, dtype=np.int64),
-                                A.canonical(eps_hat))
-    assert pairs.automorphism_mask(A, pair.eps_hat)
+    beta, eps_hat = np.arange(A.group.order, dtype=np.int64), A.canonical(eps_hat)
+    assert pairs.automorphism_mask(A, eps_hat)
     # rebuild the class from the theta rows so it provably sits in the summand
     classes = scenarios._summand_classes(level)
     lookup = dict(classes)
@@ -204,7 +203,7 @@ def test_witness_is_recheckable():
     row = lookup[key]
     member = scenarios._summand_membership_solver(level, H)
     assert not np.any(member.reduce(row))
-    image = pairs.act_on_cochains(H, pair.beta, pair.eps_hat[None], row[None])[0, 0]
+    image = pairs.act_on_cochains(H, beta, eps_hat[None], row[None])[0, 0]
     assert np.any(member.reduce(image))
     comp = scenarios._h3_component(level, image)
     assert comp == w["h3_component"]
